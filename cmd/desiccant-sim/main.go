@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	// The calibrate experiment self-registers; the blank import keeps
@@ -35,65 +36,102 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// flags holds one invocation's parsed command line.
+type flags struct {
+	quick, summary                        bool
+	seed                                  uint64
+	parallel, shards                      int
+	intensity                             float64
+	out, tracePath, metricsPath, jsonPath string
+}
+
+// optionalFlags are the flags a command must list to accept (an
+// experiment through experiments.Entry.Flags, a subcommand in
+// subcommandFlags); every other flag applies to every command.
+var optionalFlags = []string{"metrics", "trace", "summary", "intensity", "shards", "json"}
+
+// subcommandFlags lists the optional flags of the commands that are
+// not registry entries.
+var subcommandFlags = map[string][]string{
+	"all":   {"shards"},
+	"trace": {"trace", "summary"},
+}
+
+// acceptedFlags returns the optional flags cmd accepts.
+func acceptedFlags(cmd string) []string {
+	if fl, ok := subcommandFlags[cmd]; ok {
+		return fl
+	}
+	for _, e := range experiments.List() {
+		if e.Name == cmd {
+			return e.Flags
+		}
+	}
+	return nil
+}
+
+// parseArgs parses and validates args[1:] as the flags of command
+// args[0], rejecting any optional flag the command does not accept.
+func parseArgs(args []string) (string, *flags, error) {
 	if len(args) == 0 {
 		usage(os.Stderr)
-		return fmt.Errorf("missing experiment name")
+		return "", nil, fmt.Errorf("missing experiment name")
 	}
 	cmd := args[0]
-
+	f := &flags{}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced iterations/sweeps for a fast smoke run")
-	seed := fs.Uint64("seed", 0, "override the experiment seed (0 = default)")
-	parallel := fs.Int("parallel", 0, "sweep workers; 0 = GOMAXPROCS, 1 = serial (output is identical either way)")
-	out := fs.String("o", "", "output file (or directory for 'all'); default stdout")
-	tracePath := fs.String("trace", "", "write a Chrome/Perfetto trace JSON to this file (observe only)")
-	metricsPath := fs.String("metrics", "", "write the sampled metrics time series CSV to this file (observe only)")
-	summary := fs.Bool("summary", false, "print a human-readable summary instead of the metrics snapshot (observe only)")
-	intensity := fs.Float64("intensity", 0, "pin the fault intensity instead of sweeping the default axis (chaos only)")
-	shards := fs.Int("shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster/calibrate; output is identical at any setting)")
-	jsonPath := fs.String("json", "", "write the machine-readable VALIDATION.json report to this file (calibrate only)")
+	fs.BoolVar(&f.quick, "quick", false, "reduced iterations/sweeps for a fast smoke run")
+	fs.Uint64Var(&f.seed, "seed", 0, "override the experiment seed (0 = default)")
+	fs.IntVar(&f.parallel, "parallel", 0, "sweep workers; 0 = GOMAXPROCS, 1 = serial (output is identical either way)")
+	fs.StringVar(&f.out, "o", "", "output file (or directory for 'all'); default stdout")
+	fs.StringVar(&f.tracePath, "trace", "", "write a Chrome/Perfetto trace JSON to this file (observe, ext-attr, trace)")
+	fs.StringVar(&f.metricsPath, "metrics", "", "write the sampled metrics time series CSV to this file (observe only)")
+	fs.BoolVar(&f.summary, "summary", false, "print a human-readable summary instead of the main CSV (observe, ext-attr, trace)")
+	fs.Float64Var(&f.intensity, "intensity", 0, "pin the fault intensity instead of sweeping the default axis (chaos only)")
+	fs.IntVar(&f.shards, "shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster; output is identical at any setting)")
+	fs.StringVar(&f.jsonPath, "json", "", "write the machine-readable VALIDATION.json report to this file (calibrate only)")
 	if err := fs.Parse(args[1:]); err != nil {
+		return "", nil, err
+	}
+	accepted := acceptedFlags(cmd)
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		if err == nil && slices.Contains(optionalFlags, fl.Name) && !slices.Contains(accepted, fl.Name) {
+			err = fmt.Errorf("-%s does not apply to %s", fl.Name, cmd)
+		}
+	})
+	switch {
+	case err != nil:
+		return "", nil, err
+	case f.parallel < 0:
+		return "", nil, fmt.Errorf("-parallel must be >= 0, got %d", f.parallel)
+	case f.intensity < 0 || f.intensity > 1:
+		return "", nil, fmt.Errorf("-intensity must be in [0,1], got %v", f.intensity)
+	case f.shards < 0:
+		return "", nil, fmt.Errorf("-shards must be >= 0, got %d", f.shards)
+	}
+	return cmd, f, nil
+}
+
+func run(args []string) error {
+	cmd, f, err := parseArgs(args)
+	if err != nil {
 		return err
 	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
-	}
-	if *metricsPath != "" && cmd != "observe" {
-		return fmt.Errorf("-metrics applies only to the observe experiment")
-	}
-	if (*tracePath != "" || *summary) && cmd != "observe" && cmd != "ext-attr" && cmd != "trace" {
-		return fmt.Errorf("-trace/-summary apply only to the observe and ext-attr experiments and the trace subcommand")
-	}
-	if cmd != "chaos" && *intensity != 0 {
-		return fmt.Errorf("-intensity applies only to the chaos experiment")
-	}
-	if *intensity < 0 || *intensity > 1 {
-		return fmt.Errorf("-intensity must be in [0,1], got %v", *intensity)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
-	}
-	if cmd != "ext-fleet" && cmd != "ext-attr" && cmd != "ext-cluster" && cmd != "calibrate" && cmd != "all" && *shards != 0 {
-		return fmt.Errorf("-shards applies only to the ext-fleet, ext-attr, ext-cluster and calibrate experiments")
-	}
-	if *jsonPath != "" && cmd != "calibrate" {
-		return fmt.Errorf("-json applies only to the calibrate experiment")
-	}
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallel: *parallel, Summary: *summary, Intensity: *intensity, Shards: *shards}
+	opts := experiments.Options{Quick: f.quick, Seed: f.seed, Parallel: f.parallel, Summary: f.summary, Intensity: f.intensity, Shards: f.shards}
 	for _, ex := range []struct {
 		path string
 		dst  *io.Writer
-	}{{*tracePath, &opts.Trace}, {*metricsPath, &opts.Metrics}, {*jsonPath, &opts.Validation}} {
+	}{{f.tracePath, &opts.Trace}, {f.metricsPath, &opts.Metrics}, {f.jsonPath, &opts.Validation}} {
 		if ex.path == "" {
 			continue
 		}
-		f, err := os.Create(ex.path)
+		file, err := os.Create(ex.path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		*ex.dst = f
+		defer file.Close()
+		*ex.dst = file
 	}
 
 	switch cmd {
@@ -101,16 +139,16 @@ func run(args []string) error {
 		usage(os.Stdout)
 		return nil
 	case "all":
-		return runAll(opts, *out)
+		return runAll(opts, f.out)
 	case "trace":
-		w, closeFn, err := openOut(*out)
+		w, closeFn, err := openOut(f.out)
 		if err != nil {
 			return err
 		}
 		defer closeFn()
-		return runTrace(opts, *quick, w)
+		return runTrace(opts, f.quick, w)
 	default:
-		w, closeFn, err := openOut(*out)
+		w, closeFn, err := openOut(f.out)
 		if err != nil {
 			return err
 		}
@@ -214,7 +252,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       desiccant-sim ext-attr [-quick] [-seed N] [-shards N] [-trace out.json] [-summary]")
 	fmt.Fprintln(w, "       desiccant-sim ext-cluster [-quick] [-seed N] [-parallel N] [-shards N]")
 	fmt.Fprintln(w, "       desiccant-sim trace [-quick] [-seed N] [-trace out.json] [-summary] [-o attr.csv]")
-	fmt.Fprintln(w, "       desiccant-sim calibrate [-quick] [-seed N] [-parallel N] [-shards N] [-json VALIDATION.json]")
+	fmt.Fprintln(w, "       desiccant-sim calibrate [-quick] [-seed N] [-parallel N] [-json VALIDATION.json]")
 	fmt.Fprintln(w, "\nexperiments:")
 	for _, e := range experiments.List() {
 		fmt.Fprintf(w, "  %-8s %-10s %s\n", e.Name, e.Figure, e.Description)

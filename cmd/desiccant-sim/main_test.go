@@ -3,8 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"desiccant/internal/experiments"
 )
 
 func TestRunTable(t *testing.T) {
@@ -41,6 +44,31 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"table1", "-bogusflag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestFlagTable checks, for every registered experiment and every
+// optional flag, that the command line accepts the pair exactly when
+// the registry entry lists the flag.
+func TestFlagTable(t *testing.T) {
+	args := map[string][]string{
+		"metrics":   {"-metrics", "m.csv"},
+		"trace":     {"-trace", "t.json"},
+		"summary":   {"-summary"},
+		"intensity": {"-intensity", "0.5"},
+		"shards":    {"-shards", "2"},
+		"json":      {"-json", "v.json"},
+	}
+	if len(args) != len(optionalFlags) {
+		t.Fatalf("table covers %d flags, the CLI has %d optional flags", len(args), len(optionalFlags))
+	}
+	for _, e := range experiments.List() {
+		for _, fl := range optionalFlags {
+			_, _, err := parseArgs(append([]string{e.Name}, args[fl]...))
+			if want := slices.Contains(e.Flags, fl); (err == nil) != want {
+				t.Errorf("%s -%s: accepted=%v, registry lists it: %v (err %v)", e.Name, fl, err == nil, want, err)
+			}
+		}
 	}
 }
 

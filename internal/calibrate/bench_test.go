@@ -7,8 +7,7 @@ import (
 
 // BenchmarkCalibrateQuick times the CI-shaped calibration pipeline:
 // fit on Table 1, predict Figs. 7/8/9, run the metamorphic suite, and
-// render both report forms. scripts/bench.sh tracks it in
-// BENCH_PR9.json.
+// render both report forms.
 func BenchmarkCalibrateQuick(b *testing.B) {
 	o := QuickOptions()
 	b.ReportAllocs()

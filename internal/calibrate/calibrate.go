@@ -6,10 +6,9 @@
 // fit-on-held-in / predict-held-out discipline of Quaresma et al. A
 // metamorphic suite rides on top: exact model-level implications
 // (budget monotonicity, allocation halving, zero intensity, live-set
-// growth) checked across every registered runtime on the sharded
-// engine. Everything is a pure function of Options — seeded sim RNG,
-// no wall-clock — so reports are byte-identical at any -parallel and
-// -shards setting.
+// growth) checked across every registered runtime. Everything is a
+// pure function of Options — seeded sim RNG, no wall-clock — so
+// reports are byte-identical at any -parallel setting.
 package calibrate
 
 import (
@@ -20,19 +19,17 @@ import (
 )
 
 // Options parameterizes a calibration run. Every field participates
-// in the report's identity except Parallel and Shards, which only
-// change wall-clock time.
+// in the report's identity except Parallel, which only changes
+// wall-clock time.
 type Options struct {
 	// Seed drives the fit's coordinate shuffle and every simulation
 	// the fit and the predictions run.
 	Seed uint64
 	// Quick shrinks iteration counts and trace windows for smoke runs.
 	Quick bool
-	// Parallel is the sweep worker count (0 = GOMAXPROCS, 1 = serial).
+	// Parallel is the worker count of the sweeps and the metamorphic
+	// cells (0 = GOMAXPROCS, 1 = serial).
 	Parallel int
-	// Shards is the sharded engine's worker count for the metamorphic
-	// suite (0 = 1).
-	Shards int
 
 	// FitPasses is the number of coordinate-descent sweeps; the step
 	// halves between passes.
@@ -109,6 +106,7 @@ func init() {
 	experiments.Register(experiments.Entry{
 		Name: "calibrate", Figure: "Validation", Claim: "C1+C2",
 		Description: "fit on Table 1 characterization, predict Figs. 7/8/9 with relerr bands, metamorphic gates",
+		Flags:       []string{"json"},
 		Run:         runExperiment,
 	})
 }
@@ -122,9 +120,6 @@ func runExperiment(w io.Writer, opts experiments.Options) error {
 		o.Seed = opts.Seed
 	}
 	o.Parallel = opts.Parallel
-	if opts.Shards > 0 {
-		o.Shards = opts.Shards
-	}
 	rep, err := Run(o)
 	if err != nil {
 		return err

@@ -49,23 +49,21 @@ func TestFitImprovesLossDeterministically(t *testing.T) {
 func TestRunByteIdenticalAcrossParallelAndShards(t *testing.T) {
 	serial := tinyOptions()
 	serial.Parallel = 1
-	serial.Shards = 1
 	fanned := tinyOptions()
 	fanned.Parallel = 8
-	fanned.Shards = 4
 
 	var out [2]bytes.Buffer
 	for i, o := range []Options{serial, fanned} {
 		rep, err := Run(o)
 		if err != nil {
-			t.Fatalf("Run(parallel=%d, shards=%d): %v", o.Parallel, o.Shards, err)
+			t.Fatalf("Run(parallel=%d): %v", o.Parallel, err)
 		}
 		if err := rep.WriteJSON(&out[i]); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
 	}
 	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
-		t.Errorf("VALIDATION.json differs between -parallel 1/-shards 1 and -parallel 8/-shards 4:\n%s\n---\n%s",
+		t.Errorf("VALIDATION.json differs between -parallel 1 and -parallel 8:\n%s\n---\n%s",
 			out[0].Bytes(), out[1].Bytes())
 	}
 }

@@ -79,35 +79,21 @@ func metamorphicCells(seeds []uint64) []cellSpec {
 }
 
 // RunMetamorphic evaluates every (property, runtime, seed) cell on the
-// sharded engine: one domain per cell plus a dispatcher, with cells
-// scheduled as cross-domain sends so the shard workers execute them
-// concurrently inside one lookahead window. Each handler writes only
-// its own domain's result slot and the slice is read back in index
-// order, so the outcome is byte-identical at any shard count.
+// experiments cell pool. Each cell writes only its own result slot and
+// the slice is read back in index order, so the outcome is
+// byte-identical at any Parallel setting.
 func RunMetamorphic(o Options) []CellResult {
 	cells := metamorphicCells(o.MetaSeeds)
 	if len(cells) == 0 {
 		return nil
 	}
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	s := sim.NewSharded(len(cells)+1, shards, sim.Millisecond)
-	results := make([]CellResult, len(cells)+1)
-	iters := o.MetaIterations
-	root := s.Domain(0)
-	root.At(0, "calibrate.metamorphic.dispatch", func() {
-		for i := range cells {
-			d := i + 1
-			c := cells[i]
-			s.Send(0, sim.Time(sim.Millisecond), d, "calibrate.metamorphic.cell", func() {
-				results[d] = evalCell(c, iters)
-			})
-		}
+	results := make([]CellResult, len(cells))
+	// A cell reports its failure in its result, so the pool never errors.
+	_ = experiments.ForEach(o.Parallel, len(cells), func(i int) error {
+		results[i] = evalCell(cells[i], o.MetaIterations)
+		return nil
 	})
-	s.RunUntil(sim.Time(sim.Millisecond))
-	return results[1:]
+	return results
 }
 
 // evalCell evaluates one property instance. Internal errors count as

@@ -47,21 +47,21 @@ func TestMetamorphicPropertiesHold(t *testing.T) {
 	}
 }
 
-// TestMetamorphicShardIdentity: the suite must produce identical
-// results at any shard count — cells land in per-domain slots and are
+// TestMetamorphicParallelIdentity: the suite must produce identical
+// results at any worker count — cells land in per-index slots and are
 // read back in index order.
-func TestMetamorphicShardIdentity(t *testing.T) {
+func TestMetamorphicParallelIdentity(t *testing.T) {
 	base := QuickOptions()
 	base.MetaIterations = 6
 	base.MetaSeeds = []uint64{1}
 	one := base
-	one.Shards = 1
+	one.Parallel = 1
 	four := base
-	four.Shards = 4
+	four.Parallel = 4
 	a := RunMetamorphic(one)
 	b := RunMetamorphic(four)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("metamorphic results differ between -shards 1 and -shards 4:\n%v\n%v", a, b)
+		t.Errorf("metamorphic results differ between -parallel 1 and -parallel 4:\n%v\n%v", a, b)
 	}
 }
 

@@ -12,7 +12,7 @@ const SchemaV1 = "desiccant-validation-v1"
 // Report is the machine-readable calibration outcome (VALIDATION.json).
 // Field order is fixed by the struct, float rendering by encoding/json
 // — combined with the deterministic pipeline, the bytes are identical
-// at any -parallel/-shards setting.
+// at any -parallel setting.
 type Report struct {
 	Schema      string       `json:"schema"`
 	Seed        uint64       `json:"seed"`

@@ -90,12 +90,6 @@ func Run(o Options) (*Result, error) {
 		c.nodes[d].armReports(o.ReportEvery, end)
 	}
 	c.armKills()
-	if o.ObserveNode != nil {
-		for d := 1; d <= o.Nodes; d++ {
-			n := c.nodes[d]
-			o.ObserveNode(d-1, n.eng, n.bus, n.platform, n.mgr)
-		}
-	}
 
 	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
 	assignments := trace.Match(tr, workload.All())
@@ -154,6 +148,7 @@ func (c *Cluster) collect() (*Result, error) {
 		Moves:        rt.moves,
 		Deaths:       rt.deaths,
 		Violations:   rt.violations,
+		Shard:        c.s.Stats(),
 	}
 	for d := 1; d <= o.Nodes; d++ {
 		n := c.nodes[d]

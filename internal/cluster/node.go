@@ -38,16 +38,23 @@ type Node struct {
 	adoptErrs []string
 }
 
+// invoBase spreads node d's invocation IDs into a disjoint block, so a
+// span's machine reads off its ID (invo / invoBase == d).
+const invoBase = int64(1_000_000_000)
+
 // newNode wires one machine domain. The construction order (platform,
 // manager, ack subscriber) deliberately mirrors the original
 // ext-fleet wiring so the static pinned configuration replays
-// byte-identically.
+// byte-identically. The ObserveNode hook runs after the wiring but
+// before the manager starts, so observers see every event the node
+// emits, the manager's initial threshold included.
 func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
 	eng := c.s.Domain(d)
 	bus := obs.NewBus(eng)
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = c.opts.CacheBytes
 	pcfg.Events = bus
+	pcfg.InvoBase = int64(d) * invoBase
 	n := &Node{
 		c:        c,
 		d:        d,
@@ -57,7 +64,7 @@ func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
 		hist:     metrics.NewHistogram(latencyBounds()...),
 	}
 	if mcfg != nil {
-		n.mgr = core.Attach(n.platform, *mcfg)
+		n.mgr = core.New(n.platform, *mcfg)
 	}
 	bus.Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
 		if ev.Kind != obs.EvInvokeComplete {
@@ -72,6 +79,12 @@ func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
 			n.c.router.onAck(n.d, lat)
 		})
 	}))
+	if c.opts.ObserveNode != nil {
+		c.opts.ObserveNode(d-1, eng, bus, n.platform, n.mgr)
+	}
+	if n.mgr != nil {
+		n.mgr.Start()
+	}
 	return n
 }
 

@@ -113,8 +113,9 @@ type Options struct {
 	// Kills decommissions machines mid-replay.
 	Kills []Kill
 	// ObserveNode, when set, is called once per node after the node is
-	// wired but before the replay starts — the hook tests use to
-	// attach the invariant checker to every machine.
+	// wired but before its manager starts and the replay begins, so a
+	// bus subscriber sees every event the node emits. It is the one
+	// place invariant checkers and span builders attach to a fleet.
 	ObserveNode func(node int, eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager)
 }
 

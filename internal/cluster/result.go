@@ -7,6 +7,7 @@ import (
 
 	"desiccant/internal/metrics"
 	"desiccant/internal/obs"
+	"desiccant/internal/sim"
 )
 
 // NodeRow is one machine's share of the replay.
@@ -66,6 +67,11 @@ type Result struct {
 	AdoptErrs []string
 	// Violations lists router-side bookkeeping breaches.
 	Violations []string
+
+	// Shard holds the sharded runner's self-metrics (windows, redo
+	// passes, per-domain events and barrier slack): sim-time quantities,
+	// identical at any Shards setting.
+	Shard sim.ShardStats
 }
 
 // ColdBootRate returns fleet-wide cold boots per completion.

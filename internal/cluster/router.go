@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"desiccant/internal/faas"
 	"desiccant/internal/metrics"
 	"desiccant/internal/sim"
 	"desiccant/internal/workload"
@@ -44,6 +43,10 @@ type Router struct {
 const maxRouterViolations = 32
 
 func newRouter(c *Cluster, policy PlacementPolicy, dynamic bool) *Router {
+	seen := make([]map[string]bool, c.opts.Nodes+1)
+	for d := 1; d <= c.opts.Nodes; d++ {
+		seen[d] = make(map[string]bool)
+	}
 	return &Router{
 		c:         c,
 		eng:       c.s.Domain(0),
@@ -51,17 +54,9 @@ func newRouter(c *Cluster, policy PlacementPolicy, dynamic bool) *Router {
 		view:      NewView(c.opts.Nodes),
 		dynamic:   dynamic,
 		fleetHist: metrics.NewHistogram(latencyBounds()...),
-		seen:      makeSeen(c.opts.Nodes),
+		seen:      seen,
 		lastOrder: make([]sim.Time, c.opts.Nodes+1),
 	}
-}
-
-func makeSeen(n int) []map[string]bool {
-	seen := make([]map[string]bool, n+1)
-	for d := 1; d <= n; d++ {
-		seen[d] = make(map[string]bool)
-	}
-	return seen
 }
 
 // Submit implements trace.Submitter. The replayer calls it while
@@ -184,42 +179,3 @@ func (rt *Router) violate(format string, args ...interface{}) {
 	rt.violations = append(rt.violations,
 		fmt.Sprintf("%v ", rt.eng.Now())+fmt.Sprintf(format, args...))
 }
-
-// StaticRouter is the exported schedule-time pinning router: the
-// original fleetRouter behavior over bare platforms, used by
-// harnesses (ext-attr) that need deterministic trace spreading
-// without the cluster's pressure machinery. Placement is delegated to
-// a PlacementPolicy whose view never changes — every node alive,
-// nothing reported — so only view-independent policies (pinned,
-// random) make sense here.
-type StaticRouter struct {
-	platforms []*faas.Platform
-	policy    PlacementPolicy
-	view      *View
-	submitted int64
-	seen      []map[string]bool
-}
-
-// NewStaticRouter builds a static router over the given platforms.
-func NewStaticRouter(platforms []*faas.Platform, policy PlacementPolicy) *StaticRouter {
-	return &StaticRouter{
-		platforms: platforms,
-		policy:    policy,
-		view:      NewView(len(platforms)),
-		seen:      makeSeen(len(platforms)),
-	}
-}
-
-// Submit implements trace.Submitter.
-func (r *StaticRouter) Submit(spec *workload.Spec, t sim.Time) {
-	d := r.policy.Place(spec.Name, r.view)
-	r.seen[d][spec.Name] = true
-	r.submitted++
-	r.platforms[d-1].Submit(spec, t)
-}
-
-// Submitted returns the number of requests routed.
-func (r *StaticRouter) Submitted() int64 { return r.submitted }
-
-// Functions returns the distinct functions routed to node i (0-based).
-func (r *StaticRouter) Functions(i int) int { return len(r.seen[i+1]) }

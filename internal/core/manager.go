@@ -179,10 +179,18 @@ type Manager struct {
 	stopped        bool
 }
 
-// Attach creates a manager, wires it to the platform's hooks, and
-// schedules its periodic activation check.
+// Attach creates a manager and starts it.
 func Attach(p *faas.Platform, cfg Config) *Manager {
-	m := &Manager{
+	m := New(p, cfg)
+	m.Start()
+	return m
+}
+
+// New creates a manager for the platform without starting it: nothing
+// is emitted, hooked or scheduled until Start, so an observer subscribed
+// to the platform's bus in between sees the manager's first event.
+func New(p *faas.Platform, cfg Config) *Manager {
+	return &Manager{
 		cfg:         cfg,
 		platform:    p,
 		eng:         p.Engine(),
@@ -193,17 +201,21 @@ func Attach(p *faas.Platform, cfg Config) *Manager {
 		lastReclaim: make(map[*container.Instance]sim.Time),
 		retries:     make(map[*container.Instance]int),
 	}
+}
+
+// Start announces the initial threshold, wires the manager to the
+// platform's hooks, and schedules its periodic activation check.
+func (m *Manager) Start() {
 	if m.bus != nil {
 		m.bus.Emit(obs.Event{Kind: obs.EvThreshold, Inst: -1, Val: m.threshold})
 	}
-	p.SetEvictionHook(func(n int) { m.evictionsSeen += n })
-	p.SetDestroyHook(func(inst *container.Instance) {
+	m.platform.OnEviction(func(n int) { m.evictionsSeen += n })
+	m.platform.OnDestroy(func(inst *container.Instance) {
 		m.profiles.forget(inst)
 		delete(m.lastReclaim, inst)
 		delete(m.retries, inst)
 	})
 	m.scheduleCheck()
-	return m
 }
 
 // Stats returns a copy of the manager's counters.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,9 +17,9 @@ import (
 func quickAttrOptions() AttrOptions {
 	o := DefaultAttrOptions()
 	o.Modes = []string{"reclaim"}
-	o.Machines = 2
-	o.Window = 15 * sim.Second
-	o.TraceFunctions = 120
+	o.Cluster.Nodes = 2
+	o.Cluster.Window = 15 * sim.Second
+	o.Cluster.TraceFunctions = 120
 	return o
 }
 
@@ -44,13 +46,13 @@ func attrExports(t *testing.T, o AttrOptions) (csv, summary []byte) {
 // engine self-metrics — are byte-identical at -shards 1, 2, and 4.
 func TestAttrShardInvariance(t *testing.T) {
 	o := quickAttrOptions()
-	o.Shards = 1
+	o.Cluster.Shards = 1
 	wantCSV, wantSum := attrExports(t, o)
 	if len(wantCSV) == 0 || !bytes.Contains(wantCSV, []byte("total")) {
 		t.Fatalf("degenerate CSV:\n%.400s", wantCSV)
 	}
 	for _, shards := range []int{2, 4} {
-		o.Shards = shards
+		o.Cluster.Shards = shards
 		gotCSV, gotSum := attrExports(t, o)
 		if !bytes.Equal(gotCSV, wantCSV) {
 			t.Fatalf("shards=%d: attribution CSV diverges from shards=1 (%d vs %d bytes)",
@@ -59,6 +61,38 @@ func TestAttrShardInvariance(t *testing.T) {
 		if !bytes.Equal(gotSum, wantSum) {
 			t.Fatalf("shards=%d: attribution summary diverges from shards=1:\n%s\nvs\n%s",
 				shards, gotSum, wantSum)
+		}
+	}
+}
+
+// TestAttrGoldenPreRefactor pins the move of ext-attr onto cluster.Run
+// to the byte: the test-size attribution CSV and the machine-1
+// Perfetto export must hash to the values captured from the
+// hand-wired fleet that preceded it. The Perfetto hash covers the
+// t=0 manager threshold counter, which only reaches the trace if the
+// cluster's ObserveNode hook runs before the manager starts.
+func TestAttrGoldenPreRefactor(t *testing.T) {
+	res, err := RunAttr(quickAttrOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv, perfetto bytes.Buffer
+	if err := res.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WritePerfetto(&perfetto, "reclaim"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"attribution CSV", csv.Bytes(), "212e869f413fd3851b5cd87fdf35186f32e36cd271862c410aefbac8ec3c50ab"},
+		{"Perfetto export", perfetto.Bytes(), "9328a575098fd64535a51c4eb4ba46ebed6acd7e01e4690840a0055d9cea0b7c"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
+			t.Errorf("%s sha256 %s, want %s (%d bytes)", c.name, got, c.want, len(c.data))
 		}
 	}
 }
@@ -96,7 +130,7 @@ func TestAttrSpanConservation(t *testing.T) {
 	}
 	// Machine IDs are recoverable from the span IDs.
 	for _, s := range m.Spans {
-		if mach := s.ID / 1_000_000_000; mach < 1 || mach > int64(quickAttrOptions().Machines) {
+		if mach := s.ID / 1_000_000_000; mach < 1 || mach > int64(quickAttrOptions().Cluster.Nodes) {
 			t.Fatalf("span %d maps to machine %d, outside the fleet", s.ID, mach)
 		}
 	}

@@ -15,61 +15,39 @@ import (
 )
 
 // AttrOptions parameterizes the causal-attribution experiment: a
-// sharded mini-fleet (router + Machines platforms) replayed once per
-// manager mode, with every invocation traced into a span and its
-// latency decomposed into exact phases. The attribution outputs are
-// byte-identical at any -parallel/-shards setting — pinned by
-// TestAttrShardInvariance and the CI trace-smoke job.
+// cluster replayed once per manager mode, with every invocation traced
+// into a span and its latency decomposed into exact phases. The
+// attribution outputs are byte-identical at any -parallel/-shards
+// setting — pinned by TestAttrShardInvariance and the CI trace-smoke
+// job.
 type AttrOptions struct {
-	// Modes are the platform configurations swept, in report order.
-	// Known modes: "vanilla" (no manager), "reclaim" (Desiccant),
-	// "swap" (the §5.6 swapping baseline).
+	// Cluster is the fleet every mode replays. RunAttr sets its Mode
+	// per run and installs its own ObserveNode hook.
+	Cluster cluster.Options
+	// Modes are the manager modes swept, in report order (see
+	// cluster.Modes).
 	Modes []string
-	// Machines is the number of worker machines (domains 1..Machines;
-	// domain 0 is the router).
-	Machines int
-	// Shards is the sharded engine's worker count; attribution output
-	// is byte-identical regardless.
-	Shards int
-	// RouteLatency is the modeled router-machine hop and the engine's
-	// conservative lookahead.
-	RouteLatency sim.Duration
-	// Window is the replayed duration; in-flight invocations drain
-	// after it closes so every span ends.
-	Window sim.Duration
-	// Scale is the trace scale factor.
-	Scale float64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
-	// CacheBytes is each machine's instance cache size.
-	CacheBytes int64
 }
 
-// DefaultAttrOptions returns a 4-machine fleet under the observe
-// experiment's trace profile, sweeping all three manager modes.
+// DefaultAttrOptions returns a 4-machine pinned fleet under the
+// observe experiment's trace profile, sweeping all three manager modes.
 func DefaultAttrOptions() AttrOptions {
 	return AttrOptions{
-		Modes:          []string{"vanilla", "reclaim", "swap"},
-		Machines:       4,
-		Shards:         1,
-		RouteLatency:   2 * sim.Millisecond,
-		Window:         60 * sim.Second,
-		Scale:          15,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		CacheBytes:     2 << 30,
+		Cluster: cluster.Options{
+			Nodes:          4,
+			Shards:         1,
+			RouteLatency:   2 * sim.Millisecond,
+			Window:         60 * sim.Second,
+			Scale:          15,
+			TraceFunctions: 400,
+			BaseRate:       2.2,
+			TraceSeed:      11,
+			CacheBytes:     2 << 30,
+			Policy:         cluster.PolicyPinned,
+		},
+		Modes: cluster.Modes,
 	}
 }
-
-// attrInvoBase spreads machine d's invocation IDs into a disjoint
-// block: fleet-style global uniqueness with the machine readable off
-// the ID (invo / 1e9 == machine).
-const attrInvoBase = int64(1_000_000_000)
 
 // AttrModeResult is one mode's replay: the merged span set plus the
 // engine's self-metrics.
@@ -103,18 +81,12 @@ type AttrResult struct {
 	Modes []AttrModeResult
 }
 
-// RunAttr replays the trace once per mode on the sharded mini-fleet
-// and folds every machine's event stream into invocation spans.
+// RunAttr replays the trace once per mode on the cluster and folds
+// every machine's event stream into invocation spans.
 func RunAttr(o AttrOptions) (*AttrResult, error) {
-	if o.Machines < 1 {
-		return nil, fmt.Errorf("experiments: attr needs at least one machine, got %d", o.Machines)
-	}
-	if o.RouteLatency <= 0 {
-		return nil, fmt.Errorf("experiments: attr needs a positive route latency, got %v", o.RouteLatency)
-	}
 	res := &AttrResult{}
 	for _, mode := range o.Modes {
-		mr, err := runAttrMode(o, mode)
+		mr, err := runAttrMode(o.Cluster, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -123,80 +95,30 @@ func RunAttr(o AttrOptions) (*AttrResult, error) {
 	return res, nil
 }
 
-func runAttrMode(o AttrOptions, mode string) (*AttrModeResult, error) {
-	var mcfg *core.Config
-	switch mode {
-	case "vanilla":
-	case "reclaim":
-		c := core.DefaultConfig()
-		mcfg = &c
-	case "swap":
-		c := core.DefaultConfig()
-		c.Mode = core.ModeSwap
-		mcfg = &c
-	default:
-		return nil, fmt.Errorf("experiments: unknown attr mode %q", mode)
-	}
-
-	s := sim.NewSharded(o.Machines+1, o.Shards, o.RouteLatency)
-	builders := make([]*invtrace.Builder, o.Machines)
-	platforms := make([]*faas.Platform, o.Machines)
-	managers := make([]*core.Manager, 0, o.Machines)
+func runAttrMode(co cluster.Options, mode string) (*AttrModeResult, error) {
+	var builders []*invtrace.Builder
+	var platforms []*faas.Platform
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
-	for i := range platforms {
-		d := i + 1
-		eng := s.Domain(d)
-		bus := obs.NewBus(eng)
-		builders[i] = invtrace.NewBuilder()
-		builders[i].Attach(bus)
-		if d == 1 {
+	co.Mode = mode
+	co.ObserveNode = func(node int, _ *sim.Engine, bus *obs.Bus, p *faas.Platform, _ *core.Manager) {
+		b := invtrace.NewBuilder()
+		b.Attach(bus)
+		if node == 0 {
 			// Machine 1 doubles as the Perfetto specimen: its events and
 			// spans are self-consistent (instance IDs are only unique
 			// per machine, so the trace covers exactly one).
 			bus.Subscribe(rec)
 		}
-		pcfg := faas.DefaultConfig()
-		pcfg.CacheBytes = o.CacheBytes
-		pcfg.Events = bus
-		pcfg.InvoBase = int64(d) * attrInvoBase
-		platforms[i] = faas.New(pcfg, eng)
-		if mcfg != nil {
-			managers = append(managers, core.Attach(platforms[i], *mcfg))
-		}
+		builders = append(builders, b)
+		platforms = append(platforms, p)
+	}
+	cr, err := cluster.Run(co)
+	if err != nil {
+		return nil, err
 	}
 
-	router := cluster.NewStaticRouter(platforms, cluster.NewPinned())
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, o.BaseRate)
-	end := sim.Time(o.Window)
-	rp := trace.NewReplayer(router, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
-
-	s.RunUntil(end)
-	for _, m := range managers {
-		m.Stop()
-	}
-	// Drain so every submitted invocation closes its span (the
-	// sum-exactness check needs complete spans; the cap is a backstop).
-	drainEnd := end
-	for i := 0; i < 240; i++ {
-		busy := false
-		for d := 0; d < s.Domains(); d++ {
-			if _, ok := s.Domain(d).Next(); ok {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			break
-		}
-		drainEnd = drainEnd.Add(sim.Second)
-		s.RunUntil(drainEnd)
-	}
-
-	mr := &AttrModeResult{Mode: mode, Shard: s.Stats(), MachineEvents: rec.Events()}
+	mr := &AttrModeResult{Mode: mode, Shard: cr.Shard, MachineEvents: rec.Events()}
 	groups := make([][]*invtrace.Span, len(builders))
 	for i, b := range builders {
 		groups[i] = b.Spans()

@@ -11,72 +11,35 @@ import (
 
 // TestFleetGoldenPreRefactor pins the cluster refactor to the byte:
 // the quick ext-fleet CSV was captured from the pre-refactor
-// fleetRouter implementation, and RunFleet — now a thin configuration
-// of internal/cluster — must still reproduce it exactly. If this test
-// fails, the refactor moved a byte; there is no intended reason for it
-// to, so regenerating with -update needs a written justification in
-// the commit.
+// fleetRouter implementation, and the ext-fleet entry — now a pinned
+// cluster.Run plus a legacy-column writer — must still reproduce it
+// exactly. If this test fails, the refactor moved a byte; there is no
+// intended reason for it to, so regenerating with -update needs a
+// written justification in the commit.
 func TestFleetGoldenPreRefactor(t *testing.T) {
-	o := DefaultFleetOptions()
-	o.Machines = 4
-	o.Window = 20 * sim.Second
-	o.TraceFunctions = 200
-	res, err := RunFleet(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	res.WriteCSV(&buf)
+	if err := Run("ext-fleet", &buf, Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
 	checkE2EGolden(t, "golden_fleet_quick.csv", buf.Bytes())
 }
 
-// TestClusterPinnedMatchesFleet is the differential half of the
-// refactor pin: running the cluster subsystem directly with the pinned
-// policy must agree with RunFleet row for row on the 8-machine default
-// fleet shape — same placement, same completions, same histograms.
-func TestClusterPinnedMatchesFleet(t *testing.T) {
-	fo := DefaultFleetOptions()
-	fo.Window = 20 * sim.Second
-	fo.TraceFunctions = 200
-	fleet, err := RunFleet(fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := cluster.Run(cluster.Options{
-		Nodes:          fo.Machines,
-		RouteLatency:   fo.RouteLatency,
-		Window:         fo.Window,
-		Scale:          fo.Scale,
-		TraceFunctions: fo.TraceFunctions,
-		BaseRate:       fo.BaseRate,
-		TraceSeed:      fo.TraceSeed,
-		CacheBytes:     fo.CacheBytes,
-		Policy:         cluster.PolicyPinned,
-		Mode:           "reclaim",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fleet.Submitted != cres.Submitted || fleet.Acks != cres.Acks {
-		t.Fatalf("submitted/acks diverged: fleet %d/%d, cluster %d/%d",
-			fleet.Submitted, fleet.Acks, cres.Submitted, cres.Acks)
-	}
-	if len(fleet.Rows) != len(cres.Rows) {
-		t.Fatalf("row counts diverged: %d vs %d", len(fleet.Rows), len(cres.Rows))
-	}
-	for i, fr := range fleet.Rows {
-		cr := cres.Rows[i]
-		if fr.Functions != cr.Functions || fr.Completions != cr.Completions ||
-			fr.ColdBootRate != cr.ColdBootRate || fr.P50 != cr.P50 || fr.P99 != cr.P99 {
-			t.Fatalf("machine %d diverged: fleet %+v, cluster %+v", i, fr, cr)
+// TestClusterSweepResidueGrantCells replays the one sweep cell
+// (least-loaded, reclaim) that used to panic at these base rates: a
+// manager was granted a float residue of the idle CPU pool, and the
+// reclamation it paced overflowed simulated time ("event scheduled in
+// the past").
+func TestClusterSweepResidueGrantCells(t *testing.T) {
+	for _, rate := range []float64{2.1805772531313603, 2.2182882881350894} {
+		o := DefaultClusterSweepOptions()
+		o.BaseRate = rate
+		res, err := cluster.Run(o.clusterOptions(o.Nodes, o.CacheBytes, cluster.PolicyLeastLoaded, "reclaim"))
+		if err != nil {
+			t.Fatalf("rate %v: %v", rate, err)
 		}
-	}
-	if fleet.Fleet.Sum() != cres.Fleet.Sum() || fleet.Fleet.Count() != cres.Fleet.Count() {
-		t.Fatalf("fleet histogram diverged: sum %v/%v count %d/%d",
-			fleet.Fleet.Sum(), cres.Fleet.Sum(), fleet.Fleet.Count(), cres.Fleet.Count())
+		if err := res.CheckConsistency(); err != nil {
+			t.Fatalf("rate %v: %v", rate, err)
+		}
 	}
 }
 

@@ -3,51 +3,19 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"desiccant/internal/cluster"
-	"desiccant/internal/metrics"
 	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
-// FleetOptions parameterizes the multi-machine trace replay: a router
-// domain plus Machines independent Desiccant platforms, one per
-// sharded-engine domain, exercising the parallel engine end to end.
-// RunFleet is the internal/cluster subsystem's static pinned
-// configuration with the legacy option names kept stable; the cluster
-// package is where the policies, migration and decommission machinery
-// live.
-type FleetOptions struct {
-	// Machines is the number of worker machines (domains 1..Machines;
-	// domain 0 is the router).
-	Machines int
-	// Shards is the sharded engine's worker count. Output is
-	// byte-identical regardless of the setting.
-	Shards int
-	// RouteLatency is the modeled network hop between router and
-	// machines; it doubles as the engine's conservative lookahead.
-	RouteLatency sim.Duration
-	// Window is the replayed duration.
-	Window sim.Duration
-	// Scale is the trace scale factor.
-	Scale float64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
-	// CacheBytes is each machine's instance cache size.
-	CacheBytes int64
-}
-
-// DefaultFleetOptions returns an 8-machine fleet under the observe
-// experiment's trace profile.
-func DefaultFleetOptions() FleetOptions {
-	return FleetOptions{
-		Machines:       8,
-		Shards:         1,
+// fleetOptions is the ext-fleet configuration: the cluster's static
+// pinned fleet, 8 Desiccant machines behind one router under the
+// observe experiment's trace profile (4 machines in quick mode).
+func fleetOptions(opts Options) cluster.Options {
+	o := cluster.Options{
+		Nodes:          8,
+		Shards:         opts.Shards,
 		RouteLatency:   2 * sim.Millisecond,
 		Window:         60 * sim.Second,
 		Scale:          15,
@@ -55,120 +23,30 @@ func DefaultFleetOptions() FleetOptions {
 		BaseRate:       2.2,
 		TraceSeed:      11,
 		CacheBytes:     2 << 30,
-	}
-}
-
-// FleetMachineRow is one machine's share of the replay.
-type FleetMachineRow struct {
-	Machine      int
-	Functions    int
-	Completions  int64
-	ColdBootRate float64
-	P50, P99     float64
-}
-
-// FleetResult is the fleet replay's measurement: per-machine rows plus
-// the router-side fleet histogram and the merge of the machine-local
-// histograms, which must agree (CheckConsistency).
-type FleetResult struct {
-	Machines  int
-	Submitted int64
-	Acks      int64
-	Fleet     *metrics.Histogram
-	Merged    *metrics.Histogram
-	Rows      []FleetMachineRow
-}
-
-// RunFleet replays the trace across a router plus Machines platforms
-// on the sharded engine. Every completion is acked back to the router
-// over the modeled network hop; the router folds end-to-end latency
-// into a fleet-wide histogram. The run is deterministic: identical
-// options (Shards aside) produce identical results byte for byte.
-func RunFleet(o FleetOptions) (*FleetResult, error) {
-	if o.Machines < 1 {
-		return nil, fmt.Errorf("experiments: fleet needs at least one machine, got %d", o.Machines)
-	}
-	if o.RouteLatency <= 0 {
-		return nil, fmt.Errorf("experiments: fleet needs a positive route latency, got %v", o.RouteLatency)
-	}
-	cr, err := cluster.Run(cluster.Options{
-		Nodes:          o.Machines,
-		Shards:         o.Shards,
-		RouteLatency:   o.RouteLatency,
-		Window:         o.Window,
-		Scale:          o.Scale,
-		TraceFunctions: o.TraceFunctions,
-		BaseRate:       o.BaseRate,
-		TraceSeed:      o.TraceSeed,
-		CacheBytes:     o.CacheBytes,
 		Policy:         cluster.PolicyPinned,
 		Mode:           "reclaim",
-	})
-	if err != nil {
-		return nil, err
 	}
-	res := &FleetResult{
-		Machines:  cr.NodeCount,
-		Submitted: cr.Submitted,
-		Acks:      cr.Acks,
-		Fleet:     cr.Fleet,
-		Merged:    cr.Merged,
+	if opts.Quick {
+		o.Nodes = 4
+		o.Window = 20 * sim.Second
+		o.TraceFunctions = 200
 	}
-	for _, row := range cr.Rows {
-		res.Rows = append(res.Rows, FleetMachineRow{
-			Machine:      row.Node,
-			Functions:    row.Functions,
-			Completions:  row.Completions,
-			ColdBootRate: row.ColdBootRate,
-			P50:          row.P50,
-			P99:          row.P99,
-		})
+	if opts.Seed != 0 {
+		o.TraceSeed = opts.Seed
 	}
-	return res, nil
+	return o
 }
 
-// CheckConsistency verifies the cross-shard bookkeeping: every
-// completion was acked to the router exactly once, and the router's
-// fleet histogram equals the merge of the machine-local histograms
-// bucket for bucket. Any drift means the barrier lost or duplicated a
-// cross-domain event.
-func (r *FleetResult) CheckConsistency() error {
-	var completions int64
-	for _, row := range r.Rows {
-		completions += row.Completions
-	}
-	if r.Acks != completions {
-		return fmt.Errorf("fleet: %d acks for %d completions", r.Acks, completions)
-	}
-	if r.Fleet.Count() != r.Merged.Count() {
-		return fmt.Errorf("fleet: router histogram count %d, merged machines %d",
-			r.Fleet.Count(), r.Merged.Count())
-	}
-	// The sums fold the same values in different orders (ack arrival
-	// vs machine-by-machine merge), so compare up to float rounding.
-	fs, ms := r.Fleet.Sum(), r.Merged.Sum()
-	if diff := math.Abs(fs - ms); diff > 1e-9*math.Max(math.Abs(fs), 1) {
-		return fmt.Errorf("fleet: router histogram sum %v, merged machines %v", fs, ms)
-	}
-	for i := 0; i < r.Fleet.NumBuckets(); i++ {
-		ub, fc := r.Fleet.Bucket(i)
-		_, mc := r.Merged.Bucket(i)
-		if fc != mc {
-			return fmt.Errorf("fleet: bucket %d (upper %v) router=%d merged=%d", i, ub, fc, mc)
-		}
-	}
-	return nil
-}
-
-// WriteCSV renders the per-machine rows and the fleet-wide tail. The
-// output deliberately omits the shard count: it must be byte-identical
-// at any -shards setting.
-func (r *FleetResult) WriteCSV(w io.Writer) {
-	fmt.Fprintf(w, "# fleet replay: %d machines behind one router\n", r.Machines)
+// writeFleetCSV renders a cluster replay in the ext-fleet columns:
+// per-machine rows and the fleet-wide tail. The output deliberately
+// omits the shard count: it must be byte-identical at any -shards
+// setting.
+func writeFleetCSV(w io.Writer, r *cluster.Result) {
+	fmt.Fprintf(w, "# fleet replay: %d machines behind one router\n", r.NodeCount)
 	fmt.Fprintln(w, "machine,functions,completions,cold_boot_rate,p50_ms,p99_ms")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%d,%d,%d,%.4f,%.1f,%.1f\n",
-			row.Machine, row.Functions, row.Completions, row.ColdBootRate, row.P50, row.P99)
+			row.Node, row.Functions, row.Completions, row.ColdBootRate, row.P50, row.P99)
 	}
 	fmt.Fprintln(w, "scope,submitted,acked,p50_ms,p99_ms,max_ms")
 	fmt.Fprintf(w, "fleet,%d,%d,%s,%s,%s\n",

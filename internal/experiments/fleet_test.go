@@ -4,20 +4,21 @@ import (
 	"bytes"
 	"testing"
 
+	"desiccant/internal/cluster"
 	"desiccant/internal/sim"
 )
 
-func quickFleetOptions() FleetOptions {
-	o := DefaultFleetOptions()
-	o.Machines = 4
+func quickFleetOptions() cluster.Options {
+	o := fleetOptions(Options{})
+	o.Nodes = 4
 	o.Window = 10 * sim.Second
 	o.TraceFunctions = 120
 	return o
 }
 
-func fleetCSV(t testing.TB, o FleetOptions) string {
+func fleetCSV(t testing.TB, o cluster.Options) string {
 	t.Helper()
-	res, err := RunFleet(o)
+	res, err := cluster.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func fleetCSV(t testing.TB, o FleetOptions) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res.WriteCSV(&buf)
+	writeFleetCSV(&buf, res)
 	return buf.String()
 }
 
@@ -47,8 +48,7 @@ func TestFleetShardInvariance(t *testing.T) {
 // TestFleetRouting pins the router's bookkeeping: work actually lands
 // on every machine, completions flow, and acks cross back.
 func TestFleetRouting(t *testing.T) {
-	o := quickFleetOptions()
-	res, err := RunFleet(o)
+	res, err := cluster.Run(quickFleetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestFleetRouting(t *testing.T) {
 	}
 	for _, row := range res.Rows {
 		if row.Functions == 0 {
-			t.Fatalf("machine %d received no functions (round-robin broken)", row.Machine)
+			t.Fatalf("machine %d received no functions (round-robin broken)", row.Node)
 		}
 		if row.Completions == 0 {
-			t.Fatalf("machine %d completed nothing", row.Machine)
+			t.Fatalf("machine %d completed nothing", row.Node)
 		}
 	}
 	if res.Fleet.Quantile(0.99) <= 0 {
@@ -79,7 +79,7 @@ func TestFleetSeedSweep(t *testing.T) {
 		t.Skip("seed sweep is slow")
 	}
 	o := quickFleetOptions()
-	o.Machines = 3
+	o.Nodes = 3
 	o.Window = 4 * sim.Second
 	o.TraceFunctions = 60
 	for seed := uint64(1); seed <= 50; seed++ {
@@ -92,29 +92,3 @@ func TestFleetSeedSweep(t *testing.T) {
 		}
 	}
 }
-
-// The bench workload is denser than the default experiment: the
-// speedup question is about saturated machines, where per-window
-// simulation work dominates the barrier handshake.
-func benchmarkFleet(b *testing.B, shards int) {
-	o := DefaultFleetOptions()
-	o.Shards = shards
-	o.Window = 30 * sim.Second
-	o.Scale = 200
-	o.RouteLatency = 5 * sim.Millisecond
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunFleet(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Acks == 0 {
-			b.Fatal("no work done")
-		}
-	}
-}
-
-// The serial/sharded pair quantifies the parallel engine's speedup on
-// a multi-machine workload (compare ns/op).
-func BenchmarkFleetReplayShards1(b *testing.B) { benchmarkFleet(b, 1) }
-func BenchmarkFleetReplayShards8(b *testing.B) { benchmarkFleet(b, 8) }

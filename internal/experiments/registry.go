@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"desiccant/internal/cluster"
 	"desiccant/internal/core"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
@@ -35,8 +36,9 @@ type Options struct {
 	// intensity instead of sweeping the default axis.
 	Intensity float64
 	// Shards, when positive, sets the sharded engine's worker count
-	// for experiments that run on it (ext-fleet). Results are
-	// byte-identical at any setting; only wall-clock time changes.
+	// for the experiments that replay a cluster (ext-fleet, ext-attr,
+	// ext-cluster). Results are byte-identical at any setting; only
+	// wall-clock time changes.
 	Shards int
 	// Validation, when non-nil, receives the machine-readable
 	// VALIDATION.json report (calibrate experiment only).
@@ -61,7 +63,11 @@ type Entry struct {
 	Figure      string
 	Claim       string
 	Description string
-	Run         func(w io.Writer, opts Options) error
+	// Flags lists the optional desiccant-sim flags the experiment
+	// accepts, by name without the dash: "trace", "summary", "metrics",
+	// "intensity", "shards", "json". The CLI rejects the others.
+	Flags []string
+	Run   func(w io.Writer, opts Options) error
 }
 
 var registry []Entry
@@ -314,44 +320,32 @@ func init() {
 		{
 			Name: "ext-fleet", Figure: "Extension", Claim: "-",
 			Description: "multi-machine replay on the sharded engine: router + N platforms, byte-identical at any -shards",
+			Flags:       []string{"shards"},
 			Run: func(w io.Writer, opts Options) error {
-				o := DefaultFleetOptions()
-				if opts.Quick {
-					o.Machines = 4
-					o.Window = 20 * sim.Second
-					o.TraceFunctions = 200
-				}
-				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
-				}
-				if opts.Shards > 0 {
-					o.Shards = opts.Shards
-				}
-				res, err := RunFleet(o)
+				res, err := cluster.Run(fleetOptions(opts))
 				if err != nil {
 					return err
 				}
-				res.WriteCSV(w)
+				writeFleetCSV(w, res)
 				return res.CheckConsistency()
 			},
 		},
 		{
 			Name: "ext-attr", Figure: "Extension", Claim: "-",
 			Description: "per-invocation causal attribution: manager modes on the sharded fleet, exact phase tiling, byte-identical at any -parallel/-shards",
+			Flags:       []string{"shards", "trace", "summary"},
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultAttrOptions()
 				if opts.Quick {
-					o.Machines = 2
-					o.Window = 20 * sim.Second
-					o.TraceFunctions = 200
+					o.Cluster.Nodes = 2
+					o.Cluster.Window = 20 * sim.Second
+					o.Cluster.TraceFunctions = 200
 					o.Modes = []string{"vanilla", "reclaim"}
 				}
 				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
+					o.Cluster.TraceSeed = opts.Seed
 				}
-				if opts.Shards > 0 {
-					o.Shards = opts.Shards
-				}
+				o.Cluster.Shards = opts.Shards
 				res, err := RunAttr(o)
 				if err != nil {
 					return err
@@ -371,6 +365,7 @@ func init() {
 		{
 			Name: "ext-cluster", Figure: "Extension", Claim: "-",
 			Description: "fleet sweep: placement policy x manager mode over the cluster subsystem, plus a nodes x RAM capacity curve; byte-identical at any -parallel/-shards",
+			Flags:       []string{"shards"},
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultClusterSweepOptions()
 				if opts.Quick {
@@ -400,6 +395,7 @@ func init() {
 		{
 			Name: "chaos", Figure: "Robustness", Claim: "-",
 			Description: "fault-injection sweep: manager modes x intensities, with cross-layer invariant checking",
+			Flags:       []string{"intensity"},
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultChaosOptions()
 				if opts.Quick {
@@ -427,6 +423,7 @@ func init() {
 		{
 			Name: "observe", Figure: "Observability", Claim: "-",
 			Description: "instrumented Desiccant trace replay; supports -trace/-metrics/-summary exports",
+			Flags:       []string{"trace", "metrics", "summary"},
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultObserveOptions()
 				if opts.Quick {

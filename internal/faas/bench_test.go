@@ -9,48 +9,67 @@ import (
 	"desiccant/internal/workload"
 )
 
-// BenchmarkInvocationPath measures one warm invocation cycle through
-// the platform: bare, with an observability bus attached, and with the
+// warmInvocationCycle builds a platform holding one warm instance of
+// clock and returns one warm invocation cycle (thaw, run, freeze) on
+// it: bare, with an observability bus attached, or with the
 // per-invocation span builder folding the stream on top of the bus.
-// The bus=off case is the guard for the zero-cost-when-disabled
-// contract: its allocs/op must not exceed the pre-observability
-// baseline (the nil-bus checks compile to a pointer test; no Event is
-// constructed, no invocation ID is boxed). The trace=on case records
-// the full tracing-enabled overhead for the perf trajectory.
-func BenchmarkInvocationPath(b *testing.B) {
+func warmInvocationCycle(tb testing.TB, withBus, withTrace bool) func() {
 	spec, err := workload.Lookup("clock")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	run := func(b *testing.B, withBus, withTrace bool) {
-		cfg := DefaultConfig()
-		cfg.CacheBytes = 1 << 30
-		cfg.KeepAlive = 0
-		eng := sim.NewEngine()
-		if withBus {
-			bus := obs.NewBus(eng)
-			bus.Subscribe(obs.NewCollector(obs.NewRegistry()))
-			if withTrace {
-				trace.NewBuilder().Attach(bus)
-			}
-			cfg.Events = bus
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 1 << 30
+	cfg.KeepAlive = 0
+	eng := sim.NewEngine()
+	if withBus {
+		bus := obs.NewBus(eng)
+		bus.Subscribe(obs.NewCollector(obs.NewRegistry()))
+		if withTrace {
+			trace.NewBuilder().Attach(bus)
 		}
-		p := New(cfg, eng)
-		// Warm the instance so the measured loop is thaw→run→freeze.
-		at := sim.Time(0)
+		cfg.Events = bus
+	}
+	p := New(cfg, eng)
+	at := sim.Time(0)
+	p.Submit(spec, at)
+	eng.Run()
+	return func() {
+		at = at.Add(2 * sim.Second)
 		p.Submit(spec, at)
 		eng.Run()
+	}
+}
+
+// BenchmarkInvocationPath measures one warm invocation cycle through
+// the platform with observability off, with the bus on, and with
+// tracing on. The bus=off case is the guard for the
+// zero-cost-when-disabled contract: the nil-bus checks compile to a
+// pointer test; no Event is constructed, no invocation ID is boxed.
+// The trace=on case records the full tracing-enabled overhead.
+func BenchmarkInvocationPath(b *testing.B) {
+	run := func(b *testing.B, withBus, withTrace bool) {
+		cycle := warmInvocationCycle(b, withBus, withTrace)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			at = at.Add(2 * sim.Second)
-			p.Submit(spec, at)
-			eng.Run()
+			cycle()
 		}
 	}
 	b.Run("bus=off", func(b *testing.B) { run(b, false, false) })
 	b.Run("bus=on", func(b *testing.B) { run(b, true, false) })
 	b.Run("trace=on", func(b *testing.B) { run(b, true, true) })
+}
+
+// TestBusAddsNoWarmPathAllocs pins the pay-for-what-you-enable
+// contract: a bus without the span builder adds no allocations to the
+// warm invocation cycle.
+func TestBusAddsNoWarmPathAllocs(t *testing.T) {
+	off := testing.AllocsPerRun(200, warmInvocationCycle(t, false, false))
+	on := testing.AllocsPerRun(200, warmInvocationCycle(t, true, false))
+	if on != off {
+		t.Fatalf("warm invocation cycle allocates %.0f/op with the bus on, %.0f/op with it off", on, off)
+	}
 }
 
 // TestTracingWarmPathAllocFree pins the tracing additions to zero

@@ -24,23 +24,22 @@ func pressureScenario(t *testing.T, cfg Config) (*sim.Engine, *Platform) {
 }
 
 // TestMultipleHooksAllFire covers the multi-subscriber hook
-// registration: the old single-callback setters silently dropped every
-// subscriber but the last, so a manager and an observer could not
-// coexist.
+// registration: every registered observer fires, so a manager and an
+// observer can coexist on one platform.
 func TestMultipleHooksAllFire(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheBytes = 96 * mb
 	eng, p := pressureScenario(t, cfg)
 
 	var evictA, evictB int
-	p.SetEvictionHook(func(n int) { evictA += n }) // legacy shim
+	p.OnEviction(func(n int) { evictA += n })
 	p.OnEviction(func(n int) { evictB += n })
 	var freezeA, freezeB int
 	p.OnFreeze(func(*container.Instance) { freezeA++ })
-	p.SetFreezeHook(func(*container.Instance) { freezeB++ })
+	p.OnFreeze(func(*container.Instance) { freezeB++ })
 	var destroyA, destroyB int
 	p.OnDestroy(func(*container.Instance) { destroyA++ })
-	p.SetDestroyHook(func(*container.Instance) { destroyB++ })
+	p.OnDestroy(func(*container.Instance) { destroyB++ })
 
 	eng.Run()
 	st := p.Stats()

@@ -205,17 +205,6 @@ func (p *Platform) OnFreeze(fn func(inst *container.Instance)) { p.onFreeze.Add(
 // every eviction/kill so managers can abandon per-instance state.
 func (p *Platform) OnDestroy(fn func(inst *container.Instance)) { p.onDestroy.Add(fn) }
 
-// SetEvictionHook is a compatibility shim for OnEviction. The old
-// single-callback setters silently dropped the previous observer
-// (last-writer-wins); registration now appends instead.
-func (p *Platform) SetEvictionHook(fn func(n int)) { p.OnEviction(fn) }
-
-// SetFreezeHook is a compatibility shim for OnFreeze.
-func (p *Platform) SetFreezeHook(fn func(inst *container.Instance)) { p.OnFreeze(fn) }
-
-// SetDestroyHook is a compatibility shim for OnDestroy.
-func (p *Platform) SetDestroyHook(fn func(inst *container.Instance)) { p.OnDestroy(fn) }
-
 // invocation tracks one request through its (possibly chained) stages.
 type invocation struct {
 	id        int64 // causal-tracing invocation ID, assigned at arrival
@@ -742,9 +731,14 @@ func (p *Platform) pumpQueue() {
 // QueueLength reports how many invocations await admission.
 func (p *Platform) QueueLength() int { return len(p.queue) }
 
+// cpuEpsilon is the CPU pool's float tolerance: repeated acquire and
+// release leave residues this small, which are bookkeeping noise, not
+// capacity.
+const cpuEpsilon = 1e-9
+
 // acquireCPU/releaseCPU manage the execution CPU pool.
 func (p *Platform) acquireCPU(share float64) {
-	if p.cpuAvail < share-1e-9 {
+	if p.cpuAvail < share-cpuEpsilon {
 		panic("faas: CPU pool over-committed")
 	}
 	p.cpuAvail -= share
@@ -752,7 +746,7 @@ func (p *Platform) acquireCPU(share float64) {
 
 func (p *Platform) releaseCPU(share float64) {
 	p.cpuAvail += share
-	if p.cpuAvail > p.cfg.CPUs+1e-9 {
+	if p.cpuAvail > p.cfg.CPUs+cpuEpsilon {
 		panic("faas: CPU pool over-released")
 	}
 }
@@ -762,12 +756,15 @@ func (p *Platform) releaseCPU(share float64) {
 func (p *Platform) IdleCPU() float64 { return p.cpuAvail }
 
 // TryAcquireIdleCPU grants up to want CPUs from the idle pool for
-// reclamation work, returning the granted share (possibly zero).
+// reclamation work, returning the granted share (possibly zero). A
+// pool holding no more than a float residue grants nothing: work
+// paced at such a share would never finish.
 func (p *Platform) TryAcquireIdleCPU(want float64) float64 {
 	grant := minF(want, p.cpuAvail)
-	if grant > 0 {
-		p.cpuAvail -= grant
+	if grant <= cpuEpsilon {
+		return 0
 	}
+	p.cpuAvail -= grant
 	return grant
 }
 

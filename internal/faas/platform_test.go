@@ -109,7 +109,7 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 	eng, p := newPlatform(t, cfg)
 
 	evictions := 0
-	p.SetEvictionHook(func(n int) { evictions += n })
+	p.OnEviction(func(n int) { evictions += n })
 
 	// Serialize different functions so each needs its own instance.
 	names := []string{"sort", "fft", "matrix", "file-hash", "pi", "factor"}
@@ -235,6 +235,27 @@ func TestIdleCPUGrants(t *testing.T) {
 	p.ReleaseIdleCPU(2.0)
 	if p.IdleCPU() != 2 {
 		t.Fatalf("idle after release: %v", p.IdleCPU())
+	}
+}
+
+// TestIdleCPUResidueGrantsNothing: a pool left with only a float
+// residue must refuse the grant (the caller takes its starved path)
+// instead of handing out a share so small that the work it paces
+// overflows simulated time.
+func TestIdleCPUResidueGrantsNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.CPUs = 2
+	_, p := newPlatform(t, cfg)
+	p.TryAcquireIdleCPU(2 - 1e-12)
+	residue := p.IdleCPU()
+	if residue <= 0 || residue > 1e-9 {
+		t.Fatalf("setup left %v idle, want a positive residue", residue)
+	}
+	if got := p.TryAcquireIdleCPU(1); got != 0 {
+		t.Fatalf("residue pool granted %v, want 0", got)
+	}
+	if p.IdleCPU() != residue {
+		t.Fatalf("refused grant changed the pool: %v -> %v", residue, p.IdleCPU())
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -329,6 +330,19 @@ func TestWorkDuration(t *testing.T) {
 	if got := WorkDuration(10*Millisecond, 1); got != 10*Millisecond {
 		t.Fatalf("WorkDuration full share: got %v", got)
 	}
+}
+
+// TestWorkDurationOverflowPanics pins the overflow guard: a share so
+// small that the wall time leaves int64 must panic with WorkDuration's
+// own message, not wrap into a time in the past.
+func TestWorkDurationOverflowPanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "WorkDuration") {
+			t.Fatalf("panic = %q, want WorkDuration's overflow message", msg)
+		}
+	}()
+	WorkDuration(10*Millisecond, 1e-15)
 }
 
 // asTime converts a Duration offset from zero into a Time, a
