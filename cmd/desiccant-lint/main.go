@@ -1,10 +1,9 @@
 // Command desiccant-lint runs the determinism-guard analyzers
 // (simtime, maporder, rawgo, rngshare, plus the cross-package
-// dataflow checks shardsafe, unitcheck, and allocfree — see
-// internal/lint) over the desiccant module. Cross-package facts (unit
-// signatures, allocfree markers, mutator summaries) flow in-memory in
-// standalone mode and through the vet .vetx files under go vet. It
-// works two ways:
+// dataflow checks unitcheck and allocfree — see internal/lint) over
+// the desiccant module. Cross-package facts (unit signatures and
+// allocfree markers) flow in-memory in standalone mode and through the
+// vet .vetx files under go vet. It works two ways:
 //
 // Standalone, on package patterns:
 //

@@ -40,7 +40,7 @@ func main() {
 type flags struct {
 	quick, summary                        bool
 	seed                                  uint64
-	parallel, shards                      int
+	parallel                              int
 	intensity                             float64
 	out, tracePath, metricsPath, jsonPath string
 }
@@ -48,12 +48,11 @@ type flags struct {
 // optionalFlags are the flags a command must list to accept (an
 // experiment through experiments.Entry.Flags, a subcommand in
 // subcommandFlags); every other flag applies to every command.
-var optionalFlags = []string{"metrics", "trace", "summary", "intensity", "shards", "json"}
+var optionalFlags = []string{"metrics", "trace", "summary", "intensity", "json"}
 
 // subcommandFlags lists the optional flags of the commands that are
 // not registry entries.
 var subcommandFlags = map[string][]string{
-	"all":   {"shards"},
 	"trace": {"trace", "summary"},
 }
 
@@ -88,7 +87,6 @@ func parseArgs(args []string) (string, *flags, error) {
 	fs.StringVar(&f.metricsPath, "metrics", "", "write the sampled metrics time series CSV to this file (observe only)")
 	fs.BoolVar(&f.summary, "summary", false, "print a human-readable summary instead of the main CSV (observe, ext-attr, trace)")
 	fs.Float64Var(&f.intensity, "intensity", 0, "pin the fault intensity instead of sweeping the default axis (chaos only)")
-	fs.IntVar(&f.shards, "shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster; output is identical at any setting)")
 	fs.StringVar(&f.jsonPath, "json", "", "write the machine-readable VALIDATION.json report to this file (calibrate only)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return "", nil, err
@@ -107,8 +105,6 @@ func parseArgs(args []string) (string, *flags, error) {
 		return "", nil, fmt.Errorf("-parallel must be >= 0, got %d", f.parallel)
 	case f.intensity < 0 || f.intensity > 1:
 		return "", nil, fmt.Errorf("-intensity must be in [0,1], got %v", f.intensity)
-	case f.shards < 0:
-		return "", nil, fmt.Errorf("-shards must be >= 0, got %d", f.shards)
 	}
 	return cmd, f, nil
 }
@@ -118,7 +114,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := experiments.Options{Quick: f.quick, Seed: f.seed, Parallel: f.parallel, Summary: f.summary, Intensity: f.intensity, Shards: f.shards}
+	opts := experiments.Options{Quick: f.quick, Seed: f.seed, Parallel: f.parallel, Summary: f.summary, Intensity: f.intensity}
 	for _, ex := range []struct {
 		path string
 		dst  *io.Writer
@@ -248,9 +244,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       desiccant-sim all [-quick] [-parallel N] [-o dir]")
 	fmt.Fprintln(w, "       desiccant-sim observe [-quick] [-trace out.json] [-metrics out.csv] [-summary]")
 	fmt.Fprintln(w, "       desiccant-sim chaos [-quick] [-seed N] [-intensity X] [-parallel N]")
-	fmt.Fprintln(w, "       desiccant-sim ext-fleet [-quick] [-seed N] [-shards N]")
-	fmt.Fprintln(w, "       desiccant-sim ext-attr [-quick] [-seed N] [-shards N] [-trace out.json] [-summary]")
-	fmt.Fprintln(w, "       desiccant-sim ext-cluster [-quick] [-seed N] [-parallel N] [-shards N]")
+	fmt.Fprintln(w, "       desiccant-sim ext-attr [-quick] [-seed N] [-trace out.json] [-summary]")
 	fmt.Fprintln(w, "       desiccant-sim trace [-quick] [-seed N] [-trace out.json] [-summary] [-o attr.csv]")
 	fmt.Fprintln(w, "       desiccant-sim calibrate [-quick] [-seed N] [-parallel N] [-json VALIDATION.json]")
 	fmt.Fprintln(w, "\nexperiments:")

@@ -45,6 +45,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"table1", "-bogusflag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	if err := run([]string{"ext-cluster", "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("-shards: err %v, want an undefined-flag error", err)
+	}
 }
 
 // TestFlagTable checks, for every registered experiment and every
@@ -56,7 +59,6 @@ func TestFlagTable(t *testing.T) {
 		"trace":     {"-trace", "t.json"},
 		"summary":   {"-summary"},
 		"intensity": {"-intensity", "0.5"},
-		"shards":    {"-shards", "2"},
 		"json":      {"-json", "v.json"},
 	}
 	if len(args) != len(optionalFlags) {

@@ -46,7 +46,7 @@ func TestFitImprovesLossDeterministically(t *testing.T) {
 	}
 }
 
-func TestRunByteIdenticalAcrossParallelAndShards(t *testing.T) {
+func TestRunByteIdenticalAcrossParallel(t *testing.T) {
 	serial := tinyOptions()
 	serial.Parallel = 1
 	fanned := tinyOptions()

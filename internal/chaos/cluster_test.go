@@ -6,6 +6,8 @@ package chaos_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"desiccant/internal/chaos"
@@ -83,8 +85,9 @@ func TestClusterKillPlanDeterministic(t *testing.T) {
 }
 
 // TestClusterKillPlanDrainsDeterministically replays a faulted run
-// twice and at two shard counts: the router drains and re-places the
-// dead nodes' warm instances identically every time.
+// twice: the router drains and re-places the dead nodes' warm
+// instances identically every time, and the summary matches the hash
+// captured from the sharded runner that preceded the single engine.
 func TestClusterKillPlanDrainsDeterministically(t *testing.T) {
 	o := clusterOptions()
 	o.Policy = cluster.PolicyGarbageAware
@@ -96,14 +99,13 @@ func TestClusterKillPlanDrainsDeterministically(t *testing.T) {
 		}
 	}
 	o.Kills = plan.Kills()
-	o.Shards = 1
 	first := runSummary(t, o)
 	if second := runSummary(t, o); second != first {
 		t.Fatalf("faulted run not reproducible:\n%s\nvs:\n%s", first, second)
 	}
-	o.Shards = 4
-	if sharded := runSummary(t, o); sharded != first {
-		t.Fatalf("faulted run diverged at shards=4:\n%s\nserial:\n%s", sharded, first)
+	const want = "eca3a7bfa434a3f56ef23ea030db4468a98b5902e935a96871fcc0092d9256dd"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(first))); got != want {
+		t.Fatalf("faulted summary sha256 %s, want %s:\n%s", got, want, first)
 	}
 	res, err := cluster.Run(o)
 	if err != nil {

@@ -18,8 +18,7 @@ type CapacityPoint struct {
 // WriteCapacityCSV renders the capacity curve: for each (nodes × RAM)
 // provision, whether the replay met the cold-start SLO and at what
 // tail latency — the planning question "how little hardware still
-// holds the SLO" read straight off the grid. The output is
-// byte-identical at any Shards setting.
+// holds the SLO" read straight off the grid.
 func WriteCapacityCSV(w io.Writer, pts []CapacityPoint, sloColdBoot float64) {
 	fmt.Fprintf(w, "# capacity curve: cold-boot SLO %.3f\n", sloColdBoot)
 	fmt.Fprintln(w, "nodes,cache_mb,policy,mode,completions,cold_boot_rate,p99_ms,headroom_x,meets_slo")

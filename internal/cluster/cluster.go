@@ -12,29 +12,31 @@ import (
 // (1ms .. ~32s) — unchanged from the original ext-fleet layout.
 func latencyBounds() []float64 { return metrics.ExponentialBounds(1, 2, 16) }
 
-// Cluster is one wired fleet: the sharded engine, the router on
-// domain 0 and a node per worker domain. nodes is domain-indexed
-// (nodes[0] is nil): every cross-domain closure reaches its target as
-// nodes[dst] where dst is the send's destination, which is both the
-// shardsafe per-domain-slot discipline and the actual ownership rule
-// — node d's state is only touched by events running on domain d.
+// Cluster is one wired fleet on one engine: the router at index 0 and
+// a node at each index 1..Nodes (nodes[0] is nil). Router and nodes
+// only learn about each other through messages filed with
+// eng.Deliver(src, …), whose (source index, send order) key orders
+// same-instant messages independently of how the senders' own events
+// interleaved — the migration and kill protocols depend on it. Every
+// message closure reaches its target as nodes[dst], and node d's state
+// is only touched by events addressed to node d.
 type Cluster struct {
 	opts   Options
-	s      *sim.Sharded
+	eng    *sim.Engine
 	router *Router
 	nodes  []*Node
 }
 
-// dispatch forwards a placed request to its node across the barrier.
+// dispatch forwards a placed request to its node over the route hop.
 func (c *Cluster) dispatch(d int, spec *workload.Spec, at sim.Time) {
-	c.s.Send(0, at, d, "cluster:submit", func() {
+	c.eng.Deliver(0, at, "cluster:submit", func() {
 		c.nodes[d].deliver(spec)
 	})
 }
 
-// survivorsAt returns the domains still alive per the static kill
+// survivorsAt returns the node indexes still alive per the static kill
 // schedule at time now — a pure function of the options, so a dying
-// node computes its drain targets without reading any cross-domain
+// node computes its drain targets without reading any other node's
 // state.
 func (c *Cluster) survivorsAt(now sim.Time) []int {
 	dead := make([]bool, c.opts.Nodes+1)
@@ -52,7 +54,7 @@ func (c *Cluster) survivorsAt(now sim.Time) []int {
 	return alive
 }
 
-// armKills schedules the decommissions on the victims' own domains.
+// armKills schedules the decommissions.
 func (c *Cluster) armKills() {
 	for _, k := range c.opts.Kills {
 		n := c.nodes[k.Node+1]
@@ -60,10 +62,10 @@ func (c *Cluster) armKills() {
 	}
 }
 
-// Run replays the trace across the router plus Nodes platforms on the
-// sharded engine and returns the fleet-wide measurement. The run is
-// deterministic: identical options (Shards aside) produce identical
-// results byte for byte.
+// Run replays the trace across the router plus Nodes platforms on one
+// engine and returns the fleet-wide measurement. The run is
+// deterministic: identical options produce identical results byte for
+// byte.
 func Run(o Options) (*Result, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -78,8 +80,8 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 
-	s := sim.NewSharded(o.Nodes+1, o.Shards, o.RouteLatency)
-	c := &Cluster{opts: o, s: s, nodes: make([]*Node, o.Nodes+1)}
+	eng := sim.NewEngine()
+	c := &Cluster{opts: o, eng: eng, nodes: make([]*Node, o.Nodes+1)}
 	for d := 1; d <= o.Nodes; d++ {
 		c.nodes[d] = newNode(c, d, mcfg)
 	}
@@ -100,7 +102,7 @@ func Run(o Options) (*Result, error) {
 	rp := trace.NewReplayer(c.router, assignments, o.TraceSeed+1)
 	rp.Schedule(0, end, o.Scale)
 
-	s.RunUntil(end)
+	eng.RunUntil(end)
 	for d := 1; d <= o.Nodes; d++ {
 		if mgr := c.nodes[d].mgr; mgr != nil {
 			mgr.Stop()
@@ -113,18 +115,11 @@ func Run(o Options) (*Result, error) {
 	// so the queues empty; the iteration cap is a backstop only.
 	drainEnd := end
 	for i := 0; i < 240; i++ {
-		busy := false
-		for d := 0; d < s.Domains(); d++ {
-			if _, ok := s.Domain(d).Next(); ok {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+		if _, busy := eng.Next(); !busy {
 			break
 		}
 		drainEnd = drainEnd.Add(sim.Second)
-		s.RunUntil(drainEnd)
+		eng.RunUntil(drainEnd)
 	}
 
 	return c.collect()
@@ -148,7 +143,6 @@ func (c *Cluster) collect() (*Result, error) {
 		Moves:        rt.moves,
 		Deaths:       rt.deaths,
 		Violations:   rt.violations,
-		Shard:        c.s.Stats(),
 	}
 	for d := 1; d <= o.Nodes; d++ {
 		n := c.nodes[d]

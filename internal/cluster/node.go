@@ -10,15 +10,15 @@ import (
 	"desiccant/internal/workload"
 )
 
-// Node is one worker machine: a full platform with its manager on its
-// own engine domain, a local latency histogram folded at completion
-// time, and the sampling loop that ships pressure reports to the
-// router. All Node state is only ever touched by events on the node's
-// own domain; everything the router learns travels as a value copy in
-// a cross-domain send.
+// Node is one worker machine: a full platform with its manager, a
+// local latency histogram folded at completion time, and the sampling
+// loop that ships pressure reports to the router. All Node state is
+// only ever touched by the node's own events and by messages addressed
+// to it; everything the router learns travels as a value copy in a
+// message.
 type Node struct {
 	c        *Cluster
-	d        int // domain index (1-based; node index is d-1)
+	d        int // cluster index (1-based; node index is d-1)
 	eng      *sim.Engine
 	bus      *obs.Bus
 	platform *faas.Platform
@@ -42,14 +42,14 @@ type Node struct {
 // span's machine reads off its ID (invo / invoBase == d).
 const invoBase = int64(1_000_000_000)
 
-// newNode wires one machine domain. The construction order (platform,
+// newNode wires one machine. The construction order (platform,
 // manager, ack subscriber) deliberately mirrors the original
 // ext-fleet wiring so the static pinned configuration replays
 // byte-identically. The ObserveNode hook runs after the wiring but
 // before the manager starts, so observers see every event the node
 // emits, the manager's initial threshold included.
 func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
-	eng := c.s.Domain(d)
+	eng := c.eng
 	bus := obs.NewBus(eng)
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = c.opts.CacheBytes
@@ -72,10 +72,10 @@ func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
 		}
 		lat := ev.Dur.Millis()
 		n.hist.Add(lat)
-		// Ack the completion back to the router across the shard
-		// boundary; the router folds the same value, so the two sides
-		// must agree exactly at the end of the run.
-		n.c.s.Send(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), 0, "fleet:ack", func() {
+		// Ack the completion back to the router over the route hop;
+		// the router folds the same value, so the two sides must agree
+		// exactly at the end of the run.
+		n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "fleet:ack", func() {
 			n.c.router.onAck(n.d, lat)
 		})
 	}))
@@ -127,7 +127,7 @@ func (n *Node) sample() {
 	}
 	n.bus.Emit(obs.Event{Kind: obs.EvNodePressure, Inst: -1,
 		Bytes: nv.CommittedPages * osmem.PageSize, Val: nv.MemFrac, Aux: int64(nv.QueueLen)})
-	n.c.s.Send(n.d, now.Add(n.c.opts.RouteLatency), 0, "cluster:report", func() {
+	n.eng.Deliver(n.d, now.Add(n.c.opts.RouteLatency), "cluster:report", func() {
 		n.c.router.onReport(n.d, nv)
 	})
 	if next := now.Add(n.reportEvery); next <= n.reportUntil {
@@ -135,7 +135,7 @@ func (n *Node) sample() {
 	}
 }
 
-// migrateOut executes a router migration order on the source domain:
+// migrateOut executes a router migration order on the source node:
 // detach up to batch of the coldest frozen instances and ship each to
 // dst. The victim choice happens here, against live node state, so
 // the router cannot know it — the hand-off therefore also notifies
@@ -154,12 +154,12 @@ func (n *Node) migrateOut(dst, batch int) {
 }
 
 // sendInstance ships one detached instance: the adopt lands on the
-// destination domain after the hand-off latency, and the router
-// learns the move after the route hop. Both are sim-time-stamped
-// sends, so the adopt order and the affinity update order are fixed
-// by the barrier merge — the determinism argument for migration.
+// destination node after the hand-off latency, and the router learns
+// the move after the route hop. Both are deliveries keyed by this
+// node's index, so the adopt order and the affinity update order are
+// fixed at send time — the determinism argument for migration.
 func (n *Node) sendInstance(dst int, spec *workload.Spec, stage int) {
-	n.c.s.Send(n.d, n.eng.Now().Add(n.c.opts.Migration.Latency), dst, "cluster:adopt", func() {
+	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.Migration.Latency), "cluster:adopt", func() {
 		n.c.nodes[dst].adopt(spec, stage)
 	})
 	n.notifyMoved(spec.Name, dst)
@@ -168,7 +168,7 @@ func (n *Node) sendInstance(dst int, spec *workload.Spec, stage int) {
 // notifyMoved tells the router a function's frozen instance now lives
 // on dst.
 func (n *Node) notifyMoved(fn string, dst int) {
-	n.c.s.Send(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), 0, "cluster:moved", func() {
+	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "cluster:moved", func() {
 		n.c.router.onMoved(fn, dst)
 	})
 }
@@ -186,7 +186,7 @@ func (n *Node) adopt(spec *workload.Spec, stage int) {
 // mid-reclaim are evicted in place — on a dying machine the
 // reclamation's sunk cost is lost either way), then notify the
 // router. The survivor set is computed from the static kill schedule,
-// never from cross-domain state.
+// never from other nodes' state.
 func (n *Node) kill() {
 	if n.dead {
 		return
@@ -213,7 +213,7 @@ func (n *Node) kill() {
 		n.drainMigrated++
 		n.sendInstance(dst, spec, stage)
 	}
-	n.c.s.Send(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), 0, "cluster:dead", func() {
+	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "cluster:dead", func() {
 		n.c.router.markDead(n.d)
 	})
 }

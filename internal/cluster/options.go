@@ -1,15 +1,15 @@
 // Package cluster simulates a FaaS fleet: N machines — each a full
-// osmem.Machine + faas.Platform + Desiccant manager on its own
-// sharded-engine domain — behind a front-door router (domain 0) with
-// a pluggable placement policy. Nodes periodically ship pressure
-// samples to the router across the shard barrier; the router uses the
-// aggregated view to place requests, order cross-machine migrations
-// off hot nodes, and route new functions around machines mid-reclaim.
+// osmem.Machine + faas.Platform + Desiccant manager — behind a
+// front-door router with a pluggable placement policy, all on one
+// sim.Engine. Nodes periodically ship pressure samples to the router
+// over the modeled network hop; the router uses the aggregated view to
+// place requests, order cross-machine migrations off hot nodes, and
+// route new functions around machines mid-reclaim.
 //
 // Everything is deterministic: policies draw from forked sim.RNG
-// streams, every cross-domain interaction is a sim-time-stamped send
-// merged in (time, source, sequence) order by the sharded engine, and
-// results are byte-identical at any Shards setting.
+// streams, and every router/node interaction is a sim-time-stamped
+// message filed with sim.Engine.Deliver, ordered by (time, source,
+// send order).
 package cluster
 
 import (
@@ -39,8 +39,7 @@ type Migration struct {
 	// source node, so one hot report burst does not empty the node.
 	Cooldown sim.Duration
 	// Latency is the modeled hand-off time per instance (snapshot
-	// shipping); at least RouteLatency, which is also the engine
-	// lookahead floor.
+	// shipping); at least RouteLatency.
 	Latency sim.Duration
 }
 
@@ -70,14 +69,11 @@ type Kill struct {
 
 // Options parameterizes one cluster replay.
 type Options struct {
-	// Nodes is the number of worker machines (domains 1..Nodes;
-	// domain 0 is the router).
+	// Nodes is the number of worker machines (indexes 1..Nodes;
+	// index 0 is the router).
 	Nodes int
-	// Shards is the sharded engine's worker count. Output is
-	// byte-identical regardless of the setting.
-	Shards int
 	// RouteLatency is the modeled network hop between router and
-	// nodes; it doubles as the engine's conservative lookahead.
+	// nodes.
 	RouteLatency sim.Duration
 	// Window is the replayed duration.
 	Window sim.Duration
@@ -125,7 +121,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Nodes:          16,
-		Shards:         1,
 		RouteLatency:   2 * sim.Millisecond,
 		Window:         60 * sim.Second,
 		Scale:          15,
@@ -184,7 +179,7 @@ func (o Options) withDefaults() (Options, error) {
 		}
 	}
 	// The hand-off latency also paces kill-drain sends, so resolve it
-	// even with migration disabled; it can never undercut the lookahead.
+	// even with migration disabled; it can never undercut the route hop.
 	if o.Migration.Latency < o.RouteLatency {
 		o.Migration.Latency = o.RouteLatency
 	}
@@ -195,7 +190,7 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // dynamic reports whether routing happens at sim time on the router
-// domain (placement consults the live pressure view, requests pay the
+// (placement consults the live pressure view, requests pay the
 // route hop) rather than statically at schedule time. The static path
 // exists for one reason: with the pinned policy and no kills it
 // reproduces the original ext-fleet replay byte for byte.

@@ -9,9 +9,8 @@ import (
 // NodeView is the router's last-received picture of one node, built
 // entirely from pressure reports (plus its own routed/acked
 // bookkeeping). It is always stale by at least RouteLatency — the
-// router acts on what the barrier delivered, never on node state
-// directly, which is what keeps placement identical at any shard
-// count.
+// router acts on what the reports delivered, never on node state
+// directly.
 type NodeView struct {
 	// Alive flips false when the node's decommission notice arrives.
 	Alive bool
@@ -35,8 +34,8 @@ type NodeView struct {
 }
 
 // View is the cluster-level pressure signal handed to placement
-// policies. Slices are domain-indexed: entry 0 is the router and
-// never a placement target.
+// policies. Slices are indexed like the cluster: entry 0 is the
+// router and never a placement target.
 type View struct {
 	Nodes []NodeView
 	// Routed counts requests the router sent to each node; Acked
@@ -67,11 +66,10 @@ func (v *View) Size() int { return len(v.Nodes) - 1 }
 func (v *View) Outstanding(d int) int64 { return v.Routed[d] - v.Acked[d] }
 
 // PlacementPolicy picks a destination node for each request. Place
-// returns a domain index in [1, v.Size()] and must be a pure function
+// returns a node index in [1, v.Size()] and must be a pure function
 // of the view, the policy's own state, and its forked RNG stream —
-// nothing wall-clock, nothing shard-dependent. Policies with
-// per-function affinity re-place lazily when the remembered home is
-// no longer alive.
+// nothing wall-clock. Policies with per-function affinity re-place
+// lazily when the remembered home is no longer alive.
 type PlacementPolicy interface {
 	Name() string
 	Place(fn string, v *View) int

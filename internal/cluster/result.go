@@ -7,7 +7,6 @@ import (
 
 	"desiccant/internal/metrics"
 	"desiccant/internal/obs"
-	"desiccant/internal/sim"
 )
 
 // NodeRow is one machine's share of the replay.
@@ -67,11 +66,6 @@ type Result struct {
 	AdoptErrs []string
 	// Violations lists router-side bookkeeping breaches.
 	Violations []string
-
-	// Shard holds the sharded runner's self-metrics (windows, redo
-	// passes, per-domain events and barrier slack): sim-time quantities,
-	// identical at any Shards setting.
-	Shard sim.ShardStats
 }
 
 // ColdBootRate returns fleet-wide cold boots per completion.
@@ -94,11 +88,11 @@ func (r *Result) HeadroomX() float64 {
 	return float64(r.NodeCount) * float64(r.CachePerNode) / float64(r.PeakBytes)
 }
 
-// CheckConsistency verifies the cross-shard bookkeeping: every
+// CheckConsistency verifies the router/node bookkeeping: every
 // completion acked exactly once, router and merged node histograms
 // identical, no router violations, no lost instances — every detach
-// matched by an adoption or a recorded error. Any drift means the
-// barrier lost, duplicated or reordered a cross-domain event.
+// matched by an adoption or a recorded error. Any drift means a
+// message between router and nodes was lost, duplicated or reordered.
 func (r *Result) CheckConsistency() error {
 	var completions int64
 	for _, row := range r.Rows {
@@ -137,9 +131,7 @@ func (r *Result) CheckConsistency() error {
 	return nil
 }
 
-// WriteSummary renders the per-node rows and the fleet-wide tail. The
-// output deliberately omits the shard count: it must be byte-identical
-// at any Shards setting.
+// WriteSummary renders the per-node rows and the fleet-wide tail.
 func (r *Result) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "# cluster replay: %d nodes, policy=%s, mode=%s\n", r.NodeCount, r.Policy, r.Mode)
 	fmt.Fprintln(w, "node,functions,completions,cold_boot_rate,p50_ms,p99_ms,evictions,migrated_out,migrated_in,peak_mb,dead")

@@ -8,10 +8,10 @@ import (
 	"desiccant/internal/workload"
 )
 
-// Router is the fleet's front door, living on domain 0. It implements
+// Router is the fleet's front door, at cluster index 0. It implements
 // trace.Submitter; in dynamic mode every arrival becomes a router
-// event that consults the pressure view before dispatching across the
-// barrier, while in static mode (pinned policy, no kills, no
+// event that consults the pressure view before dispatching over the
+// route hop, while in static mode (pinned policy, no kills, no
 // migration) placement happens at schedule time exactly as the
 // original ext-fleet router did.
 type Router struct {
@@ -24,8 +24,8 @@ type Router struct {
 	submitted int64
 	acks      int64
 	fleetHist *metrics.Histogram
-	// seen tracks the distinct functions routed to each node
-	// (domain-indexed) — the "functions" column of the result rows.
+	// seen tracks the distinct functions routed to each node (indexed
+	// like the cluster) — the "functions" column of the result rows.
 	seen []map[string]bool
 
 	reports   int64
@@ -49,7 +49,7 @@ func newRouter(c *Cluster, policy PlacementPolicy, dynamic bool) *Router {
 	}
 	return &Router{
 		c:         c,
-		eng:       c.s.Domain(0),
+		eng:       c.eng,
 		policy:    policy,
 		view:      NewView(c.opts.Nodes),
 		dynamic:   dynamic,
@@ -73,7 +73,7 @@ func (rt *Router) Submit(spec *workload.Spec, t sim.Time) {
 }
 
 // route places one arrival at sim time against the current view and
-// dispatches it across the barrier after the route hop.
+// dispatches it to the node after the route hop.
 func (rt *Router) route(spec *workload.Spec, t sim.Time) {
 	d := rt.policy.Place(spec.Name, rt.view)
 	rt.noteRoute(d, spec.Name)
@@ -128,7 +128,7 @@ func (rt *Router) markDead(src int) {
 }
 
 // maybeMigrate is the cluster-level relief valve, run entirely on the
-// router domain against the merged view: when the reporting node is
+// router against the merged view: when the reporting node is
 // hot, order it to hand its coldest instances to the least-pressured
 // cold node. Per-source cooldown keeps one hot spell from emptying
 // the node before the first hand-off even lands.
@@ -163,12 +163,11 @@ func (rt *Router) maybeMigrate(src int) {
 	rt.orderMigration(src, dst, m.Batch)
 }
 
-// orderMigration ships the order to the source node's domain; the
-// node picks the victims against its live state.
+// orderMigration ships the order to the source node; the node picks
+// the victims against its live state.
 func (rt *Router) orderMigration(src, dst, batch int) {
-	d := src
-	rt.c.s.Send(0, rt.eng.Now().Add(rt.c.opts.RouteLatency), d, "cluster:migrate", func() {
-		rt.c.nodes[d].migrateOut(dst, batch)
+	rt.eng.Deliver(0, rt.eng.Now().Add(rt.c.opts.RouteLatency), "cluster:migrate", func() {
+		rt.c.nodes[src].migrateOut(dst, batch)
 	})
 }
 

@@ -23,48 +23,6 @@ func quickAttrOptions() AttrOptions {
 	return o
 }
 
-// attrExports runs the experiment and returns its CSV and summary
-// bytes — the artifacts the byte-identity contract covers.
-func attrExports(t *testing.T, o AttrOptions) (csv, summary []byte) {
-	t.Helper()
-	res, err := RunAttr(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c, s bytes.Buffer
-	if err := res.WriteCSV(&c); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.WriteSummary(&s); err != nil {
-		t.Fatal(err)
-	}
-	return c.Bytes(), s.Bytes()
-}
-
-// TestAttrShardInvariance is the tentpole's acceptance check at test
-// scale: the attribution CSV and summary — including the embedded
-// engine self-metrics — are byte-identical at -shards 1, 2, and 4.
-func TestAttrShardInvariance(t *testing.T) {
-	o := quickAttrOptions()
-	o.Cluster.Shards = 1
-	wantCSV, wantSum := attrExports(t, o)
-	if len(wantCSV) == 0 || !bytes.Contains(wantCSV, []byte("total")) {
-		t.Fatalf("degenerate CSV:\n%.400s", wantCSV)
-	}
-	for _, shards := range []int{2, 4} {
-		o.Cluster.Shards = shards
-		gotCSV, gotSum := attrExports(t, o)
-		if !bytes.Equal(gotCSV, wantCSV) {
-			t.Fatalf("shards=%d: attribution CSV diverges from shards=1 (%d vs %d bytes)",
-				shards, len(gotCSV), len(wantCSV))
-		}
-		if !bytes.Equal(gotSum, wantSum) {
-			t.Fatalf("shards=%d: attribution summary diverges from shards=1:\n%s\nvs\n%s",
-				shards, gotSum, wantSum)
-		}
-	}
-}
-
 // TestAttrGoldenPreRefactor pins the move of ext-attr onto cluster.Run
 // to the byte: the test-size attribution CSV and the machine-1
 // Perfetto export must hash to the values captured from the
@@ -94,6 +52,25 @@ func TestAttrGoldenPreRefactor(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
 			t.Errorf("%s sha256 %s, want %s (%d bytes)", c.name, got, c.want, len(c.data))
 		}
+	}
+}
+
+// TestAttrSummaryPin pins the test-size attribution summary to the
+// byte. The hash was captured from the sharded runner that preceded
+// the single engine, with its engine self-metrics block (the only
+// part that runner added) cut out.
+func TestAttrSummaryPin(t *testing.T) {
+	res, err := RunAttr(quickAttrOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var summary bytes.Buffer
+	if err := res.WriteSummary(&summary); err != nil {
+		t.Fatal(err)
+	}
+	const want = "b26f63113cfdc684a58e701539eacde7abf6df5154968456274883629d6033cb"
+	if got := fmt.Sprintf("%x", sha256.Sum256(summary.Bytes())); got != want {
+		t.Fatalf("summary sha256 %s, want %s:\n%s", got, want, summary.String())
 	}
 }
 
@@ -141,9 +118,16 @@ func TestAttrSpanConservation(t *testing.T) {
 // dominant phase — the "p99 is dominated by X" sentence the tentpole
 // promises.
 func TestAttrSummaryAnswersTheQuestion(t *testing.T) {
-	_, sum := attrExports(t, quickAttrOptions())
-	text := string(sum)
-	for _, want := range []string{"== mode reclaim ==", "latency by phase", "p99", "dominated by", "engine self-metrics"} {
+	res, err := RunAttr(quickAttrOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum strings.Builder
+	if err := res.WriteSummary(&sum); err != nil {
+		t.Fatal(err)
+	}
+	text := sum.String()
+	for _, want := range []string{"== mode reclaim ==", "latency by phase", "p99", "dominated by"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("summary lacks %q:\n%s", want, text)
 		}

@@ -17,9 +17,8 @@ import (
 // AttrOptions parameterizes the causal-attribution experiment: a
 // cluster replayed once per manager mode, with every invocation traced
 // into a span and its latency decomposed into exact phases. The
-// attribution outputs are byte-identical at any -parallel/-shards
-// setting — pinned by TestAttrShardInvariance and the CI trace-smoke
-// job.
+// attribution outputs are pinned by TestAttrGoldenPreRefactor and
+// byte-identical at any -parallel setting (the CI trace-smoke job).
 type AttrOptions struct {
 	// Cluster is the fleet every mode replays. RunAttr sets its Mode
 	// per run and installs its own ObserveNode hook.
@@ -35,7 +34,6 @@ func DefaultAttrOptions() AttrOptions {
 	return AttrOptions{
 		Cluster: cluster.Options{
 			Nodes:          4,
-			Shards:         1,
 			RouteLatency:   2 * sim.Millisecond,
 			Window:         60 * sim.Second,
 			Scale:          15,
@@ -49,8 +47,8 @@ func DefaultAttrOptions() AttrOptions {
 	}
 }
 
-// AttrModeResult is one mode's replay: the merged span set plus the
-// engine's self-metrics.
+// AttrModeResult is one mode's replay: the merged span set plus
+// machine 1's event stream.
 type AttrModeResult struct {
 	Mode string
 	// Spans are every machine's closed spans merged in ID order.
@@ -63,10 +61,6 @@ type AttrModeResult struct {
 	Submitted int64
 	Completed int64
 	Dropped   int64
-	// Shard holds the sharded runner's self-metrics (windows, redo
-	// passes, per-domain events and barrier slack) — all sim-time
-	// quantities, identical at any shard count.
-	Shard sim.ShardStats
 	// MachineEvents is machine 1's recorded event stream, the basis of
 	// the optional Perfetto export (one machine keeps instance track
 	// IDs collision-free).
@@ -113,12 +107,11 @@ func runAttrMode(co cluster.Options, mode string) (*AttrModeResult, error) {
 		builders = append(builders, b)
 		platforms = append(platforms, p)
 	}
-	cr, err := cluster.Run(co)
-	if err != nil {
+	if _, err := cluster.Run(co); err != nil {
 		return nil, err
 	}
 
-	mr := &AttrModeResult{Mode: mode, Shard: cr.Shard, MachineEvents: rec.Events()}
+	mr := &AttrModeResult{Mode: mode, MachineEvents: rec.Events()}
 	groups := make([][]*invtrace.Span, len(builders))
 	for i, b := range builders {
 		groups[i] = b.Spans()
@@ -143,8 +136,8 @@ func runAttrMode(co cluster.Options, mode string) (*AttrModeResult, error) {
 }
 
 // WriteCSV renders each mode's long-form attribution table, separated
-// by mode headers. Deliberately free of shard/parallel metadata: the
-// bytes must match at any execution setting.
+// by mode headers. Deliberately free of -parallel metadata: the bytes
+// must match at any setting.
 func (r *AttrResult) WriteCSV(w io.Writer) error {
 	for _, m := range r.Modes {
 		fmt.Fprintf(w, "# mode=%s invocations=%d completed=%d dropped=%d open=%d\n",
@@ -156,24 +149,12 @@ func (r *AttrResult) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WriteSummary renders each mode's human attribution digest followed
-// by the engine self-metrics (all sim-time, shard-count-invariant).
+// WriteSummary renders each mode's human attribution digest.
 func (r *AttrResult) WriteSummary(w io.Writer) error {
 	for _, m := range r.Modes {
 		fmt.Fprintf(w, "== mode %s ==\n", m.Mode)
 		if err := invtrace.WriteSummary(w, m.Spans); err != nil {
 			return err
-		}
-		fmt.Fprintf(w, "\nengine self-metrics (sim-time, shard-invariant):\n")
-		fmt.Fprintf(w, "  windows=%d passes=%d (redo=%d)\n",
-			m.Shard.Windows, m.Shard.Passes, m.Shard.Passes-m.Shard.Windows)
-		for d, ds := range m.Shard.Domains {
-			role := "machine"
-			if d == 0 {
-				role = "router"
-			}
-			fmt.Fprintf(w, "  domain %d (%s): events=%d barrier_slack=%dus\n",
-				d, role, ds.Events, int64(ds.BarrierSlack))
 		}
 		fmt.Fprintln(w)
 	}

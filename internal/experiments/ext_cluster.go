@@ -14,12 +14,10 @@ import (
 // capacity grid (nodes × per-node RAM → cold-start SLO) under the
 // best policy. Sub-runs are pure functions of their options, so the
 // sweep fans out through the package's deterministic-collection pool
-// and the CSV is byte-identical at any -parallel/-shards setting.
+// and the CSV is byte-identical at any -parallel setting.
 type ClusterSweepOptions struct {
 	// Nodes is the policy × mode table's fleet size.
 	Nodes int
-	// Shards is the sharded engine's worker count per sub-run.
-	Shards int
 	// Parallel bounds the sweep's worker pool (0 = GOMAXPROCS).
 	Parallel int
 	// Window, Scale, TraceFunctions, BaseRate, TraceSeed, CacheBytes
@@ -49,7 +47,6 @@ type ClusterSweepOptions struct {
 func DefaultClusterSweepOptions() ClusterSweepOptions {
 	return ClusterSweepOptions{
 		Nodes:          16,
-		Shards:         1,
 		Window:         60 * sim.Second,
 		Scale:          15,
 		TraceFunctions: 400,
@@ -70,7 +67,6 @@ func DefaultClusterSweepOptions() ClusterSweepOptions {
 func (o ClusterSweepOptions) clusterOptions(nodes int, cache int64, policy, mode string) cluster.Options {
 	return cluster.Options{
 		Nodes:          nodes,
-		Shards:         o.Shards,
 		RouteLatency:   2 * sim.Millisecond,
 		Window:         o.Window,
 		Scale:          o.Scale,
@@ -168,7 +164,7 @@ func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
 }
 
 // WriteCSV renders the policy × mode table followed by the capacity
-// curve. Byte-identical at any -parallel/-shards setting.
+// curve. Byte-identical at any -parallel setting.
 func (r *ClusterSweepResult) WriteCSV(w io.Writer) {
 	fmt.Fprintf(w, "# cluster sweep: %d nodes, policy x mode\n", r.Nodes)
 	fmt.Fprintln(w, "policy,mode,completions,cold_boot_rate,p99_ms,headroom_x,evictions,migrations,deaths")

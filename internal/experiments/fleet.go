@@ -15,7 +15,6 @@ import (
 func fleetOptions(opts Options) cluster.Options {
 	o := cluster.Options{
 		Nodes:          8,
-		Shards:         opts.Shards,
 		RouteLatency:   2 * sim.Millisecond,
 		Window:         60 * sim.Second,
 		Scale:          15,
@@ -38,9 +37,7 @@ func fleetOptions(opts Options) cluster.Options {
 }
 
 // writeFleetCSV renders a cluster replay in the ext-fleet columns:
-// per-machine rows and the fleet-wide tail. The output deliberately
-// omits the shard count: it must be byte-identical at any -shards
-// setting.
+// per-machine rows and the fleet-wide tail.
 func writeFleetCSV(w io.Writer, r *cluster.Result) {
 	fmt.Fprintf(w, "# fleet replay: %d machines behind one router\n", r.NodeCount)
 	fmt.Fprintln(w, "machine,functions,completions,cold_boot_rate,p50_ms,p99_ms")

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"desiccant/internal/cluster"
@@ -30,18 +32,14 @@ func fleetCSV(t testing.TB, o cluster.Options) string {
 	return buf.String()
 }
 
-// TestFleetShardInvariance is the experiment-level determinism check:
-// the fleet replay's full CSV must be byte-identical at every shard
-// count, including counts above the domain count (clamped).
-func TestFleetShardInvariance(t *testing.T) {
-	o := quickFleetOptions()
-	o.Shards = 1
-	want := fleetCSV(t, o)
-	for _, shards := range []int{2, 4, 8} {
-		o.Shards = shards
-		if got := fleetCSV(t, o); got != want {
-			t.Fatalf("shards=%d output diverged from serial:\n%s\nserial:\n%s", shards, got, want)
-		}
+// TestFleetCSVPin pins the test-size fleet replay's full CSV to the
+// byte. The hash was captured from the sharded runner that preceded
+// the single engine, where the CSV was equal at every shard count.
+func TestFleetCSVPin(t *testing.T) {
+	got := fleetCSV(t, quickFleetOptions())
+	const want = "c1962e10e8c2f3c276ffea0648180a8442cd2f9a8b518591268e2d527401ec54"
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(got))); sum != want {
+		t.Fatalf("fleet CSV sha256 %s, want %s:\n%s", sum, want, got)
 	}
 }
 
@@ -71,9 +69,8 @@ func TestFleetRouting(t *testing.T) {
 	}
 }
 
-// TestFleetSeedSweep runs a small fleet across many seeds comparing
-// serial against sharded output byte for byte — the experiment-level
-// cousin of the sim package's shard property tests.
+// TestFleetSeedSweep runs a small fleet across many seeds, each of
+// which must pass the router/node consistency check (fleetCSV).
 func TestFleetSeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep is slow")
@@ -84,11 +81,6 @@ func TestFleetSeedSweep(t *testing.T) {
 	o.TraceFunctions = 60
 	for seed := uint64(1); seed <= 50; seed++ {
 		o.TraceSeed = seed
-		o.Shards = 1
-		want := fleetCSV(t, o)
-		o.Shards = 3
-		if got := fleetCSV(t, o); got != want {
-			t.Fatalf("seed %d: sharded output diverged from serial:\n%s\nserial:\n%s", seed, got, want)
-		}
+		fleetCSV(t, o)
 	}
 }

@@ -35,11 +35,6 @@ type Options struct {
 	// Intensity, when positive, pins the chaos experiment's fault
 	// intensity instead of sweeping the default axis.
 	Intensity float64
-	// Shards, when positive, sets the sharded engine's worker count
-	// for the experiments that replay a cluster (ext-fleet, ext-attr,
-	// ext-cluster). Results are byte-identical at any setting; only
-	// wall-clock time changes.
-	Shards int
 	// Validation, when non-nil, receives the machine-readable
 	// VALIDATION.json report (calibrate experiment only).
 	Validation io.Writer
@@ -65,7 +60,7 @@ type Entry struct {
 	Description string
 	// Flags lists the optional desiccant-sim flags the experiment
 	// accepts, by name without the dash: "trace", "summary", "metrics",
-	// "intensity", "shards", "json". The CLI rejects the others.
+	// "intensity", "json". The CLI rejects the others.
 	Flags []string
 	Run   func(w io.Writer, opts Options) error
 }
@@ -319,8 +314,7 @@ func init() {
 		},
 		{
 			Name: "ext-fleet", Figure: "Extension", Claim: "-",
-			Description: "multi-machine replay on the sharded engine: router + N platforms, byte-identical at any -shards",
-			Flags:       []string{"shards"},
+			Description: "multi-machine replay of the pinned cluster: router + N platforms on one engine",
 			Run: func(w io.Writer, opts Options) error {
 				res, err := cluster.Run(fleetOptions(opts))
 				if err != nil {
@@ -332,8 +326,8 @@ func init() {
 		},
 		{
 			Name: "ext-attr", Figure: "Extension", Claim: "-",
-			Description: "per-invocation causal attribution: manager modes on the sharded fleet, exact phase tiling, byte-identical at any -parallel/-shards",
-			Flags:       []string{"shards", "trace", "summary"},
+			Description: "per-invocation causal attribution: manager modes on the pinned fleet, exact phase tiling, byte-identical at any -parallel",
+			Flags:       []string{"trace", "summary"},
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultAttrOptions()
 				if opts.Quick {
@@ -345,7 +339,6 @@ func init() {
 				if opts.Seed != 0 {
 					o.Cluster.TraceSeed = opts.Seed
 				}
-				o.Cluster.Shards = opts.Shards
 				res, err := RunAttr(o)
 				if err != nil {
 					return err
@@ -364,8 +357,7 @@ func init() {
 		},
 		{
 			Name: "ext-cluster", Figure: "Extension", Claim: "-",
-			Description: "fleet sweep: placement policy x manager mode over the cluster subsystem, plus a nodes x RAM capacity curve; byte-identical at any -parallel/-shards",
-			Flags:       []string{"shards"},
+			Description: "fleet sweep: placement policy x manager mode over the cluster subsystem, plus a nodes x RAM capacity curve; byte-identical at any -parallel",
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultClusterSweepOptions()
 				if opts.Quick {
@@ -379,9 +371,6 @@ func init() {
 				}
 				if opts.Seed != 0 {
 					o.TraceSeed = opts.Seed
-				}
-				if opts.Shards > 0 {
-					o.Shards = opts.Shards
 				}
 				o.Parallel = opts.Parallel
 				res, err := RunClusterSweep(o)

@@ -7,9 +7,9 @@ import (
 )
 
 // AllocFree enforces the //lint:allocfree annotation: a function so
-// marked must not allocate on its steady-state path. The PR 5/PR 6 hot
-// paths — the osmem run-length operations and the sim timer wheel —
-// are called millions of times per run; an accidental allocation there
+// marked must not allocate on its steady-state path. The hot paths —
+// the osmem run-length operations and the sim event ordering — are
+// called millions of times per run; an accidental allocation there
 // is a 2-10x regression that only shows up in benchmarks long after
 // the commit that introduced it. The annotation turns the property
 // into a build-time check.

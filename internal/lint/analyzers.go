@@ -4,5 +4,5 @@ package lint
 // generation-1 single-package analyzers first, then the generation-2
 // dataflow analyzers that consume the facts layer.
 func All() []*Analyzer {
-	return []*Analyzer{SimTime, MapOrder, RawGo, RNGShare, ShardSafe, UnitCheck, AllocFree}
+	return []*Analyzer{SimTime, MapOrder, RawGo, RNGShare, UnitCheck, AllocFree}
 }

@@ -6,17 +6,16 @@ import (
 )
 
 // This file is the suite's declarative configuration: the tables a new
-// subsystem edits instead of analyzer source. PR 6 hand-patched the
-// rawgo analyzer to admit sim/shard.go; that is exactly the kind of
-// change that should be a data edit with a written justification, not
-// a code change buried in a Run function.
+// subsystem edits instead of analyzer source. Admitting a file to raw
+// concurrency is a data edit with a written justification, not a code
+// change buried in a Run function.
 
 // A ConcurrencySanction names one file allowed to use raw concurrency
 // primitives (go statements, sync.WaitGroup), with the determinism
 // argument that earns the exemption. Matching is by slash-separated
 // path suffix so the table works from any checkout root.
 type ConcurrencySanction struct {
-	// PathSuffix identifies the file (e.g. "sim/shard.go").
+	// PathSuffix identifies the file (e.g. "experiments/parallel.go").
 	PathSuffix string
 	// Reason records why raw concurrency is deterministic there. It is
 	// documentation enforced by proximity: an empty reason fails the
@@ -32,10 +31,6 @@ var SanctionedConcurrency = []ConcurrencySanction{
 	{
 		PathSuffix: "experiments/parallel.go",
 		Reason:     "deterministic worker pool: every task writes its own index-ordered result slot, collection is sequential (DESIGN §7)",
-	},
-	{
-		PathSuffix: "sim/shard.go",
-		Reason:     "sharded engine runner: time-window barrier handshakes with delivery-order-independent (time, src, seq) merge keys (DESIGN §11)",
 	},
 }
 

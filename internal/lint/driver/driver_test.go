@@ -100,33 +100,7 @@ func TestStandaloneFindsViolations(t *testing.T) {
 func TestMutationDetection(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": negModMod,
-		"sim/sim.go": `package sim
-
-type Time int64
-
-type Engine struct{ now Time }
-
-func (e *Engine) At(t Time, label string, fn func()) {}
-
-type Sharded struct{ engines []*Engine }
-
-func (s *Sharded) Domain(d int) *Engine { return s.engines[d] }
-
-func (s *Sharded) Send(src int, at Time, dst int, label string, fn func()) {}
-`,
 		"mutants.go": `package lintneg
-
-import "lintneg/sim"
-
-// Fleet captures a counter in variable-destination handlers: the
-// shardsafe mutant.
-func Fleet(s *sim.Sharded, n int) int {
-	acks := 0
-	for d := 0; d < n; d++ {
-		s.Send(0, 0, d, "ack", func() { acks++ })
-	}
-	return acks
-}
 
 // Span declares a pages result but returns its byte argument: the
 // unitcheck mutant.
@@ -148,7 +122,7 @@ func Hot(s []int64, v int64) []int64 {
 	if err != nil {
 		t.Fatalf("standalone run: %v", err)
 	}
-	want := map[string]bool{"shardsafe": false, "unitcheck": false, "allocfree": false}
+	want := map[string]bool{"unitcheck": false, "allocfree": false}
 	for _, d := range diags {
 		if _, ok := want[d.Analyzer]; ok {
 			want[d.Analyzer] = true

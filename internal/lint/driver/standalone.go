@@ -35,7 +35,7 @@ func Standalone(dir string, patterns []string, analyzers []*lint.Analyzer) ([]li
 		}
 		if !isTarget[path] {
 			// Dependency inside the module: contribute facts only.
-			facts[path] = lint.ComputeFacts(loader.Fset, pkg.Files, pkg.Types, pkg.Info, facts)
+			facts[path] = lint.ComputeFacts(loader.Fset, pkg.Files, pkg.Types, pkg.Info)
 			continue
 		}
 		diags, pf, err := lint.Analyze(lint.Config{

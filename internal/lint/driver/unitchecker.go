@@ -48,18 +48,17 @@ func RunVet(cfgFile string, analyzers []*lint.Analyzer, jsonOut bool) int {
 		return 1
 	}
 	fset := token.NewFileSet()
-	imports := readVetxFacts(cfg)
 
 	// Dependency units exist only to produce facts. Standard-library
 	// units get an empty facts file (nothing there is annotated);
-	// in-module units get real facts so annotations and mutator
-	// summaries flow to their dependents. Fact production never fails
+	// in-module units get real facts so annotations flow to their
+	// dependents. Fact production never fails
 	// a build: on any error the unit degrades to empty facts.
 	if cfg.VetxOnly {
 		var facts *lint.PackageFacts
 		if !cfg.Standard[cfg.ImportPath] {
 			if pkg, files, info, err := typecheckUnit(fset, cfg); err == nil {
-				facts = lint.ComputeFacts(fset, files, pkg, info, imports)
+				facts = lint.ComputeFacts(fset, files, pkg, info)
 			}
 		}
 		if err := writeVetx(cfg, facts); err != nil {
@@ -69,7 +68,7 @@ func RunVet(cfgFile string, analyzers []*lint.Analyzer, jsonOut bool) int {
 		return 0
 	}
 
-	diags, facts, err := analyzeUnit(fset, cfg, analyzers, imports)
+	diags, facts, err := analyzeUnit(fset, cfg, analyzers, readVetxFacts(cfg))
 	if err != nil {
 		writeVetx(cfg, nil) // keep the protocol satisfied for dependents
 		if cfg.SucceedOnTypecheckFailure {

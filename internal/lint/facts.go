@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -14,9 +13,8 @@ import (
 // exported declarations that flow between analyzers and — through the
 // drivers — across package boundaries. Facts carry exactly the
 // information that is NOT recoverable from type information at a use
-// site: source annotations (//lint:unit, //lint:allocfree) and
-// whole-body properties (which package-level variables a function
-// writes). Everything name-derivable (a parameter called nPages) is
+// site: source annotations (//lint:unit, //lint:allocfree).
+// Everything name-derivable (a parameter called nPages) is
 // re-derived at the use site from the types.Object, so facts stay
 // small and the vetx files stay cheap to produce.
 //
@@ -85,12 +83,6 @@ type PackageFacts struct {
 	// Callers inside other allocfree bodies may rely on them; the
 	// declaring package enforces the body.
 	AllocFree map[string]bool `json:"allocfree,omitempty"`
-	// Mutators maps a function key to the package-level variables it
-	// writes, directly, through same-package callees, or through
-	// imported callees with Mutators facts of their own. Variables
-	// from other packages are qualified ("path.Var"). shardsafe flags
-	// calls to these from event-handler code.
-	Mutators map[string][]string `json:"mutators,omitempty"`
 }
 
 // A FactSet holds the facts of every package visible to a pass, keyed
@@ -158,10 +150,9 @@ func FuncKey(fn *types.Func) string {
 func fieldKey(typeName, field string) string { return typeName + "." + field }
 
 // ComputeFacts builds the fact summary for one type-checked package.
-// imports supplies dependency facts so Mutators compose transitively.
 // Only non-test, non-generated files contribute (same scope rule as
 // the analyzers).
-func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, imports FactSet) *PackageFacts {
+func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) *PackageFacts {
 	scoped := make([]*ast.File, 0, len(files))
 	for _, f := range files {
 		if inScope(fset, f) {
@@ -199,59 +190,6 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		}
 	}
 
-	// Mutators: direct package-variable writes per function, then a
-	// closure over the same-package call graph plus imported facts.
-	g := buildCallGraph(fset, scoped, info)
-	direct := make(map[*types.Func]map[string]bool)
-	for fn, node := range g.nodes {
-		writes := make(map[string]bool)
-		for _, v := range node.globalWrites {
-			writes[v] = true
-		}
-		for _, callee := range node.importedCalls {
-			dep := imports.Lookup(callee.Pkg().Path())
-			if dep == nil {
-				continue
-			}
-			for _, v := range dep.Mutators[FuncKey(callee)] {
-				if strings.Contains(v, ".") {
-					writes[v] = true
-				} else {
-					writes[callee.Pkg().Path()+"."+v] = true
-				}
-			}
-		}
-		direct[fn] = writes
-	}
-	// Propagate through same-package calls to a fixed point. The graph
-	// is small; simple iteration converges in a handful of rounds.
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range g.nodes {
-			for _, callee := range node.localCalls {
-				for v := range direct[callee] {
-					if !direct[fn][v] {
-						direct[fn][v] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	for fn, writes := range direct {
-		if len(writes) == 0 {
-			continue
-		}
-		names := make([]string, 0, len(writes))
-		for v := range writes {
-			names = append(names, v)
-		}
-		sort.Strings(names)
-		if f.Mutators == nil {
-			f.Mutators = make(map[string][]string)
-		}
-		f.Mutators[FuncKey(fn)] = names
-	}
 	return f
 }
 

@@ -79,7 +79,7 @@ type Pass struct {
 	// empty; analyzers degrade to package-local reasoning).
 	Imports FactSet
 	// Self holds this package's own computed facts: annotation-derived
-	// unit signatures, allocfree markers, and mutator summaries.
+	// unit signatures and allocfree markers.
 	Self *PackageFacts
 
 	dir    *directives
@@ -180,7 +180,7 @@ func Analyze(cfg Config) ([]Diagnostic, *PackageFacts, error) {
 		}
 	}
 	dir := scanDirectives(cfg.Fset, scoped)
-	self := ComputeFacts(cfg.Fset, cfg.Files, cfg.Pkg, cfg.Info, cfg.Imports)
+	self := ComputeFacts(cfg.Fset, cfg.Files, cfg.Pkg, cfg.Info)
 	var diags []Diagnostic
 	ran := make(map[string]bool)
 	for _, a := range cfg.Analyzers {
@@ -266,6 +266,37 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// staticCallee resolves a call expression to the named function or
+// method it invokes, or nil for dynamic calls (function values,
+// interface methods), conversions, and builtins.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			// Method call: interface methods are dynamic.
+			if types.IsInterface(sel.Recv()) {
+				return nil
+			}
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[fun.Sel] // pkg-qualified function
+		}
+	case *ast.IndexExpr: // generic instantiation f[T](...)
+		if id, ok := fun.X.(*ast.Ident); ok {
+			obj = info.Uses[id]
+		}
+	case *ast.IndexListExpr:
+		if id, ok := fun.X.(*ast.Ident); ok {
+			obj = info.Uses[id]
+		}
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // declaredWithin reports whether obj's declaration lies inside the

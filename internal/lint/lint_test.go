@@ -31,12 +31,6 @@ func TestRawGo(t *testing.T) { runGolden(t, lint.RawGo, "rawgo", "experiments") 
 // task-local negatives.
 func TestRNGShare(t *testing.T) { runGolden(t, lint.RNGShare, "rngshare", "experiments") }
 
-// TestShardSafe: package-var writes (direct, via callee, via named
-// handler), captured-var and pointer-method mutation under variable
-// destinations — plus the constant-destination, per-domain-slot, and
-// reschedule negatives.
-func TestShardSafe(t *testing.T) { runGolden(t, lint.ShardSafe, "shardsafe") }
-
 // TestUnitCheck: byte/page mixes in osmem-shaped arithmetic, converter
 // misuse, call/return/assign flow, and tick conversions — plus the
 // division, mask-alignment, and converted negatives.
@@ -213,15 +207,15 @@ func TestAnalyzerMetadata(t *testing.T) {
 
 // TestFactsFlowAcrossPackages is the facts-layer acceptance test: the
 // factuse fixture's wants fire only because factdep's computed facts —
-// unit signatures, field units, allocfree markers, and mutator
-// summaries — cross the package boundary through a FactSet.
+// unit signatures, field units, and allocfree markers — cross the
+// package boundary through a FactSet.
 func TestFactsFlowAcrossPackages(t *testing.T) {
 	loader := testdataLoader(t, []string{"factdep", "factuse"})
 	dep, err := loader.Load("factdep")
 	if err != nil {
 		t.Fatalf("load factdep: %v", err)
 	}
-	depFacts := lint.ComputeFacts(loader.Fset, dep.Files, dep.Types, dep.Info, nil)
+	depFacts := lint.ComputeFacts(loader.Fset, dep.Files, dep.Types, dep.Info)
 	if depFacts == nil {
 		t.Fatal("no facts computed for factdep")
 	}
@@ -230,7 +224,7 @@ func TestFactsFlowAcrossPackages(t *testing.T) {
 		t.Fatalf("load factuse: %v", err)
 	}
 	imports := lint.FactSet{"factdep": depFacts}
-	for _, a := range []*lint.Analyzer{lint.ShardSafe, lint.UnitCheck, lint.AllocFree} {
+	for _, a := range []*lint.Analyzer{lint.UnitCheck, lint.AllocFree} {
 		diags, _, err := lint.Analyze(lint.Config{
 			Fset:      loader.Fset,
 			Files:     use.Files,
@@ -248,7 +242,7 @@ func TestFactsFlowAcrossPackages(t *testing.T) {
 	// Round-trip sanity: facts must survive the vetx wire format.
 	decoded := lint.DecodeFacts(lint.EncodeFacts(depFacts))
 	if decoded == nil || len(decoded.AllocFree) != len(depFacts.AllocFree) ||
-		len(decoded.Mutators) != len(depFacts.Mutators) {
+		len(decoded.Units) != len(depFacts.Units) {
 		t.Errorf("facts did not survive encode/decode: %+v -> %+v", depFacts, decoded)
 	}
 

@@ -1,15 +1,7 @@
 // Package factdep exports annotated declarations whose facts must
-// cross the package boundary: an allocfree helper, unit-annotated
-// signatures and fields, and a package-variable mutator. The factuse
-// fixture consumes them.
+// cross the package boundary: an allocfree helper and unit-annotated
+// signatures and fields. The factuse fixture consumes them.
 package factdep
-
-// registry is the package state Bump mutates; the Mutators fact must
-// travel to importers.
-var registry int64
-
-// Bump writes package state.
-func Bump() { registry++ }
 
 // Step is allocfree; annotated importers may call it.
 //

@@ -4,10 +4,7 @@
 // the unit annotations are invisible.
 package factuse
 
-import (
-	"factdep"
-	"sim"
-)
+import "factdep"
 
 // hot is allocfree: the annotated import is fine, the unannotated one
 // is not.
@@ -26,16 +23,4 @@ func mix(residentPages int64) int64 {
 // fieldMix mixes an imported annotated field with a page count.
 func fieldMix(e factdep.Extent, residentPages int64) int64 {
 	return e.Len + residentPages // want `unitcheck: mixing bytes and pages`
-}
-
-// namedHandler registers the imported mutator as a sharded handler.
-func namedHandler(s *sim.Sharded) {
-	s.Send(0, 0, 0, "bump", factdep.Bump) // want `shardsafe: handler factdep.Bump writes package-level var factdep.registry`
-}
-
-// litHandler calls the mutator from a handler literal.
-func litHandler(s *sim.Sharded) {
-	s.Send(0, 0, 0, "bump", func() { // want `shardsafe: handler calls factdep.Bump, which writes package-level var factdep.registry`
-		factdep.Bump()
-	})
 }

@@ -20,35 +20,8 @@ func (r *RNG) Uint64() uint64 { r.state++; return r.state }
 func (r *RNG) Float64() float64 { return float64(r.Uint64()) }
 
 // Time and Duration stubs: the named tick currencies unitcheck
-// recognizes by type, and the scheduling vocabulary shardsafe needs.
+// recognizes by type.
 type Time int64
 
 // Duration stub.
 type Duration int64
-
-// Add stub.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
-
-// Sub stub.
-func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Engine stub: the two handler-registration points.
-type Engine struct{ now Time }
-
-// Now stub.
-func (e *Engine) Now() Time { return e.now }
-
-// At stub.
-func (e *Engine) At(t Time, label string, fn func()) {}
-
-// After stub.
-func (e *Engine) After(d Duration, label string, fn func()) {}
-
-// Sharded stub: shardsafe matches Send and Domain by receiver type.
-type Sharded struct{}
-
-// Domain stub.
-func (s *Sharded) Domain(d int) *Engine { return &Engine{} }
-
-// Send stub; the dst parameter name is part of the analyzer contract.
-func (s *Sharded) Send(src int, at Time, dst int, label string, fn func()) {}

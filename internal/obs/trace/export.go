@@ -16,7 +16,7 @@ import (
 // span's end-to-end latency, plus a "total" row per invocation.
 // Invocations appear in ID order and phases in taxonomy order, so the
 // bytes are a pure function of the span set — the experiment-level
-// differential tests cmp this file across -parallel and -shards.
+// differential tests cmp this file across -parallel settings.
 func WriteCSV(w io.Writer, spans []*Span) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("invo,function,outcome,submit_us,end_us,phase,dur_us,share\n")

@@ -11,8 +11,8 @@
 // the platform-assigned invocation ID (arrival order), exporters
 // iterate in ID order, and nothing reads wall-clock time — so the
 // attribution CSV, summary, and Perfetto tracks are byte-identical
-// across -parallel and -shards settings (pinned by the experiment
-// differential tests).
+// across -parallel settings (pinned by the experiment differential
+// tests).
 package trace
 
 import (

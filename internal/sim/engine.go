@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -8,43 +9,17 @@ import (
 // Event is a unit of scheduled work. The callback runs at the event's
 // firing time with the engine positioned at that time.
 type Event struct {
-	at  Time
-	seq uint64 // local: FIFO tie-breaker; remote: source-domain sequence
-	fn  func()
-	// index is the queue bookkeeping slot: the heap position for the
-	// reference heap queue, a queued marker (>= 0) for the timer
-	// wheel. -1 always means "not queued" (fired or never pushed).
-	index int
-	dead  bool
-	// remote marks a cross-domain delivery from a Sharded run; rsrc is
-	// the source domain. Remote events order after local events at the
-	// same instant, by (source domain, source sequence) — a key fixed
-	// at send time, so firing order never depends on when the barrier
-	// delivered the event (see shard.go).
-	remote bool
-	rsrc   uint64
+	at Time
+	// lane orders same-instant events before seq does: 0 for local
+	// events (At), 1+src for a delivery from source src (Deliver), so
+	// every local event fires before every delivery at that instant and
+	// deliveries fire in (source, scheduling order).
+	lane   uint64
+	seq    uint64 // FIFO tie-breaker within a lane
+	fn     func()
+	index  int    // heap position; -1 when not queued (fired, cancelled or never pushed)
 	Label  string // optional, for tracing/debugging
 	engine *Engine
-}
-
-// eventLess is the total firing order shared by every queue
-// implementation: time, then local-before-remote, then the FIFO or
-// source key. It is the contract the serial-vs-sharded and
-// heap-vs-wheel differential tests pin. It runs on every heap sift of
-// every queue operation, so it must not allocate.
-//
-//lint:allocfree
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.remote != b.remote {
-		return !a.remote
-	}
-	if a.remote && a.rsrc != b.rsrc {
-		return a.rsrc < b.rsrc
-	}
-	return a.seq < b.seq
 }
 
 // Cancel removes the event from the queue. Cancelling an event that
@@ -53,44 +28,27 @@ func eventLess(a, b *Event) bool {
 // whose callback has not run yet: once popped it is no longer queued,
 // so Cancel cannot stop it and must not corrupt the queue.
 func (e *Event) Cancel() {
-	if e == nil || e.dead || e.index < 0 {
+	if e == nil || e.index < 0 {
 		return
 	}
-	e.dead = true
-	e.engine.q.remove(e)
+	heap.Remove(&e.engine.q, e.index)
 }
 
 // At reports when the event is (or was) scheduled to fire.
 func (e *Event) At() Time { return e.at }
 
 // Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.index >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
-// queue is the event-queue contract. len reports live (non-cancelled)
-// events only, and pop/min never surface cancelled events, so the
-// engine observes identical behavior from the eager-removal heap and
-// the lazy-removal timer wheel.
-type queue interface {
-	push(*Event)
-	// pop removes and returns the earliest live event (nil when none).
-	pop() *Event
-	// min reports the earliest live event's firing time.
-	min() (Time, bool)
-	// remove unqueues a cancelled event; e.dead is already set.
-	remove(*Event)
-	len() int
-}
-
-// Engine is a single-threaded discrete-event simulator. It is not safe
-// for concurrent use; all model code runs inside event callbacks on the
-// caller's goroutine. (A Sharded run gives every domain its own Engine
-// and keeps each one single-threaded within its window — see shard.go.)
+// Engine is a single-threaded discrete-event simulator over one binary
+// heap. It is not safe for concurrent use; all model code runs inside
+// event callbacks on the caller's goroutine. A fleet of machines runs
+// on one Engine, with messages between them filed through Deliver.
 type Engine struct {
 	now      Time
-	q        queue
+	q        eventHeap
 	seq      uint64
 	fired    uint64
-	lastFire Time
 	halted   bool
 	fireHook FireFunc
 }
@@ -108,17 +66,8 @@ type FireFunc func(label string, at Time, pending int)
 func (en *Engine) SetFireHook(fn FireFunc) { en.fireHook = fn }
 
 // NewEngine returns an engine positioned at time zero with an empty
-// event queue, backed by the hierarchical timer wheel.
-func NewEngine() *Engine {
-	return &Engine{q: newWheelQueue()}
-}
-
-// newEngineWithHeap returns an engine backed by the reference binary
-// heap — the pre-wheel implementation, kept as the oracle for the
-// heap-vs-wheel differential tests.
-func newEngineWithHeap() *Engine {
-	return &Engine{q: &heapQueue{}}
-}
+// event queue.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (en *Engine) Now() Time { return en.now }
@@ -127,18 +76,16 @@ func (en *Engine) Now() Time { return en.now }
 // and determinism check in tests.
 func (en *Engine) Fired() uint64 { return en.fired }
 
-// LastFire reports the instant of the most recently executed event
-// (zero if none fired yet). The sharded runner uses it to measure each
-// domain's within-window slack — a deterministic, sim-time stand-in
-// for barrier wait.
-func (en *Engine) LastFire() Time { return en.lastFire }
-
 // Pending returns the number of queued events.
-func (en *Engine) Pending() int { return en.q.len() }
+func (en *Engine) Pending() int { return len(en.q) }
 
-// Next reports the earliest queued event's firing time. The sharded
-// runner's zero-lookahead path uses it to find the global next instant.
-func (en *Engine) Next() (Time, bool) { return en.q.min() }
+// Next reports the earliest queued event's firing time.
+func (en *Engine) Next() (Time, bool) {
+	if len(en.q) == 0 {
+		return 0, false
+	}
+	return en.q[0].at, true
+}
 
 // ErrPastEvent is returned (via panic-free API) when scheduling into
 // the past, which would corrupt causality in the simulation.
@@ -148,25 +95,28 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // instant is allowed; the event runs after the current callback
 // returns. Scheduling in the past panics: it is always a model bug.
 func (en *Engine) At(t Time, label string, fn func()) *Event {
+	return en.schedule(t, 0, label, fn)
+}
+
+// Deliver schedules fn at absolute time t as a message from source
+// src, a caller-chosen non-negative index (e.g. a node). A delivery
+// fires after every At event at the same instant — including ones
+// that earlier deliveries at that instant schedule — and same-instant
+// deliveries fire in (src, scheduling order). The key is fixed when
+// the message is sent, so the receiving side's order never depends on
+// when other sources happened to run. Scheduling into the past panics
+// as for At.
+func (en *Engine) Deliver(src int, t Time, label string, fn func()) {
+	en.schedule(t, uint64(src)+1, label, fn)
+}
+
+func (en *Engine) schedule(t Time, lane uint64, label string, fn func()) *Event {
 	if t < en.now {
 		panic(fmt.Errorf("%w: now=%v target=%v label=%q", ErrPastEvent, en.now, t, label))
 	}
 	en.seq++
-	e := &Event{at: t, seq: en.seq, fn: fn, Label: label, engine: en, index: -1}
-	en.q.push(e)
-	return e
-}
-
-// atRemote schedules a cross-domain delivery. The (src, srcSeq) pair is
-// the event's ordering key among same-instant events, fixed by the
-// sender — never by this engine's seq counter — so the merged order is
-// independent of the barrier cadence that delivered it.
-func (en *Engine) atRemote(t Time, src, srcSeq uint64, label string, fn func()) *Event {
-	if t < en.now {
-		panic(fmt.Errorf("%w: now=%v target=%v label=%q (remote)", ErrPastEvent, en.now, t, label))
-	}
-	e := &Event{at: t, seq: srcSeq, rsrc: src, remote: true, fn: fn, Label: label, engine: en, index: -1}
-	en.q.push(e)
+	e := &Event{at: t, lane: lane, seq: en.seq, fn: fn, Label: label, engine: en}
+	heap.Push(&en.q, e)
 	return e
 }
 
@@ -182,19 +132,17 @@ func (en *Engine) Halt() { en.halted = true }
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
 func (en *Engine) Step() bool {
-	e := en.q.pop()
-	if e == nil {
+	if len(en.q) == 0 {
 		return false
 	}
+	e := heap.Pop(&en.q).(*Event)
 	if e.at < en.now {
 		panic(fmt.Sprintf("sim: time went backwards: now=%v event=%v", en.now, e.at))
 	}
 	en.now = e.at
-	e.dead = true
 	en.fired++
-	en.lastFire = e.at
 	if en.fireHook != nil {
-		en.fireHook(e.Label, e.at, en.q.len())
+		en.fireHook(e.Label, e.at, len(en.q))
 	}
 	e.fn()
 	return true
@@ -213,7 +161,7 @@ func (en *Engine) Run() {
 func (en *Engine) RunUntil(deadline Time) {
 	en.halted = false
 	for !en.halted {
-		next, ok := en.q.min()
+		next, ok := en.Next()
 		if !ok || next > deadline {
 			break
 		}

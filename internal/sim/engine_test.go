@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -348,3 +349,180 @@ func TestWorkDurationOverflowPanics(t *testing.T) {
 // asTime converts a Duration offset from zero into a Time, a
 // convenience for tests only.
 func (d Duration) asTime() Time { return Time(d) }
+
+// TestDeliverFiresAfterLocalEvents pins the first half of the delivery
+// key: a delivery fires after every At event at its instant, even one
+// scheduled after the delivery was sent.
+func TestDeliverFiresAfterLocalEvents(t *testing.T) {
+	en := NewEngine()
+	var order []string
+	en.At(10, "opener", func() {
+		en.Deliver(0, 12, "remote", func() { order = append(order, "remote") })
+		en.At(12, "local", func() { order = append(order, "local") })
+	})
+	en.RunUntil(Time(Second))
+	if got := strings.Join(order, ","); got != "local,remote" {
+		t.Fatalf("order %q, want local,remote", got)
+	}
+	if en.Now() != Time(Second) {
+		t.Fatalf("clock not advanced to deadline: %v", en.Now())
+	}
+}
+
+// TestDeliverMergeOrder pins the second half: same-instant deliveries
+// fire in (source, send order) whatever order the sources sent in.
+func TestDeliverMergeOrder(t *testing.T) {
+	en := NewEngine()
+	var order []string
+	record := func(tag string) func() { return func() { order = append(order, tag) } }
+	const at = Time(6)
+	en.At(5, "s1", func() {
+		en.Deliver(1, at, "b1", record("from1a"))
+		en.Deliver(1, at, "b2", record("from1b"))
+	})
+	en.At(5, "s0", func() { en.Deliver(0, at, "a", record("from0")) })
+	en.At(at, "local", record("local"))
+	en.Run()
+	want := "local,from0,from1a,from1b"
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// TestDeliverScheduledLocalFiresBeforeNextDelivery pins that an At
+// event a delivery schedules at its own instant is a local event: it
+// fires before the next delivery at that instant, not after all of
+// them.
+func TestDeliverScheduledLocalFiresBeforeNextDelivery(t *testing.T) {
+	en := NewEngine()
+	var order []string
+	en.At(1, "send", func() {
+		en.Deliver(0, 3, "first", func() {
+			order = append(order, "first")
+			en.At(3, "spawned", func() { order = append(order, "spawned") })
+		})
+		en.Deliver(1, 3, "second", func() { order = append(order, "second") })
+	})
+	en.Run()
+	if got := strings.Join(order, ","); got != "first,spawned,second" {
+		t.Fatalf("order %q, want first,spawned,second", got)
+	}
+}
+
+// TestDeliverPastPanics pins that a delivery into the past fails like
+// At does.
+func TestDeliverPastPanics(t *testing.T) {
+	en := NewEngine()
+	en.RunUntil(10)
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, ErrPastEvent) {
+			t.Fatalf("panic = %v, want ErrPastEvent", err)
+		}
+	}()
+	en.Deliver(0, 3, "past", func() {})
+}
+
+// TestEngineLongIdleJump pins exact clocks across long empty stretches
+// of virtual time: events separated by hours fire in order at their
+// own instants.
+func TestEngineLongIdleJump(t *testing.T) {
+	en := NewEngine()
+	var got []Time
+	times := []Time{3, 511, 512, Time(Second), Time(2 * Hour), Time(2*Hour) + 1, Time(48 * Hour)}
+	for _, at := range times {
+		en.At(at, "t", func() { got = append(got, en.Now()) })
+	}
+	en.Run()
+	if len(got) != len(times) {
+		t.Fatalf("fired %d of %d events", len(got), len(times))
+	}
+	for i, at := range times {
+		if got[i] != at {
+			t.Fatalf("event %d fired at %v, want %v", i, got[i], at)
+		}
+	}
+}
+
+// TestCancelDuringDrain: at a single instant, an earlier callback
+// cancels later events that are already inside the same drain. The
+// cancelled events must not fire, the queue must not panic, and
+// Pending must account for them, with the victim in every same-instant
+// position (immediately next, and further down the queue).
+func TestCancelDuringDrain(t *testing.T) {
+	en := NewEngine()
+	var fired []string
+	const T = 1000
+	var victims [3]*Event
+	en.At(T, "killer", func() {
+		for _, v := range victims {
+			v.Cancel()
+			v.Cancel() // double-cancel is a no-op
+		}
+	})
+	victims[0] = en.At(T, "victim0", func() { fired = append(fired, "victim0") })
+	en.At(T, "survivor", func() { fired = append(fired, "survivor") })
+	victims[1] = en.At(T, "victim1", func() { fired = append(fired, "victim1") })
+	victims[2] = en.At(T+5, "victim2", func() { fired = append(fired, "victim2") })
+	en.At(T+5, "later", func() { fired = append(fired, "later") })
+	en.Run()
+	want := "survivor,later"
+	if got := strings.Join(fired, ","); got != want {
+		t.Fatalf("fired %q, want %q", got, want)
+	}
+	if en.Pending() != 0 {
+		t.Fatalf("pending = %d after drain, want 0", en.Pending())
+	}
+	for _, v := range victims {
+		if v.Pending() {
+			t.Fatalf("cancelled event still pending")
+		}
+	}
+}
+
+// TestCancelSelfAndRescheduleDuringDrain covers the popped-event edges:
+// a callback cancelling its own (already-popped) event must be a no-op,
+// and scheduling at the current instant from inside a drain must fire
+// within the same drain, in seq order.
+func TestCancelSelfAndRescheduleDuringDrain(t *testing.T) {
+	en := NewEngine()
+	var fired []string
+	var self *Event
+	self = en.At(10, "self", func() {
+		self.Cancel() // popped already: must be a no-op, no panic
+		fired = append(fired, "self")
+		en.At(10, "tail", func() { fired = append(fired, "tail") })
+	})
+	en.At(10, "mid", func() { fired = append(fired, "mid") })
+	en.Run()
+	want := "self,mid,tail"
+	if got := strings.Join(fired, ","); got != want {
+		t.Fatalf("fired %q, want %q", got, want)
+	}
+	if self.Pending() {
+		t.Fatal("fired event reports Pending")
+	}
+}
+
+// TestEnginePendingDropsOnCancel pins the live count: cancelling
+// far-future events drops Pending immediately.
+func TestEnginePendingDropsOnCancel(t *testing.T) {
+	en := NewEngine()
+	var evs []*Event
+	for i := 0; i < 100; i++ {
+		evs = append(evs, en.At(Time(Duration(i)*Hour), "h", func() {}))
+	}
+	if en.Pending() != 100 {
+		t.Fatalf("pending = %d, want 100", en.Pending())
+	}
+	for i := 0; i < 100; i += 2 {
+		evs[i].Cancel()
+	}
+	if en.Pending() != 50 {
+		t.Fatalf("pending = %d after cancels, want 50", en.Pending())
+	}
+	en.Run()
+	if en.Fired() != 50 || en.Pending() != 0 {
+		t.Fatalf("fired=%d pending=%d, want 50/0", en.Fired(), en.Pending())
+	}
+}

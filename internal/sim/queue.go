@@ -1,127 +1,47 @@
 package sim
 
-import "container/heap"
-
-// heapQueue is the reference event queue: a binary heap ordered by
-// eventLess with eager removal on Cancel. It was the engine's only
-// queue before the timer wheel landed and is kept as the behavioral
-// oracle — the differential tests in wheel_test.go drive random
-// schedule/cancel/fire programs through both implementations and
-// require identical firing sequences and pending counts.
-type heapQueue struct {
-	h binHeap
-}
-
-func (q *heapQueue) push(e *Event) { heap.Push(&q.h, e) }
-
-func (q *heapQueue) pop() *Event {
-	for q.h.Len() > 0 {
-		e := heap.Pop(&q.h).(*Event)
-		if e.dead {
-			// Cancel removes eagerly, so a dead event can only appear
-			// here if it was cancelled in the instant it is popped;
-			// skipping keeps the two paths equivalent regardless.
-			continue
-		}
-		return e
+// eventLess is the engine's total firing order: time, then lane (local
+// events before deliveries, deliveries by source), then the scheduling
+// sequence. It runs on every heap sift, so it must not allocate.
+//
+//lint:allocfree
+func eventLess(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return nil
-}
-
-func (q *heapQueue) min() (Time, bool) {
-	for q.h.Len() > 0 {
-		if q.h[0].dead {
-			heap.Pop(&q.h)
-			continue
-		}
-		return q.h[0].at, true
+	if a.lane != b.lane {
+		return a.lane < b.lane
 	}
-	return 0, false
+	return a.seq < b.seq
 }
 
-func (q *heapQueue) remove(e *Event) { heap.Remove(&q.h, e.index) }
+// eventHeap is the engine's event queue: a binary min-heap ordered by
+// eventLess that implements container/heap's interface. Each event
+// tracks its heap position so Cancel removes it eagerly.
+type eventHeap []*Event
 
-func (q *heapQueue) len() int { return q.h.Len() }
+func (q eventHeap) Len() int { return len(q) }
 
-// binHeap implements heap.Interface over events.
-type binHeap []*Event
+func (q eventHeap) Less(i, j int) bool { return eventLess(q[i], q[j]) }
 
-func (q binHeap) Len() int { return len(q) }
-
-func (q binHeap) Less(i, j int) bool { return eventLess(q[i], q[j]) }
-
-func (q binHeap) Swap(i, j int) {
+func (q eventHeap) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
-func (q *binHeap) Push(x any) {
+func (q *eventHeap) Push(x any) {
 	e := x.(*Event)
 	e.index = len(*q)
 	*q = append(*q, e)
 }
 
-func (q *binHeap) Pop() any {
+func (q *eventHeap) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
 	e.index = -1
 	*q = old[:n-1]
-	return e
-}
-
-// bucketHeap is a plain binary min-heap over events ordered by
-// eventLess, used for the timer wheel's level-0 buckets. It does not
-// track positions: the wheel removes lazily (events are flagged dead
-// and discarded when they reach the top), so only push and pop-min are
-// needed, and keeping the code free of heap.Interface indirection
-// keeps the per-event constant small.
-type bucketHeap []*Event
-
-//lint:allocfree
-func (b *bucketHeap) push(e *Event) {
-	// Bucket arrays are recycled across wheel turns, so growth
-	// amortizes to nothing on the steady-state path.
-	*b = append(*b, e) //lint:allow allocfree
-	h := *b
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-//lint:allocfree
-func (b *bucketHeap) popMin() *Event {
-	h := *b
-	n := len(h)
-	e := h[0]
-	h[0] = h[n-1]
-	h[n-1] = nil
-	h = h[:n-1]
-	*b = h
-	// Sift the moved root down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && eventLess(h[l], h[small]) {
-			small = l
-		}
-		if r < len(h) && eventLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 	return e
 }
