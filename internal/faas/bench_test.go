@@ -122,3 +122,57 @@ func TestTracingWarmPathAllocFree(t *testing.T) {
 		t.Fatalf("warm path with tracing disabled allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// BenchmarkMemoryUsed measures the cache-occupancy read that every
+// freeze (ensureCacheFits) and every manager wake-up makes, on a
+// platform holding 64 frozen JavaScript instances that share the
+// runtime's libraries. A real co-mapper's cold boot and eviction run
+// once during set-up; each iteration then repeats that churn at the
+// page level — a fresh address space faults in one page of every
+// shared file and is destroyed, changing the libraries' refcounts —
+// before reading the occupancy.
+func BenchmarkMemoryUsed(b *testing.B) {
+	const frozen = 64
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 64 << 30 // room for every instance: no evictions
+	cfg.CPUs = frozen * cfg.ColdBootCPU
+	cfg.KeepAlive = 0
+	eng := sim.NewEngine()
+	p := New(cfg, eng)
+	for i := 0; i < frozen; i++ {
+		name := [...]string{"clock", "fft"}[i%2]
+		if err := p.SubmitName(name, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.Run()
+	if got := len(p.CachedInstances()); got != frozen {
+		b.Fatalf("%d frozen instances, want %d", got, frozen)
+	}
+	// A co-mapper of the same libraries boots, freezes, and is evicted.
+	if err := p.SubmitName("matrix", eng.Now().Add(sim.Second)); err != nil {
+		b.Fatal(err)
+	}
+	eng.Run()
+	for _, inst := range p.CachedInstances() {
+		if inst.Spec.Name == "matrix" {
+			p.evict(inst, obs.EvictPressure)
+		}
+	}
+	m := p.Machine()
+	files := m.Files()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var used int64
+	for i := 0; i < b.N; i++ {
+		co := m.NewAddressSpace("co-mapper")
+		for _, name := range files {
+			co.MmapFile(name, m.File(name, 0), 0, 1).Touch(0, 1, false)
+		}
+		m.Destroy(co)
+		used += p.MemoryUsed()
+	}
+	if used <= 0 {
+		b.Fatal("empty cache")
+	}
+}

@@ -328,7 +328,9 @@ func (p *Platform) takeCached(key poolKey) *container.Instance {
 
 // cachedUSS sums the actual memory consumption of all cached
 // instances — what OpenWhisk monitors to decide eviction, and what
-// Desiccant reduces to fit more instances in the cache.
+// Desiccant reduces to fit more instances in the cache. Each term is
+// an O(1) read of the address space's USS counter, so the sum is
+// O(cached instances) however many library pages they share.
 func (p *Platform) cachedUSS() int64 {
 	var sum int64
 	for _, pool := range p.cached {
@@ -358,7 +360,8 @@ func (p *Platform) ensureCacheFits() {
 	}
 	// Recompute after every eviction: destroying an instance can
 	// *increase* the survivors' USS (library pages it shared become
-	// private to them), so incremental accounting would under-evict.
+	// private to them), so subtracting the victim's USS would
+	// under-evict. The recount is O(cached instances) per eviction.
 	victims := p.cachedByLRU()
 	evicted := 0
 	for _, inst := range victims {

@@ -209,7 +209,8 @@ func (c *Checker) checkSpans() {
 // sum of what every address space believes it has: Σ RSS must equal
 // the machine's physical page count (no page double-counted or
 // double-freed), Σ Swap must equal swap occupancy, and each space's
-// smaps identities must be internally consistent.
+// smaps identities must be internally consistent — including the O(1)
+// USS counter against the full smaps recount.
 func (c *Checker) checkPageConservation() {
 	m := c.platform.Machine()
 	var rss, swap int64
@@ -217,6 +218,9 @@ func (c *Checker) checkPageConservation() {
 		u := as.Usage()
 		rss += u.RSS
 		swap += u.Swap
+		if got := as.USS(); got != u.USS {
+			c.fail("as %d: USS counter %d != smaps USS %d", as.ID(), got, u.USS)
+		}
 		if u.USS != u.PrivateDirty+u.PrivateClean {
 			c.fail("as %d: USS %d != PrivateDirty %d + PrivateClean %d",
 				as.ID(), u.USS, u.PrivateDirty, u.PrivateClean)

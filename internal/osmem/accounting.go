@@ -87,8 +87,10 @@ func (u Usage) String() string {
 // RegionUsage computes accounting for one region. Anonymous regions
 // are O(1) (every resident page is private and dirty); file-backed
 // regions scan their pages but cache the result until either the
-// region mutates or the backing file's refcounts change — which keeps
-// platform-wide cache-occupancy queries cheap.
+// region mutates or the backing file's refcounts change, which keeps
+// repeated smaps reads and the invariant checker's Usage sweeps cheap.
+// Cache-occupancy queries do not come here: they read
+// AddressSpace.USS, which is O(1).
 func RegionUsage(r *Region) Usage {
 	if r.Kind == Anon {
 		bytes := r.resident * PageSize
@@ -165,8 +167,10 @@ func (as *AddressSpace) Usage() Usage {
 	return u
 }
 
-// USS returns the address space's unique set size in bytes.
-func (as *AddressSpace) USS() int64 { return as.Usage().USS }
+// USS returns the address space's unique set size in bytes: the same
+// number as Usage().USS, read from the incrementally kept page count
+// in O(1) instead of summing the regions.
+func (as *AddressSpace) USS() int64 { return as.ussPages * PageSize }
 
 // RSS returns the address space's resident set size in bytes.
 func (as *AddressSpace) RSS() int64 { return as.Usage().RSS }

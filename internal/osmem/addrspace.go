@@ -88,6 +88,13 @@ type AddressSpace struct {
 	regions []*Region
 	dead    bool
 
+	// ussPages counts the pages this space alone holds resident: every
+	// resident anonymous page, plus every resident file page whose
+	// refcount is 1. Anonymous residency changes adjust it in place;
+	// file pages move their credit in Region.ref/unref. It is what
+	// keeps USS() O(1).
+	ussPages int64 //lint:unit pages
+
 	minorFaults int64
 	majorFaults int64
 	faultCost   int64 // accumulated microseconds, drained by the caller
@@ -316,13 +323,12 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 						as.majorFaults += c
 						as.faultCost += c * m.costs.Major
 					}
-					for z := x; z < y; z++ {
-						refs[base+z]++
-					}
 					x = y
 				}
+				r.ref(i, j)
 				fileTouched = true
 			} else {
+				as.ussPages += k
 				as.minorFaults += k
 				as.faultCost += k * m.costs.Minor
 			}
@@ -339,11 +345,10 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 			m.counters.Commits += k
 			m.counters.SwapIns += k
 			if r.Kind == FileBacked {
-				refs := r.file.refs
-				for z := i; z < j; z++ {
-					refs[r.foff+z]++
-				}
+				r.ref(i, j)
 				fileTouched = true
+			} else {
+				as.ussPages += k
 			}
 			as.majorFaults += k
 			as.faultCost += k * m.costs.Major
@@ -356,6 +361,61 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 		r.file.version++
 	}
 	return mutated
+}
+
+// ref records file pages [i, j) of the region as resident in one more
+// mapping and moves USS credit on the two transitions that change who
+// holds a page alone: 0→1 credits this space, 1→2 debits the previous
+// sole holder, found through the page's holder XOR. A space mapping
+// the page through two regions is its own previous holder, so the
+// page turns shared exactly as RegionUsage classifies it (refcount 2).
+//
+//lint:allocfree
+func (r *Region) ref(i, j int64) { //lint:unit i=pages j=pages
+	as := r.as
+	id := int32(as.id)
+	refs := r.file.refs[r.foff+i : r.foff+j]
+	holders := r.file.holders[r.foff+i : r.foff+j]
+	var own int64 //lint:unit pages
+	var last *AddressSpace
+	for z, rc := range refs {
+		switch rc {
+		case 0:
+			own++
+		case 1:
+			last = as.machine.holder(last, holders[z])
+			last.ussPages--
+		}
+		refs[z] = rc + 1
+		holders[z] ^= id
+	}
+	as.ussPages += own
+}
+
+// unref is the inverse of ref: 1→0 debits this space, 2→1 credits the
+// space left holding the page alone.
+//
+//lint:allocfree
+func (r *Region) unref(i, j int64) { //lint:unit i=pages j=pages
+	as := r.as
+	id := int32(as.id)
+	refs := r.file.refs[r.foff+i : r.foff+j]
+	holders := r.file.holders[r.foff+i : r.foff+j]
+	var own int64 //lint:unit pages
+	var last *AddressSpace
+	for z, rc := range refs {
+		h := holders[z] ^ id
+		holders[z] = h
+		refs[z] = rc - 1
+		switch rc {
+		case 1:
+			own--
+		case 2:
+			last = as.machine.holder(last, h)
+			last.ussPages++
+		}
+	}
+	as.ussPages += own
 }
 
 // TouchBytes is Touch addressed in bytes rather than pages; offsets
@@ -405,11 +465,10 @@ func (r *Region) releasePages(page, n int64) { //lint:unit page=pages n=pages
 			m.counters.Releases += k
 			r.resident -= k
 			if r.Kind == FileBacked {
-				refs := r.file.refs
-				for z := i; z < j; z++ {
-					refs[r.foff+z]--
-				}
+				r.unref(i, j)
 				fileTouched = true
+			} else {
+				r.as.ussPages -= k
 			}
 		case pageSwapped:
 			m.swapPages -= k
@@ -524,10 +583,7 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 			// Clean file run: drop; re-read on demand.
 			m.physPages -= k
 			m.counters.Releases += k
-			refs := r.file.refs
-			for z := i; z < j; z++ {
-				refs[r.foff+z]--
-			}
+			r.unref(i, j)
 			fileTouched = true
 			r.resident -= k
 			clear(pb[i:j])
@@ -553,11 +609,10 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 			r.swapped += c
 			moved += c
 			if r.Kind == FileBacked {
-				refs := r.file.refs
-				for z := i; z < i+c; z++ {
-					refs[r.foff+z]--
-				}
+				r.unref(i, i+c)
 				fileTouched = true
+			} else {
+				r.as.ussPages -= c
 			}
 			fillBytes(pb[i:i+c], pageSwapped|(v&pageDirty))
 		}
@@ -634,10 +689,7 @@ func (r *Region) ReleaseClean() int64 {
 			k := j - i
 			m.physPages -= k
 			m.counters.Releases += k
-			refs := r.file.refs
-			for z := i; z < j; z++ {
-				refs[r.foff+z]--
-			}
+			r.unref(i, j)
 			fileTouched = true
 			r.resident -= k
 			clear(pb[i:j])

@@ -9,18 +9,21 @@ import (
 // and returns a description of every inconsistency found (empty when
 // the books balance). It exists for the invariant checker: the
 // incremental counters (Region.resident, Machine.physPages, file
-// refcounts) are what every USS/RSS/PSS query reads, so a drift
-// between them and the underlying page states — a double-free, a
-// missed decrement, a stale refcount — would silently corrupt every
-// experiment. Audit is O(total mapped pages); callers run it on a
+// refcounts and holders, AddressSpace.ussPages) are what every
+// USS/RSS/PSS query reads, so a drift between them and the underlying
+// page states — a double-free, a missed decrement, a stale refcount —
+// would silently corrupt every experiment. Audit is O(total mapped pages); callers run it on a
 // bounded cadence, not per event.
 func (m *Machine) Audit() []string {
 	var bad []string
 
 	var physSum, swapSum int64
 	fileRefs := make(map[*FileObject][]int32)
+	fileHolders := make(map[*FileObject][]int32)
 
-	for _, as := range m.AddressSpaces() {
+	spaces := m.AddressSpaces()
+	uss := make([]int64, len(spaces)) // recounted private pages per space
+	for k, as := range spaces {
 		for _, r := range as.Regions() {
 			var resident, swapped int64
 			for i := int64(0); i < int64(len(r.pb)); i++ {
@@ -53,15 +56,19 @@ func (m *Machine) Audit() []string {
 			}
 			physSum += resident
 			swapSum += swapped
-			if r.Kind == FileBacked {
-				refs := fileRefs[r.file]
+			if r.Kind == Anon {
+				uss[k] += resident
+			} else {
+				refs, holders := fileRefs[r.file], fileHolders[r.file]
 				if refs == nil {
 					refs = make([]int32, r.file.Pages)
-					fileRefs[r.file] = refs
+					holders = make([]int32, r.file.Pages)
+					fileRefs[r.file], fileHolders[r.file] = refs, holders
 				}
 				for i := int64(0); i < int64(len(r.pb)); i++ {
 					if r.pb[i]&pageStateMask == pageResident {
 						refs[r.foff+i]++
+						holders[r.foff+i] ^= int32(as.id)
 					}
 				}
 			}
@@ -83,19 +90,45 @@ func (m *Machine) Audit() []string {
 
 	// File refcounts must equal the number of mappings holding each
 	// page resident — they drive PSS/USS attribution and the §4.6
-	// unmap-safety check.
+	// unmap-safety check — and each page's holder XOR must match the
+	// recounted holders, or a 2→1 transition credits the wrong space.
 	for _, name := range m.Files() {
 		f := m.files[name]
-		refs := fileRefs[f] // nil when no mapping has any page resident
+		refs, holders := fileRefs[f], fileHolders[f] // nil when no mapping has any page resident
 		for i := int64(0); i < f.Pages; i++ {
-			var want int32
+			var want, wantHolders int32
 			if refs != nil {
-				want = refs[i]
+				want, wantHolders = refs[i], holders[i]
 			}
 			if f.refs[i] != want {
 				bad = append(bad, fmt.Sprintf(
 					"file %s page %d: refcount %d, recount %d", name, i, f.refs[i], want))
 			}
+			if f.holders[i] != wantHolders {
+				bad = append(bad, fmt.Sprintf(
+					"file %s page %d: holder XOR %d, recount %d", name, i, f.holders[i], wantHolders))
+			}
+		}
+	}
+
+	// Each space's USS counter must equal its private pages recounted
+	// from the page states and the recounted refcounts: resident anon
+	// pages plus resident file pages no other mapping holds.
+	for k, as := range spaces {
+		for _, r := range as.regions {
+			if r.Kind != FileBacked {
+				continue
+			}
+			refs := fileRefs[r.file]
+			for i, b := range r.pb {
+				if b&pageStateMask == pageResident && refs[r.foff+int64(i)] == 1 {
+					uss[k]++
+				}
+			}
+		}
+		if uss[k] != as.ussPages {
+			bad = append(bad, fmt.Sprintf(
+				"space %s: USS counter %d pages, recount %d", as.label, as.ussPages, uss[k]))
 		}
 	}
 

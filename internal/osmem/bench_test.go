@@ -59,6 +59,15 @@ func TestBulkPathsZeroAllocs(t *testing.T) {
 	r := as.MmapAnon("heap", benchPages*PageSize)
 	runs := benchRuns()
 
+	// A library both spaces map whole: with the co-mapper holding every
+	// page, each op on fa moves pages across refcount 1↔2, so ref and
+	// unref hand USS credit between the two spaces on every call.
+	const libPages = 512
+	lib := m.File("libshared.so", libPages*PageSize)
+	fa := as.MmapFile("libshared.so", lib, 0, libPages)
+	co := m.NewAddressSpace("co-mapper")
+	co.MmapFile("libshared.so", lib, 0, libPages).Touch(0, libPages, false)
+
 	cases := []struct {
 		name string
 		fn   func()
@@ -79,6 +88,23 @@ func TestBulkPathsZeroAllocs(t *testing.T) {
 		}},
 		{"ResidentBytesIn", func() {
 			_ = r.ResidentBytesIn(0, benchPages)
+		}},
+		{"shared Touch+Release", func() {
+			fa.Touch(0, libPages, false)
+			fa.Release(0, libPages)
+		}},
+		{"shared SwapOutUpTo+FaultInUpTo", func() {
+			fa.Touch(0, libPages, true)
+			fa.SwapOutUpTo(0, libPages, libPages)
+			fa.FaultInUpTo(0, libPages, libPages)
+			fa.Release(0, libPages)
+		}},
+		{"shared ReleaseClean", func() {
+			fa.Touch(0, libPages, false)
+			fa.ReleaseClean()
+		}},
+		{"USS", func() {
+			_ = as.USS() + co.USS()
 		}},
 	}
 	for _, c := range cases {

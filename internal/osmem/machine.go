@@ -14,6 +14,7 @@ package osmem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -174,6 +175,11 @@ type FileObject struct {
 	Pages int64
 	// refs[i] = number of address spaces with page i resident.
 	refs []int32
+	// holders[i] is the XOR of the IDs of the address spaces holding
+	// page i resident, one term per holding mapping. While refs[i] is
+	// 1 it is the sole holder's ID, which is how Region.unref finds
+	// the space a 2→1 transition makes the page private to.
+	holders []int32
 	// version increments on every refcount change; regions use it to
 	// invalidate cached accounting for shared mappings.
 	version uint64
@@ -185,14 +191,17 @@ func (m *Machine) File(name string, bytes int64) *FileObject {
 	f := m.files[name]
 	pages := PagesFor(bytes)
 	if f == nil {
-		f = &FileObject{Name: name, Pages: pages, refs: make([]int32, pages)}
+		f = &FileObject{Name: name, Pages: pages,
+			refs: make([]int32, pages), holders: make([]int32, pages)}
 		m.files[name] = f
 		return f
 	}
 	if pages > f.Pages {
-		grown := make([]int32, pages)
-		copy(grown, f.refs)
-		f.refs = grown
+		refs := make([]int32, pages)
+		copy(refs, f.refs)
+		holders := make([]int32, pages)
+		copy(holders, f.holders)
+		f.refs, f.holders = refs, holders
 		f.Pages = pages
 	}
 	return f
@@ -227,9 +236,25 @@ func (m *Machine) AddressSpaces() []*AddressSpace {
 	return out
 }
 
+// holder returns the live address space with the given ID, reusing
+// last when it already is that space: a run of pages changing hands
+// usually has one other holder, so ref/unref pay one map lookup per
+// run rather than per page.
+//
+//lint:allocfree
+func (m *Machine) holder(last *AddressSpace, id int32) *AddressSpace {
+	if last != nil && last.id == int(id) {
+		return last
+	}
+	return m.spaces[int(id)]
+}
+
 // NewAddressSpace creates an empty address space (one per simulated
 // process/container).
 func (m *Machine) NewAddressSpace(label string) *AddressSpace {
+	if m.nextASID == math.MaxInt32 {
+		panic("osmem: address space IDs exhausted") // FileObject.holders stores them as int32
+	}
 	m.nextASID++
 	as := &AddressSpace{
 		id:      m.nextASID,

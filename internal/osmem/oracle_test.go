@@ -5,15 +5,45 @@ package osmem
 // operation one page at a time, straight from the documented contract,
 // and the test drives both implementations through seeded random op
 // sequences, comparing the complete observable surface — per-region
-// and per-space Usage, machine page counters, fault counts and costs,
-// operation return values — after every single op, plus a full
-// Machine.Audit. Any divergence prints the sequence seed so the run
-// can be replayed under a debugger.
+// and per-space Usage, the O(1) USS counter, machine page counters,
+// fault counts and costs, operation return values — after every
+// single op, plus a full Machine.Audit. Any divergence prints the
+// sequence seed so the run can be replayed under a debugger.
+// FuzzOracleOps drives the same world from fuzzer-chosen bytes.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// opSource is the randomness an op sequence draws from: a seeded
+// *rand.Rand for the random sweep, the fuzzer's input bytes for
+// FuzzOracleOps.
+type opSource interface {
+	Intn(n int) int
+	Int63n(n int64) int64
+}
+
+// byteSource decodes fuzz input into draws: two big-endian bytes per
+// Intn, four per Int63n, each reduced modulo the bound. An exhausted
+// input reads as zeros, so every input decodes to a valid sequence.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) next(k int) uint64 {
+	var v uint64
+	for ; k > 0; k-- {
+		v <<= 8
+		if len(s.data) > 0 {
+			v |= uint64(s.data[0])
+			s.data = s.data[1:]
+		}
+	}
+	return v
+}
+
+func (s *byteSource) Intn(n int) int       { return int(s.next(2) % uint64(n)) }
+func (s *byteSource) Int63n(n int64) int64 { return int64(s.next(4) % uint64(n)) }
 
 // refFile mirrors FileObject: machine-wide page-cache refcounts.
 type refFile struct {
@@ -299,61 +329,96 @@ type pairedSpace struct {
 }
 
 type pairedWorld struct {
-	real   *Machine
-	ref    *refMachine
-	spaces []*pairedSpace
+	real    *Machine
+	ref     *refMachine
+	file    *FileObject
+	refFile *refFile
+	spaces  []*pairedSpace
 }
 
-func newPairedWorld(seed int64) (*pairedWorld, *rand.Rand) {
-	rng := rand.New(rand.NewSource(seed))
+// spaceLayout is one process's mappings: a heap and an arena of
+// anonymous memory around one or more windows onto libshared.so.
+type spaceLayout struct {
+	label     string
+	anonPages int64
+	libs      [][2]int64 // {first file page, length} per mapping
+}
+
+// oracleLayouts overlap so that refcounts exercise 0 through 3 and
+// one space holds pages twice:
+//   - p1 and p2 share file pages [32, 64);
+//   - p3 overlaps both, so pages [32, 64) reach refcount 3;
+//   - p4 maps [24, 48) through both of its mappings, so its own two
+//     regions share those pages (refcount 2, one holder).
+var oracleLayouts = []spaceLayout{
+	{"p1", 64, [][2]int64{{0, 64}}},
+	{"p2", 48, [][2]int64{{32, 64}}},
+	{"p3", 32, [][2]int64{{16, 64}}},
+	{"p4", 16, [][2]int64{{0, 48}, {24, 48}}},
+}
+
+func newPairedWorld(src opSource) *pairedWorld {
 	w := &pairedWorld{
 		real: NewMachine(DefaultFaultCosts()),
 		ref:  &refMachine{costs: DefaultFaultCosts()},
 	}
-	if rng.Intn(2) == 0 {
-		limit := int64(rng.Intn(48)) // small enough that sequences fill it
+	if src.Intn(2) == 0 {
+		limit := int64(src.Intn(48)) // small enough that sequences fill it
 		w.real.SetSwapLimit(limit)
 		w.ref.swapLimit = limit
 	}
 
 	const filePages = 96
-	f := w.real.File("libshared.so", filePages*PageSize)
-	rf := &refFile{pages: filePages, refs: make([]int32, filePages)}
+	w.file = w.real.File("libshared.so", filePages*PageSize)
+	w.refFile = &refFile{pages: filePages, refs: make([]int32, filePages)}
+	for _, l := range oracleLayouts {
+		w.spaces = append(w.spaces, w.newSpace(l.label, l))
+	}
+	return w
+}
 
-	addSpace := func(label string, anonPages, foff, flen int64) {
-		as := w.real.NewAddressSpace(label)
-		rs := &refSpace{}
-		ps := &pairedSpace{real: as, ref: rs}
-		addAnon := func(name string, pages int64) {
-			rr := as.MmapAnon(name, pages*PageSize)
-			ref := &refRegion{kind: Anon, pages: pages, access: true,
-				st: make([]byte, pages), dirty: make([]bool, pages)}
-			rs.regions = append(rs.regions, ref)
-			ps.regions = append(ps.regions, &pairedRegion{real: rr, ref: ref})
-		}
-		addAnon("heap", anonPages)
-		rr := as.MmapFile("libshared.so", f, foff, flen)
-		ref := &refRegion{kind: FileBacked, pages: flen, file: rf, foff: foff,
-			access: true, st: make([]byte, flen), dirty: make([]bool, flen)}
+// newSpace creates a paired address space with the given layout.
+func (w *pairedWorld) newSpace(label string, l spaceLayout) *pairedSpace {
+	as := w.real.NewAddressSpace(label)
+	rs := &refSpace{}
+	ps := &pairedSpace{real: as, ref: rs}
+	add := func(rr *Region, ref *refRegion) {
 		rs.regions = append(rs.regions, ref)
 		ps.regions = append(ps.regions, &pairedRegion{real: rr, ref: ref})
-		addAnon("arena", anonPages/2)
-		w.spaces = append(w.spaces, ps)
 	}
-	// Two processes whose library mappings overlap on file pages
-	// [32, 64), so refcounts exercise 0, 1 and 2.
-	addSpace("p1", 64, 0, 64)
-	addSpace("p2", 48, 32, 64)
-	return w, rng
+	addAnon := func(name string, pages int64) {
+		add(as.MmapAnon(name, pages*PageSize), &refRegion{kind: Anon, pages: pages,
+			access: true, st: make([]byte, pages), dirty: make([]bool, pages)})
+	}
+	addAnon("heap", l.anonPages)
+	for _, lib := range l.libs {
+		foff, flen := lib[0], lib[1]
+		add(as.MmapFile("libshared.so", w.file, foff, flen), &refRegion{kind: FileBacked,
+			pages: flen, file: w.refFile, foff: foff, access: true,
+			st: make([]byte, flen), dirty: make([]bool, flen)})
+	}
+	addAnon("arena", l.anonPages/2)
+	return ps
+}
+
+// recreate destroys space k and puts a fresh space with the same
+// layout (and a new ID) in its place.
+func (w *pairedWorld) recreate(k int) {
+	ps := w.spaces[k]
+	w.real.Destroy(ps.real)
+	for _, r := range ps.ref.regions {
+		w.ref.release(r, 0, r.pages)
+	}
+	w.spaces[k] = w.newSpace(ps.real.Label()+"'", oracleLayouts[k])
 }
 
 // check compares every observable between the two implementations.
-func (w *pairedWorld) check(t *testing.T, seed int64, step int, opName string) {
+func (w *pairedWorld) check(t *testing.T, id string, step int, opName string) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d step %d (%s): "+format,
-			append([]any{seed, step, opName}, args...)...)
+		t.Fatalf("%s step %d (%s): "+format,
+			append([]any{id, step, opName}, args...)...)
 	}
 	if got, want := w.real.PhysPages(), w.ref.phys; got != want {
 		fail("machine phys pages = %d, reference %d", got, want)
@@ -376,8 +441,12 @@ func (w *pairedWorld) check(t *testing.T, seed int64, step int, opName string) {
 		if got, want := ps.drained, ps.ref.faultCost; got != want {
 			fail("%s fault cost = %dµs, reference %dµs", label, got, want)
 		}
-		if got, want := ps.real.Usage(), ps.ref.usage(); got != want {
+		want := ps.ref.usage()
+		if got := ps.real.Usage(); got != want {
 			fail("%s usage = %+v, reference %+v", label, got, want)
+		}
+		if got := ps.real.USS(); got != want.USS {
+			fail("%s USS counter = %d, reference %d", label, got, want.USS)
 		}
 		for _, pr := range ps.regions {
 			name := pr.real.Name
@@ -406,7 +475,7 @@ func (w *pairedWorld) check(t *testing.T, seed int64, step int, opName string) {
 
 // randomRuns builds 1-4 in-bounds byte runs via AppendRun, biased
 // toward partial-page offsets and lengths.
-func randomRuns(rng *rand.Rand, bytes int64) []Run {
+func randomRuns(rng opSource, bytes int64) []Run {
 	var runs []Run
 	for k := 1 + rng.Intn(4); k > 0; k-- {
 		off := rng.Int63n(bytes)
@@ -425,18 +494,45 @@ func TestOracleRandomOps(t *testing.T) {
 		sequences = 100
 	}
 	for i := 0; i < sequences; i++ {
-		seed := int64(1_000_000 + i)
-		runOracleSequence(t, seed)
+		runOracleSequence(t, int64(1_000_000+i))
 	}
 }
 
 func runOracleSequence(t *testing.T, seed int64) {
-	w, rng := newPairedWorld(seed)
-	w.check(t, seed, -1, "setup")
+	runOracleOps(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)), 30)
+}
 
-	const steps = 30
+// FuzzOracleOps decodes each input into an op sequence over the
+// paired world (see byteSource) and checks the full observable
+// surface after every op. The seed corpus is the byte streams of a
+// few runOracleSequence seeds; crashers found by
+// `go test -run '^$' -fuzz FuzzOracleOps ./internal/osmem` belong
+// under testdata/fuzz/FuzzOracleOps as regression seeds.
+func FuzzOracleOps(f *testing.F) {
+	for _, seed := range []int64{1_000_000, 1_000_001, 1_000_002, 1_000_003} {
+		b := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps := len(data) / 8
+		if steps > 64 {
+			steps = 64
+		}
+		runOracleOps(t, "fuzz input", &byteSource{data: data}, steps)
+	})
+}
+
+// runOracleOps applies steps random ops drawn from rng to a fresh
+// paired world, checking after every op; id names the sequence in
+// failures.
+func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
+	w := newPairedWorld(rng)
+	w.check(t, id, -1, "setup")
+
 	for step := 0; step < steps; step++ {
-		ps := w.spaces[rng.Intn(len(w.spaces))]
+		k := rng.Intn(len(w.spaces))
+		ps := w.spaces[k]
 		pr := ps.regions[rng.Intn(len(ps.regions))]
 		r, ref := pr.real, pr.ref
 		pages := ref.pages
@@ -445,7 +541,7 @@ func runOracleSequence(t *testing.T, seed int64) {
 		n := rng.Int63n(pages - page + 1)
 		write := rng.Intn(2) == 0
 
-		op := rng.Intn(13)
+		op := rng.Intn(14)
 		if !ref.access && (op <= 2 || op == 8) {
 			op = 11 // touching PROT_NONE segfaults; re-enable instead
 		}
@@ -490,8 +586,8 @@ func runOracleSequence(t *testing.T, seed int64) {
 			got := r.SwapOut(page, n)
 			want := w.ref.swapOutUpTo(ref, page, n, pages+1)
 			if got != want {
-				t.Fatalf("seed %d step %d: SwapOut moved %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: SwapOut moved %d, reference %d",
+					id, step, got, want)
 			}
 		case 7:
 			opName = "SwapOutUpTo"
@@ -499,8 +595,8 @@ func runOracleSequence(t *testing.T, seed int64) {
 			got := r.SwapOutUpTo(page, n, max)
 			want := w.ref.swapOutUpTo(ref, page, n, max)
 			if got != want {
-				t.Fatalf("seed %d step %d: SwapOutUpTo moved %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: SwapOutUpTo moved %d, reference %d",
+					id, step, got, want)
 			}
 		case 8:
 			opName = "FaultInUpTo"
@@ -508,8 +604,8 @@ func runOracleSequence(t *testing.T, seed int64) {
 			got := r.FaultInUpTo(page, n, max)
 			want := w.ref.faultInUpTo(ps.ref, ref, page, n, max)
 			if got != want {
-				t.Fatalf("seed %d step %d: FaultInUpTo faulted %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: FaultInUpTo faulted %d, reference %d",
+					id, step, got, want)
 			}
 		case 9:
 			opName = "ReleaseClean"
@@ -520,8 +616,8 @@ func runOracleSequence(t *testing.T, seed int64) {
 			got := r.ReleaseClean()
 			want := w.ref.releaseClean(ref)
 			if got != want {
-				t.Fatalf("seed %d step %d: ReleaseClean released %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: ReleaseClean released %d, reference %d",
+					id, step, got, want)
 			}
 		case 10:
 			opName = "ProtectNone"
@@ -542,8 +638,11 @@ func runOracleSequence(t *testing.T, seed int64) {
 			}
 			w.real.SetSwapLimit(limit)
 			w.ref.swapLimit = limit
+		case 13:
+			opName = "DestroyAndRecreate"
+			w.recreate(k)
 		}
-		w.check(t, seed, step, opName)
+		w.check(t, id, step, opName)
 	}
 }
 

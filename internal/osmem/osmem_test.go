@@ -177,6 +177,67 @@ func TestFileSharingAccounting(t *testing.T) {
 	if got := as1.USS(); got != 100*PageSize {
 		t.Fatalf("USS after co-mapper unmap: %d", got)
 	}
+
+	// The O(1) USS counter must follow every 1→2 and 2→1 transition:
+	// c1 holds all 10 pages of a library, a co-mapper c2 shares the
+	// first 4 and gives them back through each path that drops a
+	// file page.
+	t.Run("transitions", func(t *testing.T) {
+		m := newTestMachine()
+		lib := m.File("libnode.so", 10*PageSize)
+		as1 := m.NewAddressSpace("c1")
+		as1.MmapFile("libnode.so", lib, 0, 10).Touch(0, 10, false)
+		as2 := m.NewAddressSpace("c2")
+		r2 := as2.MmapFile("libnode.so", lib, 0, 4)
+		wantUSS := func(step string, p1, p2 int64) {
+			t.Helper()
+			for _, c := range []struct {
+				as    *AddressSpace
+				pages int64
+			}{{as1, p1}, {as2, p2}} {
+				if got := c.as.USS(); got != c.pages*PageSize || got != c.as.Usage().USS {
+					t.Fatalf("%s: %s USS = %d, want %d (smaps %d)",
+						step, c.as.Label(), got, c.pages*PageSize, c.as.Usage().USS)
+				}
+			}
+			if bad := m.Audit(); len(bad) != 0 {
+				t.Fatalf("%s: audit: %v", step, bad)
+			}
+		}
+		wantUSS("single mapper", 10, 0)
+		r2.Touch(0, 4, false)
+		wantUSS("touch 1→2", 6, 0)
+
+		// Clean pages drop on swap-out; dirty ones move to swap.
+		r2.SwapOut(0, 4)
+		wantUSS("clean swap-out 2→1", 10, 0)
+		r2.Touch(0, 4, true)
+		wantUSS("write touch 1→2", 6, 0)
+		if moved := r2.SwapOut(0, 4); moved != 4 {
+			t.Fatalf("dirty swap-out moved %d pages, want 4", moved)
+		}
+		wantUSS("dirty swap-out 2→1", 10, 0)
+		r2.Touch(0, 2, false)
+		wantUSS("swap-in 1→2", 8, 0)
+		r2.Release(0, 4)
+		wantUSS("release 2→1", 10, 0)
+
+		r2.Touch(0, 4, false)
+		if released := r2.ReleaseClean(); released != 4*PageSize {
+			t.Fatalf("ReleaseClean released %d", released)
+		}
+		wantUSS("ReleaseClean 2→1", 10, 0)
+
+		r2.Touch(0, 4, false)
+		r2.ProtectNone()
+		wantUSS("ProtectNone 2→1", 10, 0)
+		r2.ProtectRW()
+
+		r2.Touch(0, 4, false)
+		wantUSS("retouch 1→2", 6, 0)
+		m.Destroy(as2)
+		wantUSS("Destroy 2→1", 10, 0)
+	})
 }
 
 func TestFileDirtyPagesArePrivateDirty(t *testing.T) {
