@@ -26,7 +26,6 @@ import (
 	// the registry in internal/experiments free of an import cycle.
 	_ "desiccant/internal/calibrate"
 	"desiccant/internal/experiments"
-	"desiccant/internal/sim"
 )
 
 func main() {
@@ -45,22 +44,13 @@ type flags struct {
 	out, tracePath, metricsPath, jsonPath string
 }
 
-// optionalFlags are the flags a command must list to accept (an
-// experiment through experiments.Entry.Flags, a subcommand in
-// subcommandFlags); every other flag applies to every command.
+// optionalFlags are the flags an experiment must list in its
+// experiments.Entry.Flags to accept; every other flag applies to every
+// command.
 var optionalFlags = []string{"metrics", "trace", "summary", "intensity", "json"}
-
-// subcommandFlags lists the optional flags of the commands that are
-// not registry entries.
-var subcommandFlags = map[string][]string{
-	"trace": {"trace", "summary"},
-}
 
 // acceptedFlags returns the optional flags cmd accepts.
 func acceptedFlags(cmd string) []string {
-	if fl, ok := subcommandFlags[cmd]; ok {
-		return fl
-	}
 	for _, e := range experiments.List() {
 		if e.Name == cmd {
 			return e.Flags
@@ -136,13 +126,6 @@ func run(args []string) error {
 		return nil
 	case "all":
 		return runAll(opts, f.out)
-	case "trace":
-		w, closeFn, err := openOut(f.out)
-		if err != nil {
-			return err
-		}
-		defer closeFn()
-		return runTrace(opts, f.quick, w)
 	default:
 		w, closeFn, err := openOut(f.out)
 		if err != nil {
@@ -203,29 +186,6 @@ func runAll(opts experiments.Options, dir string) error {
 			e.Name, filepath.Join(dir, e.Name+".csv"), durations[i].Round(time.Millisecond))
 	}
 	return nil
-}
-
-// runTrace is the single-machine causal-tracing subcommand: one
-// Desiccant platform replayed with per-invocation spans. The main
-// output is the long-form attribution CSV (or, with -summary, the
-// human digest); -trace adds the Perfetto file whose per-invocation
-// tracks the summary's exemplar IDs point into.
-func runTrace(opts experiments.Options, quick bool, w io.Writer) error {
-	o := experiments.DefaultAttrTraceOptions()
-	if quick {
-		o.Window = 20 * sim.Second
-		o.TraceFunctions = 200
-	}
-	if opts.Seed != 0 {
-		o.TraceSeed = opts.Seed
-	}
-	o.Trace = opts.Trace
-	if opts.Summary {
-		o.Summary = w
-	} else {
-		o.CSV = w
-	}
-	return experiments.RunAttrTrace(o)
 }
 
 func openOut(path string) (io.Writer, func(), error) {

@@ -52,8 +52,12 @@ func TestRunErrors(t *testing.T) {
 
 // TestFlagTable checks, for every registered experiment and every
 // optional flag, that the command line accepts the pair exactly when
-// the registry entry lists the flag.
+// the registry entry lists the flag. Every command that takes an
+// optional flag is a registry entry, the trace command included.
 func TestFlagTable(t *testing.T) {
+	if !slices.ContainsFunc(experiments.List(), func(e experiments.Entry) bool { return e.Name == "trace" }) {
+		t.Fatal("the trace command is not a registry entry")
+	}
 	args := map[string][]string{
 		"metrics":   {"-metrics", "m.csv"},
 		"trace":     {"-trace", "t.json"},

@@ -10,8 +10,6 @@ import (
 	"desiccant/internal/obs"
 	invtrace "desiccant/internal/obs/trace"
 	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // AttrOptions parameterizes the causal-attribution experiment: a
@@ -157,110 +155,6 @@ func (r *AttrResult) WriteSummary(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// AttrTraceOptions parameterizes the single-machine attribution run
-// behind the `desiccant-sim trace` subcommand: one Desiccant platform
-// replayed with the span builder attached, exporting whichever of the
-// attribution CSV, human summary, and Perfetto trace (with one track
-// per invocation) the caller wires up.
-type AttrTraceOptions struct {
-	// Scale is the trace scale factor.
-	Scale float64
-	// Window is the replayed duration (in-flight invocations drain
-	// afterwards so every span closes).
-	Window sim.Duration
-	// CacheBytes is the instance cache size.
-	CacheBytes int64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
-
-	// CSV, when non-nil, receives the long-form attribution table.
-	CSV io.Writer
-	// Summary, when non-nil, receives the human attribution digest.
-	Summary io.Writer
-	// Trace, when non-nil, receives the Perfetto JSON: the stock
-	// instance tracks plus one attribution track per invocation.
-	Trace io.Writer
-}
-
-// DefaultAttrTraceOptions matches the observe experiment's window so
-// the two exports describe the same replay.
-func DefaultAttrTraceOptions() AttrTraceOptions {
-	return AttrTraceOptions{
-		Scale:          15,
-		Window:         60 * sim.Second,
-		CacheBytes:     2 << 30,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-	}
-}
-
-// RunAttrTrace replays one Desiccant machine with causal tracing on
-// and writes the requested attribution exports. Every export is a
-// deterministic function of the options.
-func RunAttrTrace(o AttrTraceOptions) error {
-	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
-	rec := obs.NewRecorder()
-	rec.Ignore(obs.EvEngineFire)
-	if o.Trace == nil {
-		rec.CountOnly()
-	}
-	bus.Subscribe(rec)
-	builder := invtrace.NewBuilder()
-	builder.Attach(bus)
-
-	pcfg := faas.DefaultConfig()
-	pcfg.CacheBytes = o.CacheBytes
-	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
-	mgr := core.Attach(platform, core.DefaultConfig())
-
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, o.BaseRate)
-	end := sim.Time(o.Window)
-	rp := trace.NewReplayer(platform, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
-
-	eng.RunUntil(end)
-	mgr.Stop()
-	// Drain the in-flight tail so every span closes.
-	drainEnd := end
-	for i := 0; i < 240 && builder.OpenCount() > 0; i++ {
-		if _, ok := eng.Next(); !ok {
-			break
-		}
-		drainEnd = drainEnd.Add(sim.Second)
-		eng.RunUntil(drainEnd)
-	}
-
-	spans := builder.Spans()
-	if err := invtrace.CheckExact(spans); err != nil {
-		return err
-	}
-	if o.CSV != nil {
-		if err := invtrace.WriteCSV(o.CSV, spans); err != nil {
-			return err
-		}
-	}
-	if o.Summary != nil {
-		if err := invtrace.WriteSummary(o.Summary, spans); err != nil {
-			return err
-		}
-	}
-	if o.Trace != nil {
-		if err := obs.WritePerfetto(o.Trace, rec.Events(), invtrace.NewPerfettoTracks(spans)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

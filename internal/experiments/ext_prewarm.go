@@ -3,12 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"desiccant/internal/core"
-	"desiccant/internal/faas"
-	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // PrewarmRow is one 2×2 cell of the prewarm/Desiccant composition
@@ -46,37 +40,18 @@ func (r *PrewarmResult) Row(prewarm, desiccant bool) (PrewarmRow, bool) {
 func RunPrewarm(opts Fig9Options, scale float64) (*PrewarmResult, error) {
 	type cell struct{ prewarm, desiccant bool }
 	grid := []cell{{false, false}, {false, true}, {true, false}, {true, true}}
+	as := opts.assignments()
 	rows, err := runIndexed(opts.Parallel, len(grid), func(i int) (PrewarmRow, error) {
 		prewarm, desiccant := grid[i].prewarm, grid[i].desiccant
-		eng := sim.NewEngine()
-		pcfg := faas.DefaultConfig()
-		pcfg.CacheBytes = opts.CacheBytes
+		setup := SetupVanilla
+		if desiccant {
+			setup = SetupDesiccant
+		}
+		pcfg, mcfg := setup.configs(opts)
 		if prewarm {
 			pcfg.PrewarmPerLanguage = 2
 		}
-		platform := faas.New(pcfg, eng)
-		var mgr *core.Manager
-		if desiccant {
-			mgr = core.Attach(platform, core.DefaultConfig())
-		}
-
-		tr := trace.Generate(trace.GenConfig{Seed: opts.TraceSeed, Functions: opts.TraceFunctions})
-		assignments := trace.Match(tr, workload.All())
-		trace.NormalizeRate(assignments, opts.BaseRate)
-
-		warmEnd := sim.Time(opts.Warmup)
-		replayEnd := warmEnd.Add(opts.Replay)
-		rp := trace.NewReplayer(platform, assignments, opts.TraceSeed+1)
-		rp.Schedule(0, warmEnd, opts.WarmupScale)
-		rp.Schedule(warmEnd, replayEnd, scale)
-
-		eng.RunUntil(warmEnd)
-		platform.ResetStats()
-		eng.RunUntil(replayEnd)
-		if mgr != nil {
-			mgr.Stop()
-		}
-
+		platform := opts.cell(pcfg, mcfg, as, scale).run()
 		st := platform.Stats()
 		row := PrewarmRow{
 			Prewarm:      prewarm,

@@ -3,12 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"desiccant/internal/core"
-	"desiccant/internal/faas"
-	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // SnapStartRow is one setup's measurement in the extension experiment.
@@ -34,44 +28,23 @@ type SnapStartResult struct {
 }
 
 // RunSnapStart measures vanilla, Desiccant and SnapStart platforms on
-// the same trace at one scale factor. The three setups are independent
+// the same trace at one scale factor. SnapStart is the vanilla machine
+// restoring from snapshots. The three setups are independent
 // simulations and run concurrently on the pool.
 func RunSnapStart(opts Fig9Options, scale float64) (*SnapStartResult, error) {
-	setups := []string{"vanilla", "desiccant", "snapstart"}
-	rows, err := runIndexed(opts.Parallel, len(setups), func(i int) (SnapStartRow, error) {
-		setup := setups[i]
-		eng := sim.NewEngine()
-		pcfg := faas.DefaultConfig()
-		pcfg.CacheBytes = opts.CacheBytes
-		if setup == "snapstart" {
-			pcfg.Snapshot = true
-		}
-		platform := faas.New(pcfg, eng)
-		var mgr *core.Manager
-		if setup == "desiccant" {
-			mgr = core.Attach(platform, core.DefaultConfig())
-		}
-
-		tr := trace.Generate(trace.GenConfig{Seed: opts.TraceSeed, Functions: opts.TraceFunctions})
-		assignments := trace.Match(tr, workload.All())
-		trace.NormalizeRate(assignments, opts.BaseRate)
-
-		warmEnd := sim.Time(opts.Warmup)
-		replayEnd := warmEnd.Add(opts.Replay)
-		rp := trace.NewReplayer(platform, assignments, opts.TraceSeed+1)
-		rp.Schedule(0, warmEnd, opts.WarmupScale)
-		rp.Schedule(warmEnd, replayEnd, scale)
-
-		eng.RunUntil(warmEnd)
-		platform.ResetStats()
-		eng.RunUntil(replayEnd)
-		if mgr != nil {
-			mgr.Stop()
-		}
-
+	cells := []struct {
+		name     string
+		setup    Setup
+		snapshot bool
+	}{{"vanilla", SetupVanilla, false}, {"desiccant", SetupDesiccant, false}, {"snapstart", SetupVanilla, true}}
+	as := opts.assignments()
+	rows, err := runIndexed(opts.Parallel, len(cells), func(i int) (SnapStartRow, error) {
+		pcfg, mcfg := cells[i].setup.configs(opts)
+		pcfg.Snapshot = cells[i].snapshot
+		platform := opts.cell(pcfg, mcfg, as, scale).run()
 		st := platform.Stats()
 		row := SnapStartRow{
-			Setup:        setup,
+			Setup:        cells[i].name,
 			ColdBootRate: st.ColdBootRate(),
 			Restores:     st.Restores,
 			CacheMB:      float64(platform.MemoryUsed()) / (1 << 20),

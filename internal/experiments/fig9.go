@@ -121,18 +121,13 @@ func (r *Fig9Result) Point(s Setup, scale float64) (Fig9Point, bool) {
 }
 
 // RunFig9 executes the sweep: every setup at every scale on the same
-// synthetic trace. Each (scale, setup) cell owns a private engine,
-// platform and trace replayer, so the cells fan out across the pool
-// and collect in sweep order.
+// synthetic trace. Each (scale, setup) cell is an independent replay,
+// so the cells fan out across the pool and collect in sweep order.
 func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 	setups := AllSetups()
+	as := opts.assignments()
 	points, err := runIndexed(opts.Parallel, len(opts.Scales)*len(setups), func(i int) (Fig9Point, error) {
-		scale, setup := opts.Scales[i/len(setups)], setups[i%len(setups)]
-		p, err := runTraceCell(setup, scale, opts)
-		if err != nil {
-			return Fig9Point{}, fmt.Errorf("fig9 %s@%.0f: %w", setup, scale, err)
-		}
-		return p, nil
+		return runTraceCell(setups[i%len(setups)], opts.Scales[i/len(setups)], opts, as), nil
 	})
 	if err != nil {
 		return nil, err
@@ -140,47 +135,48 @@ func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 	return &Fig9Result{Points: points}, nil
 }
 
-// runTraceCell measures one (setup, scale) cell.
-func runTraceCell(setup Setup, scale float64, opts Fig9Options) (Fig9Point, error) {
-	eng := sim.NewEngine()
+// configs maps a setup onto the platform and manager it runs:
+// vanilla has no manager, eager collects at every freeze, and
+// Desiccant runs opts.ManagerConfig (nil: the paper defaults).
+func (s Setup) configs(opts Fig9Options) (faas.Config, *core.Config) {
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = opts.CacheBytes
-	if setup == SetupEager {
+	switch s {
+	case SetupEager:
 		pcfg.Policy = faas.PolicyEager
-	}
-	platform := faas.New(pcfg, eng)
-
-	var mgr *core.Manager
-	if setup == SetupDesiccant {
+	case SetupDesiccant:
 		mcfg := core.DefaultConfig()
 		if opts.ManagerConfig != nil {
 			mcfg = *opts.ManagerConfig
 		}
-		mgr = core.Attach(platform, mcfg)
+		return pcfg, &mcfg
 	}
+	return pcfg, nil
+}
 
-	specs := opts.Specs
-	if specs == nil {
-		specs = workload.All()
+// assignments synthesizes the sweep's trace once for all its cells.
+func (opts Fig9Options) assignments() []trace.Assignment {
+	return synthesizeTrace(opts.TraceSeed, opts.TraceFunctions, opts.Specs, opts.BaseRate)
+}
+
+// cell is the warmed-up replay of as at scale on the given machine.
+func (opts Fig9Options) cell(pcfg faas.Config, mcfg *core.Config, as []trace.Assignment, scale float64) replayCell {
+	return replayCell{
+		platform:    pcfg,
+		manager:     mcfg,
+		assignments: as,
+		seed:        opts.TraceSeed,
+		warmup:      opts.Warmup,
+		warmupScale: opts.WarmupScale,
+		window:      opts.Replay,
+		scale:       scale,
 	}
-	tr := trace.Generate(trace.GenConfig{Seed: opts.TraceSeed, Functions: opts.TraceFunctions})
-	assignments := trace.Match(tr, specs)
-	trace.NormalizeRate(assignments, opts.BaseRate)
+}
 
-	warmEnd := sim.Time(opts.Warmup)
-	replayEnd := warmEnd.Add(opts.Replay)
-	rp := trace.NewReplayer(platform, assignments, opts.TraceSeed+1)
-	rp.Schedule(0, warmEnd, opts.WarmupScale)
-	rp.Schedule(warmEnd, replayEnd, scale)
-
-	eng.RunUntil(warmEnd)
-	platform.ResetStats()
-	eng.RunUntil(replayEnd)
-	if mgr != nil {
-		mgr.Stop()
-	}
-
-	st := platform.Stats()
+// runTraceCell measures one (setup, scale) cell.
+func runTraceCell(setup Setup, scale float64, opts Fig9Options, as []trace.Assignment) Fig9Point {
+	pcfg, mcfg := setup.configs(opts)
+	st := opts.cell(pcfg, mcfg, as, scale).run().Stats()
 	replaySec := opts.Replay.Seconds()
 	capacity := pcfg.CPUs * replaySec
 	point := Fig9Point{
@@ -200,7 +196,7 @@ func runTraceCell(setup Setup, scale float64, opts Fig9Options) (Fig9Point, erro
 		point.P95 = st.Latency.Percentile(95)
 		point.P99 = st.Latency.Percentile(99)
 	}
-	return point, nil
+	return point
 }
 
 // WriteCSV renders Figure 9's three panels.

@@ -7,18 +7,21 @@ import (
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
+	invtrace "desiccant/internal/obs/trace"
 	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
-// ObserveOptions parameterizes the instrumented replay: one Desiccant
-// cell of the fig9 trace experiment with the full observability stack
-// attached — event recorder, metrics collector, and periodic sampler.
+// ObserveOptions parameterizes the two instrumented single-machine
+// replays: one Desiccant cell of the fig9 trace experiment, replayed
+// with no warmup and an event bus on the platform. RunObserve attaches
+// the metrics stack (event recorder, collector, periodic sampler);
+// RunAttrTrace attaches the per-invocation span builder. Each run
+// writes whichever of its exports the options request.
 type ObserveOptions struct {
 	// Scale is the trace scale factor.
 	Scale float64
-	// Window is the replayed duration.
+	// Window is the replayed duration (RunAttrTrace drains in-flight
+	// invocations afterwards so every span closes).
 	Window sim.Duration
 	// CacheBytes is the instance cache size.
 	CacheBytes int64
@@ -28,18 +31,25 @@ type ObserveOptions struct {
 	BaseRate float64
 	// TraceSeed seeds trace synthesis and replay.
 	TraceSeed uint64
-	// SampleEvery is the metrics sampling cadence.
+	// SampleEvery is the metrics sampling cadence (RunObserve).
 	SampleEvery sim.Duration
 
-	// Trace, when non-nil, receives the Chrome/Perfetto trace JSON.
+	// Trace, when non-nil, receives the Chrome/Perfetto trace JSON;
+	// RunAttrTrace adds one attribution track per invocation.
 	Trace io.Writer
-	// Metrics, when non-nil, receives the sampled time series as CSV.
+	// Metrics, when non-nil, receives the sampled time series as CSV
+	// (RunObserve).
 	Metrics io.Writer
-	// Summary, when non-nil, receives the human-readable summary.
+	// Summary, when non-nil, receives the human-readable summary: the
+	// observability digest (RunObserve) or the attribution digest
+	// (RunAttrTrace).
 	Summary io.Writer
 	// Snapshot, when non-nil, receives the final metrics snapshot as
-	// metric,value CSV (the experiment's default machine output).
+	// metric,value CSV (RunObserve's default machine output).
 	Snapshot io.Writer
+	// CSV, when non-nil, receives the long-form attribution table
+	// (RunAttrTrace's default machine output).
+	CSV io.Writer
 }
 
 // DefaultObserveOptions returns a window big enough to show cold
@@ -56,66 +66,74 @@ func DefaultObserveOptions() ObserveOptions {
 	}
 }
 
+// cell is the observed Desiccant replay; observe attaches the caller's
+// subscribers before the manager starts.
+func (o ObserveOptions) cell(observe func(bus *obs.Bus, p *faas.Platform)) replayCell {
+	pcfg := faas.DefaultConfig()
+	pcfg.CacheBytes = o.CacheBytes
+	mcfg := core.DefaultConfig()
+	return replayCell{
+		platform:    pcfg,
+		manager:     &mcfg,
+		assignments: synthesizeTrace(o.TraceSeed, o.TraceFunctions, nil, o.BaseRate),
+		seed:        o.TraceSeed,
+		window:      o.Window,
+		scale:       o.Scale,
+		observe:     observe,
+	}
+}
+
+// newRecorder returns an event recorder for the replay. Engine fires
+// are counted (engine.fired, engine.queue_depth) but not stored: one
+// instant per simulated event would dwarf the lifecycle tracks the
+// trace exists to show. Without a trace export nothing reads the event
+// payloads, so only the counts are kept: summaries are unchanged (Len
+// and CountByKind report as if storage were on) and memory stays
+// constant no matter how many invocations replay.
+func newRecorder(keepEvents bool) *obs.Recorder {
+	rec := obs.NewRecorder()
+	rec.Ignore(obs.EvEngineFire)
+	if !keepEvents {
+		rec.CountOnly()
+	}
+	return rec
+}
+
 // RunObserve replays one Desiccant trace cell with the observability
 // layer attached and writes whichever exports the options request.
 // Identical options produce byte-identical exports: every writer sees
 // only sim-time-stamped, deterministically ordered data.
 func RunObserve(o ObserveOptions) error {
-	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
-	rec := obs.NewRecorder()
-	// Engine fires are counted (engine.fired, engine.queue_depth) but
-	// not stored: one instant per simulated event would dwarf the
-	// lifecycle tracks the trace exists to show.
-	rec.Ignore(obs.EvEngineFire)
-	if o.Trace == nil {
-		// No trace export requested: nothing reads the event payloads,
-		// so keep only the counts. Summary output is unchanged — Len and
-		// CountByKind report as if storage were on — and memory stays
-		// constant no matter how many invocations replay.
-		rec.CountOnly()
-	}
+	rec := newRecorder(o.Trace != nil)
 	reg := obs.NewRegistry()
-	bus.Subscribe(rec)
-	bus.Subscribe(obs.NewCollector(reg))
-	obs.InstrumentEngine(bus, eng)
+	var sampler *obs.Sampler
+	platform := o.cell(func(bus *obs.Bus, platform *faas.Platform) {
+		eng := platform.Engine()
+		bus.Subscribe(rec)
+		bus.Subscribe(obs.NewCollector(reg))
+		obs.InstrumentEngine(bus, eng)
 
-	pcfg := faas.DefaultConfig()
-	pcfg.CacheBytes = o.CacheBytes
-	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
-	mgr := core.Attach(platform, core.DefaultConfig())
-
-	// Gauges sourced outside the event stream, refreshed per sample.
-	memFrac := reg.Gauge("platform.memory_used_frac")
-	commits := reg.Gauge("os.page_commits")
-	releases := reg.Gauge("os.page_releases")
-	swapIns := reg.Gauge("os.page_swap_ins")
-	swapOuts := reg.Gauge("os.page_swap_outs")
-	sampler := obs.NewSampler(eng, reg, o.SampleEvery)
-	if o.Metrics != nil {
-		// Stream CSV rows as samples are taken instead of retaining
-		// snapshots — byte-identical output, constant memory.
-		sampler.StreamTo(o.Metrics)
-	}
-	sampler.OnSample = func(*obs.Registry) {
-		memFrac.Set(platform.MemoryUsedFraction())
-		pc := platform.Machine().PageCounters()
-		commits.Set(float64(pc.Commits))
-		releases.Set(float64(pc.Releases))
-		swapIns.Set(float64(pc.SwapIns))
-		swapOuts.Set(float64(pc.SwapOuts))
-	}
-
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, o.BaseRate)
-	end := sim.Time(o.Window)
-	rp := trace.NewReplayer(platform, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
-
-	eng.RunUntil(end)
-	mgr.Stop()
+		// Gauges sourced outside the event stream, refreshed per sample.
+		memFrac := reg.Gauge("platform.memory_used_frac")
+		commits := reg.Gauge("os.page_commits")
+		releases := reg.Gauge("os.page_releases")
+		swapIns := reg.Gauge("os.page_swap_ins")
+		swapOuts := reg.Gauge("os.page_swap_outs")
+		sampler = obs.NewSampler(eng, reg, o.SampleEvery)
+		if o.Metrics != nil {
+			// Stream CSV rows as samples are taken instead of retaining
+			// snapshots — byte-identical output, constant memory.
+			sampler.StreamTo(o.Metrics)
+		}
+		sampler.OnSample = func(*obs.Registry) {
+			memFrac.Set(platform.MemoryUsedFraction())
+			pc := platform.Machine().PageCounters()
+			commits.Set(float64(pc.Commits))
+			releases.Set(float64(pc.Releases))
+			swapIns.Set(float64(pc.SwapIns))
+			swapOuts.Set(float64(pc.SwapOuts))
+		}
+	}).run()
 	sampler.Stop()
 
 	if o.Trace != nil {
@@ -129,7 +147,7 @@ func RunObserve(o ObserveOptions) error {
 		}
 	}
 	if o.Summary != nil {
-		if err := obs.WriteSummary(o.Summary, rec, reg, eng.Now()); err != nil {
+		if err := obs.WriteSummary(o.Summary, rec, reg, platform.Engine().Now()); err != nil {
 			return err
 		}
 	}
@@ -141,6 +159,50 @@ func RunObserve(o ObserveOptions) error {
 			if _, err := fmt.Fprintf(o.Snapshot, "%s,%s\n", mv.Name, obs.FormatValue(mv.Value)); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// RunAttrTrace replays one Desiccant machine with causal tracing on
+// and writes the requested attribution exports: the long-form CSV,
+// the human summary, and the Perfetto trace whose per-invocation
+// tracks the summary's exemplar IDs point into. Every export is a
+// deterministic function of the options.
+func RunAttrTrace(o ObserveOptions) error {
+	rec := newRecorder(o.Trace != nil)
+	builder := invtrace.NewBuilder()
+	eng := o.cell(func(bus *obs.Bus, _ *faas.Platform) {
+		bus.Subscribe(rec)
+		builder.Attach(bus)
+	}).run().Engine()
+	// Drain the in-flight tail so every span closes.
+	drainEnd := sim.Time(o.Window)
+	for i := 0; i < 240 && builder.OpenCount() > 0; i++ {
+		if _, ok := eng.Next(); !ok {
+			break
+		}
+		drainEnd = drainEnd.Add(sim.Second)
+		eng.RunUntil(drainEnd)
+	}
+
+	spans := builder.Spans()
+	if err := invtrace.CheckExact(spans); err != nil {
+		return err
+	}
+	if o.CSV != nil {
+		if err := invtrace.WriteCSV(o.CSV, spans); err != nil {
+			return err
+		}
+	}
+	if o.Summary != nil {
+		if err := invtrace.WriteSummary(o.Summary, spans); err != nil {
+			return err
+		}
+	}
+	if o.Trace != nil {
+		if err := obs.WritePerfetto(o.Trace, rec.Events(), invtrace.NewPerfettoTracks(spans)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -24,13 +24,13 @@ type Options struct {
 	Parallel int
 
 	// Trace, when non-nil, receives a Chrome/Perfetto trace of the run
-	// (observe experiment only; load into ui.perfetto.dev).
+	// (observe, trace and ext-attr; load into ui.perfetto.dev).
 	Trace io.Writer
 	// Metrics, when non-nil, receives the sampled metrics time series
 	// as CSV (observe experiment only).
 	Metrics io.Writer
-	// Summary switches the observe experiment's main output from the
-	// final metrics snapshot to a human-readable digest.
+	// Summary switches the main output of observe, trace and ext-attr
+	// from their CSV to a human-readable digest.
 	Summary bool
 	// Intensity, when positive, pins the chaos experiment's fault
 	// intensity instead of sweeping the default axis.
@@ -288,27 +288,25 @@ func init() {
 			Description: "§4.2 future-work policy: activate reclamation on idle CPU, vs the dynamic threshold alone",
 			Run: func(w io.Writer, opts Options) error {
 				o := fig9Options(opts)
-				o.Scales = []float64{15}
-				mcfg := core.DefaultConfig()
-				mcfg.ActivateOnIdleCPU = 4
-				oIdle := o
-				oIdle.ManagerConfig = &mcfg
-				// The two policy runs are independent; fan them out.
-				results, err := runIndexed(opts.Parallel, 2, func(i int) (*Fig9Result, error) {
-					if i == 0 {
-						return RunFig9(o)
+				idle := core.DefaultConfig()
+				idle.ActivateOnIdleCPU = 4
+				as := o.assignments()
+				// Only the two Desiccant cells differ; fan them out.
+				points, err := runIndexed(opts.Parallel, 2, func(i int) (Fig9Point, error) {
+					o := o
+					if i == 1 {
+						o.ManagerConfig = &idle
 					}
-					return RunFig9(oIdle)
+					return runTraceCell(SetupDesiccant, 15, o, as), nil
 				})
 				if err != nil {
 					return err
 				}
-				base, idle := results[0], results[1]
 				fmt.Fprintln(w, "policy,cold_boot_rate,reclaim_overhead,evictions")
-				b, _ := base.Point(SetupDesiccant, 15)
-				i, _ := idle.Point(SetupDesiccant, 15)
-				fmt.Fprintf(w, "threshold-only,%.4f,%.4f,%d\n", b.ColdBootRate, b.ReclaimOverhead, b.Evictions)
-				fmt.Fprintf(w, "idle-cpu,%.4f,%.4f,%d\n", i.ColdBootRate, i.ReclaimOverhead, i.Evictions)
+				for i, policy := range []string{"threshold-only", "idle-cpu"} {
+					p := points[i]
+					fmt.Fprintf(w, "%s,%.4f,%.4f,%d\n", policy, p.ColdBootRate, p.ReclaimOverhead, p.Evictions)
+				}
 				return nil
 			},
 		},
@@ -414,15 +412,7 @@ func init() {
 			Description: "instrumented Desiccant trace replay; supports -trace/-metrics/-summary exports",
 			Flags:       []string{"trace", "metrics", "summary"},
 			Run: func(w io.Writer, opts Options) error {
-				o := DefaultObserveOptions()
-				if opts.Quick {
-					o.Window = 20 * sim.Second
-					o.TraceFunctions = 200
-				}
-				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
-				}
-				o.Trace = opts.Trace
+				o := observeOptions(opts)
 				o.Metrics = opts.Metrics
 				if opts.Summary {
 					o.Summary = w
@@ -430,6 +420,20 @@ func init() {
 					o.Snapshot = w
 				}
 				return RunObserve(o)
+			},
+		},
+		{
+			Name: "trace", Figure: "Observability", Claim: "-",
+			Description: "per-invocation causal attribution of one Desiccant trace replay; supports -trace/-summary exports",
+			Flags:       []string{"trace", "summary"},
+			Run: func(w io.Writer, opts Options) error {
+				o := observeOptions(opts)
+				if opts.Summary {
+					o.Summary = w
+				} else {
+					o.CSV = w
+				}
+				return RunAttrTrace(o)
 			},
 		},
 		{
@@ -478,6 +482,19 @@ func fig9Options(opts Options) Fig9Options {
 		o.TraceSeed = opts.Seed
 	}
 	o.Parallel = opts.Parallel
+	return o
+}
+
+func observeOptions(opts Options) ObserveOptions {
+	o := DefaultObserveOptions()
+	if opts.Quick {
+		o.Window = 20 * sim.Second
+		o.TraceFunctions = 200
+	}
+	if opts.Seed != 0 {
+		o.TraceSeed = opts.Seed
+	}
+	o.Trace = opts.Trace
 	return o
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // pressureScenario drives a small cache into eviction so every hook
-// class (freeze, eviction, destroy) fires.
+// class (eviction, destroy) fires.
 func pressureScenario(t *testing.T, cfg Config) (*sim.Engine, *Platform) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -34,9 +34,6 @@ func TestMultipleHooksAllFire(t *testing.T) {
 	var evictA, evictB int
 	p.OnEviction(func(n int) { evictA += n })
 	p.OnEviction(func(n int) { evictB += n })
-	var freezeA, freezeB int
-	p.OnFreeze(func(*container.Instance) { freezeA++ })
-	p.OnFreeze(func(*container.Instance) { freezeB++ })
 	var destroyA, destroyB int
 	p.OnDestroy(func(*container.Instance) { destroyA++ })
 	p.OnDestroy(func(*container.Instance) { destroyB++ })
@@ -48,9 +45,6 @@ func TestMultipleHooksAllFire(t *testing.T) {
 	}
 	if evictA != int(st.Evictions) || evictB != int(st.Evictions) {
 		t.Fatalf("eviction hooks saw %d/%d, want %d each", evictA, evictB, st.Evictions)
-	}
-	if freezeA == 0 || freezeA != freezeB {
-		t.Fatalf("freeze hooks saw %d/%d", freezeA, freezeB)
 	}
 	if destroyA == 0 || destroyA != destroyB {
 		t.Fatalf("destroy hooks saw %d/%d", destroyA, destroyB)

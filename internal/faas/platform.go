@@ -109,10 +109,8 @@ type Platform struct {
 
 	// Lifecycle hooks, multi-subscriber and fired in registration
 	// order. onEviction is Desiccant's pressure signal (§4.5.1);
-	// onFreeze observes instances entering the cache; onDestroy lets
-	// managers drop per-instance state (profiles).
+	// onDestroy lets managers drop per-instance state (profiles).
 	onEviction obs.Hooks[int]
-	onFreeze   obs.Hooks[*container.Instance]
 	onDestroy  obs.Hooks[*container.Instance]
 }
 
@@ -197,9 +195,6 @@ func (p *Platform) Events() *obs.Bus { return p.bus }
 // (Desiccant's pressure signal, §4.5.1); observers fire in
 // registration order with the number of instances just evicted.
 func (p *Platform) OnEviction(fn func(n int)) { p.onEviction.Add(fn) }
-
-// OnFreeze registers an observer of instances entering the cache.
-func (p *Platform) OnFreeze(fn func(inst *container.Instance)) { p.onFreeze.Add(fn) }
 
 // OnDestroy registers an observer of instance destruction, called for
 // every eviction/kill so managers can abandon per-instance state.
@@ -417,14 +412,13 @@ func (p *Platform) AddCached(inst *container.Instance) {
 	p.scheduleKeepAlive(inst)
 }
 
-// noteFreeze emits the freeze event and fires the freeze hooks for an
-// instance that just entered the cache.
+// noteFreeze emits the freeze event for an instance that just entered
+// the cache.
 func (p *Platform) noteFreeze(inst *container.Instance) {
 	if p.bus != nil {
 		p.bus.Emit(obs.Event{Kind: obs.EvFreeze, Inst: inst.ID, Name: inst.Spec.Name,
 			Bytes: inst.USS()})
 	}
-	p.onFreeze.Fire(inst)
 }
 
 // IsCached reports whether inst currently sits in the frozen-instance

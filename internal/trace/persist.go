@@ -8,6 +8,11 @@ import (
 	"strconv"
 )
 
+// csvDecimals is the resolution WriteCSV writes durations and IATs at.
+const csvDecimals = 3
+
+func formatCSVFloat(x float64) string { return strconv.FormatFloat(x, 'f', csvDecimals, 64) }
+
 // WriteCSV serializes the trace so generated traces can be stored,
 // inspected and replayed later (the artifact ships the Azure dataset
 // as CSV; we do the same for our synthetic equivalent).
@@ -20,8 +25,8 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 		rec := []string{
 			e.ID,
 			e.Pattern.String(),
-			strconv.FormatFloat(e.AvgDurationMillis, 'f', 3, 64),
-			strconv.FormatFloat(e.MeanIATSeconds, 'f', 3, 64),
+			formatCSVFloat(e.AvgDurationMillis),
+			formatCSVFloat(e.MeanIATSeconds),
 			strconv.Itoa(e.MemoryMB),
 		}
 		if err := cw.Write(rec); err != nil {
@@ -77,6 +82,15 @@ func ParseCSV(r io.Reader) (*Trace, error) {
 		if !(e.AvgDurationMillis > 0) || !(e.MeanIATSeconds > 0) ||
 			math.IsInf(e.AvgDurationMillis, 0) || math.IsInf(e.MeanIATSeconds, 0) {
 			return nil, fmt.Errorf("trace: line %d: non-positive or non-finite duration or IAT", line)
+		}
+		// A positive value below the writer's resolution would be written
+		// as 0.000, a file this parser then rejects: refuse it here so
+		// every accepted trace survives a WriteCSV round trip.
+		for _, v := range []float64{e.AvgDurationMillis, e.MeanIATSeconds} {
+			if formatCSVFloat(v) == formatCSVFloat(0) {
+				return nil, fmt.Errorf("trace: line %d: duration or IAT %v is non-positive at the CSV's %d-decimal resolution",
+					line, v, csvDecimals)
+			}
 		}
 		tr.Entries = append(tr.Entries, e)
 	}

@@ -62,6 +62,41 @@ func TestPersistRoundTripFixedPoint(t *testing.T) {
 	}
 }
 
+// FuzzParseCSV feeds arbitrary bytes to ParseCSV, seeded with the
+// serialized corpus. ParseCSV must never panic; every input it accepts
+// must write a file it accepts again, and from that first write on
+// write -> parse -> write is a fixed point.
+func FuzzParseCSV(f *testing.F) {
+	for _, tr := range corpus() {
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ParseCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := tr.WriteCSV(&first); err != nil {
+			t.Fatalf("WriteCSV of accepted input: %v", err)
+		}
+		parsed, err := ParseCSV(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ParseCSV rejects the writer's output of an accepted input: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := parsed.WriteCSV(&second); err != nil {
+			t.Fatalf("second WriteCSV: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write->parse->write is not a fixed point:\n%q\n---\n%q", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
 // TestPersistFieldFidelity: exact fields survive exactly; float fields
 // survive within the 3-decimal quantization (half an ULP of the last
 // written digit).
@@ -159,6 +194,9 @@ func TestPersistCorruption(t *testing.T) {
 		{"bad memory", header + "f-1,periodic,300.000,60.000,lots\n", "line 2: memory"},
 		{"zero duration", header + "f-1,periodic,0.000,60.000,128\n", "line 2: non-positive"},
 		{"negative iat", header + "f-1,periodic,300.000,-60.000,128\n", "line 2: non-positive"},
+		// Positive, but written back as 0.000, which would not re-parse.
+		{"sub-resolution iat", header + "f-1,periodic,300.000,0.0004,128\n", "line 2: duration or IAT 0.0004 is non-positive at the CSV's 3-decimal resolution"},
+		{"sub-resolution duration", header + "f-1,periodic,1e-4,60.000,128\n", "3-decimal resolution"},
 		{"short record", header + good + "f-2,periodic,300.000\n", "line 3"},
 		{"corrupt second line", header + good + "f-2,poisson,300.000,NaN-ish,128\n", "line 3: iat"},
 	}
