@@ -1,6 +1,11 @@
 package desiccant
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+)
 
 func TestFacadeSimulation(t *testing.T) {
 	s := NewSimulation(Config{EnableDesiccant: true})
@@ -55,6 +60,40 @@ func TestFacadeReplayTrace(t *testing.T) {
 	s.RunUntil(Time(Seconds(60)))
 	if s.Platform.Stats().Completions == 0 {
 		t.Fatal("nothing completed")
+	}
+}
+
+// TestFacadeReplayPins pins the sha256 of the facade's stats after a
+// short trace replay, with and without Desiccant, so a change to how
+// NewSimulation wires the machine cannot shift a result unnoticed.
+func TestFacadeReplayPins(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"vanilla", Config{}, "2478df76ebd501820c0788c0d8133f9954732c4a0ee989e7a51303eb15486efe"},
+		{"desiccant", Config{EnableDesiccant: true}, "9c292aa78b61294c7014af68933a8589a46275a1f669c6a1ea5f9f3ef088268c"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSimulation(c.cfg)
+			s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10)
+			s.RunUntil(Time(Seconds(40)))
+			s.Close()
+			st := s.Platform.Stats()
+			out := fmt.Sprintf("req=%d done=%d cold=%d warm=%d evict=%d oom=%d drops=%d p50=%.6f p99=%.6f wait=%.6f cpu=%d reclaim=%d\n",
+				st.Requests, st.Completions, st.ColdBoots, st.WarmStarts, st.Evictions, st.OOMKills, st.Drops,
+				st.Latency.Percentile(50), st.Latency.Percentile(99), st.QueueWait.Mean(),
+				st.CPUBusy, st.ReclaimCPU)
+			if s.Manager != nil {
+				out += fmt.Sprintf("%+v threshold=%.6f\n", s.Manager.Stats(), s.Manager.Threshold())
+			}
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("sha256 %s, pinned %s:\n%s", got, c.want, out)
+			}
+		})
 	}
 }
 
