@@ -51,12 +51,15 @@ type (
 	Trace = trace.Trace
 )
 
-// Platform profile and policy constants, re-exported.
+// Platform profile, policy and manager-mode constants, re-exported.
 const (
 	OpenWhisk     = faas.OpenWhisk
 	Lambda        = faas.Lambda
 	PolicyVanilla = faas.PolicyVanilla
 	PolicyEager   = faas.PolicyEager
+	// ModeSwap runs the manager as the §5.6 swapping baseline instead
+	// of GC-cooperative reclamation.
+	ModeSwap = core.ModeSwap
 )
 
 // Seconds converts floating-point seconds to a virtual Duration.
@@ -96,19 +99,17 @@ type Simulation struct {
 
 // NewSimulation builds a ready-to-run simulation.
 func NewSimulation(cfg Config) *Simulation {
-	eng := sim.NewEngine()
 	pcfg := faas.DefaultConfig()
 	if cfg.Platform != nil {
 		pcfg = *cfg.Platform
 	}
-	s := &Simulation{Engine: eng, Platform: faas.New(pcfg, eng)}
-	if cfg.EnableDesiccant || cfg.Manager != nil {
-		mcfg := core.DefaultConfig()
-		if cfg.Manager != nil {
-			mcfg = *cfg.Manager
-		}
-		s.Manager = core.Attach(s.Platform, mcfg)
+	mcfg := cfg.Manager
+	if mcfg == nil && cfg.EnableDesiccant {
+		c := core.DefaultConfig()
+		mcfg = &c
 	}
+	s := &Simulation{Engine: sim.NewEngine()}
+	s.Platform, s.Manager = core.NewMachine(s.Engine, pcfg, mcfg, nil)
 	return s
 }
 

@@ -71,11 +71,10 @@ type ScenarioOptions struct {
 	// BurstSize back-to-back requests for one function each.
 	Bursts    int
 	BurstSize int
-	// Observe, when non-nil, runs after the platform and manager are
-	// wired but before the clock starts — the invariant prop test
-	// attaches its checker here without chaos importing it. mgr is nil
-	// under ManagerOff.
-	Observe func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager)
+	// Observe, when non-nil, runs before the manager starts and before
+	// any arrival, so a subscriber sees every event of the run — the
+	// invariant checker attaches here without chaos importing it.
+	Observe core.Observer
 }
 
 // DefaultScenarioOptions returns a scenario small enough for a
@@ -134,7 +133,23 @@ func RunScenario(o ScenarioOptions) *Result {
 	if inj != nil {
 		pcfg.Chaos = inj
 	}
-	platform := faas.New(pcfg, eng)
+	var mcfg *core.Config
+	if o.Mode != ManagerOff {
+		c := core.DefaultConfig()
+		c.Seed = o.Chaos.Seed + 1
+		if o.Mode == ManagerSwap {
+			c.Mode = core.ModeSwap
+		}
+		// Idle-CPU activation keeps reclamations flowing even when the
+		// squeezed cache is briefly under threshold, so the reclaim
+		// fault paths get steady traffic.
+		c.ActivateOnIdleCPU = 4
+		if inj != nil {
+			c.Injector = inj
+		}
+		mcfg = &c
+	}
+	platform, mgr := core.NewMachine(eng, pcfg, mcfg, o.Observe)
 	if inj != nil {
 		// Instance-scoped faults (thaw races, lost freezes) name their
 		// victim invocation through the platform's census.
@@ -142,23 +157,6 @@ func RunScenario(o ScenarioOptions) *Result {
 	}
 	if o.SwapLimitPages > 0 {
 		platform.Machine().SetSwapLimit(o.SwapLimitPages)
-	}
-
-	var mgr *core.Manager
-	if o.Mode != ManagerOff {
-		mcfg := core.DefaultConfig()
-		mcfg.Seed = o.Chaos.Seed + 1
-		if o.Mode == ManagerSwap {
-			mcfg.Mode = core.ModeSwap
-		}
-		// Idle-CPU activation keeps reclamations flowing even when the
-		// squeezed cache is briefly under threshold, so the reclaim
-		// fault paths get steady traffic.
-		mcfg.ActivateOnIdleCPU = 4
-		if inj != nil {
-			mcfg.Injector = inj
-		}
-		mgr = core.Attach(platform, mcfg)
 	}
 
 	// Background arrivals: uniform over the window, drawn from the
@@ -178,10 +176,6 @@ func RunScenario(o ScenarioOptions) *Result {
 		inj.ArmBursts(eng, o.Bursts, o.BurstSize, o.Window, func(t sim.Time, k int) {
 			platform.Submit(specs[burstRNG.Intn(len(specs))], t)
 		})
-	}
-
-	if o.Observe != nil {
-		o.Observe(eng, bus, platform, mgr)
 	}
 
 	eng.RunUntil(sim.Time(o.Window))

@@ -42,50 +42,43 @@ type Node struct {
 // span's machine reads off its ID (invo / invoBase == d).
 const invoBase = int64(1_000_000_000)
 
-// newNode wires one machine. The construction order (platform,
-// manager, ack subscriber) deliberately mirrors the original
-// ext-fleet wiring so the static pinned configuration replays
-// byte-identically. The ObserveNode hook runs after the wiring but
-// before the manager starts, so observers see every event the node
-// emits, the manager's initial threshold included.
+// newNode wires one machine through core.NewMachine. Its observer
+// subscribes the completion ack ahead of every other subscriber, then
+// runs ObserveNode, both before the manager starts.
 func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
-	eng := c.eng
-	bus := obs.NewBus(eng)
+	bus := obs.NewBus(c.eng)
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = c.opts.CacheBytes
 	pcfg.Events = bus
 	pcfg.InvoBase = int64(d) * invoBase
 	n := &Node{
-		c:        c,
-		d:        d,
-		eng:      eng,
-		bus:      bus,
-		platform: faas.New(pcfg, eng),
-		hist:     metrics.NewHistogram(latencyBounds()...),
+		c:    c,
+		d:    d,
+		eng:  c.eng,
+		bus:  bus,
+		hist: metrics.NewHistogram(latencyBounds()...),
 	}
-	if mcfg != nil {
-		n.mgr = core.New(n.platform, *mcfg)
-	}
-	bus.Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
-		if ev.Kind != obs.EvInvokeComplete {
-			return
+	n.platform, n.mgr = core.NewMachine(c.eng, pcfg, mcfg, func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
+		bus.Subscribe(obs.SubscriberFunc(n.ack))
+		if c.opts.ObserveNode != nil {
+			c.opts.ObserveNode(eng, bus, p, mgr)
 		}
-		lat := ev.Dur.Millis()
-		n.hist.Add(lat)
-		// Ack the completion back to the router over the route hop;
-		// the router folds the same value, so the two sides must agree
-		// exactly at the end of the run.
-		n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "fleet:ack", func() {
-			n.c.router.onAck(n.d, lat)
-		})
-	}))
-	if c.opts.ObserveNode != nil {
-		c.opts.ObserveNode(d-1, eng, bus, n.platform, n.mgr)
-	}
-	if n.mgr != nil {
-		n.mgr.Start()
-	}
+	})
 	return n
+}
+
+// ack folds a completion into the node's histogram and acks it back to
+// the router over the route hop; the router folds the same value, so
+// the two sides must agree exactly at the end of the run.
+func (n *Node) ack(ev obs.Event) {
+	if ev.Kind != obs.EvInvokeComplete {
+		return
+	}
+	lat := ev.Dur.Millis()
+	n.hist.Add(lat)
+	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "fleet:ack", func() {
+		n.c.router.onAck(n.d, lat)
+	})
 }
 
 // deliver lands a dynamically-routed request on the node. Requests

@@ -16,8 +16,6 @@ import (
 	"fmt"
 
 	"desiccant/internal/core"
-	"desiccant/internal/faas"
-	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -110,9 +108,10 @@ type Options struct {
 	Kills []Kill
 	// ObserveNode, when set, is called once per node after the node is
 	// wired but before its manager starts and the replay begins, so a
-	// bus subscriber sees every event the node emits. It is the one
+	// bus subscriber sees every event the node emits. Nodes are built
+	// in index order, so the k-th call observes node k. It is the one
 	// place invariant checkers and span builders attach to a fleet.
-	ObserveNode func(node int, eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager)
+	ObserveNode core.Observer
 }
 
 // DefaultOptions returns the 16-node sweep configuration: Zipfian

@@ -54,9 +54,9 @@ func TestPropInvariantsHoldAcrossCluster(t *testing.T) {
 			swept := int64(0)
 			for seed := uint64(1); seed <= seeds; seed++ {
 				o := propOptions(seed, policy)
-				checkers := make([]*invariant.Checker, o.Nodes)
-				o.ObserveNode = func(node int, eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
-					checkers[node] = invariant.Attach(eng, bus, p, mgr)
+				var checkers []*invariant.Checker
+				o.ObserveNode = func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
+					checkers = append(checkers, invariant.Attach(eng, bus, p, mgr))
 				}
 				res, err := Run(o)
 				if err != nil {

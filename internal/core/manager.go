@@ -179,16 +179,36 @@ type Manager struct {
 	stopped        bool
 }
 
-// Attach creates a manager and starts it.
-func Attach(p *faas.Platform, cfg Config) *Manager {
-	m := New(p, cfg)
-	m.Start()
-	return m
+// Observer hooks into a machine once its platform and (unstarted)
+// manager exist. bus is the platform's event bus; mgr is nil on a
+// machine without a manager.
+type Observer func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *Manager)
+
+// NewMachine builds one machine on eng, the only place a platform and
+// its manager are wired. The order is fixed: a bus when observe needs
+// one and pcfg has none, the platform, the manager (mcfg nil: none),
+// observe, and only then the manager's Start, so every subscriber
+// observe attaches sees the manager's initial threshold event.
+func NewMachine(eng *sim.Engine, pcfg faas.Config, mcfg *Config, observe Observer) (*faas.Platform, *Manager) {
+	if observe != nil && pcfg.Events == nil {
+		pcfg.Events = obs.NewBus(eng)
+	}
+	p := faas.New(pcfg, eng)
+	var m *Manager
+	if mcfg != nil {
+		m = New(p, *mcfg)
+	}
+	if observe != nil {
+		observe(eng, pcfg.Events, p, m)
+	}
+	if m != nil {
+		m.Start()
+	}
+	return p, m
 }
 
 // New creates a manager for the platform without starting it: nothing
-// is emitted, hooked or scheduled until Start, so an observer subscribed
-// to the platform's bus in between sees the manager's first event.
+// is emitted, hooked or scheduled until Start. NewMachine calls it.
 func New(p *faas.Platform, cfg Config) *Manager {
 	return &Manager{
 		cfg:         cfg,

@@ -21,6 +21,13 @@ func testPlatform(t *testing.T, cacheBytes int64) (*sim.Engine, *faas.Platform) 
 	return eng, faas.New(cfg, eng)
 }
 
+// startManager creates and starts a manager on a test platform.
+func startManager(p *faas.Platform, cfg Config) *Manager {
+	m := New(p, cfg)
+	m.Start()
+	return m
+}
+
 func testManagerConfig() Config {
 	cfg := DefaultConfig()
 	cfg.FreezeTimeout = 500 * sim.Millisecond
@@ -106,7 +113,7 @@ func TestManagerActivatesUnderPressureAndReclaims(t *testing.T) {
 	cfg := testManagerConfig()
 	cfg.LowThreshold = 0.10
 	cfg.HighThreshold = 0.15
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 
 	// Build up frozen instances of memory-hungry functions.
 	for i, name := range []string{"image-resize", "fft", "matrix", "sort"} {
@@ -143,7 +150,7 @@ func TestManagerActivatesUnderPressureAndReclaims(t *testing.T) {
 
 func TestManagerInactiveWithoutPressure(t *testing.T) {
 	eng, p := testPlatform(t, 8<<30) // huge cache: no pressure
-	mgr := Attach(p, testManagerConfig())
+	mgr := startManager(p, testManagerConfig())
 	for i, name := range []string{"sort", "fft"} {
 		if err := p.SubmitName(name, sim.Time(i)*sim.Time(sim.Second)); err != nil {
 			t.Fatal(err)
@@ -162,7 +169,7 @@ func TestManagerInactiveWithoutPressure(t *testing.T) {
 func TestThresholdDropsOnEvictionAndDriftsBack(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
 	cfg := testManagerConfig()
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 
 	// Simulate the platform reporting evictions via its hook: the
 	// manager lowered its threshold at the next check.
@@ -194,7 +201,7 @@ func TestFreezeTimeoutExcludesRecentlyFrozen(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
 	cfg := testManagerConfig()
 	cfg.FreezeTimeout = 10 * sim.Second
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 	mgr.threshold = 0 // force activation
 
 	inst := newFrozenInstance(t, p, "sort", 1)
@@ -210,7 +217,7 @@ func TestFreezeTimeoutExcludesRecentlyFrozen(t *testing.T) {
 
 func TestSelectionPrefersHighestThroughput(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
-	mgr := Attach(p, testManagerConfig())
+	mgr := startManager(p, testManagerConfig())
 	mgr.Stop() // drive manually
 
 	big := newFrozenInstance(t, p, "image-resize", 1) // lots of frozen garbage
@@ -226,7 +233,7 @@ func TestSelectionPrefersHighestThroughput(t *testing.T) {
 
 func TestSelectionSkipsAlreadyReclaimed(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
-	mgr := Attach(p, testManagerConfig())
+	mgr := startManager(p, testManagerConfig())
 	mgr.Stop()
 
 	inst := newFrozenInstance(t, p, "sort", 1)
@@ -255,7 +262,7 @@ func TestSelectionPolicies(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
 	cfg := testManagerConfig()
 	cfg.Selection = SelectLRU
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 	mgr.Stop()
 
 	a := newFrozenInstance(t, p, "sort", 1)
@@ -282,7 +289,7 @@ func TestSwapModeSwapsInsteadOfReclaiming(t *testing.T) {
 	cfg.Mode = ModeSwap
 	cfg.LowThreshold = 0.10
 	cfg.HighThreshold = 0.15
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 
 	for i, name := range []string{"image-resize", "fft", "matrix", "sort"} {
 		if err := p.SubmitName(name, sim.Time(i)*sim.Time(2*sim.Second)); err != nil {
@@ -312,7 +319,7 @@ func TestStopHaltsInFlightReclamations(t *testing.T) {
 	cfg.LowThreshold = 0.01
 	cfg.HighThreshold = 0.02
 	cfg.MaxConcurrent = 1
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 	mgr.checkEvent.Cancel() // drive the loop manually
 
 	for i, name := range []string{"image-resize", "fft", "matrix", "sort"} {
@@ -345,7 +352,7 @@ func TestSwapModeRecordsPreSwapHeap(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
 	cfg := testManagerConfig()
 	cfg.Mode = ModeSwap
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 	mgr.checkEvent.Cancel() // drive manually (Stop would abort the begin)
 
 	inst := newFrozenInstance(t, p, "image-resize", 1)
@@ -373,7 +380,7 @@ func TestManagerProfilesImproveWithObservations(t *testing.T) {
 	cfg := testManagerConfig()
 	cfg.LowThreshold = 0.05
 	cfg.HighThreshold = 0.08
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 
 	spec := mustSpec(t, "image-resize")
 	for i := 0; i < 6; i++ {
@@ -409,11 +416,9 @@ func TestReclaimSkippedWhenThawedMidSelection(t *testing.T) {
 	rec := obs.NewRecorder()
 	bus.Subscribe(rec)
 	pcfg.Events = bus
-	p := faas.New(pcfg, eng)
-
 	cfg := testManagerConfig()
 	cfg.MaxConcurrent = 1
-	mgr := Attach(p, cfg)
+	p, mgr := NewMachine(eng, pcfg, &cfg, nil)
 	mgr.checkEvent.Cancel() // drive manually
 
 	victim := newFrozenInstance(t, p, "image-resize", 1) // big heap: picked first
@@ -465,7 +470,7 @@ func TestVictimSelectionOrderDeterministic(t *testing.T) {
 	buildAndDrain := func() []int {
 		eng, p := testPlatform(t, 2<<30)
 		cfg := testManagerConfig()
-		mgr := Attach(p, cfg)
+		mgr := startManager(p, cfg)
 		mgr.Stop()
 
 		// Jumbled insertion order, several per-function pools, and

@@ -14,7 +14,7 @@ func TestSwapModeWriteBackCostAccounting(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
 	cfg := testManagerConfig()
 	cfg.Mode = ModeSwap
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 	mgr.checkEvent.Cancel() // drive manually
 
 	newFrozenInstance(t, p, "image-resize", 1)
@@ -59,7 +59,7 @@ func TestSwapModeFallbackWhenDeviceFull(t *testing.T) {
 	eng, p := testPlatform(t, 2<<30)
 	cfg := testManagerConfig()
 	cfg.Mode = ModeSwap
-	mgr := Attach(p, cfg)
+	mgr := startManager(p, cfg)
 	mgr.checkEvent.Cancel()
 
 	p.Machine().SetSwapLimit(1) // one page: exhausted immediately

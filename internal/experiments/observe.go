@@ -68,7 +68,7 @@ func DefaultObserveOptions() ObserveOptions {
 
 // cell is the observed Desiccant replay; observe attaches the caller's
 // subscribers before the manager starts.
-func (o ObserveOptions) cell(observe func(bus *obs.Bus, p *faas.Platform)) replayCell {
+func (o ObserveOptions) cell(observe core.Observer) replayCell {
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = o.CacheBytes
 	mcfg := core.DefaultConfig()
@@ -107,8 +107,7 @@ func RunObserve(o ObserveOptions) error {
 	rec := newRecorder(o.Trace != nil)
 	reg := obs.NewRegistry()
 	var sampler *obs.Sampler
-	platform := o.cell(func(bus *obs.Bus, platform *faas.Platform) {
-		eng := platform.Engine()
+	platform := o.cell(func(eng *sim.Engine, bus *obs.Bus, platform *faas.Platform, _ *core.Manager) {
 		bus.Subscribe(rec)
 		bus.Subscribe(obs.NewCollector(reg))
 		obs.InstrumentEngine(bus, eng)
@@ -172,7 +171,7 @@ func RunObserve(o ObserveOptions) error {
 func RunAttrTrace(o ObserveOptions) error {
 	rec := newRecorder(o.Trace != nil)
 	builder := invtrace.NewBuilder()
-	eng := o.cell(func(bus *obs.Bus, _ *faas.Platform) {
+	eng := o.cell(func(_ *sim.Engine, bus *obs.Bus, _ *faas.Platform, _ *core.Manager) {
 		bus.Subscribe(rec)
 		builder.Attach(bus)
 	}).run().Engine()

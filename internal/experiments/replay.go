@@ -3,7 +3,6 @@ package experiments
 import (
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
-	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 	"desiccant/internal/trace"
 	"desiccant/internal/workload"
@@ -30,33 +29,16 @@ type replayCell struct {
 	warmupScale float64
 	window      sim.Duration
 	scale       float64
-	// observe, when non-nil, gives the platform an event bus and runs
-	// once the platform and the (unstarted) manager exist, so every
-	// subscriber sees the manager's initial threshold event.
-	observe func(bus *obs.Bus, p *faas.Platform)
+	// observe, when non-nil, runs once the platform and the (unstarted)
+	// manager exist (see core.NewMachine).
+	observe core.Observer
 }
 
 // run replays the cell and returns its platform, stopped at the end of
 // the measured window with the manager stopped.
 func (c replayCell) run() *faas.Platform {
 	eng := sim.NewEngine()
-	pcfg := c.platform
-	var bus *obs.Bus
-	if c.observe != nil {
-		bus = obs.NewBus(eng)
-		pcfg.Events = bus
-	}
-	p := faas.New(pcfg, eng)
-	var mgr *core.Manager
-	if c.manager != nil {
-		mgr = core.New(p, *c.manager)
-	}
-	if c.observe != nil {
-		c.observe(bus, p)
-	}
-	if mgr != nil {
-		mgr.Start()
-	}
+	p, mgr := core.NewMachine(eng, c.platform, c.manager, c.observe)
 
 	warmEnd := sim.Time(c.warmup)
 	end := warmEnd.Add(c.window)

@@ -7,6 +7,8 @@
 package faas
 
 import (
+	"fmt"
+
 	"desiccant/internal/obs"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
@@ -150,4 +152,17 @@ func DefaultConfig() Config {
 		PrewarmAssign:  80 * sim.Millisecond,
 		MaxRequeues:    1,
 	}
+}
+
+// Validate reports a configuration New cannot build a platform from:
+// a non-positive cache or instance budget, or a CPU pool that cannot
+// run one invocation.
+func (c Config) Validate() error {
+	if c.InstanceBudget <= 0 || c.CacheBytes <= 0 {
+		return fmt.Errorf("faas: invalid memory configuration: cache %d B, instance budget %d B", c.CacheBytes, c.InstanceBudget)
+	}
+	if !(c.PerInstanceCPU > 0) || !(c.CPUs >= c.PerInstanceCPU) {
+		return fmt.Errorf("faas: invalid CPU configuration: %v CPUs, %v per instance", c.CPUs, c.PerInstanceCPU)
+	}
+	return nil
 }

@@ -114,13 +114,11 @@ type Platform struct {
 	onDestroy  obs.Hooks[*container.Instance]
 }
 
-// New creates a platform on a fresh simulated machine.
+// New creates a platform on a fresh simulated machine. It panics on a
+// configuration Validate rejects.
 func New(cfg Config, eng *sim.Engine) *Platform {
-	if cfg.InstanceBudget <= 0 || cfg.CacheBytes <= 0 {
-		panic("faas: invalid memory configuration")
-	}
-	if cfg.PerInstanceCPU <= 0 || cfg.CPUs < cfg.PerInstanceCPU {
-		panic("faas: invalid CPU configuration")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	p := &Platform{
 		cfg:      cfg,

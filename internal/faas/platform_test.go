@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"math"
 	"testing"
 
 	"desiccant/internal/container"
@@ -260,14 +261,21 @@ func TestIdleCPUResidueGrantsNothing(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
+	if err := testConfig().Validate(); err != nil {
+		t.Fatalf("test config rejected: %v", err)
+	}
 	for i, mutate := range []func(*Config){
 		func(c *Config) { c.InstanceBudget = 0 },
 		func(c *Config) { c.CacheBytes = 0 },
 		func(c *Config) { c.PerInstanceCPU = 0 },
 		func(c *Config) { c.CPUs = c.PerInstanceCPU / 2 },
+		func(c *Config) { c.CPUs = math.NaN() },
 	} {
 		cfg := testConfig()
 		mutate(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("mutation %d validated", i)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -41,13 +41,12 @@ func goldenScenario(t *testing.T) (traceJSON, metricsCSV []byte) {
 	pcfg.CacheBytes = 512 << 20
 	pcfg.KeepAlive = 8 * sim.Second
 	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
 
 	mcfg := core.DefaultConfig()
 	mcfg.LowThreshold = 0.20
 	mcfg.HighThreshold = 0.30
 	mcfg.FreezeTimeout = 1 * sim.Second
-	mgr := core.Attach(platform, mcfg)
+	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
 
 	sampler := obs.NewSampler(eng, reg, 1*sim.Second)
 

@@ -37,13 +37,12 @@ func goldenSpans(t *testing.T) []*trace.Span {
 	pcfg.CacheBytes = 512 << 20
 	pcfg.KeepAlive = 8 * sim.Second
 	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
 
 	mcfg := core.DefaultConfig()
 	mcfg.LowThreshold = 0.20
 	mcfg.HighThreshold = 0.30
 	mcfg.FreezeTimeout = 1 * sim.Second
-	mgr := core.Attach(platform, mcfg)
+	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
 
 	submits := []struct {
 		fn string
@@ -145,8 +144,8 @@ func TestSumExactnessDifferential(t *testing.T) {
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = 1 << 30
 	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
-	mgr := core.Attach(platform, core.DefaultConfig())
+	mcfg := core.DefaultConfig()
+	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
 
 	specs := workload.All()
 	rng := sim.NewRNG(0x5eedf00d)
