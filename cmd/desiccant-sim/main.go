@@ -93,7 +93,7 @@ func parseArgs(args []string) (string, *flags, error) {
 		return "", nil, err
 	case f.parallel < 0:
 		return "", nil, fmt.Errorf("-parallel must be >= 0, got %d", f.parallel)
-	case f.intensity < 0 || f.intensity > 1:
+	case !(f.intensity >= 0 && f.intensity <= 1): // NaN fails both comparisons
 		return "", nil, fmt.Errorf("-intensity must be in [0,1], got %v", f.intensity)
 	}
 	return cmd, f, nil

@@ -48,6 +48,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"ext-cluster", "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("-shards: err %v, want an undefined-flag error", err)
 	}
+	if err := run([]string{"chaos", "-quick", "-intensity", "NaN"}); err == nil || err.Error() != "-intensity must be in [0,1], got NaN" {
+		t.Fatalf("-intensity NaN: err %v, want the range error", err)
+	}
 }
 
 // TestFlagTable checks, for every registered experiment and every

@@ -454,6 +454,7 @@ func (h *Heap) evacuate(cset []*region, aggressive bool) {
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
+				h.pool.Free(o)
 				continue
 			}
 			traced += o.Size
@@ -479,12 +480,15 @@ func (h *Heap) evacuate(cset []*region, aggressive bool) {
 		// Evacuation failure: the objects not yet copied stay in
 		// place and the region is promoted wholesale to old (G1's
 		// to-space-exhausted handling). Already-evacuated objects
-		// belong to their destination regions now.
-		var remaining []*mm.Object
+		// belong to their destination regions now. The remainder is
+		// filtered in place, and its dead objects are dropped here.
+		remaining := r.objects[:0]
 		for _, o := range r.objects[failedAt:] {
-			if !o.Dead {
-				remaining = append(remaining, o)
+			if o.Dead {
+				h.pool.Free(o)
+				continue
 			}
+			remaining = append(remaining, o)
 		}
 		r.objects = remaining
 		r.kind = regionOld
@@ -531,6 +535,7 @@ func (h *Heap) sweepHumongous(aggressive bool) {
 		}
 		o.Dead = true
 		h.stats.CollectedBytes += o.Size
+		h.pool.Free(o)
 		spans := r.spans
 		for i := r.index; i < r.index+spans; i++ {
 			h.release(h.regions[i])

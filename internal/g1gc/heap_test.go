@@ -7,6 +7,7 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
+	"desiccant/internal/runtime/runtimetest"
 )
 
 const mb = int64(1) << 20
@@ -336,4 +337,20 @@ func newHeapQuick() *Heap {
 	m := osmem.NewMachine(osmem.DefaultFaultCosts())
 	as := m.NewAddressSpace("g1")
 	return New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
+}
+
+// TestRecycleSafety checks the object pool's ownership rule against
+// every collector that frees objects: evacuation, evacuation failure
+// and the humongous sweep.
+func TestRecycleSafety(t *testing.T) {
+	runtimetest.CheckRecycling(t, 3*mb, 16*mb, func() runtimetest.Heap {
+		h := newHeap(t, 32*mb)
+		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+			for _, r := range h.regions {
+				for _, o := range r.objects {
+					f(o)
+				}
+			}
+		}}
+	})
 }

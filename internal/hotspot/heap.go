@@ -135,6 +135,9 @@ type Heap struct {
 	// liveScratch is the reusable survivor list of old-generation
 	// compactions (see compactOld).
 	liveScratch []*mm.Object
+	// youngScratch is the reusable list of young objects a full GC
+	// gathers and a young re-layout carries (see fullGC, layoutYoung).
+	youngScratch []*mm.Object
 }
 
 var (
@@ -156,6 +159,9 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 	h.oldCommitted = clamp(pageAlign(cfg.InitialHeapBytes)-h.youngCommitted, pageAlign(minOldBytes), h.oldReserve)
 
 	h.old = mm.NewBumpSpace("old", h.region, h.youngReserve, h.oldCommitted)
+	h.eden = mm.NewBumpSpace("eden", h.region, 0, 0)
+	h.surv[0] = mm.NewBumpSpace("from", h.region, 0, 0)
+	h.surv[1] = mm.NewBumpSpace("to", h.region, 0, 0)
 	h.youngFloor = h.youngCommitted
 	h.layoutYoung()
 	return h
@@ -172,24 +178,22 @@ func clamp(v, lo, hi int64) int64 {
 }
 
 // layoutYoung (re)carves eden/from/to out of the committed young
-// generation. Live survivor objects are carried across the re-carve.
+// generation, in place: the spaces keep their object lists' capacity.
+// Live survivor objects are carried across the re-carve. Eden must be
+// empty.
 func (h *Heap) layoutYoung() {
 	survBytes := pageAlign(h.youngCommitted / (h.cfg.SurvivorRatio + 2))
 	edenBytes := h.youngCommitted - 2*survBytes
 	if edenBytes < 0 {
 		panic(fmt.Sprintf("hotspot: young generation too small: %d", h.youngCommitted))
 	}
-	var survivors []*mm.Object
-	if h.surv[h.from] != nil {
-		survivors = h.surv[h.from].TakeObjects()
-	}
-	if h.eden != nil && h.eden.Used() != 0 {
-		panic("hotspot: young re-layout with non-empty eden")
-	}
-	h.eden = mm.NewBumpSpace("eden", h.region, 0, edenBytes)
-	h.surv[0] = mm.NewBumpSpace("from", h.region, edenBytes, survBytes)
-	h.surv[1] = mm.NewBumpSpace("to", h.region, edenBytes+survBytes, survBytes)
+	survivors := append(h.youngScratch[:0], h.surv[h.from].Objects()...)
+	h.surv[h.from].Reset()
+	h.eden.Recarve(0, edenBytes)
+	h.surv[0].Recarve(edenBytes, survBytes)
+	h.surv[1].Recarve(edenBytes+survBytes, survBytes)
 	h.from = 0
+	h.youngScratch = survivors[:0]
 	if len(survivors) > 0 {
 		if !h.surv[0].Relocate(survivors) {
 			// Survivors no longer fit (young shrank): promote them.
@@ -380,6 +384,7 @@ func (h *Heap) youngGC() error {
 		for _, o := range objs {
 			if o.Dead {
 				collected += o.Size
+				h.pool.Free(o)
 				continue
 			}
 			o.Age++
@@ -462,6 +467,7 @@ func (h *Heap) compactOld(aggressive bool) (traced, moved, collected int64) {
 		if o.Collectible(aggressive) {
 			o.Dead = true
 			collected += o.Size
+			h.pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -500,7 +506,8 @@ func (h *Heap) fullGC(aggressive bool) error {
 	var traced, moved, collected int64
 
 	// Young survivors all move into the old generation.
-	young := append(h.eden.TakeObjects(), h.surv[h.from].TakeObjects()...)
+	young := append(h.youngScratch[:0], h.eden.Objects()...)
+	young = append(young, h.surv[h.from].Objects()...)
 	h.eden.Reset()
 	h.surv[0].Reset()
 	h.surv[1].Reset()
@@ -511,6 +518,7 @@ func (h *Heap) fullGC(aggressive bool) error {
 		if o.Collectible(aggressive) {
 			o.Dead = true
 			collected += o.Size
+			h.pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -520,6 +528,7 @@ func (h *Heap) fullGC(aggressive bool) error {
 			panic("hotspot: full GC cannot fit young survivors after feasibility check")
 		}
 	}
+	h.youngScratch = young[:0]
 	h.stats.CollectedBytes += collected
 	h.notePause(true, h.cost.Cycle(traced, moved, collected), collected)
 	h.resize()

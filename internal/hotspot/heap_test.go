@@ -7,6 +7,7 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
+	"desiccant/internal/runtime/runtimetest"
 )
 
 const mb = 1 << 20
@@ -344,4 +345,20 @@ func TestHeapInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecycleSafety checks the object pool's ownership rule against
+// every collector that frees objects: young GC, old compaction and
+// full GC.
+func TestRecycleSafety(t *testing.T) {
+	runtimetest.CheckRecycling(t, 2*mb, 4*mb, func() runtimetest.Heap {
+		_, _, h := newHeap(t, 32*mb)
+		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+			for _, sp := range []*mm.BumpSpace{h.eden, h.surv[0], h.surv[1], h.old} {
+				for _, o := range sp.Objects() {
+					f(o)
+				}
+			}
+		}}
+	})
 }

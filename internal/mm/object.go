@@ -1,13 +1,15 @@
-// Package mm holds the managed-memory primitives shared by the two
-// heap simulators: the object model workloads allocate against, bump
-// spaces layered over simulated OS regions, and the tracing-GC cost
-// model.
+// Package mm holds the managed-memory primitives shared by the heap
+// simulators (hotspot, v8heap, g1gc, pyarena): the object model
+// workloads allocate against, the per-heap ObjectPool that recycles
+// collected objects, bump spaces layered over simulated OS regions,
+// and the tracing-GC cost model.
 //
 // Objects are deliberately coarse: a workload allocates "clusters" of
 // application objects (kilobytes at a time) rather than individual
 // 16-byte cells, which keeps simulations fast while preserving the
 // quantities the paper measures — bytes allocated, bytes live at
-// function exit, pages touched.
+// function exit, pages touched. Recycling through the pool keeps a
+// warm heap from allocating Go memory at all.
 package mm
 
 import "fmt"

@@ -36,11 +36,9 @@ type BumpSpace struct {
 
 // NewBumpSpace creates a space over region bytes [base, base+capacity).
 func NewBumpSpace(name string, region *osmem.Region, base, capacity int64) *BumpSpace {
-	if base < 0 || capacity < 0 || base+capacity > region.Bytes() {
-		panic(fmt.Sprintf("mm: space %q [%d,%d) outside region of %d bytes",
-			name, base, base+capacity, region.Bytes()))
-	}
-	return &BumpSpace{Name: name, region: region, base: base, capacity: capacity}
+	s := &BumpSpace{Name: name, region: region}
+	s.Recarve(base, capacity)
+	return s
 }
 
 // Region returns the OS region backing the space.
@@ -123,13 +121,21 @@ func (s *BumpSpace) Reset() {
 	s.objects = s.objects[:0]
 }
 
-// TakeObjects empties the space and returns its former contents (for
-// copying collections that filter and move them elsewhere).
-func (s *BumpSpace) TakeObjects() []*Object {
-	objs := s.objects
-	s.objects = nil
-	s.top = 0
-	return objs
+// Recarve moves an empty space to the window [base, base+capacity) of
+// its region, keeping its object list's capacity. The touch-skip
+// watermark is cleared, so the space is indistinguishable from a fresh
+// NewBumpSpace over the window.
+func (s *BumpSpace) Recarve(base, capacity int64) {
+	if s.top != 0 {
+		panic(fmt.Sprintf("mm: Recarve of non-empty space %q", s.Name))
+	}
+	if base < 0 || capacity < 0 || base+capacity > s.region.Bytes() {
+		panic(fmt.Sprintf("mm: space %q [%d,%d) outside region of %d bytes",
+			s.Name, base, base+capacity, s.region.Bytes()))
+	}
+	s.base, s.capacity = base, capacity
+	s.objects = s.objects[:0]
+	s.lo, s.hi, s.epoch = 0, 0, 0
 }
 
 // Relocate re-installs objs (already filtered by the collector) as the

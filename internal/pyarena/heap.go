@@ -257,6 +257,7 @@ func (h *Heap) CollectFull(aggressive bool) {
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
+				h.pool.Free(o)
 				continue
 			}
 			traced += o.Size

@@ -8,6 +8,7 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
+	"desiccant/internal/runtime/runtimetest"
 )
 
 const mb = int64(1) << 20
@@ -253,4 +254,19 @@ func TestArenaInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecycleSafety checks the object pool's ownership rule against
+// the arena sweep.
+func TestRecycleSafety(t *testing.T) {
+	runtimetest.CheckRecycling(t, ArenaSize, 4*mb, func() runtimetest.Heap {
+		h := newHeap(t, 16*mb)
+		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+			for _, a := range h.arenas {
+				for _, o := range a.objects {
+					f(o)
+				}
+			}
+		}}
+	})
 }

@@ -166,10 +166,11 @@ func (c *chunk) place(o *mm.Object) bool {
 	return true
 }
 
-// sweep removes collectible objects and returns the bytes reclaimed.
-// Object positions are preserved (mark-sweep, no compaction), so the
-// reclaimed space may be fragmented.
-func (c *chunk) sweep(aggressive bool) (collected int64, weakCollected int64) {
+// sweep removes collectible objects, returning them to pool, and
+// returns the bytes reclaimed. Object positions are preserved
+// (mark-sweep, no compaction), so the reclaimed space may be
+// fragmented.
+func (c *chunk) sweep(aggressive bool, pool *mm.ObjectPool) (collected int64, weakCollected int64) {
 	live := c.objects[:0]
 	for _, o := range c.objects {
 		if o.Collectible(aggressive) {
@@ -178,6 +179,7 @@ func (c *chunk) sweep(aggressive bool) (collected int64, weakCollected int64) {
 			}
 			o.Dead = true
 			collected += o.Size
+			pool.Free(o)
 			continue
 		}
 		live = append(live, o)

@@ -84,6 +84,12 @@ type Heap struct {
 	stats        runtime.GCStats
 	// obs, when non-nil, receives pause/resize/release notifications.
 	obs runtime.GCObserver
+
+	// Reusable object lists of the collectors. A scavenge can run a
+	// full GC mid-loop, so the two keep separate lists.
+	scavengeScratch []*mm.Object
+	youngScratch    []*mm.Object
+	survScratch     []*mm.Object
 }
 
 // notePause accumulates one pause's CPU cost and forwards it to the
@@ -214,7 +220,7 @@ func (h *Heap) toSpace() *semispace   { return h.spaces[1-h.from] }
 func (h *Heap) scavenge() {
 	h.stats.YoungGCs++
 	to := h.toSpace()
-	objs := h.fromSpace().takeAll()
+	objs := h.fromSpace().takeAll(h.scavengeScratch[:0])
 
 	// Copies into the to space go through a deferred-touch batch that
 	// flushes one contiguous span per chunk instead of one touch per
@@ -224,6 +230,7 @@ func (h *Heap) scavenge() {
 	for _, o := range objs {
 		if o.Dead {
 			collected += o.Size
+			h.pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -248,6 +255,7 @@ func (h *Heap) scavenge() {
 		copied += o.Size
 	}
 	tb.sync()
+	h.scavengeScratch = objs[:0]
 	h.from = 1 - h.from
 	h.stats.PromotedBytes += promoted
 	h.stats.CollectedBytes += collected
@@ -290,8 +298,8 @@ func (h *Heap) fullGC(aggressive bool) {
 
 	// Young generation: evacuate as a scavenge would, compacting the
 	// survivors into the current from-space.
-	young := append(h.fromSpace().takeAll(), h.toSpace().takeAll()...)
-	var survivors []*mm.Object
+	young := h.toSpace().takeAll(h.fromSpace().takeAll(h.youngScratch[:0]))
+	survivors := h.survScratch[:0]
 	for _, o := range young {
 		if o.Collectible(aggressive) {
 			if o.Weak && !o.Dead {
@@ -299,6 +307,7 @@ func (h *Heap) fullGC(aggressive bool) {
 			}
 			o.Dead = true
 			collected += o.Size
+			h.pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -323,9 +332,11 @@ func (h *Heap) fullGC(aggressive bool) {
 		}
 	}
 	fb.sync()
+	h.youngScratch = young[:0]
+	h.survScratch = survivors[:0]
 
 	// Old generation: mark-sweep in place, freeing empty chunks.
-	oldCollected, weak := h.old.sweep(aggressive)
+	oldCollected, weak := h.old.sweep(aggressive, &h.pool)
 	collected += oldCollected
 	h.weakCollected += weak
 	traced += h.old.liveBytes()

@@ -7,6 +7,7 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
+	"desiccant/internal/runtime/runtimetest"
 )
 
 const mb = 1 << 20
@@ -379,7 +380,7 @@ func TestChunkGapAccounting(t *testing.T) {
 	}
 	// Kill the first object: the sweep leaves a hole.
 	o1.Dead = true
-	col, weak := c.sweep(false)
+	col, weak := c.sweep(false, new(mm.ObjectPool))
 	if col != 10*kb || weak != 0 {
 		t.Fatalf("sweep: %d/%d", col, weak)
 	}
@@ -487,4 +488,24 @@ func TestHeapInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecycleSafety checks the object pool's ownership rule against
+// every collector that frees objects: scavenge, full GC and the
+// old-space and large-object sweeps.
+func TestRecycleSafety(t *testing.T) {
+	runtimetest.CheckRecycling(t, 1*mb, 4*mb, func() runtimetest.Heap {
+		_, h := newHeap(t, 32*mb)
+		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+			chunks := append(append(append([]*chunk(nil), h.spaces[0].chunks...), h.spaces[1].chunks...), h.old.chunks...)
+			for _, c := range chunks {
+				for _, o := range c.objects {
+					f(o)
+				}
+			}
+			for _, e := range h.old.large {
+				f(e.obj)
+			}
+		}}
+	})
 }

@@ -121,10 +121,10 @@ func (b *semiBatch) tryAllocate(o *mm.Object) bool {
 	}
 }
 
-// takeAll empties the semispace and returns its objects. Chunks (and
-// their resident pages) are retained.
-func (s *semispace) takeAll() []*mm.Object {
-	var out []*mm.Object
+// takeAll empties the semispace, appending its objects to out, and
+// returns the extended slice. Chunks (and their resident pages) are
+// retained.
+func (s *semispace) takeAll(out []*mm.Object) []*mm.Object {
 	for _, c := range s.chunks {
 		out = append(out, c.objects...)
 		// Truncate rather than nil so the chunk keeps its list
@@ -303,12 +303,12 @@ func (s *oldSpace) tryAllocateLarge(o *mm.Object) bool {
 
 // sweep removes collectible objects in place and releases chunks that
 // become entirely free ("the generation shrinks after GC generates
-// free chunks"). It returns the bytes collected and the weak bytes
-// among them.
-func (s *oldSpace) sweep(aggressive bool) (collected, weak int64) {
+// free chunks"), returning the collected objects to pool. It returns
+// the bytes collected and the weak bytes among them.
+func (s *oldSpace) sweep(aggressive bool, pool *mm.ObjectPool) (collected, weak int64) {
 	keep := s.chunks[:0]
 	for _, c := range s.chunks {
-		col, wk := c.sweep(aggressive)
+		col, wk := c.sweep(aggressive, pool)
 		collected += col
 		weak += wk
 		if len(c.objects) == 0 {
@@ -327,6 +327,7 @@ func (s *oldSpace) sweep(aggressive bool) (collected, weak int64) {
 				weak += e.obj.Size
 			}
 			e.obj.Dead = true
+			pool.Free(e.obj)
 			for _, c := range e.chunks {
 				s.a.release(c)
 			}
