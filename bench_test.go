@@ -145,7 +145,6 @@ func BenchmarkAblationUnmap(b *testing.B) {
 	run := func(unmap bool) float64 {
 		opts := benchSingleOpts()
 		opts.ShareLibraries = false
-		opts.Sharer = false
 		opts.UnmapLibraries = unmap
 		spec, _ := workload.Lookup("fft")
 		res, err := experiments.RunSingle(spec, experiments.Desiccant, opts)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -105,6 +106,15 @@ func run(args []string) error {
 		return err
 	}
 	opts := experiments.Options{Quick: f.quick, Seed: f.seed, Parallel: f.parallel, Summary: f.summary, Intensity: f.intensity}
+	switch cmd {
+	case "list", "help", "-h", "--help":
+		usage(os.Stdout)
+		return nil
+	case "all":
+		return runAll(opts, f.out)
+	}
+
+	var outs []*output
 	for _, ex := range []struct {
 		path string
 		dst  *io.Writer
@@ -112,36 +122,33 @@ func run(args []string) error {
 		if ex.path == "" {
 			continue
 		}
-		file, err := os.Create(ex.path)
+		o, err := create(ex.path)
 		if err != nil {
+			closeAll(outs)
 			return err
 		}
-		defer file.Close()
-		*ex.dst = file
+		outs = append(outs, o)
+		*ex.dst = o
 	}
-
-	switch cmd {
-	case "list", "help", "-h", "--help":
-		usage(os.Stdout)
-		return nil
-	case "all":
-		return runAll(opts, f.out)
-	default:
-		w, closeFn, err := openOut(f.out)
-		if err != nil {
-			return err
-		}
-		defer closeFn()
-		// Wall-clock here only times the run for the progress line on
-		// stderr; nothing simulated observes it.
-		started := time.Now() //lint:allow simtime
-		if err := experiments.Run(cmd, w, opts); err != nil {
-			return err
-		}
-		elapsed := time.Since(started) //lint:allow simtime
-		fmt.Fprintf(os.Stderr, "# %s finished in %v\n", cmd, elapsed.Round(time.Millisecond))
-		return nil
+	w, err := create(f.out)
+	if err != nil {
+		closeAll(outs)
+		return err
 	}
+	outs = append(outs, w)
+	// Wall-clock here only times the run for the progress line on
+	// stderr; nothing simulated observes it.
+	started := time.Now() //lint:allow simtime
+	err = experiments.Run(cmd, w, opts)
+	if cerr := closeAll(outs); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(started) //lint:allow simtime
+	fmt.Fprintf(os.Stderr, "# %s finished in %v\n", cmd, elapsed.Round(time.Millisecond))
+	return nil
 }
 
 // runAll regenerates every experiment. Whole experiments run
@@ -159,16 +166,15 @@ func runAll(opts experiments.Options, dir string) error {
 	durations := make([]time.Duration, len(entries))
 	err := experiments.ForEach(opts.Parallel, len(entries), func(i int) error {
 		e := entries[i]
-		path := filepath.Join(dir, e.Name+".csv")
-		f, err := os.Create(path)
+		o, err := create(filepath.Join(dir, e.Name+".csv"))
 		if err != nil {
 			return err
 		}
 		// Progress reporting again: the duration lands on stderr, never
 		// in a CSV.
 		started := time.Now() //lint:allow simtime
-		err = e.Run(f, opts)
-		cerr := f.Close()
+		err = e.Run(o, opts)
+		cerr := o.close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
@@ -188,15 +194,48 @@ func runAll(opts experiments.Options, dir string) error {
 	return nil
 }
 
-func openOut(path string) (io.Writer, func(), error) {
+// output is one destination the command writes, behind a buffer.
+// Experiments render CSV with fmt.Fprintf and drop its errors; the
+// buffer keeps the first write error and close returns it, so a write
+// that fails (a full disk, a closed pipe) fails the command.
+type output struct {
+	*bufio.Writer
+	file *os.File // nil for stdout, which close flushes but leaves open
+}
+
+// create opens path for writing, or stdout when path is empty.
+func create(path string) (*output, error) {
 	if path == "" {
-		return os.Stdout, func() {}, nil
+		return &output{Writer: bufio.NewWriter(os.Stdout)}, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return f, func() { f.Close() }, nil
+	return &output{Writer: bufio.NewWriter(f), file: f}, nil
+}
+
+// close flushes the buffer and closes the file, returning the first
+// error of either.
+func (o *output) close() error {
+	err := o.Flush()
+	if o.file != nil {
+		if cerr := o.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// closeAll closes every output and returns the first error.
+func closeAll(outs []*output) error {
+	var err error
+	for _, o := range outs {
+		if cerr := o.close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 func usage(w io.Writer) {

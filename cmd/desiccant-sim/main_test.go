@@ -51,6 +51,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"chaos", "-quick", "-intensity", "NaN"}); err == nil || err.Error() != "-intensity must be in [0,1], got NaN" {
 		t.Fatalf("-intensity NaN: err %v, want the range error", err)
 	}
+	t.Run("full-device", func(t *testing.T) {
+		// Every write to /dev/full fails with ENOSPC: the command must
+		// report it, not print its rows into the void and succeed.
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skip("no /dev/full on this system")
+		}
+		if err := run([]string{"table1", "-o", "/dev/full"}); err == nil || !strings.Contains(err.Error(), "no space left") {
+			t.Fatalf("-o /dev/full: err %v, want the write error", err)
+		}
+	})
 }
 
 // TestFlagTable checks, for every registered experiment and every

@@ -96,10 +96,9 @@ type Instance struct {
 	AS      *osmem.AddressSpace
 	State   *workload.State
 
-	status    Status
-	createdAt sim.Time
-	frozenAt  sim.Time
-	lastUsed  sim.Time
+	status   Status
+	frozenAt sim.Time
+	lastUsed sim.Time
 
 	// Reclaiming marks an in-flight Desiccant reclamation; the router
 	// skips such instances.
@@ -148,7 +147,7 @@ func New(machine *osmem.Machine, id int, spec *workload.Spec, stage int, now sim
 	as := machine.NewAddressSpace(label)
 	inst := &Instance{
 		ID: id, Spec: spec, Stage: stage, AS: as,
-		status: Idle, createdAt: now, lastUsed: now,
+		status: Idle, lastUsed: now,
 		invoCell: new(int64),
 	}
 
@@ -221,9 +220,6 @@ func (i *Instance) LastInvo() int64 { return i.lastInvo }
 
 // Status returns the current lifecycle state.
 func (i *Instance) Status() Status { return i.status }
-
-// CreatedAt returns the instance's creation time.
-func (i *Instance) CreatedAt() sim.Time { return i.createdAt }
 
 // FrozenAt returns when the instance was last frozen (meaningful only
 // while Frozen).

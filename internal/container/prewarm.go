@@ -92,7 +92,7 @@ func (p *Prewarmed) Assign(spec *workload.Spec, stage int, now sim.Time) (*Insta
 	inst := &Instance{
 		ID: p.ID, Spec: spec, Stage: stage,
 		Runtime: p.rt, AS: p.as,
-		status: Idle, createdAt: now, lastUsed: now,
+		status: Idle, lastUsed: now,
 		libRegions: p.libs,
 		invoCell:   p.invoCell,
 	}

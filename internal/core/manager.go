@@ -469,12 +469,13 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 	}
 
 	// Account the CPU the way §4.5.2 prescribes: the reclamation holds
-	// its granted share for cpu/share wall time.
-	acct := sim.NewCPUAccount(now, share)
+	// its granted share for cpu/share wall time, so it is charged that
+	// wall time scaled by the share. The share never changes while a
+	// reclamation runs, so one multiplication settles it.
 	wall := sim.WorkDuration(cpu, share)
 	m.stats.Reclamations++
 	m.eng.After(wall, "desiccant:reclaim-done", func() {
-		got := acct.Finish(m.eng.Now())
+		got := sim.Duration(float64(m.eng.Now().Sub(now))*share + 0.5)
 		m.stats.CPUTime += got
 		m.platform.AddReclaimCPU(got)
 		m.platform.ReleaseIdleCPU(share)

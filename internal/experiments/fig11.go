@@ -34,7 +34,6 @@ func Fig11Specs() []*workload.Spec {
 // RunFig11 executes the Lambda-profile comparison.
 func RunFig11(opts SingleOptions) (*Fig11Result, error) {
 	opts.ShareLibraries = false // Lambda: every instance its own image
-	opts.Sharer = false
 	res, err := RunFig7(Fig11Specs(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("fig11: %w", err)

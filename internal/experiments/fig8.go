@@ -125,7 +125,7 @@ func runFig8Cell(spec *workload.Spec, n int, mode Mode, opts SingleOptions) (int
 		}
 		if mode == Desiccant {
 			for _, inst := range instances {
-				inst.Reclaim(opts.Aggressive, opts.UnmapLibraries)
+				inst.Reclaim(false, opts.UnmapLibraries)
 			}
 		}
 	}

@@ -118,12 +118,7 @@ func RunObserve(o ObserveOptions) error {
 		releases := reg.Gauge("os.page_releases")
 		swapIns := reg.Gauge("os.page_swap_ins")
 		swapOuts := reg.Gauge("os.page_swap_outs")
-		sampler = obs.NewSampler(eng, reg, o.SampleEvery)
-		if o.Metrics != nil {
-			// Stream CSV rows as samples are taken instead of retaining
-			// snapshots — byte-identical output, constant memory.
-			sampler.StreamTo(o.Metrics)
-		}
+		sampler = obs.NewSampler(eng, reg, o.SampleEvery, o.Metrics)
 		sampler.OnSample = func(*obs.Registry) {
 			memFrac.Set(platform.MemoryUsedFraction())
 			pc := platform.Machine().PageCounters()
@@ -140,10 +135,8 @@ func RunObserve(o ObserveOptions) error {
 			return err
 		}
 	}
-	if o.Metrics != nil {
-		if err := sampler.Flush(); err != nil {
-			return err
-		}
+	if err := sampler.Flush(); err != nil {
+		return err
 	}
 	if o.Summary != nil {
 		if err := obs.WriteSummary(o.Summary, rec, reg, platform.Engine().Now()); err != nil {

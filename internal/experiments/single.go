@@ -53,17 +53,14 @@ type SingleOptions struct {
 	// MemoryBudget is the per-instance memory limit.
 	MemoryBudget int64
 	// ShareLibraries is the OpenWhisk model; false is Lambda (§5.4).
+	// Under it a background instance of the same language also maps
+	// the libraries, so library pages drop out of USS, matching the
+	// paper's measurement methodology ("excluding shared libraries
+	// since they are shared by multiple FaaS instances with the same
+	// language").
 	ShareLibraries bool
-	// Sharer simulates co-located instances of the same language so
-	// library pages drop out of USS, matching the paper's measurement
-	// methodology ("excluding shared libraries since they are shared
-	// by multiple FaaS instances with the same language").
-	Sharer bool
 	// UnmapLibraries applies §4.6 during Desiccant reclamation.
 	UnmapLibraries bool
-	// Aggressive makes Desiccant's collections clear weak references
-	// (ablation for §4.7; default false).
-	Aggressive bool
 	// Seed drives workload jitter.
 	Seed uint64
 	// RuntimeName overrides the workloads' default runtime (the §7
@@ -91,7 +88,6 @@ func DefaultSingleOptions() SingleOptions {
 		Iterations:     100,
 		MemoryBudget:   256 << 20,
 		ShareLibraries: true,
-		Sharer:         true,
 		UnmapLibraries: true,
 		Seed:           1,
 	}
@@ -208,7 +204,7 @@ func newSingleRun(spec *workload.Spec, opts SingleOptions) (*singleRun, error) {
 		rng:            sim.NewRNG(opts.Seed),
 		perInstanceCPU: 0.14,
 	}
-	if opts.Sharer && opts.ShareLibraries {
+	if opts.ShareLibraries {
 		if err := r.addSharer(spec.Language); err != nil {
 			return nil, err
 		}
@@ -279,7 +275,7 @@ func (r *singleRun) iterate(mode Mode) (sim.Duration, error) {
 		// reclaims every frozen instance after each run; ReclaimEvery
 		// stretches (or disables) that cadence.
 		for _, inst := range r.instances {
-			inst.Reclaim(r.opts.Aggressive, r.opts.UnmapLibraries)
+			inst.Reclaim(false, r.opts.UnmapLibraries)
 		}
 	}
 	return latency, nil

@@ -29,11 +29,6 @@ type Histogram struct {
 	// sum (Mean/Sum became NaN forever); rejecting keeps the histogram
 	// usable while the counter keeps the corruption visible.
 	nonFinite int64
-	// exemplars retains up to exemplarK per-bucket sample→ID links (see
-	// exemplar.go); exemplarK == 0 means tracking is off and Add pays
-	// nothing for it.
-	exemplars [][]Exemplar
-	exemplarK int
 }
 
 // NewHistogram builds a histogram whose i-th bucket counts samples v
@@ -52,19 +47,6 @@ func NewHistogram(bounds ...float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
-}
-
-// LinearBounds returns n strictly increasing bounds start, start+step,
-// ..., start+(n-1)*step, for NewHistogram.
-func LinearBounds(start, step float64, n int) []float64 {
-	if n <= 0 || step <= 0 {
-		panic("metrics: linear bounds need n > 0 and step > 0")
-	}
-	bounds := make([]float64, n)
-	for i := range bounds {
-		bounds[i] = start + float64(i)*step
-	}
-	return bounds
 }
 
 // ExponentialBounds returns n strictly increasing bounds start,
@@ -211,13 +193,12 @@ func (h *Histogram) Merge(other *Histogram) error {
 	}
 	h.n += other.n
 	h.nonFinite += other.nonFinite
-	h.mergeExemplars(other)
 	return nil
 }
 
 // Clone returns an independent copy of h.
 func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{
+	return &Histogram{
 		bounds:    append([]float64(nil), h.bounds...),
 		counts:    append([]int64(nil), h.counts...),
 		sum:       h.sum,
@@ -225,15 +206,5 @@ func (h *Histogram) Clone() *Histogram {
 		min:       h.min,
 		max:       h.max,
 		nonFinite: h.nonFinite,
-		exemplarK: h.exemplarK,
 	}
-	if h.exemplars != nil {
-		c.exemplars = make([][]Exemplar, len(h.exemplars))
-		for i, list := range h.exemplars {
-			if len(list) > 0 {
-				c.exemplars[i] = append([]Exemplar(nil), list...)
-			}
-		}
-	}
-	return c
 }

@@ -109,60 +109,11 @@ func TestHistogramMergeMismatch(t *testing.T) {
 }
 
 func TestHistogramBoundsHelpers(t *testing.T) {
-	lin := LinearBounds(10, 5, 4)
-	want := []float64{10, 15, 20, 25}
-	for i, w := range want {
-		if lin[i] != w {
-			t.Fatalf("linear[%d] = %v, want %v", i, lin[i], w)
-		}
-	}
 	exp := ExponentialBounds(1, 10, 3)
 	wantExp := []float64{1, 10, 100}
 	for i, w := range wantExp {
 		if exp[i] != w {
 			t.Fatalf("exp[%d] = %v, want %v", i, exp[i], w)
 		}
-	}
-}
-
-func TestDistributionMerge(t *testing.T) {
-	var serial, a, b Distribution
-	for i := 0; i < 101; i++ {
-		v := float64((i * 37) % 101)
-		serial.Add(v)
-		if i < 50 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != serial.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), serial.Count())
-	}
-	for _, p := range []float64{0, 25, 50, 75, 90, 99, 100} {
-		if got, want := a.Percentile(p), serial.Percentile(p); got != want {
-			t.Errorf("p%v = %v, want %v", p, got, want)
-		}
-	}
-	// Merging nil or empty is a no-op.
-	before := a.Count()
-	a.Merge(nil)
-	a.Merge(&Distribution{})
-	if a.Count() != before {
-		t.Fatalf("no-op merges changed count: %d -> %d", before, a.Count())
-	}
-}
-
-func TestDistributionMergeInvalidatesSortCache(t *testing.T) {
-	var a, b Distribution
-	a.Add(5)
-	if got := a.Percentile(50); got != 5 { // forces the sort cache
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	b.Add(1)
-	a.Merge(&b)
-	if got := a.Percentile(0); got != 1 {
-		t.Fatalf("p0 after merge = %v, want 1", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives the experiment
-// harnesses use: latency distributions with percentile queries, time
-// series, and streaming mean/variance — the quantities reported in the
-// paper's Figures 1–13.
+// harnesses use: latency distributions with percentile queries and
+// fixed-bucket histograms — the quantities reported in the paper's
+// Figures 1–13.
 package metrics
 
 import (
@@ -39,22 +39,6 @@ func (d *Distribution) Count() int { return len(d.samples) }
 
 // NonFinite returns the number of NaN/±Inf samples rejected by Add.
 func (d *Distribution) NonFinite() int64 { return d.nonFinite }
-
-// Merge appends every sample of other into d. Percentile queries over
-// the merged distribution are identical regardless of merge order, so
-// per-worker distributions from a parallel sweep can be combined in
-// worker-index order and still match a serial run byte for byte.
-func (d *Distribution) Merge(other *Distribution) {
-	if other == nil {
-		return
-	}
-	d.nonFinite += other.nonFinite
-	if len(other.samples) == 0 {
-		return
-	}
-	d.samples = append(d.samples, other.samples...)
-	d.sorted = false
-}
 
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between the two closest ranks. An out-of-range p
@@ -119,95 +103,6 @@ func (d *Distribution) Min() float64 {
 		}
 	}
 	return min
-}
-
-// Welford accumulates a streaming mean and variance without storing
-// samples, for long trace replays.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add records one sample.
-func (w *Welford) Add(v float64) {
-	w.n++
-	delta := v - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (v - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() int64 { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance (0 for fewer than two
-// samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Point is one (x, y) sample of a time series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Series is an append-only time series.
-type Series struct {
-	Name   string
-	points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.points = append(s.points, Point{x, y}) }
-
-// Points returns the recorded points in insertion order.
-func (s *Series) Points() []Point { return s.points }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.points) }
-
-// MeanY returns the mean of the Y values (NaN when empty).
-func (s *Series) MeanY() float64 {
-	if len(s.points) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, p := range s.points {
-		sum += p.Y
-	}
-	return sum / float64(len(s.points))
-}
-
-// MaxY returns the largest Y (NaN when empty).
-func (s *Series) MaxY() float64 {
-	if len(s.points) == 0 {
-		return math.NaN()
-	}
-	max := s.points[0].Y
-	for _, p := range s.points {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
-}
-
-// LastY returns the final Y value (NaN when empty).
-func (s *Series) LastY() float64 {
-	if len(s.points) == 0 {
-		return math.NaN()
-	}
-	return s.points[len(s.points)-1].Y
 }
 
 // Ratio returns a/b guarding against division by zero (returns +Inf

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDistributionPercentiles(t *testing.T) {
@@ -113,66 +112,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 	// {1,3,7,9} sits halfway between ranks 1 and 2.
 	if got := d.Percentile(50); got != 5 {
 		t.Errorf("Percentile(50) = %v, want 5", got)
-	}
-}
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(v)
-	}
-	if w.Count() != 8 {
-		t.Fatalf("count: %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-9 {
-		t.Fatalf("mean: %v", w.Mean())
-	}
-	if math.Abs(w.Variance()-4) > 1e-9 {
-		t.Fatalf("variance: %v", w.Variance())
-	}
-	if math.Abs(w.StdDev()-2) > 1e-9 {
-		t.Fatalf("stddev: %v", w.StdDev())
-	}
-}
-
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(vals []float64) bool {
-		var w Welford
-		var sum float64
-		finite := vals[:0]
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
-				continue
-			}
-			finite = append(finite, v)
-			w.Add(v)
-			sum += v
-		}
-		if len(finite) == 0 {
-			return w.Count() == 0
-		}
-		naive := sum / float64(len(finite))
-		return math.Abs(w.Mean()-naive) < 1e-6*(1+math.Abs(naive))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "uss"
-	if !math.IsNaN(s.MeanY()) || !math.IsNaN(s.MaxY()) || !math.IsNaN(s.LastY()) {
-		t.Fatal("empty series should return NaN")
-	}
-	s.Add(1, 10)
-	s.Add(2, 30)
-	s.Add(3, 20)
-	if s.Len() != 3 || len(s.Points()) != 3 {
-		t.Fatal("length wrong")
-	}
-	if s.MeanY() != 20 || s.MaxY() != 30 || s.LastY() != 20 {
-		t.Fatalf("meanY=%v maxY=%v lastY=%v", s.MeanY(), s.MaxY(), s.LastY())
 	}
 }
 

@@ -140,11 +140,4 @@ func TestDistributionRejectsNonFinite(t *testing.T) {
 	if got := d.Percentile(100); got != 30 {
 		t.Fatalf("p100 = %v, want 30", got)
 	}
-	var other Distribution
-	other.Add(math.NaN())
-	other.Add(50)
-	d.Merge(&other)
-	if d.Count() != 3 || d.NonFinite() != 3 {
-		t.Fatalf("after merge count=%d nonFinite=%d, want 3/3", d.Count(), d.NonFinite())
-	}
 }

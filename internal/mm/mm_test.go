@@ -189,22 +189,6 @@ func TestSetCapacity(t *testing.T) {
 	}()
 }
 
-func TestRebase(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
-	as := m.NewAddressSpace("p")
-	r := as.MmapAnon("heap", 32*osmem.PageSize)
-	s := NewBumpSpace("from", r, 0, 8*osmem.PageSize)
-	o := &Object{Size: 3 * osmem.PageSize}
-	s.TryAllocate(o)
-	s.Rebase(16*osmem.PageSize, 8*osmem.PageSize)
-	if o.Offset != 16*osmem.PageSize {
-		t.Fatalf("offset after rebase: %d", o.Offset)
-	}
-	if s.Base() != 16*osmem.PageSize || s.LiveBytes() != 3*osmem.PageSize {
-		t.Fatal("rebase lost state")
-	}
-}
-
 func TestResidentBytes(t *testing.T) {
 	m, s := newSpace(t, 8)
 	s.TryAllocate(&Object{Size: 3*osmem.PageSize + 10})

@@ -222,25 +222,6 @@ func (s *BumpSpace) SetCapacity(capacity int64) {
 	s.capacity = capacity
 }
 
-// Rebase moves the space to a new window [base, base+capacity), which
-// must hold its current contents contiguously from the new base.
-// Used when the heap re-carves generation boundaries after a resize.
-// Contents are re-touched at the new location in one bulk touch.
-func (s *BumpSpace) Rebase(base, capacity int64) {
-	objs := s.objects
-	s.objects = nil
-	s.top = 0
-	s.base = base
-	s.SetCapacity(capacity)
-	b := s.BeginCopy()
-	for _, o := range objs {
-		if !b.TryAllocate(o) {
-			panic(fmt.Sprintf("mm: Rebase of %q lost objects", s.Name))
-		}
-	}
-	b.Flush()
-}
-
 // ReleaseFreeTail returns the free bytes above the bump pointer to the
 // OS (full pages only). This is the Desiccant release step from
 // Algorithm 1, line 13: mmap(space.top(), space.end()-space.top()).

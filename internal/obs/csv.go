@@ -8,23 +8,11 @@ import (
 	"desiccant/internal/sim"
 )
 
-// Sample is one registry snapshot at a sim instant.
-type Sample struct {
-	At     sim.Time
-	Values []MetricValue
-}
-
 // Sampler snapshots a Registry on a fixed sim-time cadence by
-// scheduling itself on the engine, producing the rows of the CSV
-// time-series export. The first sample is taken at the instant the
-// sampler is started.
-//
-// By default snapshots are retained for Samples()/WriteCSV. StreamTo
-// switches the sampler to constant-memory streaming: each snapshot's
-// rows are written out as they are taken and nothing is retained, so
-// memory stays flat no matter how long the run is. The streamed bytes
-// are identical to WriteCSV over the retained samples — pinned by
-// TestSamplerStreamingMatchesBatch.
+// scheduling itself on the engine, writing each snapshot as rows of
+// the long-form CSV time-series export the moment it is taken. Nothing
+// is retained, so memory stays flat no matter how long the run is.
+// The first sample is taken at the instant the sampler is started.
 type Sampler struct {
 	eng   *sim.Engine
 	reg   *Registry
@@ -35,23 +23,31 @@ type Sampler struct {
 	// (e.g. OS page counters).
 	OnSample func(*Registry)
 
-	samples []Sample
 	next    *sim.Event
 	stopped bool
 
-	stream    *bufio.Writer
-	streamErr error
-	lastAt    sim.Time
-	taken     int
+	w      *bufio.Writer
+	err    error
+	lastAt sim.Time
+	taken  int
 }
 
 // NewSampler returns a sampler that snapshots reg every `every` of
-// sim time, starting at eng's current instant.
-func NewSampler(eng *sim.Engine, reg *Registry, every sim.Duration) *Sampler {
+// sim time, starting at eng's current instant. It writes the
+// time_us,metric,value header to w at once and each snapshot's rows as
+// the snapshot is taken — one row per metric, in the snapshot's
+// sorted-name order, so output bytes depend only on the simulation.
+// With a nil w the snapshots only drive OnSample. Write errors are
+// sticky and reported by Flush.
+func NewSampler(eng *sim.Engine, reg *Registry, every sim.Duration, w io.Writer) *Sampler {
 	if every <= 0 {
 		panic("obs: sampler interval must be positive")
 	}
 	s := &Sampler{eng: eng, reg: reg, every: every}
+	if w != nil {
+		s.w = bufio.NewWriter(w)
+		_, s.err = s.w.WriteString("time_us,metric,value\n")
+	}
 	s.next = eng.At(eng.Now(), "obs:sample", s.tick)
 	return s
 }
@@ -64,44 +60,38 @@ func (s *Sampler) tick() {
 	s.next = s.eng.After(s.every, "obs:sample", s.tick)
 }
 
-// StreamTo switches the sampler to streaming mode: the CSV header is
-// written immediately and each subsequent snapshot is written as rows
-// the moment it is taken, with no retention. Call it right after
-// NewSampler, before the engine runs (a snapshot already retained
-// would be lost). Write errors are sticky and reported by Flush.
-func (s *Sampler) StreamTo(w io.Writer) {
-	s.stream = bufio.NewWriter(w)
-	if _, err := s.stream.WriteString("time_us,metric,value\n"); err != nil {
-		s.streamErr = err
-	}
-}
-
-// Flush flushes the streaming writer and returns the first error any
-// streamed write hit. A no-op without StreamTo.
+// Flush flushes the writer and returns the first error any write hit.
+// A no-op without a writer.
 func (s *Sampler) Flush() error {
-	if s.stream == nil {
+	if s.w == nil {
 		return nil
 	}
-	if err := s.stream.Flush(); err != nil && s.streamErr == nil {
-		s.streamErr = err
+	if err := s.w.Flush(); err != nil && s.err == nil {
+		s.err = err
 	}
-	return s.streamErr
+	return s.err
 }
 
 func (s *Sampler) take() {
 	if s.OnSample != nil {
 		s.OnSample(s.reg)
 	}
-	at := s.eng.Now()
-	s.lastAt = at
+	s.lastAt = s.eng.Now()
 	s.taken++
-	if s.stream != nil {
-		if s.streamErr == nil {
-			s.streamErr = writeSampleRows(s.stream, Sample{At: at, Values: s.reg.Snapshot()})
-		}
+	if s.w == nil || s.err != nil {
 		return
 	}
-	s.samples = append(s.samples, Sample{At: at, Values: s.reg.Snapshot()})
+	ts := strconv.FormatInt(int64(s.lastAt), 10)
+	for _, mv := range s.reg.Snapshot() {
+		s.w.WriteString(ts)
+		s.w.WriteByte(',')
+		s.w.WriteString(mv.Name)
+		s.w.WriteByte(',')
+		s.w.WriteString(FormatValue(mv.Value))
+		if s.err = s.w.WriteByte('\n'); s.err != nil {
+			return
+		}
+	}
 }
 
 // Stop cancels future ticks and, unless one was already taken at this
@@ -116,44 +106,6 @@ func (s *Sampler) Stop() {
 	if s.taken == 0 || s.lastAt != s.eng.Now() {
 		s.take()
 	}
-}
-
-// Samples returns the recorded snapshots in time order. Always empty
-// in streaming mode.
-func (s *Sampler) Samples() []Sample { return s.samples }
-
-// WriteCSV writes samples in long form — one row per (time, metric)
-// pair — with a time_us,metric,value header. Within a sample, rows
-// follow the snapshot's sorted-name order, so output bytes depend
-// only on the simulation, never on map order.
-func WriteCSV(w io.Writer, samples []Sample) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("time_us,metric,value\n"); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := writeSampleRows(bw, s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// writeSampleRows writes one sample's rows — the shared row format of
-// the batch and streaming CSV paths.
-func writeSampleRows(bw *bufio.Writer, s Sample) error {
-	ts := strconv.FormatInt(int64(s.At), 10)
-	for _, mv := range s.Values {
-		bw.WriteString(ts)
-		bw.WriteByte(',')
-		bw.WriteString(mv.Name)
-		bw.WriteByte(',')
-		bw.WriteString(FormatValue(mv.Value))
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // FormatValue renders floats deterministically: integral values print

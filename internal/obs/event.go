@@ -157,9 +157,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// NumKinds returns the number of defined event kinds.
-func NumKinds() int { return int(numKinds) }
-
 // Event is one observation. It is a flat value type so emitting one
 // costs no per-field allocations; which auxiliary fields are
 // meaningful depends on Kind (see the Kind docs).

@@ -48,7 +48,8 @@ func goldenScenario(t *testing.T) (traceJSON, metricsCSV []byte) {
 	mcfg.FreezeTimeout = 1 * sim.Second
 	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
 
-	sampler := obs.NewSampler(eng, reg, 1*sim.Second)
+	var ms bytes.Buffer
+	sampler := obs.NewSampler(eng, reg, 1*sim.Second, &ms)
 
 	// A staggered mix: enough frozen footprint to trip the manager,
 	// repeats to show thaws, and a tail quiet enough for keep-alive.
@@ -74,11 +75,11 @@ func goldenScenario(t *testing.T) (traceJSON, metricsCSV []byte) {
 	mgr.Stop()
 	sampler.Stop()
 
-	var tr, ms bytes.Buffer
+	var tr bytes.Buffer
 	if err := obs.WritePerfetto(&tr, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteCSV(&ms, sampler.Samples()); err != nil {
+	if err := sampler.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Bytes(), ms.Bytes()

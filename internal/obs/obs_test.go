@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -173,75 +174,58 @@ func TestSamplerCadenceAndStop(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
 	c := reg.Counter("ticks")
-	s := NewSampler(eng, reg, 10*sim.Millisecond)
+	var buf bytes.Buffer
+	s := NewSampler(eng, reg, 10*sim.Millisecond, &buf)
 	s.OnSample = func(*Registry) { c.Inc() }
 
 	eng.RunUntil(sim.Time(25 * sim.Millisecond))
 	s.Stop()
 	eng.RunUntil(sim.Time(100 * sim.Millisecond))
-
-	// Samples at 0, 10, 20ms, plus the final one Stop takes at 25ms.
-	samples := s.Samples()
-	if len(samples) != 4 {
-		t.Fatalf("got %d samples, want 4", len(samples))
-	}
-	wantAt := []sim.Time{0, sim.Time(10 * sim.Millisecond), sim.Time(20 * sim.Millisecond), sim.Time(25 * sim.Millisecond)}
-	for i, w := range wantAt {
-		if samples[i].At != w {
-			t.Fatalf("sample %d at %v, want %v", i, samples[i].At, w)
-		}
-	}
-	// OnSample ran before each snapshot: the counter is 1,2,3,4.
-	for i, s := range samples {
-		if s.Values[0].Name != "ticks" || s.Values[0].Value != float64(i+1) {
-			t.Fatalf("sample %d values %+v", i, s.Values)
-		}
-	}
-}
-
-// TestSamplerStreamingMatchesBatch pins the streaming mode's
-// contract: the bytes written as samples are taken must equal WriteCSV
-// over a retained run of the same scenario.
-func TestSamplerStreamingMatchesBatch(t *testing.T) {
-	scenario := func(s *Sampler, eng *sim.Engine, reg *Registry) {
-		g := reg.Gauge("g")
-		h := reg.Histogram("h", 1, 10, 100)
-		n := 0
-		s.OnSample = func(*Registry) {
-			n++
-			g.Set(float64(n) * 0.5)
-			h.Add(float64(n * 7))
-		}
-		eng.RunUntil(sim.Time(47 * sim.Millisecond))
-		s.Stop()
-	}
-
-	engA := sim.NewEngine()
-	regA := NewRegistry()
-	batch := NewSampler(engA, regA, 10*sim.Millisecond)
-	scenario(batch, engA, regA)
-	var want bytes.Buffer
-	if err := WriteCSV(&want, batch.Samples()); err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	engB := sim.NewEngine()
-	regB := NewRegistry()
-	stream := NewSampler(engB, regB, 10*sim.Millisecond)
-	var got bytes.Buffer
-	stream.StreamTo(&got)
-	scenario(stream, engB, regB)
-	if err := stream.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(stream.Samples()) != 0 {
-		t.Fatalf("streaming sampler retained %d samples, want 0", len(stream.Samples()))
-	}
-	if got.String() != want.String() {
-		t.Fatalf("streamed CSV differs from batch CSV:\nstream:\n%s\nbatch:\n%s", got.String(), want.String())
+	// Samples at 0, 10, 20ms, plus the final one Stop takes at 25ms;
+	// OnSample ran before each snapshot, so the counter reads 1,2,3,4.
+	want := "time_us,metric,value\n0,ticks,1\n10000,ticks,2\n20000,ticks,3\n25000,ticks,4\n"
+	if buf.String() != want {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
+
+// TestSamplerWithoutWriterAndWriteErrors: with no writer the sampler
+// still drives OnSample on its cadence and Flush has nothing to
+// report; a failing writer's first error is sticky and comes back
+// from Flush.
+func TestSamplerWithoutWriterAndWriteErrors(t *testing.T) {
+	eng := sim.NewEngine()
+	reg := NewRegistry()
+	n := 0
+	s := NewSampler(eng, reg, 10*sim.Millisecond, nil)
+	s.OnSample = func(*Registry) { n++ }
+	eng.RunUntil(sim.Time(25 * sim.Millisecond))
+	s.Stop()
+	if n != 4 {
+		t.Fatalf("OnSample ran %d times, want 4", n)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush without a writer: %v", err)
+	}
+
+	eng = sim.NewEngine()
+	s = NewSampler(eng, reg, 10*sim.Millisecond, failWriter{})
+	eng.RunUntil(sim.Time(25 * sim.Millisecond))
+	s.Stop()
+	if err := s.Flush(); err != errFail {
+		t.Fatalf("Flush: err %v, want %v", err, errFail)
+	}
+}
+
+var errFail = errors.New("write failed")
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errFail }
 
 // TestRecorderCountOnly pins the constant-memory recorder mode: Len
 // and CountByKind report exactly as with storage on; only the stored
@@ -277,16 +261,26 @@ func TestRecorderCountOnly(t *testing.T) {
 	}
 }
 
+// TestWriteCSVDeterministicFormat pins the sampler's row format: a
+// time_us,metric,value header, then one row per metric in sorted-name
+// order, values rendered by FormatValue.
 func TestWriteCSVDeterministicFormat(t *testing.T) {
-	samples := []Sample{
-		{At: 0, Values: []MetricValue{{Name: "a", Value: 1}, {Name: "b", Value: 0.25}}},
-		{At: sim.Time(sim.Second), Values: []MetricValue{{Name: "a", Value: 2}}},
-	}
+	eng := sim.NewEngine()
+	reg := NewRegistry()
+	b := reg.Gauge("b")
+	a := reg.Gauge("a")
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, samples); err != nil {
+	s := NewSampler(eng, reg, sim.Second, &buf)
+	s.OnSample = func(*Registry) {
+		a.Add(1)
+		b.Set(0.25)
+	}
+	eng.RunUntil(sim.Time(sim.Second))
+	s.Stop()
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := "time_us,metric,value\n0,a,1\n0,b,0.25\n1000000,a,2\n"
+	want := "time_us,metric,value\n0,a,1\n0,b,0.25\n1000000,a,2\n1000000,b,0.25\n"
 	if buf.String() != want {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", buf.String(), want)
 	}

@@ -82,7 +82,7 @@ func PerfettoTidInstance(inst int) int { return tidInstBase + inst }
 func (e *PerfettoEmitter) ThreadName(tid int, name string) { e.pw.threadName(tid, name) }
 
 // Span emits a complete slice. args are pre-rendered "key":value pairs
-// (see ArgInt/ArgNum/ArgStr), joined in order.
+// (see ArgInt), joined in order.
 func (e *PerfettoEmitter) Span(tid int, name, cat string, ts sim.Time, dur sim.Duration, args ...string) {
 	e.pw.span(tid, name, cat, ts, dur, joinArgs(args))
 }
@@ -100,12 +100,6 @@ func (e *PerfettoEmitter) Flow(name, cat string, fromTid int, from sim.Time, toT
 
 // ArgInt renders one integer argument for Span/Instant.
 func ArgInt(key string, v int64) string { return argInt(key, v) }
-
-// ArgNum renders one float argument for Span/Instant.
-func ArgNum(key string, v float64) string { return argNum(key, v) }
-
-// ArgStr renders one string argument for Span/Instant.
-func ArgStr(key, v string) string { return argStr(key, v) }
 
 func joinArgs(args []string) string {
 	switch len(args) {

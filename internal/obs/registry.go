@@ -144,13 +144,3 @@ func (r *Registry) Snapshot() []MetricValue {
 	}
 	return out
 }
-
-// HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}

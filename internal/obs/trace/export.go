@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -57,17 +58,15 @@ func shareString(d, total sim.Duration) string {
 }
 
 // TailExemplar links one tail quantile of one function's latency to a
-// concrete invocation retained by the histogram's exemplar machinery —
-// the span to pull up in the Perfetto trace when asking what the tail
-// is made of.
+// concrete invocation — the span to pull up in the Perfetto trace
+// when asking what the tail is made of.
 type TailExemplar struct {
 	Function string
 	Quantile float64
 	// EstimateMS is the histogram's upper-bound quantile estimate.
 	EstimateMS float64
-	// Span is the exemplar invocation (largest latency in the
-	// quantile's bucket, ties to the smallest ID). Nil only when the
-	// function completed no invocations.
+	// Span is the exemplar invocation: the largest latency in the
+	// quantile's bucket, ties to the smallest ID.
 	Span *Span
 }
 
@@ -82,10 +81,15 @@ func latencyBounds() []float64 {
 // requested quantile (given order), the latency estimate and exemplar
 // invocation over completed spans. Dropped spans are excluded — their
 // latency is censored, not a tail observation.
+//
+// The exemplar is the span holding the quantile's rank in the
+// latency histogram's bucket with the largest latency, ties to the
+// smallest ID: spans sorted by latency ascending (ties by descending
+// ID), from rank max(1, ceil(q·n)) forward to the last span in the
+// same bucket.
 func TailExemplars(spans []*Span, quantiles ...float64) []TailExemplar {
 	byFn := make(map[string][]*Span)
 	var names []string
-	byID := make(map[int64]*Span, len(spans))
 	for _, s := range spans {
 		if s.Outcome != Completed {
 			continue
@@ -94,22 +98,31 @@ func TailExemplars(spans []*Span, quantiles ...float64) []TailExemplar {
 			names = append(names, s.Function)
 		}
 		byFn[s.Function] = append(byFn[s.Function], s)
-		byID[s.ID] = s
 	}
 	sort.Strings(names)
+	bounds := latencyBounds()
+	bucket := func(s *Span) int { return sort.SearchFloat64s(bounds, s.Total().Millis()) }
 	var out []TailExemplar
 	for _, fn := range names {
-		h := metrics.NewHistogram(latencyBounds()...)
-		h.TrackExemplars(3)
-		for _, s := range byFn[fn] {
-			h.AddWithExemplar(s.Total().Millis(), s.ID)
+		fs := byFn[fn]
+		sort.Slice(fs, func(a, b int) bool {
+			if la, lb := fs[a].Total().Millis(), fs[b].Total().Millis(); la != lb {
+				return la < lb
+			}
+			return fs[a].ID > fs[b].ID
+		})
+		h := metrics.NewHistogram(bounds...)
+		for _, s := range fs {
+			h.Add(s.Total().Millis())
 		}
 		for _, q := range quantiles {
-			te := TailExemplar{Function: fn, Quantile: q, EstimateMS: h.Quantile(q)}
-			if ex := h.QuantileExemplars(q); len(ex) > 0 {
-				te.Span = byID[ex[0].ID]
+			est := h.Quantile(q)
+			i := max(1, int(math.Ceil(q*float64(len(fs))))) - 1
+			b := bucket(fs[i])
+			for i+1 < len(fs) && bucket(fs[i+1]) == b {
+				i++
 			}
-			out = append(out, te)
+			out = append(out, TailExemplar{Function: fn, Quantile: q, EstimateMS: est, Span: fs[i]})
 		}
 	}
 	return out
@@ -156,10 +169,6 @@ func WriteSummary(w io.Writer, spans []*Span) error {
 		if te.Function != lastFn {
 			lastFn = te.Function
 			fmt.Fprintf(w, "  %s:\n", te.Function)
-		}
-		if te.Span == nil {
-			fmt.Fprintf(w, "    p%-4s <= %sms (no exemplar)\n", quantileLabel(te.Quantile), msString(te.EstimateMS))
-			continue
 		}
 		s := te.Span
 		dom := s.Dominant()

@@ -759,19 +759,8 @@ func (as *AddressSpace) releaseRange(r *Region, page, n int64) {
 // ResidentPages returns how many of the region's pages are resident.
 func (r *Region) ResidentPages() int64 { return r.resident }
 
-// ResidentBytesOfPage returns PageSize if the given page is resident
-// and 0 otherwise, letting heap spaces compute their own footprint.
-func (r *Region) ResidentBytesOfPage(page int64) int64 {
-	r.checkRange(page, 1)
-	if page < int64(len(r.pb)) && r.pb[page]&pageStateMask == pageResident {
-		return PageSize
-	}
-	return 0
-}
-
 // ResidentBytesIn returns the resident bytes among the whole pages of
-// [page, page+n) — the bulk form of ResidentBytesOfPage, one run scan
-// instead of a query per page.
+// [page, page+n), in one run scan.
 func (r *Region) ResidentBytesIn(page, n int64) int64 {
 	r.checkRange(page, n)
 	pb := r.pb

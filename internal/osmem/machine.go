@@ -120,23 +120,17 @@ func (m *Machine) recyclePB(r *Region) {
 	}
 }
 
-// Costs returns the machine's fault cost model.
-func (m *Machine) Costs() FaultCosts { return m.costs }
-
 // PhysPages returns the number of resident physical pages machine-wide.
 func (m *Machine) PhysPages() int64 { return m.physPages }
 
 // PhysBytes returns resident physical memory machine-wide in bytes.
 func (m *Machine) PhysBytes() int64 { return m.physPages * PageSize }
 
-// PeakPhysPages returns the machine's lifetime high-water mark of
-// resident physical pages — the capacity a real host of this size
-// would have needed. Capacity planning (the cluster sweeps) reads
-// this instead of sampling PhysPages, so the peak is exact rather
-// than quantized to a report cadence.
-func (m *Machine) PeakPhysPages() int64 { return m.peakPhys }
-
-// PeakPhysBytes returns the high-water mark in bytes.
+// PeakPhysBytes returns the machine's lifetime high-water mark of
+// resident physical memory in bytes — the capacity a real host of
+// this size would have needed. Capacity planning (the cluster sweeps)
+// reads this instead of sampling PhysBytes, so the peak is exact
+// rather than quantized to a report cadence.
 func (m *Machine) PeakPhysBytes() int64 { return m.peakPhys * PageSize }
 
 // SwapPages returns the number of pages currently swapped out.

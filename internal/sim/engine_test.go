@@ -294,36 +294,6 @@ func TestRNGPareto(t *testing.T) {
 	}
 }
 
-func TestCPUAccount(t *testing.T) {
-	// The exact example from the paper: 10ms reclamation, 0.5 CPUs for
-	// the first 3ms and 0.25 for the remaining 7ms → 3.25ms CPU time.
-	a := NewCPUAccount(0, 0.5)
-	a.SetShare(3*Millisecond.asTime(), 0.25)
-	got := a.Finish(10 * Millisecond.asTime())
-	want := 3250 * Microsecond
-	if got != want {
-		t.Fatalf("accumulated CPU: got %v, want %v", got, want)
-	}
-	if a.Elapsed(10*Millisecond.asTime()) != 10*Millisecond {
-		t.Fatalf("elapsed wrong")
-	}
-	// Finish is idempotent.
-	if a.Finish(20*Millisecond.asTime()) != want {
-		t.Fatal("Finish not idempotent")
-	}
-}
-
-func TestCPUAccountAccumulated(t *testing.T) {
-	a := NewCPUAccount(0, 1.0)
-	if got := a.Accumulated(5 * Millisecond.asTime()); got != 5*Millisecond {
-		t.Fatalf("Accumulated: got %v", got)
-	}
-	a.SetShare(5*Millisecond.asTime(), 0)
-	if got := a.Accumulated(50 * Millisecond.asTime()); got != 5*Millisecond {
-		t.Fatalf("zero share still accumulated: got %v", got)
-	}
-}
-
 func TestWorkDuration(t *testing.T) {
 	if got := WorkDuration(10*Millisecond, 0.25); got != 40*Millisecond {
 		t.Fatalf("WorkDuration: got %v, want 40ms", got)

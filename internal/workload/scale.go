@@ -68,19 +68,6 @@ func (sc Scaling) Apply(s *Spec) (*Spec, error) {
 	return &out, nil
 }
 
-// ApplyAll scales every spec in the slice, preserving order.
-func (sc Scaling) ApplyAll(specs []*Spec) ([]*Spec, error) {
-	out := make([]*Spec, len(specs))
-	for i, s := range specs {
-		scaled, err := sc.Apply(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = scaled
-	}
-	return out, nil
-}
-
 func scaleBytes(b int64, f float64) int64 {
 	if b == 0 {
 		return 0

@@ -249,9 +249,6 @@ func (st *State) PendingIntermediateBytes() int64 {
 	return n
 }
 
-// LiveStaticBytes reports the static state held by this stage.
-func (st *State) LiveStaticBytes() int64 { return mm.LiveBytes(st.static) }
-
 func minI64(a, b int64) int64 {
 	if a < b {
 		return a
