@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"desiccant/internal/trace"
@@ -36,6 +37,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *match && (!(*rate > 0) || math.IsInf(*rate, 1)) {
+		return fmt.Errorf("-rate must be positive and finite, got %v", *rate)
+	}
 
 	var tr *trace.Trace
 	if *load != "" {
@@ -49,7 +53,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
+		if *n < 1 {
+			return fmt.Errorf("-n must be at least 1, got %d", *n)
+		}
 		tr = trace.Generate(trace.GenConfig{Seed: *seed, Functions: *n})
+	}
+	specs := workload.All()
+	if *match && len(tr.Entries) < len(specs) {
+		return fmt.Errorf("-match needs at least %d trace entries, got %d", len(specs), len(tr.Entries))
 	}
 
 	if *out != "" {
@@ -79,8 +90,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	assignments := trace.Match(tr, workload.All())
+	assignments := trace.Match(tr, specs)
 	trace.NormalizeRate(assignments, *rate)
+	for _, a := range assignments {
+		if iat := a.Entry.MeanIATSeconds; !(iat > 0) || math.IsInf(iat, 1) {
+			return fmt.Errorf("-rate %v gives %s a mean inter-arrival time of %v s", *rate, a.Spec.Name, iat)
+		}
+	}
 	fmt.Fprintln(stdout, "function,chain,total_exec_ms,matched_id,matched_duration_ms,pattern,mean_iat_s,rate_rps")
 	var total float64
 	for _, a := range assignments {

@@ -57,4 +57,27 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out, &errOut); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+
+	// Degenerate inputs fail with an error, never a panic or a NaN/Inf
+	// cell.
+	small := filepath.Join(t.TempDir(), "small.csv")
+	if err := run([]string{"-n", "5", "-o", small}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-5"},
+		{"-n", "500", "-match", "-rate", "0"},
+		{"-n", "500", "-match", "-rate", "-1"},
+		{"-n", "500", "-match", "-rate", "NaN"},
+		{"-n", "500", "-match", "-rate", "+Inf"},
+		{"-n", "500", "-match", "-rate", "1e-320"},
+		{"-n", "1", "-match"},
+		{"-load", small, "-match"},
+	} {
+		out.Reset()
+		if err := run(args, &out, &errOut); err == nil {
+			t.Errorf("%v accepted; stdout:\n%s", args, &out)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package driver_test
 
 import (
-	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -132,58 +131,5 @@ func Hot(s []int64, v int64) []int64 {
 		if !seen {
 			t.Errorf("mutant for %s went undetected; findings: %v", name, diags)
 		}
-	}
-}
-
-// TestVettool builds cmd/desiccant-lint and drives it through the real
-// `go vet -vettool` protocol: a violating module must fail with a
-// simtime diagnostic, and the same module with annotations must pass.
-func TestVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and invokes go vet")
-	}
-	root := moduleRoot(t)
-	tool := filepath.Join(t.TempDir(), "desiccant-lint")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/desiccant-lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build vettool: %v\n%s", err, out)
-	}
-
-	vet := func(dir string) (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+tool, "./...")
-		cmd.Dir = dir
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		return buf.String(), err
-	}
-
-	badDir := writeModule(t, map[string]string{"go.mod": negModMod, "bad.go": negModBad})
-	out, err := vet(badDir)
-	if err == nil {
-		t.Fatalf("go vet succeeded on violating module; output:\n%s", out)
-	}
-	for _, wantMsg := range []string{"simtime: time.Now", "rawgo: raw go statement"} {
-		if !strings.Contains(out, wantMsg) {
-			t.Errorf("vet output missing %q:\n%s", wantMsg, out)
-		}
-	}
-
-	goodDir := writeModule(t, map[string]string{
-		"go.mod": negModMod,
-		"ok.go": `package lintneg
-
-import "time"
-
-// Stamp is annotated progress reporting, the sanctioned escape hatch.
-func Stamp() time.Time {
-	return time.Now() //lint:allow simtime
-}
-`,
-	})
-	if out, err := vet(goodDir); err != nil {
-		t.Fatalf("go vet failed on clean module: %v\n%s", err, out)
 	}
 }

@@ -1,18 +1,13 @@
 // Package driver loads and type-checks Go packages for the
-// determinism-guard analyzers using only the standard library. It
-// supports two modes:
+// determinism-guard analyzers using only the standard library:
+// Standalone enumerates packages with `go list -deps -json`,
+// type-checks everything from source, and runs the analyzers on the
+// module's packages.
 //
-//   - standalone: enumerate packages with `go list -deps -json`,
-//     type-check everything from source, and run the analyzers on the
-//     module's packages (Standalone);
-//   - vettool: speak the `go vet -vettool` unit-checking protocol —
-//     one JSON config per package, dependencies resolved from compiler
-//     export data (RunVet).
-//
-// The usual home for this machinery is golang.org/x/tools (go/packages
-// and go/analysis/unitchecker); this module builds hermetically with
-// zero external dependencies, so the subset the suite needs is
-// reimplemented here on go/parser + go/types.
+// The usual home for this machinery is golang.org/x/tools
+// (go/packages); this module builds hermetically with zero external
+// dependencies, so the subset the suite needs is reimplemented here on
+// go/parser + go/types.
 package driver
 
 import (

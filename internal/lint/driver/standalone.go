@@ -11,8 +11,7 @@ import (
 // Every module package — target or dependency — is loaded in full and
 // has its facts computed in `go list -deps` (dependency-first) order,
 // so by the time a package is analyzed the facts of everything it
-// imports are already in the set. This is the in-memory equivalent of
-// the .vetx files the vettool mode exchanges.
+// imports are already in the set.
 func Standalone(dir string, patterns []string, analyzers []*lint.Analyzer) ([]lint.Diagnostic, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

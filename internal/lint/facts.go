@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -11,19 +10,17 @@ import (
 
 // This file is the generation-2 facts layer: per-package summaries of
 // exported declarations that flow between analyzers and — through the
-// drivers — across package boundaries. Facts carry exactly the
+// driver — across package boundaries. Facts carry exactly the
 // information that is NOT recoverable from type information at a use
 // site: source annotations (//lint:unit, //lint:allocfree).
 // Everything name-derivable (a parameter called nPages) is
 // re-derived at the use site from the types.Object, so facts stay
-// small and the vetx files stay cheap to produce.
+// small.
 //
-// The standalone driver computes facts for every module package in
-// dependency order and keeps them in memory; the vettool driver
-// serializes them as JSON into the .vetx file the `go vet` protocol
-// reserves for analysis facts, and reads dependencies' facts back from
-// cfg.PackageVetx. Both paths end in the same FactSet handed to every
-// Pass.
+// The driver computes facts for every module package in `go list
+// -deps` (dependency-first) order and keeps them in memory: the
+// FactSet handed to every Pass holds the facts of everything the
+// package imports.
 
 // A Unit is one of the scalar currencies the codebase mixes freely in
 // plain integers: memory sizes in bytes, page counts, and sim-clock
@@ -49,11 +46,11 @@ func ParseUnit(s string) Unit {
 
 // A UnitSig records annotation-declared currencies for a function's
 // parameters and results ("" where undeclared). Name-inferred units
-// are deliberately absent: parameter names travel in export data, so
-// the importer re-infers them.
+// are deliberately absent: parameter names travel with the imported
+// types, so the use site re-infers them.
 type UnitSig struct {
-	Params  []Unit `json:"params,omitempty"`
-	Results []Unit `json:"results,omitempty"`
+	Params  []Unit
+	Results []Unit
 }
 
 func (s *UnitSig) empty() bool {
@@ -73,16 +70,16 @@ func (s *UnitSig) empty() bool {
 // PackageFacts is one package's exported summary.
 type PackageFacts struct {
 	// Path is the package's import path.
-	Path string `json:"path"`
+	Path string
 	// Units maps a function key ("Func" or "Type.Method") to its
 	// annotation-declared unit signature.
-	Units map[string]*UnitSig `json:"units,omitempty"`
+	Units map[string]*UnitSig
 	// FieldUnits maps "Type.Field" to an annotation-declared unit.
-	FieldUnits map[string]Unit `json:"field_units,omitempty"`
+	FieldUnits map[string]Unit
 	// AllocFree holds the function keys annotated //lint:allocfree.
 	// Callers inside other allocfree bodies may rely on them; the
 	// declaring package enforces the body.
-	AllocFree map[string]bool `json:"allocfree,omitempty"`
+	AllocFree map[string]bool
 }
 
 // A FactSet holds the facts of every package visible to a pass, keyed
@@ -95,33 +92,6 @@ func (fs FactSet) Lookup(path string) *PackageFacts {
 		return nil
 	}
 	return fs[path]
-}
-
-// EncodeFacts serializes facts for a vetx file. The output is
-// deterministic: maps marshal with sorted keys.
-func EncodeFacts(f *PackageFacts) []byte {
-	data, err := json.Marshal(f)
-	if err != nil {
-		// All fields are plain maps/slices of strings; Marshal cannot
-		// fail on them.
-		panic("lint: encode facts: " + err.Error())
-	}
-	return data
-}
-
-// DecodeFacts parses a vetx payload written by EncodeFacts. Empty or
-// foreign payloads (another tool's vetx, gob-framed x/tools facts)
-// yield nil without error: facts degrade to "unknown", they never
-// fail a run.
-func DecodeFacts(data []byte) *PackageFacts {
-	if len(data) == 0 || data[0] != '{' {
-		return nil
-	}
-	f := new(PackageFacts)
-	if err := json.Unmarshal(data, f); err != nil {
-		return nil
-	}
-	return f
 }
 
 // FuncKey names a function object in fact tables: "Func" for package

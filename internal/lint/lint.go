@@ -16,8 +16,8 @@
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Reportf) but is implemented with the standard
 // library only, because this module builds hermetically with zero
-// external dependencies. cmd/desiccant-lint drives the analyzers both
-// standalone and as a `go vet -vettool`.
+// external dependencies. cmd/desiccant-lint drives the analyzers
+// through driver.Standalone.
 //
 // # Escape hatch
 //

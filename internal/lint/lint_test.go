@@ -239,13 +239,6 @@ func TestFactsFlowAcrossPackages(t *testing.T) {
 		checkWants(t, loader, use, a.Name, diags)
 	}
 
-	// Round-trip sanity: facts must survive the vetx wire format.
-	decoded := lint.DecodeFacts(lint.EncodeFacts(depFacts))
-	if decoded == nil || len(decoded.AllocFree) != len(depFacts.AllocFree) ||
-		len(decoded.Units) != len(depFacts.Units) {
-		t.Errorf("facts did not survive encode/decode: %+v -> %+v", depFacts, decoded)
-	}
-
 	// Negative control: with no dependency facts, the annotated import
 	// degrades to an unverified callee. If this ever passes silently the
 	// wants above are matching for the wrong reason.

@@ -203,9 +203,10 @@ func ApplyZipf(as []Assignment, skew float64, seed uint64) {
 // NormalizeRate uniformly rescales the assignments' inter-arrival
 // times so the total base arrival rate equals target requests/second.
 // The experiment harness uses this to pin the scale-factor axis to the
-// paper's load levels regardless of which entries matched.
+// paper's load levels regardless of which entries matched. It panics
+// unless targetTotal is positive and finite.
 func NormalizeRate(as []Assignment, targetTotal float64) {
-	if targetTotal <= 0 {
+	if !(targetTotal > 0) || math.IsInf(targetTotal, 1) {
 		panic("trace: non-positive target rate")
 	}
 	var total float64

@@ -84,6 +84,20 @@ func TestGenerateInvalidConfig(t *testing.T) {
 	Generate(GenConfig{Seed: 1, Functions: 0})
 }
 
+func TestNormalizeRateInvalidTarget(t *testing.T) {
+	as := Match(Generate(GenConfig{Seed: 1, Functions: 100}), workload.All())
+	for _, target := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NormalizeRate(%v): no panic", target)
+				}
+			}()
+			NormalizeRate(as, target)
+		}()
+	}
+}
+
 func TestMatchPicksClosestDurations(t *testing.T) {
 	tr := Generate(GenConfig{Seed: 3, Functions: 3000})
 	specs := workload.All()
