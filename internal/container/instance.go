@@ -258,7 +258,8 @@ func (i *Instance) Freeze(now sim.Time) {
 }
 
 // Kill marks the instance dead. The caller must also Destroy the
-// address space via the machine (the platform does this on eviction).
+// address space via the machine and Release the runtime (the
+// platform's destroy does all three).
 func (i *Instance) Kill() { i.status = Dead }
 
 // USS returns the instance's unique set size — the paper's primary

@@ -103,11 +103,12 @@ func (p *Prewarmed) Assign(spec *workload.Spec, stage int, now sim.Time) (*Insta
 	return inst, nil
 }
 
-// Destroy tears the unused stem cell down.
+// Destroy tears the unused stem cell down and releases its runtime.
 func (p *Prewarmed) Destroy() {
 	if p.used {
 		panic("container: Destroy of an assigned Prewarmed")
 	}
 	p.used = true
 	p.machine.Destroy(p.as)
+	p.rt.Release()
 }

@@ -63,10 +63,8 @@ func (p *Platform) detach(inst *container.Instance, reason int64) (*workload.Spe
 		p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
 			Bytes: inst.USS(), Aux: reason})
 	}
-	inst.Kill()
-	p.machine.Destroy(inst.AS)
 	p.stats.MigratedOut++
-	p.onDestroy.Fire(inst)
+	p.destroy(inst)
 	return inst.Spec, inst.Stage, true
 }
 

@@ -195,7 +195,8 @@ func (p *Platform) Events() *obs.Bus { return p.bus }
 func (p *Platform) OnEviction(fn func(n int)) { p.onEviction.Add(fn) }
 
 // OnDestroy registers an observer of instance destruction, called for
-// every eviction/kill so managers can abandon per-instance state.
+// every eviction/kill so managers can abandon per-instance state. It
+// runs before the instance's runtime is released.
 func (p *Platform) OnDestroy(fn func(inst *container.Instance)) { p.onDestroy.Add(fn) }
 
 // invocation tracks one request through its (possibly chained) stages.
@@ -448,10 +449,18 @@ func (p *Platform) evict(inst *container.Instance, reason int64) {
 		p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
 			Bytes: inst.USS(), Aux: reason})
 	}
+	p.stats.Evictions++
+	p.destroy(inst)
+}
+
+// destroy tears a dead instance down: the machine takes its pages
+// back, the destroy hooks run, and the runtime hands its heap objects
+// back for the next cold boot.
+func (p *Platform) destroy(inst *container.Instance) {
 	inst.Kill()
 	p.machine.Destroy(inst.AS)
-	p.stats.Evictions++
 	p.onDestroy.Fire(inst)
+	inst.Runtime.Release()
 }
 
 // coldBoot creates the instance and schedules execution after the
@@ -682,9 +691,7 @@ func (p *Platform) finishInstance(inst *container.Instance, kill bool) {
 		if p.bus != nil {
 			p.bus.Emit(obs.Event{Kind: obs.EvDestroy, Inst: inst.ID, Name: inst.Spec.Name})
 		}
-		inst.Kill()
-		p.machine.Destroy(inst.AS)
-		p.onDestroy.Fire(inst)
+		p.destroy(inst)
 		return
 	}
 	inst.Freeze(p.eng.Now())

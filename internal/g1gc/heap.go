@@ -122,9 +122,10 @@ func (r *region) garbageFraction() float64 {
 
 // Heap is a simulated G1 heap.
 type Heap struct {
-	cfg    Config
-	cost   mm.GCCostModel
-	pool   mm.ObjectPool
+	cfg  Config
+	cost mm.GCCostModel
+	// pool is nil once the heap is released.
+	pool   *mm.ObjectPool
 	region *osmem.Region
 
 	regions []*region
@@ -152,7 +153,7 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 		panic("g1gc: heap smaller than two regions")
 	}
 	n := int(cfg.MaxHeapBytes / RegionSize)
-	h := &Heap{cfg: cfg, cost: cost}
+	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool()}
 	h.region = as.MmapAnon("g1-heap", int64(n)*RegionSize)
 	h.regions = make([]*region, n)
 	for i := n - 1; i >= 0; i-- {
@@ -169,23 +170,51 @@ func (h *Heap) Name() string { return RuntimeName }
 func (h *Heap) Language() runtime.Language { return runtime.Java }
 
 // Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats { return h.stats }
+func (h *Heap) Stats() runtime.GCStats {
+	h.live()
+	return h.stats
+}
 
 // DrainGCCost implements runtime.Runtime.
 func (h *Heap) DrainGCCost() sim.Duration {
+	h.live()
 	c := h.gcCost
 	h.gcCost = 0
 	return c
 }
 
 // ConsumeDeoptPenalty implements runtime.Runtime.
-func (h *Heap) ConsumeDeoptPenalty() float64 { return 0 }
+func (h *Heap) ConsumeDeoptPenalty() float64 {
+	h.live()
+	return 0
+}
+
+// Release implements runtime.Runtime.
+func (h *Heap) Release() {
+	h.live()
+	for _, r := range h.regions {
+		h.pool.FreeAll(r.objects)
+	}
+	h.pool.Release()
+	h.pool = nil
+}
+
+// live panics once the heap has been released.
+func (h *Heap) live() {
+	if h.pool == nil {
+		panic("g1gc: use of released heap")
+	}
+}
 
 // HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) { return h.region.VA, h.region.Bytes() }
+func (h *Heap) HeapRange() (int64, int64) {
+	h.live()
+	return h.region.VA, h.region.Bytes()
+}
 
 // HeapCommitted implements runtime.Runtime: bytes in non-free regions.
 func (h *Heap) HeapCommitted() int64 {
+	h.live()
 	var n int64
 	for _, r := range h.regions {
 		if r.kind != regionFree {
@@ -197,6 +226,7 @@ func (h *Heap) HeapCommitted() int64 {
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
+	h.live()
 	var n int64
 	for _, r := range h.regions {
 		n += r.live()
@@ -247,6 +277,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if size <= 0 {
 		panic("g1gc: non-positive allocation")
 	}
+	h.live()
 	o := h.pool.New(size, opts.Weak)
 
 	if size > RegionSize/2 {
@@ -544,12 +575,16 @@ func (h *Heap) sweepHumongous(aggressive bool) {
 }
 
 // CollectFull implements runtime.Runtime.
-func (h *Heap) CollectFull(aggressive bool) { h.fullCollect(aggressive) }
+func (h *Heap) CollectFull(aggressive bool) {
+	h.live()
+	h.fullCollect(aggressive)
+}
 
 // Reclaim implements runtime.Runtime: full collection, then release
 // the physical pages of every free region and every region's free
 // tail back to the OS — §7's recipe applied to G1's region layout.
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
+	h.live()
 	before := h.ResidentBytes()
 	h.fullCollect(aggressive)
 	// Walk the region array in index order, coalescing free regions

@@ -345,7 +345,7 @@ func newHeapQuick() *Heap {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 3*mb, 16*mb, func() runtimetest.Heap {
 		h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
 			for _, r := range h.regions {
 				for _, o := range r.objects {
 					f(o)

@@ -99,7 +99,8 @@ const minOldBytes = 1 << 20
 type Heap struct {
 	cfg  Config
 	cost mm.GCCostModel
-	pool mm.ObjectPool
+	// pool is nil once the heap is released.
+	pool *mm.ObjectPool
 
 	region *osmem.Region
 
@@ -150,7 +151,7 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 	if cfg.MaxHeapBytes < cfg.InitialHeapBytes {
 		panic("hotspot: Xms > Xmx")
 	}
-	h := &Heap{cfg: cfg, cost: cost}
+	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool()}
 	h.region = as.MmapAnon("java-heap", cfg.MaxHeapBytes)
 	h.youngReserve = pageAlign(cfg.MaxHeapBytes / (cfg.NewRatio + 1))
 	h.oldReserve = pageAlign(cfg.MaxHeapBytes) - h.youngReserve
@@ -214,21 +215,32 @@ func (h *Heap) Name() string { return RuntimeName }
 func (h *Heap) Language() runtime.Language { return runtime.Java }
 
 // HeapCommitted implements runtime.Runtime.
-func (h *Heap) HeapCommitted() int64 { return h.youngCommitted + h.oldCommitted }
+func (h *Heap) HeapCommitted() int64 {
+	h.live()
+	return h.youngCommitted + h.oldCommitted
+}
 
 // HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) { return h.region.VA, h.region.Bytes() }
+func (h *Heap) HeapRange() (int64, int64) {
+	h.live()
+	return h.region.VA, h.region.Bytes()
+}
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
+	h.live()
 	return h.eden.LiveBytes() + h.surv[0].LiveBytes() + h.surv[1].LiveBytes() + h.old.LiveBytes()
 }
 
 // Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats { return h.stats }
+func (h *Heap) Stats() runtime.GCStats {
+	h.live()
+	return h.stats
+}
 
 // DrainGCCost implements runtime.Runtime.
 func (h *Heap) DrainGCCost() sim.Duration {
+	h.live()
 	c := h.gcCost
 	h.gcCost = 0
 	return c
@@ -236,13 +248,39 @@ func (h *Heap) DrainGCCost() sim.Duration {
 
 // ConsumeDeoptPenalty implements runtime.Runtime. The serial-GC path
 // has no aggressive-collection deoptimization in the paper's model.
-func (h *Heap) ConsumeDeoptPenalty() float64 { return 0 }
+func (h *Heap) ConsumeDeoptPenalty() float64 {
+	h.live()
+	return 0
+}
+
+// Release implements runtime.Runtime.
+func (h *Heap) Release() {
+	h.live()
+	for _, sp := range h.spaces() {
+		h.pool.FreeAll(sp.Objects())
+	}
+	h.pool.Release()
+	h.pool = nil
+}
+
+// live panics once the heap has been released.
+func (h *Heap) live() {
+	if h.pool == nil {
+		panic("hotspot: use of released heap")
+	}
+}
+
+// spaces lists the heap's four spaces.
+func (h *Heap) spaces() [4]*mm.BumpSpace {
+	return [4]*mm.BumpSpace{h.eden, h.surv[0], h.surv[1], h.old}
+}
 
 // Allocate implements runtime.Runtime.
 func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
 	if size <= 0 {
 		panic("hotspot: non-positive allocation")
 	}
+	h.live()
 	o := h.pool.New(size, opts.Weak)
 
 	// Objects larger than half of eden go straight to the old
@@ -491,7 +529,7 @@ func (h *Heap) compactOld(aggressive bool) (traced, moved, collected int64) {
 func (h *Heap) fullGC(aggressive bool) error {
 	// Feasibility: every live object ends up in the old generation.
 	var liveTotal int64
-	for _, sp := range []*mm.BumpSpace{h.eden, h.surv[0], h.surv[1], h.old} {
+	for _, sp := range h.spaces() {
 		for _, o := range sp.Objects() {
 			if !o.Collectible(aggressive) {
 				liveTotal += o.Size
@@ -594,13 +632,17 @@ func (h *Heap) resize() {
 // System.gc()). A forced collection that cannot even fit the live set
 // is skipped — the mutator will hit ErrOutOfMemory on its next
 // allocation instead.
-func (h *Heap) CollectFull(aggressive bool) { _ = h.fullGC(aggressive) }
+func (h *Heap) CollectFull(aggressive bool) {
+	h.live()
+	_ = h.fullGC(aggressive)
+}
 
 // Reclaim implements runtime.Runtime: Desiccant's Algorithm 1.
 // Collect every generation, resize, then return every free page in
 // every space to the OS — from space in its entirety, plus free
 // memory in eden, to space and the old generation.
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
+	h.live()
 	before := h.residentHeapBytes()
 	if err := h.fullGC(aggressive); err != nil {
 		// Nothing reclaimable without a collection; report the status

@@ -353,7 +353,7 @@ func TestHeapInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 2*mb, 4*mb, func() runtimetest.Heap {
 		_, _, h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
 			for _, sp := range []*mm.BumpSpace{h.eden, h.surv[0], h.surv[1], h.old} {
 				for _, o := range sp.Objects() {
 					f(o)

@@ -195,16 +195,3 @@ func (h *Histogram) Merge(other *Histogram) error {
 	h.nonFinite += other.nonFinite
 	return nil
 }
-
-// Clone returns an independent copy of h.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		bounds:    append([]float64(nil), h.bounds...),
-		counts:    append([]int64(nil), h.counts...),
-		sum:       h.sum,
-		n:         h.n,
-		min:       h.min,
-		max:       h.max,
-		nonFinite: h.nonFinite,
-	}
-}

@@ -71,13 +71,11 @@ func TestHistogramMergeExact(t *testing.T) {
 		}
 	}
 	// Merge in both orders; both must equal the serial histogram.
-	ab := a.Clone()
-	if err := ab.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	ba := b.Clone()
-	if err := ba.Merge(a); err != nil {
-		t.Fatal(err)
+	ab, ba := NewHistogram(bounds...), NewHistogram(bounds...)
+	for _, err := range []error{ab.Merge(a), ab.Merge(b), ba.Merge(b), ba.Merge(a)} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, m := range []*Histogram{ab, ba} {
 		if m.Count() != serial.Count() || m.Sum() != serial.Sum() {

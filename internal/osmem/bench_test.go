@@ -50,6 +50,50 @@ func BenchmarkReleaseRuns(b *testing.B) {
 	}
 }
 
+// libPages is the node binary's image (42 MiB), and libTouched the
+// share of it a runtime reads at startup, as a cold boot maps them.
+const (
+	libPages   = 42 << 20 / PageSize
+	libTouched = libPages * 55 / 100
+)
+
+// BenchmarkLibraryTouch is the library half of a cold boot: map the
+// runtime image and read its startup share, half of it already in the
+// page cache through a co-mapper. The teardown is untimed.
+func BenchmarkLibraryTouch(b *testing.B) {
+	m := NewMachine(DefaultFaultCosts())
+	lib := m.File("node", libPages*PageSize)
+	m.NewAddressSpace("co-mapper").MmapFile("node", lib, 0, libPages).Touch(0, libTouched/2, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		as := m.NewAddressSpace("boot")
+		as.MmapFile("node", lib, 0, libPages).Touch(0, libTouched, false)
+		b.StopTimer()
+		m.Destroy(as)
+		b.StartTimer()
+	}
+}
+
+// BenchmarkUnmap is the teardown half: unmap a library mapping and a
+// heap reservation whose first 16 MiB are resident. The set-up is
+// untimed.
+func BenchmarkUnmap(b *testing.B) {
+	m := NewMachine(DefaultFaultCosts())
+	lib := m.File("node", libPages*PageSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		as := m.NewAddressSpace("boot")
+		file := as.MmapFile("node", lib, 0, libPages)
+		file.Touch(0, libTouched, false)
+		heap := as.MmapAnon("heap", 256<<20)
+		heap.Touch(0, benchPages, true)
+		b.StartTimer()
+		as.Unmap(file)
+		as.Unmap(heap)
+	}
+}
+
 // TestBulkPathsZeroAllocs pins the allocation-free contract of every
 // bulk fast path: a GC phase calling them must not generate garbage in
 // the simulator while simulating garbage collection.

@@ -50,9 +50,10 @@ func DefaultConfig(memoryBudget int64) Config {
 
 // Heap is a simulated CPython object heap.
 type Heap struct {
-	cfg    Config
-	cost   mm.GCCostModel
-	pool   mm.ObjectPool
+	cfg  Config
+	cost mm.GCCostModel
+	// pool is nil once the heap is released.
+	pool   *mm.ObjectPool
 	region *osmem.Region
 	arenas []*arena
 
@@ -78,7 +79,7 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 	if cfg.HeapLimit < ArenaSize {
 		panic("pyarena: heap smaller than one arena")
 	}
-	h := &Heap{cfg: cfg, cost: cost}
+	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool()}
 	h.region = as.MmapAnon("py-arenas", cfg.HeapLimit)
 	return h
 }
@@ -90,10 +91,14 @@ func (h *Heap) Name() string { return RuntimeName }
 func (h *Heap) Language() runtime.Language { return runtime.Language("python") }
 
 // Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats { return h.stats }
+func (h *Heap) Stats() runtime.GCStats {
+	h.live()
+	return h.stats
+}
 
 // DrainGCCost implements runtime.Runtime.
 func (h *Heap) DrainGCCost() sim.Duration {
+	h.live()
 	c := h.gcCost
 	h.gcCost = 0
 	return c
@@ -101,13 +106,37 @@ func (h *Heap) DrainGCCost() sim.Duration {
 
 // ConsumeDeoptPenalty implements runtime.Runtime (CPython has no JIT
 // in this model).
-func (h *Heap) ConsumeDeoptPenalty() float64 { return 0 }
+func (h *Heap) ConsumeDeoptPenalty() float64 {
+	h.live()
+	return 0
+}
+
+// Release implements runtime.Runtime.
+func (h *Heap) Release() {
+	h.live()
+	for _, a := range h.arenas {
+		h.pool.FreeAll(a.objects)
+	}
+	h.pool.Release()
+	h.pool = nil
+}
+
+// live panics once the heap has been released.
+func (h *Heap) live() {
+	if h.pool == nil {
+		panic("pyarena: use of released heap")
+	}
+}
 
 // HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) { return h.region.VA, h.region.Bytes() }
+func (h *Heap) HeapRange() (int64, int64) {
+	h.live()
+	return h.region.VA, h.region.Bytes()
+}
 
 // HeapCommitted implements runtime.Runtime: mapped arenas.
 func (h *Heap) HeapCommitted() int64 {
+	h.live()
 	var n int64
 	for _, a := range h.arenas {
 		if a.mapped {
@@ -119,6 +148,7 @@ func (h *Heap) HeapCommitted() int64 {
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
+	h.live()
 	var n int64
 	for _, a := range h.arenas {
 		n += mm.LiveBytes(a.objects)
@@ -163,6 +193,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if size <= 0 {
 		panic("pyarena: non-positive allocation")
 	}
+	h.live()
 	if size > ArenaSize {
 		return nil, fmt.Errorf("pyarena: %d exceeds the arena size: %w", size, runtime.ErrOutOfMemory)
 	}
@@ -245,6 +276,7 @@ func (h *Heap) grow() *arena {
 // dead blocks into the free lists, releasing only arenas that become
 // entirely empty.
 func (h *Heap) CollectFull(aggressive bool) {
+	h.live()
 	h.stats.FullGCs++
 	var traced, collected int64
 	runs := h.scratch[:0]
@@ -280,6 +312,7 @@ func (h *Heap) CollectFull(aggressive bool) {
 // knowledge to release the free pages inside partially occupied
 // arenas — the §7 recipe.
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
+	h.live()
 	before := h.ResidentBytes()
 	h.CollectFull(aggressive)
 	runs := h.scratch[:0]

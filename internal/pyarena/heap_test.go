@@ -261,7 +261,7 @@ func TestArenaInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, ArenaSize, 4*mb, func() runtimetest.Heap {
 		h := newHeap(t, 16*mb)
-		return runtimetest.Heap{Runtime: h, Pool: &h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
 			for _, a := range h.arenas {
 				for _, o := range a.objects {
 					f(o)

@@ -99,6 +99,12 @@ type Runtime interface {
 
 	// Stats returns lifetime collection counters.
 	Stats() GCStats
+
+	// Release tears the heap down when its instance dies: every object
+	// still on the heap's lists goes back to its mm.ObjectPool, and the
+	// pool to the process-wide store the next heap draws from. Any
+	// later use of the runtime panics.
+	Release()
 }
 
 // SpaceRange locates one heap space (or space fragment, for chunked

@@ -22,6 +22,7 @@ func (s *stubRuntime) HeapRange() (int64, int64)                        { return
 func (s *stubRuntime) DrainGCCost() sim.Duration                        { return 0 }
 func (s *stubRuntime) ConsumeDeoptPenalty() float64                     { return 0 }
 func (s *stubRuntime) Stats() GCStats                                   { return GCStats{} }
+func (s *stubRuntime) Release()                                         {}
 
 func TestRegisterAndNew(t *testing.T) {
 	Register("stub-test", func(cfg Config) Runtime { return &stubRuntime{cfg: cfg} })

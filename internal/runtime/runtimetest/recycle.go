@@ -10,6 +10,7 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
+	"desiccant/internal/workload"
 )
 
 // Heap is what CheckRecycling needs to see of a heap simulator.
@@ -22,90 +23,137 @@ type Heap struct {
 	Listed func(f func(*mm.Object))
 }
 
-// CheckRecycling runs sequences random sequences of ops operations.
+// CheckRecycling runs lives heap lifetimes of ops operations each,
+// spread over workers parallel subtests.
 const (
-	sequences = 200
-	ops       = 300
+	lives   = 200
+	ops     = 300
+	workers = 4
 )
 
-// CheckRecycling drives fresh heaps from newHeap through seeded random
-// sequences of allocations (weak or not, up to maxSize bytes), kills,
-// full collections and reclaims, aggressive or not. Before each
-// allocation the driver kills its oldest objects until it holds at
-// most liveCap bytes; an allocation may still fail with
-// runtime.ErrOutOfMemory, which a heap near its limit reports.
+// CheckRecycling drives heaps from newHeap through seeded random
+// lives. Each life is born (newHeap, whose pool is usually one an
+// earlier life released), runs, is released, and must then panic on
+// every use. The lives run on parallel subtests, so released pools
+// change goroutines the way they do between the experiments' worker
+// pool cells. A life's operations are allocations (weak or not, up to
+// maxSize bytes), kills, body executions of a small two-stage function
+// through a workload.State, full collections and reclaims, aggressive
+// or not. Before each allocation the driver kills its oldest objects
+// until it holds at most liveCap bytes; an allocation or a body may
+// still fail with runtime.ErrOutOfMemory, which a heap near its limit
+// reports.
 //
 // After every operation it checks the mm.ObjectPool ownership rule: no
-// freed object is still in one of the heap's lists or in the driver's
-// live set, none is freed twice, and no weak object is freed. It also
-// checks that LiveBytes equals the driver's own sum.
+// freed object is still in one of the heap's lists, in the driver's
+// live set or reachable from the live workload.State, none is freed
+// twice, and no weak object is freed. It also checks that LiveBytes
+// equals the driver's own sum plus the state's.
 func CheckRecycling(t *testing.T, maxSize, liveCap int64, newHeap func() Heap) {
 	t.Helper()
-	for seq := 0; seq < sequences; seq++ {
-		h := newHeap()
-		rng := sim.NewRNG(uint64(seq) + 1)
-		var live []*mm.Object
-		var want int64
-		for op := 0; op < ops; op++ {
-			var what string
-			switch r := rng.Intn(100); {
-			case r < 60 || len(live) == 0:
-				what = "allocate"
-				for want > liveCap {
-					live[0].Dead = true
-					want -= live[0].Size
-					live = live[1:]
-				}
-				size := 1 + rng.Int63n(64<<10)
-				if rng.Intn(20) == 0 {
-					size = 1 + rng.Int63n(maxSize)
-				}
-				o, err := h.Allocate(size, runtime.AllocOptions{Weak: rng.Intn(10) == 0})
-				switch {
-				case errors.Is(err, runtime.ErrOutOfMemory):
-				case err != nil:
-					t.Fatalf("seq %d op %d: allocate %d: %v", seq, op, size, err)
-				default:
-					live = append(live, o)
-					want += size
-				}
-			case r < 85:
-				what = "kill"
-				i := rng.Intn(len(live))
-				live[i].Dead = true
-				want -= live[i].Size
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			case r < 93:
-				aggressive := rng.Intn(2) == 0
-				what = fmt.Sprintf("collect(aggressive=%v)", aggressive)
-				h.CollectFull(aggressive)
+	for w := 0; w < workers; w++ {
+		t.Run(fmt.Sprintf("worker%d", w), func(t *testing.T) {
+			t.Parallel()
+			for life := w; life < lives; life += workers {
+				checkLife(t, life, maxSize, liveCap, newHeap())
+			}
+		})
+	}
+}
+
+// checkLife runs one life of h, seeded by its index.
+func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
+	t.Helper()
+	rng := sim.NewRNG(uint64(life) + 1)
+	st := workload.NewState(bodySpec(h.Language()), 0)
+	var live []*mm.Object
+	var want int64
+	for op := 0; op < ops; op++ {
+		var what string
+		switch r := rng.Intn(100); {
+		case r < 55 || len(live) == 0:
+			what = "allocate"
+			for want > liveCap {
+				live[0].Dead = true
+				want -= live[0].Size
+				live = live[1:]
+			}
+			size := 1 + rng.Int63n(64<<10)
+			if rng.Intn(20) == 0 {
+				size = 1 + rng.Int63n(maxSize)
+			}
+			o, err := h.Allocate(size, runtime.AllocOptions{Weak: rng.Intn(10) == 0})
+			switch {
+			case errors.Is(err, runtime.ErrOutOfMemory):
+			case err != nil:
+				t.Fatalf("life %d op %d: allocate %d: %v", life, op, size, err)
 			default:
-				aggressive := rng.Intn(2) == 0
-				what = fmt.Sprintf("reclaim(aggressive=%v)", aggressive)
-				h.Reclaim(aggressive)
+				live = append(live, o)
+				want += size
 			}
-			// An aggressive collection kills weak objects. The driver
-			// still reads them: weak objects are never recycled.
-			kept := live[:0]
-			for _, o := range live {
-				if o.Dead {
-					want -= o.Size
-					continue
-				}
-				kept = append(kept, o)
+		case r < 78:
+			what = "kill"
+			i := rng.Intn(len(live))
+			live[i].Dead = true
+			want -= live[i].Size
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case r < 85:
+			what = "invoke"
+			if _, err := st.RunBody(h, rng); err != nil && !errors.Is(err, runtime.ErrOutOfMemory) {
+				t.Fatalf("life %d op %d: invoke: %v", life, op, err)
 			}
-			live = kept
-			if msg := recycleViolation(h, live, want); msg != "" {
-				t.Fatalf("seq %d op %d (%s): %s", seq, op, what, msg)
+			h.DrainGCCost()
+			if rng.Intn(2) == 0 {
+				// The chain's last stage consumed the intermediates.
+				st.ReleaseIntermediates()
 			}
+		case r < 93:
+			aggressive := rng.Intn(2) == 0
+			what = fmt.Sprintf("collect(aggressive=%v)", aggressive)
+			h.CollectFull(aggressive)
+		default:
+			aggressive := rng.Intn(2) == 0
+			what = fmt.Sprintf("reclaim(aggressive=%v)", aggressive)
+			h.Reclaim(aggressive)
 		}
+		// An aggressive collection kills weak objects. The driver
+		// still reads them: weak objects are never recycled.
+		kept := live[:0]
+		for _, o := range live {
+			if o.Dead {
+				want -= o.Size
+				continue
+			}
+			kept = append(kept, o)
+		}
+		live = kept
+		if msg := recycleViolation(h, live, st, want); msg != "" {
+			t.Fatalf("life %d op %d (%s): %s", life, op, what, msg)
+		}
+	}
+	h.Release()
+	if msg := releasedViolation(h.Runtime); msg != "" {
+		t.Fatalf("life %d: released heap: %s", life, msg)
+	}
+}
+
+// bodySpec is a small two-stage function for a runtime of the given
+// language: static data, a weak cache, a working-set window of
+// temporaries and intermediates, all in clusters that fit any heap the
+// models' recycling tests build.
+func bodySpec(lang runtime.Language) *workload.Spec {
+	return &workload.Spec{
+		Name: "recycle-body", Language: lang, ChainLength: 2,
+		InitAllocBytes: 256 << 10, StaticBytes: 64 << 10, WeakBytes: 32 << 10,
+		AllocPerInvoke: 512 << 10, WorkingSet: 128 << 10, ObjectSize: 16 << 10,
+		IntermediateBytes: 48 << 10,
 	}
 }
 
 // recycleViolation returns a description of the first broken
 // recycling rule, or "".
-func recycleViolation(h Heap, live []*mm.Object, want int64) string {
+func recycleViolation(h Heap, live []*mm.Object, st *workload.State, want int64) string {
 	freed := make(map[*mm.Object]bool, len(h.Pool.Freed()))
 	for _, o := range h.Pool.Freed() {
 		if o.Weak {
@@ -122,6 +170,14 @@ func recycleViolation(h Heap, live []*mm.Object, want int64) string {
 			msg = fmt.Sprintf("freed %v still in a heap list", o)
 		}
 	})
+	st.Objects(func(o *mm.Object) {
+		if msg == "" && freed[o] {
+			msg = fmt.Sprintf("freed %v still reachable from the workload state", o)
+		}
+		if !o.Dead {
+			want += o.Size
+		}
+	})
 	if msg != "" {
 		return msg
 	}
@@ -131,7 +187,39 @@ func recycleViolation(h Heap, live []*mm.Object, want int64) string {
 		}
 	}
 	if got := h.LiveBytes(); got != want {
-		return fmt.Sprintf("LiveBytes %d, driver counts %d", got, want)
+		return fmt.Sprintf("LiveBytes %d, driver and state count %d", got, want)
 	}
 	return ""
+}
+
+// releasedViolation returns the first use of a released runtime that
+// does not panic, or "".
+func releasedViolation(rt runtime.Runtime) string {
+	uses := []struct {
+		name string
+		use  func()
+	}{
+		{"Allocate", func() { _, _ = rt.Allocate(1, runtime.AllocOptions{}) }},
+		{"CollectFull", func() { rt.CollectFull(false) }},
+		{"Reclaim", func() { rt.Reclaim(false) }},
+		{"LiveBytes", func() { rt.LiveBytes() }},
+		{"HeapCommitted", func() { rt.HeapCommitted() }},
+		{"HeapRange", func() { rt.HeapRange() }},
+		{"DrainGCCost", func() { rt.DrainGCCost() }},
+		{"ConsumeDeoptPenalty", func() { rt.ConsumeDeoptPenalty() }},
+		{"Stats", func() { rt.Stats() }},
+		{"Release", func() { rt.Release() }},
+	}
+	for _, u := range uses {
+		if !panics(u.use) {
+			return u.name + " did not panic"
+		}
+	}
+	return ""
+}
+
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }

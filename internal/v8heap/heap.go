@@ -62,7 +62,8 @@ func chunkAlign(n int64) int64 {
 type Heap struct {
 	cfg  Config
 	cost mm.GCCostModel
-	pool mm.ObjectPool
+	// pool is nil once the heap is released.
+	pool *mm.ObjectPool
 
 	region *osmem.Region
 	arena  *arena
@@ -112,7 +113,7 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 		panic("v8heap: invalid semispace configuration")
 	}
 	reserve := cfg.OldSpaceLimit + 4*cfg.SemiSpaceMax + 16<<20
-	h := &Heap{cfg: cfg, cost: cost, semi: chunkAlign(cfg.SemiSpaceInitial)}
+	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool(), semi: chunkAlign(cfg.SemiSpaceInitial)}
 	h.region = as.MmapAnon("v8-heap", chunkAlign(reserve))
 	h.arena = newArena(h.region)
 	h.spaces[0] = newSemispace("new-from", h.arena, h.semi)
@@ -132,14 +133,19 @@ func (h *Heap) Language() runtime.Language { return runtime.JavaScript }
 // held by all spaces (V8's own consumption counters, which Desiccant
 // reads directly on JavaScript instances — §4.5.2).
 func (h *Heap) HeapCommitted() int64 {
+	h.live()
 	return h.spaces[0].committedBytes() + h.spaces[1].committedBytes() + h.old.committedBytes()
 }
 
 // HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) { return h.region.VA, h.region.Bytes() }
+func (h *Heap) HeapRange() (int64, int64) {
+	h.live()
+	return h.region.VA, h.region.Bytes()
+}
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
+	h.live()
 	return h.spaces[0].liveBytes() + h.spaces[1].liveBytes() + h.old.liveBytes()
 }
 
@@ -149,10 +155,14 @@ func (h *Heap) LiveBytes() int64 {
 func (h *Heap) YoungGenerationBytes() int64 { return 2 * h.semi }
 
 // Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats { return h.stats }
+func (h *Heap) Stats() runtime.GCStats {
+	h.live()
+	return h.stats
+}
 
 // DrainGCCost implements runtime.Runtime.
 func (h *Heap) DrainGCCost() sim.Duration {
+	h.live()
 	c := h.gcCost
 	h.gcCost = 0
 	return c
@@ -163,9 +173,35 @@ func (h *Heap) DrainGCCost() sim.Duration {
 // executor converts this into the function-specific JIT
 // deoptimization slowdown of §4.7.
 func (h *Heap) ConsumeDeoptPenalty() float64 {
+	h.live()
 	w := h.weakCollected
 	h.weakCollected = 0
 	return float64(w)
+}
+
+// Release implements runtime.Runtime.
+func (h *Heap) Release() {
+	h.live()
+	for _, s := range h.spaces {
+		for _, c := range s.chunks {
+			h.pool.FreeAll(c.objects)
+		}
+	}
+	for _, c := range h.old.chunks {
+		h.pool.FreeAll(c.objects)
+	}
+	for _, e := range h.old.large {
+		h.pool.Free(e.obj)
+	}
+	h.pool.Release()
+	h.pool = nil
+}
+
+// live panics once the heap has been released.
+func (h *Heap) live() {
+	if h.pool == nil {
+		panic("v8heap: use of released heap")
+	}
 }
 
 // ResidentBytes exposes the heap's physical footprint.
@@ -176,6 +212,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if size <= 0 {
 		panic("v8heap: non-positive allocation")
 	}
+	h.live()
 	o := h.pool.New(size, opts.Weak)
 	h.allocSinceGC += size
 
@@ -336,7 +373,7 @@ func (h *Heap) fullGC(aggressive bool) {
 	h.survScratch = survivors[:0]
 
 	// Old generation: mark-sweep in place, freeing empty chunks.
-	oldCollected, weak := h.old.sweep(aggressive, &h.pool)
+	oldCollected, weak := h.old.sweep(aggressive, h.pool)
 	collected += oldCollected
 	h.weakCollected += weak
 	traced += h.old.liveBytes()
@@ -412,13 +449,17 @@ func (h *Heap) SpaceLayout() []runtime.SpaceRange {
 // baseline's hook). The stock V8 interface performs an aggressive
 // collection; §4.7's 7-line patch adds the option to keep weakly
 // referenced objects, which Desiccant uses.
-func (h *Heap) CollectFull(aggressive bool) { h.fullGC(aggressive) }
+func (h *Heap) CollectFull(aggressive bool) {
+	h.live()
+	h.fullGC(aggressive)
+}
 
 // Reclaim implements runtime.Runtime (global.reclaim): collect, let
 // the resize policy shrink, then release the free pages the resize
 // left behind — every space, headers excepted (98.4% of a chunk is
 // releasable).
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
+	h.live()
 	before := h.ResidentBytes()
 	h.fullGC(aggressive)
 	h.spaces[0].releaseFreePages()

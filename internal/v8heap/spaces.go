@@ -36,7 +36,7 @@ func (s *semispace) tryAllocate(o *mm.Object) bool {
 			if int64(len(s.chunks)+1)*ChunkSize > s.capacity {
 				return false
 			}
-			c := s.a.alloc(s.name)
+			c := s.a.alloc(s.name, o.Size)
 			if c == nil {
 				return false
 			}
@@ -98,7 +98,7 @@ func (b *semiBatch) tryAllocate(o *mm.Object) bool {
 			if int64(len(s.chunks)+1)*ChunkSize > s.capacity {
 				return false
 			}
-			c := s.a.alloc(s.name)
+			c := s.a.alloc(s.name, o.Size)
 			if c == nil {
 				return false
 			}
@@ -261,7 +261,7 @@ func (s *oldSpace) tryAllocate(o *mm.Object) bool {
 	if s.committedBytes()+ChunkSize > s.limit {
 		return false
 	}
-	c := s.a.alloc("old")
+	c := s.a.alloc("old", o.Size)
 	if c == nil {
 		return false
 	}
@@ -280,7 +280,7 @@ func (s *oldSpace) tryAllocateLarge(o *mm.Object) bool {
 	entry := &largeEntry{obj: o}
 	remaining := o.Size
 	for i := 0; i < need; i++ {
-		c := s.a.alloc("lo")
+		c := s.a.alloc("lo", 0)
 		if c == nil {
 			// Roll back partial runs.
 			for _, rc := range entry.chunks {

@@ -238,6 +238,25 @@ func (st *State) ReleaseIntermediates() {
 	st.intermediates = st.intermediates[:0]
 }
 
+// Objects calls f for every object the state still points at: its
+// static data, its weak cache, the live temporaries of its window and
+// its pending intermediates. The recycling tests use it to check that
+// a heap never frees an object its workload can still reach.
+func (st *State) Objects(f func(*mm.Object)) {
+	for _, o := range st.static {
+		f(o)
+	}
+	if st.weak != nil {
+		f(st.weak)
+	}
+	for _, o := range st.window[st.windowHead:] {
+		f(o)
+	}
+	for _, o := range st.intermediates {
+		f(o)
+	}
+}
+
 // PendingIntermediateBytes reports live chain data awaiting a consumer.
 func (st *State) PendingIntermediateBytes() int64 {
 	var n int64
