@@ -144,5 +144,6 @@ func DefaultPlatformConfig() PlatformConfig { return faas.DefaultConfig() }
 
 // DefaultManagerConfig returns the paper's Desiccant settings (60%
 // low threshold, 2 s freeze timeout, throughput-ordered selection,
-// weak references preserved, libraries unmapped).
+// libraries unmapped). Reclamation always preserves weakly-referenced
+// objects (§4.7); that is not a setting.
 func DefaultManagerConfig() ManagerConfig { return core.DefaultConfig() }

@@ -76,7 +76,7 @@ func (n *Node) ack(ev obs.Event) {
 	}
 	lat := ev.Dur.Millis()
 	n.hist.Add(lat)
-	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "fleet:ack", func() {
+	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "fleet:ack", func() {
 		n.c.router.onAck(n.d, lat)
 	})
 }
@@ -120,7 +120,7 @@ func (n *Node) sample() {
 	}
 	n.bus.Emit(obs.Event{Kind: obs.EvNodePressure, Inst: -1,
 		Bytes: nv.CommittedPages * osmem.PageSize, Val: nv.MemFrac, Aux: int64(nv.QueueLen)})
-	n.eng.Deliver(n.d, now.Add(n.c.opts.RouteLatency), "cluster:report", func() {
+	n.eng.Deliver(n.d, now.Add(routeLatency), "cluster:report", func() {
 		n.c.router.onReport(n.d, nv)
 	})
 	if next := now.Add(n.reportEvery); next <= n.reportUntil {
@@ -129,15 +129,16 @@ func (n *Node) sample() {
 }
 
 // migrateOut executes a router migration order on the source node:
-// detach up to batch of the coldest frozen instances and ship each to
-// dst. The victim choice happens here, against live node state, so
-// the router cannot know it — the hand-off therefore also notifies
-// the router which function moved (notifyMoved) to re-home affinity.
-func (n *Node) migrateOut(dst, batch int) {
+// detach up to migrationBatch of the coldest frozen instances and ship
+// each to dst. The victim choice happens here, against live node
+// state, so the router cannot know it — the hand-off therefore also
+// notifies the router which function moved (notifyMoved) to re-home
+// affinity.
+func (n *Node) migrateOut(dst int) {
 	if n.dead {
 		return
 	}
-	for i := 0; i < batch; i++ {
+	for i := 0; i < migrationBatch; i++ {
 		spec, stage, ok := n.platform.DetachColdest(obs.EvictMigrate)
 		if !ok {
 			break
@@ -161,7 +162,7 @@ func (n *Node) sendInstance(dst int, spec *workload.Spec, stage int) {
 // notifyMoved tells the router a function's frozen instance now lives
 // on dst.
 func (n *Node) notifyMoved(fn string, dst int) {
-	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "cluster:moved", func() {
+	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "cluster:moved", func() {
 		n.c.router.onMoved(fn, dst)
 	})
 }
@@ -206,7 +207,7 @@ func (n *Node) kill() {
 		n.drainMigrated++
 		n.sendInstance(dst, spec, stage)
 	}
-	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.RouteLatency), "cluster:dead", func() {
+	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "cluster:dead", func() {
 		n.c.router.markDead(n.d)
 	})
 }

@@ -31,23 +31,29 @@ type Migration struct {
 	// LowFrac is the destination ceiling: only nodes at or below it
 	// (and not mid-reclaim) receive migrations.
 	LowFrac float64
-	// Batch is how many instances one order moves.
-	Batch int
-	// Cooldown is the minimum sim-time between orders to the same
-	// source node, so one hot report burst does not empty the node.
-	Cooldown sim.Duration
 	// Latency is the modeled hand-off time per instance (snapshot
-	// shipping); at least RouteLatency.
+	// shipping); at least routeLatency.
 	Latency sim.Duration
 }
+
+// The fleet's fixed settings.
+const (
+	// routeLatency is the modeled network hop between router and
+	// nodes.
+	routeLatency = 2 * sim.Millisecond
+	// migrationBatch is how many instances one migration order moves.
+	migrationBatch = 2
+	// migrationCooldown is the minimum sim-time between migration
+	// orders to the same source node, so one hot report burst does not
+	// empty the node.
+	migrationCooldown = 2 * sim.Second
+)
 
 // DefaultMigration returns the sweep's migration parameters.
 func DefaultMigration() Migration {
 	return Migration{
 		HighFrac: 0.85,
 		LowFrac:  0.5,
-		Batch:    2,
-		Cooldown: 2 * sim.Second,
 		Latency:  10 * sim.Millisecond,
 	}
 }
@@ -70,9 +76,6 @@ type Options struct {
 	// Nodes is the number of worker machines (indexes 1..Nodes;
 	// index 0 is the router).
 	Nodes int
-	// RouteLatency is the modeled network hop between router and
-	// nodes.
-	RouteLatency sim.Duration
 	// Window is the replayed duration.
 	Window sim.Duration
 	// Scale is the trace scale factor.
@@ -120,7 +123,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Nodes:          16,
-		RouteLatency:   2 * sim.Millisecond,
 		Window:         60 * sim.Second,
 		Scale:          15,
 		TraceFunctions: 400,
@@ -144,9 +146,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Nodes < 1 {
 		return o, fmt.Errorf("cluster: need at least one node, got %d", o.Nodes)
 	}
-	if o.RouteLatency <= 0 {
-		return o, fmt.Errorf("cluster: need a positive route latency, got %v", o.RouteLatency)
-	}
 	if !knownPolicy(o.Policy) {
 		return o, fmt.Errorf("cluster: unknown policy %q (want one of %v)", o.Policy, PolicyNames)
 	}
@@ -166,21 +165,13 @@ func (o Options) withDefaults() (Options, error) {
 	if len(killed) >= o.Nodes {
 		return o, fmt.Errorf("cluster: kills decommission all %d nodes", o.Nodes)
 	}
-	if o.Migration.HighFrac > 0 {
-		if o.Migration.LowFrac <= 0 {
-			o.Migration.LowFrac = DefaultMigration().LowFrac
-		}
-		if o.Migration.Batch <= 0 {
-			o.Migration.Batch = DefaultMigration().Batch
-		}
-		if o.Migration.Cooldown <= 0 {
-			o.Migration.Cooldown = DefaultMigration().Cooldown
-		}
+	if o.Migration.HighFrac > 0 && o.Migration.LowFrac <= 0 {
+		o.Migration.LowFrac = DefaultMigration().LowFrac
 	}
 	// The hand-off latency also paces kill-drain sends, so resolve it
 	// even with migration disabled; it can never undercut the route hop.
-	if o.Migration.Latency < o.RouteLatency {
-		o.Migration.Latency = o.RouteLatency
+	if o.Migration.Latency < routeLatency {
+		o.Migration.Latency = routeLatency
 	}
 	if o.ReportEvery == 0 && (policyNeedsView(o.Policy) || o.Migration.HighFrac > 0) {
 		o.ReportEvery = defaultReportEvery

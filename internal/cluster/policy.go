@@ -8,7 +8,7 @@ import (
 
 // NodeView is the router's last-received picture of one node, built
 // entirely from pressure reports (plus its own routed/acked
-// bookkeeping). It is always stale by at least RouteLatency — the
+// bookkeeping). It is always stale by at least routeLatency — the
 // router acts on what the reports delivered, never on node state
 // directly.
 type NodeView struct {

@@ -77,7 +77,7 @@ func (rt *Router) Submit(spec *workload.Spec, t sim.Time) {
 func (rt *Router) route(spec *workload.Spec, t sim.Time) {
 	d := rt.policy.Place(spec.Name, rt.view)
 	rt.noteRoute(d, spec.Name)
-	rt.c.dispatch(d, spec, t.Add(rt.c.opts.RouteLatency))
+	rt.c.dispatch(d, spec, t.Add(routeLatency))
 }
 
 func (rt *Router) noteRoute(d int, fn string) {
@@ -142,7 +142,7 @@ func (rt *Router) maybeMigrate(src int) {
 		return
 	}
 	now := rt.eng.Now()
-	if rt.lastOrder[src] > 0 && now < rt.lastOrder[src].Add(m.Cooldown) {
+	if rt.lastOrder[src] > 0 && now < rt.lastOrder[src].Add(migrationCooldown) {
 		return
 	}
 	dst := 0
@@ -160,14 +160,14 @@ func (rt *Router) maybeMigrate(src int) {
 	}
 	rt.lastOrder[src] = now
 	rt.migOrders++
-	rt.orderMigration(src, dst, m.Batch)
+	rt.orderMigration(src, dst)
 }
 
 // orderMigration ships the order to the source node; the node picks
 // the victims against its live state.
-func (rt *Router) orderMigration(src, dst, batch int) {
-	rt.eng.Deliver(0, rt.eng.Now().Add(rt.c.opts.RouteLatency), "cluster:migrate", func() {
-		rt.c.nodes[src].migrateOut(dst, batch)
+func (rt *Router) orderMigration(src, dst int) {
+	rt.eng.Deliver(0, rt.eng.Now().Add(routeLatency), "cluster:migrate", func() {
+		rt.c.nodes[src].migrateOut(dst)
 	})
 }
 

@@ -126,16 +126,12 @@ type Options struct {
 	// shared across instances of a language) or the Lambda model
 	// (false: every instance ships its own image, §5.4).
 	ShareLibraries bool
-	// RuntimeConfig optionally adjusts the runtime configuration
-	// (e.g. a custom GC cost model) before the runtime is built.
-	RuntimeConfig func(cfg *runtime.Config)
 	// RuntimeName overrides the language's default runtime (e.g. "g1"
 	// instead of "hotspot-serial" for Java — the §7 G1 port).
 	RuntimeName string
 	// Events, when non-nil, wires the instance's runtime into the
 	// observability bus: GC pauses, heap resizes, and page releases
-	// are emitted tagged with the instance ID. An explicit
-	// RuntimeConfig observer takes precedence.
+	// are emitted tagged with the instance ID.
 	Events *obs.Bus
 }
 
@@ -151,42 +147,17 @@ func New(machine *osmem.Machine, id int, spec *workload.Spec, stage int, now sim
 		invoCell: new(int64),
 	}
 
-	for _, lib := range librariesFor(spec.Language) {
-		name := lib.Name
-		if !opts.ShareLibraries {
-			// Lambda model: a per-instance image copy — never shared.
-			name = fmt.Sprintf("%s@%d", lib.Name, id)
-		}
-		f := machine.File(name, lib.Bytes)
-		r := as.MmapFile(name, f, 0, f.Pages)
-		touched := int64(float64(r.Pages()) * lib.TouchedFraction)
-		if touched > 0 {
-			r.Touch(0, touched, false)
-		}
-		inst.libRegions = append(inst.libRegions, r)
-	}
+	inst.libRegions = mapLibraries(machine, as, spec.Language, opts.ShareLibraries, "", id)
 
 	inst.nonheap = as.MmapAnon("nonheap", spec.NonHeapBytes)
 	inst.nonheap.Touch(0, inst.nonheap.Pages(), true)
 
-	rcfg := runtime.Config{
-		AddressSpace: as,
-		MemoryBudget: opts.MemoryBudget,
-		Cost:         mm.DefaultGCCostModel(),
-	}
-	if opts.RuntimeConfig != nil {
-		opts.RuntimeConfig(&rcfg)
-	}
-	if rcfg.Observer == nil && opts.Events != nil {
-		rcfg.Observer = obs.RuntimeObserver(opts.Events, id, spec.Name, inst.invoCell)
-	}
 	rtName := opts.RuntimeName
 	if rtName == "" {
 		rtName = workload.RuntimeFor(spec.Language)
 	}
-	rt, err := runtime.New(rtName, rcfg)
+	rt, err := newRuntime(machine, as, rtName, opts, id, spec.Name, inst.invoCell)
 	if err != nil {
-		machine.Destroy(as)
 		return nil, err
 	}
 	inst.Runtime = rt
@@ -195,6 +166,46 @@ func New(machine *osmem.Machine, id int, spec *workload.Spec, stage int, now sim
 	// boot, not of the first invocation.
 	as.DrainFaultCost()
 	return inst, nil
+}
+
+// mapLibraries maps lang's libraries into as and touches the part the
+// runtime reads at startup. Unshared libraries are per-instance image
+// copies (the Lambda model), named apart by prefix and id.
+func mapLibraries(machine *osmem.Machine, as *osmem.AddressSpace, lang runtime.Language, share bool, prefix string, id int) []*osmem.Region {
+	var regions []*osmem.Region
+	for _, lib := range librariesFor(lang) {
+		name := lib.Name
+		if !share {
+			name = fmt.Sprintf("%s@%s%d", lib.Name, prefix, id)
+		}
+		f := machine.File(name, lib.Bytes)
+		r := as.MmapFile(name, f, 0, f.Pages)
+		if touched := int64(float64(r.Pages()) * lib.TouchedFraction); touched > 0 {
+			r.Touch(0, touched, false)
+		}
+		regions = append(regions, r)
+	}
+	return regions
+}
+
+// newRuntime builds the named runtime inside as, wired to opts.Events
+// (when set) under instance id and name with invocation tag cell invo.
+// On failure it destroys as.
+func newRuntime(machine *osmem.Machine, as *osmem.AddressSpace, rtName string, opts Options, id int, name string, invo *int64) (runtime.Runtime, error) {
+	rcfg := runtime.Config{
+		AddressSpace: as,
+		MemoryBudget: opts.MemoryBudget,
+		Cost:         mm.DefaultGCCostModel(),
+	}
+	if opts.Events != nil {
+		rcfg.Observer = obs.RuntimeObserver(opts.Events, id, name, invo)
+	}
+	rt, err := runtime.New(rtName, rcfg)
+	if err != nil {
+		machine.Destroy(as)
+		return nil, err
+	}
+	return rt, nil
 }
 
 // SetCurrentInvo tags the instance with the invocation executing on it

@@ -3,8 +3,6 @@ package container
 import (
 	"fmt"
 
-	"desiccant/internal/mm"
-	"desiccant/internal/obs"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
@@ -23,7 +21,6 @@ type Prewarmed struct {
 	as      *osmem.AddressSpace
 	rt      runtime.Runtime
 	libs    []*osmem.Region
-	opts    Options
 	used    bool
 	// invoCell is created with the stem cell's runtime observer and
 	// handed to the Instance at Assign, so invocation tagging keeps
@@ -35,38 +32,15 @@ type Prewarmed struct {
 func NewPrewarmed(machine *osmem.Machine, id int, lang runtime.Language, opts Options) (*Prewarmed, error) {
 	label := fmt.Sprintf("prewarm-%s#%d", lang, id)
 	as := machine.NewAddressSpace(label)
-	p := &Prewarmed{ID: id, Language: lang, machine: machine, as: as, opts: opts,
+	p := &Prewarmed{ID: id, Language: lang, machine: machine, as: as,
 		invoCell: new(int64)}
 
-	for _, lib := range librariesFor(lang) {
-		name := lib.Name
-		if !opts.ShareLibraries {
-			name = fmt.Sprintf("%s@pw%d", lib.Name, id)
-		}
-		f := machine.File(name, lib.Bytes)
-		r := as.MmapFile(name, f, 0, f.Pages)
-		if touched := int64(float64(r.Pages()) * lib.TouchedFraction); touched > 0 {
-			r.Touch(0, touched, false)
-		}
-		p.libs = append(p.libs, r)
-	}
+	p.libs = mapLibraries(machine, as, lang, opts.ShareLibraries, "pw", id)
 
-	rcfg := runtime.Config{
-		AddressSpace: as,
-		MemoryBudget: opts.MemoryBudget,
-		Cost:         mm.DefaultGCCostModel(),
-	}
-	if opts.RuntimeConfig != nil {
-		opts.RuntimeConfig(&rcfg)
-	}
-	if rcfg.Observer == nil && opts.Events != nil {
-		// The stem cell keeps its ID when assigned a function, so
-		// tagging events with it now stays correct for its whole life.
-		rcfg.Observer = obs.RuntimeObserver(opts.Events, id, "prewarm", p.invoCell)
-	}
-	rt, err := runtime.New(workload.RuntimeFor(lang), rcfg)
+	// The stem cell keeps its ID when assigned a function, so tagging
+	// events with it now stays correct for its whole life.
+	rt, err := newRuntime(machine, as, workload.RuntimeFor(lang), opts, id, "prewarm", p.invoCell)
 	if err != nil {
-		machine.Destroy(as)
 		return nil, err
 	}
 	p.rt = rt

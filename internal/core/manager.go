@@ -39,8 +39,6 @@ const (
 
 // Config parameterizes the manager.
 type Config struct {
-	// CheckInterval is how often the activation condition is polled.
-	CheckInterval sim.Duration
 	// LowThreshold is the activation threshold the manager drops to
 	// when the platform starts evicting (60% by default, §4.5.1).
 	LowThreshold float64
@@ -51,14 +49,9 @@ type Config struct {
 	// FreezeTimeout excludes instances frozen more recently than this
 	// (§4.3's first principle).
 	FreezeTimeout sim.Duration
-	// ReclaimCPU is the idle-CPU share requested per reclamation.
-	ReclaimCPU float64
 	// MaxConcurrent bounds how many reclamations run at once; each
 	// holds its own idle-CPU grant.
 	MaxConcurrent int
-	// Aggressive makes reclamation collect weakly-referenced objects
-	// too — the behavior §4.7 patches away; kept for the ablation.
-	Aggressive bool
 	// UnmapLibraries enables the §4.6 shared-library optimization.
 	UnmapLibraries bool
 	// Selection orders candidates.
@@ -79,13 +72,22 @@ type Config struct {
 	// and delayed/lost freeze notifications. Nil disables every
 	// injection point.
 	Injector Injector
-	// MaxReclaimRetries bounds the retry chain after an injected
-	// reclamation failure.
-	MaxReclaimRetries int
-	// RetryBackoff is the base sim-time backoff between retries; the
-	// n-th retry of an instance waits n*RetryBackoff.
-	RetryBackoff sim.Duration
 }
+
+// The manager's fixed settings. Reclamation always preserves
+// weakly-referenced objects (§4.7).
+const (
+	// checkInterval is how often the activation condition is polled.
+	checkInterval = 500 * sim.Millisecond
+	// reclaimCPU is the idle-CPU share requested per reclamation.
+	reclaimCPU = 1.0
+	// maxReclaimRetries bounds the retry chain after an injected
+	// reclamation failure.
+	maxReclaimRetries = 2
+	// retryBackoff is the base sim-time backoff between retries; the
+	// n-th retry of an instance waits n*retryBackoff.
+	retryBackoff = 250 * sim.Millisecond
+)
 
 // Injector is the hook the chaos layer implements to perturb the
 // manager (Config.Injector). Implementations must be deterministic
@@ -112,21 +114,15 @@ type Injector interface {
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		CheckInterval:  500 * sim.Millisecond,
 		LowThreshold:   0.60,
 		HighThreshold:  0.90,
 		ThresholdStep:  0.02,
 		FreezeTimeout:  2 * sim.Second,
-		ReclaimCPU:     1.0,
 		MaxConcurrent:  4,
-		Aggressive:     false,
 		UnmapLibraries: true,
 		Selection:      SelectByThroughput,
 		Mode:           ModeReclaim,
 		Seed:           7,
-
-		MaxReclaimRetries: 2,
-		RetryBackoff:      250 * sim.Millisecond,
 	}
 }
 
@@ -263,7 +259,7 @@ func (m *Manager) scheduleCheck() {
 	if m.stopped {
 		return
 	}
-	m.checkEvent = m.eng.After(m.cfg.CheckInterval, "desiccant:check", func() {
+	m.checkEvent = m.eng.After(checkInterval, "desiccant:check", func() {
 		m.check()
 		m.scheduleCheck()
 	})
@@ -335,7 +331,7 @@ func (m *Manager) reclaimLoop() {
 	if m.stopped {
 		return
 	}
-	for m.reclaimsActive < maxI(m.cfg.MaxConcurrent, 1) {
+	for m.reclaimsActive < max(m.cfg.MaxConcurrent, 1) {
 		if !m.reclaimOne() {
 			return
 		}
@@ -356,7 +352,7 @@ func (m *Manager) reclaimOne() bool {
 	if inst == nil {
 		return false
 	}
-	share := m.platform.TryAcquireIdleCPU(m.cfg.ReclaimCPU)
+	share := m.platform.TryAcquireIdleCPU(reclaimCPU)
 	if share <= 0 {
 		m.stats.Starved++
 		return false // no idle CPU: try again at the next check
@@ -417,7 +413,7 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 	var released, swapped int64
 	switch m.cfg.Mode {
 	case ModeReclaim:
-		rep := inst.Reclaim(m.cfg.Aggressive, m.cfg.UnmapLibraries && m.unmapSafe(inst))
+		rep := inst.Reclaim(false /* keep weak refs */, m.cfg.UnmapLibraries && m.unmapSafe(inst))
 		cpu = rep.CPUCost
 		released = rep.ReleasedBytes
 		// The runtime's memory profile plus the platform's CPU profile
@@ -434,7 +430,7 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 		// would corrupt the §4.5.2 estimator's fallback chain.
 		estLive, _ := m.profiles.estimate(inst)
 		heapBefore := m.heapMemory(inst)
-		target := maxI64(heapBefore-estLive, 0)
+		target := max(heapBefore-estLive, 0)
 		if target == 0 {
 			target = heapBefore
 		}
@@ -460,7 +456,7 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 					Bytes: target - swapped,
 				})
 			}
-			rep := inst.Reclaim(m.cfg.Aggressive, m.cfg.UnmapLibraries && m.unmapSafe(inst))
+			rep := inst.Reclaim(false /* keep weak refs */, m.cfg.UnmapLibraries && m.unmapSafe(inst))
 			released = rep.ReleasedBytes
 			m.stats.ReleasedBytes += released
 			cpu += rep.CPUCost
@@ -514,7 +510,7 @@ func (m *Manager) perturbReclaim(inst *container.Instance, released int64) int64
 	if fail {
 		retake = released
 	}
-	got := inst.RetouchHeap(minI64(retake, released))
+	got := inst.RetouchHeap(min(retake, released))
 	released -= got
 	if !fail {
 		m.stats.PartialReclaims++
@@ -526,17 +522,17 @@ func (m *Manager) perturbReclaim(inst *container.Instance, released int64) int64
 	delete(m.lastReclaim, inst)
 	attempt := m.retries[inst] + 1
 	m.retries[inst] = attempt
-	if attempt <= m.cfg.MaxReclaimRetries {
+	if attempt <= maxReclaimRetries {
 		m.scheduleRetry(inst, attempt)
 	}
 	return released
 }
 
 // scheduleRetry arranges one bounded retry of a failed reclamation,
-// attempt*RetryBackoff in the future. The retry re-validates the
+// attempt*retryBackoff in the future. The retry re-validates the
 // candidate and re-acquires resources exactly like a fresh admission.
 func (m *Manager) scheduleRetry(inst *container.Instance, attempt int) {
-	backoff := m.cfg.RetryBackoff * sim.Duration(attempt)
+	backoff := retryBackoff * sim.Duration(attempt)
 	m.stats.Retries++
 	if m.bus != nil {
 		m.bus.Emit(obs.Event{
@@ -549,10 +545,10 @@ func (m *Manager) scheduleRetry(inst *container.Instance, attempt int) {
 			inst.Status() != container.Frozen || !m.platform.IsCached(inst) {
 			return
 		}
-		if m.reclaimsActive >= maxI(m.cfg.MaxConcurrent, 1) {
+		if m.reclaimsActive >= max(m.cfg.MaxConcurrent, 1) {
 			return // the ordinary loop is saturated; it will get there
 		}
-		share := m.platform.TryAcquireIdleCPU(m.cfg.ReclaimCPU)
+		share := m.platform.TryAcquireIdleCPU(reclaimCPU)
 		if share <= 0 {
 			m.stats.Starved++
 			return
@@ -561,20 +557,6 @@ func (m *Manager) scheduleRetry(inst *container.Instance, attempt int) {
 		inst.Reclaiming = true
 		m.reclaimBegin(inst, share)
 	})
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // unmapSafe applies §4.6's condition: only unmap libraries when this
@@ -653,13 +635,6 @@ func (m *Manager) estimatedThroughput(inst *container.Instance) float64 {
 
 func minF(a, b float64) float64 {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
 		return a
 	}
 	return b

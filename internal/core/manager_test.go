@@ -173,25 +173,25 @@ func TestThresholdDropsOnEvictionAndDriftsBack(t *testing.T) {
 
 	// Simulate the platform reporting evictions via its hook: the
 	// manager lowered its threshold at the next check.
-	eng.RunUntil(sim.Time(cfg.CheckInterval))
+	eng.RunUntil(sim.Time(checkInterval))
 	highBefore := mgr.Threshold()
 	if highBefore != cfg.HighThreshold {
 		t.Fatalf("initial threshold: %v", highBefore)
 	}
 	// Inject an eviction signal (the hook is owned by the manager).
 	mgr.evictionsSeen = 3
-	eng.RunUntil(sim.Time(2 * cfg.CheckInterval))
+	eng.RunUntil(sim.Time(2 * checkInterval))
 	if mgr.Threshold() != cfg.LowThreshold {
 		t.Fatalf("threshold after eviction: %v", mgr.Threshold())
 	}
 	// Quiet intervals drift it back up.
-	eng.RunUntil(sim.Time(12 * cfg.CheckInterval))
+	eng.RunUntil(sim.Time(12 * checkInterval))
 	if mgr.Threshold() <= cfg.LowThreshold {
 		t.Fatal("threshold never drifted back")
 	}
 	mgr.Stop()
 	fired := eng.Fired()
-	eng.RunUntil(sim.Time(20 * cfg.CheckInterval))
+	eng.RunUntil(sim.Time(20 * checkInterval))
 	if eng.Fired() != fired {
 		t.Fatal("manager kept checking after Stop")
 	}
@@ -509,6 +509,74 @@ func TestVictimSelectionOrderDeterministic(t *testing.T) {
 			if again[i] != first[i] {
 				t.Fatalf("run %d selected %v, first run selected %v", run, again, first)
 			}
+		}
+	}
+}
+
+// failEvery is an Injector that fails every reclamation.
+type failEvery struct{}
+
+func (failEvery) ForceThawRace(int) bool                        { return false }
+func (failEvery) PerturbReclaim(int, int64) (int64, bool)       { return 0, true }
+func (failEvery) CandidateVisible(int, sim.Time, sim.Time) bool { return true }
+
+// TestFailedReclaimRetriesAreBounded checks the retry bound: with every
+// reclamation failing, each instance gets exactly two retries, the
+// n-th scheduled n × 250 ms after the failure that triggered it.
+func TestFailedReclaimRetriesAreBounded(t *testing.T) {
+	pcfg := faas.DefaultConfig()
+	pcfg.CacheBytes = 640 * mb
+	pcfg.KeepAlive = 0
+	eng := sim.NewEngine()
+	pcfg.Events = obs.NewBus(eng)
+	rec := obs.NewRecorder()
+	pcfg.Events.Subscribe(rec)
+	cfg := testManagerConfig()
+	cfg.LowThreshold = 0.01
+	cfg.HighThreshold = 0.01
+	cfg.Injector = failEvery{}
+	p, mgr := NewMachine(eng, pcfg, &cfg, nil)
+	names := []string{"image-resize", "fft", "sort"}
+	for i, name := range names {
+		newFrozenInstance(t, p, name, i+1)
+	}
+	eng.RunUntil(sim.Time(10 * sim.Second))
+	mgr.Stop()
+
+	st := mgr.Stats()
+	if st.FailedReclaims <= int64(2*len(names)) || st.Retries != int64(2*len(names)) {
+		t.Fatalf("failed %d, retries %d; want more than %d failures and %d retries",
+			st.FailedReclaims, st.Retries, 2*len(names), 2*len(names))
+	}
+	began := map[int]map[sim.Time]bool{}
+	retries := map[int]int{}
+	for _, ev := range rec.Events() {
+		switch ev.Kind {
+		case obs.EvReclaimBegin:
+			if began[ev.Inst] == nil {
+				began[ev.Inst] = map[sim.Time]bool{}
+			}
+			began[ev.Inst][ev.Time] = true
+		case obs.EvReclaimRetry:
+			retries[ev.Inst]++
+			n := retries[ev.Inst]
+			if ev.Aux != int64(n) || ev.Dur != sim.Duration(n)*250*sim.Millisecond {
+				t.Fatalf("instance %d retry %d: attempt %d after %v, want attempt %d after %v",
+					ev.Inst, n, ev.Aux, ev.Dur, n, sim.Duration(n)*250*sim.Millisecond)
+			}
+			// A retry is scheduled by the failure it answers, in the
+			// same instant the failed reclamation began.
+			if !began[ev.Inst][ev.Time] {
+				t.Fatalf("instance %d retry %d at %v follows no reclamation", ev.Inst, n, ev.Time)
+			}
+		}
+	}
+	if len(retries) != len(names) {
+		t.Fatalf("%d instances retried, want %d", len(retries), len(names))
+	}
+	for inst, n := range retries {
+		if n != 2 {
+			t.Fatalf("instance %d retried %d times, want 2", inst, n)
 		}
 	}
 }

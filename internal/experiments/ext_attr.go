@@ -32,7 +32,6 @@ func DefaultAttrOptions() AttrOptions {
 	return AttrOptions{
 		Cluster: cluster.Options{
 			Nodes:          4,
-			RouteLatency:   2 * sim.Millisecond,
 			Window:         60 * sim.Second,
 			Scale:          15,
 			TraceFunctions: 400,

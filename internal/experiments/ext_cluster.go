@@ -29,18 +29,19 @@ type ClusterSweepOptions struct {
 	TraceSeed      uint64
 	CacheBytes     int64
 	ZipfSkew       float64
-	// Policies × Modes spans the table.
-	Policies []string
-	Modes    []string
+	// Modes are the table's manager modes; each runs under every
+	// placement policy in cluster.PolicyNames.
+	Modes []string
 	// Migration arms the relief valve for every dynamic cell.
 	Migration cluster.Migration
 	// GridNodes × GridCache spans the capacity grid, replayed under
 	// the garbage-aware policy in reclaim mode.
 	GridNodes []int
 	GridCache []int64
-	// SLOColdBoot is the capacity grid's cold-start SLO.
-	SLOColdBoot float64
 }
+
+// sloColdBoot is the capacity grid's cold-start SLO.
+const sloColdBoot = 0.3
 
 // DefaultClusterSweepOptions returns the committed 16-node sweep over
 // every policy × mode, with a 16–64 node capacity grid.
@@ -54,12 +55,10 @@ func DefaultClusterSweepOptions() ClusterSweepOptions {
 		TraceSeed:      11,
 		CacheBytes:     256 << 20,
 		ZipfSkew:       0.9,
-		Policies:       cluster.PolicyNames,
 		Modes:          cluster.Modes,
 		Migration:      cluster.DefaultMigration(),
 		GridNodes:      []int{16, 32, 64},
 		GridCache:      []int64{128 << 20, 256 << 20, 512 << 20},
-		SLOColdBoot:    0.3,
 	}
 }
 
@@ -67,7 +66,6 @@ func DefaultClusterSweepOptions() ClusterSweepOptions {
 func (o ClusterSweepOptions) clusterOptions(nodes int, cache int64, policy, mode string) cluster.Options {
 	return cluster.Options{
 		Nodes:          nodes,
-		RouteLatency:   2 * sim.Millisecond,
 		Window:         o.Window,
 		Scale:          o.Scale,
 		TraceFunctions: o.TraceFunctions,
@@ -109,14 +107,14 @@ func (r *ClusterSweepResult) Cell(policy, mode string) (*cluster.Result, bool) {
 // RunClusterSweep replays the policy × mode table and the capacity
 // grid, fanning cells out over the deterministic worker pool.
 func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
-	if len(o.Policies) == 0 || len(o.Modes) == 0 {
-		return nil, fmt.Errorf("experiments: cluster sweep needs at least one policy and one mode")
+	if len(o.Modes) == 0 {
+		return nil, fmt.Errorf("experiments: cluster sweep needs at least one mode")
 	}
 	type cellKey struct {
 		policy, mode string
 	}
-	keys := make([]cellKey, 0, len(o.Policies)*len(o.Modes))
-	for _, policy := range o.Policies {
+	keys := make([]cellKey, 0, len(cluster.PolicyNames)*len(o.Modes))
+	for _, policy := range cluster.PolicyNames {
 		for _, mode := range o.Modes {
 			keys = append(keys, cellKey{policy, mode})
 		}
@@ -160,7 +158,7 @@ func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterSweepResult{Nodes: o.Nodes, Cells: cells, Grid: grid, SLO: o.SLOColdBoot}, nil
+	return &ClusterSweepResult{Nodes: o.Nodes, Cells: cells, Grid: grid, SLO: sloColdBoot}, nil
 }
 
 // WriteCSV renders the policy × mode table followed by the capacity

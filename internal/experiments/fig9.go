@@ -41,10 +41,9 @@ func AllSetups() []Setup { return []Setup{SetupVanilla, SetupEager, SetupDesicca
 type Fig9Options struct {
 	// Scales are the scale factors swept (the paper uses 5..30).
 	Scales []float64
-	// WarmupScale and Warmup define the fixed warmup phase (scale 15
-	// for 60 s in the paper).
-	WarmupScale float64
-	Warmup      sim.Duration
+	// Warmup is the length of the fixed warmup phase (60 s at
+	// warmupScale in the paper).
+	Warmup sim.Duration
 	// Replay is the measured window (180 s in the paper).
 	Replay sim.Duration
 	// CacheBytes is the instance cache (2 GiB in the paper).
@@ -73,7 +72,6 @@ type Fig9Options struct {
 func DefaultFig9Options() Fig9Options {
 	return Fig9Options{
 		Scales:         []float64{5, 10, 15, 20, 25, 30},
-		WarmupScale:    15,
 		Warmup:         60 * sim.Second,
 		Replay:         180 * sim.Second,
 		CacheBytes:     2 << 30,
@@ -167,7 +165,6 @@ func (opts Fig9Options) cell(pcfg faas.Config, mcfg *core.Config, as []trace.Ass
 		assignments: as,
 		seed:        opts.TraceSeed,
 		warmup:      opts.Warmup,
-		warmupScale: opts.WarmupScale,
 		window:      opts.Replay,
 		scale:       scale,
 	}

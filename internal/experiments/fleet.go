@@ -15,7 +15,6 @@ import (
 func fleetOptions(opts Options) cluster.Options {
 	o := cluster.Options{
 		Nodes:          8,
-		RouteLatency:   2 * sim.Millisecond,
 		Window:         60 * sim.Second,
 		Scale:          15,
 		TraceFunctions: 400,

@@ -25,14 +25,16 @@ type replayCell struct {
 	// warmup at warmupScale precedes the measured window at scale.
 	// Platform stats reset at the boundary; a zero warmup replays the
 	// window alone and keeps every stat.
-	warmup      sim.Duration
-	warmupScale float64
-	window      sim.Duration
-	scale       float64
+	warmup sim.Duration
+	window sim.Duration
+	scale  float64
 	// observe, when non-nil, runs once the platform and the (unstarted)
 	// manager exist (see core.NewMachine).
 	observe core.Observer
 }
+
+// warmupScale is the trace scale of every replay's warmup phase (§5.3).
+const warmupScale = 15
 
 // run replays the cell and returns its platform, stopped at the end of
 // the measured window with the manager stopped.
@@ -44,7 +46,7 @@ func (c replayCell) run() *faas.Platform {
 	end := warmEnd.Add(c.window)
 	rp := trace.NewReplayer(p, c.assignments, c.seed+1)
 	if c.warmup > 0 {
-		rp.Schedule(0, warmEnd, c.warmupScale)
+		rp.Schedule(0, warmEnd, warmupScale)
 	}
 	rp.Schedule(warmEnd, end, c.scale)
 	if c.warmup > 0 {

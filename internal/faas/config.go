@@ -10,8 +10,6 @@ import (
 	"fmt"
 
 	"desiccant/internal/obs"
-	"desiccant/internal/osmem"
-	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
 )
 
@@ -74,10 +72,6 @@ type Config struct {
 	// ColdBootCPU is the share a cold boot consumes while creating the
 	// container and starting the runtime.
 	ColdBootCPU float64
-	// ColdBoot is the per-language instance creation latency.
-	ColdBoot map[runtime.Language]sim.Duration
-	// WarmStart is the unpause cost when thawing a frozen instance.
-	WarmStart sim.Duration
 	// KeepAlive destroys instances frozen longer than this even
 	// without memory pressure.
 	KeepAlive sim.Duration
@@ -85,18 +79,14 @@ type Config struct {
 	Profile Profile
 	// Policy is the post-execution baseline policy.
 	Policy Policy
-	// FaultCosts parameterizes the simulated OS.
-	FaultCosts osmem.FaultCosts
 
 	// PrewarmPerLanguage keeps up to this many stem-cell containers
 	// (booted runtime, no function) per language, OpenWhisk's pre-warm
-	// pool. Assigning a stem cell to a request costs PrewarmAssign
+	// pool. Assigning a stem cell to a request costs prewarmAssign
 	// instead of a full cold boot. The paper's §6.1 notes such warm-up
 	// policies are orthogonal to Desiccant; this knob lets the
 	// extension experiment demonstrate it.
 	PrewarmPerLanguage int
-	// PrewarmAssign is the stem-cell assignment latency.
-	PrewarmAssign sim.Duration
 
 	// Events, when non-nil, attaches the platform (and the runtimes
 	// of every instance it creates) to an observability bus. Leaving
@@ -114,9 +104,6 @@ type Config struct {
 	// the platform (injected OOM kills). Leaving it nil disables every
 	// injection point.
 	Chaos Injector
-	// MaxRequeues bounds how many times one invocation is restarted
-	// after injected OOM kills before the request is dropped.
-	MaxRequeues int
 
 	// Snapshot enables the SnapStart-style alternative the paper's
 	// introduction weighs against instance caching: instances are
@@ -126,8 +113,6 @@ type Config struct {
 	// recently released AWS SnapStart takes over 100ms to restore a
 	// snapshot", §2.1).
 	Snapshot bool
-	// RestoreLatency is the snapshot restore cost.
-	RestoreLatency sim.Duration
 }
 
 // DefaultConfig mirrors the paper's experimental setup.
@@ -139,18 +124,9 @@ func DefaultConfig() Config {
 		CPUs:           20,
 		PerInstanceCPU: 0.14,
 		ColdBootCPU:    1.0,
-		ColdBoot: map[runtime.Language]sim.Duration{
-			runtime.Java:       900 * sim.Millisecond,
-			runtime.JavaScript: 300 * sim.Millisecond,
-		},
-		WarmStart:      2 * sim.Millisecond,
 		KeepAlive:      10 * sim.Minute,
 		Profile:        OpenWhisk,
 		Policy:         PolicyVanilla,
-		FaultCosts:     osmem.DefaultFaultCosts(),
-		RestoreLatency: 150 * sim.Millisecond,
-		PrewarmAssign:  80 * sim.Millisecond,
-		MaxRequeues:    1,
 	}
 }
 

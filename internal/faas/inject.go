@@ -43,8 +43,12 @@ func (p *Platform) maybeScheduleOOMKill(inv *invocation, inst *container.Instanc
 	})
 }
 
+// maxRequeues bounds how many times one invocation is restarted after
+// injected OOM kills before the request is dropped.
+const maxRequeues = 1
+
 // oomKill destroys a running instance mid-invocation and requeues the
-// victim request (bounded by MaxRequeues, so a function that is killed
+// victim request (bounded by maxRequeues, so a function that is killed
 // every time cannot livelock the platform).
 func (p *Platform) oomKill(inv *invocation, inst *container.Instance, ran sim.Duration) {
 	p.stats.OOMKills++
@@ -56,7 +60,7 @@ func (p *Platform) oomKill(inv *invocation, inst *container.Instance, ran sim.Du
 			Name: inv.spec.Name, Dur: ran, Bytes: inst.USS()})
 	}
 	p.finishInstance(inst, true)
-	if inv.requeues < p.cfg.MaxRequeues {
+	if inv.requeues < maxRequeues {
 		inv.requeues++
 		p.stats.Requeues++
 		p.startStage(inv)

@@ -30,7 +30,9 @@ const RuntimeName = "g1"
 
 func init() {
 	runtime.Register(RuntimeName, func(cfg runtime.Config) runtime.Runtime {
-		return New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
+		h := New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
+		h.obs = cfg.Observer
+		return h
 	})
 }
 
@@ -143,6 +145,8 @@ type Heap struct {
 
 	gcCost sim.Duration
 	stats  runtime.GCStats
+	// obs, when non-nil, receives pause and release notifications.
+	obs runtime.GCObserver
 }
 
 var _ runtime.Runtime = (*Heap)(nil)
@@ -395,7 +399,7 @@ func (h *Heap) collect() {
 			mixed = true
 		}
 	}
-	h.evacuate(cset, false)
+	h.evacuate(cset, false, mixed)
 	if mixed {
 		h.marked = false
 		h.stats.FullGCs++ // count mixed cycles alongside majors
@@ -425,8 +429,9 @@ func (h *Heap) mixedCandidates() []*region {
 }
 
 // evacuate copies the live objects of the collection set into fresh
-// survivor/old regions and frees the evacuated regions.
-func (h *Heap) evacuate(cset []*region, aggressive bool) {
+// survivor/old regions and frees the evacuated regions. full marks a
+// mixed or full collection for the observer.
+func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 	inSet := make(map[*region]bool, len(cset))
 	for _, r := range cset {
 		inSet[r] = true
@@ -528,7 +533,11 @@ func (h *Heap) evacuate(cset []*region, aggressive bool) {
 	flushDst(survivorDst, survStart)
 	flushDst(oldDst, oldStart)
 	h.stats.CollectedBytes += collected
-	h.gcCost += h.cost.Cycle(traced, moved, collected)
+	pause := h.cost.Cycle(traced, moved, collected)
+	h.gcCost += pause
+	if h.obs != nil {
+		h.obs.GCPause(full, pause, collected)
+	}
 }
 
 // filterOut removes regions present in set from *list in place.
@@ -550,7 +559,7 @@ func (h *Heap) fullCollect(aggressive bool) {
 	cset := append([]*region{}, h.eden...)
 	cset = append(cset, h.survivors...)
 	cset = append(cset, h.old...)
-	h.evacuate(cset, aggressive)
+	h.evacuate(cset, aggressive, true)
 	h.marked = false
 }
 
@@ -614,6 +623,9 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 	released := before - after
 	if released > 0 {
 		cost += sim.Duration(released>>20) * sim.Microsecond
+		if h.obs != nil {
+			h.obs.PagesReleased(released)
+		}
 	}
 	return runtime.ReclaimReport{
 		LiveBytes:     h.LiveBytes(),

@@ -61,27 +61,13 @@ type Config struct {
 func DefaultConfig(memoryBudget int64) Config {
 	return Config{
 		MaxHeapBytes:     memoryBudget * 85 / 100,
-		InitialHeapBytes: minI64(memoryBudget*85/100, 16<<20),
+		InitialHeapBytes: min(memoryBudget*85/100, 16<<20),
 		NewRatio:         2,
 		SurvivorRatio:    8,
 		MinFreeRatio:     0.40,
 		MaxFreeRatio:     0.70,
 		TenureThreshold:  2,
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func pageAlign(n int64) int64 {
@@ -156,8 +142,8 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 	h.youngReserve = pageAlign(cfg.MaxHeapBytes / (cfg.NewRatio + 1))
 	h.oldReserve = pageAlign(cfg.MaxHeapBytes) - h.youngReserve
 
-	h.youngCommitted = clamp(pageAlign(cfg.InitialHeapBytes/(cfg.NewRatio+1)), pageAlign(minYoungBytes), h.youngReserve)
-	h.oldCommitted = clamp(pageAlign(cfg.InitialHeapBytes)-h.youngCommitted, pageAlign(minOldBytes), h.oldReserve)
+	h.youngCommitted = min(max(pageAlign(cfg.InitialHeapBytes/(cfg.NewRatio+1)), pageAlign(minYoungBytes)), h.youngReserve)
+	h.oldCommitted = min(max(pageAlign(cfg.InitialHeapBytes)-h.youngCommitted, pageAlign(minOldBytes)), h.oldReserve)
 
 	h.old = mm.NewBumpSpace("old", h.region, h.youngReserve, h.oldCommitted)
 	h.eden = mm.NewBumpSpace("eden", h.region, 0, 0)
@@ -166,16 +152,6 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 	h.youngFloor = h.youngCommitted
 	h.layoutYoung()
 	return h
-}
-
-func clamp(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // layoutYoung (re)carves eden/from/to out of the committed young
@@ -364,7 +340,7 @@ func (h *Heap) expandOld(need int64) bool {
 	}
 	occupied := h.old.Used() + need
 	target := int64(float64(occupied) / (1 - h.cfg.MinFreeRatio))
-	newCommitted := minI64(pageAlign(maxI64(h.oldCommitted+need, target)), h.oldReserve)
+	newCommitted := min(pageAlign(max(h.oldCommitted+need, target)), h.oldReserve)
 	if newCommitted == h.oldCommitted {
 		return false
 	}
@@ -457,7 +433,7 @@ func (h *Heap) youngGC() error {
 		h.highSurvivalGCs = 0
 	}
 	if h.highSurvivalGCs >= 4 && h.youngCommitted < h.youngReserve/2 {
-		h.youngCommitted = clamp(pageAlign(h.youngCommitted*3/2), pageAlign(minYoungBytes), h.youngReserve/2)
+		h.youngCommitted = min(max(pageAlign(h.youngCommitted*3/2), pageAlign(minYoungBytes)), h.youngReserve/2)
 		h.youngFloor = h.youngCommitted
 		h.layoutYoung()
 		h.highSurvivalGCs = 0
@@ -601,7 +577,7 @@ func (h *Heap) resize() {
 			oldTarget = int64(float64(used) / (1 - h.cfg.MaxFreeRatio))
 		}
 	}
-	oldTarget = clamp(pageAlign(maxI64(oldTarget, used)), pageAlign(minOldBytes), h.oldReserve)
+	oldTarget = min(max(pageAlign(max(oldTarget, used)), pageAlign(minOldBytes)), h.oldReserve)
 	if oldTarget < used {
 		oldTarget = pageAlign(used)
 	}
@@ -618,9 +594,9 @@ func (h *Heap) resize() {
 	// invocations that follow. The floor decays per full GC, so a
 	// workload under frequent forced collections (the eager baseline)
 	// still drifts back towards the old-derived size.
-	h.youngFloor = clamp(pageAlign(h.youngFloor*3/4), pageAlign(minYoungBytes), h.youngReserve)
+	h.youngFloor = min(max(pageAlign(h.youngFloor*3/4), pageAlign(minYoungBytes)), h.youngReserve)
 	fromOld := h.oldCommitted / h.cfg.NewRatio
-	youngTarget := clamp(pageAlign(maxI64(fromOld, h.youngFloor)), pageAlign(minYoungBytes), h.youngReserve)
+	youngTarget := min(max(pageAlign(max(fromOld, h.youngFloor)), pageAlign(minYoungBytes)), h.youngReserve)
 	if youngTarget < h.youngCommitted {
 		h.region.ReleaseBytes(youngTarget, h.youngCommitted-youngTarget)
 	}
@@ -670,10 +646,10 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 	// of the per-invocation GC cost accumulator here.
 	cost := h.DrainGCCost()
 	// Releasing pages costs a few syscalls: charge 1µs per MiB freed.
-	cost += sim.Duration(maxI64((before-after)>>20, 0)) * sim.Microsecond
+	cost += sim.Duration(max((before-after)>>20, 0)) * sim.Microsecond
 	return runtime.ReclaimReport{
 		LiveBytes:     h.LiveBytes(),
-		ReleasedBytes: maxI64(before-after, 0),
+		ReleasedBytes: max(before-after, 0),
 		CPUCost:       cost,
 	}
 }

@@ -191,6 +191,6 @@ const (
 	// DropOOMFailure: the instance exceeded its memory budget during
 	// the body; the request fails outright (a real platform's 5xx).
 	DropOOMFailure = 0
-	// DropRequeueExhausted: injected OOM kills exhausted MaxRequeues.
+	// DropRequeueExhausted: injected OOM kills exhausted the requeue bound.
 	DropRequeueExhausted = 1
 )

@@ -27,7 +27,9 @@ const RuntimeName = "pyarena"
 
 func init() {
 	runtime.Register(RuntimeName, func(cfg runtime.Config) runtime.Runtime {
-		return New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
+		h := New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
+		h.obs = cfg.Observer
+		return h
 	})
 }
 
@@ -60,6 +62,8 @@ type Heap struct {
 	sinceGC int
 	gcCost  sim.Duration
 	stats   runtime.GCStats
+	// obs, when non-nil, receives pause and release notifications.
+	obs runtime.GCObserver
 
 	// scratch is the reusable run buffer the sweep and reclaim paths
 	// coalesce free ranges into before releasing them in one call.
@@ -305,7 +309,11 @@ func (h *Heap) CollectFull(aggressive bool) {
 	h.region.ReleaseRuns(runs)
 	h.scratch = runs[:0]
 	h.stats.CollectedBytes += collected
-	h.gcCost += h.cost.Cycle(traced, 0, collected)
+	pause := h.cost.Cycle(traced, 0, collected)
+	h.gcCost += pause
+	if h.obs != nil {
+		h.obs.GCPause(true, pause, collected)
+	}
 }
 
 // Reclaim implements runtime.Runtime: collect, then use the free-list
@@ -325,6 +333,9 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 	h.region.ReleaseRuns(runs)
 	h.scratch = runs[:0]
 	after := h.ResidentBytes()
+	if h.obs != nil && before > after {
+		h.obs.PagesReleased(before - after)
+	}
 	return runtime.ReclaimReport{
 		LiveBytes:     h.LiveBytes(),
 		ReleasedBytes: before - after,

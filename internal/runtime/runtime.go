@@ -1,10 +1,11 @@
 // Package runtime defines the contract between FaaS instances and the
-// managed language runtimes running inside them. Both heap simulators
-// (internal/hotspot, internal/v8heap) implement Runtime; Desiccant
-// talks to instances exclusively through the added Reclaim method, so
-// supporting a new language means implementing this interface — the
-// paper's §7 portability argument, demonstrated by
-// examples/custom-runtime.
+// managed language runtimes running inside them. All four heap
+// simulators (internal/hotspot and internal/v8heap, which the paper
+// evaluates, plus the §7 ports internal/g1gc and internal/pyarena)
+// implement Runtime; Desiccant talks to instances exclusively through
+// the added Reclaim method, so supporting a new language means
+// implementing this interface — the paper's §7 portability argument,
+// demonstrated by examples/custom-runtime.
 package runtime
 
 import (

@@ -119,7 +119,7 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 	h.spaces[0] = newSemispace("new-from", h.arena, h.semi)
 	h.spaces[1] = newSemispace("new-to", h.arena, h.semi)
 	h.old = newOldSpace(h.arena, cfg.OldSpaceLimit)
-	h.oldSoftLimit = minI64(initialOldSoftLimit, cfg.OldSpaceLimit)
+	h.oldSoftLimit = min(initialOldSoftLimit, cfg.OldSpaceLimit)
 	return h
 }
 
@@ -304,7 +304,7 @@ func (h *Heap) scavenge() {
 	// nothing on this path ever shrinks it — fft's pathology.
 	h.accumLive += traced
 	if h.accumLive > h.YoungGenerationBytes() && h.semi < h.cfg.SemiSpaceMax {
-		h.semi = minI64(h.semi*2, h.cfg.SemiSpaceMax)
+		h.semi = min(h.semi*2, h.cfg.SemiSpaceMax)
 		h.spaces[0].capacity = h.semi
 		h.spaces[1].capacity = h.semi
 		h.accumLive = 0
@@ -386,7 +386,7 @@ func (h *Heap) fullGC(aggressive bool) {
 	// Heap-growing strategy: the next major GC fires once the old
 	// space doubles its live size (plus slack), as V8's allocation
 	// limit does.
-	h.oldSoftLimit = minI64(maxI64(2*h.old.liveBytes()+initialOldSoftLimit/2, initialOldSoftLimit), h.cfg.OldSpaceLimit)
+	h.oldSoftLimit = min(max(2*h.old.liveBytes()+initialOldSoftLimit/2, initialOldSoftLimit), h.cfg.OldSpaceLimit)
 }
 
 // resize is the post-major-GC sizing phase. The old generation has
@@ -405,7 +405,7 @@ func (h *Heap) resize() {
 		return // allocation rate too high: never shrink (§3.2.2)
 	}
 	live := h.fromSpace().liveBytes()
-	target := chunkAlign(maxI64(2*live, h.cfg.SemiSpaceInitial))
+	target := chunkAlign(max(2*live, h.cfg.SemiSpaceInitial))
 	if target >= h.semi {
 		return
 	}
@@ -471,26 +471,12 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 	}
 
 	cost := h.DrainGCCost()
-	cost += sim.Duration(maxI64((before-after)>>20, 0)) * sim.Microsecond
+	cost += sim.Duration(max((before-after)>>20, 0)) * sim.Microsecond
 	return runtime.ReclaimReport{
 		LiveBytes:     h.LiveBytes(),
-		ReleasedBytes: maxI64(before-after, 0),
+		ReleasedBytes: max(before-after, 0),
 		CPUCost:       cost,
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (h *Heap) String() string {

@@ -115,7 +115,7 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 	if sp.IntermediateBytes > 0 && st.Stage < sp.ChainLength-1 {
 		remaining := sp.IntermediateBytes
 		for remaining > 0 {
-			size := minI64(remaining, sp.ObjectSize)
+			size := min(remaining, sp.ObjectSize)
 			o, err := rt.Allocate(size, runtime.AllocOptions{})
 			if err != nil {
 				return rep, fmt.Errorf("%s: intermediate: %w", sp.Name, err)
@@ -166,7 +166,7 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
 		}
 		spike -= churnPerStatic
-		size := minI64(remaining, sp.ObjectSize)
+		size := min(remaining, sp.ObjectSize)
 		o, err := rt.Allocate(size, runtime.AllocOptions{})
 		if err != nil {
 			return total, fmt.Errorf("%s: static init: %w", sp.Name, err)
@@ -191,7 +191,7 @@ func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64) (int64
 	sp := st.Spec
 	var total int64
 	for total < volume {
-		size := minI64(sp.ObjectSize, volume-total)
+		size := min(sp.ObjectSize, volume-total)
 		o, err := rt.Allocate(size, runtime.AllocOptions{})
 		if err != nil {
 			return total, err
@@ -266,11 +266,4 @@ func (st *State) PendingIntermediateBytes() int64 {
 		}
 	}
 	return n
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
