@@ -193,7 +193,7 @@ func BenchmarkFacadeEndToEnd(b *testing.B) {
 func BenchmarkG1Reclaim(b *testing.B) {
 	var releasedMB, residentMB float64
 	for i := 0; i < b.N; i++ {
-		m := osmem.NewMachine(osmem.DefaultFaultCosts())
+		m := osmem.NewMachine()
 		as := m.NewAddressSpace("g1")
 		h := g1gc.New(g1gc.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
 		for j := 0; j < 2000; j++ {
@@ -218,7 +218,7 @@ func BenchmarkG1Reclaim(b *testing.B) {
 func BenchmarkPyArenaReclaim(b *testing.B) {
 	var releasedMB float64
 	for i := 0; i < b.N; i++ {
-		m := osmem.NewMachine(osmem.DefaultFaultCosts())
+		m := osmem.NewMachine()
 		as := m.NewAddressSpace("py")
 		h := pyarena.New(pyarena.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
 		for j := 0; j < 4000; j++ {

@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	machine := osmem.NewMachine(osmem.DefaultFaultCosts())
+	machine := osmem.NewMachine()
 	as := machine.NewAddressSpace("python-function")
 	rt, err := runtime.New("pyarena", runtime.Config{
 		AddressSpace: as,

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	machine := osmem.NewMachine(osmem.DefaultFaultCosts())
+	machine := osmem.NewMachine()
 	spec, err := workload.Lookup("fft")
 	if err != nil {
 		log.Fatal(err)

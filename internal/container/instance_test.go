@@ -28,7 +28,7 @@ func newInstance(t *testing.T, m *osmem.Machine, id int, fn string, stage int, s
 }
 
 func TestNewInstanceFootprint(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "file-hash", 0, true)
 	if inst.Status() != Idle {
 		t.Fatalf("status: %v", inst.Status())
@@ -52,7 +52,7 @@ func TestNewInstanceFootprint(t *testing.T) {
 }
 
 func TestLibrarySharingAcrossInstances(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	a := newInstance(t, m, 1, "fft", 0, true)
 	ussAlone := a.USS()
 	b := newInstance(t, m, 2, "fft", 0, true)
@@ -67,7 +67,7 @@ func TestLibrarySharingAcrossInstances(t *testing.T) {
 }
 
 func TestLambdaProfileNeverShares(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	a := newInstance(t, m, 1, "fft", 0, false)
 	ussAlone := a.USS()
 	_ = newInstance(t, m, 2, "fft", 0, false)
@@ -77,7 +77,7 @@ func TestLambdaProfileNeverShares(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "clock", 0, true)
 	inst.BeginRun(10)
 	if inst.Status() != Running {
@@ -120,7 +120,7 @@ func TestLifecycle(t *testing.T) {
 }
 
 func TestInvokeBodyRequiresRunning(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "clock", 0, true)
 	defer func() {
 		if recover() == nil {
@@ -133,7 +133,7 @@ func TestInvokeBodyRequiresRunning(t *testing.T) {
 func TestFrozenGarbageAccumulatesAndReclaimReleases(t *testing.T) {
 	// End-to-end mechanism check: run a function repeatedly, freeze,
 	// observe frozen garbage, reclaim, observe the drop.
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "sort", 0, true)
 	rng := sim.NewRNG(7)
 	for i := 0; i < 20; i++ {
@@ -158,7 +158,7 @@ func TestFrozenGarbageAccumulatesAndReclaimReleases(t *testing.T) {
 }
 
 func TestUnmapPrivateLibraries(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	solo := newInstance(t, m, 1, "pi", 0, true)
 	rng := sim.NewRNG(9)
 	solo.BeginRun(0)
@@ -190,7 +190,7 @@ func TestUnmapPrivateLibraries(t *testing.T) {
 }
 
 func TestSwapOutHeap(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "sort", 0, true)
 	inst.BeginRun(0)
 	if _, _, _, err := inst.InvokeBody(sim.NewRNG(3)); err != nil {
@@ -216,7 +216,7 @@ func TestSwapOutHeap(t *testing.T) {
 }
 
 func TestStageIsolation(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	s0 := newInstance(t, m, 1, "mapreduce", 0, true)
 	s1 := newInstance(t, m, 2, "mapreduce", 1, true)
 	if s0.Stage == s1.Stage {

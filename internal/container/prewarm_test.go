@@ -10,7 +10,7 @@ import (
 )
 
 func TestPrewarmedAssign(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	pw, err := NewPrewarmed(m, 1, runtime.JavaScript, defaultOpts(true))
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestPrewarmedAssign(t *testing.T) {
 }
 
 func TestPrewarmedLanguageMismatch(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	pw, err := NewPrewarmed(m, 1, runtime.Java, defaultOpts(true))
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestPrewarmedLanguageMismatch(t *testing.T) {
 }
 
 func TestPrewarmedDestroy(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	pw, err := NewPrewarmed(m, 1, runtime.JavaScript, defaultOpts(false))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestPrewarmedDestroy(t *testing.T) {
 func TestPythonInstance(t *testing.T) {
 	// The §7 extension: a Python function on the pyarena runtime,
 	// through the ordinary container path.
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "py-etl", 0, true)
 	if inst.Runtime.Name() != "pyarena" {
 		t.Fatalf("runtime: %s", inst.Runtime.Name())

@@ -100,7 +100,7 @@ func RunFig8Spec(spec *workload.Spec, counts []int, opts SingleOptions) (*Fig8Re
 // runFig8Cell runs n co-located instances of spec and returns the
 // per-instance average RSS, PSS and USS.
 func runFig8Cell(spec *workload.Spec, n int, mode Mode, opts SingleOptions) (int64, float64, int64, error) {
-	machine := osmem.NewMachine(osmem.DefaultFaultCosts())
+	machine := osmem.NewMachine()
 	rng := sim.NewRNG(opts.Seed)
 	var instances []*container.Instance
 	for i := 0; i < n; i++ {

@@ -200,7 +200,7 @@ type singleRun struct {
 func newSingleRun(spec *workload.Spec, opts SingleOptions) (*singleRun, error) {
 	r := &singleRun{
 		opts:           opts,
-		machine:        osmem.NewMachine(osmem.DefaultFaultCosts()),
+		machine:        osmem.NewMachine(),
 		rng:            sim.NewRNG(opts.Seed),
 		perInstanceCPU: 0.14,
 	}

@@ -15,7 +15,7 @@ const kb = int64(1) << 10
 
 func newHeap(t *testing.T, budget int64) *Heap {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("g1")
 	return New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
 }
@@ -30,7 +30,7 @@ func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
 }
 
 func TestRegistryIntegration(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("g1")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
 		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
@@ -280,7 +280,7 @@ func TestStringerAndCounts(t *testing.T) {
 }
 
 func TestTinyHeapPanics(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("g1")
 	defer func() {
 		if recover() == nil {
@@ -334,7 +334,7 @@ func TestG1Invariants(t *testing.T) {
 }
 
 func newHeapQuick() *Heap {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("g1")
 	return New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
 }

@@ -14,7 +14,7 @@ import (
 // each young GC scavenges eden with a realistic survivor fraction —
 // the adjacent-object copy storm the CopyBatch bulk touches batch up.
 func BenchmarkYoungGCCopy(b *testing.B) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
 	h := New(DefaultConfig(256*mb), as, mm.DefaultGCCostModel())
 

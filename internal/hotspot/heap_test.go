@@ -15,7 +15,7 @@ const kb = 1 << 10
 
 func newHeap(t *testing.T, budget int64) (*osmem.Machine, *osmem.AddressSpace, *Heap) {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
 	h := New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
 	return m, as, h
@@ -31,7 +31,7 @@ func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
 }
 
 func TestRegistryIntegration(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
 		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
@@ -298,7 +298,7 @@ func TestStringer(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
 	cfg := DefaultConfig(256 * mb)
 	cfg.InitialHeapBytes = cfg.MaxHeapBytes + 1
@@ -315,7 +315,7 @@ func TestConfigValidation(t *testing.T) {
 // committed peaks, and live accounting matches what the caller kept.
 func TestHeapInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := osmem.NewMachine(osmem.DefaultFaultCosts())
+		m := osmem.NewMachine()
 		as := m.NewAddressSpace("jvm")
 		h := New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
 		var live []*mm.Object

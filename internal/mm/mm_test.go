@@ -10,7 +10,7 @@ import (
 
 func newSpace(t *testing.T, capPages int64) (*osmem.Machine, *BumpSpace) {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("heap", capPages*osmem.PageSize)
 	return m, NewBumpSpace("eden", r, 0, capPages*osmem.PageSize)
@@ -202,7 +202,7 @@ func TestResidentBytes(t *testing.T) {
 }
 
 func TestSpaceOutOfRegionPanics(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("heap", 4*osmem.PageSize)
 	defer func() {
@@ -234,7 +234,7 @@ func TestGCCostModel(t *testing.T) {
 // invariant and never over-commits capacity.
 func TestBumpSpaceInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		m := osmem.NewMachine(osmem.DefaultFaultCosts())
+		m := osmem.NewMachine()
 		as := m.NewAddressSpace("p")
 		r := as.MmapAnon("heap", 64*osmem.PageSize)
 		s := NewBumpSpace("s", r, 0, 64*osmem.PageSize)

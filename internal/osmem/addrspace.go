@@ -330,14 +330,14 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 				// come from the page cache (minor fault).
 				reads := r.ref(i, j)
 				as.majorFaults += reads
-				as.faultCost += reads * m.costs.Major
+				as.faultCost += reads * majorFaultCost
 				as.minorFaults += k - reads
-				as.faultCost += (k - reads) * m.costs.Minor
+				as.faultCost += (k - reads) * minorFaultCost
 				fileTouched = true
 			} else {
 				as.ussPages += k
 				as.minorFaults += k
-				as.faultCost += k * m.costs.Minor
+				as.faultCost += k * minorFaultCost
 			}
 			fillBytes(pb[i:j], pageResident|dirtyBit)
 			mutated = true
@@ -358,7 +358,7 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 				as.ussPages += k
 			}
 			as.majorFaults += k
-			as.faultCost += k * m.costs.Major
+			as.faultCost += k * majorFaultCost
 			fillBytes(pb[i:j], pageResident|(v&pageDirty)|dirtyBit)
 			mutated = true
 		}

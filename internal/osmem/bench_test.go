@@ -23,7 +23,7 @@ func benchRuns() []Run {
 }
 
 func BenchmarkTouchRuns(b *testing.B) {
-	m := NewMachine(DefaultFaultCosts())
+	m := NewMachine()
 	as := m.NewAddressSpace("bench")
 	r := as.MmapAnon("heap", benchPages*PageSize)
 	runs := benchRuns()
@@ -38,7 +38,7 @@ func BenchmarkTouchRuns(b *testing.B) {
 }
 
 func BenchmarkReleaseRuns(b *testing.B) {
-	m := NewMachine(DefaultFaultCosts())
+	m := NewMachine()
 	as := m.NewAddressSpace("bench")
 	r := as.MmapAnon("heap", benchPages*PageSize)
 	runs := benchRuns()
@@ -61,7 +61,7 @@ const (
 // runtime image and read its startup share, half of it already in the
 // page cache through a co-mapper. The teardown is untimed.
 func BenchmarkLibraryTouch(b *testing.B) {
-	m := NewMachine(DefaultFaultCosts())
+	m := NewMachine()
 	lib := m.File("node", libPages*PageSize)
 	m.NewAddressSpace("co-mapper").MmapFile("node", lib, 0, libPages).Touch(0, libTouched/2, false)
 	b.ReportAllocs()
@@ -78,7 +78,7 @@ func BenchmarkLibraryTouch(b *testing.B) {
 // heap reservation whose first 16 MiB are resident. The set-up is
 // untimed.
 func BenchmarkUnmap(b *testing.B) {
-	m := NewMachine(DefaultFaultCosts())
+	m := NewMachine()
 	lib := m.File("node", libPages*PageSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +98,7 @@ func BenchmarkUnmap(b *testing.B) {
 // bulk fast path: a GC phase calling them must not generate garbage in
 // the simulator while simulating garbage collection.
 func TestBulkPathsZeroAllocs(t *testing.T) {
-	m := NewMachine(DefaultFaultCosts())
+	m := NewMachine()
 	as := m.NewAddressSpace("guard")
 	r := as.MmapAnon("heap", benchPages*PageSize)
 	runs := benchRuns()

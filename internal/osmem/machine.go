@@ -47,21 +47,16 @@ const (
 	pageDirty      byte = 0x4 // OR'd onto the state
 )
 
-// FaultCosts parameterizes how expensive it is to bring a page back.
-// The values are charged to whoever touches the page and surface in
-// the paper's §5.6 post-reclamation overhead experiment.
-type FaultCosts struct {
-	// Minor is the cost of a zero-fill or page-cache-hit fault
-	// (microseconds per page).
-	Minor int64
-	// Major is the cost of reading a page back from the swap device
-	// or from a library file on disk (microseconds per page).
-	Major int64
-}
-
-// DefaultFaultCosts mirrors a contemporary NVMe-backed server: ~1µs to
-// zero-fill a page, ~45µs to read one back from swap.
-func DefaultFaultCosts() FaultCosts { return FaultCosts{Minor: 1, Major: 45} }
+// Fault costs, in microseconds per page, mirror a contemporary
+// NVMe-backed server. They are charged to whoever touches the page and
+// surface in the paper's §5.6 post-reclamation overhead experiment.
+const (
+	// minorFaultCost is a zero-fill or page-cache-hit fault (~1µs).
+	minorFaultCost int64 = 1
+	// majorFaultCost reads a page back from the swap device or from a
+	// library file on disk (~45µs).
+	majorFaultCost int64 = 45
+)
 
 // PageCounters accumulates machine-wide paging activity over the
 // machine's lifetime. Unlike PhysPages/SwapPages (which are levels),
@@ -81,8 +76,6 @@ type PageCounters struct {
 // spaces and file objects hang off a machine; physical usage and swap
 // occupancy are tracked machine-wide.
 type Machine struct {
-	costs FaultCosts
-
 	files map[string]*FileObject
 
 	physPages int64 // resident pages across all address spaces
@@ -95,10 +88,9 @@ type Machine struct {
 	spaces   map[int]*AddressSpace
 }
 
-// NewMachine creates a machine with the given fault cost model.
-func NewMachine(costs FaultCosts) *Machine {
+// NewMachine creates a machine with no address spaces or files.
+func NewMachine() *Machine {
 	return &Machine{
-		costs:  costs,
 		files:  make(map[string]*FileObject),
 		spaces: make(map[int]*AddressSpace),
 	}

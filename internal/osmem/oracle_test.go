@@ -71,7 +71,6 @@ type refSpace struct {
 }
 
 type refMachine struct {
-	costs     FaultCosts
 	phys      int64
 	swap      int64
 	swapLimit int64
@@ -89,15 +88,15 @@ func (m *refMachine) touchPage(s *refSpace, r *refRegion, p int64, write bool) {
 		if r.kind == FileBacked {
 			if r.file.refs[r.foff+p] > 0 {
 				s.minor++
-				s.faultCost += m.costs.Minor
+				s.faultCost += minorFaultCost
 			} else {
 				s.major++
-				s.faultCost += m.costs.Major
+				s.faultCost += majorFaultCost
 			}
 			r.file.refs[r.foff+p]++
 		} else {
 			s.minor++
-			s.faultCost += m.costs.Minor
+			s.faultCost += minorFaultCost
 		}
 		r.st[p] = 1
 		r.dirty[p] = dirty
@@ -114,7 +113,7 @@ func (m *refMachine) touchPage(s *refSpace, r *refRegion, p int64, write bool) {
 			r.file.refs[r.foff+p]++
 		}
 		s.major++
-		s.faultCost += m.costs.Major
+		s.faultCost += majorFaultCost
 		r.st[p] = 1
 		if dirty {
 			r.dirty[p] = true
@@ -359,8 +358,8 @@ var oracleLayouts = []spaceLayout{
 
 func newPairedWorld(src opSource) *pairedWorld {
 	w := &pairedWorld{
-		real: NewMachine(DefaultFaultCosts()),
-		ref:  &refMachine{costs: DefaultFaultCosts()},
+		real: NewMachine(),
+		ref:  &refMachine{},
 	}
 	if src.Intn(2) == 0 {
 		limit := int64(src.Intn(48)) // small enough that sequences fill it

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func newTestMachine() *Machine { return NewMachine(DefaultFaultCosts()) }
+func newTestMachine() *Machine { return NewMachine() }
 
 func TestPagesFor(t *testing.T) {
 	cases := []struct {
@@ -294,7 +294,7 @@ func TestSwapOutAndBack(t *testing.T) {
 		t.Fatalf("swap-in major faults: %d", as.MajorFaults())
 	}
 	cost := as.DrainFaultCost()
-	if cost != 32*DefaultFaultCosts().Major {
+	if cost != 32*majorFaultCost {
 		t.Fatalf("swap-in cost: %d", cost)
 	}
 	if m.SwapPages() != 0 {

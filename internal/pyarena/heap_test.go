@@ -16,7 +16,7 @@ const kb = int64(1) << 10
 
 func newHeap(t *testing.T, budget int64) *Heap {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("py")
 	return New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
 }
@@ -31,7 +31,7 @@ func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
 }
 
 func TestRegistryIntegration(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("py")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
 		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
@@ -183,7 +183,7 @@ func TestOutOfMemoryAtLimit(t *testing.T) {
 }
 
 func TestTinyHeapPanics(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("py")
 	defer func() {
 		if recover() == nil {
@@ -214,7 +214,7 @@ func TestStringer(t *testing.T) {
 // arena overlap, under arbitrary allocate/kill interleavings.
 func TestArenaInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := osmem.NewMachine(osmem.DefaultFaultCosts())
+		m := osmem.NewMachine()
 		as := m.NewAddressSpace("py")
 		h := New(DefaultConfig(32*mb), as, mm.DefaultGCCostModel())
 		var live []*mm.Object

@@ -15,7 +15,7 @@ const kb = 1 << 10
 
 func newHeap(t *testing.T, budget int64) (*osmem.Machine, *Heap) {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("node")
 	h := New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
 	return m, h
@@ -31,7 +31,7 @@ func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
 }
 
 func TestRegistryIntegration(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("node")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
 		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
@@ -363,7 +363,7 @@ func (c *chunk) gaps() []gap {
 }
 
 func TestChunkGapAccounting(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("arena", 4*ChunkSize)
 	a := newArena(r)
@@ -402,7 +402,7 @@ func TestChunkGapAccounting(t *testing.T) {
 }
 
 func TestArenaRecyclesSlots(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("arena", 2*ChunkSize)
 	a := newArena(r)
@@ -453,7 +453,7 @@ func TestHeapStringer(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	cfg := DefaultConfig(256 * mb)
 	cfg.SemiSpaceInitial = 0
@@ -470,7 +470,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 // the configured ceilings.
 func TestHeapInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := osmem.NewMachine(osmem.DefaultFaultCosts())
+		m := osmem.NewMachine()
 		as := m.NewAddressSpace("node")
 		h := New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
 		var live []*mm.Object

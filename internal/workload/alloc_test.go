@@ -61,7 +61,7 @@ func TestWarmInvocationAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := osmem.NewMachine(osmem.DefaultFaultCosts())
+			m := osmem.NewMachine()
 			rt, err := runtime.New(RuntimeFor(spec.Language), runtime.Config{
 				AddressSpace: m.NewAddressSpace(c.fn),
 				MemoryBudget: budget,

@@ -112,14 +112,14 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 
 func newJavaRT(t *testing.T) runtime.Runtime {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("t")
 	return hotspot.New(hotspot.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
 }
 
 func newJSRT(t *testing.T) runtime.Runtime {
 	t.Helper()
-	m := osmem.NewMachine(osmem.DefaultFaultCosts())
+	m := osmem.NewMachine()
 	as := m.NewAddressSpace("t")
 	return v8heap.New(v8heap.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
 }
