@@ -14,7 +14,6 @@ import (
 	"desiccant/internal/core"
 	"desiccant/internal/experiments"
 	"desiccant/internal/g1gc"
-	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/pyarena"
 	"desiccant/internal/runtime"
@@ -66,7 +65,6 @@ func BenchmarkAblationThresholdDynamicVsStatic(b *testing.B) {
 		if static {
 			mcfg.LowThreshold = 0.60
 			mcfg.HighThreshold = 0.60
-			mcfg.ThresholdStep = 0
 		}
 		o.ManagerConfig = &mcfg
 		res, err := experiments.RunFig9(o)
@@ -194,8 +192,10 @@ func BenchmarkG1Reclaim(b *testing.B) {
 	var releasedMB, residentMB float64
 	for i := 0; i < b.N; i++ {
 		m := osmem.NewMachine()
-		as := m.NewAddressSpace("g1")
-		h := g1gc.New(g1gc.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
+		h, err := g1gc.New(runtime.Config{AddressSpace: m.NewAddressSpace("g1"), MemoryBudget: 256 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for j := 0; j < 2000; j++ {
 			o, err := h.Allocate(64<<10, runtime.AllocOptions{})
 			if err != nil {
@@ -219,8 +219,10 @@ func BenchmarkPyArenaReclaim(b *testing.B) {
 	var releasedMB float64
 	for i := 0; i < b.N; i++ {
 		m := osmem.NewMachine()
-		as := m.NewAddressSpace("py")
-		h := pyarena.New(pyarena.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
+		h, err := pyarena.New(runtime.Config{AddressSpace: m.NewAddressSpace("py"), MemoryBudget: 256 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for j := 0; j < 4000; j++ {
 			o, err := h.Allocate(12<<10, runtime.AllocOptions{})
 			if err != nil {

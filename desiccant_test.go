@@ -132,3 +132,29 @@ func TestFacadePythonFunction(t *testing.T) {
 		t.Fatal("python function did not complete through the facade")
 	}
 }
+
+// TestFacadeJavaSmallBudgets: at these instance budgets the serial
+// heap's young collections once promoted more survivors than the old
+// generation could take and panicked mid-copy. Every request must now
+// end as a completion or an out-of-memory drop.
+func TestFacadeJavaSmallBudgets(t *testing.T) {
+	for _, mib := range []int64{11, 35, 36} {
+		for _, spec := range Functions() {
+			if spec.Language != "java" {
+				continue
+			}
+			pcfg := DefaultPlatformConfig()
+			pcfg.InstanceBudget = mib << 20
+			s := NewSimulation(Config{Platform: &pcfg})
+			for i := 0; i < 5; i++ {
+				if err := s.Platform.SubmitName(spec.Name, Time(Seconds(float64(i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.RunFor(Seconds(60))
+			if st := s.Platform.Stats(); st.Completions+st.Drops != 5 {
+				t.Fatalf("%s at %d MiB: %d completions + %d drops of 5 requests", spec.Name, mib, st.Completions, st.Drops)
+			}
+		}
+	}
+}

@@ -34,7 +34,6 @@ func main() {
 	rt, err := runtime.New("pyarena", runtime.Config{
 		AddressSpace: as,
 		MemoryBudget: 256 << 20,
-		Cost:         mm.DefaultGCCostModel(),
 	})
 	if err != nil {
 		log.Fatal(err)

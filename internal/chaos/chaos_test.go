@@ -164,7 +164,7 @@ func TestCandidateVisiblePure(t *testing.T) {
 	found := false
 	for id := 0; id < 200 && !found; id++ {
 		f := sim.Time(sim.Duration(id) * sim.Millisecond)
-		if !j.CandidateVisible(id, f, f) && j.CandidateVisible(id, f, f.Add(j.cfg.MaxFreezeDelay)) {
+		if !j.CandidateVisible(id, f, f) && j.CandidateVisible(id, f, f.Add(maxFreezeDelay)) {
 			found = true
 		}
 	}

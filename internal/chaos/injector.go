@@ -22,53 +22,45 @@ import (
 	"desiccant/internal/sim"
 )
 
-// Config parameterizes the injector. Rates are probabilities at
-// Intensity 1; the effective rate of every fault is rate*Intensity.
+// Config parameterizes the injector.
 type Config struct {
 	// Seed drives all of the injector's randomness.
 	Seed uint64
 	// Intensity in [0,1] scales every fault rate. Zero disables the
 	// injector entirely (the differential-robustness contract).
 	Intensity float64
-
-	// ThawRaceRate forces the §4.2 thaw race on an admitted
-	// reclamation candidate at the most adversarial instant (between
-	// admission and begin).
-	ThawRaceRate float64
-	// ReclaimFailRate fails a completed release phase outright: every
-	// released page is re-faulted and the manager's retry path runs.
-	ReclaimFailRate float64
-	// PartialReclaimRate makes the runtime return fewer pages than its
-	// report promised; PartialFraction of the released bytes come back.
-	PartialReclaimRate float64
-	// PartialFraction is the share of released bytes re-faulted on a
-	// partial reclaim.
-	PartialFraction float64
-	// OOMKillRate kills a running invocation partway through its
-	// execution (the cgroup OOM killer).
-	OOMKillRate float64
-	// FreezeDelayRate delays the sweeper's knowledge of a freeze by up
-	// to MaxFreezeDelay; FreezeLossRate loses the notification
-	// entirely (the instance is never visible for that freeze).
-	FreezeDelayRate float64
-	MaxFreezeDelay  sim.Duration
-	FreezeLossRate  float64
 }
 
-// DefaultConfig returns a moderately hostile fault mix at Intensity 1.
+// The fault mix: a moderately hostile set of rates, each a probability
+// at Intensity 1. The effective rate of every fault is rate*Intensity.
+const (
+	// thawRaceRate forces the §4.2 thaw race on an admitted
+	// reclamation candidate at the most adversarial instant (between
+	// admission and begin).
+	thawRaceRate = 0.15
+	// reclaimFailRate fails a completed release phase outright: every
+	// released page is re-faulted and the manager's retry path runs.
+	reclaimFailRate = 0.15
+	// partialReclaimRate makes the runtime return fewer pages than its
+	// report promised; partialFraction of the released bytes come back.
+	partialReclaimRate = 0.25
+	// partialFraction is the share of released bytes re-faulted on a
+	// partial reclaim.
+	partialFraction = 0.5
+	// oomKillRate kills a running invocation partway through its
+	// execution (the cgroup OOM killer).
+	oomKillRate = 0.03
+	// freezeDelayRate delays the sweeper's knowledge of a freeze by up
+	// to maxFreezeDelay; freezeLossRate loses the notification
+	// entirely (the instance is never visible for that freeze).
+	freezeDelayRate = 0.20
+	maxFreezeDelay  = 4 * sim.Second
+	freezeLossRate  = 0.02
+)
+
+// DefaultConfig returns the fault mix at Intensity 1.
 func DefaultConfig(seed uint64) Config {
-	return Config{
-		Seed:               seed,
-		Intensity:          1.0,
-		ThawRaceRate:       0.15,
-		ReclaimFailRate:    0.15,
-		PartialReclaimRate: 0.25,
-		PartialFraction:    0.5,
-		OOMKillRate:        0.03,
-		FreezeDelayRate:    0.20,
-		MaxFreezeDelay:     4 * sim.Second,
-		FreezeLossRate:     0.02,
-	}
+	return Config{Seed: seed, Intensity: 1.0}
 }
 
 // Counts tallies the faults actually injected, for assertions and the
@@ -173,7 +165,7 @@ func (j *Injector) emit(name string, inst int, invo, bytes, aux int64) {
 // one whose state occupies the instance (the last to execute on it):
 // the race is the sweeper losing to that instance's thaw.
 func (j *Injector) ForceThawRace(instID int) bool {
-	if !j.enabled() || j.thawRNG.Float64() >= j.rate(j.cfg.ThawRaceRate) {
+	if !j.enabled() || j.thawRNG.Float64() >= j.rate(thawRaceRate) {
 		return false
 	}
 	j.counts.ThawRaces++
@@ -187,13 +179,13 @@ func (j *Injector) PerturbReclaim(instID int, released int64) (int64, bool) {
 		return 0, false
 	}
 	draw := j.reclaimRNG.Float64()
-	if draw < j.rate(j.cfg.ReclaimFailRate) {
+	if draw < j.rate(reclaimFailRate) {
 		j.counts.ReclaimFails++
 		j.emit("fault.reclaim_fail", instID, j.victimInvo(instID), released, 0)
 		return released, true
 	}
-	if draw < j.rate(j.cfg.ReclaimFailRate)+j.rate(j.cfg.PartialReclaimRate) {
-		retake := int64(float64(released) * j.cfg.PartialFraction)
+	if draw < j.rate(reclaimFailRate)+j.rate(partialReclaimRate) {
+		retake := int64(float64(released) * partialFraction)
 		if retake <= 0 {
 			return 0, false
 		}
@@ -213,7 +205,7 @@ func (j *Injector) CandidateVisible(instID int, frozenAt, now sim.Time) bool {
 		return true
 	}
 	h := sim.NewRNG(j.cfg.Seed ^ 0x9e3779b97f4a7c15 ^ uint64(instID)<<32 ^ uint64(frozenAt))
-	if h.Float64() < j.rate(j.cfg.FreezeLossRate) {
+	if h.Float64() < j.rate(freezeLossRate) {
 		// Notification lost: never visible this freeze. Announce the
 		// loss once per freeze episode — the verdict itself stays a
 		// pure function, consulted any number of times.
@@ -228,8 +220,8 @@ func (j *Injector) CandidateVisible(instID int, frozenAt, now sim.Time) bool {
 		}
 		return false
 	}
-	if h.Float64() < j.rate(j.cfg.FreezeDelayRate) && j.cfg.MaxFreezeDelay > 0 {
-		delay := sim.Duration(h.Int63n(int64(j.cfg.MaxFreezeDelay)))
+	if h.Float64() < j.rate(freezeDelayRate) {
+		delay := sim.Duration(h.Int63n(int64(maxFreezeDelay)))
 		return now.Sub(frozenAt) >= delay
 	}
 	return true
@@ -239,7 +231,7 @@ func (j *Injector) CandidateVisible(instID int, frozenAt, now sim.Time) bool {
 // named directly by the platform, so the fault event carries it even
 // without an instance lookup.
 func (j *Injector) OOMKillAfter(invo int64, instID int, fn string, wall sim.Duration) (sim.Duration, bool) {
-	if !j.enabled() || wall <= 0 || j.oomRNG.Float64() >= j.rate(j.cfg.OOMKillRate) {
+	if !j.enabled() || wall <= 0 || j.oomRNG.Float64() >= j.rate(oomKillRate) {
 		return 0, false
 	}
 	at := sim.Duration(j.oomRNG.Int63n(int64(wall)))

@@ -7,7 +7,6 @@ package container
 import (
 	"fmt"
 
-	"desiccant/internal/mm"
 	"desiccant/internal/obs"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
@@ -195,7 +194,6 @@ func newRuntime(machine *osmem.Machine, as *osmem.AddressSpace, rtName string, o
 	rcfg := runtime.Config{
 		AddressSpace: as,
 		MemoryBudget: opts.MemoryBudget,
-		Cost:         mm.DefaultGCCostModel(),
 	}
 	if opts.Events != nil {
 		rcfg.Observer = obs.RuntimeObserver(opts.Events, id, name, invo)

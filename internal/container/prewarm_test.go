@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"desiccant/internal/osmem"
+	"desiccant/internal/pyarena"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
 	"desiccant/internal/workload"
@@ -79,8 +80,8 @@ func TestPythonInstance(t *testing.T) {
 	// through the ordinary container path.
 	m := osmem.NewMachine()
 	inst := newInstance(t, m, 1, "py-etl", 0, true)
-	if inst.Runtime.Name() != "pyarena" {
-		t.Fatalf("runtime: %s", inst.Runtime.Name())
+	if _, ok := inst.Runtime.(*pyarena.Heap); !ok {
+		t.Fatalf("runtime: %T", inst.Runtime)
 	}
 	rng := sim.NewRNG(3)
 	for i := 0; i < 10; i++ {

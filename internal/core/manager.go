@@ -44,8 +44,6 @@ type Config struct {
 	LowThreshold float64
 	// HighThreshold caps the threshold's upward drift.
 	HighThreshold float64
-	// ThresholdStep is the upward drift per quiet interval.
-	ThresholdStep float64
 	// FreezeTimeout excludes instances frozen more recently than this
 	// (§4.3's first principle).
 	FreezeTimeout sim.Duration
@@ -79,6 +77,9 @@ type Config struct {
 const (
 	// checkInterval is how often the activation condition is polled.
 	checkInterval = 500 * sim.Millisecond
+	// thresholdStep is the threshold's upward drift per quiet
+	// interval.
+	thresholdStep = 0.02
 	// reclaimCPU is the idle-CPU share requested per reclamation.
 	reclaimCPU = 1.0
 	// maxReclaimRetries bounds the retry chain after an injected
@@ -116,7 +117,6 @@ func DefaultConfig() Config {
 	return Config{
 		LowThreshold:   0.60,
 		HighThreshold:  0.90,
-		ThresholdStep:  0.02,
 		FreezeTimeout:  2 * sim.Second,
 		MaxConcurrent:  4,
 		UnmapLibraries: true,
@@ -274,7 +274,7 @@ func (m *Manager) check() {
 		m.threshold = m.cfg.LowThreshold
 		m.evictionsSeen = 0
 	} else if m.threshold < m.cfg.HighThreshold {
-		m.threshold = minF(m.threshold+m.cfg.ThresholdStep, m.cfg.HighThreshold)
+		m.threshold = minF(m.threshold+thresholdStep, m.cfg.HighThreshold)
 	}
 	if m.bus != nil && m.threshold != prev {
 		m.bus.Emit(obs.Event{Kind: obs.EvThreshold, Inst: -1, Val: m.threshold})

@@ -21,20 +21,13 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 )
 
 // RuntimeName is the name this package registers with the runtime
 // registry.
 const RuntimeName = "g1"
 
-func init() {
-	runtime.Register(RuntimeName, func(cfg runtime.Config) runtime.Runtime {
-		h := New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
-		h.obs = cfg.Observer
-		return h
-	})
-}
+func init() { runtime.Register(RuntimeName, New) }
 
 // RegionSize is the G1 heap region granularity.
 const RegionSize = 2 << 20
@@ -67,38 +60,28 @@ func (k regionKind) String() string {
 	}
 }
 
-// Config mirrors the G1 options that matter here.
-type Config struct {
-	// MaxHeapBytes is -Xmx.
-	MaxHeapBytes int64
-	// YoungTargetFraction bounds eden: a young collection triggers
+// The G1 options that matter here, fixed. The heap gets 85% of the
+// instance budget, as the serial heap does. The fractions are typed
+// float64 constants, like the serial heap's ratios.
+const (
+	// heapPercent of the memory budget is -Xmx.
+	heapPercent = 85
+	// youngTargetFraction bounds eden: a young collection triggers
 	// once eden regions exceed this fraction of the heap.
-	YoungTargetFraction float64
-	// MixedGarbageThreshold is G1's liveness threshold: old regions
+	youngTargetFraction float64 = 0.12
+	// mixedGarbageThreshold is G1's liveness threshold: old regions
 	// whose garbage fraction exceeds it are candidates for the mixed
 	// collection set.
-	MixedGarbageThreshold float64
-	// MixedCountTarget caps how many old regions one mixed collection
+	mixedGarbageThreshold float64 = 0.35
+	// mixedCountTarget caps how many old regions one mixed collection
 	// evacuates.
-	MixedCountTarget int
-	// IHOP (initiating heap occupancy) starts the old-region marking
+	mixedCountTarget = 8
+	// ihop (initiating heap occupancy) starts the old-region marking
 	// that enables mixed collections.
-	IHOP float64
-	// TenureThreshold promotes survivors after this many collections.
-	TenureThreshold uint8
-}
-
-// DefaultConfig derives a G1 configuration from an instance budget.
-func DefaultConfig(memoryBudget int64) Config {
-	return Config{
-		MaxHeapBytes:          memoryBudget * 85 / 100,
-		YoungTargetFraction:   0.12,
-		MixedGarbageThreshold: 0.35,
-		MixedCountTarget:      8,
-		IHOP:                  0.45,
-		TenureThreshold:       2,
-	}
-}
+	ihop float64 = 0.45
+	// tenureThreshold promotes survivors after this many collections.
+	tenureThreshold = 2
+)
 
 // region is one heap region.
 type region struct {
@@ -124,11 +107,7 @@ func (r *region) garbageFraction() float64 {
 
 // Heap is a simulated G1 heap.
 type Heap struct {
-	cfg  Config
-	cost mm.GCCostModel
-	// pool is nil once the heap is released.
-	pool   *mm.ObjectPool
-	region *osmem.Region
+	runtime.HeapCore
 
 	regions []*region
 	free    []int // free-region indices (LIFO)
@@ -142,83 +121,40 @@ type Heap struct {
 	// reclaimRuns is the reusable run buffer Reclaim coalesces free
 	// ranges into before releasing them in one call.
 	reclaimRuns []osmem.Run
-
-	gcCost sim.Duration
-	stats  runtime.GCStats
-	// obs, when non-nil, receives pause and release notifications.
-	obs runtime.GCObserver
 }
 
 var _ runtime.Runtime = (*Heap)(nil)
 
-// New reserves the region array inside as.
-func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
-	if cfg.MaxHeapBytes < 2*RegionSize {
-		panic("g1gc: heap smaller than two regions")
+// New sizes the region array from cfg's memory budget and reserves it
+// inside cfg's address space. A budget whose heap holds fewer than two
+// regions is an error.
+func New(cfg runtime.Config) (*Heap, error) {
+	maxHeap := cfg.MemoryBudget * heapPercent / 100
+	if maxHeap < 2*RegionSize {
+		return nil, fmt.Errorf("g1gc: a %d-byte budget leaves a heap smaller than two regions", cfg.MemoryBudget)
 	}
-	n := int(cfg.MaxHeapBytes / RegionSize)
-	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool()}
-	h.region = as.MmapAnon("g1-heap", int64(n)*RegionSize)
+	n := int(maxHeap / RegionSize)
+	h := &Heap{HeapCore: runtime.NewHeapCore("g1gc", "g1-heap", int64(n)*RegionSize, cfg)}
 	h.regions = make([]*region, n)
 	for i := n - 1; i >= 0; i-- {
 		h.regions[i] = &region{index: i, kind: regionFree}
 		h.free = append(h.free, i)
 	}
-	return h
-}
-
-// Name implements runtime.Runtime.
-func (h *Heap) Name() string { return RuntimeName }
-
-// Language implements runtime.Runtime. G1 serves Java workloads.
-func (h *Heap) Language() runtime.Language { return runtime.Java }
-
-// Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats {
-	h.live()
-	return h.stats
-}
-
-// DrainGCCost implements runtime.Runtime.
-func (h *Heap) DrainGCCost() sim.Duration {
-	h.live()
-	c := h.gcCost
-	h.gcCost = 0
-	return c
-}
-
-// ConsumeDeoptPenalty implements runtime.Runtime.
-func (h *Heap) ConsumeDeoptPenalty() float64 {
-	h.live()
-	return 0
+	return h, nil
 }
 
 // Release implements runtime.Runtime.
 func (h *Heap) Release() {
-	h.live()
+	h.AssertLive()
 	for _, r := range h.regions {
-		h.pool.FreeAll(r.objects)
+		h.Pool.FreeAll(r.objects)
 	}
-	h.pool.Release()
-	h.pool = nil
-}
-
-// live panics once the heap has been released.
-func (h *Heap) live() {
-	if h.pool == nil {
-		panic("g1gc: use of released heap")
-	}
-}
-
-// HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) {
-	h.live()
-	return h.region.VA, h.region.Bytes()
+	h.ReleasePool()
 }
 
 // HeapCommitted implements runtime.Runtime: bytes in non-free regions.
 func (h *Heap) HeapCommitted() int64 {
-	h.live()
+	h.AssertLive()
 	var n int64
 	for _, r := range h.regions {
 		if r.kind != regionFree {
@@ -230,16 +166,13 @@ func (h *Heap) HeapCommitted() int64 {
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
-	h.live()
+	h.AssertLive()
 	var n int64
 	for _, r := range h.regions {
 		n += r.live()
 	}
 	return n
 }
-
-// ResidentBytes exposes the physical footprint.
-func (h *Heap) ResidentBytes() int64 { return h.region.ResidentPages() * osmem.PageSize }
 
 // takeFree pops a free region and assigns it a role.
 func (h *Heap) takeFree(kind regionKind) *region {
@@ -271,7 +204,7 @@ func (h *Heap) base(r *region) int64 { return int64(r.index) * RegionSize }
 // place bump-allocates o into region r (must fit).
 func (h *Heap) place(r *region, o *mm.Object) {
 	o.Offset = h.base(r) + r.top
-	h.region.TouchBytes(o.Offset, o.Size, true)
+	h.Region.TouchBytes(o.Offset, o.Size, true)
 	r.objects = append(r.objects, o)
 	r.top += o.Size
 }
@@ -281,8 +214,8 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if size <= 0 {
 		panic("g1gc: non-positive allocation")
 	}
-	h.live()
-	o := h.pool.New(size, opts.Weak)
+	h.AssertLive()
+	o := h.Pool.New(size, opts.Weak)
 
 	if size > RegionSize/2 {
 		if h.allocateHumongous(o) {
@@ -304,7 +237,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 			return o, nil
 		}
 	}
-	if float64(len(h.eden)+1)*RegionSize > h.cfg.YoungTargetFraction*float64(len(h.regions))*RegionSize {
+	if float64(len(h.eden)+1)*RegionSize > youngTargetFraction*float64(len(h.regions))*RegionSize {
 		h.collect()
 	}
 	r := h.takeFree(regionEden)
@@ -371,7 +304,7 @@ func (h *Heap) allocateHumongous(o *mm.Object) bool {
 		f.objects = f.objects[:0]
 	}
 	o.Offset = h.base(lead)
-	h.region.TouchBytes(o.Offset, o.Size, true)
+	h.Region.TouchBytes(o.Offset, o.Size, true)
 	return true
 }
 
@@ -386,7 +319,7 @@ func (h *Heap) collect() {
 	// IHOP: crossing the occupancy threshold "completes" the
 	// concurrent mark, enabling mixed collections (the concurrent
 	// cycle itself is folded into the pause cost).
-	if h.occupancy() >= h.cfg.IHOP {
+	if h.occupancy() >= ihop {
 		h.marked = true
 	}
 	cset := append([]*region{}, h.eden...)
@@ -402,9 +335,9 @@ func (h *Heap) collect() {
 	h.evacuate(cset, false, mixed)
 	if mixed {
 		h.marked = false
-		h.stats.FullGCs++ // count mixed cycles alongside majors
+		h.GC.FullGCs++ // count mixed cycles alongside majors
 	} else {
-		h.stats.YoungGCs++
+		h.GC.YoungGCs++
 	}
 }
 
@@ -415,15 +348,15 @@ func (h *Heap) collect() {
 func (h *Heap) mixedCandidates() []*region {
 	var out []*region
 	for _, r := range h.old {
-		if r.garbageFraction() >= h.cfg.MixedGarbageThreshold {
+		if r.garbageFraction() >= mixedGarbageThreshold {
 			out = append(out, r)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].garbageFraction() > out[j].garbageFraction()
 	})
-	if len(out) > h.cfg.MixedCountTarget {
-		out = out[:h.cfg.MixedCountTarget]
+	if len(out) > mixedCountTarget {
+		out = out[:mixedCountTarget]
 	}
 	return out
 }
@@ -446,7 +379,7 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 	// after the copy loop.
 	flushDst := func(dst *region, start int64) {
 		if dst != nil && dst.top > start {
-			h.region.TouchBytes(h.base(dst)+start, dst.top-start, true)
+			h.Region.TouchBytes(h.base(dst)+start, dst.top-start, true)
 		}
 	}
 
@@ -490,13 +423,13 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
-				h.pool.Free(o)
+				h.Pool.Free(o)
 				continue
 			}
 			traced += o.Size
 			o.Age++
 			kind := regionSurvivor
-			if o.Age > h.cfg.TenureThreshold || r.kind == regionOld {
+			if o.Age > tenureThreshold || r.kind == regionOld {
 				kind = regionOld
 				o.Age = 0
 			}
@@ -506,7 +439,7 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 			}
 			moved += o.Size
 			if kind == regionOld {
-				h.stats.PromotedBytes += o.Size
+				h.GC.PromotedBytes += o.Size
 			}
 		}
 		if failedAt < 0 {
@@ -521,7 +454,7 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 		remaining := r.objects[:0]
 		for _, o := range r.objects[failedAt:] {
 			if o.Dead {
-				h.pool.Free(o)
+				h.Pool.Free(o)
 				continue
 			}
 			remaining = append(remaining, o)
@@ -532,12 +465,8 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 	}
 	flushDst(survivorDst, survStart)
 	flushDst(oldDst, oldStart)
-	h.stats.CollectedBytes += collected
-	pause := h.cost.Cycle(traced, moved, collected)
-	h.gcCost += pause
-	if h.obs != nil {
-		h.obs.GCPause(full, pause, collected)
-	}
+	h.GC.CollectedBytes += collected
+	h.NotePause(full, mm.GCCycle(traced, moved, collected), collected)
 }
 
 // filterOut removes regions present in set from *list in place.
@@ -554,7 +483,7 @@ func (h *Heap) filterOut(list *[]*region, set map[*region]bool) {
 // fullCollect evacuates everything (and sweeps humongous runs) — the
 // System.gc() path.
 func (h *Heap) fullCollect(aggressive bool) {
-	h.stats.FullGCs++
+	h.GC.FullGCs++
 	h.sweepHumongous(aggressive)
 	cset := append([]*region{}, h.eden...)
 	cset = append(cset, h.survivors...)
@@ -574,8 +503,8 @@ func (h *Heap) sweepHumongous(aggressive bool) {
 			continue
 		}
 		o.Dead = true
-		h.stats.CollectedBytes += o.Size
-		h.pool.Free(o)
+		h.GC.CollectedBytes += o.Size
+		h.Pool.Free(o)
 		spans := r.spans
 		for i := r.index; i < r.index+spans; i++ {
 			h.release(h.regions[i])
@@ -585,7 +514,7 @@ func (h *Heap) sweepHumongous(aggressive bool) {
 
 // CollectFull implements runtime.Runtime.
 func (h *Heap) CollectFull(aggressive bool) {
-	h.live()
+	h.AssertLive()
 	h.fullCollect(aggressive)
 }
 
@@ -593,7 +522,7 @@ func (h *Heap) CollectFull(aggressive bool) {
 // the physical pages of every free region and every region's free
 // tail back to the OS — §7's recipe applied to G1's region layout.
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
-	h.live()
+	h.AssertLive()
 	before := h.ResidentBytes()
 	h.fullCollect(aggressive)
 	// Walk the region array in index order, coalescing free regions
@@ -616,22 +545,9 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 			runs = osmem.AppendRun(runs, h.base(r)+r.top, RegionSize-r.top)
 		}
 	}
-	h.region.ReleaseRuns(runs)
+	h.Region.ReleaseRuns(runs)
 	h.reclaimRuns = runs[:0]
-	after := h.ResidentBytes()
-	cost := h.DrainGCCost()
-	released := before - after
-	if released > 0 {
-		cost += sim.Duration(released>>20) * sim.Microsecond
-		if h.obs != nil {
-			h.obs.PagesReleased(released)
-		}
-	}
-	return runtime.ReclaimReport{
-		LiveBytes:     h.LiveBytes(),
-		ReleasedBytes: released,
-		CPUCost:       cost,
-	}
+	return h.FinishReclaim(before, h.LiveBytes())
 }
 
 // RegionCounts reports the number of regions in each role, for tests

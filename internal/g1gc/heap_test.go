@@ -16,8 +16,11 @@ const kb = int64(1) << 10
 func newHeap(t *testing.T, budget int64) *Heap {
 	t.Helper()
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("g1")
-	return New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
+	h, err := New(runtime.Config{AddressSpace: m.NewAddressSpace("g1"), MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
@@ -33,13 +36,13 @@ func TestRegistryIntegration(t *testing.T) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("g1")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
-		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
+		AddressSpace: as, MemoryBudget: 256 * mb,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Name() != RuntimeName || rt.Language() != runtime.Java {
-		t.Fatalf("identity: %s/%s", rt.Name(), rt.Language())
+	if _, ok := rt.(*Heap); !ok {
+		t.Fatalf("%s built a %T", RuntimeName, rt)
 	}
 }
 
@@ -72,7 +75,7 @@ func TestAllocateAndYoungCollect(t *testing.T) {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
 	// Eden stays bounded by the young target.
-	maxEden := int(float64(len(h.regions)) * h.cfg.YoungTargetFraction)
+	maxEden := int(float64(len(h.regions)) * youngTargetFraction)
 	if len(h.eden) > maxEden+1 {
 		t.Fatalf("eden unbounded: %d regions", len(h.eden))
 	}
@@ -279,15 +282,22 @@ func TestStringerAndCounts(t *testing.T) {
 	}
 }
 
-func TestTinyHeapPanics(t *testing.T) {
+// TestTinyBudgetFails: a budget whose heap holds fewer than two
+// regions is an error from New and runtime.New; the smallest budget
+// that holds two builds.
+func TestTinyBudgetFails(t *testing.T) {
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("g1")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(Config{MaxHeapBytes: RegionSize}, as, mm.DefaultGCCostModel())
+	tiny := runtime.Config{AddressSpace: m.NewAddressSpace("g1"), MemoryBudget: 4 * mb}
+	if h, err := New(tiny); err == nil || h != nil {
+		t.Fatalf("New(4 MiB budget) = %v, %v; want an error", h, err)
+	}
+	if rt, err := runtime.New(RuntimeName, tiny); err == nil || rt != nil {
+		t.Fatalf("runtime.New(4 MiB budget) = %v, %v; want an error", rt, err)
+	}
+	h := newHeap(t, 5*mb)
+	if len(h.regions) != 2 {
+		t.Fatalf("5 MiB budget: %d regions, want 2", len(h.regions))
+	}
 }
 
 // Property: live accounting matches the caller's view and region
@@ -335,8 +345,11 @@ func TestG1Invariants(t *testing.T) {
 
 func newHeapQuick() *Heap {
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("g1")
-	return New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
+	h, err := New(runtime.Config{AddressSpace: m.NewAddressSpace("g1"), MemoryBudget: 128 * mb})
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // TestRecycleSafety checks the object pool's ownership rule against
@@ -345,7 +358,7 @@ func newHeapQuick() *Heap {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 3*mb, 16*mb, func() runtimetest.Heap {
 		h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: runtime.Java, Pool: h.Pool, Listed: func(f func(*mm.Object)) {
 			for _, r := range h.regions {
 				for _, o := range r.objects {
 					f(o)

@@ -16,7 +16,10 @@ import (
 func BenchmarkYoungGCCopy(b *testing.B) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
-	h := New(DefaultConfig(256*mb), as, mm.DefaultGCCostModel())
+	h, err := New(runtime.Config{AddressSpace: as, MemoryBudget: 256 * mb})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	const objSize = 8 * kb
 	ring := make([]*mm.Object, 256)

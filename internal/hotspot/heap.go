@@ -17,58 +17,40 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 )
 
 // RuntimeName is the name this package registers with the runtime
 // registry.
 const RuntimeName = "hotspot-serial"
 
-func init() {
-	runtime.Register(RuntimeName, func(cfg runtime.Config) runtime.Runtime {
-		h := New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
-		h.obs = cfg.Observer
-		return h
-	})
-}
+func init() { runtime.Register(RuntimeName, New) }
 
-// Config mirrors the HotSpot flags that matter to the paper.
-type Config struct {
-	// MaxHeapBytes is -Xmx: the reserved heap size.
-	MaxHeapBytes int64
-	// InitialHeapBytes is -Xms: the initially committed size.
-	InitialHeapBytes int64
-	// NewRatio is old:young sizing (-XX:NewRatio): young gets
-	// 1/(NewRatio+1) of the heap.
-	NewRatio int64
-	// SurvivorRatio is eden:survivor sizing (-XX:SurvivorRatio): each
-	// survivor space gets 1/(SurvivorRatio+2) of the young generation.
-	SurvivorRatio int64
-	// MinFreeRatio / MaxFreeRatio are -XX:Min/MaxHeapFreeRatio: after
-	// a full GC, the old generation is resized so its free ratio lies
-	// within [Min, Max].
-	MinFreeRatio float64
-	MaxFreeRatio float64
-	// TenureThreshold is the young-GC survival count after which an
+// The HotSpot flags that matter to the paper, fixed at the stock
+// serial-GC values. The heap gets 85% of the instance budget (Lambda
+// sizes -Xmx from the function's memory setting) and commits lazily
+// from a small initial size. The ratios are typed float64 constants:
+// an untyped 1-0.70 folds exactly and rounds to a different float64
+// than the run-time subtraction 1-maxFreeRatio, a typed one does not.
+const (
+	// heapPercent of the memory budget is -Xmx, the reserved heap.
+	heapPercent = 85
+	// maxInitialHeap caps -Xms, the initially committed size.
+	maxInitialHeap = 16 << 20
+	// newRatio is old:young sizing (-XX:NewRatio): young gets
+	// 1/(newRatio+1) of the heap.
+	newRatio = 2
+	// survivorRatio is eden:survivor sizing (-XX:SurvivorRatio): each
+	// survivor space gets 1/(survivorRatio+2) of the young generation.
+	survivorRatio = 8
+	// minFreeRatio and maxFreeRatio are -XX:Min/MaxHeapFreeRatio:
+	// after a full GC, the old generation is resized so its free ratio
+	// lies within [minFreeRatio, maxFreeRatio].
+	minFreeRatio float64 = 0.40
+	maxFreeRatio float64 = 0.70
+	// tenureThreshold is the young-GC survival count after which an
 	// object is promoted to the old generation.
-	TenureThreshold uint8
-}
-
-// DefaultConfig derives a Lambda-style configuration from an instance
-// memory budget: the heap gets ~85% of the budget (Lambda sizes -Xmx
-// from the function's memory setting), committed lazily from a small
-// initial size, with HotSpot's stock serial-GC ratios.
-func DefaultConfig(memoryBudget int64) Config {
-	return Config{
-		MaxHeapBytes:     memoryBudget * 85 / 100,
-		InitialHeapBytes: min(memoryBudget*85/100, 16<<20),
-		NewRatio:         2,
-		SurvivorRatio:    8,
-		MinFreeRatio:     0.40,
-		MaxFreeRatio:     0.70,
-		TenureThreshold:  2,
-	}
-}
+	tenureThreshold = 2
+)
 
 func pageAlign(n int64) int64 {
 	return osmem.PagesFor(n) * osmem.PageSize
@@ -83,15 +65,10 @@ const minOldBytes = 1 << 20
 
 // Heap is a simulated HotSpot serial-GC heap.
 type Heap struct {
-	cfg  Config
-	cost mm.GCCostModel
-	// pool is nil once the heap is released.
-	pool *mm.ObjectPool
-
-	region *osmem.Region
+	runtime.HeapCore
 
 	// Reserved layout: young generation at [0, youngReserve), old
-	// generation at [youngReserve, MaxHeapBytes).
+	// generation at [youngReserve, -Xmx).
 	youngReserve int64
 	oldReserve   int64
 
@@ -103,11 +80,6 @@ type Heap struct {
 	surv [2]*mm.BumpSpace // survivor spaces; surv[fromIdx] is "from"
 	from int              // index of the from space
 	old  *mm.BumpSpace
-
-	gcCost sim.Duration
-	stats  runtime.GCStats
-	// obs, when non-nil, receives pause/resize/release notifications.
-	obs runtime.GCObserver
 
 	// highSurvivalGCs counts consecutive young collections whose live
 	// set exceeded half of eden — the adaptive-sizing signal that the
@@ -132,26 +104,26 @@ var (
 	_ runtime.SpaceLayout = (*Heap)(nil)
 )
 
-// New reserves the heap inside as and commits the initial size.
-func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
-	if cfg.MaxHeapBytes < cfg.InitialHeapBytes {
-		panic("hotspot: Xms > Xmx")
-	}
-	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool()}
-	h.region = as.MmapAnon("java-heap", cfg.MaxHeapBytes)
-	h.youngReserve = pageAlign(cfg.MaxHeapBytes / (cfg.NewRatio + 1))
-	h.oldReserve = pageAlign(cfg.MaxHeapBytes) - h.youngReserve
+// New derives -Xmx and -Xms from cfg's memory budget, reserves the
+// heap inside cfg's address space and commits the initial size. It
+// never fails; the error result is the shape runtime.Register takes.
+func New(cfg runtime.Config) (*Heap, error) {
+	xmx := cfg.MemoryBudget * heapPercent / 100
+	xms := min(xmx, maxInitialHeap)
+	h := &Heap{HeapCore: runtime.NewHeapCore("hotspot", "java-heap", xmx, cfg)}
+	h.youngReserve = pageAlign(xmx / (newRatio + 1))
+	h.oldReserve = pageAlign(xmx) - h.youngReserve
 
-	h.youngCommitted = min(max(pageAlign(cfg.InitialHeapBytes/(cfg.NewRatio+1)), pageAlign(minYoungBytes)), h.youngReserve)
-	h.oldCommitted = min(max(pageAlign(cfg.InitialHeapBytes)-h.youngCommitted, pageAlign(minOldBytes)), h.oldReserve)
+	h.youngCommitted = min(max(pageAlign(xms/(newRatio+1)), pageAlign(minYoungBytes)), h.youngReserve)
+	h.oldCommitted = min(max(pageAlign(xms)-h.youngCommitted, pageAlign(minOldBytes)), h.oldReserve)
 
-	h.old = mm.NewBumpSpace("old", h.region, h.youngReserve, h.oldCommitted)
-	h.eden = mm.NewBumpSpace("eden", h.region, 0, 0)
-	h.surv[0] = mm.NewBumpSpace("from", h.region, 0, 0)
-	h.surv[1] = mm.NewBumpSpace("to", h.region, 0, 0)
+	h.old = mm.NewBumpSpace("old", h.Region, h.youngReserve, h.oldCommitted)
+	h.eden = mm.NewBumpSpace("eden", h.Region, 0, 0)
+	h.surv[0] = mm.NewBumpSpace("from", h.Region, 0, 0)
+	h.surv[1] = mm.NewBumpSpace("to", h.Region, 0, 0)
 	h.youngFloor = h.youngCommitted
 	h.layoutYoung()
-	return h
+	return h, nil
 }
 
 // layoutYoung (re)carves eden/from/to out of the committed young
@@ -159,7 +131,7 @@ func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
 // Live survivor objects are carried across the re-carve. Eden must be
 // empty.
 func (h *Heap) layoutYoung() {
-	survBytes := pageAlign(h.youngCommitted / (h.cfg.SurvivorRatio + 2))
+	survBytes := pageAlign(h.youngCommitted / (survivorRatio + 2))
 	edenBytes := h.youngCommitted - 2*survBytes
 	if edenBytes < 0 {
 		panic(fmt.Sprintf("hotspot: young generation too small: %d", h.youngCommitted))
@@ -184,66 +156,25 @@ func (h *Heap) layoutYoung() {
 	}
 }
 
-// Name implements runtime.Runtime.
-func (h *Heap) Name() string { return RuntimeName }
-
-// Language implements runtime.Runtime.
-func (h *Heap) Language() runtime.Language { return runtime.Java }
-
 // HeapCommitted implements runtime.Runtime.
 func (h *Heap) HeapCommitted() int64 {
-	h.live()
+	h.AssertLive()
 	return h.youngCommitted + h.oldCommitted
-}
-
-// HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) {
-	h.live()
-	return h.region.VA, h.region.Bytes()
 }
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
-	h.live()
+	h.AssertLive()
 	return h.eden.LiveBytes() + h.surv[0].LiveBytes() + h.surv[1].LiveBytes() + h.old.LiveBytes()
-}
-
-// Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats {
-	h.live()
-	return h.stats
-}
-
-// DrainGCCost implements runtime.Runtime.
-func (h *Heap) DrainGCCost() sim.Duration {
-	h.live()
-	c := h.gcCost
-	h.gcCost = 0
-	return c
-}
-
-// ConsumeDeoptPenalty implements runtime.Runtime. The serial-GC path
-// has no aggressive-collection deoptimization in the paper's model.
-func (h *Heap) ConsumeDeoptPenalty() float64 {
-	h.live()
-	return 0
 }
 
 // Release implements runtime.Runtime.
 func (h *Heap) Release() {
-	h.live()
+	h.AssertLive()
 	for _, sp := range h.spaces() {
-		h.pool.FreeAll(sp.Objects())
+		h.Pool.FreeAll(sp.Objects())
 	}
-	h.pool.Release()
-	h.pool = nil
-}
-
-// live panics once the heap has been released.
-func (h *Heap) live() {
-	if h.pool == nil {
-		panic("hotspot: use of released heap")
-	}
+	h.ReleasePool()
 }
 
 // spaces lists the heap's four spaces.
@@ -256,8 +187,8 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if size <= 0 {
 		panic("hotspot: non-positive allocation")
 	}
-	h.live()
-	o := h.pool.New(size, opts.Weak)
+	h.AssertLive()
+	o := h.Pool.New(size, opts.Weak)
 
 	// Objects larger than half of eden go straight to the old
 	// generation, as HotSpot does for humongous allocations.
@@ -309,13 +240,13 @@ func (h *Heap) oldAllocate(o *mm.Object) bool {
 	}
 	if mm.DeadBytes(h.old.Objects()) >= o.Size {
 		traced, moved, collected := h.compactOld(false)
-		h.stats.CollectedBytes += collected
-		h.notePause(true, h.cost.Cycle(traced, moved, collected), collected)
+		h.GC.CollectedBytes += collected
+		h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)
 		if h.old.TryAllocate(o) {
 			// Keep the generation inside its free-ratio band even on
 			// the compaction path, or a tightly-sized generation would
 			// compact on every subsequent allocation burst.
-			if h.old.Free() < int64(h.cfg.MinFreeRatio*float64(h.oldCommitted)) {
+			if h.old.Free() < int64(minFreeRatio*float64(h.oldCommitted)) {
 				h.expandOld(1)
 			}
 			return true
@@ -329,7 +260,7 @@ func (h *Heap) oldAllocate(o *mm.Object) bool {
 }
 
 // expandOld grows the old generation's committed size by at least
-// need bytes, targeting the same MinFreeRatio headroom the post-GC
+// need bytes, targeting the same minFreeRatio headroom the post-GC
 // resize uses — so a heap that grew reactively and a heap that was
 // resized after a collection converge on the same free-space band
 // (and therefore the same compaction cadence). Returns false at the
@@ -339,7 +270,7 @@ func (h *Heap) expandOld(need int64) bool {
 		need = 1
 	}
 	occupied := h.old.Used() + need
-	target := int64(float64(occupied) / (1 - h.cfg.MinFreeRatio))
+	target := int64(float64(occupied) / (1 - minFreeRatio))
 	newCommitted := min(pageAlign(max(h.oldCommitted+need, target)), h.oldReserve)
 	if newCommitted == h.oldCommitted {
 		return false
@@ -359,30 +290,42 @@ func (h *Heap) youngGC() error {
 
 	// Classification pass (no mutation): decide each live object's
 	// destination so the collection can be aborted cleanly on OOM.
-	var traced, tenured, survivorBytes int64
+	// Survivors fill the to space first-fit in list order, as the copy
+	// below does, so spilled is exactly what the copy promotes for lack
+	// of survivor room: a larger survivor can spill while smaller ones
+	// behind it still fit, so it may exceed survivorBytes-capacity.
+	var traced, tenured, survivorBytes, toTop, spilled int64
 	for _, objs := range [2][]*mm.Object{h.eden.Objects(), from.Objects()} {
 		for _, o := range objs {
 			if o.Dead {
 				continue
 			}
 			traced += o.Size
-			if o.Age+1 > h.cfg.TenureThreshold {
+			if o.Age+1 > tenureThreshold {
 				tenured += o.Size
+				continue
+			}
+			survivorBytes += o.Size
+			if o.Size <= to.Capacity()-toTop {
+				toTop += o.Size
 			} else {
-				survivorBytes += o.Size
+				spilled += o.Size
 			}
 		}
 	}
-	overflow := survivorBytes - to.Capacity()
-	if overflow < 0 {
-		overflow = 0
+	// Every promotion must fit beside the old generation's live data in
+	// the fully expanded, compacted old generation. Used bounds live
+	// from above, so the live sum is only walked near the limit.
+	if promote := tenured + spilled; promote > h.oldReserve-h.old.Used() && promote > h.oldReserve-h.old.LiveBytes() {
+		return runtime.ErrOutOfMemory
 	}
+	overflow := max(survivorBytes-to.Capacity(), 0)
 	needOld := tenured + overflow
 	if needOld > h.old.Free() && !h.ensureOldFree(needOld) {
 		return runtime.ErrOutOfMemory
 	}
 
-	h.stats.YoungGCs++
+	h.GC.YoungGCs++
 	var copied, promoted, collected int64
 	to.Reset()
 	// Survivors bump into the to space back to back, so their page
@@ -398,11 +341,11 @@ func (h *Heap) youngGC() error {
 		for _, o := range objs {
 			if o.Dead {
 				collected += o.Size
-				h.pool.Free(o)
+				h.Pool.Free(o)
 				continue
 			}
 			o.Age++
-			if o.Age > h.cfg.TenureThreshold || !tb.TryAllocate(o) {
+			if o.Age > tenureThreshold || !tb.TryAllocate(o) {
 				o.Age = 0
 				if !h.oldAllocate(o) {
 					panic("hotspot: promotion failed after feasibility check")
@@ -417,9 +360,9 @@ func (h *Heap) youngGC() error {
 	h.eden.Reset() // pages stay resident: frozen garbage in waiting
 	from.Reset()
 	h.from = 1 - h.from
-	h.stats.PromotedBytes += promoted
-	h.stats.CollectedBytes += collected
-	h.notePause(false, h.cost.Cycle(traced, copied+promoted, 0), collected)
+	h.GC.PromotedBytes += promoted
+	h.GC.CollectedBytes += collected
+	h.NotePause(false, mm.GCCycle(traced, copied+promoted, 0), collected)
 
 	// Adaptive young sizing: a sustained run of high-survival young
 	// collections means eden is undersized for the live working set;
@@ -450,8 +393,8 @@ func (h *Heap) ensureOldFree(need int64) bool {
 	}
 	if mm.DeadBytes(h.old.Objects()) > 0 {
 		traced, moved, collected := h.compactOld(false)
-		h.stats.CollectedBytes += collected
-		h.notePause(true, h.cost.Cycle(traced, moved, collected), collected)
+		h.GC.CollectedBytes += collected
+		h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)
 	}
 	if h.old.Free() >= need {
 		return true
@@ -460,15 +403,6 @@ func (h *Heap) ensureOldFree(need int64) bool {
 		return false
 	}
 	return h.old.Free() >= need
-}
-
-// notePause accumulates one pause's CPU cost and forwards it to the
-// observer when one is attached.
-func (h *Heap) notePause(full bool, pause sim.Duration, collected int64) {
-	h.gcCost += pause
-	if h.obs != nil {
-		h.obs.GCPause(full, pause, collected)
-	}
 }
 
 // compactOld mark-sweep-compacts the old generation in place.
@@ -481,7 +415,7 @@ func (h *Heap) compactOld(aggressive bool) (traced, moved, collected int64) {
 		if o.Collectible(aggressive) {
 			o.Dead = true
 			collected += o.Size
-			h.pool.Free(o)
+			h.Pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -516,7 +450,7 @@ func (h *Heap) fullGC(aggressive bool) error {
 		return runtime.ErrOutOfMemory
 	}
 
-	h.stats.FullGCs++
+	h.GC.FullGCs++
 	var traced, moved, collected int64
 
 	// Young survivors all move into the old generation.
@@ -532,7 +466,7 @@ func (h *Heap) fullGC(aggressive bool) error {
 		if o.Collectible(aggressive) {
 			o.Dead = true
 			collected += o.Size
-			h.pool.Free(o)
+			h.Pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -543,15 +477,15 @@ func (h *Heap) fullGC(aggressive bool) error {
 		}
 	}
 	h.youngScratch = young[:0]
-	h.stats.CollectedBytes += collected
-	h.notePause(true, h.cost.Cycle(traced, moved, collected), collected)
+	h.GC.CollectedBytes += collected
+	h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)
 	h.resize()
 	return nil
 }
 
 // resize is the post-full-GC sizing phase (§3.2.1): the old
 // generation's committed size is adjusted to keep its free ratio in
-// [MinFreeRatio, MaxFreeRatio]; the young generation's committed size
+// [minFreeRatio, maxFreeRatio]; the young generation's committed size
 // follows the old generation's. Shrinking uncommits pages at the top
 // of each generation — crucially, free pages *below* the committed
 // boundary (empty eden, survivor spaces, old-gen slack) are NOT
@@ -559,11 +493,7 @@ func (h *Heap) fullGC(aggressive bool) error {
 // leaves behind.
 func (h *Heap) resize() {
 	committedBefore := h.HeapCommitted()
-	defer func() {
-		if h.obs != nil && h.HeapCommitted() != committedBefore {
-			h.obs.HeapResized(committedBefore, h.HeapCommitted())
-		}
-	}()
+	defer func() { h.NoteResize(committedBefore, h.HeapCommitted()) }()
 	used := h.old.Used()
 
 	// Old generation: target a committed size whose free ratio is
@@ -571,10 +501,10 @@ func (h *Heap) resize() {
 	oldTarget := h.oldCommitted
 	if free := h.oldCommitted - used; h.oldCommitted > 0 {
 		ratio := float64(free) / float64(h.oldCommitted)
-		if ratio < h.cfg.MinFreeRatio {
-			oldTarget = int64(float64(used) / (1 - h.cfg.MinFreeRatio))
-		} else if ratio > h.cfg.MaxFreeRatio {
-			oldTarget = int64(float64(used) / (1 - h.cfg.MaxFreeRatio))
+		if ratio < minFreeRatio {
+			oldTarget = int64(float64(used) / (1 - minFreeRatio))
+		} else if ratio > maxFreeRatio {
+			oldTarget = int64(float64(used) / (1 - maxFreeRatio))
 		}
 	}
 	oldTarget = min(max(pageAlign(max(oldTarget, used)), pageAlign(minOldBytes)), h.oldReserve)
@@ -583,7 +513,7 @@ func (h *Heap) resize() {
 	}
 	if oldTarget < h.oldCommitted {
 		// Uncommit the tail: mmap/PROT_NONE clears the physical pages.
-		h.region.ReleaseBytes(h.youngReserve+oldTarget, h.oldCommitted-oldTarget)
+		h.Region.ReleaseBytes(h.youngReserve+oldTarget, h.oldCommitted-oldTarget)
 	}
 	h.oldCommitted = oldTarget
 	h.old.SetCapacity(h.oldCommitted)
@@ -595,10 +525,10 @@ func (h *Heap) resize() {
 	// workload under frequent forced collections (the eager baseline)
 	// still drifts back towards the old-derived size.
 	h.youngFloor = min(max(pageAlign(h.youngFloor*3/4), pageAlign(minYoungBytes)), h.youngReserve)
-	fromOld := h.oldCommitted / h.cfg.NewRatio
+	fromOld := h.oldCommitted / newRatio
 	youngTarget := min(max(pageAlign(max(fromOld, h.youngFloor)), pageAlign(minYoungBytes)), h.youngReserve)
 	if youngTarget < h.youngCommitted {
-		h.region.ReleaseBytes(youngTarget, h.youngCommitted-youngTarget)
+		h.Region.ReleaseBytes(youngTarget, h.youngCommitted-youngTarget)
 	}
 	h.youngCommitted = youngTarget
 	h.layoutYoung()
@@ -609,7 +539,7 @@ func (h *Heap) resize() {
 // is skipped — the mutator will hit ErrOutOfMemory on its next
 // allocation instead.
 func (h *Heap) CollectFull(aggressive bool) {
-	h.live()
+	h.AssertLive()
 	_ = h.fullGC(aggressive)
 }
 
@@ -618,40 +548,24 @@ func (h *Heap) CollectFull(aggressive bool) {
 // every space to the OS — from space in its entirety, plus free
 // memory in eden, to space and the old generation.
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
-	h.live()
-	before := h.residentHeapBytes()
-	if err := h.fullGC(aggressive); err != nil {
-		// Nothing reclaimable without a collection; report the status
-		// quo so Desiccant's profile stays truthful.
-		return runtime.ReclaimReport{LiveBytes: h.LiveBytes(), CPUCost: h.DrainGCCost()}
+	h.AssertLive()
+	before := h.ResidentBytes()
+	// A collection that cannot fit the live set changes nothing, so
+	// there is nothing to release: the report stays truthful.
+	if err := h.fullGC(aggressive); err == nil {
+		// After a full GC all young spaces are empty and the old
+		// generation is compacted; release the free pages. The young
+		// spaces sit back to back at page-aligned offsets, so their
+		// releases (plus the old generation's free tail) coalesce into
+		// a single run list handed to the OS in one call.
+		var buf [4]osmem.Run
+		runs := osmem.AppendRun(buf[:0], h.eden.Base()+h.eden.Used(), h.eden.Free())
+		runs = osmem.AppendRun(runs, h.surv[0].Base()+h.surv[0].Used(), h.surv[0].Free())
+		runs = osmem.AppendRun(runs, h.surv[1].Base()+h.surv[1].Used(), h.surv[1].Free())
+		runs = osmem.AppendRun(runs, h.old.Base()+h.old.Used(), h.old.Free())
+		h.Region.ReleaseRuns(runs)
 	}
-	// After a full GC all young spaces are empty and the old
-	// generation is compacted; release the free pages. The young
-	// spaces sit back to back at page-aligned offsets, so their
-	// releases (plus the old generation's free tail) coalesce into a
-	// single run list handed to the OS in one call.
-	var buf [4]osmem.Run
-	runs := osmem.AppendRun(buf[:0], h.eden.Base()+h.eden.Used(), h.eden.Free())
-	runs = osmem.AppendRun(runs, h.surv[0].Base()+h.surv[0].Used(), h.surv[0].Free())
-	runs = osmem.AppendRun(runs, h.surv[1].Base()+h.surv[1].Used(), h.surv[1].Free())
-	runs = osmem.AppendRun(runs, h.old.Base()+h.old.Used(), h.old.Free())
-	h.region.ReleaseRuns(runs)
-	after := h.residentHeapBytes()
-	if h.obs != nil && before > after {
-		h.obs.PagesReleased(before - after)
-	}
-
-	// Reclamation cost is reported to the platform (and billed to the
-	// platform's idle CPUs, not to the function), so it is drained out
-	// of the per-invocation GC cost accumulator here.
-	cost := h.DrainGCCost()
-	// Releasing pages costs a few syscalls: charge 1µs per MiB freed.
-	cost += sim.Duration(max((before-after)>>20, 0)) * sim.Microsecond
-	return runtime.ReclaimReport{
-		LiveBytes:     h.LiveBytes(),
-		ReleasedBytes: max(before-after, 0),
-		CPUCost:       cost,
-	}
+	return h.FinishReclaim(before, h.LiveBytes())
 }
 
 // SpaceLayout implements runtime.SpaceLayout: the generational carve
@@ -669,21 +583,11 @@ func (h *Heap) SpaceLayout() []runtime.SpaceRange {
 	}
 }
 
-// residentHeapBytes reports the heap's physical footprint, as the
-// platform would observe via pmap over HeapRange.
-func (h *Heap) residentHeapBytes() int64 {
-	return h.region.ResidentPages() * osmem.PageSize
-}
-
-// ResidentBytes exposes the heap's physical footprint for tests and
-// experiment harnesses.
-func (h *Heap) ResidentBytes() int64 { return h.residentHeapBytes() }
-
 // Committed returns the committed sizes (young, old) for inspection.
 func (h *Heap) Committed() (young, old int64) { return h.youngCommitted, h.oldCommitted }
 
 func (h *Heap) String() string {
 	return fmt.Sprintf("hotspot{committed=%dKB young=%dKB old=%dKB live=%dKB resident=%dKB}",
 		h.HeapCommitted()/1024, h.youngCommitted/1024, h.oldCommitted/1024,
-		h.LiveBytes()/1024, h.residentHeapBytes()/1024)
+		h.LiveBytes()/1024, h.ResidentBytes()/1024)
 }

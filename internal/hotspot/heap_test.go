@@ -1,6 +1,7 @@
 package hotspot
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,10 @@ func newHeap(t *testing.T, budget int64) (*osmem.Machine, *osmem.AddressSpace, *
 	t.Helper()
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
-	h := New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
+	h, err := New(runtime.Config{AddressSpace: as, MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m, as, h
 }
 
@@ -34,13 +38,13 @@ func TestRegistryIntegration(t *testing.T) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("jvm")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
-		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
+		AddressSpace: as, MemoryBudget: 256 * mb,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Name() != RuntimeName || rt.Language() != runtime.Java {
-		t.Fatalf("identity: %s/%s", rt.Name(), rt.Language())
+	if _, ok := rt.(*Heap); !ok {
+		t.Fatalf("%s built a %T", RuntimeName, rt)
 	}
 }
 
@@ -297,17 +301,30 @@ func TestStringer(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	m := osmem.NewMachine()
-	as := m.NewAddressSpace("jvm")
-	cfg := DefaultConfig(256 * mb)
-	cfg.InitialHeapBytes = cfg.MaxHeapBytes + 1
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Xms > Xmx accepted")
-		}
-	}()
-	New(cfg, as, mm.DefaultGCCostModel())
+// TestYoungGCFirstFitSpillIsOutOfMemory: survivors fill the to space
+// first-fit in list order, so more can spill to the old generation
+// than the survivor bytes exceed the to space by. Two survivors of
+// 0.6× its capacity overflow it by 0.2× on paper, yet the second
+// spills whole. With room for only 0.4× left in the fully expanded
+// old generation, the collection must report ErrOutOfMemory and leave
+// the heap untouched rather than fail a promotion mid-copy.
+func TestYoungGCFirstFitSpillIsOutOfMemory(t *testing.T) {
+	_, _, h := newHeap(t, 32*mb)
+	to := h.surv[1-h.from].Capacity()
+	mustAlloc(t, h, to*6/10)
+	mustAlloc(t, h, to*6/10)
+	h.expandOld(h.oldReserve)
+	if !h.old.TryAllocate(h.Pool.New(h.old.Free()-to*4/10, false)) {
+		t.Fatal("old generation fill did not fit")
+	}
+	live, stats := h.LiveBytes(), h.Stats()
+	if err := h.youngGC(); !errors.Is(err, runtime.ErrOutOfMemory) {
+		t.Fatalf("youngGC: %v, want ErrOutOfMemory", err)
+	}
+	if h.LiveBytes() != live || h.Stats() != stats || len(h.eden.Objects()) != 2 {
+		t.Fatalf("failed young GC changed the heap: live %d → %d, stats %+v → %+v",
+			live, h.LiveBytes(), stats, h.Stats())
+	}
 }
 
 // Property: under any interleaving of allocations and deaths, the
@@ -317,7 +334,10 @@ func TestHeapInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := osmem.NewMachine()
 		as := m.NewAddressSpace("jvm")
-		h := New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
+		h, err := New(runtime.Config{AddressSpace: as, MemoryBudget: 128 * mb})
+		if err != nil {
+			return false
+		}
 		var live []*mm.Object
 		var want int64
 		for _, op := range ops {
@@ -353,7 +373,7 @@ func TestHeapInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 2*mb, 4*mb, func() runtimetest.Heap {
 		_, _, h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: runtime.Java, Pool: h.Pool, Listed: func(f func(*mm.Object)) {
 			for _, sp := range []*mm.BumpSpace{h.eden, h.surv[0], h.surv[1], h.old} {
 				for _, o := range sp.Objects() {
 					f(o)

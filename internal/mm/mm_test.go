@@ -214,18 +214,17 @@ func TestSpaceOutOfRegionPanics(t *testing.T) {
 }
 
 func TestGCCostModel(t *testing.T) {
-	c := DefaultGCCostModel()
-	zero := c.Cycle(0, 0, 0)
-	if zero != c.Fixed {
+	zero := GCCycle(0, 0, 0)
+	if zero != gcFixed {
 		t.Fatalf("zero-work cycle: %v", zero)
 	}
-	one := c.Cycle(1<<20, 1<<20, 1<<20)
-	want := c.Fixed + c.TracePerMB + c.CopyPerMB + c.SweepPerMB
+	one := GCCycle(1<<20, 1<<20, 1<<20)
+	want := gcFixed + gcTracePerMB + gcCopyPerMB + gcSweepPerMB
 	if one != want {
 		t.Fatalf("1MB cycle: %v want %v", one, want)
 	}
 	// Cost is monotone in each dimension.
-	if c.Cycle(2<<20, 0, 0) <= c.Cycle(1<<20, 0, 0) {
+	if GCCycle(2<<20, 0, 0) <= GCCycle(1<<20, 0, 0) {
 		t.Fatal("trace cost not monotone")
 	}
 }

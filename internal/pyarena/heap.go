@@ -18,52 +18,32 @@ import (
 	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 )
 
 // RuntimeName is the name this package registers with the runtime
 // registry.
 const RuntimeName = "pyarena"
 
-func init() {
-	runtime.Register(RuntimeName, func(cfg runtime.Config) runtime.Runtime {
-		h := New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
-		h.obs = cfg.Observer
-		return h
-	})
-}
+func init() { runtime.Register(RuntimeName, New) }
 
 // ArenaSize is CPython's arena granularity.
 const ArenaSize = 256 << 10
 
-// Config parameterizes the heap.
-type Config struct {
-	// HeapLimit bounds the arena pool.
-	HeapLimit int64
-	// GCThreshold is the allocation count that triggers the cyclic
+// The heap's fixed settings.
+const (
+	// heapPercent of the memory budget bounds the arena pool.
+	heapPercent = 85
+	// gcThreshold is the allocation count that triggers the cyclic
 	// collector (CPython's generation-0 threshold, flattened).
-	GCThreshold int
-}
-
-// DefaultConfig derives a configuration from an instance budget.
-func DefaultConfig(memoryBudget int64) Config {
-	return Config{HeapLimit: memoryBudget * 85 / 100, GCThreshold: 700}
-}
+	gcThreshold = 700
+)
 
 // Heap is a simulated CPython object heap.
 type Heap struct {
-	cfg  Config
-	cost mm.GCCostModel
-	// pool is nil once the heap is released.
-	pool   *mm.ObjectPool
-	region *osmem.Region
+	runtime.HeapCore
 	arenas []*arena
 
 	sinceGC int
-	gcCost  sim.Duration
-	stats   runtime.GCStats
-	// obs, when non-nil, receives pause and release notifications.
-	obs runtime.GCObserver
 
 	// scratch is the reusable run buffer the sweep and reclaim paths
 	// coalesce free ranges into before releasing them in one call.
@@ -78,69 +58,29 @@ type arena struct {
 
 var _ runtime.Runtime = (*Heap)(nil)
 
-// New reserves the arena pool inside as.
-func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
-	if cfg.HeapLimit < ArenaSize {
-		panic("pyarena: heap smaller than one arena")
+// New sizes the arena pool from cfg's memory budget and reserves it
+// inside cfg's address space. A budget whose pool cannot hold one
+// arena is an error.
+func New(cfg runtime.Config) (*Heap, error) {
+	limit := cfg.MemoryBudget * heapPercent / 100
+	if limit < ArenaSize {
+		return nil, fmt.Errorf("pyarena: a %d-byte budget leaves a heap smaller than one arena", cfg.MemoryBudget)
 	}
-	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool()}
-	h.region = as.MmapAnon("py-arenas", cfg.HeapLimit)
-	return h
-}
-
-// Name implements runtime.Runtime.
-func (h *Heap) Name() string { return RuntimeName }
-
-// Language implements runtime.Runtime.
-func (h *Heap) Language() runtime.Language { return runtime.Language("python") }
-
-// Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats {
-	h.live()
-	return h.stats
-}
-
-// DrainGCCost implements runtime.Runtime.
-func (h *Heap) DrainGCCost() sim.Duration {
-	h.live()
-	c := h.gcCost
-	h.gcCost = 0
-	return c
-}
-
-// ConsumeDeoptPenalty implements runtime.Runtime (CPython has no JIT
-// in this model).
-func (h *Heap) ConsumeDeoptPenalty() float64 {
-	h.live()
-	return 0
+	return &Heap{HeapCore: runtime.NewHeapCore("pyarena", "py-arenas", limit, cfg)}, nil
 }
 
 // Release implements runtime.Runtime.
 func (h *Heap) Release() {
-	h.live()
+	h.AssertLive()
 	for _, a := range h.arenas {
-		h.pool.FreeAll(a.objects)
+		h.Pool.FreeAll(a.objects)
 	}
-	h.pool.Release()
-	h.pool = nil
-}
-
-// live panics once the heap has been released.
-func (h *Heap) live() {
-	if h.pool == nil {
-		panic("pyarena: use of released heap")
-	}
-}
-
-// HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) {
-	h.live()
-	return h.region.VA, h.region.Bytes()
+	h.ReleasePool()
 }
 
 // HeapCommitted implements runtime.Runtime: mapped arenas.
 func (h *Heap) HeapCommitted() int64 {
-	h.live()
+	h.AssertLive()
 	var n int64
 	for _, a := range h.arenas {
 		if a.mapped {
@@ -152,16 +92,13 @@ func (h *Heap) HeapCommitted() int64 {
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
-	h.live()
+	h.AssertLive()
 	var n int64
 	for _, a := range h.arenas {
 		n += mm.LiveBytes(a.objects)
 	}
 	return n
 }
-
-// ResidentBytes exposes the physical footprint.
-func (h *Heap) ResidentBytes() int64 { return h.region.ResidentPages() * osmem.PageSize }
 
 // MappedArenas reports how many arenas are currently held.
 func (h *Heap) MappedArenas() int {
@@ -197,16 +134,16 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if size <= 0 {
 		panic("pyarena: non-positive allocation")
 	}
-	h.live()
+	h.AssertLive()
 	if size > ArenaSize {
 		return nil, fmt.Errorf("pyarena: %d exceeds the arena size: %w", size, runtime.ErrOutOfMemory)
 	}
 	h.sinceGC++
-	if h.sinceGC >= h.cfg.GCThreshold {
+	if h.sinceGC >= gcThreshold {
 		h.CollectFull(false)
 		h.sinceGC = 0
 	}
-	o := h.pool.New(size, opts.Weak)
+	o := h.Pool.New(size, opts.Weak)
 	for _, a := range h.arenas {
 		if a.mapped && h.place(a, o) {
 			return o, nil
@@ -252,7 +189,7 @@ func (h *Heap) place(a *arena, o *mm.Object) bool {
 		idx = len(a.objects)
 	}
 	o.Offset = cursor
-	h.region.TouchBytes(int64(a.index)*ArenaSize+o.Offset, o.Size, true)
+	h.Region.TouchBytes(int64(a.index)*ArenaSize+o.Offset, o.Size, true)
 	a.objects = append(a.objects, nil)
 	copy(a.objects[idx+1:], a.objects[idx:])
 	a.objects[idx] = o
@@ -268,7 +205,7 @@ func (h *Heap) grow() *arena {
 		}
 	}
 	idx := len(h.arenas)
-	if int64(idx+1)*ArenaSize > h.region.Bytes() {
+	if int64(idx+1)*ArenaSize > h.Region.Bytes() {
 		return nil
 	}
 	a := &arena{index: idx, mapped: true}
@@ -280,8 +217,8 @@ func (h *Heap) grow() *arena {
 // dead blocks into the free lists, releasing only arenas that become
 // entirely empty.
 func (h *Heap) CollectFull(aggressive bool) {
-	h.live()
-	h.stats.FullGCs++
+	h.AssertLive()
+	h.GC.FullGCs++
 	var traced, collected int64
 	runs := h.scratch[:0]
 	for _, a := range h.arenas {
@@ -293,7 +230,7 @@ func (h *Heap) CollectFull(aggressive bool) {
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
-				h.pool.Free(o)
+				h.Pool.Free(o)
 				continue
 			}
 			traced += o.Size
@@ -306,21 +243,17 @@ func (h *Heap) CollectFull(aggressive bool) {
 			a.mapped = false
 		}
 	}
-	h.region.ReleaseRuns(runs)
+	h.Region.ReleaseRuns(runs)
 	h.scratch = runs[:0]
-	h.stats.CollectedBytes += collected
-	pause := h.cost.Cycle(traced, 0, collected)
-	h.gcCost += pause
-	if h.obs != nil {
-		h.obs.GCPause(true, pause, collected)
-	}
+	h.GC.CollectedBytes += collected
+	h.NotePause(true, mm.GCCycle(traced, 0, collected), collected)
 }
 
 // Reclaim implements runtime.Runtime: collect, then use the free-list
 // knowledge to release the free pages inside partially occupied
 // arenas — the §7 recipe.
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
-	h.live()
+	h.AssertLive()
 	before := h.ResidentBytes()
 	h.CollectFull(aggressive)
 	runs := h.scratch[:0]
@@ -330,17 +263,9 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 		}
 		runs = a.appendHoleRuns(runs)
 	}
-	h.region.ReleaseRuns(runs)
+	h.Region.ReleaseRuns(runs)
 	h.scratch = runs[:0]
-	after := h.ResidentBytes()
-	if h.obs != nil && before > after {
-		h.obs.PagesReleased(before - after)
-	}
-	return runtime.ReclaimReport{
-		LiveBytes:     h.LiveBytes(),
-		ReleasedBytes: before - after,
-		CPUCost:       h.DrainGCCost(),
-	}
+	return h.FinishReclaim(before, h.LiveBytes())
 }
 
 func (h *Heap) String() string {

@@ -17,8 +17,11 @@ const kb = int64(1) << 10
 func newHeap(t *testing.T, budget int64) *Heap {
 	t.Helper()
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("py")
-	return New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
+	h, err := New(runtime.Config{AddressSpace: m.NewAddressSpace("py"), MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
@@ -34,13 +37,13 @@ func TestRegistryIntegration(t *testing.T) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("py")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
-		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
+		AddressSpace: as, MemoryBudget: 256 * mb,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Name() != RuntimeName || rt.Language() != runtime.Language("python") {
-		t.Fatalf("identity: %s/%s", rt.Name(), rt.Language())
+	if _, ok := rt.(*Heap); !ok {
+		t.Fatalf("%s built a %T", RuntimeName, rt)
 	}
 }
 
@@ -96,7 +99,7 @@ func TestArenaReleasedOnlyWhenEmpty(t *testing.T) {
 
 func TestGCThresholdTriggersCollection(t *testing.T) {
 	h := newHeap(t, 64*mb)
-	for i := 0; i < DefaultConfig(64*mb).GCThreshold+10; i++ {
+	for i := 0; i < gcThreshold+10; i++ {
 		o := mustAlloc(t, h, 4*kb)
 		o.Dead = true
 	}
@@ -182,15 +185,19 @@ func TestOutOfMemoryAtLimit(t *testing.T) {
 	}
 }
 
-func TestTinyHeapPanics(t *testing.T) {
+// TestTinyBudgetFails: a budget whose heap cannot hold one arena is an
+// error from New and runtime.New; a budget that holds one builds.
+func TestTinyBudgetFails(t *testing.T) {
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("py")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(Config{HeapLimit: ArenaSize - 1}, as, mm.DefaultGCCostModel())
+	tiny := runtime.Config{AddressSpace: m.NewAddressSpace("py"), MemoryBudget: ArenaSize}
+	if h, err := New(tiny); err == nil || h != nil {
+		t.Fatalf("New(one-arena budget) = %v, %v; want an error", h, err)
+	}
+	if rt, err := runtime.New(RuntimeName, tiny); err == nil || rt != nil {
+		t.Fatalf("runtime.New(one-arena budget) = %v, %v; want an error", rt, err)
+	}
+	h := newHeap(t, 2*ArenaSize)
+	mustAlloc(t, h, ArenaSize)
 }
 
 func TestStringer(t *testing.T) {
@@ -215,8 +222,10 @@ func TestStringer(t *testing.T) {
 func TestArenaInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := osmem.NewMachine()
-		as := m.NewAddressSpace("py")
-		h := New(DefaultConfig(32*mb), as, mm.DefaultGCCostModel())
+		h, err := New(runtime.Config{AddressSpace: m.NewAddressSpace("py"), MemoryBudget: 32 * mb})
+		if err != nil {
+			return false
+		}
 		var live []*mm.Object
 		var want int64
 		for _, op := range ops {
@@ -261,7 +270,7 @@ func TestArenaInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, ArenaSize, 4*mb, func() runtimetest.Heap {
 		h := newHeap(t, 16*mb)
-		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: "python", Pool: h.Pool, Listed: func(f func(*mm.Object)) {
 			for _, a := range h.arenas {
 				for _, o := range a.objects {
 					f(o)

@@ -22,7 +22,7 @@ func newRuntimes(budget int64) map[string]runtime.Runtime {
 		m := osmem.NewMachine()
 		as := m.NewAddressSpace(name)
 		rt, err := runtime.New(name, runtime.Config{
-			AddressSpace: as, MemoryBudget: budget, Cost: mm.DefaultGCCostModel(),
+			AddressSpace: as, MemoryBudget: budget,
 		})
 		if err != nil {
 			panic(err)
@@ -103,7 +103,7 @@ func TestDifferentialReclaimBeatsCollect(t *testing.T) {
 			m := osmem.NewMachine()
 			as := m.NewAddressSpace(name)
 			rt, err := runtime.New(name, runtime.Config{
-				AddressSpace: as, MemoryBudget: 128 << 20, Cost: mm.DefaultGCCostModel(),
+				AddressSpace: as, MemoryBudget: 128 << 20,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -157,7 +157,8 @@ func (r *recorder) PagesReleased(bytes int64) { r.released += bytes }
 // TestObserverSeesEveryRuntime holds every runtime to the
 // runtime.Config contract: each collection's cost reaches the observer
 // as a GCPause, and Reclaim reports the bytes it returns to the OS
-// through PagesReleased.
+// through PagesReleased. It also checks the reclaim bill: Reclaim's
+// CPU cost is its collection's pauses plus 1µs per MiB released.
 func TestObserverSeesEveryRuntime(t *testing.T) {
 	for _, name := range []string{hotspot.RuntimeName, v8heap.RuntimeName, g1gc.RuntimeName, pyarena.RuntimeName} {
 		name := name
@@ -166,7 +167,7 @@ func TestObserverSeesEveryRuntime(t *testing.T) {
 			m := osmem.NewMachine()
 			rt, err := runtime.New(name, runtime.Config{
 				AddressSpace: m.NewAddressSpace(name), MemoryBudget: 128 << 20,
-				Cost: mm.DefaultGCCostModel(), Observer: rec,
+				Observer: rec,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -184,9 +185,15 @@ func TestObserverSeesEveryRuntime(t *testing.T) {
 			if cost := rt.DrainGCCost(); cost != rec.paused {
 				t.Fatalf("observed pauses total %v, runtime charged %v", rec.paused, cost)
 			}
+			pausedBefore := rec.paused
 			rep := rt.Reclaim(false)
-			if rep.ReleasedBytes <= 0 || rec.released != rep.ReleasedBytes {
+			if rep.ReleasedBytes < 1<<20 || rec.released != rep.ReleasedBytes {
 				t.Fatalf("observed %d released bytes, Reclaim reported %d", rec.released, rep.ReleasedBytes)
+			}
+			want := rec.paused - pausedBefore + sim.Duration(rep.ReleasedBytes>>20)*sim.Microsecond
+			if rep.CPUCost != want {
+				t.Fatalf("Reclaim billed %v for %d released bytes; its pauses plus the release charge total %v",
+					rep.CPUCost, rep.ReleasedBytes, want)
 			}
 		})
 	}

@@ -2,10 +2,18 @@
 // managed language runtimes running inside them. All four heap
 // simulators (internal/hotspot and internal/v8heap, which the paper
 // evaluates, plus the §7 ports internal/g1gc and internal/pyarena)
-// implement Runtime; Desiccant talks to instances exclusively through
-// the added Reclaim method, so supporting a new language means
+// implement Runtime, a 9-method interface: allocation, a forced full
+// collection, live and committed sizes, the heap's range, the GC cost
+// and deoptimization penalty the executor charges, teardown, and the
+// Reclaim method Desiccant adds. Desiccant talks to instances
+// exclusively through Reclaim, so supporting a new language means
 // implementing this interface — the paper's §7 portability argument,
 // demonstrated by examples/custom-runtime.
+//
+// Every model embeds HeapCore, which carries the bookkeeping they
+// share (object pool, region, counters, GC cost, observer and the
+// reclaim epilogue), and registers one constructor, New(Config), that
+// derives its heap layout from the memory budget.
 package runtime
 
 import (
@@ -61,11 +69,6 @@ var ErrOutOfMemory = fmt.Errorf("runtime: out of memory")
 // Runtime is a managed language runtime instance: one heap inside one
 // FaaS instance.
 type Runtime interface {
-	// Name identifies the implementation ("hotspot-serial", "v8").
-	Name() string
-	// Language returns the language the runtime executes.
-	Language() Language
-
 	// Allocate creates an object of the given size, triggering
 	// collections and heap growth as the runtime's policies dictate.
 	// It returns ErrOutOfMemory when the heap limit is exhausted.
@@ -97,9 +100,6 @@ type Runtime interface {
 	// ConsumeDeoptPenalty returns the pending latency multiplier-delta
 	// caused by aggressive collections (0 when none), decaying it.
 	ConsumeDeoptPenalty() float64
-
-	// Stats returns lifetime collection counters.
-	Stats() GCStats
 
 	// Release tears the heap down when its instance dies: every object
 	// still on the heap's lists goes back to its mm.ObjectPool, and the
@@ -143,7 +143,7 @@ type GCObserver interface {
 	PagesReleased(bytes int64)
 }
 
-// Config carries everything a runtime factory needs.
+// Config carries everything a runtime constructor needs.
 type Config struct {
 	// AddressSpace of the hosting instance; the runtime maps its heap
 	// into it.
@@ -152,35 +152,38 @@ type Config struct {
 	// 256 MiB); runtimes derive their heap limits from it the way
 	// Lambda's runtime options do.
 	MemoryBudget int64
-	// Cost is the GC cost model.
-	Cost mm.GCCostModel
 	// Observer, when non-nil, receives GC pause, heap resize, and
 	// page-release notifications.
 	Observer GCObserver
 }
 
-// Factory constructs a runtime inside an instance.
-type Factory func(cfg Config) Runtime
+// factories holds the registered constructors.
+var factories = map[string]func(Config) (Runtime, error){}
 
-var factories = map[string]Factory{}
-
-// Register installs a named runtime factory. Registering a duplicate
-// name panics — it is always a wiring bug.
-func Register(name string, f Factory) {
+// Register installs a named runtime constructor, which returns an
+// error when cfg's budget cannot hold the model's heap layout.
+// Registering a duplicate name panics — it is always a wiring bug.
+func Register[R Runtime](name string, newRuntime func(cfg Config) (R, error)) {
 	if _, dup := factories[name]; dup {
 		panic("runtime: duplicate factory " + name)
 	}
-	factories[name] = f
+	factories[name] = func(cfg Config) (Runtime, error) {
+		rt, err := newRuntime(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return rt, nil
+	}
 }
 
-// New instantiates the named runtime, or returns an error if no such
-// factory is registered.
+// New instantiates the named runtime. It returns an error if no such
+// runtime is registered or its constructor rejects cfg.
 func New(name string, cfg Config) (Runtime, error) {
 	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("runtime: unknown runtime %q", name)
 	}
-	return f(cfg), nil
+	return f(cfg)
 }
 
 // Registered lists the registered factory names, sorted — callers

@@ -13,9 +13,18 @@ import (
 	"desiccant/internal/workload"
 )
 
+// Model is a heap simulator: a Runtime with the lifetime counters its
+// embedded runtime.HeapCore provides.
+type Model interface {
+	runtime.Runtime
+	Stats() runtime.GCStats
+}
+
 // Heap is what CheckRecycling needs to see of a heap simulator.
 type Heap struct {
-	runtime.Runtime
+	Model
+	// Language is the language the heap's runtime executes.
+	Language runtime.Language
 	// Pool is the heap's object pool.
 	Pool *mm.ObjectPool
 	// Listed calls f for every object in the heap's own lists: its
@@ -65,7 +74,7 @@ func CheckRecycling(t *testing.T, maxSize, liveCap int64, newHeap func() Heap) {
 func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 	t.Helper()
 	rng := sim.NewRNG(uint64(life) + 1)
-	st := workload.NewState(bodySpec(h.Language()), 0)
+	st := workload.NewState(bodySpec(h.Language), 0)
 	var live []*mm.Object
 	var want int64
 	for op := 0; op < ops; op++ {
@@ -133,7 +142,7 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 		}
 	}
 	h.Release()
-	if msg := releasedViolation(h.Runtime); msg != "" {
+	if msg := releasedViolation(h.Model); msg != "" {
 		t.Fatalf("life %d: released heap: %s", life, msg)
 	}
 }
@@ -194,7 +203,7 @@ func recycleViolation(h Heap, live []*mm.Object, st *workload.State, want int64)
 
 // releasedViolation returns the first use of a released runtime that
 // does not panic, or "".
-func releasedViolation(rt runtime.Runtime) string {
+func releasedViolation(rt Model) string {
 	uses := []struct {
 		name string
 		use  func()

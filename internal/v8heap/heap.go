@@ -4,51 +4,35 @@ import (
 	"fmt"
 
 	"desiccant/internal/mm"
-	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 )
 
 // RuntimeName is the name this package registers with the runtime
 // registry.
 const RuntimeName = "v8"
 
-func init() {
-	runtime.Register(RuntimeName, func(cfg runtime.Config) runtime.Runtime {
-		h := New(DefaultConfig(cfg.MemoryBudget), cfg.AddressSpace, cfg.Cost)
-		h.obs = cfg.Observer
-		return h
-	})
-}
+func init() { runtime.Register(RuntimeName, New) }
 
-// Config mirrors the V8 heap options that matter to the paper.
-type Config struct {
-	// OldSpaceLimit is --max-old-space-size: the old generation's
-	// committed ceiling.
-	OldSpaceLimit int64
-	// SemiSpaceMax is the per-semispace ceiling; the paper observes
-	// the young generation's upper bound scaling with the heap (32 MiB
-	// total for a 256 MiB heap, 128 MiB for 1 GiB).
-	SemiSpaceMax int64
-	// SemiSpaceInitial is the starting semispace size.
-	SemiSpaceInitial int64
-	// ShrinkAllocFraction gates the young shrink: the generation only
+// The V8 heap options that matter to the paper, fixed at their
+// Lambda/Node-14 values. The old space and the semispace ceiling are
+// derived from the instance budget in New.
+const (
+	// oldSpacePercent of the memory budget is --max-old-space-size:
+	// the old generation's committed ceiling.
+	oldSpacePercent = 75
+	// semiSpaceMaxDivisor sizes the per-semispace ceiling at
+	// budget/semiSpaceMaxDivisor: the paper observes the young
+	// generation's upper bound scaling with the heap (32 MiB total for
+	// a 256 MiB heap, 128 MiB for 1 GiB).
+	semiSpaceMaxDivisor = 16
+	// semiSpaceInitial is the starting semispace size.
+	semiSpaceInitial = 2 * ChunkSize
+	// shrinkAllocFraction gates the young shrink: the generation only
 	// shrinks when the bytes allocated since the last full GC are
 	// below this fraction of the young generation's total size — the
 	// allocation-rate condition of §3.2.2 in a time-free form.
-	ShrinkAllocFraction float64
-}
-
-// DefaultConfig derives a Lambda/Node-14-style configuration from an
-// instance memory budget.
-func DefaultConfig(memoryBudget int64) Config {
-	return Config{
-		OldSpaceLimit:       memoryBudget * 75 / 100,
-		SemiSpaceMax:        chunkAlign(memoryBudget / 16),
-		SemiSpaceInitial:    2 * ChunkSize,
-		ShrinkAllocFraction: 0.25,
-	}
-}
+	shrinkAllocFraction float64 = 0.25
+)
 
 func chunkAlign(n int64) int64 {
 	a := (n + ChunkSize - 1) / ChunkSize * ChunkSize
@@ -60,18 +44,14 @@ func chunkAlign(n int64) int64 {
 
 // Heap is a simulated V8 heap.
 type Heap struct {
-	cfg  Config
-	cost mm.GCCostModel
-	// pool is nil once the heap is released.
-	pool *mm.ObjectPool
+	runtime.HeapCore
+	arena *arena
 
-	region *osmem.Region
-	arena  *arena
-
-	semi   int64 // current per-semispace size
-	spaces [2]*semispace
-	from   int // index of the allocating semispace
-	old    *oldSpace
+	semiMax int64 // per-semispace ceiling
+	semi    int64 // current per-semispace size
+	spaces  [2]*semispace
+	from    int // index of the allocating semispace
+	old     *oldSpace
 
 	// Young resize policy state.
 	accumLive     int64 // live bytes found by GCs since the last expansion
@@ -81,10 +61,6 @@ type Heap struct {
 	// generation's committed size passes it, the next safe point runs
 	// a major GC. Recomputed after every major GC from the live size.
 	oldSoftLimit int64
-	gcCost       sim.Duration
-	stats        runtime.GCStats
-	// obs, when non-nil, receives pause/resize/release notifications.
-	obs runtime.GCObserver
 
 	// Reusable object lists of the collectors. A scavenge can run a
 	// full GC mid-loop, so the two keep separate lists.
@@ -93,59 +69,42 @@ type Heap struct {
 	survScratch     []*mm.Object
 }
 
-// notePause accumulates one pause's CPU cost and forwards it to the
-// observer when one is attached.
-func (h *Heap) notePause(full bool, pause sim.Duration, collected int64) {
-	h.gcCost += pause
-	if h.obs != nil {
-		h.obs.GCPause(full, pause, collected)
-	}
-}
-
 var (
 	_ runtime.Runtime     = (*Heap)(nil)
 	_ runtime.SpaceLayout = (*Heap)(nil)
 )
 
-// New reserves the chunk arena inside as and sets up the spaces.
-func New(cfg Config, as *osmem.AddressSpace, cost mm.GCCostModel) *Heap {
-	if cfg.SemiSpaceInitial < ChunkSize || cfg.SemiSpaceMax < cfg.SemiSpaceInitial {
-		panic("v8heap: invalid semispace configuration")
+// New derives the old-space limit and the semispace ceiling from
+// cfg's memory budget, reserves the chunk arena inside cfg's address
+// space and sets up the spaces. A budget whose semispace ceiling is
+// below the initial semispace size is an error.
+func New(cfg runtime.Config) (*Heap, error) {
+	oldLimit := cfg.MemoryBudget * oldSpacePercent / 100
+	semiMax := chunkAlign(cfg.MemoryBudget / semiSpaceMaxDivisor)
+	if semiMax < semiSpaceInitial {
+		return nil, fmt.Errorf("v8heap: a %d-byte budget leaves a semispace ceiling of %d bytes, below the initial %d", cfg.MemoryBudget, semiMax, semiSpaceInitial)
 	}
-	reserve := cfg.OldSpaceLimit + 4*cfg.SemiSpaceMax + 16<<20
-	h := &Heap{cfg: cfg, cost: cost, pool: mm.NewPool(), semi: chunkAlign(cfg.SemiSpaceInitial)}
-	h.region = as.MmapAnon("v8-heap", chunkAlign(reserve))
-	h.arena = newArena(h.region)
+	reserve := oldLimit + 4*semiMax + 16<<20
+	h := &Heap{HeapCore: runtime.NewHeapCore("v8heap", "v8-heap", chunkAlign(reserve), cfg), semiMax: semiMax, semi: semiSpaceInitial}
+	h.arena = newArena(h.Region)
 	h.spaces[0] = newSemispace("new-from", h.arena, h.semi)
 	h.spaces[1] = newSemispace("new-to", h.arena, h.semi)
-	h.old = newOldSpace(h.arena, cfg.OldSpaceLimit)
-	h.oldSoftLimit = min(initialOldSoftLimit, cfg.OldSpaceLimit)
-	return h
+	h.old = newOldSpace(h.arena, oldLimit)
+	h.oldSoftLimit = min(initialOldSoftLimit, oldLimit)
+	return h, nil
 }
-
-// Name implements runtime.Runtime.
-func (h *Heap) Name() string { return RuntimeName }
-
-// Language implements runtime.Runtime.
-func (h *Heap) Language() runtime.Language { return runtime.JavaScript }
 
 // HeapCommitted implements runtime.Runtime: chunk memory currently
 // held by all spaces (V8's own consumption counters, which Desiccant
 // reads directly on JavaScript instances — §4.5.2).
 func (h *Heap) HeapCommitted() int64 {
-	h.live()
+	h.AssertLive()
 	return h.spaces[0].committedBytes() + h.spaces[1].committedBytes() + h.old.committedBytes()
-}
-
-// HeapRange implements runtime.Runtime.
-func (h *Heap) HeapRange() (int64, int64) {
-	h.live()
-	return h.region.VA, h.region.Bytes()
 }
 
 // LiveBytes implements runtime.Runtime.
 func (h *Heap) LiveBytes() int64 {
-	h.live()
+	h.AssertLive()
 	return h.spaces[0].liveBytes() + h.spaces[1].liveBytes() + h.old.liveBytes()
 }
 
@@ -154,26 +113,12 @@ func (h *Heap) LiveBytes() int64 {
 // demonstrates with fft.
 func (h *Heap) YoungGenerationBytes() int64 { return 2 * h.semi }
 
-// Stats implements runtime.Runtime.
-func (h *Heap) Stats() runtime.GCStats {
-	h.live()
-	return h.stats
-}
-
-// DrainGCCost implements runtime.Runtime.
-func (h *Heap) DrainGCCost() sim.Duration {
-	h.live()
-	c := h.gcCost
-	h.gcCost = 0
-	return c
-}
-
 // ConsumeDeoptPenalty implements runtime.Runtime: returns the weak
 // bytes cleared by aggressive collections since the last call. The
 // executor converts this into the function-specific JIT
 // deoptimization slowdown of §4.7.
 func (h *Heap) ConsumeDeoptPenalty() float64 {
-	h.live()
+	h.AssertLive()
 	w := h.weakCollected
 	h.weakCollected = 0
 	return float64(w)
@@ -181,39 +126,28 @@ func (h *Heap) ConsumeDeoptPenalty() float64 {
 
 // Release implements runtime.Runtime.
 func (h *Heap) Release() {
-	h.live()
+	h.AssertLive()
 	for _, s := range h.spaces {
 		for _, c := range s.chunks {
-			h.pool.FreeAll(c.objects)
+			h.Pool.FreeAll(c.objects)
 		}
 	}
 	for _, c := range h.old.chunks {
-		h.pool.FreeAll(c.objects)
+		h.Pool.FreeAll(c.objects)
 	}
 	for _, e := range h.old.large {
-		h.pool.Free(e.obj)
+		h.Pool.Free(e.obj)
 	}
-	h.pool.Release()
-	h.pool = nil
+	h.ReleasePool()
 }
-
-// live panics once the heap has been released.
-func (h *Heap) live() {
-	if h.pool == nil {
-		panic("v8heap: use of released heap")
-	}
-}
-
-// ResidentBytes exposes the heap's physical footprint.
-func (h *Heap) ResidentBytes() int64 { return h.region.ResidentPages() * osmem.PageSize }
 
 // Allocate implements runtime.Runtime.
 func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
 	if size <= 0 {
 		panic("v8heap: non-positive allocation")
 	}
-	h.live()
-	o := h.pool.New(size, opts.Weak)
+	h.AssertLive()
+	o := h.Pool.New(size, opts.Weak)
 	h.allocSinceGC += size
 
 	if size > LargeObjectThreshold {
@@ -255,7 +189,7 @@ func (h *Heap) toSpace() *semispace   { return h.spaces[1-h.from] }
 // the semispaces swap roles, and the expansion policy runs — the
 // accumulated-live-bytes doubling of §3.2.2.
 func (h *Heap) scavenge() {
-	h.stats.YoungGCs++
+	h.GC.YoungGCs++
 	to := h.toSpace()
 	objs := h.fromSpace().takeAll(h.scavengeScratch[:0])
 
@@ -267,7 +201,7 @@ func (h *Heap) scavenge() {
 	for _, o := range objs {
 		if o.Dead {
 			collected += o.Size
-			h.pool.Free(o)
+			h.Pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -294,17 +228,17 @@ func (h *Heap) scavenge() {
 	tb.sync()
 	h.scavengeScratch = objs[:0]
 	h.from = 1 - h.from
-	h.stats.PromotedBytes += promoted
-	h.stats.CollectedBytes += collected
-	h.notePause(false, h.cost.Cycle(traced, copied+promoted, 0), collected)
+	h.GC.PromotedBytes += promoted
+	h.GC.CollectedBytes += collected
+	h.NotePause(false, mm.GCCycle(traced, copied+promoted, 0), collected)
 
 	// Expansion policy: if the live bytes found since the last
 	// expansion exceed the young generation size, double it. A high
 	// allocation rate therefore ratchets the generation up, and
 	// nothing on this path ever shrinks it — fft's pathology.
 	h.accumLive += traced
-	if h.accumLive > h.YoungGenerationBytes() && h.semi < h.cfg.SemiSpaceMax {
-		h.semi = min(h.semi*2, h.cfg.SemiSpaceMax)
+	if h.accumLive > h.YoungGenerationBytes() && h.semi < h.semiMax {
+		h.semi = min(h.semi*2, h.semiMax)
 		h.spaces[0].capacity = h.semi
 		h.spaces[1].capacity = h.semi
 		h.accumLive = 0
@@ -330,7 +264,7 @@ func (h *Heap) majorGCIfPastLimit() {
 
 // fullGC is the mark-sweep major collection plus the resizing phase.
 func (h *Heap) fullGC(aggressive bool) {
-	h.stats.FullGCs++
+	h.GC.FullGCs++
 	var traced, moved, collected int64
 
 	// Young generation: evacuate as a scavenge would, compacting the
@@ -344,7 +278,7 @@ func (h *Heap) fullGC(aggressive bool) {
 			}
 			o.Dead = true
 			collected += o.Size
-			h.pool.Free(o)
+			h.Pool.Free(o)
 			continue
 		}
 		traced += o.Size
@@ -353,7 +287,7 @@ func (h *Heap) fullGC(aggressive bool) {
 			o.Age = 0
 			if h.old.tryAllocate(o) {
 				moved += o.Size
-				h.stats.PromotedBytes += o.Size
+				h.GC.PromotedBytes += o.Size
 				continue
 			}
 		}
@@ -373,20 +307,20 @@ func (h *Heap) fullGC(aggressive bool) {
 	h.survScratch = survivors[:0]
 
 	// Old generation: mark-sweep in place, freeing empty chunks.
-	oldCollected, weak := h.old.sweep(aggressive, h.pool)
+	oldCollected, weak := h.old.sweep(aggressive, h.Pool)
 	collected += oldCollected
 	h.weakCollected += weak
 	traced += h.old.liveBytes()
 
-	h.stats.CollectedBytes += collected
-	h.notePause(true, h.cost.Cycle(traced, moved, collected), collected)
+	h.GC.CollectedBytes += collected
+	h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)
 	h.resize()
 	h.allocSinceGC = 0
 
 	// Heap-growing strategy: the next major GC fires once the old
 	// space doubles its live size (plus slack), as V8's allocation
 	// limit does.
-	h.oldSoftLimit = min(max(2*h.old.liveBytes()+initialOldSoftLimit/2, initialOldSoftLimit), h.cfg.OldSpaceLimit)
+	h.oldSoftLimit = min(max(2*h.old.liveBytes()+initialOldSoftLimit/2, initialOldSoftLimit), h.old.limit)
 }
 
 // resize is the post-major-GC sizing phase. The old generation has
@@ -396,16 +330,12 @@ func (h *Heap) fullGC(aggressive bool) {
 // of the to space.
 func (h *Heap) resize() {
 	committedBefore := h.HeapCommitted()
-	defer func() {
-		if h.obs != nil && h.HeapCommitted() != committedBefore {
-			h.obs.HeapResized(committedBefore, h.HeapCommitted())
-		}
-	}()
-	if float64(h.allocSinceGC) >= h.cfg.ShrinkAllocFraction*float64(h.YoungGenerationBytes()) {
+	defer func() { h.NoteResize(committedBefore, h.HeapCommitted()) }()
+	if float64(h.allocSinceGC) >= shrinkAllocFraction*float64(h.YoungGenerationBytes()) {
 		return // allocation rate too high: never shrink (§3.2.2)
 	}
 	live := h.fromSpace().liveBytes()
-	target := chunkAlign(max(2*live, h.cfg.SemiSpaceInitial))
+	target := chunkAlign(max(2*live, semiSpaceInitial))
 	if target >= h.semi {
 		return
 	}
@@ -450,7 +380,7 @@ func (h *Heap) SpaceLayout() []runtime.SpaceRange {
 // collection; §4.7's 7-line patch adds the option to keep weakly
 // referenced objects, which Desiccant uses.
 func (h *Heap) CollectFull(aggressive bool) {
-	h.live()
+	h.AssertLive()
 	h.fullGC(aggressive)
 }
 
@@ -459,24 +389,13 @@ func (h *Heap) CollectFull(aggressive bool) {
 // left behind — every space, headers excepted (98.4% of a chunk is
 // releasable).
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
-	h.live()
+	h.AssertLive()
 	before := h.ResidentBytes()
 	h.fullGC(aggressive)
 	h.spaces[0].releaseFreePages()
 	h.spaces[1].releaseFreePages()
 	h.old.releaseFreePages()
-	after := h.ResidentBytes()
-	if h.obs != nil && before > after {
-		h.obs.PagesReleased(before - after)
-	}
-
-	cost := h.DrainGCCost()
-	cost += sim.Duration(max((before-after)>>20, 0)) * sim.Microsecond
-	return runtime.ReclaimReport{
-		LiveBytes:     h.LiveBytes(),
-		ReleasedBytes: max(before-after, 0),
-		CPUCost:       cost,
-	}
+	return h.FinishReclaim(before, h.LiveBytes())
 }
 
 func (h *Heap) String() string {

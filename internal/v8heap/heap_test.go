@@ -16,8 +16,10 @@ const kb = 1 << 10
 func newHeap(t *testing.T, budget int64) (*osmem.Machine, *Heap) {
 	t.Helper()
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("node")
-	h := New(DefaultConfig(budget), as, mm.DefaultGCCostModel())
+	h, err := New(runtime.Config{AddressSpace: m.NewAddressSpace("node"), MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m, h
 }
 
@@ -34,26 +36,24 @@ func TestRegistryIntegration(t *testing.T) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("node")
 	rt, err := runtime.New(RuntimeName, runtime.Config{
-		AddressSpace: as, MemoryBudget: 256 * mb, Cost: mm.DefaultGCCostModel(),
+		AddressSpace: as, MemoryBudget: 256 * mb,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Name() != RuntimeName || rt.Language() != runtime.JavaScript {
-		t.Fatalf("identity: %s/%s", rt.Name(), rt.Language())
+	if _, ok := rt.(*Heap); !ok {
+		t.Fatalf("%s built a %T", RuntimeName, rt)
 	}
 }
 
 func TestDefaultConfigScalesYoungWithBudget(t *testing.T) {
-	// §3.3: the young generation ceiling scales with the heap — 32MB
-	// total for 256MB, 128MB total for 1GB.
-	c256 := DefaultConfig(256 * mb)
-	c1g := DefaultConfig(1024 * mb)
-	if c256.SemiSpaceMax != 16*mb {
-		t.Fatalf("256MB semispace max: %d", c256.SemiSpaceMax)
+	// §3.3: the young generation ceiling New derives from the budget
+	// scales with the heap — 32MB total for 256MB, 128MB total for 1GB.
+	if _, h := newHeap(t, 256*mb); h.semiMax != 16*mb {
+		t.Fatalf("256MB semispace max: %d", h.semiMax)
 	}
-	if c1g.SemiSpaceMax != 64*mb {
-		t.Fatalf("1GB semispace max: %d", c1g.SemiSpaceMax)
+	if _, h := newHeap(t, 1024*mb); h.semiMax != 64*mb {
+		t.Fatalf("1GB semispace max: %d", h.semiMax)
 	}
 }
 
@@ -452,17 +452,21 @@ func TestHeapStringer(t *testing.T) {
 	}
 }
 
-func TestInvalidConfigPanics(t *testing.T) {
+// TestTinyBudgetFails: a budget whose semispace ceiling falls below
+// the initial semispace size is an error from New and runtime.New; a
+// budget just above it builds.
+func TestTinyBudgetFails(t *testing.T) {
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("p")
-	cfg := DefaultConfig(256 * mb)
-	cfg.SemiSpaceInitial = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(cfg, as, mm.DefaultGCCostModel())
+	tiny := runtime.Config{AddressSpace: m.NewAddressSpace("node"), MemoryBudget: 4 * mb}
+	if h, err := New(tiny); err == nil || h != nil {
+		t.Fatalf("New(4 MiB budget) = %v, %v; want an error", h, err)
+	}
+	if rt, err := runtime.New(RuntimeName, tiny); err == nil || rt != nil {
+		t.Fatalf("runtime.New(4 MiB budget) = %v, %v; want an error", rt, err)
+	}
+	if _, h := newHeap(t, 5*mb); h.semiMax != semiSpaceInitial {
+		t.Fatalf("5 MiB budget: semispace max %d, want %d", h.semiMax, semiSpaceInitial)
+	}
 }
 
 // Property: live-byte accounting matches the caller's view under any
@@ -471,8 +475,10 @@ func TestInvalidConfigPanics(t *testing.T) {
 func TestHeapInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := osmem.NewMachine()
-		as := m.NewAddressSpace("node")
-		h := New(DefaultConfig(128*mb), as, mm.DefaultGCCostModel())
+		h, err := New(runtime.Config{AddressSpace: m.NewAddressSpace("node"), MemoryBudget: 128 * mb})
+		if err != nil {
+			return false
+		}
 		var live []*mm.Object
 		var want int64
 		for _, op := range ops {
@@ -493,10 +499,10 @@ func TestHeapInvariants(t *testing.T) {
 		if h.LiveBytes() != want {
 			return false
 		}
-		if h.old.committedBytes() > h.cfg.OldSpaceLimit {
+		if h.old.committedBytes() > h.old.limit {
 			return false
 		}
-		return h.YoungGenerationBytes() <= 2*h.cfg.SemiSpaceMax
+		return h.YoungGenerationBytes() <= 2*h.semiMax
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -509,7 +515,7 @@ func TestHeapInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 1*mb, 4*mb, func() runtimetest.Heap {
 		_, h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Runtime: h, Pool: h.pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: runtime.JavaScript, Pool: h.Pool, Listed: func(f func(*mm.Object)) {
 			chunks := append(append(append([]*chunk(nil), h.spaces[0].chunks...), h.spaces[1].chunks...), h.old.chunks...)
 			for _, c := range chunks {
 				for _, o := range c.objects {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	_ "desiccant/internal/hotspot"
-	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
@@ -50,7 +49,8 @@ func TestWarmInvocationAllocFree(t *testing.T) {
 		cases = append(cases, allocCase{spec.Name, true, 1000, false})
 	}
 	const measured, budget = 1000, 256 << 20
-	youngMax := 2 * v8heap.DefaultConfig(budget).SemiSpaceMax
+	// V8's young ceiling at this budget: two 16 MiB semispaces (§3.3).
+	const youngMax = 32 << 20
 	for _, c := range cases {
 		name := c.fn
 		if c.eager {
@@ -65,7 +65,6 @@ func TestWarmInvocationAllocFree(t *testing.T) {
 			rt, err := runtime.New(RuntimeFor(spec.Language), runtime.Config{
 				AddressSpace: m.NewAddressSpace(c.fn),
 				MemoryBudget: budget,
-				Cost:         mm.DefaultGCCostModel(),
 			})
 			if err != nil {
 				t.Fatal(err)

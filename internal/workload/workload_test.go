@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"desiccant/internal/hotspot"
-	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
@@ -113,15 +112,21 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 func newJavaRT(t *testing.T) runtime.Runtime {
 	t.Helper()
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("t")
-	return hotspot.New(hotspot.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
+	h, err := hotspot.New(runtime.Config{AddressSpace: m.NewAddressSpace("t"), MemoryBudget: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func newJSRT(t *testing.T) runtime.Runtime {
 	t.Helper()
 	m := osmem.NewMachine()
-	as := m.NewAddressSpace("t")
-	return v8heap.New(v8heap.DefaultConfig(256<<20), as, mm.DefaultGCCostModel())
+	h, err := v8heap.New(runtime.Config{AddressSpace: m.NewAddressSpace("t"), MemoryBudget: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func TestStateLiveBytesStableAtExit(t *testing.T) {
