@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"desiccant/internal/invariant"
 )
 
 func TestFacadeSimulation(t *testing.T) {
@@ -155,6 +157,36 @@ func TestFacadeJavaSmallBudgets(t *testing.T) {
 			if st := s.Platform.Stats(); st.Completions+st.Drops != 5 {
 				t.Fatalf("%s at %d MiB: %d completions + %d drops of 5 requests", spec.Name, mib, st.Completions, st.Drops)
 			}
+		}
+	}
+}
+
+// TestFacadeBootFailureDrops: at a 3 MiB budget the V8 heap cannot
+// fit its initial semispaces, so instance creation fails at every boot
+// and no stem cell can be pooled. Each request must end as a drop (no
+// instance existed to OOM-kill) with the platform's conservation laws
+// intact, never as a panic.
+func TestFacadeBootFailureDrops(t *testing.T) {
+	for i, name := range []string{"fft", "clock"} {
+		pcfg := DefaultPlatformConfig()
+		pcfg.InstanceBudget = 3 << 20
+		pcfg.PrewarmPerLanguage = i
+		s := NewSimulation(Config{Platform: &pcfg})
+		chk := invariant.Attach(s.Platform, nil)
+		for i := 0; i < 5; i++ {
+			if err := s.Platform.SubmitName(name, Time(Seconds(float64(i)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.RunFor(Seconds(60))
+		if st := s.Platform.Stats(); st.Drops != 5 || st.Completions != 0 || st.OOMKills != 0 {
+			t.Fatalf("%s: %d drops, %d completions, %d OOM kills; want 5/0/0", name, st.Drops, st.Completions, st.OOMKills)
+		}
+		if got := s.Platform.IdleCPU(); got != pcfg.CPUs {
+			t.Fatalf("%s: %v of %v CPUs idle after every boot failed", name, got, pcfg.CPUs)
+		}
+		if v := chk.Final(); len(v) != 0 {
+			t.Fatalf("%s: %d invariant violations: %v", name, len(v), v)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"desiccant/internal/faas"
 	"desiccant/internal/obs"
 	"desiccant/internal/osmem"
 	"desiccant/internal/sim"
@@ -151,7 +152,7 @@ func TestSwapModeFaults(t *testing.T) {
 // repeated queries with the same (inst, frozenAt) at the same instant
 // agree, and consume no injector stream state.
 func TestCandidateVisiblePure(t *testing.T) {
-	j := NewInjector(DefaultConfig(5), nil)
+	j := NewInjector(DefaultConfig(5))
 	frozen := sim.Time(3 * sim.Second)
 	now := frozen.Add(1 * sim.Second)
 	first := j.CandidateVisible(17, frozen, now)
@@ -209,10 +210,11 @@ func (l *recordingLimiter) SwapPages() int64         { return 0 }
 // through osmem.PageSize.
 func TestSwapSqueezeEventBytes(t *testing.T) {
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
+	p := faas.New(faas.DefaultConfig(), eng)
 	rec := obs.NewRecorder()
-	bus.Subscribe(rec)
-	j := NewInjector(DefaultConfig(9), bus)
+	p.Events().Subscribe(rec)
+	j := NewInjector(DefaultConfig(9))
+	j.Bind(p)
 	lim := &recordingLimiter{}
 	const basePages = int64(1) << 14
 	j.ArmSwapSqueezes(eng, lim, basePages, 3, 10*sim.Second)

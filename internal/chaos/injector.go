@@ -88,7 +88,7 @@ type freezeKey struct {
 // type's schedule never shifts another's.
 type Injector struct {
 	cfg Config
-	bus *obs.Bus // nil disables fault event emission
+	bus *obs.Bus // the bound platform's bus; nil until Bind
 
 	thawRNG    *sim.RNG
 	reclaimRNG *sim.RNG
@@ -98,8 +98,7 @@ type Injector struct {
 	// invoOf resolves an instance ID to the invocation executing (or
 	// most recently executed) on it, so instance-scoped fault events
 	// can name their victim invocation. Nil leaves those events
-	// anonymous (Invo 0). Wired by the scenario harness to
-	// faas.Platform.LastInvoOf.
+	// anonymous (Invo 0). Bind wires it to faas.Platform.LastInvoOf.
 	invoOf func(instID int) int64
 
 	// lostAnnounced dedups fault.freeze_lost emissions per freeze
@@ -116,13 +115,13 @@ var (
 	_ faas.Injector = (*Injector)(nil)
 )
 
-// NewInjector builds an injector from cfg, emitting chaos.fault events
-// on bus when it is non-nil.
-func NewInjector(cfg Config, bus *obs.Bus) *Injector {
+// NewInjector builds an injector from cfg. It emits no chaos.fault
+// events and names no victim invocations until Bind attaches it to a
+// platform.
+func NewInjector(cfg Config) *Injector {
 	root := sim.NewRNG(cfg.Seed)
 	return &Injector{
 		cfg:        cfg,
-		bus:        bus,
 		thawRNG:    root.Fork(1),
 		reclaimRNG: root.Fork(2),
 		oomRNG:     root.Fork(3),
@@ -133,11 +132,14 @@ func NewInjector(cfg Config, bus *obs.Bus) *Injector {
 // Counts returns the faults injected so far.
 func (j *Injector) Counts() Counts { return j.counts }
 
-// SetInvoLookup wires the instance→invocation resolver used to name
-// the victim of instance-scoped faults (typically
-// faas.Platform.LastInvoOf). Must be set before the run starts; the
-// lookup itself must be deterministic.
-func (j *Injector) SetInvoLookup(fn func(instID int) int64) { j.invoOf = fn }
+// Bind attaches the injector to the platform it perturbs: chaos.fault
+// events go out on the platform's bus, and instance-scoped faults name
+// their victim through the platform's census (LastInvoOf). Call it
+// before the run starts.
+func (j *Injector) Bind(p *faas.Platform) {
+	j.bus = p.Events()
+	j.invoOf = p.LastInvoOf
+}
 
 // victimInvo resolves the invocation to blame for a fault on inst.
 func (j *Injector) victimInvo(inst int) int64 {
@@ -153,12 +155,11 @@ func (j *Injector) enabled() bool { return j != nil && j.cfg.Intensity > 0 }
 // rate scales a base rate by the intensity.
 func (j *Injector) rate(base float64) float64 { return base * j.cfg.Intensity }
 
-// emit publishes one chaos.fault event when a bus is attached. invo
-// names the victim invocation (0 when the fault has none).
+// emit publishes one chaos.fault event on the bound platform's bus
+// (a no-op before Bind). invo names the victim invocation (0 when the
+// fault has none).
 func (j *Injector) emit(name string, inst int, invo, bytes, aux int64) {
-	if j.bus != nil {
-		j.bus.Emit(obs.Event{Kind: obs.EvFault, Inst: inst, Invo: invo, Name: name, Bytes: bytes, Aux: aux})
-	}
+	j.bus.Emit(obs.Event{Kind: obs.EvFault, Inst: inst, Invo: invo, Name: name, Bytes: bytes, Aux: aux})
 }
 
 // ForceThawRace implements core.Injector. The victim invocation is the

@@ -116,20 +116,17 @@ type Result struct {
 // deterministic Result.
 func RunScenario(o ScenarioOptions) *Result {
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
-	bus.Subscribe(rec)
 
 	var inj *Injector
 	if !o.NoInjector {
-		inj = NewInjector(o.Chaos, bus)
+		inj = NewInjector(o.Chaos)
 	}
 
 	pcfg := faas.DefaultConfig()
 	pcfg.Seed = o.Chaos.Seed
 	pcfg.CacheBytes = o.CacheBytes
-	pcfg.Events = bus
 	if inj != nil {
 		pcfg.Chaos = inj
 	}
@@ -149,11 +146,16 @@ func RunScenario(o ScenarioOptions) *Result {
 		}
 		mcfg = &c
 	}
-	platform, mgr := core.NewMachine(eng, pcfg, mcfg, o.Observe)
+	// The recorder subscribes first, so it sees every event Observe's
+	// subscribers and the manager see.
+	platform, mgr := core.NewMachine(eng, pcfg, mcfg, func(p *faas.Platform, mgr *core.Manager) {
+		p.Events().Subscribe(rec)
+		if o.Observe != nil {
+			o.Observe(p, mgr)
+		}
+	})
 	if inj != nil {
-		// Instance-scoped faults (thaw races, lost freezes) name their
-		// victim invocation through the platform's census.
-		inj.SetInvoLookup(platform.LastInvoOf)
+		inj.Bind(platform)
 	}
 	if o.SwapLimitPages > 0 {
 		platform.Machine().SetSwapLimit(o.SwapLimitPages)

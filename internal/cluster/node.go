@@ -20,7 +20,6 @@ type Node struct {
 	c        *Cluster
 	d        int // cluster index (1-based; node index is d-1)
 	eng      *sim.Engine
-	bus      *obs.Bus
 	platform *faas.Platform
 	mgr      *core.Manager // nil in vanilla mode
 	hist     *metrics.Histogram
@@ -46,22 +45,19 @@ const invoBase = int64(1_000_000_000)
 // subscribes the completion ack ahead of every other subscriber, then
 // runs ObserveNode, both before the manager starts.
 func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
-	bus := obs.NewBus(c.eng)
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = c.opts.CacheBytes
-	pcfg.Events = bus
 	pcfg.InvoBase = int64(d) * invoBase
 	n := &Node{
 		c:    c,
 		d:    d,
 		eng:  c.eng,
-		bus:  bus,
 		hist: metrics.NewHistogram(latencyBounds()...),
 	}
-	n.platform, n.mgr = core.NewMachine(c.eng, pcfg, mcfg, func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
-		bus.Subscribe(obs.SubscriberFunc(n.ack))
+	n.platform, n.mgr = core.NewMachine(c.eng, pcfg, mcfg, func(p *faas.Platform, mgr *core.Manager) {
+		p.Events().Subscribe(obs.SubscriberFunc(n.ack))
 		if c.opts.ObserveNode != nil {
-			c.opts.ObserveNode(eng, bus, p, mgr)
+			c.opts.ObserveNode(p, mgr)
 		}
 	})
 	return n
@@ -118,7 +114,7 @@ func (n *Node) sample() {
 	if n.mgr != nil {
 		nv.ActiveReclaims = n.mgr.ActiveReclaims()
 	}
-	n.bus.Emit(obs.Event{Kind: obs.EvNodePressure, Inst: -1,
+	n.platform.Events().Emit(obs.Event{Kind: obs.EvNodePressure, Inst: -1,
 		Bytes: nv.CommittedPages * osmem.PageSize, Val: nv.MemFrac, Aux: int64(nv.QueueLen)})
 	n.eng.Deliver(n.d, now.Add(routeLatency), "cluster:report", func() {
 		n.c.router.onReport(n.d, nv)

@@ -14,7 +14,6 @@ import (
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/invariant"
-	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -55,8 +54,8 @@ func TestPropInvariantsHoldAcrossCluster(t *testing.T) {
 			for seed := uint64(1); seed <= seeds; seed++ {
 				o := propOptions(seed, policy)
 				var checkers []*invariant.Checker
-				o.ObserveNode = func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
-					checkers = append(checkers, invariant.Attach(eng, bus, p, mgr))
+				o.ObserveNode = func(p *faas.Platform, mgr *core.Manager) {
+					checkers = append(checkers, invariant.Attach(p, mgr))
 				}
 				res, err := Run(o)
 				if err != nil {

@@ -161,14 +161,16 @@ type Manager struct {
 	platform *faas.Platform
 	eng      *sim.Engine
 	rng      *sim.RNG
-	bus      *obs.Bus // the platform's bus; nil disables tracing
+	bus      *obs.Bus // the platform's bus, subscribed to in Start
 
-	threshold      float64
-	idleSweep      bool
-	evictionsSeen  int
+	threshold     float64
+	idleSweep     bool
+	evictionsSeen int
+	// Per-instance state, keyed by instance ID and dropped when the
+	// platform evicts or destroys the instance (handleEvent).
 	profiles       *profileDB
-	lastReclaim    map[*container.Instance]sim.Time
-	retries        map[*container.Instance]int
+	lastReclaim    map[int]sim.Time
+	retries        map[int]int
 	reclaimsActive int
 	stats          Stats
 	checkEvent     *sim.Event
@@ -176,26 +178,24 @@ type Manager struct {
 }
 
 // Observer hooks into a machine once its platform and (unstarted)
-// manager exist. bus is the platform's event bus; mgr is nil on a
-// machine without a manager.
-type Observer func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *Manager)
+// manager exist; it reaches the engine and the event bus through
+// p.Engine() and p.Events(). mgr is nil on a machine without a
+// manager.
+type Observer func(p *faas.Platform, mgr *Manager)
 
 // NewMachine builds one machine on eng, the only place a platform and
-// its manager are wired. The order is fixed: a bus when observe needs
-// one and pcfg has none, the platform, the manager (mcfg nil: none),
-// observe, and only then the manager's Start, so every subscriber
-// observe attaches sees the manager's initial threshold event.
+// its manager are wired. The order is fixed: the platform, the manager
+// (mcfg nil: none), observe, and only then the manager's Start, so
+// every subscriber observe attaches sees the manager's initial
+// threshold event and precedes the manager on the bus.
 func NewMachine(eng *sim.Engine, pcfg faas.Config, mcfg *Config, observe Observer) (*faas.Platform, *Manager) {
-	if observe != nil && pcfg.Events == nil {
-		pcfg.Events = obs.NewBus(eng)
-	}
 	p := faas.New(pcfg, eng)
 	var m *Manager
 	if mcfg != nil {
 		m = New(p, *mcfg)
 	}
 	if observe != nil {
-		observe(eng, pcfg.Events, p, m)
+		observe(p, m)
 	}
 	if m != nil {
 		m.Start()
@@ -204,7 +204,7 @@ func NewMachine(eng *sim.Engine, pcfg faas.Config, mcfg *Config, observe Observe
 }
 
 // New creates a manager for the platform without starting it: nothing
-// is emitted, hooked or scheduled until Start. NewMachine calls it.
+// is emitted, subscribed or scheduled until Start. NewMachine calls it.
 func New(p *faas.Platform, cfg Config) *Manager {
 	return &Manager{
 		cfg:         cfg,
@@ -214,24 +214,36 @@ func New(p *faas.Platform, cfg Config) *Manager {
 		rng:         sim.NewRNG(cfg.Seed),
 		threshold:   cfg.HighThreshold,
 		profiles:    newProfileDB(),
-		lastReclaim: make(map[*container.Instance]sim.Time),
-		retries:     make(map[*container.Instance]int),
+		lastReclaim: make(map[int]sim.Time),
+		retries:     make(map[int]int),
 	}
 }
 
-// Start announces the initial threshold, wires the manager to the
-// platform's hooks, and schedules its periodic activation check.
+// Start announces the initial threshold, subscribes the manager to the
+// platform's bus, and schedules its periodic activation check.
 func (m *Manager) Start() {
-	if m.bus != nil {
-		m.bus.Emit(obs.Event{Kind: obs.EvThreshold, Inst: -1, Val: m.threshold})
-	}
-	m.platform.OnEviction(func(n int) { m.evictionsSeen += n })
-	m.platform.OnDestroy(func(inst *container.Instance) {
-		m.profiles.forget(inst)
-		delete(m.lastReclaim, inst)
-		delete(m.retries, inst)
-	})
+	m.bus.Emit(obs.Event{Kind: obs.EvThreshold, Inst: -1, Val: m.threshold})
+	m.bus.Subscribe(obs.SubscriberFunc(m.handleEvent))
 	m.scheduleCheck()
+}
+
+// handleEvent is everything the manager learns from the platform. A
+// pressure eviction is the §4.5.1 signal that drops the threshold; an
+// instance leaving the machine, evicted for any reason or destroyed,
+// abandons its per-instance state (§4.5.2).
+func (m *Manager) handleEvent(ev obs.Event) {
+	switch ev.Kind {
+	case obs.EvEvict:
+		if ev.Aux == obs.EvictPressure {
+			m.evictionsSeen++
+		}
+	case obs.EvDestroy:
+	default:
+		return
+	}
+	m.profiles.forget(ev.Inst)
+	delete(m.lastReclaim, ev.Inst)
+	delete(m.retries, ev.Inst)
 }
 
 // Stats returns a copy of the manager's counters.
@@ -276,7 +288,7 @@ func (m *Manager) check() {
 	} else if m.threshold < m.cfg.HighThreshold {
 		m.threshold = minF(m.threshold+thresholdStep, m.cfg.HighThreshold)
 	}
-	if m.bus != nil && m.threshold != prev {
+	if m.threshold != prev {
 		m.bus.Emit(obs.Event{Kind: obs.EvThreshold, Inst: -1, Val: m.threshold})
 	}
 	if m.platform.MemoryUsedFraction() > m.threshold {
@@ -303,12 +315,10 @@ func (m *Manager) check() {
 // noteActivation records an activation on the bus; idle is 1 for the
 // idle-CPU policy, 0 for the memory threshold.
 func (m *Manager) noteActivation(idle int64) {
-	if m.bus != nil {
-		m.bus.Emit(obs.Event{
-			Kind: obs.EvActivation, Inst: -1, Aux: idle,
-			Val: m.platform.MemoryUsedFraction(),
-		})
-	}
+	m.bus.Emit(obs.Event{
+		Kind: obs.EvActivation, Inst: -1, Aux: idle,
+		Val: m.platform.MemoryUsedFraction(),
+	})
 }
 
 // idleFloor is the occupancy below which idle sweeps stop.
@@ -386,11 +396,9 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 		// chaos layer. Warn on the bus and look for a replacement
 		// candidate.
 		m.stats.SkippedThaws++
-		if m.bus != nil {
-			m.bus.Emit(obs.Event{
-				Kind: obs.EvReclaimSkipped, Inst: inst.ID, Name: inst.Spec.Name,
-			})
-		}
+		m.bus.Emit(obs.Event{
+			Kind: obs.EvReclaimSkipped, Inst: inst.ID, Name: inst.Spec.Name,
+		})
 		abort()
 		m.reclaimLoop()
 		return
@@ -402,12 +410,10 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 		return
 	}
 	now := m.eng.Now()
-	m.lastReclaim[inst] = now
-	if m.bus != nil {
-		m.bus.Emit(obs.Event{
-			Kind: obs.EvReclaimBegin, Inst: inst.ID, Name: inst.Spec.Name,
-		})
-	}
+	m.lastReclaim[inst.ID] = now
+	m.bus.Emit(obs.Event{
+		Kind: obs.EvReclaimBegin, Inst: inst.ID, Name: inst.Spec.Name,
+	})
 
 	var cpu sim.Duration
 	var released, swapped int64
@@ -436,12 +442,10 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 		}
 		swapped = inst.SwapOutHeap(target)
 		m.stats.SwappedBytes += swapped
-		if m.bus != nil {
-			m.bus.Emit(obs.Event{
-				Kind: obs.EvSwapOut, Inst: inst.ID, Name: inst.Spec.Name,
-				Bytes: swapped,
-			})
-		}
+		m.bus.Emit(obs.Event{
+			Kind: obs.EvSwapOut, Inst: inst.ID, Name: inst.Spec.Name,
+			Bytes: swapped,
+		})
 		// Swapping costs roughly 2µs/page of write-back, charged for
 		// the pages that actually reached the device.
 		cpu = sim.Duration(swapped/4096) * 2 * sim.Microsecond
@@ -450,12 +454,10 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 			// GC-cooperative release for the remainder instead of
 			// leaving the instance half-handled.
 			m.stats.SwapFallbacks++
-			if m.bus != nil {
-				m.bus.Emit(obs.Event{
-					Kind: obs.EvSwapFallback, Inst: inst.ID, Name: inst.Spec.Name,
-					Bytes: target - swapped,
-				})
-			}
+			m.bus.Emit(obs.Event{
+				Kind: obs.EvSwapFallback, Inst: inst.ID, Name: inst.Spec.Name,
+				Bytes: target - swapped,
+			})
 			rep := inst.Reclaim(false /* keep weak refs */, m.cfg.UnmapLibraries && m.unmapSafe(inst))
 			released = rep.ReleasedBytes
 			m.stats.ReleasedBytes += released
@@ -477,12 +479,10 @@ func (m *Manager) reclaimBegin(inst *container.Instance, share float64) {
 		m.platform.ReleaseIdleCPU(share)
 		inst.Reclaiming = false
 		m.reclaimsActive--
-		if m.bus != nil {
-			m.bus.Emit(obs.Event{
-				Kind: obs.EvReclaimEnd, Inst: inst.ID, Name: inst.Spec.Name,
-				Dur: wall, Bytes: released, Aux: swapped,
-			})
-		}
+		m.bus.Emit(obs.Event{
+			Kind: obs.EvReclaimEnd, Inst: inst.ID, Name: inst.Spec.Name,
+			Dur: wall, Bytes: released, Aux: swapped,
+		})
 		// A stopped manager still settles the in-flight accounting
 		// above, but must not start new reclamations.
 		if m.stopped {
@@ -504,7 +504,7 @@ func (m *Manager) perturbReclaim(inst *container.Instance, released int64) int64
 	}
 	retake, fail := m.cfg.Injector.PerturbReclaim(inst.ID, released)
 	if !fail && retake <= 0 {
-		delete(m.retries, inst) // clean success resets the retry chain
+		delete(m.retries, inst.ID) // clean success resets the retry chain
 		return released
 	}
 	if fail {
@@ -519,9 +519,9 @@ func (m *Manager) perturbReclaim(inst *container.Instance, released int64) int64
 	m.stats.FailedReclaims++
 	// The instance still holds its garbage: forget the begin stamp so
 	// selection may pick it again, and retry with sim-time backoff.
-	delete(m.lastReclaim, inst)
-	attempt := m.retries[inst] + 1
-	m.retries[inst] = attempt
+	delete(m.lastReclaim, inst.ID)
+	attempt := m.retries[inst.ID] + 1
+	m.retries[inst.ID] = attempt
 	if attempt <= maxReclaimRetries {
 		m.scheduleRetry(inst, attempt)
 	}
@@ -534,12 +534,10 @@ func (m *Manager) perturbReclaim(inst *container.Instance, released int64) int64
 func (m *Manager) scheduleRetry(inst *container.Instance, attempt int) {
 	backoff := retryBackoff * sim.Duration(attempt)
 	m.stats.Retries++
-	if m.bus != nil {
-		m.bus.Emit(obs.Event{
-			Kind: obs.EvReclaimRetry, Inst: inst.ID, Name: inst.Spec.Name,
-			Aux: int64(attempt), Dur: backoff,
-		})
-	}
+	m.bus.Emit(obs.Event{
+		Kind: obs.EvReclaimRetry, Inst: inst.ID, Name: inst.Spec.Name,
+		Aux: int64(attempt), Dur: backoff,
+	})
 	m.eng.After(backoff, "desiccant:reclaim-retry", func() {
 		if m.stopped || inst.Reclaiming ||
 			inst.Status() != container.Frozen || !m.platform.IsCached(inst) {
@@ -595,7 +593,7 @@ func (m *Manager) selectCandidate() *container.Instance {
 		}
 		// Nothing left to reclaim if it has not run since the last
 		// reclamation.
-		if last, ok := m.lastReclaim[inst]; ok && last >= inst.FrozenAt() {
+		if last, ok := m.lastReclaim[inst.ID]; ok && last >= inst.FrozenAt() {
 			continue
 		}
 		candidates = append(candidates, inst)

@@ -66,8 +66,15 @@ func TestProfileDBFallbackChain(t *testing.T) {
 	if live != 15*mb || cpu != 15*sim.Millisecond {
 		t.Fatalf("global avg: %d %v", live, cpu)
 	}
+	// Each level of the chain is looked up without allocating: the
+	// estimate runs for every candidate at every activation.
+	for _, inst := range []*container.Instance{instA, instB, instC} {
+		if got := testing.AllocsPerRun(100, func() { db.estimate(inst) }); got != 0 {
+			t.Fatalf("estimate(%s #%d) allocates %.0f/op, want 0", inst.Spec.Name, inst.ID, got)
+		}
+	}
 	// Forget drops the instance profile but keeps aggregates.
-	db.forget(instA)
+	db.forget(instA.ID)
 	if db.instanceCount() != 0 {
 		t.Fatal("forget failed")
 	}
@@ -84,6 +91,11 @@ func mustSpec(t *testing.T, name string) *workload.Spec {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// record is an Observer that subscribes rec to the platform's bus.
+func record(rec *obs.Recorder) Observer {
+	return func(p *faas.Platform, _ *Manager) { p.Events().Subscribe(rec) }
 }
 
 // newFrozenInstance fabricates a frozen instance outside the platform
@@ -171,15 +183,16 @@ func TestThresholdDropsOnEvictionAndDriftsBack(t *testing.T) {
 	cfg := testManagerConfig()
 	mgr := startManager(p, cfg)
 
-	// Simulate the platform reporting evictions via its hook: the
-	// manager lowered its threshold at the next check.
+	// Pressure evictions reported on the platform's bus lower the
+	// threshold at the next check.
 	eng.RunUntil(sim.Time(checkInterval))
 	highBefore := mgr.Threshold()
 	if highBefore != cfg.HighThreshold {
 		t.Fatalf("initial threshold: %v", highBefore)
 	}
-	// Inject an eviction signal (the hook is owned by the manager).
-	mgr.evictionsSeen = 3
+	for id := 1; id <= 3; id++ {
+		p.Events().Emit(obs.Event{Kind: obs.EvEvict, Inst: id, Aux: obs.EvictPressure})
+	}
 	eng.RunUntil(sim.Time(2 * checkInterval))
 	if mgr.Threshold() != cfg.LowThreshold {
 		t.Fatalf("threshold after eviction: %v", mgr.Threshold())
@@ -241,7 +254,7 @@ func TestSelectionSkipsAlreadyReclaimed(t *testing.T) {
 	if mgr.selectCandidate() != inst {
 		t.Fatal("candidate not selected")
 	}
-	mgr.lastReclaim[inst] = eng.Now()
+	mgr.lastReclaim[inst.ID] = eng.Now()
 	if mgr.selectCandidate() != nil {
 		t.Fatal("re-selected an instance that has not run since its reclamation")
 	}
@@ -412,13 +425,10 @@ func TestReclaimSkippedWhenThawedMidSelection(t *testing.T) {
 	pcfg.CacheBytes = 640 * mb
 	pcfg.KeepAlive = 0
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
 	rec := obs.NewRecorder()
-	bus.Subscribe(rec)
-	pcfg.Events = bus
 	cfg := testManagerConfig()
 	cfg.MaxConcurrent = 1
-	p, mgr := NewMachine(eng, pcfg, &cfg, nil)
+	p, mgr := NewMachine(eng, pcfg, &cfg, record(rec))
 	mgr.checkEvent.Cancel() // drive manually
 
 	victim := newFrozenInstance(t, p, "image-resize", 1) // big heap: picked first
@@ -446,7 +456,7 @@ func TestReclaimSkippedWhenThawedMidSelection(t *testing.T) {
 	if victim.Reclaiming {
 		t.Fatal("skipped victim still marked reclaiming")
 	}
-	if _, ok := mgr.lastReclaim[victim]; ok {
+	if _, ok := mgr.lastReclaim[victim.ID]; ok {
 		t.Fatal("skipped victim recorded as reclaimed")
 	}
 	// The freed grant funded a replacement reclamation at the same
@@ -528,14 +538,12 @@ func TestFailedReclaimRetriesAreBounded(t *testing.T) {
 	pcfg.CacheBytes = 640 * mb
 	pcfg.KeepAlive = 0
 	eng := sim.NewEngine()
-	pcfg.Events = obs.NewBus(eng)
 	rec := obs.NewRecorder()
-	pcfg.Events.Subscribe(rec)
 	cfg := testManagerConfig()
 	cfg.LowThreshold = 0.01
 	cfg.HighThreshold = 0.01
 	cfg.Injector = failEvery{}
-	p, mgr := NewMachine(eng, pcfg, &cfg, nil)
+	p, mgr := NewMachine(eng, pcfg, &cfg, record(rec))
 	names := []string{"image-resize", "fft", "sort"}
 	for i, name := range names {
 		newFrozenInstance(t, p, name, i+1)

@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"desiccant/internal/container"
 	"desiccant/internal/sim"
 )
@@ -28,36 +26,40 @@ func (a *avgProfile) add(liveBytes int64, cpu sim.Duration) {
 	a.cpuMicros += (float64(cpu) - a.cpuMicros) * inv
 }
 
-// profileDB stores per-instance profiles plus per-function and global
-// aggregates, implementing §4.5.2's estimation fallback chain:
-// instance average → same-function average → global average.
+// functionKey names one stage of one function, the per-function
+// aggregate's key.
+type functionKey struct {
+	name  string
+	stage int
+}
+
+// profileDB stores per-instance profiles (keyed by instance ID) plus
+// per-function and global aggregates, implementing §4.5.2's
+// estimation fallback chain: instance average → same-function average
+// → global average.
 type profileDB struct {
-	byInstance map[*container.Instance]*avgProfile
-	byFunction map[string]*avgProfile
+	byInstance map[int]*avgProfile
+	byFunction map[functionKey]*avgProfile
 	global     avgProfile
 }
 
 func newProfileDB() *profileDB {
 	return &profileDB{
-		byInstance: make(map[*container.Instance]*avgProfile),
-		byFunction: make(map[string]*avgProfile),
+		byInstance: make(map[int]*avgProfile),
+		byFunction: make(map[functionKey]*avgProfile),
 	}
-}
-
-func functionKey(inst *container.Instance) string {
-	return fmt.Sprintf("%s/%d", inst.Spec.Name, inst.Stage)
 }
 
 // record folds one reclamation observation into all three levels.
 func (db *profileDB) record(inst *container.Instance, liveBytes int64, cpu sim.Duration) {
-	p := db.byInstance[inst]
+	p := db.byInstance[inst.ID]
 	if p == nil {
 		p = &avgProfile{}
-		db.byInstance[inst] = p
+		db.byInstance[inst.ID] = p
 	}
 	p.add(liveBytes, cpu)
 
-	key := functionKey(inst)
+	key := functionKey{inst.Spec.Name, inst.Stage}
 	f := db.byFunction[key]
 	if f == nil {
 		f = &avgProfile{}
@@ -67,12 +69,12 @@ func (db *profileDB) record(inst *container.Instance, liveBytes int64, cpu sim.D
 	db.global.add(liveBytes, cpu)
 }
 
-// forget drops an instance's profile when the platform destroys it
+// forget drops instance id's profile when the platform destroys it
 // ("its profiles are also abandoned to reduce the memory overhead").
 // The function and global aggregates are retained: they are what new
 // instances are estimated from.
-func (db *profileDB) forget(inst *container.Instance) {
-	delete(db.byInstance, inst)
+func (db *profileDB) forget(id int) {
+	delete(db.byInstance, id)
 }
 
 // defaultCPUEstimate seeds the estimator before any profile exists: an
@@ -83,10 +85,10 @@ const defaultCPUEstimate = 20 * sim.Millisecond
 // estimate returns the expected live bytes and reclamation CPU time
 // for an instance, walking the fallback chain.
 func (db *profileDB) estimate(inst *container.Instance) (liveBytes int64, cpu sim.Duration) {
-	if p := db.byInstance[inst]; p != nil && p.n > 0 {
+	if p := db.byInstance[inst.ID]; p != nil && p.n > 0 {
 		return int64(p.liveBytes), sim.Duration(p.cpuMicros)
 	}
-	if f := db.byFunction[functionKey(inst)]; f != nil && f.n > 0 {
+	if f := db.byFunction[functionKey{inst.Spec.Name, inst.Stage}]; f != nil && f.n > 0 {
 		return int64(f.liveBytes), sim.Duration(f.cpuMicros)
 	}
 	if db.global.n > 0 {

@@ -8,7 +8,6 @@ import (
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/invariant"
-	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -72,8 +71,8 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 		so.Requests = o.Requests
 		so.Chaos.Intensity = intensity
 		var chk *invariant.Checker
-		so.Observe = func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
-			chk = invariant.Attach(eng, bus, p, mgr)
+		so.Observe = func(p *faas.Platform, mgr *core.Manager) {
+			chk = invariant.Attach(p, mgr)
 		}
 		res := chaos.RunScenario(so)
 		return ChaosCell{Mode: mode, Intensity: intensity, Result: res, Violations: chk.Final()}, nil

@@ -92,14 +92,14 @@ func runAttrMode(co cluster.Options, mode string) (*AttrModeResult, error) {
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
 	co.Mode = mode
-	co.ObserveNode = func(_ *sim.Engine, bus *obs.Bus, p *faas.Platform, _ *core.Manager) {
+	co.ObserveNode = func(p *faas.Platform, _ *core.Manager) {
 		b := invtrace.NewBuilder()
-		b.Attach(bus)
+		b.Attach(p.Events())
 		if len(builders) == 0 {
 			// Machine 1 doubles as the Perfetto specimen: its events and
 			// spans are self-consistent (instance IDs are only unique
 			// per machine, so the trace covers exactly one).
-			bus.Subscribe(rec)
+			p.Events().Subscribe(rec)
 		}
 		builders = append(builders, b)
 		platforms = append(platforms, p)

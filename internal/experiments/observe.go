@@ -107,7 +107,8 @@ func RunObserve(o ObserveOptions) error {
 	rec := newRecorder(o.Trace != nil)
 	reg := obs.NewRegistry()
 	var sampler *obs.Sampler
-	platform := o.cell(func(eng *sim.Engine, bus *obs.Bus, platform *faas.Platform, _ *core.Manager) {
+	platform := o.cell(func(platform *faas.Platform, _ *core.Manager) {
+		eng, bus := platform.Engine(), platform.Events()
 		bus.Subscribe(rec)
 		bus.Subscribe(obs.NewCollector(reg))
 		obs.InstrumentEngine(bus, eng)
@@ -164,9 +165,9 @@ func RunObserve(o ObserveOptions) error {
 func RunAttrTrace(o ObserveOptions) error {
 	rec := newRecorder(o.Trace != nil)
 	builder := invtrace.NewBuilder()
-	eng := o.cell(func(_ *sim.Engine, bus *obs.Bus, _ *faas.Platform, _ *core.Manager) {
-		bus.Subscribe(rec)
-		builder.Attach(bus)
+	eng := o.cell(func(p *faas.Platform, _ *core.Manager) {
+		p.Events().Subscribe(rec)
+		builder.Attach(p.Events())
 	}).run().Engine()
 	// Drain the in-flight tail so every span closes.
 	drainEnd := sim.Time(o.Window)

@@ -9,7 +9,6 @@ package faas
 import (
 	"fmt"
 
-	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -87,11 +86,6 @@ type Config struct {
 	// policies are orthogonal to Desiccant; this knob lets the
 	// extension experiment demonstrate it.
 	PrewarmPerLanguage int
-
-	// Events, when non-nil, attaches the platform (and the runtimes
-	// of every instance it creates) to an observability bus. Leaving
-	// it nil disables tracing with zero cost on the invocation path.
-	Events *obs.Bus
 
 	// InvoBase offsets this platform's invocation IDs: requests get
 	// IDs InvoBase+1, InvoBase+2, ... in arrival order. Multi-machine

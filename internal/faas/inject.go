@@ -53,12 +53,10 @@ const maxRequeues = 1
 func (p *Platform) oomKill(inv *invocation, inst *container.Instance, ran sim.Duration) {
 	p.stats.OOMKills++
 	p.stats.CPUBusy += sim.Duration(float64(ran) * p.cfg.PerInstanceCPU)
-	if p.bus != nil {
-		// Dur is how far into the execution the kill landed, so the
-		// span builder can truncate the in-flight exec segment exactly.
-		p.bus.Emit(obs.Event{Kind: obs.EvOOMKill, Inst: inst.ID, Invo: inv.id,
-			Name: inv.spec.Name, Dur: ran, Bytes: inst.USS()})
-	}
+	// Dur is how far into the execution the kill landed, so the span
+	// builder can truncate the in-flight exec segment exactly.
+	p.bus.Emit(obs.Event{Kind: obs.EvOOMKill, Inst: inst.ID, Invo: inv.id,
+		Name: inv.spec.Name, Dur: ran, Bytes: inst.USS()})
 	p.finishInstance(inst, true)
 	if inv.requeues < maxRequeues {
 		inv.requeues++
@@ -70,12 +68,10 @@ func (p *Platform) oomKill(inv *invocation, inst *container.Instance, ran sim.Du
 		p.noteQueueDepth()
 	} else {
 		p.stats.Drops++
-		if p.bus != nil {
-			p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: inst.ID,
-				Name: "request dropped after repeated oom-kills: " + inv.spec.Name})
-			p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: inst.ID, Invo: inv.id,
-				Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropRequeueExhausted})
-		}
+		p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: inst.ID,
+			Name: "request dropped after repeated oom-kills: " + inv.spec.Name})
+		p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: inst.ID, Invo: inv.id,
+			Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropRequeueExhausted})
 	}
 	p.pumpQueue()
 }

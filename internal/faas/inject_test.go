@@ -21,10 +21,9 @@ func TestOOMKillRequeuesOnceThenDrops(t *testing.T) {
 	cfg := testConfig()
 	cfg.Chaos = killEvery{}
 	eng := sim.NewEngine()
-	cfg.Events = obs.NewBus(eng)
-	rec := obs.NewRecorder()
-	cfg.Events.Subscribe(rec)
 	p := New(cfg, eng)
+	rec := obs.NewRecorder()
+	p.Events().Subscribe(rec)
 	names := []string{"sort", "fft", "file-hash", "pi"}
 	for i, name := range names {
 		if err := p.SubmitName(name, sim.Time(i)*sim.Time(3*sim.Second)); err != nil {

@@ -45,11 +45,12 @@ func (p *Platform) DetachCached(inst *container.Instance, reason int64) (*worklo
 	return p.detach(inst, reason)
 }
 
-// detach is the source half: remove from the cache, release the
-// machine's pages, fire the destroy hooks. Deliberately does not
-// count an Eviction — the instance is not gone from the fleet — and
-// does not fire onEviction, which is Desiccant's memory-pressure
-// signal; a hand-off frees memory without signaling pressure.
+// detach is the source half: remove from the cache, emit the EvEvict
+// that tells subscribers the instance is gone from this machine, and
+// release its pages. Deliberately does not count an Eviction — the
+// instance is not gone from the fleet — and reason is never
+// obs.EvictPressure, Desiccant's memory-pressure signal: a hand-off
+// frees memory without signaling pressure.
 func (p *Platform) detach(inst *container.Instance, reason int64) (*workload.Spec, int, bool) {
 	key := poolKey{inst.Spec.Name, inst.Stage}
 	pool := p.cached[key]
@@ -59,10 +60,8 @@ func (p *Platform) detach(inst *container.Instance, reason int64) (*workload.Spe
 			break
 		}
 	}
-	if p.bus != nil {
-		p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
-			Bytes: inst.USS(), Aux: reason})
-	}
+	p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
+		Bytes: inst.USS(), Aux: reason})
 	p.stats.MigratedOut++
 	p.destroy(inst)
 	return inst.Spec, inst.Stage, true
@@ -99,6 +98,7 @@ func (p *Platform) AdoptFrozen(spec *workload.Spec, stage int) (*container.Insta
 		return nil, fmt.Errorf("faas: adopt %s/%d: %w", spec.Name, stage, err)
 	}
 	if err := inst.Hydrate(now, p.rng); err != nil {
+		p.destroy(inst) // never announced: no subscriber holds its state
 		return nil, fmt.Errorf("faas: adopt %s/%d: %w", spec.Name, stage, err)
 	}
 	inst.Freeze(now)

@@ -1,7 +1,6 @@
 package faas
 
 import (
-	"fmt"
 	"sort"
 
 	"desiccant/internal/container"
@@ -102,16 +101,9 @@ type Platform struct {
 
 	stats Stats
 
-	// bus is the observability event bus (nil when tracing is off;
-	// every emission site nil-checks so the disabled path allocates
-	// nothing).
+	// bus carries every event out of the platform: observers and the
+	// manager subscribe to it (Events).
 	bus *obs.Bus
-
-	// Lifecycle hooks, multi-subscriber and fired in registration
-	// order. onEviction is Desiccant's pressure signal (§4.5.1);
-	// onDestroy lets managers drop per-instance state (profiles).
-	onEviction obs.Hooks[int]
-	onDestroy  obs.Hooks[*container.Instance]
 }
 
 // New creates a platform on a fresh simulated machine. It panics on a
@@ -128,7 +120,7 @@ func New(cfg Config, eng *sim.Engine) *Platform {
 		cached:   make(map[poolKey][]*container.Instance),
 		prewarm:  make(map[runtime.Language][]*container.Prewarmed),
 		cpuAvail: cfg.CPUs,
-		bus:      cfg.Events,
+		bus:      obs.NewBus(eng),
 	}
 	if cfg.PrewarmPerLanguage > 0 {
 		// The initial stem cells exist before the first request.
@@ -141,7 +133,9 @@ func New(cfg Config, eng *sim.Engine) *Platform {
 	return p
 }
 
-// addPrewarmed boots one stem cell for lang.
+// addPrewarmed boots one stem cell for lang. A budget the runtime
+// cannot start in leaves the pool a cell short: the request that would
+// have taken it cold-boots, fails the same way and is dropped.
 func (p *Platform) addPrewarmed(lang runtime.Language) {
 	p.nextInstID++
 	pw, err := container.NewPrewarmed(p.machine, p.nextInstID, lang, container.Options{
@@ -150,7 +144,8 @@ func (p *Platform) addPrewarmed(lang runtime.Language) {
 		Events:         p.bus,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("faas: prewarm failed: %v", err))
+		p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: -1, Name: "prewarm failed: " + err.Error()})
+		return
 	}
 	p.prewarm[lang] = append(p.prewarm[lang], pw)
 }
@@ -185,19 +180,10 @@ func (p *Platform) Stats() *Stats { return &p.stats }
 // Cached instances and in-flight requests are untouched.
 func (p *Platform) ResetStats() { p.stats = Stats{} }
 
-// Events returns the platform's observability bus (nil when tracing
-// is disabled); managers attach their own emission through it.
+// Events returns the platform's event bus, the one path out of the
+// platform: observers subscribe to it, and the manager both reads it
+// (evictions, destroys) and emits its own events on it.
 func (p *Platform) Events() *obs.Bus { return p.bus }
-
-// OnEviction registers one of any number of eviction observers
-// (Desiccant's pressure signal, §4.5.1); observers fire in
-// registration order with the number of instances just evicted.
-func (p *Platform) OnEviction(fn func(n int)) { p.onEviction.Add(fn) }
-
-// OnDestroy registers an observer of instance destruction, called for
-// every eviction/kill so managers can abandon per-instance state. It
-// runs before the instance's runtime is released.
-func (p *Platform) OnDestroy(fn func(inst *container.Instance)) { p.onDestroy.Add(fn) }
 
 // invocation tracks one request through its (possibly chained) stages.
 type invocation struct {
@@ -217,9 +203,7 @@ func (p *Platform) Submit(spec *workload.Spec, t sim.Time) {
 		p.stats.Requests++
 		p.nextInvo++
 		inv := &invocation{id: p.cfg.InvoBase + p.nextInvo, spec: spec, arrival: t}
-		if p.bus != nil {
-			p.bus.Emit(obs.Event{Kind: obs.EvInvokeSubmit, Inst: -1, Invo: inv.id, Name: spec.Name})
-		}
+		p.bus.Emit(obs.Event{Kind: obs.EvInvokeSubmit, Inst: -1, Invo: inv.id, Name: spec.Name})
 		p.startStage(inv)
 	})
 }
@@ -248,9 +232,7 @@ func (p *Platform) startStage(inv *invocation) {
 // noteQueueDepth samples the admission queue onto the bus after every
 // depth change.
 func (p *Platform) noteQueueDepth() {
-	if p.bus != nil {
-		p.bus.Emit(obs.Event{Kind: obs.EvQueueDepth, Inst: -1, Val: float64(len(p.queue))})
-	}
+	p.bus.Emit(obs.Event{Kind: obs.EvQueueDepth, Inst: -1, Val: float64(len(p.queue))})
 }
 
 // tryStart performs admission and, on success, launches the stage.
@@ -356,17 +338,11 @@ func (p *Platform) ensureCacheFits() {
 	// *increase* the survivors' USS (library pages it shared become
 	// private to them), so subtracting the victim's USS would
 	// under-evict. The recount is O(cached instances) per eviction.
-	victims := p.cachedByLRU()
-	evicted := 0
-	for _, inst := range victims {
+	for _, inst := range p.cachedByLRU() {
 		if p.MemoryUsed() <= p.cfg.CacheBytes {
 			break
 		}
 		p.evict(inst, obs.EvictPressure)
-		evicted++
-	}
-	if evicted > 0 {
-		p.onEviction.Fire(evicted)
 	}
 }
 
@@ -414,10 +390,8 @@ func (p *Platform) AddCached(inst *container.Instance) {
 // noteFreeze emits the freeze event for an instance that just entered
 // the cache.
 func (p *Platform) noteFreeze(inst *container.Instance) {
-	if p.bus != nil {
-		p.bus.Emit(obs.Event{Kind: obs.EvFreeze, Inst: inst.ID, Name: inst.Spec.Name,
-			Bytes: inst.USS()})
-	}
+	p.bus.Emit(obs.Event{Kind: obs.EvFreeze, Inst: inst.ID, Name: inst.Spec.Name,
+		Bytes: inst.USS()})
 }
 
 // IsCached reports whether inst currently sits in the frozen-instance
@@ -435,7 +409,8 @@ func (p *Platform) IsCached(inst *container.Instance) bool {
 
 // evict destroys a cached instance. Per §4.2, eviction is oblivious
 // to any in-flight reclamation: the stateless instance can always be
-// destroyed safely. reason is an obs.Evict* constant.
+// destroyed safely. reason is an obs.Evict* constant; only
+// obs.EvictPressure is Desiccant's pressure signal (§4.5.1).
 func (p *Platform) evict(inst *container.Instance, reason int64) {
 	key := poolKey{inst.Spec.Name, inst.Stage}
 	pool := p.cached[key]
@@ -445,21 +420,20 @@ func (p *Platform) evict(inst *container.Instance, reason int64) {
 			break
 		}
 	}
-	if p.bus != nil {
-		p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
-			Bytes: inst.USS(), Aux: reason})
-	}
+	p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
+		Bytes: inst.USS(), Aux: reason})
 	p.stats.Evictions++
 	p.destroy(inst)
 }
 
 // destroy tears a dead instance down: the machine takes its pages
-// back, the destroy hooks run, and the runtime hands its heap objects
-// back for the next cold boot.
+// back and the runtime hands its heap objects back for the next cold
+// boot. Callers emit the instance's EvEvict or EvDestroy first: those
+// are the events subscribers drop per-instance state on. Only an
+// instance whose creation failed, never frozen or run, goes without.
 func (p *Platform) destroy(inst *container.Instance) {
 	inst.Kill()
 	p.machine.Destroy(inst.AS)
-	p.onDestroy.Fire(inst)
 	inst.Runtime.Release()
 }
 
@@ -508,46 +482,64 @@ func (p *Platform) coldBoot(inv *invocation) {
 	bootCPU := maxF(p.cfg.ColdBootCPU, p.cfg.PerInstanceCPU)
 	p.eng.After(boot, "boot:"+inv.spec.Name, func() {
 		p.stats.CPUBusy += sim.Duration(float64(boot) * bootCPU)
+		inst, err := p.createInstance(inv, pw)
+		if err != nil {
+			// No instance exists to kill: hand the boot share back and
+			// fail the request, as execute does for a body that runs out
+			// of memory. EvInvokeDrop closes the invocation's span.
+			p.releaseCPU(bootCPU)
+			p.stats.Drops++
+			p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: -1,
+				Name: "boot failed: " + inv.spec.Name + ": " + err.Error()})
+			p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: -1, Invo: inv.id,
+				Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropOOMFailure})
+			p.pumpQueue()
+			return
+		}
 		// Swap the boot share for the execution share.
 		p.releaseCPU(bootCPU)
 		p.acquireCPU(p.cfg.PerInstanceCPU)
-
-		var inst *container.Instance
-		var err error
-		if pw != nil && !p.cfg.Snapshot {
-			p.pendingAssign--
-			inst, err = pw.Assign(inv.spec, inv.stage, p.eng.Now())
-			p.scheduleReplenish(inv.spec.Language)
-		} else {
-			if pw != nil {
-				p.pendingAssign--
-				pw.Destroy() // snapshot mode took the cold path anyway
-			}
-			p.nextInstID++
-			inst, err = container.New(p.machine, p.nextInstID, inv.spec, inv.stage, p.eng.Now(), container.Options{
-				MemoryBudget:   p.cfg.InstanceBudget,
-				ShareLibraries: p.cfg.Profile == OpenWhisk,
-				Events:         p.bus,
-			})
-		}
-		if err != nil {
-			panic(fmt.Sprintf("faas: instance creation failed: %v", err))
-		}
-		if p.cfg.Snapshot {
-			if err := inst.Hydrate(p.eng.Now(), p.rng); err != nil {
-				panic(fmt.Sprintf("faas: snapshot hydration failed: %v", err))
-			}
-		}
-		if p.bus != nil {
-			// Emitted at boot completion; Dur covers the boot, so the
-			// span builder recovers the boot start as Time - Dur. Aux
-			// distinguishes the cold / prewarm-assign / restore paths.
-			p.bus.Emit(obs.Event{Kind: obs.EvColdBoot, Inst: inst.ID, Invo: inv.id,
-				Name: inv.spec.Name, Dur: boot, Bytes: p.cfg.InstanceBudget, Aux: bootKind})
-		}
+		// Emitted at boot completion; Dur covers the boot, so the span
+		// builder recovers the boot start as Time - Dur. Aux
+		// distinguishes the cold / prewarm-assign / restore paths.
+		p.bus.Emit(obs.Event{Kind: obs.EvColdBoot, Inst: inst.ID, Invo: inv.id,
+			Name: inv.spec.Name, Dur: boot, Bytes: p.cfg.InstanceBudget, Aux: bootKind})
 		p.noteInFlight(inst)
 		p.execute(inv, inst)
 	})
+}
+
+// createInstance builds the instance a finished boot hands the
+// invocation: the assigned stem cell pw when there is one, else a
+// fresh container, hydrated from the snapshot in Snapshot mode. On an
+// error nothing of the instance is left on the machine.
+func (p *Platform) createInstance(inv *invocation, pw *container.Prewarmed) (*container.Instance, error) {
+	if pw != nil {
+		p.pendingAssign--
+		if !p.cfg.Snapshot {
+			inst, err := pw.Assign(inv.spec, inv.stage, p.eng.Now())
+			p.scheduleReplenish(inv.spec.Language)
+			if err != nil {
+				pw.Destroy()
+			}
+			return inst, err
+		}
+		pw.Destroy() // snapshot mode takes the cold path anyway
+	}
+	p.nextInstID++
+	inst, err := container.New(p.machine, p.nextInstID, inv.spec, inv.stage, p.eng.Now(), container.Options{
+		MemoryBudget:   p.cfg.InstanceBudget,
+		ShareLibraries: p.cfg.Profile == OpenWhisk,
+		Events:         p.bus,
+	})
+	if err != nil || !p.cfg.Snapshot {
+		return inst, err
+	}
+	if err := inst.Hydrate(p.eng.Now(), p.rng); err != nil {
+		p.destroy(inst) // never announced: no subscriber holds its state
+		return nil, err
+	}
+	return inst, nil
 }
 
 // scheduleReplenish refills the stem-cell pool in the background,
@@ -575,16 +567,14 @@ func (p *Platform) scheduleReplenish(lang runtime.Language) {
 // runWarm thaws a cached instance and executes after the unpause cost.
 func (p *Platform) runWarm(inv *invocation, inst *container.Instance) {
 	p.stats.WarmStarts++
-	if p.bus != nil {
-		// Aux marks a thaw that cut an in-flight reclamation short
-		// (§4.2): attribution charges such a thaw to reclaim_stall.
-		var aux int64
-		if inst.Reclaiming {
-			aux = obs.ThawReclaiming
-		}
-		p.bus.Emit(obs.Event{Kind: obs.EvThaw, Inst: inst.ID, Invo: inv.id, Name: inv.spec.Name,
-			Dur: warmStart, Aux: aux})
+	// Aux marks a thaw that cut an in-flight reclamation short (§4.2):
+	// attribution charges such a thaw to reclaim_stall.
+	var aux int64
+	if inst.Reclaiming {
+		aux = obs.ThawReclaiming
 	}
+	p.bus.Emit(obs.Event{Kind: obs.EvThaw, Inst: inst.ID, Invo: inv.id, Name: inv.spec.Name,
+		Dur: warmStart, Aux: aux})
 	p.eng.After(warmStart, "thaw:"+inv.spec.Name, func() {
 		p.stats.CPUBusy += sim.Duration(float64(warmStart) * p.cfg.PerInstanceCPU)
 		p.execute(inv, inst)
@@ -605,12 +595,10 @@ func (p *Platform) execute(inv *invocation, inst *container.Instance) {
 		// invocation's span.
 		p.stats.OOMKills++
 		p.stats.Drops++
-		if p.bus != nil {
-			p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: inst.ID,
-				Name: "oom-kill: " + inv.spec.Name})
-			p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: inst.ID, Invo: inv.id,
-				Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropOOMFailure})
-		}
+		p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: inst.ID,
+			Name: "oom-kill: " + inv.spec.Name})
+		p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: inst.ID, Invo: inv.id,
+			Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropOOMFailure})
 		p.finishInstance(inst, true)
 		p.pumpQueue()
 		return
@@ -632,13 +620,11 @@ func (p *Platform) execute(inv *invocation, inst *container.Instance) {
 	faultWall := interference - gcWall
 	wall += interference
 
-	if p.bus != nil {
-		// Dur is the full modeled wall; Aux/Bytes carry the exact GC and
-		// refault (reclaim-interference) shares of it, so attribution
-		// tiles the execution segment without re-deriving rounding.
-		p.bus.Emit(obs.Event{Kind: obs.EvInvokeStart, Inst: inst.ID, Invo: inv.id,
-			Name: inv.spec.Name, Dur: wall, Aux: int64(gcWall), Bytes: int64(faultWall)})
-	}
+	// Dur is the full modeled wall; Aux/Bytes carry the exact GC and
+	// refault (reclaim-interference) shares of it, so attribution tiles
+	// the execution segment without re-deriving rounding.
+	p.bus.Emit(obs.Event{Kind: obs.EvInvokeStart, Inst: inst.ID, Invo: inv.id,
+		Name: inv.spec.Name, Dur: wall, Aux: int64(gcWall), Bytes: int64(faultWall)})
 	done := p.eng.After(wall, "exec:"+inv.spec.Name, func() {
 		p.stats.CPUBusy += sim.Duration(float64(wall) * p.cfg.PerInstanceCPU)
 		p.completeStage(inv, inst)
@@ -681,10 +667,8 @@ func (p *Platform) completeStage(inv *invocation, inst *container.Instance) {
 		}
 	}
 	p.stats.Completions++
-	if p.bus != nil {
-		p.bus.Emit(obs.Event{Kind: obs.EvInvokeComplete, Inst: inst.ID, Invo: inv.id,
-			Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival)})
-	}
+	p.bus.Emit(obs.Event{Kind: obs.EvInvokeComplete, Inst: inst.ID, Invo: inv.id,
+		Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival)})
 	latency := p.eng.Now().Sub(inv.arrival).Millis()
 	p.stats.Latency.Add(latency)
 	if p.stats.PerFunction == nil {
@@ -710,9 +694,7 @@ func (p *Platform) finishInstance(inst *container.Instance, kill bool) {
 		// Killed instances die; SnapStart-style platforms keep
 		// nothing warm either — the next request restores the
 		// snapshot.
-		if p.bus != nil {
-			p.bus.Emit(obs.Event{Kind: obs.EvDestroy, Inst: inst.ID, Name: inst.Spec.Name})
-		}
+		p.bus.Emit(obs.Event{Kind: obs.EvDestroy, Inst: inst.ID, Name: inst.Spec.Name})
 		p.destroy(inst)
 		return
 	}

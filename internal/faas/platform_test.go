@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"desiccant/internal/container"
+	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 	"desiccant/internal/workload"
 )
@@ -110,7 +111,11 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 	eng, p := newPlatform(t, cfg)
 
 	evictions := 0
-	p.OnEviction(func(n int) { evictions += n })
+	p.Events().Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
+		if ev.Kind == obs.EvEvict && ev.Aux == obs.EvictPressure {
+			evictions++
+		}
+	}))
 
 	// Serialize different functions so each needs its own instance.
 	names := []string{"sort", "fft", "matrix", "file-hash", "pi", "factor"}
@@ -125,7 +130,7 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 		t.Fatalf("completions: %d", st.Completions)
 	}
 	if st.Evictions == 0 || evictions != int(st.Evictions) {
-		t.Fatalf("evictions: stats=%d hook=%d", st.Evictions, evictions)
+		t.Fatalf("evictions: stats=%d bus=%d", st.Evictions, evictions)
 	}
 	if p.MemoryUsed() > cfg.CacheBytes {
 		t.Fatalf("cache overcommitted: %d", p.MemoryUsed())

@@ -100,11 +100,9 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheBytes = 96 * mb // force pressure after a few freezes
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
-	rec := obs.NewRecorder()
-	bus.Subscribe(rec)
-	cfg.Events = bus
 	p := New(cfg, eng)
+	rec := obs.NewRecorder()
+	p.Events().Subscribe(rec)
 
 	// Distinct functions, staggered arrivals: each instance freezes
 	// exactly once, so LastUsed is its freeze time for good.

@@ -68,16 +68,16 @@ type platCounters struct {
 	cpuBusy, reclaimCPU                                 sim.Duration
 }
 
-// Attach subscribes a checker to the bus. mgr may be nil.
-func Attach(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) *Checker {
+// Attach subscribes a checker to the platform's bus. mgr may be nil.
+func Attach(p *faas.Platform, mgr *core.Manager) *Checker {
 	c := &Checker{
-		eng:        eng,
+		eng:        p.Engine(),
 		platform:   p,
 		mgr:        mgr,
 		reclaiming: make(map[int]bool),
 		openSpans:  make(map[int64]bool),
 	}
-	bus.Subscribe(c)
+	p.Events().Subscribe(c)
 	return c
 }
 

@@ -14,12 +14,9 @@ import (
 func harness(t *testing.T) (*sim.Engine, *obs.Bus, *faas.Platform, *Checker) {
 	t.Helper()
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
-	cfg := faas.DefaultConfig()
-	cfg.Events = bus
-	p := faas.New(cfg, eng)
-	c := Attach(eng, bus, p, nil)
-	return eng, bus, p, c
+	p := faas.New(faas.DefaultConfig(), eng)
+	c := Attach(p, nil)
+	return eng, p.Events(), p, c
 }
 
 // TestCleanRunHasNoViolations drives a plain fault-free workload and

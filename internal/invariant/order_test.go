@@ -50,12 +50,12 @@ func TestObserverSeesInitialThreshold(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var first *obs.Event
 			calls := 0
-			c.run(func(_ *sim.Engine, bus *obs.Bus, _ *faas.Platform, mgr *core.Manager) {
+			c.run(func(p *faas.Platform, mgr *core.Manager) {
 				calls++
 				if mgr == nil {
 					t.Fatal("observer got no manager")
 				}
-				bus.Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
+				p.Events().Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
 					if first == nil {
 						first = &ev
 					}

@@ -12,7 +12,6 @@ import (
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/invariant"
-	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -41,8 +40,8 @@ func propOptions(seed uint64, mode chaos.ManagerMode) chaos.ScenarioOptions {
 // returns the checker plus the result.
 func runChecked(o chaos.ScenarioOptions) (*invariant.Checker, *chaos.Result) {
 	var chk *invariant.Checker
-	o.Observe = func(eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager) {
-		chk = invariant.Attach(eng, bus, p, mgr)
+	o.Observe = func(p *faas.Platform, mgr *core.Manager) {
+		chk = invariant.Attach(p, mgr)
 	}
 	res := chaos.RunScenario(o)
 	return chk, res

@@ -16,9 +16,10 @@ type SubscriberFunc func(Event)
 func (f SubscriberFunc) HandleEvent(ev Event) { f(ev) }
 
 // Bus fans events out to subscribers in registration order, stamping
-// each event with the engine's current sim time. A nil *Bus is a
-// valid no-op emitter, so instrumented code guards emission with a
-// single nil check and pays nothing when observability is off.
+// each event with the engine's current sim time. Every platform owns
+// one (faas.Platform.Events). A nil *Bus is a valid no-op emitter, for
+// producers that can exist without a platform, such as a chaos
+// injector before it is bound.
 type Bus struct {
 	eng  *sim.Engine
 	subs []Subscriber
@@ -42,9 +43,7 @@ func (b *Bus) Subscribe(s Subscriber) {
 }
 
 // Emit stamps ev with the current sim time and delivers it to every
-// subscriber in registration order. Emit on a nil bus is a no-op;
-// callers still prefer an explicit nil check so the Event struct is
-// never even constructed on the disabled path.
+// subscriber in registration order. Emit on a nil bus is a no-op.
 func (b *Bus) Emit(ev Event) {
 	if b == nil {
 		return

@@ -29,24 +29,24 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 func goldenScenario(t *testing.T) (traceJSON, metricsCSV []byte) {
 	t.Helper()
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
 	reg := obs.NewRegistry()
-	bus.Subscribe(rec)
-	bus.Subscribe(obs.NewCollector(reg))
-	obs.InstrumentEngine(bus, eng)
 
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = 512 << 20
 	pcfg.KeepAlive = 8 * sim.Second
-	pcfg.Events = bus
 
 	mcfg := core.DefaultConfig()
 	mcfg.LowThreshold = 0.20
 	mcfg.HighThreshold = 0.30
 	mcfg.FreezeTimeout = 1 * sim.Second
-	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
+	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
+		bus := p.Events()
+		bus.Subscribe(rec)
+		bus.Subscribe(obs.NewCollector(reg))
+		obs.InstrumentEngine(bus, eng)
+	})
 
 	var ms bytes.Buffer
 	sampler := obs.NewSampler(eng, reg, 1*sim.Second, &ms)

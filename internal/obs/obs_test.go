@@ -69,23 +69,6 @@ func TestRecorderCountsAndIgnores(t *testing.T) {
 	}
 }
 
-func TestHooksFireInRegistrationOrder(t *testing.T) {
-	var h Hooks[int]
-	var got []int
-	h.Add(func(v int) { got = append(got, v*10) })
-	h.Add(nil) // ignored
-	h.Add(func(v int) { got = append(got, v*100) })
-	h.Fire(3)
-	if len(got) != 2 || got[0] != 30 || got[1] != 300 {
-		t.Fatalf("hooks fired %v, want [30 300]", got)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", h.Len())
-	}
-	var nilHooks *Hooks[int]
-	nilHooks.Fire(1) // must not panic
-}
-
 func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("z.count").Add(2)

@@ -15,7 +15,6 @@ import (
 
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
-	"desiccant/internal/obs"
 	"desiccant/internal/obs/trace"
 	"desiccant/internal/sim"
 	"desiccant/internal/workload"
@@ -29,20 +28,19 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 func goldenSpans(t *testing.T) []*trace.Span {
 	t.Helper()
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
 	builder := trace.NewBuilder()
-	builder.Attach(bus)
 
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = 512 << 20
 	pcfg.KeepAlive = 8 * sim.Second
-	pcfg.Events = bus
 
 	mcfg := core.DefaultConfig()
 	mcfg.LowThreshold = 0.20
 	mcfg.HighThreshold = 0.30
 	mcfg.FreezeTimeout = 1 * sim.Second
-	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
+	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
+		builder.Attach(p.Events())
+	})
 
 	submits := []struct {
 		fn string
@@ -137,15 +135,14 @@ func TestSumExactnessDifferential(t *testing.T) {
 	window := 300 * sim.Second
 
 	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
 	builder := trace.NewBuilder()
-	builder.Attach(bus)
 
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = 1 << 30
-	pcfg.Events = bus
 	mcfg := core.DefaultConfig()
-	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, nil)
+	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
+		builder.Attach(p.Events())
+	})
 
 	specs := workload.All()
 	rng := sim.NewRNG(0x5eedf00d)
