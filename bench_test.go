@@ -202,7 +202,7 @@ func BenchmarkG1Reclaim(b *testing.B) {
 				b.Fatal(err)
 			}
 			if j%8 != 0 {
-				o.Dead = true
+				h.Objects().At(o).Dead = true
 			}
 		}
 		rep := h.Reclaim(false)
@@ -229,7 +229,7 @@ func BenchmarkPyArenaReclaim(b *testing.B) {
 				b.Fatal(err)
 			}
 			if j%20 != 0 {
-				o.Dead = true
+				h.Objects().At(o).Dead = true
 			}
 		}
 		rep := h.Reclaim(false)

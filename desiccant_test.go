@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"desiccant/internal/invariant"
+	"desiccant/internal/obs/trace"
 )
 
 func TestFacadeSimulation(t *testing.T) {
@@ -158,6 +159,65 @@ func TestFacadeJavaSmallBudgets(t *testing.T) {
 				t.Fatalf("%s at %d MiB: %d completions + %d drops of 5 requests", spec.Name, mib, st.Completions, st.Drops)
 			}
 		}
+	}
+}
+
+// TestFacadeJavaScriptSmallBudgets: below 20 MiB a V8 heap can run out
+// of room in the middle of a scavenge or of a full GC's survivor copy.
+// The allocation must fail with ErrOutOfMemory, so every request ends
+// as a completion or a drop and the checker sees a whole heap, never a
+// panic.
+func TestFacadeJavaScriptSmallBudgets(t *testing.T) {
+	for mib := int64(5); mib <= 19; mib++ {
+		for _, spec := range Functions() {
+			if spec.Language != "javascript" {
+				continue
+			}
+			pcfg := DefaultPlatformConfig()
+			pcfg.InstanceBudget = mib << 20
+			s := NewSimulation(Config{Platform: &pcfg})
+			chk := invariant.Attach(s.Platform, nil)
+			for i := 0; i < 5; i++ {
+				if err := s.Platform.SubmitName(spec.Name, Time(Seconds(float64(i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.RunFor(Seconds(60))
+			if st := s.Platform.Stats(); st.Completions+st.Drops != 5 {
+				t.Fatalf("%s at %d MiB: %d completions + %d drops of 5 requests", spec.Name, mib, st.Completions, st.Drops)
+			}
+			if v := chk.Final(); len(v) != 0 {
+				t.Fatalf("%s at %d MiB: %d invariant violations: %v", spec.Name, mib, len(v), v)
+			}
+		}
+	}
+}
+
+// TestFacadeBootFailureSpan: a request whose boot fails closes its
+// span as dropped_boot, with the failed boot's 300 ms charged to
+// boot.cold rather than queue, and the tiling still exact.
+func TestFacadeBootFailureSpan(t *testing.T) {
+	pcfg := DefaultPlatformConfig()
+	pcfg.InstanceBudget = 3 << 20
+	s := NewSimulation(Config{Platform: &pcfg})
+	b := trace.NewBuilder()
+	b.Attach(s.Platform.Events())
+	if err := s.Platform.SubmitName("fft", 0); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(Seconds(5))
+	spans := b.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want 1", len(spans))
+	}
+	sp := spans[0]
+	want := []trace.Segment{{Phase: trace.PhaseBootCold, Start: 0, Dur: Seconds(0.3), Inst: -1}}
+	if sp.Outcome != trace.DroppedBoot || sp.Outcome.String() != "dropped_boot" || sp.Boots != 1 ||
+		fmt.Sprint(sp.Segments) != fmt.Sprint(want) {
+		t.Fatalf("span %s, %d boots, segments %v; want dropped_boot, 1 boot, %v", sp.Outcome, sp.Boots, sp.Segments, want)
+	}
+	if err := trace.CheckExact(spans); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -42,24 +42,27 @@ func main() {
 	// Simulate a Python FaaS function whose long-lived module state is
 	// interleaved with per-invocation temporaries, so nearly every
 	// arena ends up pinned by at least one live object — CPython's
-	// classic fragmentation story.
-	alloc := func(size int64) *mm.Object {
-		o, err := rt.Allocate(size, runtime.AllocOptions{})
+	// classic fragmentation story. An allocation returns an mm.Ref, a
+	// handle into the heap's object pool; the function kills its
+	// temporaries through the pool when it returns.
+	alloc := func(size int64) mm.Ref {
+		r, err := rt.Allocate(size, runtime.AllocOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return o
+		return r
 	}
+	var temps []mm.Ref
 	for invocation := 0; invocation < 40; invocation++ {
-		var temps []*mm.Object
+		temps = temps[:0]
 		for i := 0; i < 200; i++ {
 			temps = append(temps, alloc(12<<10))
 			if i%25 == 0 {
 				alloc(4 << 10) // long-lived module state, never dies
 			}
 		}
-		for _, o := range temps {
-			o.Dead = true
+		for _, r := range temps {
+			rt.Objects().At(r).Dead = true
 		}
 	}
 

@@ -160,7 +160,7 @@ func New(machine *osmem.Machine, id int, spec *workload.Spec, stage int, now sim
 		return nil, err
 	}
 	inst.Runtime = rt
-	inst.State = workload.NewState(spec, stage)
+	inst.State = workload.NewState(spec, stage, inst.Runtime.Objects())
 	// Startup faults (library + non-heap touch) are part of the cold
 	// boot, not of the first invocation.
 	as.DrainFaultCost()

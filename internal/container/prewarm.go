@@ -72,7 +72,7 @@ func (p *Prewarmed) Assign(spec *workload.Spec, stage int, now sim.Time) (*Insta
 	}
 	inst.nonheap = p.as.MmapAnon("nonheap", spec.NonHeapBytes)
 	inst.nonheap.Touch(0, inst.nonheap.Pages(), true)
-	inst.State = workload.NewState(spec, stage)
+	inst.State = workload.NewState(spec, stage, inst.Runtime.Objects())
 	p.as.DrainFaultCost()
 	return inst, nil
 }

@@ -427,13 +427,15 @@ func (p *Platform) evict(inst *container.Instance, reason int64) {
 }
 
 // destroy tears a dead instance down: the machine takes its pages
-// back and the runtime hands its heap objects back for the next cold
-// boot. Callers emit the instance's EvEvict or EvDestroy first: those
-// are the events subscribers drop per-instance state on. Only an
-// instance whose creation failed, never frozen or run, goes without.
+// back, and the workload state's lists and the heap's go back with the
+// heap's object pool for the next cold boot. Callers emit the
+// instance's EvEvict or EvDestroy first: those are the events
+// subscribers drop per-instance state on. Only an instance whose
+// creation failed, never frozen or run, goes without.
 func (p *Platform) destroy(inst *container.Instance) {
 	inst.Kill()
 	p.machine.Destroy(inst.AS)
+	inst.State.Release()
 	inst.Runtime.Release()
 }
 
@@ -492,7 +494,8 @@ func (p *Platform) coldBoot(inv *invocation) {
 			p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: -1,
 				Name: "boot failed: " + inv.spec.Name + ": " + err.Error()})
 			p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: -1, Invo: inv.id,
-				Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropOOMFailure})
+				Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropBootFailure,
+				Bytes: int64(boot)})
 			p.pumpQueue()
 			return
 		}

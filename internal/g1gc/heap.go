@@ -87,7 +87,7 @@ const (
 type region struct {
 	index   int
 	kind    regionKind
-	objects []*mm.Object
+	objects []mm.Ref
 	top     int64 // bump offset within the region
 	// humongous runs: the number of consecutive regions the leading
 	// region spans (0 for followers).
@@ -96,13 +96,13 @@ type region struct {
 
 func (r *region) used() int64 { return r.top }
 
-func (r *region) live() int64 { return mm.LiveBytes(r.objects) }
+func (h *Heap) live(r *region) int64 { return h.Pool.LiveBytes(r.objects) }
 
-func (r *region) garbageFraction() float64 {
+func (h *Heap) garbageFraction(r *region) float64 {
 	if r.top == 0 {
 		return 0
 	}
-	return float64(r.top-r.live()) / float64(r.top)
+	return float64(r.top-h.live(r)) / float64(r.top)
 }
 
 // Heap is a simulated G1 heap.
@@ -147,7 +147,8 @@ func New(cfg runtime.Config) (*Heap, error) {
 func (h *Heap) Release() {
 	h.AssertLive()
 	for _, r := range h.regions {
-		h.Pool.FreeAll(r.objects)
+		h.Pool.PutList(r.objects)
+		r.objects = nil
 	}
 	h.ReleasePool()
 }
@@ -169,12 +170,13 @@ func (h *Heap) LiveBytes() int64 {
 	h.AssertLive()
 	var n int64
 	for _, r := range h.regions {
-		n += r.live()
+		n += h.live(r)
 	}
 	return n
 }
 
-// takeFree pops a free region and assigns it a role.
+// takeFree pops a free region and assigns it a role. A region that
+// never held an object takes its object list from the pool.
 func (h *Heap) takeFree(kind regionKind) *region {
 	if len(h.free) == 0 {
 		return nil
@@ -186,6 +188,9 @@ func (h *Heap) takeFree(kind regionKind) *region {
 	r.top = 0
 	r.spans = 0
 	r.objects = r.objects[:0]
+	if cap(r.objects) == 0 {
+		r.objects = h.Pool.List()
+	}
 	return r
 }
 
@@ -201,16 +206,17 @@ func (h *Heap) release(r *region) {
 
 func (h *Heap) base(r *region) int64 { return int64(r.index) * RegionSize }
 
-// place bump-allocates o into region r (must fit).
-func (h *Heap) place(r *region, o *mm.Object) {
+// place bump-allocates ref into region r (must fit).
+func (h *Heap) place(r *region, ref mm.Ref) {
+	o := h.Pool.At(ref)
 	o.Offset = h.base(r) + r.top
 	h.Region.TouchBytes(o.Offset, o.Size, true)
-	r.objects = append(r.objects, o)
+	r.objects = append(r.objects, ref)
 	r.top += o.Size
 }
 
 // Allocate implements runtime.Runtime.
-func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
+func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	if size <= 0 {
 		panic("g1gc: non-positive allocation")
 	}
@@ -225,7 +231,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 		if h.allocateHumongous(o) {
 			return o, nil
 		}
-		return nil, runtime.ErrOutOfMemory
+		return h.Fail(o, runtime.ErrOutOfMemory)
 	}
 
 	// Eden bump allocation; trigger a young (or mixed) collection when
@@ -245,7 +251,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 		h.fullCollect(false)
 		r = h.takeFree(regionEden)
 		if r == nil {
-			return nil, runtime.ErrOutOfMemory
+			return h.Fail(o, runtime.ErrOutOfMemory)
 		}
 	}
 	h.eden = append(h.eden, r)
@@ -253,8 +259,9 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	return o, nil
 }
 
-// allocateHumongous places o across consecutive free regions.
-func (h *Heap) allocateHumongous(o *mm.Object) bool {
+// allocateHumongous places ref across consecutive free regions.
+func (h *Heap) allocateHumongous(ref mm.Ref) bool {
+	o := h.Pool.At(ref)
 	need := int((o.Size + RegionSize - 1) / RegionSize)
 	// Find a run of free regions (scan; region counts are small).
 	run := 0
@@ -295,7 +302,10 @@ func (h *Heap) allocateHumongous(o *mm.Object) bool {
 	lead.kind = regionHumongous
 	lead.spans = need
 	lead.top = o.Size
-	lead.objects = append(lead.objects[:0], o)
+	if cap(lead.objects) == 0 {
+		lead.objects = h.Pool.List()
+	}
+	lead.objects = append(lead.objects[:0], ref)
 	for i := start + 1; i < start+need; i++ {
 		f := h.regions[i]
 		f.kind = regionHumongous
@@ -348,12 +358,12 @@ func (h *Heap) collect() {
 func (h *Heap) mixedCandidates() []*region {
 	var out []*region
 	for _, r := range h.old {
-		if r.garbageFraction() >= mixedGarbageThreshold {
+		if h.garbageFraction(r) >= mixedGarbageThreshold {
 			out = append(out, r)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return out[i].garbageFraction() > out[j].garbageFraction()
+		return h.garbageFraction(out[i]) > h.garbageFraction(out[j])
 	})
 	if len(out) > mixedCountTarget {
 		out = out[:mixedCountTarget]
@@ -383,7 +393,7 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 		}
 	}
 
-	allocInto := func(kind regionKind, o *mm.Object) bool {
+	allocInto := func(kind regionKind, ref mm.Ref, o *mm.Object) bool {
 		dst := survivorDst
 		if kind == regionOld {
 			dst = oldDst
@@ -406,7 +416,7 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 			}
 		}
 		o.Offset = h.base(dst) + dst.top
-		dst.objects = append(dst.objects, o)
+		dst.objects = append(dst.objects, ref)
 		dst.top += o.Size
 		return true
 	}
@@ -419,11 +429,12 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 
 	for _, r := range cset {
 		failedAt := -1
-		for i, o := range r.objects {
+		for i, ref := range r.objects {
+			o := h.Pool.At(ref)
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
-				h.Pool.Free(o)
+				h.Pool.Free(ref)
 				continue
 			}
 			traced += o.Size
@@ -433,7 +444,7 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 				kind = regionOld
 				o.Age = 0
 			}
-			if !allocInto(kind, o) {
+			if !allocInto(kind, ref, o) {
 				failedAt = i
 				break
 			}
@@ -452,12 +463,12 @@ func (h *Heap) evacuate(cset []*region, aggressive, full bool) {
 		// belong to their destination regions now. The remainder is
 		// filtered in place, and its dead objects are dropped here.
 		remaining := r.objects[:0]
-		for _, o := range r.objects[failedAt:] {
-			if o.Dead {
-				h.Pool.Free(o)
+		for _, ref := range r.objects[failedAt:] {
+			if h.Pool.At(ref).Dead {
+				h.Pool.Free(ref)
 				continue
 			}
-			remaining = append(remaining, o)
+			remaining = append(remaining, ref)
 		}
 		r.objects = remaining
 		r.kind = regionOld
@@ -498,13 +509,13 @@ func (h *Heap) sweepHumongous(aggressive bool) {
 		if r.kind != regionHumongous || r.spans == 0 {
 			continue
 		}
-		o := r.objects[0]
+		o := h.Pool.At(r.objects[0])
 		if !o.Collectible(aggressive) {
 			continue
 		}
 		o.Dead = true
 		h.GC.CollectedBytes += o.Size
-		h.Pool.Free(o)
+		h.Pool.Free(r.objects[0])
 		spans := r.spans
 		for i := r.index; i < r.index+spans; i++ {
 			h.release(h.regions[i])
@@ -536,8 +547,7 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 		case regionHumongous:
 			if r.spans > 0 {
 				// Tail beyond the object in its final region.
-				o := r.objects[0]
-				end := h.base(r) + o.Size
+				end := h.base(r) + h.Pool.At(r.objects[0]).Size
 				runEnd := h.base(r) + int64(r.spans)*RegionSize
 				runs = osmem.AppendRun(runs, end, runEnd-end)
 			}

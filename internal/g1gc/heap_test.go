@@ -23,7 +23,7 @@ func newHeap(t *testing.T, budget int64) *Heap {
 	return h
 }
 
-func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
+func mustAlloc(t *testing.T, h *Heap, size int64) mm.Ref {
 	t.Helper()
 	o, err := h.Allocate(size, runtime.AllocOptions{})
 	if err != nil {
@@ -66,12 +66,12 @@ func TestAllocateAndYoungCollect(t *testing.T) {
 	keep := mustAlloc(t, h, 64*kb)
 	for i := 0; i < 2000; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if h.Stats().YoungGCs == 0 {
 		t.Fatal("no young collections")
 	}
-	if h.LiveBytes() != keep.Size {
+	if h.LiveBytes() != h.Pool.At(keep).Size {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
 	// Eden stays bounded by the young target.
@@ -86,9 +86,9 @@ func TestSurvivorPromotion(t *testing.T) {
 	keep := mustAlloc(t, h, 512*kb)
 	for i := 0; i < 4000; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
-	if h.Stats().PromotedBytes < keep.Size {
+	if h.Stats().PromotedBytes < h.Pool.At(keep).Size {
 		t.Fatal("long-lived object never promoted to old")
 	}
 	var inOld bool
@@ -108,23 +108,23 @@ func TestMixedCollectionsReclaimOldGarbage(t *testing.T) {
 	h := newHeap(t, 64*mb) // small heap so IHOP trips
 	// Build old regions holding a mix of long-lived objects and
 	// garbage, then kill everything.
-	var objs []*mm.Object
+	var objs []mm.Ref
 	for i := 0; i < 2300; i++ {
 		o := mustAlloc(t, h, 64*kb)
 		if i%8 == 0 {
 			objs = append(objs, o) // ~18MB long-lived, ages into old
 		} else {
-			o.Dead = true
+			h.Pool.At(o).Dead = true
 		}
 	}
 	for _, o := range objs {
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	// Keep allocating: occupancy crosses IHOP, marking completes, and
 	// mixed collections must drain the old garbage instead of OOMing.
 	for i := 0; i < 3000; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if h.Stats().FullGCs == 0 {
 		t.Fatal("no mixed/major cycles despite old-region garbage")
@@ -144,7 +144,7 @@ func TestHumongousLifecycle(t *testing.T) {
 	if h.LiveBytes() != 5*mb {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
-	o.Dead = true
+	h.Pool.At(o).Dead = true
 	h.CollectFull(false)
 	if h.RegionCounts()["humongous"] != 0 {
 		t.Fatal("humongous run not swept")
@@ -161,7 +161,7 @@ func TestFreeRegionsStayResidentUntilReclaim(t *testing.T) {
 	static := mustAlloc(t, h, 1*mb)
 	for i := 0; i < 2000; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	h.CollectFull(false)
 	resident := h.ResidentBytes()
@@ -173,10 +173,10 @@ func TestFreeRegionsStayResidentUntilReclaim(t *testing.T) {
 		t.Fatal("nothing released")
 	}
 	after := h.ResidentBytes()
-	if slack := after - static.Size; slack < 0 || slack > 32*osmem.PageSize {
-		t.Fatalf("after reclaim: resident=%d live=%d", after, static.Size)
+	if slack := after - h.Pool.At(static).Size; slack < 0 || slack > 32*osmem.PageSize {
+		t.Fatalf("after reclaim: resident=%d live=%d", after, h.Pool.At(static).Size)
 	}
-	if rep.LiveBytes != static.Size {
+	if rep.LiveBytes != h.Pool.At(static).Size {
 		t.Fatalf("report live: %d", rep.LiveBytes)
 	}
 }
@@ -189,7 +189,7 @@ func TestReclaimKeepsHeapUsable(t *testing.T) {
 		t.Fatal("reclaim left cost billed to mutator")
 	}
 	o := mustAlloc(t, h, 256*kb)
-	if o == nil || h.LiveBytes() != 512*kb {
+	if o == mm.NoRef || h.LiveBytes() != 512*kb {
 		t.Fatalf("post-reclaim allocation broken: %d", h.LiveBytes())
 	}
 }
@@ -201,7 +201,7 @@ func TestAggressiveClearsWeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.CollectFull(false)
-	if h.LiveBytes() != w.Size {
+	if h.LiveBytes() != h.Pool.At(w).Size {
 		t.Fatal("normal GC cleared weak object")
 	}
 	h.CollectFull(true)
@@ -248,9 +248,9 @@ func TestCollectionSetPrefersGarbageRichRegions(t *testing.T) {
 		h.old = append(h.old, r)
 		total := int64(RegionSize * 3 / 4)
 		liveBytes := int64(float64(total) * liveFrac)
-		lo := &mm.Object{Size: liveBytes}
-		h.place(r, lo)
-		dead := &mm.Object{Size: total - liveBytes, Dead: true}
+		h.place(r, h.Pool.New(liveBytes, false))
+		dead := h.Pool.New(total-liveBytes, false)
+		h.Pool.At(dead).Dead = true
 		h.place(r, dead)
 		return r
 	}
@@ -306,12 +306,12 @@ func TestTinyBudgetFails(t *testing.T) {
 func TestG1Invariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		h := newHeapQuick()
-		var live []*mm.Object
+		var live []mm.Ref
 		var want int64
 		for _, op := range ops {
 			if op%4 == 3 && len(live) > 0 {
-				live[0].Dead = true
-				want -= live[0].Size
+				h.Pool.At(live[0]).Dead = true
+				want -= h.Pool.At(live[0]).Size
 				live = live[1:]
 				continue
 			}
@@ -358,7 +358,7 @@ func newHeapQuick() *Heap {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 3*mb, 16*mb, func() runtimetest.Heap {
 		h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Model: h, Language: runtime.Java, Pool: h.Pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: runtime.Java, Listed: func(f func(mm.Ref)) {
 			for _, r := range h.regions {
 				for _, o := range r.objects {
 					f(o)

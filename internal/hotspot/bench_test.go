@@ -22,7 +22,10 @@ func BenchmarkYoungGCCopy(b *testing.B) {
 	}
 
 	const objSize = 8 * kb
-	ring := make([]*mm.Object, 256)
+	ring := make([]mm.Ref, 256)
+	for i := range ring {
+		ring[i] = mm.NoRef
+	}
 	idx := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,13 +35,13 @@ func BenchmarkYoungGCCopy(b *testing.B) {
 				b.Fatal(err)
 			}
 			if j%2 == 0 {
-				if old := ring[idx]; old != nil {
-					old.Dead = true
+				if old := ring[idx]; old != mm.NoRef {
+					h.Pool.At(old).Dead = true
 				}
 				ring[idx] = o
 				idx = (idx + 1) % len(ring)
 			} else {
-				o.Dead = true
+				h.Pool.At(o).Dead = true
 			}
 		}
 	}

@@ -93,10 +93,10 @@ type Heap struct {
 
 	// liveScratch is the reusable survivor list of old-generation
 	// compactions (see compactOld).
-	liveScratch []*mm.Object
+	liveScratch []mm.Ref
 	// youngScratch is the reusable list of young objects a full GC
 	// gathers and a young re-layout carries (see fullGC, layoutYoung).
-	youngScratch []*mm.Object
+	youngScratch []mm.Ref
 }
 
 var (
@@ -117,10 +117,12 @@ func New(cfg runtime.Config) (*Heap, error) {
 	h.youngCommitted = min(max(pageAlign(xms/(newRatio+1)), pageAlign(minYoungBytes)), h.youngReserve)
 	h.oldCommitted = min(max(pageAlign(xms)-h.youngCommitted, pageAlign(minOldBytes)), h.oldReserve)
 
-	h.old = mm.NewBumpSpace("old", h.Region, h.youngReserve, h.oldCommitted)
-	h.eden = mm.NewBumpSpace("eden", h.Region, 0, 0)
-	h.surv[0] = mm.NewBumpSpace("from", h.Region, 0, 0)
-	h.surv[1] = mm.NewBumpSpace("to", h.Region, 0, 0)
+	h.old = mm.NewBumpSpace("old", h.Pool, h.Region, h.youngReserve, h.oldCommitted)
+	h.eden = mm.NewBumpSpace("eden", h.Pool, h.Region, 0, 0)
+	h.surv[0] = mm.NewBumpSpace("from", h.Pool, h.Region, 0, 0)
+	h.surv[1] = mm.NewBumpSpace("to", h.Pool, h.Region, 0, 0)
+	h.liveScratch = h.Pool.List()
+	h.youngScratch = h.Pool.List()
 	h.youngFloor = h.youngCommitted
 	h.layoutYoung()
 	return h, nil
@@ -172,8 +174,10 @@ func (h *Heap) LiveBytes() int64 {
 func (h *Heap) Release() {
 	h.AssertLive()
 	for _, sp := range h.spaces() {
-		h.Pool.FreeAll(sp.Objects())
+		sp.GiveBack()
 	}
+	h.Pool.PutList(h.liveScratch)
+	h.Pool.PutList(h.youngScratch)
 	h.ReleasePool()
 }
 
@@ -183,7 +187,7 @@ func (h *Heap) spaces() [4]*mm.BumpSpace {
 }
 
 // Allocate implements runtime.Runtime.
-func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
+func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	if size <= 0 {
 		panic("hotspot: non-positive allocation")
 	}
@@ -197,19 +201,19 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 			return o, nil
 		}
 		if err := h.fullGC(false); err != nil {
-			return nil, err
+			return h.Fail(o, err)
 		}
 		if h.oldAllocate(o) {
 			return o, nil
 		}
-		return nil, runtime.ErrOutOfMemory
+		return h.Fail(o, runtime.ErrOutOfMemory)
 	}
 
 	if h.eden.TryAllocate(o) {
 		return o, nil
 	}
 	if err := h.youngGC(); err != nil {
-		return nil, err
+		return h.Fail(o, err)
 	}
 	if h.eden.TryAllocate(o) {
 		return o, nil
@@ -217,7 +221,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	// Eden still too small (young generation undersized): grow the
 	// heap via a full collection + resize, then retry.
 	if err := h.fullGC(false); err != nil {
-		return nil, err
+		return h.Fail(o, err)
 	}
 	if h.eden.TryAllocate(o) {
 		return o, nil
@@ -225,7 +229,7 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if h.oldAllocate(o) {
 		return o, nil
 	}
-	return nil, runtime.ErrOutOfMemory
+	return h.Fail(o, runtime.ErrOutOfMemory)
 }
 
 // oldAllocate tries to place o in the old generation, compacting dead
@@ -234,11 +238,12 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 // keeps the old generation's committed size — and therefore its
 // touched-page peak — near the live peak instead of ratcheting up
 // with every promotion burst.
-func (h *Heap) oldAllocate(o *mm.Object) bool {
+func (h *Heap) oldAllocate(o mm.Ref) bool {
 	if h.old.TryAllocate(o) {
 		return true
 	}
-	if mm.DeadBytes(h.old.Objects()) >= o.Size {
+	size := h.Pool.At(o).Size
+	if h.Pool.DeadBytes(h.old.Objects()) >= size {
 		traced, moved, collected := h.compactOld(false)
 		h.GC.CollectedBytes += collected
 		h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)
@@ -252,7 +257,7 @@ func (h *Heap) oldAllocate(o *mm.Object) bool {
 			return true
 		}
 	}
-	need := o.Size - h.old.Free()
+	need := size - h.old.Free()
 	if !h.expandOld(need) {
 		return false
 	}
@@ -295,8 +300,9 @@ func (h *Heap) youngGC() error {
 	// of survivor room: a larger survivor can spill while smaller ones
 	// behind it still fit, so it may exceed survivorBytes-capacity.
 	var traced, tenured, survivorBytes, toTop, spilled int64
-	for _, objs := range [2][]*mm.Object{h.eden.Objects(), from.Objects()} {
-		for _, o := range objs {
+	for _, objs := range [2][]mm.Ref{h.eden.Objects(), from.Objects()} {
+		for _, r := range objs {
+			o := h.Pool.At(r)
 			if o.Dead {
 				continue
 			}
@@ -337,17 +343,18 @@ func (h *Heap) youngGC() error {
 	// their object-list capacity for the next cycle instead of
 	// regrowing it from nil every collection.
 	tb := to.BeginCopy()
-	for _, objs := range [2][]*mm.Object{h.eden.Objects(), from.Objects()} {
-		for _, o := range objs {
+	for _, objs := range [2][]mm.Ref{h.eden.Objects(), from.Objects()} {
+		for _, r := range objs {
+			o := h.Pool.At(r)
 			if o.Dead {
 				collected += o.Size
-				h.Pool.Free(o)
+				h.Pool.Free(r)
 				continue
 			}
 			o.Age++
-			if o.Age > tenureThreshold || !tb.TryAllocate(o) {
+			if o.Age > tenureThreshold || !tb.TryAllocate(r) {
 				o.Age = 0
-				if !h.oldAllocate(o) {
+				if !h.oldAllocate(r) {
 					panic("hotspot: promotion failed after feasibility check")
 				}
 				promoted += o.Size
@@ -391,7 +398,7 @@ func (h *Heap) ensureOldFree(need int64) bool {
 	if h.old.Free() >= need {
 		return true
 	}
-	if mm.DeadBytes(h.old.Objects()) > 0 {
+	if h.Pool.DeadBytes(h.old.Objects()) > 0 {
 		traced, moved, collected := h.compactOld(false)
 		h.GC.CollectedBytes += collected
 		h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)
@@ -411,22 +418,21 @@ func (h *Heap) compactOld(aggressive bool) (traced, moved, collected int64) {
 	// the old space's own list (truncated and refilled by Relocate)
 	// reallocates every compaction.
 	live := h.liveScratch[:0]
-	for _, o := range h.old.Objects() {
+	for _, r := range h.old.Objects() {
+		o := h.Pool.At(r)
 		if o.Collectible(aggressive) {
 			o.Dead = true
 			collected += o.Size
-			h.Pool.Free(o)
+			h.Pool.Free(r)
 			continue
 		}
 		traced += o.Size
-		live = append(live, o)
+		live = append(live, r)
 	}
 	if !h.old.Relocate(live) {
 		panic("hotspot: old compaction overflow")
 	}
-	for _, o := range live {
-		moved += o.Size
-	}
+	moved = traced
 	h.liveScratch = live
 	return traced, moved, collected
 }
@@ -440,8 +446,8 @@ func (h *Heap) fullGC(aggressive bool) error {
 	// Feasibility: every live object ends up in the old generation.
 	var liveTotal int64
 	for _, sp := range h.spaces() {
-		for _, o := range sp.Objects() {
-			if !o.Collectible(aggressive) {
+		for _, r := range sp.Objects() {
+			if o := h.Pool.At(r); !o.Collectible(aggressive) {
 				liveTotal += o.Size
 			}
 		}
@@ -462,17 +468,18 @@ func (h *Heap) fullGC(aggressive bool) error {
 
 	traced, moved, collected = h.compactOld(aggressive)
 
-	for _, o := range young {
+	for _, r := range young {
+		o := h.Pool.At(r)
 		if o.Collectible(aggressive) {
 			o.Dead = true
 			collected += o.Size
-			h.Pool.Free(o)
+			h.Pool.Free(r)
 			continue
 		}
 		traced += o.Size
 		moved += o.Size
 		o.Age = 0
-		if !h.oldAllocate(o) {
+		if !h.oldAllocate(r) {
 			panic("hotspot: full GC cannot fit young survivors after feasibility check")
 		}
 	}

@@ -25,7 +25,7 @@ func newHeap(t *testing.T, budget int64) (*osmem.Machine, *osmem.AddressSpace, *
 	return m, as, h
 }
 
-func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
+func mustAlloc(t *testing.T, h *Heap, size int64) mm.Ref {
 	t.Helper()
 	o, err := h.Allocate(size, runtime.AllocOptions{})
 	if err != nil {
@@ -73,7 +73,7 @@ func TestAllocateAndLiveBytes(t *testing.T) {
 	if h.LiveBytes() != 300*kb {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
-	a.Dead = true
+	h.Pool.At(a).Dead = true
 	if h.LiveBytes() != 200*kb {
 		t.Fatalf("live after death: %d", h.LiveBytes())
 	}
@@ -86,7 +86,7 @@ func TestYoungGCCollectsDead(t *testing.T) {
 	// grow beyond the young generation's needs.
 	for i := 0; i < 200; i++ {
 		o := mustAlloc(t, h, 256*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if h.Stats().YoungGCs == 0 {
 		t.Fatal("no young GC despite eden churn")
@@ -105,12 +105,12 @@ func TestSurvivorsPromoteAfterTenure(t *testing.T) {
 	// Churn enough to force several young GCs.
 	for i := 0; i < 300; i++ {
 		o := mustAlloc(t, h, 256*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
-	if h.Stats().PromotedBytes < keep.Size {
+	if h.Stats().PromotedBytes < h.Pool.At(keep).Size {
 		t.Fatalf("long-lived object not promoted: %d", h.Stats().PromotedBytes)
 	}
-	if h.LiveBytes() != keep.Size {
+	if h.LiveBytes() != h.Pool.At(keep).Size {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
 }
@@ -138,7 +138,7 @@ func TestEagerGCShrinksCommittedButKeepsPagesResident(t *testing.T) {
 	static := mustAlloc(t, h, 1*mb)
 	for i := 0; i < 160; i++ {
 		o := mustAlloc(t, h, 256*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	grown := h.HeapCommitted()
 	h.CollectFull(false)
@@ -159,11 +159,11 @@ func TestReclaimReleasesFreePages(t *testing.T) {
 	static := mustAlloc(t, h, 1*mb)
 	for i := 0; i < 160; i++ {
 		o := mustAlloc(t, h, 256*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	rep := h.Reclaim(false)
-	if rep.LiveBytes != static.Size {
-		t.Fatalf("report live: %d want %d", rep.LiveBytes, static.Size)
+	if rep.LiveBytes != h.Pool.At(static).Size {
+		t.Fatalf("report live: %d want %d", rep.LiveBytes, h.Pool.At(static).Size)
 	}
 	if rep.ReleasedBytes <= 0 {
 		t.Fatal("nothing released")
@@ -174,8 +174,8 @@ func TestReclaimReleasesFreePages(t *testing.T) {
 	resident := h.ResidentBytes()
 	// Resident must be within a few pages of live bytes (page
 	// alignment overhead only).
-	if slack := resident - static.Size; slack < 0 || slack > 16*osmem.PageSize {
-		t.Fatalf("resident=%d live=%d slack=%d", resident, static.Size, slack)
+	if slack := resident - h.Pool.At(static).Size; slack < 0 || slack > 16*osmem.PageSize {
+		t.Fatalf("resident=%d live=%d slack=%d", resident, h.Pool.At(static).Size, slack)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestReclaimThenReuse(t *testing.T) {
 	h.Reclaim(false)
 	// The heap must remain fully functional after reclamation.
 	o := mustAlloc(t, h, 300*kb)
-	if o == nil || h.LiveBytes() != 512*kb+300*kb {
+	if o == mm.NoRef || h.LiveBytes() != 512*kb+300*kb {
 		t.Fatalf("post-reclaim allocation broken: live=%d", h.LiveBytes())
 	}
 }
@@ -194,7 +194,7 @@ func TestReclaimDoesNotChargeMutator(t *testing.T) {
 	_, _, h := newHeap(t, 256*mb)
 	for i := 0; i < 50; i++ {
 		o := mustAlloc(t, h, 256*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	h.DrainGCCost()
 	h.Reclaim(false)
@@ -210,7 +210,7 @@ func TestCollectFullAggressiveClearsWeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.CollectFull(false)
-	if h.LiveBytes() != w.Size {
+	if h.LiveBytes() != h.Pool.At(w).Size {
 		t.Fatal("normal GC cleared weak object")
 	}
 	h.CollectFull(true)
@@ -221,7 +221,7 @@ func TestCollectFullAggressiveClearsWeak(t *testing.T) {
 
 func TestOutOfMemory(t *testing.T) {
 	_, _, h := newHeap(t, 16*mb) // tiny instance
-	var live []*mm.Object
+	var live []mm.Ref
 	for {
 		o, err := h.Allocate(1*mb, runtime.AllocOptions{})
 		if err != nil {
@@ -245,7 +245,7 @@ func TestGCCostAccrues(t *testing.T) {
 	_, _, h := newHeap(t, 256*mb)
 	for i := 0; i < 100; i++ {
 		o := mustAlloc(t, h, 256*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if h.Stats().YoungGCs == 0 {
 		t.Fatal("no GCs")
@@ -275,12 +275,12 @@ func TestRepeatedInvocationCycleIsStable(t *testing.T) {
 	static := mustAlloc(t, h, 2*mb)
 	var lastResident int64
 	for iter := 0; iter < 20; iter++ {
-		var temps []*mm.Object
+		var temps []mm.Ref
 		for i := 0; i < 40; i++ {
 			temps = append(temps, mustAlloc(t, h, 256*kb))
 		}
 		for _, o := range temps {
-			o.Dead = true
+			h.Pool.At(o).Dead = true
 		}
 		h.Reclaim(false)
 		r := h.ResidentBytes()
@@ -289,8 +289,8 @@ func TestRepeatedInvocationCycleIsStable(t *testing.T) {
 		}
 		lastResident = r
 	}
-	if lastResident < static.Size || lastResident > static.Size+16*osmem.PageSize {
-		t.Fatalf("stable footprint %d far from live %d", lastResident, static.Size)
+	if lastResident < h.Pool.At(static).Size || lastResident > h.Pool.At(static).Size+16*osmem.PageSize {
+		t.Fatalf("stable footprint %d far from live %d", lastResident, h.Pool.At(static).Size)
 	}
 }
 
@@ -338,14 +338,14 @@ func TestHeapInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var live []*mm.Object
+		var live []mm.Ref
 		var want int64
 		for _, op := range ops {
 			size := int64(op%32+1) * 32 * kb
 			if op%5 == 4 && len(live) > 0 {
 				// Kill the oldest tracked object.
-				live[0].Dead = true
-				want -= live[0].Size
+				h.Pool.At(live[0]).Dead = true
+				want -= h.Pool.At(live[0]).Size
 				live = live[1:]
 				continue
 			}
@@ -373,7 +373,7 @@ func TestHeapInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 2*mb, 4*mb, func() runtimetest.Heap {
 		_, _, h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Model: h, Language: runtime.Java, Pool: h.Pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: runtime.Java, Listed: func(f func(mm.Ref)) {
 			for _, sp := range []*mm.BumpSpace{h.eden, h.surv[0], h.surv[1], h.old} {
 				for _, o := range sp.Objects() {
 					f(o)

@@ -13,7 +13,7 @@ func newSpace(t *testing.T, capPages int64) (*osmem.Machine, *BumpSpace) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("heap", capPages*osmem.PageSize)
-	return m, NewBumpSpace("eden", r, 0, capPages*osmem.PageSize)
+	return m, NewBumpSpace("eden", new(ObjectPool), r, 0, capPages*osmem.PageSize)
 }
 
 func TestObjectBasics(t *testing.T) {
@@ -38,26 +38,78 @@ func TestObjectBasics(t *testing.T) {
 }
 
 func TestLiveDeadBytes(t *testing.T) {
-	objs := []*Object{
-		{Size: 10}, {Size: 20, Dead: true}, {Size: 30}, {Size: 40, Dead: true},
+	p := new(ObjectPool)
+	var objs []Ref
+	for i, size := range []int64{10, 20, 30, 40} {
+		r := p.New(size, false)
+		p.At(r).Dead = i%2 == 1
+		objs = append(objs, r)
 	}
-	if LiveBytes(objs) != 40 {
-		t.Fatalf("LiveBytes: %d", LiveBytes(objs))
+	if p.LiveBytes(objs) != 40 {
+		t.Fatalf("LiveBytes: %d", p.LiveBytes(objs))
 	}
-	if DeadBytes(objs) != 60 {
-		t.Fatalf("DeadBytes: %d", DeadBytes(objs))
+	if p.DeadBytes(objs) != 60 {
+		t.Fatalf("DeadBytes: %d", p.DeadBytes(objs))
+	}
+}
+
+// TestPoolOwnership walks the ObjectPool rules: a freed slot comes
+// back zeroed from New, a weak slot never comes back, and Release
+// empties the pool in one step while keeping the lists handed to it.
+func TestPoolOwnership(t *testing.T) {
+	p := new(ObjectPool)
+	a := p.New(100, false)
+	w := p.New(200, true)
+	p.At(a).Dead = true
+	p.At(a).Age = 3
+	p.Free(a)
+	p.At(w).Dead = true
+	p.Free(w)
+	if got := p.Freed(); len(got) != 1 || got[0] != a {
+		t.Fatalf("free list %v, want only the non-weak Ref %d", got, a)
+	}
+	if b := p.New(300, false); b != a || *p.At(b) != (Object{Size: 300}) {
+		t.Fatalf("New reused %d as %v, want %d zeroed with Size 300", b, p.At(b), a)
+	}
+	if c := p.New(400, false); c == w {
+		t.Fatal("New reused a weak slot")
+	}
+	if !p.At(w).Dead || p.At(w).Size != 200 {
+		t.Fatalf("weak object changed after Free: %v", p.At(w))
+	}
+	list := append(p.List(), a, w)
+	p.PutList(list)
+	p.PutList(nil) // nothing to keep
+	p.Release()
+	if p.Len() != 0 || len(p.Freed()) != 0 {
+		t.Fatalf("released pool keeps %d slots, %d freed", p.Len(), len(p.Freed()))
+	}
+	if got := p.List(); len(got) != 0 || cap(got) != cap(list) {
+		t.Fatalf("List after Release: len %d cap %d, want the kept list emptied (cap %d)", len(got), cap(got), cap(list))
+	}
+	if got := p.List(); got != nil {
+		t.Fatalf("second List = %v, want nil", got)
+	}
+	// A list no later life takes is dropped at the next Release: the
+	// pool carries only the lists of the heap that last used it.
+	p.PutList(make([]Ref, 0, 5))
+	p.Release()
+	p.PutList(make([]Ref, 0, 7))
+	p.Release()
+	if got := p.List(); cap(got) != 7 || p.List() != nil {
+		t.Fatalf("List after two Releases: cap %d, want only the last life's list (cap 7)", cap(got))
 	}
 }
 
 func TestBumpAllocate(t *testing.T) {
 	m, s := newSpace(t, 4)
-	a := &Object{Size: 3000}
-	b := &Object{Size: 3000}
+	a := s.pool.New(3000, false)
+	b := s.pool.New(3000, false)
 	if !s.TryAllocate(a) || !s.TryAllocate(b) {
 		t.Fatal("allocation failed")
 	}
-	if a.Offset != 0 || b.Offset != 3000 {
-		t.Fatalf("offsets: %d %d", a.Offset, b.Offset)
+	if s.pool.At(a).Offset != 0 || s.pool.At(b).Offset != 3000 {
+		t.Fatalf("offsets: %d %d", s.pool.At(a).Offset, s.pool.At(b).Offset)
 	}
 	if s.Used() != 6000 || s.Free() != 4*osmem.PageSize-6000 {
 		t.Fatalf("used=%d free=%d", s.Used(), s.Free())
@@ -67,7 +119,7 @@ func TestBumpAllocate(t *testing.T) {
 		t.Fatalf("phys pages: %d", m.PhysPages())
 	}
 	// Overflow allocation leaves the space untouched.
-	big := &Object{Size: 4 * osmem.PageSize}
+	big := s.pool.New(4*osmem.PageSize, false)
 	if s.TryAllocate(big) {
 		t.Fatal("overflow allocation succeeded")
 	}
@@ -78,7 +130,7 @@ func TestBumpAllocate(t *testing.T) {
 
 func TestResetKeepsPagesResident(t *testing.T) {
 	m, s := newSpace(t, 8)
-	s.TryAllocate(&Object{Size: 8 * osmem.PageSize})
+	s.TryAllocate(s.pool.New(8*osmem.PageSize, false))
 	if m.PhysPages() != 8 {
 		t.Fatalf("phys: %d", m.PhysPages())
 	}
@@ -94,11 +146,11 @@ func TestResetKeepsPagesResident(t *testing.T) {
 
 func TestReleaseFreeTail(t *testing.T) {
 	m, s := newSpace(t, 8)
-	s.TryAllocate(&Object{Size: osmem.PageSize + 100}) // touches pages 0,1
-	s.TryAllocate(&Object{Size: 6 * osmem.PageSize})   // touches up past page 7
-	s.Objects()[1].Dead = true
+	s.TryAllocate(s.pool.New(osmem.PageSize+100, false)) // touches pages 0,1
+	s.TryAllocate(s.pool.New(6*osmem.PageSize, false))   // touches up past page 7
+	s.pool.At(s.Objects()[1]).Dead = true
 	// Simulate a sweep: drop the dead tail object manually.
-	objs := append([]*Object(nil), s.Objects()...)
+	objs := append([]Ref(nil), s.Objects()...)
 	if !s.Relocate(objs[:1]) {
 		t.Fatal("relocate failed")
 	}
@@ -114,13 +166,13 @@ func TestReleaseFreeTail(t *testing.T) {
 
 func TestReleaseAll(t *testing.T) {
 	m, s := newSpace(t, 8)
-	s.TryAllocate(&Object{Size: 5 * osmem.PageSize})
+	s.TryAllocate(s.pool.New(5*osmem.PageSize, false))
 	s.Reset()
 	s.ReleaseAll()
 	if m.PhysPages() != 0 {
 		t.Fatalf("phys: %d", m.PhysPages())
 	}
-	s.TryAllocate(&Object{Size: 100})
+	s.TryAllocate(s.pool.New(100, false))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -133,14 +185,14 @@ func TestReleaseAll(t *testing.T) {
 
 func TestRelocateCompacts(t *testing.T) {
 	_, s := newSpace(t, 16)
-	var objs []*Object
+	var objs []Ref
 	for i := 0; i < 8; i++ {
-		o := &Object{Size: osmem.PageSize}
+		o := s.pool.New(osmem.PageSize, false)
 		s.TryAllocate(o)
 		objs = append(objs, o)
 	}
 	// Keep the odd ones.
-	var keep []*Object
+	var keep []Ref
 	for i, o := range objs {
 		if i%2 == 1 {
 			keep = append(keep, o)
@@ -153,12 +205,12 @@ func TestRelocateCompacts(t *testing.T) {
 		t.Fatalf("used after compaction: %d", s.Used())
 	}
 	for i, o := range keep {
-		if o.Offset != int64(i)*osmem.PageSize {
-			t.Fatalf("object %d not compacted: offset %d", i, o.Offset)
+		if off := s.pool.At(o).Offset; off != int64(i)*osmem.PageSize {
+			t.Fatalf("object %d not compacted: offset %d", i, off)
 		}
 	}
 	// Relocate that doesn't fit reports false.
-	tiny := NewBumpSpace("tiny", s.Region(), 0, osmem.PageSize)
+	tiny := NewBumpSpace("tiny", s.pool, s.Region(), 0, osmem.PageSize)
 	if tiny.Relocate(keep) {
 		t.Fatal("oversized relocate succeeded")
 	}
@@ -166,7 +218,7 @@ func TestRelocateCompacts(t *testing.T) {
 
 func TestSetCapacity(t *testing.T) {
 	_, s := newSpace(t, 8)
-	s.TryAllocate(&Object{Size: 2 * osmem.PageSize})
+	s.TryAllocate(s.pool.New(2*osmem.PageSize, false))
 	s.SetCapacity(4 * osmem.PageSize)
 	if s.Capacity() != 4*osmem.PageSize {
 		t.Fatalf("capacity: %d", s.Capacity())
@@ -191,7 +243,7 @@ func TestSetCapacity(t *testing.T) {
 
 func TestResidentBytes(t *testing.T) {
 	m, s := newSpace(t, 8)
-	s.TryAllocate(&Object{Size: 3*osmem.PageSize + 10})
+	s.TryAllocate(s.pool.New(3*osmem.PageSize+10, false))
 	if got := s.ResidentBytes(); got != 4*osmem.PageSize {
 		t.Fatalf("ResidentBytes: %d", got)
 	}
@@ -210,7 +262,7 @@ func TestSpaceOutOfRegionPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewBumpSpace("bad", r, 2*osmem.PageSize, 3*osmem.PageSize)
+	NewBumpSpace("bad", new(ObjectPool), r, 2*osmem.PageSize, 3*osmem.PageSize)
 }
 
 func TestGCCostModel(t *testing.T) {
@@ -236,17 +288,16 @@ func TestBumpSpaceInvariant(t *testing.T) {
 		m := osmem.NewMachine()
 		as := m.NewAddressSpace("p")
 		r := as.MmapAnon("heap", 64*osmem.PageSize)
-		s := NewBumpSpace("s", r, 0, 64*osmem.PageSize)
+		s := NewBumpSpace("s", new(ObjectPool), r, 0, 64*osmem.PageSize)
 		var want int64
 		for _, sz := range sizes {
-			o := &Object{Size: int64(sz) + 1}
-			if s.TryAllocate(o) {
-				want += o.Size
+			if s.TryAllocate(s.pool.New(int64(sz)+1, false)) {
+				want += int64(sz) + 1
 			}
 		}
 		var got int64
 		for _, o := range s.Objects() {
-			got += o.Size
+			got += s.pool.At(o).Size
 		}
 		return got == want && s.Used() == want && s.Used() <= s.Capacity()
 	}

@@ -1,18 +1,43 @@
 // Package mm holds the managed-memory primitives shared by the heap
 // simulators (hotspot, v8heap, g1gc, pyarena): the object model
-// workloads allocate against, the per-heap ObjectPool that recycles
-// collected objects, bump spaces layered over simulated OS regions,
+// workloads allocate against, the per-heap ObjectPool that owns every
+// object of one heap, bump spaces layered over simulated OS regions,
 // and the tracing-GC cost model.
 //
 // Objects are deliberately coarse: a workload allocates "clusters" of
 // application objects (kilobytes at a time) rather than individual
 // 16-byte cells, which keeps simulations fast while preserving the
 // quantities the paper measures — bytes allocated, bytes live at
-// function exit, pages touched. Recycling through the pool keeps a
-// warm heap from allocating Go memory at all.
+// function exit, pages touched.
+//
+// No simulated object is a Go pointer. Each lives in its heap's
+// ObjectPool, a flat slab of Objects, and everything else names it by
+// Ref, an int32 index into that slab. Object lists are []Ref, which
+// the Go garbage collector never scans and which append without write
+// barriers. The ownership rules:
+//
+//   - A collector frees a Ref exactly once, at the moment it drops the
+//     object from its last list (space, chunk, region or arena); New
+//     may hand the slot out again at once.
+//   - The pointer At returns is valid only until the pool's next New,
+//     which may move the slab. Take it, use it, drop it.
+//   - Weak slots are never reused: the workload keeps its weak-cache
+//     Ref across collections to see the cache die (Dead), so a weak
+//     Object stays as the collection left it until Release — 24 B of
+//     slab per aggressive collection that clears a cache.
+//   - Release resets the slab in O(1): every Ref the pool handed out
+//     becomes invalid at once, with no per-object walk.
+//   - A Ref is a storage detail: no Ref value may reach an output or
+//     decide an ordering.
 package mm
 
 import "fmt"
+
+// Ref names one Object in its heap's ObjectPool.
+type Ref int32
+
+// NoRef is the Ref of no object.
+const NoRef Ref = -1
 
 // Object is one allocated cluster in a simulated heap.
 type Object struct {
@@ -48,33 +73,11 @@ func (o *Object) String() string {
 
 // Collectible reports whether a collection with the given
 // aggressiveness reclaims the object.
+//
+//lint:allocfree
 func (o *Object) Collectible(aggressive bool) bool {
 	if o.Dead {
 		return true
 	}
 	return aggressive && o.Weak
-}
-
-// LiveBytes sums the sizes of objects that survive a non-aggressive
-// collection.
-func LiveBytes(objs []*Object) int64 {
-	var n int64
-	for _, o := range objs {
-		if !o.Dead {
-			n += o.Size
-		}
-	}
-	return n
-}
-
-// DeadBytes sums the sizes of objects a non-aggressive collection
-// would reclaim.
-func DeadBytes(objs []*Object) int64 {
-	var n int64
-	for _, o := range objs {
-		if o.Dead {
-			n += o.Size
-		}
-	}
-	return n
 }

@@ -1,92 +1,146 @@
 package mm
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
-// ObjectPool hands out a heap's Objects and takes back the ones its
-// collectors drop. Simulated workloads create one Object per allocated
-// cluster — millions per experiment — so fresh Objects come from block
-// allocations (Object holds no pointers, so a block is a single no-scan
-// allocation the garbage collector never traces into), and a collected
-// Object goes on a free list that New pops before carving a block. A
-// heap in steady state therefore allocates no Go memory per simulated
-// allocation.
+// ObjectPool owns every Object of one heap: a flat slab indexed by
+// Ref, and a free list of the slots its collectors gave back, which
+// New pops before growing the slab. Object holds no pointers, so the
+// slab is a single no-scan allocation, and a heap in steady state
+// allocates no Go memory per simulated allocation.
 //
 // Pools outlive heaps. A heap takes its pool from a process-wide store
 // (NewPool) at birth and hands it back (Release) when its instance
-// dies, having freed every object still on its lists, so one heap's
-// objects feed the next cold boot on any machine and any worker
-// goroutine. A pool belongs to exactly one heap from birth to Release;
-// the heap must not touch it afterwards.
-//
-// Ownership rule: a collector frees an object exactly once, at the
-// moment it drops the object from its last list (space, chunk, region
-// or arena). Only the heap's own lists may hold a pointer to a freed
-// object, and only beyond their length.
-//
-// Weak objects are never recycled: the workload keeps its weak-cache
-// pointer across collections to see the cache die (Dead), so a weak
-// Object must stay as the collection left it. Every other object is
-// unreachable to the workload by the time it is marked dead, so a
-// recycled Object is never observed through a stale pointer. At
-// Release the live objects go back too: the dead instance's workload
-// state is never run again.
+// dies, so one heap's slab feeds the next cold boot on any machine and
+// any worker goroutine. The pool carries the dead heap's emptied Ref
+// lists along (PutList, List), and those of its workload state, so
+// the next heap's spaces and windows start with capacity instead of
+// regrowing it. A pool belongs to exactly one heap from birth to
+// Release; nothing may touch it afterwards. The package doc states the
+// ownership rules for Refs.
 type ObjectPool struct {
-	block []Object
-	free  []*Object
+	slab  []Object
+	free  []Ref
+	lists [][]Ref
+	// stale counts the lists at the bottom of lists that no List of
+	// the current heap has reached; Release drops them, so a pool
+	// carries only the lists of the heap that last used it.
+	stale int
 }
-
-const poolBlock = 512
 
 // pools is the process-wide store of released pools. New resets every
 // Object it hands out, so which pool a heap draws changes no output.
 var pools = sync.Pool{New: func() any { return new(ObjectPool) }}
 
-// NewPool returns a pool for a newly born heap, recycling one a dead
-// heap released when the store has one.
+// NewPool returns an empty pool for a newly born heap, recycling one a
+// dead heap released when the store has one.
 func NewPool() *ObjectPool { return pools.Get().(*ObjectPool) }
 
-// Release hands the pool back to the process-wide store. The heap that
-// owned it must already have freed every non-weak object on its lists,
-// and must not use the pool again.
-func (p *ObjectPool) Release() { pools.Put(p) }
-
-// New returns a zeroed Object with Size and Weak set, equivalent to
-// &Object{Size: size, Weak: weak}, reusing a freed Object when one is
-// available.
-func (p *ObjectPool) New(size int64, weak bool) *Object {
-	if n := len(p.free); n > 0 {
-		o := p.free[n-1]
-		p.free = p.free[:n-1]
-		*o = Object{Size: size, Weak: weak}
-		return o
-	}
-	if len(p.block) == 0 {
-		p.block = make([]Object, poolBlock)
-	}
-	o := &p.block[0]
-	p.block = p.block[1:]
-	o.Size = size
-	o.Weak = weak
-	return o
+// Release empties the slab and the free list in O(1), whatever the
+// number of objects — every Ref the pool handed out becomes invalid —
+// and hands the pool back to the process-wide store with the lists
+// given to PutList. Its owner must not use it again.
+//
+// The lists the heap never took are dropped, and the rest are ordered
+// by capacity so that List hands out the longest first: the next heap
+// takes its long lists (spaces, scratch lists, workload windows) at
+// birth and its short ones (chunks) later, so each role gets the
+// capacity it had in the previous life, whatever order the dead heap
+// gave them back in, and a run of lives settles.
+func (p *ObjectPool) Release() {
+	p.slab = p.slab[:0]
+	p.free = p.free[:0]
+	p.lists = slices.Delete(p.lists, 0, p.stale)
+	slices.SortFunc(p.lists, func(a, b []Ref) int { return cmp.Compare(cap(a), cap(b)) })
+	p.stale = len(p.lists)
+	pools.Put(p)
 }
 
-// Free returns o, which its heap has just dropped from its last list,
-// for reuse by New. Weak objects are kept out of the free list.
-func (p *ObjectPool) Free(o *Object) {
-	if o.Weak {
+// New returns the Ref of a zeroed Object with Size and Weak set,
+// reusing a freed slot when one is available.
+func (p *ObjectPool) New(size int64, weak bool) Ref {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.slab[r] = Object{Size: size, Weak: weak}
+		return r
+	}
+	p.slab = append(p.slab, Object{Size: size, Weak: weak})
+	return Ref(len(p.slab) - 1)
+}
+
+// At returns the Object r names. The pointer is valid only until the
+// pool's next New.
+//
+//lint:allocfree
+func (p *ObjectPool) At(r Ref) *Object { return &p.slab[r] }
+
+// Free returns r, which its heap has just dropped from its last list,
+// for reuse by New. Weak slots are kept out of the free list.
+func (p *ObjectPool) Free(r Ref) {
+	if p.slab[r].Weak {
 		return
 	}
-	p.free = append(p.free, o)
+	p.free = append(p.free, r)
 }
 
-// FreeAll frees every object of objs, for a heap emptying a list at
-// Release.
-func (p *ObjectPool) FreeAll(objs []*Object) {
-	for _, o := range objs {
-		p.Free(o)
+// LiveBytes sums the sizes of the objects of refs that survive a
+// non-aggressive collection.
+//
+//lint:allocfree
+func (p *ObjectPool) LiveBytes(refs []Ref) int64 {
+	var n int64
+	for _, r := range refs {
+		if o := &p.slab[r]; !o.Dead {
+			n += o.Size
+		}
+	}
+	return n
+}
+
+// DeadBytes sums the sizes of the objects of refs a non-aggressive
+// collection would reclaim.
+//
+//lint:allocfree
+func (p *ObjectPool) DeadBytes(refs []Ref) int64 {
+	var n int64
+	for _, r := range refs {
+		if o := &p.slab[r]; o.Dead {
+			n += o.Size
+		}
+	}
+	return n
+}
+
+// List returns an empty Ref list, the longest a released heap or
+// workload state left in the pool when there is one.
+func (p *ObjectPool) List() []Ref {
+	n := len(p.lists)
+	if n == 0 {
+		return nil
+	}
+	l := p.lists[n-1]
+	p.lists[n-1] = nil
+	p.lists = p.lists[:n-1]
+	p.stale = min(p.stale, n-1)
+	return l
+}
+
+// PutList keeps l's storage for a later List, typically by the next
+// heap to draw the pool. The caller must not use l afterwards.
+func (p *ObjectPool) PutList(l []Ref) {
+	if cap(l) > 0 {
+		p.lists = append(p.lists, l[:0])
 	}
 }
+
+// Len returns the number of slab slots in use, freed ones included,
+// for tests that check a reborn heap starts empty.
+func (p *ObjectPool) Len() int { return len(p.slab) }
 
 // Freed returns the free list, for tests that check the ownership
 // rule. The slice is the pool's own.
-func (p *ObjectPool) Freed() []*Object { return p.free }
+func (p *ObjectPool) Freed() []Ref { return p.free }

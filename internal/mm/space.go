@@ -16,11 +16,12 @@ import (
 // garbage — visible to the accounting layer.
 type BumpSpace struct {
 	Name     string
+	pool     *ObjectPool
 	region   *osmem.Region
 	base     int64 // byte offset of the space within the region
 	capacity int64
 	top      int64
-	objects  []*Object
+	objects  []Ref
 
 	// Touch-skip watermark: while epoch matches the region's clear
 	// epoch, space-relative bytes [lo, hi) are known resident and
@@ -34,11 +35,19 @@ type BumpSpace struct {
 	epoch  uint64
 }
 
-// NewBumpSpace creates a space over region bytes [base, base+capacity).
-func NewBumpSpace(name string, region *osmem.Region, base, capacity int64) *BumpSpace {
-	s := &BumpSpace{Name: name, region: region}
+// NewBumpSpace creates a space over region bytes [base, base+capacity)
+// for objects of pool, taking its object list from the pool.
+func NewBumpSpace(name string, pool *ObjectPool, region *osmem.Region, base, capacity int64) *BumpSpace {
+	s := &BumpSpace{Name: name, pool: pool, region: region, objects: pool.List()}
 	s.Recarve(base, capacity)
 	return s
+}
+
+// GiveBack hands the space's object list to its pool for the next
+// heap; the space's heap is being released and must not use it again.
+func (s *BumpSpace) GiveBack() {
+	s.pool.PutList(s.objects)
+	s.objects = nil
 }
 
 // Region returns the OS region backing the space.
@@ -59,14 +68,15 @@ func (s *BumpSpace) Free() int64 { return s.capacity - s.top }
 // Objects returns the objects currently resident in the space. The
 // returned slice is the space's own; callers must not retain it across
 // mutations.
-func (s *BumpSpace) Objects() []*Object { return s.objects }
+func (s *BumpSpace) Objects() []Ref { return s.objects }
 
 // LiveBytes returns the bytes held by non-dead objects in the space.
-func (s *BumpSpace) LiveBytes() int64 { return LiveBytes(s.objects) }
+func (s *BumpSpace) LiveBytes() int64 { return s.pool.LiveBytes(s.objects) }
 
-// TryAllocate bump-allocates o into the space, touching the underlying
-// pages. Returns false (leaving the space unchanged) if o does not fit.
-func (s *BumpSpace) TryAllocate(o *Object) bool {
+// TryAllocate bump-allocates r into the space, touching the underlying
+// pages. Returns false (leaving the space unchanged) if r does not fit.
+func (s *BumpSpace) TryAllocate(r Ref) bool {
+	o := s.pool.At(r)
 	if o.Size > s.capacity-s.top {
 		return false
 	}
@@ -81,7 +91,7 @@ func (s *BumpSpace) TryAllocate(o *Object) bool {
 		s.noteTouched(s.top, end)
 	}
 	s.top = end
-	s.objects = append(s.objects, o)
+	s.objects = append(s.objects, r)
 	return true
 }
 
@@ -142,18 +152,18 @@ func (s *BumpSpace) Recarve(base, capacity int64) {
 // space's contents, recomputing offsets as a compacted prefix and
 // touching the destination pages — one bulk touch over the compacted
 // span rather than one per object. Returns false if they do not fit.
-func (s *BumpSpace) Relocate(objs []*Object) bool {
+func (s *BumpSpace) Relocate(objs []Ref) bool {
 	var need int64
-	for _, o := range objs {
-		need += o.Size
+	for _, r := range objs {
+		need += s.pool.At(r).Size
 	}
 	if need > s.capacity {
 		return false
 	}
 	s.Reset()
 	b := s.BeginCopy()
-	for _, o := range objs {
-		if !b.TryAllocate(o) {
+	for _, r := range objs {
+		if !b.TryAllocate(r) {
 			panic("mm: Relocate overflow after size check")
 		}
 	}
@@ -180,16 +190,17 @@ type CopyBatch struct {
 // bump pointer.
 func (s *BumpSpace) BeginCopy() CopyBatch { return CopyBatch{s: s, start: s.top} }
 
-// TryAllocate bump-allocates o without touching pages. Returns false
-// (leaving the space unchanged) if o does not fit.
-func (b *CopyBatch) TryAllocate(o *Object) bool {
+// TryAllocate bump-allocates r without touching pages. Returns false
+// (leaving the space unchanged) if r does not fit.
+func (b *CopyBatch) TryAllocate(r Ref) bool {
 	s := b.s
+	o := s.pool.At(r)
 	if o.Size > s.capacity-s.top {
 		return false
 	}
 	o.Offset = s.base + s.top
 	s.top += o.Size
-	s.objects = append(s.objects, o)
+	s.objects = append(s.objects, r)
 	return true
 }
 

@@ -193,4 +193,8 @@ const (
 	DropOOMFailure = 0
 	// DropRequeueExhausted: injected OOM kills exhausted the requeue bound.
 	DropRequeueExhausted = 1
+	// DropBootFailure: the instance the request booted could not be
+	// created (its runtime cannot fit the budget). Bytes carries the
+	// failed boot's duration in µs, which ended at the drop.
+	DropBootFailure = 2
 )

@@ -89,6 +89,9 @@ const (
 	DroppedOOM
 	// DroppedRequeue: injected OOM kills exhausted the requeue budget.
 	DroppedRequeue
+	// DroppedBoot: the instance the request booted could not be
+	// created.
+	DroppedBoot
 )
 
 func (o Outcome) String() string {
@@ -99,6 +102,8 @@ func (o Outcome) String() string {
 		return "dropped_oom"
 	case DroppedRequeue:
 		return "dropped_requeue"
+	case DroppedBoot:
+		return "dropped_boot"
 	}
 	return "unknown"
 }
@@ -286,11 +291,25 @@ func (b *Builder) HandleEvent(ev obs.Event) {
 		b.close(ev, Completed)
 
 	case obs.EvInvokeDrop:
-		outcome := DroppedOOM
-		if ev.Aux == obs.DropRequeueExhausted {
-			outcome = DroppedRequeue
+		switch ev.Aux {
+		case obs.DropRequeueExhausted:
+			b.close(ev, DroppedRequeue)
+		case obs.DropBootFailure:
+			// The failed boot ran up to the drop: charge it to
+			// boot.cold, whichever path it took, not to queue.
+			if st := b.open[ev.Invo]; st != nil {
+				st.settleExec()
+				boot := sim.Duration(ev.Bytes) //lint:allow unitcheck
+				start := ev.Time - sim.Time(boot)
+				st.addSegment(PhaseQueue, st.cursor, start.Sub(st.cursor), -1)
+				st.addSegment(PhaseBootCold, start, boot, -1)
+				st.cursor = ev.Time
+				st.span.Boots++
+			}
+			b.close(ev, DroppedBoot)
+		default:
+			b.close(ev, DroppedOOM)
 		}
-		b.close(ev, outcome)
 	}
 }
 

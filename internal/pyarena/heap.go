@@ -53,7 +53,7 @@ type Heap struct {
 type arena struct {
 	index   int
 	mapped  bool
-	objects []*mm.Object // sorted by ascending arena-relative offset
+	objects []mm.Ref // sorted by ascending arena-relative offset
 }
 
 var _ runtime.Runtime = (*Heap)(nil)
@@ -73,7 +73,8 @@ func New(cfg runtime.Config) (*Heap, error) {
 func (h *Heap) Release() {
 	h.AssertLive()
 	for _, a := range h.arenas {
-		h.Pool.FreeAll(a.objects)
+		h.Pool.PutList(a.objects)
+		a.objects = nil
 	}
 	h.ReleasePool()
 }
@@ -95,7 +96,7 @@ func (h *Heap) LiveBytes() int64 {
 	h.AssertLive()
 	var n int64
 	for _, a := range h.arenas {
-		n += mm.LiveBytes(a.objects)
+		n += h.Pool.LiveBytes(a.objects)
 	}
 	return n
 }
@@ -111,13 +112,14 @@ func (h *Heap) MappedArenas() int {
 	return n
 }
 
-// appendHoleRuns appends the arena's free intervals, region-relative,
-// to runs (adjacent arenas' holes merge at the page-aligned arena
+// appendHoleRuns appends the free intervals of a, region-relative, to
+// runs (adjacent arenas' holes merge at the page-aligned arena
 // boundaries).
-func (a *arena) appendHoleRuns(runs []osmem.Run) []osmem.Run {
+func (h *Heap) appendHoleRuns(a *arena, runs []osmem.Run) []osmem.Run {
 	base := int64(a.index) * ArenaSize
 	cursor := int64(0)
-	for _, o := range a.objects {
+	for _, r := range a.objects {
+		o := h.Pool.At(r)
 		if o.Offset > cursor {
 			runs = osmem.AppendRun(runs, base+cursor, o.Offset-cursor)
 		}
@@ -130,13 +132,13 @@ func (a *arena) appendHoleRuns(runs []osmem.Run) []osmem.Run {
 }
 
 // Allocate implements runtime.Runtime.
-func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
+func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	if size <= 0 {
 		panic("pyarena: non-positive allocation")
 	}
 	h.AssertLive()
 	if size > ArenaSize {
-		return nil, fmt.Errorf("pyarena: %d exceeds the arena size: %w", size, runtime.ErrOutOfMemory)
+		return mm.NoRef, fmt.Errorf("pyarena: %d exceeds the arena size: %w", size, runtime.ErrOutOfMemory)
 	}
 	h.sinceGC++
 	if h.sinceGC >= gcThreshold {
@@ -159,11 +161,11 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 			}
 		}
 		if a = h.grow(); a == nil {
-			return nil, runtime.ErrOutOfMemory
+			return h.Fail(o, runtime.ErrOutOfMemory)
 		}
 	}
 	if !h.place(a, o) {
-		return nil, runtime.ErrOutOfMemory
+		return h.Fail(o, runtime.ErrOutOfMemory)
 	}
 	return o, nil
 }
@@ -172,10 +174,12 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 // The hole walk runs over the sorted object list in place — the same
 // first-fit order the old holes() slice yielded, without building it —
 // and the insertion shifts the tail instead of re-sorting.
-func (h *Heap) place(a *arena, o *mm.Object) bool {
+func (h *Heap) place(a *arena, r mm.Ref) bool {
+	o := h.Pool.At(r)
 	cursor := int64(0)
 	idx := -1
-	for i, q := range a.objects {
+	for i, qr := range a.objects {
+		q := h.Pool.At(qr)
 		if q.Offset-cursor >= o.Size {
 			idx = i
 			break
@@ -190,9 +194,9 @@ func (h *Heap) place(a *arena, o *mm.Object) bool {
 	}
 	o.Offset = cursor
 	h.Region.TouchBytes(int64(a.index)*ArenaSize+o.Offset, o.Size, true)
-	a.objects = append(a.objects, nil)
+	a.objects = append(a.objects, 0)
 	copy(a.objects[idx+1:], a.objects[idx:])
-	a.objects[idx] = o
+	a.objects[idx] = r
 	return true
 }
 
@@ -208,7 +212,7 @@ func (h *Heap) grow() *arena {
 	if int64(idx+1)*ArenaSize > h.Region.Bytes() {
 		return nil
 	}
-	a := &arena{index: idx, mapped: true}
+	a := &arena{index: idx, mapped: true, objects: h.Pool.List()}
 	h.arenas = append(h.arenas, a)
 	return a
 }
@@ -226,15 +230,16 @@ func (h *Heap) CollectFull(aggressive bool) {
 			continue
 		}
 		live := a.objects[:0]
-		for _, o := range a.objects {
+		for _, r := range a.objects {
+			o := h.Pool.At(r)
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
-				h.Pool.Free(o)
+				h.Pool.Free(r)
 				continue
 			}
 			traced += o.Size
-			live = append(live, o)
+			live = append(live, r)
 		}
 		a.objects = live
 		if len(a.objects) == 0 {
@@ -261,7 +266,7 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 		if !a.mapped {
 			continue
 		}
-		runs = a.appendHoleRuns(runs)
+		runs = h.appendHoleRuns(a, runs)
 	}
 	h.Region.ReleaseRuns(runs)
 	h.scratch = runs[:0]

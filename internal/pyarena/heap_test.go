@@ -24,7 +24,7 @@ func newHeap(t *testing.T, budget int64) *Heap {
 	return h
 }
 
-func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
+func mustAlloc(t *testing.T, h *Heap, size int64) mm.Ref {
 	t.Helper()
 	o, err := h.Allocate(size, runtime.AllocOptions{})
 	if err != nil {
@@ -54,19 +54,19 @@ func TestAllocateReusesFreedBlocks(t *testing.T) {
 	if h.MappedArenas() != 1 {
 		t.Fatalf("arenas: %d", h.MappedArenas())
 	}
-	a.Dead = true
+	h.Pool.At(a).Dead = true
 	h.CollectFull(false)
 	// The freed block's slot is reused by the next allocation.
 	c := mustAlloc(t, h, 8*kb)
-	if c.Offset != 0 {
-		t.Fatalf("free slot not reused: offset %d", c.Offset)
+	if h.Pool.At(c).Offset != 0 {
+		t.Fatalf("free slot not reused: offset %d", h.Pool.At(c).Offset)
 	}
 	_ = b
 }
 
 func TestArenaReleasedOnlyWhenEmpty(t *testing.T) {
 	h := newHeap(t, 64*mb)
-	var objs []*mm.Object
+	var objs []mm.Ref
 	// Fill ~3 arenas.
 	for i := 0; i < 45; i++ {
 		objs = append(objs, mustAlloc(t, h, 16*kb))
@@ -77,7 +77,7 @@ func TestArenaReleasedOnlyWhenEmpty(t *testing.T) {
 	// Kill everything except one object per arena boundary.
 	for i, o := range objs {
 		if i%16 != 0 {
-			o.Dead = true
+			h.Pool.At(o).Dead = true
 		}
 	}
 	h.CollectFull(false)
@@ -86,7 +86,7 @@ func TestArenaReleasedOnlyWhenEmpty(t *testing.T) {
 	}
 	// Now kill the pins: whole arenas go back to the OS.
 	for _, o := range objs {
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	h.CollectFull(false)
 	if h.MappedArenas() != 0 {
@@ -101,7 +101,7 @@ func TestGCThresholdTriggersCollection(t *testing.T) {
 	h := newHeap(t, 64*mb)
 	for i := 0; i < gcThreshold+10; i++ {
 		o := mustAlloc(t, h, 4*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if h.Stats().FullGCs == 0 {
 		t.Fatal("threshold GC never fired")
@@ -110,14 +110,14 @@ func TestGCThresholdTriggersCollection(t *testing.T) {
 
 func TestReclaimReleasesFragmentedFreePages(t *testing.T) {
 	h := newHeap(t, 64*mb)
-	var objs []*mm.Object
+	var objs []mm.Ref
 	for i := 0; i < 60; i++ {
 		objs = append(objs, mustAlloc(t, h, 12*kb))
 	}
 	// Kill 5 of every 6, leaving every arena pinned.
 	for i, o := range objs {
 		if i%6 != 0 {
-			o.Dead = true
+			h.Pool.At(o).Dead = true
 		}
 	}
 	h.CollectFull(false)
@@ -147,7 +147,7 @@ func TestWeakObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.CollectFull(false)
-	if h.LiveBytes() != w.Size {
+	if h.LiveBytes() != h.Pool.At(w).Size {
 		t.Fatal("weak object cleared by normal GC")
 	}
 	h.CollectFull(true)
@@ -226,12 +226,12 @@ func TestArenaInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var live []*mm.Object
+		var live []mm.Ref
 		var want int64
 		for _, op := range ops {
 			if op%3 == 2 && len(live) > 0 {
-				live[0].Dead = true
-				want -= live[0].Size
+				h.Pool.At(live[0]).Dead = true
+				want -= h.Pool.At(live[0]).Size
 				live = live[1:]
 				continue
 			}
@@ -249,10 +249,10 @@ func TestArenaInvariants(t *testing.T) {
 		for _, a := range h.arenas {
 			var cursor int64 = -1
 			for _, o := range a.objects {
-				if o.Offset < cursor {
+				if h.Pool.At(o).Offset < cursor {
 					return false // overlap
 				}
-				cursor = o.Offset + o.Size
+				cursor = h.Pool.At(o).Offset + h.Pool.At(o).Size
 				if cursor > ArenaSize {
 					return false
 				}
@@ -270,7 +270,7 @@ func TestArenaInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, ArenaSize, 4*mb, func() runtimetest.Heap {
 		h := newHeap(t, 16*mb)
-		return runtimetest.Heap{Model: h, Language: "python", Pool: h.Pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: "python", Listed: func(f func(mm.Ref)) {
 			for _, a := range h.arenas {
 				for _, o := range a.objects {
 					f(o)

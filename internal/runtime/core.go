@@ -13,11 +13,11 @@ const releaseCostPerMB = sim.Microsecond
 // HeapCore is the bookkeeping every heap model shares: the object
 // pool, the reserved heap region, the collection counters, the GC cost
 // not yet drained and the observer. A model embeds it, which supplies
-// Stats, DrainGCCost, HeapRange, ResidentBytes and a zero
+// Objects, Stats, DrainGCCost, HeapRange, ResidentBytes and a zero
 // ConsumeDeoptPenalty, and keeps only its own spaces and policies.
 type HeapCore struct {
-	// Pool hands out and recycles the heap's objects. It is nil once
-	// the heap is released.
+	// Pool owns the heap's objects; every list of the heap holds Refs
+	// into it. It is nil once the heap is released.
 	Pool *mm.ObjectPool
 	// Region is the heap's reserved virtual range.
 	Region *osmem.Region
@@ -48,12 +48,25 @@ func (c *HeapCore) AssertLive() {
 	}
 }
 
-// ReleasePool hands the pool back to the process-wide store; the
-// model has freed every object on its lists first. Any later use of
-// the heap panics.
+// ReleasePool resets the pool and hands it back to the process-wide
+// store; the model has given its lists to the pool first. Any later
+// use of the heap panics.
 func (c *HeapCore) ReleasePool() {
 	c.Pool.Release()
 	c.Pool = nil
+}
+
+// Objects implements Runtime.
+func (c *HeapCore) Objects() *mm.ObjectPool {
+	c.AssertLive()
+	return c.Pool
+}
+
+// Fail drops r, an object Allocate could not place on any list, and
+// returns Allocate's failure result for err.
+func (c *HeapCore) Fail(r mm.Ref, err error) (mm.Ref, error) {
+	c.Pool.Free(r)
+	return mm.NoRef, err
 }
 
 // HeapRange implements Runtime.

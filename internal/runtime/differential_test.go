@@ -43,7 +43,7 @@ func newRuntimes(budget int64) map[string]runtime.Runtime {
 func TestDifferentialLiveBytes(t *testing.T) {
 	f := func(ops []uint16) bool {
 		runtimes := newRuntimes(128 << 20)
-		live := map[string][]*mm.Object{}
+		live := map[string][]mm.Ref{}
 		want := map[string]int64{}
 		for _, op := range ops {
 			// Sizes stay below pyarena's 256KB arena so every runtime
@@ -53,8 +53,9 @@ func TestDifferentialLiveBytes(t *testing.T) {
 			for name, rt := range runtimes {
 				if kill {
 					if objs := live[name]; len(objs) > 0 {
-						objs[0].Dead = true
-						want[name] -= objs[0].Size
+						o := rt.Objects().At(objs[0])
+						o.Dead = true
+						want[name] -= o.Size
 						live[name] = objs[1:]
 					}
 					continue
@@ -116,7 +117,7 @@ func TestDifferentialReclaimBeatsCollect(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i%40 != 0 {
-					o.Dead = true
+					rt.Objects().At(o).Dead = true
 				}
 			}
 			rt.CollectFull(false)
@@ -177,7 +178,7 @@ func TestObserverSeesEveryRuntime(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.Dead = i%40 != 0
+				rt.Objects().At(o).Dead = i%40 != 0
 			}
 			if rec.pauses == 0 {
 				t.Fatal("churn ran no observed collection")

@@ -2,10 +2,11 @@
 // managed language runtimes running inside them. All four heap
 // simulators (internal/hotspot and internal/v8heap, which the paper
 // evaluates, plus the §7 ports internal/g1gc and internal/pyarena)
-// implement Runtime, a 9-method interface: allocation, a forced full
-// collection, live and committed sizes, the heap's range, the GC cost
-// and deoptimization penalty the executor charges, teardown, and the
-// Reclaim method Desiccant adds. Desiccant talks to instances
+// implement Runtime, a 10-method interface: allocation, the object
+// pool the allocated Refs index, a forced full collection, live and
+// committed sizes, the heap's range, the GC cost and deoptimization
+// penalty the executor charges, teardown, and the Reclaim method
+// Desiccant adds. Desiccant talks to instances
 // exclusively through Reclaim, so supporting a new language means
 // implementing this interface — the paper's §7 portability argument,
 // demonstrated by examples/custom-runtime.
@@ -70,9 +71,14 @@ var ErrOutOfMemory = fmt.Errorf("runtime: out of memory")
 // FaaS instance.
 type Runtime interface {
 	// Allocate creates an object of the given size, triggering
-	// collections and heap growth as the runtime's policies dictate.
-	// It returns ErrOutOfMemory when the heap limit is exhausted.
-	Allocate(size int64, opts AllocOptions) (*mm.Object, error)
+	// collections and heap growth as the runtime's policies dictate,
+	// and returns its Ref in Objects. It returns ErrOutOfMemory when
+	// the heap limit is exhausted.
+	Allocate(size int64, opts AllocOptions) (mm.Ref, error)
+	// Objects returns the pool the heap's Refs index. A workload kills
+	// an object through it (Objects().At(r).Dead = true) and hands its
+	// emptied Ref lists to it before Release.
+	Objects() *mm.ObjectPool
 
 	// CollectFull forces a full collection followed by the runtime's
 	// own resize policy — the System.gc()/global.gc() path used by the
@@ -101,10 +107,11 @@ type Runtime interface {
 	// caused by aggressive collections (0 when none), decaying it.
 	ConsumeDeoptPenalty() float64
 
-	// Release tears the heap down when its instance dies: every object
-	// still on the heap's lists goes back to its mm.ObjectPool, and the
-	// pool to the process-wide store the next heap draws from. Any
-	// later use of the runtime panics.
+	// Release tears the heap down when its instance dies: the heap's
+	// emptied Ref lists go to its mm.ObjectPool, which resets and goes
+	// back to the process-wide store the next heap draws from. Every
+	// Ref the heap handed out becomes invalid, and any later use of
+	// the runtime panics.
 	Release()
 }
 

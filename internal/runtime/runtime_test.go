@@ -11,15 +11,16 @@ import (
 // stubRuntime is the minimal Runtime used to exercise the registry.
 type stubRuntime struct{ cfg Config }
 
-func (s *stubRuntime) Allocate(int64, AllocOptions) (*mm.Object, error) { return nil, ErrOutOfMemory }
-func (s *stubRuntime) CollectFull(bool)                                 {}
-func (s *stubRuntime) Reclaim(bool) ReclaimReport                       { return ReclaimReport{} }
-func (s *stubRuntime) LiveBytes() int64                                 { return 0 }
-func (s *stubRuntime) HeapCommitted() int64                             { return 0 }
-func (s *stubRuntime) HeapRange() (int64, int64)                        { return 0, 0 }
-func (s *stubRuntime) DrainGCCost() sim.Duration                        { return 0 }
-func (s *stubRuntime) ConsumeDeoptPenalty() float64                     { return 0 }
-func (s *stubRuntime) Release()                                         {}
+func (s *stubRuntime) Allocate(int64, AllocOptions) (mm.Ref, error) { return mm.NoRef, ErrOutOfMemory }
+func (s *stubRuntime) Objects() *mm.ObjectPool                      { return nil }
+func (s *stubRuntime) CollectFull(bool)                             {}
+func (s *stubRuntime) Reclaim(bool) ReclaimReport                   { return ReclaimReport{} }
+func (s *stubRuntime) LiveBytes() int64                             { return 0 }
+func (s *stubRuntime) HeapCommitted() int64                         { return 0 }
+func (s *stubRuntime) HeapRange() (int64, int64)                    { return 0, 0 }
+func (s *stubRuntime) DrainGCCost() sim.Duration                    { return 0 }
+func (s *stubRuntime) ConsumeDeoptPenalty() float64                 { return 0 }
+func (s *stubRuntime) Release()                                     {}
 
 func TestRegisterAndNew(t *testing.T) {
 	Register("stub-test", func(cfg Config) (*stubRuntime, error) { return &stubRuntime{cfg: cfg}, nil })

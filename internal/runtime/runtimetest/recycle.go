@@ -25,11 +25,9 @@ type Heap struct {
 	Model
 	// Language is the language the heap's runtime executes.
 	Language runtime.Language
-	// Pool is the heap's object pool.
-	Pool *mm.ObjectPool
-	// Listed calls f for every object in the heap's own lists: its
+	// Listed calls f for every Ref in the heap's own lists: its
 	// spaces, chunks, regions or arenas.
-	Listed func(f func(*mm.Object))
+	Listed func(f func(mm.Ref))
 }
 
 // CheckRecycling runs lives heap lifetimes of ops operations each,
@@ -42,22 +40,23 @@ const (
 
 // CheckRecycling drives heaps from newHeap through seeded random
 // lives. Each life is born (newHeap, whose pool is usually one an
-// earlier life released), runs, is released, and must then panic on
-// every use. The lives run on parallel subtests, so released pools
-// change goroutines the way they do between the experiments' worker
-// pool cells. A life's operations are allocations (weak or not, up to
-// maxSize bytes), kills, body executions of a small two-stage function
-// through a workload.State, full collections and reclaims, aggressive
-// or not. Before each allocation the driver kills its oldest objects
+// earlier life released) and must start with an empty slab, runs,
+// hands its workload state's lists back, is released, and must then
+// panic on every use. The lives run on parallel subtests, so released
+// pools change goroutines the way they do between the experiments'
+// worker pool cells. A life's operations are allocations (weak or not,
+// up to maxSize bytes), kills, body executions of a small two-stage
+// function through a workload.State, full collections and reclaims,
+// aggressive or not. Before each allocation the driver kills its oldest objects
 // until it holds at most liveCap bytes; an allocation or a body may
 // still fail with runtime.ErrOutOfMemory, which a heap near its limit
 // reports.
 //
 // After every operation it checks the mm.ObjectPool ownership rule: no
-// freed object is still in one of the heap's lists, in the driver's
-// live set or reachable from the live workload.State, none is freed
-// twice, and no weak object is freed. It also checks that LiveBytes
-// equals the driver's own sum plus the state's.
+// freed Ref is still in one of the heap's lists, in the driver's live
+// set or reachable from the live workload.State, none is freed twice,
+// and no weak Ref is freed. It also checks that LiveBytes equals the
+// driver's own sum plus the state's.
 func CheckRecycling(t *testing.T, maxSize, liveCap int64, newHeap func() Heap) {
 	t.Helper()
 	for w := 0; w < workers; w++ {
@@ -74,8 +73,12 @@ func CheckRecycling(t *testing.T, maxSize, liveCap int64, newHeap func() Heap) {
 func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 	t.Helper()
 	rng := sim.NewRNG(uint64(life) + 1)
-	st := workload.NewState(bodySpec(h.Language), 0)
-	var live []*mm.Object
+	objs := h.Objects()
+	if objs.Len() != 0 || len(objs.Freed()) != 0 {
+		t.Fatalf("life %d: born with %d slab slots, %d freed", life, objs.Len(), len(objs.Freed()))
+	}
+	st := workload.NewState(bodySpec(h.Language), 0, objs)
+	var live []mm.Ref
 	var want int64
 	for op := 0; op < ops; op++ {
 		var what string
@@ -83,8 +86,9 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 		case r < 55 || len(live) == 0:
 			what = "allocate"
 			for want > liveCap {
-				live[0].Dead = true
-				want -= live[0].Size
+				o := objs.At(live[0])
+				o.Dead = true
+				want -= o.Size
 				live = live[1:]
 			}
 			size := 1 + rng.Int63n(64<<10)
@@ -103,8 +107,9 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 		case r < 78:
 			what = "kill"
 			i := rng.Intn(len(live))
-			live[i].Dead = true
-			want -= live[i].Size
+			o := objs.At(live[i])
+			o.Dead = true
+			want -= o.Size
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		case r < 85:
@@ -129,18 +134,19 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 		// An aggressive collection kills weak objects. The driver
 		// still reads them: weak objects are never recycled.
 		kept := live[:0]
-		for _, o := range live {
-			if o.Dead {
+		for _, r := range live {
+			if o := objs.At(r); o.Dead {
 				want -= o.Size
 				continue
 			}
-			kept = append(kept, o)
+			kept = append(kept, r)
 		}
 		live = kept
 		if msg := recycleViolation(h, live, st, want); msg != "" {
 			t.Fatalf("life %d op %d (%s): %s", life, op, what, msg)
 		}
 	}
+	st.Release()
 	h.Release()
 	if msg := releasedViolation(h.Model); msg != "" {
 		t.Fatalf("life %d: released heap: %s", life, msg)
@@ -162,37 +168,41 @@ func bodySpec(lang runtime.Language) *workload.Spec {
 
 // recycleViolation returns a description of the first broken
 // recycling rule, or "".
-func recycleViolation(h Heap, live []*mm.Object, st *workload.State, want int64) string {
-	freed := make(map[*mm.Object]bool, len(h.Pool.Freed()))
-	for _, o := range h.Pool.Freed() {
-		if o.Weak {
-			return fmt.Sprintf("weak object %v on the free list", o)
+func recycleViolation(h Heap, live []mm.Ref, st *workload.State, want int64) string {
+	objs := h.Objects()
+	freed := make(map[mm.Ref]bool, len(objs.Freed()))
+	for _, r := range objs.Freed() {
+		if r < 0 || int(r) >= objs.Len() {
+			return fmt.Sprintf("Ref %d on the free list is outside the %d-slot slab", r, objs.Len())
 		}
-		if freed[o] {
-			return fmt.Sprintf("%v on the free list twice", o)
+		if o := objs.At(r); o.Weak {
+			return fmt.Sprintf("weak Ref %d %v on the free list", r, o)
 		}
-		freed[o] = true
+		if freed[r] {
+			return fmt.Sprintf("Ref %d on the free list twice", r)
+		}
+		freed[r] = true
 	}
 	msg := ""
-	h.Listed(func(o *mm.Object) {
-		if msg == "" && freed[o] {
-			msg = fmt.Sprintf("freed %v still in a heap list", o)
+	h.Listed(func(r mm.Ref) {
+		if msg == "" && freed[r] {
+			msg = fmt.Sprintf("freed Ref %d still in a heap list", r)
 		}
 	})
-	st.Objects(func(o *mm.Object) {
-		if msg == "" && freed[o] {
-			msg = fmt.Sprintf("freed %v still reachable from the workload state", o)
+	st.Objects(func(r mm.Ref) {
+		if msg == "" && freed[r] {
+			msg = fmt.Sprintf("freed Ref %d still reachable from the workload state", r)
 		}
-		if !o.Dead {
+		if o := objs.At(r); !o.Dead {
 			want += o.Size
 		}
 	})
 	if msg != "" {
 		return msg
 	}
-	for _, o := range live {
-		if freed[o] {
-			return fmt.Sprintf("freed %v still in the live set", o)
+	for _, r := range live {
+		if freed[r] {
+			return fmt.Sprintf("freed Ref %d still in the live set", r)
 		}
 	}
 	if got := h.LiveBytes(); got != want {
@@ -209,6 +219,7 @@ func releasedViolation(rt Model) string {
 		use  func()
 	}{
 		{"Allocate", func() { _, _ = rt.Allocate(1, runtime.AllocOptions{}) }},
+		{"Objects", func() { rt.Objects() }},
 		{"CollectFull", func() { rt.CollectFull(false) }},
 		{"Reclaim", func() { rt.Reclaim(false) }},
 		{"LiveBytes", func() { rt.LiveBytes() }},

@@ -29,6 +29,7 @@ const ChunkUsable = ChunkSize - ChunkHeaderSize
 // arena hands out chunks from one reserved OS region, recycling freed
 // chunk slots and chunk structs.
 type arena struct {
+	pool   *mm.ObjectPool
 	region *osmem.Region
 	total  int // total chunk slots in the region
 	next   int // next never-used slot
@@ -43,8 +44,8 @@ type arena struct {
 	scratch []osmem.Run
 }
 
-func newArena(region *osmem.Region) *arena {
-	return &arena{region: region, total: int(region.Bytes() / ChunkSize)}
+func newArena(pool *mm.ObjectPool, region *osmem.Region) *arena {
+	return &arena{pool: pool, region: region, total: int(region.Bytes() / ChunkSize)}
 }
 
 // chunkObjects caps the object list alloc gives a new chunk struct.
@@ -53,8 +54,9 @@ const chunkObjects = 32
 // alloc returns a fresh chunk, touching its header page, or nil when
 // the reservation is exhausted. objSize, when positive, is the size of
 // the object the chunk is about to take: a chunk struct without an
-// object list gets one with room for twice as many objects of that
-// size as the chunk holds, up to chunkObjects. No chunk in the
+// object list takes one from the pool with room for twice as many
+// objects of that size as the chunk holds, up to chunkObjects, or
+// makes one when the pool's is shorter. No chunk in the
 // experiments holds more than 20 objects, and few hold more than twice
 // as many as their first object's size fits, so lists rarely grow by
 // append: that would allocate whenever a chunk held a record number of
@@ -82,7 +84,10 @@ func (a *arena) alloc(owner string, objSize int64) *chunk {
 		c = &chunk{arena: a, slot: slot, owner: owner}
 	}
 	if cap(c.objects) == 0 && objSize > 0 {
-		c.objects = make([]*mm.Object, 0, min(2*ChunkUsable/objSize+1, chunkObjects))
+		want := min(2*ChunkUsable/objSize+1, chunkObjects)
+		if c.objects = a.pool.List(); int64(cap(c.objects)) < want {
+			c.objects = make([]mm.Ref, 0, want)
+		}
 	}
 	// The metadata page is written at chunk creation.
 	c.touch(0, ChunkHeaderSize)
@@ -114,7 +119,7 @@ type chunk struct {
 	dead  bool
 	// objects sorted by ascending Offset; offsets are chunk-relative
 	// and start at ChunkHeaderSize.
-	objects []*mm.Object
+	objects []mm.Ref
 
 	// Touch-skip watermark, as in mm.BumpSpace: while epoch matches
 	// the region's clear epoch, chunk-relative bytes [lo, hi) are known
@@ -158,9 +163,10 @@ func (c *chunk) base() int64 { return int64(c.slot) * ChunkSize }
 
 // usedBytes sums the object sizes in the chunk.
 func (c *chunk) usedBytes() int64 {
+	pool := c.arena.pool
 	var n int64
-	for _, o := range c.objects {
-		n += o.Size
+	for _, r := range c.objects {
+		n += pool.At(r).Size
 	}
 	return n
 }
@@ -170,10 +176,13 @@ func (c *chunk) usedBytes() int64 {
 // place — same first-fit order gaps() yields, without materializing a
 // slice per attempt — and the insertion shifts the tail instead of
 // re-sorting.
-func (c *chunk) place(o *mm.Object) bool {
+func (c *chunk) place(r mm.Ref) bool {
+	pool := c.arena.pool
+	o := pool.At(r)
 	cursor := int64(ChunkHeaderSize)
 	idx := -1
-	for i, q := range c.objects {
+	for i, qr := range c.objects {
+		q := pool.At(qr)
 		if q.Offset-cursor >= o.Size {
 			idx = i
 			break
@@ -188,29 +197,31 @@ func (c *chunk) place(o *mm.Object) bool {
 	}
 	o.Offset = cursor
 	c.touch(o.Offset, o.Size)
-	c.objects = append(c.objects, nil)
+	c.objects = append(c.objects, 0)
 	copy(c.objects[idx+1:], c.objects[idx:])
-	c.objects[idx] = o
+	c.objects[idx] = r
 	return true
 }
 
-// sweep removes collectible objects, returning them to pool, and
+// sweep removes collectible objects, freeing them in the pool, and
 // returns the bytes reclaimed. Object positions are preserved
 // (mark-sweep, no compaction), so the reclaimed space may be
 // fragmented.
-func (c *chunk) sweep(aggressive bool, pool *mm.ObjectPool) (collected int64, weakCollected int64) {
+func (c *chunk) sweep(aggressive bool) (collected int64, weakCollected int64) {
+	pool := c.arena.pool
 	live := c.objects[:0]
-	for _, o := range c.objects {
+	for _, r := range c.objects {
+		o := pool.At(r)
 		if o.Collectible(aggressive) {
 			if o.Weak && !o.Dead {
 				weakCollected += o.Size
 			}
 			o.Dead = true
 			collected += o.Size
-			pool.Free(o)
+			pool.Free(r)
 			continue
 		}
-		live = append(live, o)
+		live = append(live, r)
 	}
 	c.objects = live
 	return collected, weakCollected
@@ -223,9 +234,11 @@ func (c *chunk) sweep(aggressive bool, pool *mm.ObjectPool) (collected int64, we
 // is the residual gap between Desiccant and the ideal baseline on
 // JavaScript functions.
 func (c *chunk) appendFreeRuns(runs []osmem.Run) []osmem.Run {
+	pool := c.arena.pool
 	base := c.base()
 	cursor := int64(ChunkHeaderSize)
-	for _, o := range c.objects {
+	for _, r := range c.objects {
+		o := pool.At(r)
 		if o.Offset > cursor {
 			runs = osmem.AppendRun(runs, base+cursor, o.Offset-cursor)
 		}

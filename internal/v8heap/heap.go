@@ -64,9 +64,9 @@ type Heap struct {
 
 	// Reusable object lists of the collectors. A scavenge can run a
 	// full GC mid-loop, so the two keep separate lists.
-	scavengeScratch []*mm.Object
-	youngScratch    []*mm.Object
-	survScratch     []*mm.Object
+	scavengeScratch []mm.Ref
+	youngScratch    []mm.Ref
+	survScratch     []mm.Ref
 }
 
 var (
@@ -86,11 +86,14 @@ func New(cfg runtime.Config) (*Heap, error) {
 	}
 	reserve := oldLimit + 4*semiMax + 16<<20
 	h := &Heap{HeapCore: runtime.NewHeapCore("v8heap", "v8-heap", chunkAlign(reserve), cfg), semiMax: semiMax, semi: semiSpaceInitial}
-	h.arena = newArena(h.Region)
+	h.arena = newArena(h.Pool, h.Region)
 	h.spaces[0] = newSemispace("new-from", h.arena, h.semi)
 	h.spaces[1] = newSemispace("new-to", h.arena, h.semi)
 	h.old = newOldSpace(h.arena, oldLimit)
 	h.oldSoftLimit = min(initialOldSoftLimit, oldLimit)
+	h.scavengeScratch = h.Pool.List()
+	h.youngScratch = h.Pool.List()
+	h.survScratch = h.Pool.List()
 	return h, nil
 }
 
@@ -128,21 +131,27 @@ func (h *Heap) ConsumeDeoptPenalty() float64 {
 func (h *Heap) Release() {
 	h.AssertLive()
 	for _, s := range h.spaces {
-		for _, c := range s.chunks {
-			h.Pool.FreeAll(c.objects)
-		}
+		h.giveBack(s.chunks)
 	}
-	for _, c := range h.old.chunks {
-		h.Pool.FreeAll(c.objects)
-	}
-	for _, e := range h.old.large {
-		h.Pool.Free(e.obj)
-	}
+	h.giveBack(h.old.chunks)
+	h.giveBack(h.arena.spare)
+	h.Pool.PutList(h.scavengeScratch)
+	h.Pool.PutList(h.youngScratch)
+	h.Pool.PutList(h.survScratch)
 	h.ReleasePool()
 }
 
+// giveBack hands the object lists of chunks to the pool for the next
+// heap.
+func (h *Heap) giveBack(chunks []*chunk) {
+	for _, c := range chunks {
+		h.Pool.PutList(c.objects)
+		c.objects = nil
+	}
+}
+
 // Allocate implements runtime.Runtime.
-func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
+func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	if size <= 0 {
 		panic("v8heap: non-positive allocation")
 	}
@@ -151,21 +160,27 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	h.allocSinceGC += size
 
 	if size > LargeObjectThreshold {
-		h.majorGCIfPastLimit()
+		if err := h.majorGCIfPastLimit(); err != nil {
+			return h.Fail(o, err)
+		}
 		if h.old.tryAllocate(o) {
 			return o, nil
 		}
-		h.fullGC(false)
+		if err := h.fullGC(false); err != nil {
+			return h.Fail(o, err)
+		}
 		if h.old.tryAllocate(o) {
 			return o, nil
 		}
-		return nil, runtime.ErrOutOfMemory
+		return h.Fail(o, runtime.ErrOutOfMemory)
 	}
 
 	if h.fromSpace().tryAllocate(o) {
 		return o, nil
 	}
-	h.scavenge()
+	if err := h.scavenge(); err != nil {
+		return h.Fail(o, err)
+	}
 	if h.fromSpace().tryAllocate(o) {
 		return o, nil
 	}
@@ -174,11 +189,13 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	if h.old.tryAllocate(o) {
 		return o, nil
 	}
-	h.fullGC(false)
+	if err := h.fullGC(false); err != nil {
+		return h.Fail(o, err)
+	}
 	if h.fromSpace().tryAllocate(o) || h.old.tryAllocate(o) {
 		return o, nil
 	}
-	return nil, runtime.ErrOutOfMemory
+	return h.Fail(o, runtime.ErrOutOfMemory)
 }
 
 func (h *Heap) fromSpace() *semispace { return h.spaces[h.from] }
@@ -188,36 +205,49 @@ func (h *Heap) toSpace() *semispace   { return h.spaces[1-h.from] }
 // move to the other semispace (second-time survivors promote to old),
 // the semispaces swap roles, and the expansion policy runs — the
 // accumulated-live-bytes doubling of §3.2.2.
-func (h *Heap) scavenge() {
+//
+// It returns ErrOutOfMemory when a survivor fits neither the to space
+// nor, after a full GC, the old space or the from space. The objects
+// it had not yet moved then go back to the from space, past its
+// capacity if need be, and the semispaces keep their roles: the heap
+// loses nothing, and the instance the failed allocation kills can be
+// released.
+func (h *Heap) scavenge() error {
 	h.GC.YoungGCs++
-	to := h.toSpace()
-	objs := h.fromSpace().takeAll(h.scavengeScratch[:0])
+	from, to := h.fromSpace(), h.toSpace()
+	objs := from.takeAll(h.scavengeScratch[:0])
 
 	// Copies into the to space go through a deferred-touch batch that
 	// flushes one contiguous span per chunk instead of one touch per
 	// object. Promotions touch disjoint old-space pages immediately.
 	tb := to.beginBatch()
 	var traced, copied, promoted, collected int64
-	for _, o := range objs {
+	var err error
+	for i, r := range objs {
+		o := h.Pool.At(r)
 		if o.Dead {
 			collected += o.Size
-			h.Pool.Free(o)
+			h.Pool.Free(r)
 			continue
 		}
 		traced += o.Size
 		o.Age++
-		if o.Age > 1 || !tb.tryAllocate(o) {
+		if o.Age > 1 || !tb.tryAllocate(r) {
 			o.Age = 0
-			if !h.old.tryAllocate(o) {
+			if !h.old.tryAllocate(r) {
 				// The old space is at its limit: a full GC must make
 				// room. Park the object back afterwards. The batch is
 				// flushed first — the full GC inspects and reshuffles
 				// the semispaces — and rearmed after.
 				tb.sync()
-				h.fullGC(false)
+				err = h.fullGC(false)
 				tb = to.beginBatch()
-				if !h.old.tryAllocate(o) && !h.fromSpace().tryAllocate(o) {
-					panic("v8heap: scavenge lost a live object: heap exhausted")
+				if err != nil || !h.old.tryAllocate(r) && !from.tryAllocate(r) {
+					for _, q := range objs[i:] {
+						from.force(q)
+					}
+					err = runtime.ErrOutOfMemory
+					break
 				}
 			}
 			promoted += o.Size
@@ -227,10 +257,13 @@ func (h *Heap) scavenge() {
 	}
 	tb.sync()
 	h.scavengeScratch = objs[:0]
-	h.from = 1 - h.from
 	h.GC.PromotedBytes += promoted
 	h.GC.CollectedBytes += collected
 	h.NotePause(false, mm.GCCycle(traced, copied+promoted, 0), collected)
+	if err != nil {
+		return err
+	}
+	h.from = 1 - h.from
 
 	// Expansion policy: if the live bytes found since the last
 	// expansion exceed the young generation size, double it. A high
@@ -247,7 +280,7 @@ func (h *Heap) scavenge() {
 	// Old-space pressure: promotions may have pushed the old
 	// generation past its allocation limit; V8 schedules a major GC
 	// at the next safe point.
-	h.majorGCIfPastLimit()
+	return h.majorGCIfPastLimit()
 }
 
 // initialOldSoftLimit is the starting old-space allocation limit.
@@ -256,14 +289,22 @@ const initialOldSoftLimit = int64(24) << 20
 // majorGCIfPastLimit runs a major collection when the old space has
 // grown past its allocation limit — V8's heap-growing strategy, which
 // bounds dead tenured data between major GCs.
-func (h *Heap) majorGCIfPastLimit() {
+func (h *Heap) majorGCIfPastLimit() error {
 	if h.old.committedBytes() > h.oldSoftLimit {
-		h.fullGC(false)
+		return h.fullGC(false)
 	}
+	return nil
 }
 
 // fullGC is the mark-sweep major collection plus the resizing phase.
-func (h *Heap) fullGC(aggressive bool) {
+// It returns ErrOutOfMemory when a young survivor fits neither the
+// from space nor the old space. That takes a young generation spread
+// over both semispaces, which only a scavenge that fell back on its
+// from space leaves behind: the from space alone always holds the
+// survivors of its own objects. The survivor then stays young, past
+// the from space's capacity, and the collection completes, so the
+// heap loses nothing.
+func (h *Heap) fullGC(aggressive bool) error {
 	h.GC.FullGCs++
 	var traced, moved, collected int64
 
@@ -271,35 +312,38 @@ func (h *Heap) fullGC(aggressive bool) {
 	// survivors into the current from-space.
 	young := h.toSpace().takeAll(h.fromSpace().takeAll(h.youngScratch[:0]))
 	survivors := h.survScratch[:0]
-	for _, o := range young {
+	for _, r := range young {
+		o := h.Pool.At(r)
 		if o.Collectible(aggressive) {
 			if o.Weak && !o.Dead {
 				h.weakCollected += o.Size
 			}
 			o.Dead = true
 			collected += o.Size
-			h.Pool.Free(o)
+			h.Pool.Free(r)
 			continue
 		}
 		traced += o.Size
 		o.Age++
 		if o.Age > 1 {
 			o.Age = 0
-			if h.old.tryAllocate(o) {
+			if h.old.tryAllocate(r) {
 				moved += o.Size
 				h.GC.PromotedBytes += o.Size
 				continue
 			}
 		}
-		survivors = append(survivors, o)
+		survivors = append(survivors, r)
 	}
+	var err error
 	fb := h.fromSpace().beginBatch()
-	for _, o := range survivors {
-		moved += o.Size
-		if !fb.tryAllocate(o) {
-			if !h.old.tryAllocate(o) {
-				panic("v8heap: full GC lost a young survivor")
-			}
+	for _, r := range survivors {
+		moved += h.Pool.At(r).Size
+		if !fb.tryAllocate(r) && !h.old.tryAllocate(r) {
+			fb.sync()
+			h.fromSpace().force(r)
+			fb = h.fromSpace().beginBatch()
+			err = runtime.ErrOutOfMemory
 		}
 	}
 	fb.sync()
@@ -307,7 +351,7 @@ func (h *Heap) fullGC(aggressive bool) {
 	h.survScratch = survivors[:0]
 
 	// Old generation: mark-sweep in place, freeing empty chunks.
-	oldCollected, weak := h.old.sweep(aggressive, h.Pool)
+	oldCollected, weak := h.old.sweep(aggressive)
 	collected += oldCollected
 	h.weakCollected += weak
 	traced += h.old.liveBytes()
@@ -321,6 +365,7 @@ func (h *Heap) fullGC(aggressive bool) {
 	// space doubles its live size (plus slack), as V8's allocation
 	// limit does.
 	h.oldSoftLimit = min(max(2*h.old.liveBytes()+initialOldSoftLimit/2, initialOldSoftLimit), h.old.limit)
+	return err
 }
 
 // resize is the post-major-GC sizing phase. The old generation has
@@ -378,10 +423,12 @@ func (h *Heap) SpaceLayout() []runtime.SpaceRange {
 // CollectFull implements runtime.Runtime (global.gc(), the eager
 // baseline's hook). The stock V8 interface performs an aggressive
 // collection; §4.7's 7-line patch adds the option to keep weakly
-// referenced objects, which Desiccant uses.
+// referenced objects, which Desiccant uses. A collection that leaves
+// a survivor young for lack of room still completes (see fullGC); the
+// mutator's next allocation that needs the room fails instead.
 func (h *Heap) CollectFull(aggressive bool) {
 	h.AssertLive()
-	h.fullGC(aggressive)
+	_ = h.fullGC(aggressive)
 }
 
 // Reclaim implements runtime.Runtime (global.reclaim): collect, let
@@ -391,7 +438,7 @@ func (h *Heap) CollectFull(aggressive bool) {
 func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 	h.AssertLive()
 	before := h.ResidentBytes()
-	h.fullGC(aggressive)
+	_ = h.fullGC(aggressive) // complete even when out of room, as in CollectFull
 	h.spaces[0].releaseFreePages()
 	h.spaces[1].releaseFreePages()
 	h.old.releaseFreePages()

@@ -1,6 +1,7 @@
 package v8heap
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,8 @@ import (
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
 	"desiccant/internal/runtime/runtimetest"
+	"desiccant/internal/sim"
+	"desiccant/internal/workload"
 )
 
 const mb = 1 << 20
@@ -23,7 +26,7 @@ func newHeap(t *testing.T, budget int64) (*osmem.Machine, *Heap) {
 	return m, h
 }
 
-func mustAlloc(t *testing.T, h *Heap, size int64) *mm.Object {
+func mustAlloc(t *testing.T, h *Heap, size int64) mm.Ref {
 	t.Helper()
 	o, err := h.Allocate(size, runtime.AllocOptions{})
 	if err != nil {
@@ -72,8 +75,8 @@ func TestChunkConstants(t *testing.T) {
 func TestAllocateSmall(t *testing.T) {
 	_, h := newHeap(t, 256*mb)
 	o := mustAlloc(t, h, 10*kb)
-	if o.Offset < ChunkHeaderSize {
-		t.Fatalf("object placed in chunk header: %d", o.Offset)
+	if h.Pool.At(o).Offset < ChunkHeaderSize {
+		t.Fatalf("object placed in chunk header: %d", h.Pool.At(o).Offset)
 	}
 	if h.LiveBytes() != 10*kb {
 		t.Fatalf("live: %d", h.LiveBytes())
@@ -88,15 +91,15 @@ func TestScavengeCollectsDeadAndPromotesSurvivors(t *testing.T) {
 	keep := mustAlloc(t, h, 32*kb)
 	for i := 0; i < 300; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if h.Stats().YoungGCs == 0 {
 		t.Fatal("no scavenges despite churn")
 	}
-	if h.LiveBytes() != keep.Size {
+	if h.LiveBytes() != h.Pool.At(keep).Size {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
-	if h.Stats().PromotedBytes < keep.Size {
+	if h.Stats().PromotedBytes < h.Pool.At(keep).Size {
 		t.Fatal("survivor never promoted")
 	}
 }
@@ -110,12 +113,12 @@ func TestYoungDoublingUnderHighAllocationRate(t *testing.T) {
 
 	// Simulate a working-set window: objects stay live across a few
 	// scavenges, then die.
-	var window []*mm.Object
+	var window []mm.Ref
 	for i := 0; i < 3000; i++ {
 		o := mustAlloc(t, h, 32*kb)
 		window = append(window, o)
 		if len(window) > 100 {
-			window[0].Dead = true
+			h.Pool.At(window[0]).Dead = true
 			window = window[1:]
 		}
 	}
@@ -135,17 +138,17 @@ func TestYoungDoublingUnderHighAllocationRate(t *testing.T) {
 
 func TestYoungShrinksWhenAllocationRateLow(t *testing.T) {
 	_, h := newHeap(t, 256*mb)
-	var window []*mm.Object
+	var window []mm.Ref
 	for i := 0; i < 3000; i++ {
 		o := mustAlloc(t, h, 32*kb)
 		window = append(window, o)
 		if len(window) > 100 {
-			window[0].Dead = true
+			h.Pool.At(window[0]).Dead = true
 			window = window[1:]
 		}
 	}
 	for _, o := range window {
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	grown := h.YoungGenerationBytes()
 	// First full GC resets the allocation counter (rate still high);
@@ -160,7 +163,7 @@ func TestYoungShrinksWhenAllocationRateLow(t *testing.T) {
 func TestOldSweepReleasesEmptyChunks(t *testing.T) {
 	m, h := newHeap(t, 256*mb)
 	// Push data into old space via large objects.
-	var objs []*mm.Object
+	var objs []mm.Ref
 	for i := 0; i < 20; i++ {
 		objs = append(objs, mustAlloc(t, h, 200*kb))
 	}
@@ -169,7 +172,7 @@ func TestOldSweepReleasesEmptyChunks(t *testing.T) {
 		t.Fatal("large objects did not go to old space")
 	}
 	for _, o := range objs {
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	h.CollectFull(false)
 	if h.old.committedBytes() != 0 {
@@ -185,9 +188,9 @@ func TestFragmentationSurvivesReclaim(t *testing.T) {
 	_, h := newHeap(t, 256*mb)
 	// Allocate pairs straight into old space (via the heap's promote
 	// path is noisy, so use the space directly).
-	var objs []*mm.Object
+	var objs []mm.Ref
 	for i := 0; i < 60; i++ {
-		o := &mm.Object{Size: 3 * kb}
+		o := h.Pool.New(3*kb, false)
 		if !h.old.tryAllocate(o) {
 			t.Fatal("old allocation failed")
 		}
@@ -195,7 +198,7 @@ func TestFragmentationSurvivesReclaim(t *testing.T) {
 	}
 	for i, o := range objs {
 		if i%2 == 0 {
-			o.Dead = true
+			h.Pool.At(o).Dead = true
 		}
 	}
 	h.Reclaim(false)
@@ -209,17 +212,17 @@ func TestFragmentationSurvivesReclaim(t *testing.T) {
 func TestReclaimReleasesFreePages(t *testing.T) {
 	_, h := newHeap(t, 256*mb)
 	static := mustAlloc(t, h, 180*kb) // large object, pinned in old space
-	var window []*mm.Object
+	var window []mm.Ref
 	for i := 0; i < 2000; i++ {
 		o := mustAlloc(t, h, 32*kb)
 		window = append(window, o)
 		if len(window) > 50 {
-			window[0].Dead = true
+			h.Pool.At(window[0]).Dead = true
 			window = window[1:]
 		}
 	}
 	for _, o := range window {
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	before := h.ResidentBytes()
 	rep := h.Reclaim(false)
@@ -227,14 +230,14 @@ func TestReclaimReleasesFreePages(t *testing.T) {
 	if rep.ReleasedBytes <= 0 || after >= before {
 		t.Fatalf("reclaim released nothing: before=%d after=%d", before, after)
 	}
-	if rep.LiveBytes != static.Size {
-		t.Fatalf("live: %d want %d", rep.LiveBytes, static.Size)
+	if rep.LiveBytes != h.Pool.At(static).Size {
+		t.Fatalf("live: %d want %d", rep.LiveBytes, h.Pool.At(static).Size)
 	}
 	// Headers stay: resident is live + chunk headers + fragmentation,
 	// but within a small multiple of live.
-	if after > static.Size+int64(h.arena.inUse+4)*ChunkHeaderSize+64*kb {
+	if after > h.Pool.At(static).Size+int64(h.arena.inUse+4)*ChunkHeaderSize+64*kb {
 		t.Fatalf("reclaim left too much resident: %d (live=%d chunks=%d)",
-			after, static.Size, h.arena.inUse)
+			after, h.Pool.At(static).Size, h.arena.inUse)
 	}
 }
 
@@ -243,7 +246,7 @@ func TestReclaimKeepsHeapUsable(t *testing.T) {
 	mustAlloc(t, h, 40*kb)
 	h.Reclaim(false)
 	o := mustAlloc(t, h, 40*kb)
-	if o == nil || h.LiveBytes() != 80*kb {
+	if o == mm.NoRef || h.LiveBytes() != 80*kb {
 		t.Fatalf("post-reclaim allocation broken: %d", h.LiveBytes())
 	}
 }
@@ -256,7 +259,7 @@ func TestWeakObjectsAndDeoptPenalty(t *testing.T) {
 	}
 	// Non-aggressive collection keeps the weak object, no penalty.
 	h.CollectFull(false)
-	if h.LiveBytes() != w.Size {
+	if h.LiveBytes() != h.Pool.At(w).Size {
 		t.Fatal("non-aggressive GC cleared weak object")
 	}
 	if h.ConsumeDeoptPenalty() != 0 {
@@ -267,8 +270,8 @@ func TestWeakObjectsAndDeoptPenalty(t *testing.T) {
 	if h.LiveBytes() != 0 {
 		t.Fatal("aggressive GC kept weak object")
 	}
-	if got := h.ConsumeDeoptPenalty(); got != float64(w.Size) {
-		t.Fatalf("penalty: %v want %v", got, float64(w.Size))
+	if got := h.ConsumeDeoptPenalty(); got != float64(h.Pool.At(w).Size) {
+		t.Fatalf("penalty: %v want %v", got, float64(h.Pool.At(w).Size))
 	}
 	if h.ConsumeDeoptPenalty() != 0 {
 		t.Fatal("penalty not consumed")
@@ -284,7 +287,7 @@ func TestLargeObjectLifecycle(t *testing.T) {
 	if h.LiveBytes() != 600*kb {
 		t.Fatalf("live: %d", h.LiveBytes())
 	}
-	o.Dead = true
+	h.Pool.At(o).Dead = true
 	h.CollectFull(false)
 	if h.LiveBytes() != 0 || h.old.committedBytes() != 0 {
 		t.Fatal("large object not fully reclaimed")
@@ -312,11 +315,62 @@ func TestOutOfMemory(t *testing.T) {
 	}
 }
 
+// TestOutOfMemoryKeepsEveryObject runs JavaScript bodies on heaps
+// below 20 MiB, where a scavenge or a full GC's survivor copy runs out
+// of room. Every failure must be ErrOutOfMemory, and the heap must
+// still list every object the workload holds: its live bytes equal
+// the state's, and the spaces stay inside the reservation.
+func TestOutOfMemoryKeepsEveryObject(t *testing.T) {
+	var failures int
+	for budget := int64(5 * mb); budget < 20*mb; budget += mb {
+		for _, fn := range []string{"fft", "matrix", "data-analysis"} {
+			spec, err := workload.Lookup(fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, h := newHeap(t, budget)
+			st := workload.NewState(spec, 0, h.Pool)
+			rng := sim.NewRNG(1)
+			for i := 0; i < 10; i++ {
+				_, err := st.RunBody(h, rng)
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, runtime.ErrOutOfMemory) {
+					t.Fatalf("%s at %d MiB: %v", fn, budget/mb, err)
+				}
+				failures++
+				var want int64
+				st.Objects(func(r mm.Ref) {
+					if o := h.Pool.At(r); !o.Dead {
+						want += o.Size
+					}
+				})
+				if got := h.LiveBytes(); got != want {
+					t.Fatalf("%s at %d MiB: heap lists %d live bytes after OOM, the workload holds %d", fn, budget/mb, got, want)
+				}
+				_, reserved := h.HeapRange()
+				for _, sr := range h.SpaceLayout() {
+					if sr.Off < 0 || sr.Off+sr.Len > reserved {
+						t.Fatalf("%s at %d MiB: %s chunk at %d outside the %d-byte reservation", fn, budget/mb, sr.Name, sr.Off, reserved)
+					}
+				}
+				break
+			}
+			st.Release()
+			h.Release()
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no body ran out of memory")
+	}
+}
+
 func TestGCCostAccrues(t *testing.T) {
 	_, h := newHeap(t, 256*mb)
 	for i := 0; i < 500; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	if c := h.DrainGCCost(); c <= 0 {
 		t.Fatal("no GC cost")
@@ -330,7 +384,7 @@ func TestReclaimDoesNotChargeMutator(t *testing.T) {
 	_, h := newHeap(t, 256*mb)
 	for i := 0; i < 100; i++ {
 		o := mustAlloc(t, h, 64*kb)
-		o.Dead = true
+		h.Pool.At(o).Dead = true
 	}
 	h.DrainGCCost()
 	rep := h.Reclaim(false)
@@ -350,7 +404,8 @@ type gap struct{ off, len int64 }
 func (c *chunk) gaps() []gap {
 	var out []gap
 	cursor := int64(ChunkHeaderSize)
-	for _, o := range c.objects {
+	for _, r := range c.objects {
+		o := c.arena.pool.At(r)
 		if o.Offset > cursor {
 			out = append(out, gap{cursor, o.Offset - cursor})
 		}
@@ -366,11 +421,12 @@ func TestChunkGapAccounting(t *testing.T) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("arena", 4*ChunkSize)
-	a := newArena(r)
+	pool := new(mm.ObjectPool)
+	a := newArena(pool, r)
 	c := a.alloc("old", 10*kb)
 
-	o1 := &mm.Object{Size: 10 * kb}
-	o2 := &mm.Object{Size: 20 * kb}
+	o1 := pool.New(10*kb, false)
+	o2 := pool.New(20*kb, false)
 	if !c.place(o1) || !c.place(o2) {
 		t.Fatal("place failed")
 	}
@@ -379,8 +435,8 @@ func TestChunkGapAccounting(t *testing.T) {
 		t.Fatalf("gaps: %+v", gaps)
 	}
 	// Kill the first object: the sweep leaves a hole.
-	o1.Dead = true
-	col, weak := c.sweep(false, new(mm.ObjectPool))
+	pool.At(o1).Dead = true
+	col, weak := c.sweep(false)
 	if col != 10*kb || weak != 0 {
 		t.Fatalf("sweep: %d/%d", col, weak)
 	}
@@ -389,12 +445,12 @@ func TestChunkGapAccounting(t *testing.T) {
 		t.Fatalf("expected hole + tail, got %+v", gaps)
 	}
 	// A new object that fits the hole reuses it (first fit).
-	o3 := &mm.Object{Size: 8 * kb}
+	o3 := pool.New(8*kb, false)
 	if !c.place(o3) {
 		t.Fatal("place in hole failed")
 	}
-	if o3.Offset != ChunkHeaderSize {
-		t.Fatalf("first-fit violated: offset %d", o3.Offset)
+	if pool.At(o3).Offset != ChunkHeaderSize {
+		t.Fatalf("first-fit violated: offset %d", pool.At(o3).Offset)
 	}
 	if c.String() == "" {
 		t.Fatal("empty chunk String")
@@ -405,7 +461,7 @@ func TestArenaRecyclesSlots(t *testing.T) {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("arena", 2*ChunkSize)
-	a := newArena(r)
+	a := newArena(new(mm.ObjectPool), r)
 	c1 := a.alloc("x", kb)
 	c2 := a.alloc("x", 64*kb)
 	if c1 == nil || c2 == nil {
@@ -419,7 +475,7 @@ func TestArenaRecyclesSlots(t *testing.T) {
 	if cap(c1.objects) != chunkObjects || cap(c2.objects) != 2*ChunkUsable/(64*kb)+1 {
 		t.Fatalf("object list capacities %d and %d", cap(c1.objects), cap(c2.objects))
 	}
-	c1.objects = append(c1.objects, make([]*mm.Object, chunkObjects+1)...)
+	c1.objects = append(c1.objects, make([]mm.Ref, chunkObjects+1)...)
 	c1.objects = c1.objects[:0]
 	a.release(c1)
 	func() {
@@ -479,12 +535,12 @@ func TestHeapInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var live []*mm.Object
+		var live []mm.Ref
 		var want int64
 		for _, op := range ops {
 			if op%5 == 4 && len(live) > 0 {
-				live[0].Dead = true
-				want -= live[0].Size
+				h.Pool.At(live[0]).Dead = true
+				want -= h.Pool.At(live[0]).Size
 				live = live[1:]
 				continue
 			}
@@ -515,7 +571,7 @@ func TestHeapInvariants(t *testing.T) {
 func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 1*mb, 4*mb, func() runtimetest.Heap {
 		_, h := newHeap(t, 32*mb)
-		return runtimetest.Heap{Model: h, Language: runtime.JavaScript, Pool: h.Pool, Listed: func(f func(*mm.Object)) {
+		return runtimetest.Heap{Model: h, Language: runtime.JavaScript, Listed: func(f func(mm.Ref)) {
 			chunks := append(append(append([]*chunk(nil), h.spaces[0].chunks...), h.spaces[1].chunks...), h.old.chunks...)
 			for _, c := range chunks {
 				for _, o := range c.objects {

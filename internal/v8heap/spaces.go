@@ -27,7 +27,8 @@ func newSemispace(name string, a *arena, capacity int64) *semispace {
 // tryAllocate bump-allocates o, growing the chunk list up to the
 // capacity. Objects wider than a chunk payload are the caller's
 // problem (they belong in large-object space).
-func (s *semispace) tryAllocate(o *mm.Object) bool {
+func (s *semispace) tryAllocate(r mm.Ref) bool {
+	o := s.a.pool.At(r)
 	if o.Size > ChunkUsable {
 		return false
 	}
@@ -47,7 +48,7 @@ func (s *semispace) tryAllocate(o *mm.Object) bool {
 		if s.top+o.Size <= ChunkSize {
 			o.Offset = s.top
 			c.touch(o.Offset, o.Size)
-			c.objects = append(c.objects, o)
+			c.objects = append(c.objects, r)
 			s.top += o.Size
 			return true
 		}
@@ -55,6 +56,25 @@ func (s *semispace) tryAllocate(o *mm.Object) bool {
 		// (recycled chunks from a previous cycle are empty).
 		s.chunkIdx++
 		s.top = ChunkHeaderSize
+	}
+}
+
+// force places r like tryAllocate, adding a chunk past the capacity
+// when the space is full: the out-of-memory paths of the collectors
+// keep every object they cannot place listed in the from space.
+func (s *semispace) force(r mm.Ref) {
+	if s.tryAllocate(r) {
+		return
+	}
+	c := s.a.alloc(s.name, s.a.pool.At(r).Size)
+	if c == nil {
+		panic("v8heap: arena exhausted")
+	}
+	s.chunks = append(s.chunks, c)
+	s.chunkIdx = len(s.chunks) - 1
+	s.top = ChunkHeaderSize
+	if !s.tryAllocate(r) {
+		panic("v8heap: fresh chunk cannot hold a young object")
 	}
 }
 
@@ -88,8 +108,9 @@ func (b *semiBatch) sync() {
 
 // tryAllocate mirrors semispace.tryAllocate with the data-page touch
 // deferred to the next chunk boundary or sync.
-func (b *semiBatch) tryAllocate(o *mm.Object) bool {
+func (b *semiBatch) tryAllocate(r mm.Ref) bool {
 	s := b.s
+	o := s.a.pool.At(r)
 	if o.Size > ChunkUsable {
 		return false
 	}
@@ -109,7 +130,7 @@ func (b *semiBatch) tryAllocate(o *mm.Object) bool {
 		c := s.chunks[s.chunkIdx]
 		if s.top+o.Size <= ChunkSize {
 			o.Offset = s.top
-			c.objects = append(c.objects, o)
+			c.objects = append(c.objects, r)
 			s.top += o.Size
 			return true
 		}
@@ -124,12 +145,12 @@ func (b *semiBatch) tryAllocate(o *mm.Object) bool {
 // takeAll empties the semispace, appending its objects to out, and
 // returns the extended slice. Chunks (and their resident pages) are
 // retained.
-func (s *semispace) takeAll(out []*mm.Object) []*mm.Object {
+func (s *semispace) takeAll(out []mm.Ref) []mm.Ref {
 	for _, c := range s.chunks {
 		out = append(out, c.objects...)
 		// Truncate rather than nil so the chunk keeps its list
 		// capacity for the next allocation cycle (out holds its own
-		// copies of the pointers).
+		// copies of the Refs).
 		c.objects = c.objects[:0]
 	}
 	s.chunkIdx = 0
@@ -148,7 +169,7 @@ func (s *semispace) usedBytes() int64 {
 func (s *semispace) liveBytes() int64 {
 	var n int64
 	for _, c := range s.chunks {
-		n += mm.LiveBytes(c.objects)
+		n += s.a.pool.LiveBytes(c.objects)
 	}
 	return n
 }
@@ -193,7 +214,7 @@ func (s *semispace) String() string {
 
 // largeEntry is one large object backed by a dedicated chunk run.
 type largeEntry struct {
-	obj    *mm.Object
+	obj    mm.Ref
 	chunks []*chunk
 }
 
@@ -229,19 +250,20 @@ func (s *oldSpace) usedBytes() int64 {
 		n += c.usedBytes()
 	}
 	for _, e := range s.large {
-		n += e.obj.Size
+		n += s.a.pool.At(e.obj).Size
 	}
 	return n
 }
 
 func (s *oldSpace) liveBytes() int64 {
 	var n int64
+	pool := s.a.pool
 	for _, c := range s.chunks {
-		n += mm.LiveBytes(c.objects)
+		n += pool.LiveBytes(c.objects)
 	}
 	for _, e := range s.large {
-		if !e.obj.Dead {
-			n += e.obj.Size
+		if o := pool.At(e.obj); !o.Dead {
+			n += o.Size
 		}
 	}
 	return n
@@ -249,36 +271,37 @@ func (s *oldSpace) liveBytes() int64 {
 
 // tryAllocate places o in the old space, growing by whole chunks up to
 // the limit. Reports false when the limit would be exceeded.
-func (s *oldSpace) tryAllocate(o *mm.Object) bool {
-	if o.Size > LargeObjectThreshold {
-		return s.tryAllocateLarge(o)
+func (s *oldSpace) tryAllocate(r mm.Ref) bool {
+	size := s.a.pool.At(r).Size
+	if size > LargeObjectThreshold {
+		return s.tryAllocateLarge(r, size)
 	}
 	for _, c := range s.chunks {
-		if c.place(o) {
+		if c.place(r) {
 			return true
 		}
 	}
 	if s.committedBytes()+ChunkSize > s.limit {
 		return false
 	}
-	c := s.a.alloc("old", o.Size)
+	c := s.a.alloc("old", size)
 	if c == nil {
 		return false
 	}
 	s.chunks = append(s.chunks, c)
-	if !c.place(o) {
+	if !c.place(r) {
 		panic("v8heap: fresh chunk cannot hold a non-large object")
 	}
 	return true
 }
 
-func (s *oldSpace) tryAllocateLarge(o *mm.Object) bool {
-	need := int((o.Size + ChunkUsable - 1) / ChunkUsable)
+func (s *oldSpace) tryAllocateLarge(r mm.Ref, size int64) bool {
+	need := int((size + ChunkUsable - 1) / ChunkUsable)
 	if s.committedBytes()+int64(need)*ChunkSize > s.limit {
 		return false
 	}
-	entry := &largeEntry{obj: o}
-	remaining := o.Size
+	entry := &largeEntry{obj: r}
+	remaining := size
 	for i := 0; i < need; i++ {
 		c := s.a.alloc("lo", 0)
 		if c == nil {
@@ -296,19 +319,20 @@ func (s *oldSpace) tryAllocateLarge(o *mm.Object) bool {
 		remaining -= span
 		entry.chunks = append(entry.chunks, c)
 	}
-	o.Offset = ChunkHeaderSize
+	s.a.pool.At(r).Offset = ChunkHeaderSize
 	s.large = append(s.large, entry)
 	return true
 }
 
 // sweep removes collectible objects in place and releases chunks that
 // become entirely free ("the generation shrinks after GC generates
-// free chunks"), returning the collected objects to pool. It returns
+// free chunks"), freeing the collected objects in the pool. It returns
 // the bytes collected and the weak bytes among them.
-func (s *oldSpace) sweep(aggressive bool, pool *mm.ObjectPool) (collected, weak int64) {
+func (s *oldSpace) sweep(aggressive bool) (collected, weak int64) {
+	pool := s.a.pool
 	keep := s.chunks[:0]
 	for _, c := range s.chunks {
-		col, wk := c.sweep(aggressive, pool)
+		col, wk := c.sweep(aggressive)
 		collected += col
 		weak += wk
 		if len(c.objects) == 0 {
@@ -321,12 +345,12 @@ func (s *oldSpace) sweep(aggressive bool, pool *mm.ObjectPool) (collected, weak 
 
 	keptLarge := s.large[:0]
 	for _, e := range s.large {
-		if e.obj.Collectible(aggressive) {
-			collected += e.obj.Size
-			if e.obj.Weak && !e.obj.Dead {
-				weak += e.obj.Size
+		if o := pool.At(e.obj); o.Collectible(aggressive) {
+			collected += o.Size
+			if o.Weak && !o.Dead {
+				weak += o.Size
 			}
-			e.obj.Dead = true
+			o.Dead = true
 			pool.Free(e.obj)
 			for _, c := range e.chunks {
 				s.a.release(c)
@@ -351,7 +375,7 @@ func (s *oldSpace) releaseFreePages() {
 	// Large-object runs: the tail beyond the object in the last chunk.
 	for _, e := range s.large {
 		last := e.chunks[len(e.chunks)-1]
-		used := e.obj.Size - int64(len(e.chunks)-1)*ChunkUsable
+		used := s.a.pool.At(e.obj).Size - int64(len(e.chunks)-1)*ChunkUsable
 		runs = osmem.AppendRun(runs, last.base()+ChunkHeaderSize+used, ChunkUsable-used)
 	}
 	s.a.region.ReleaseRuns(runs)

@@ -69,7 +69,7 @@ func TestWarmInvocationAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := NewState(spec, 0)
+			st := NewState(spec, 0, rt.Objects())
 			rng := sim.NewRNG(1)
 			invoke := func() {
 				if _, err := st.RunBody(rt, rng); err != nil {

@@ -11,23 +11,25 @@ import (
 // State is the mutable per-instance, per-stage execution state of a
 // function: its static objects, weak caches, the temporary working-set
 // window, and any intermediate chain data awaiting the downstream
-// stage.
+// stage. It names its objects by Ref into the pool of the runtime it
+// runs against, and kills them through that pool.
 type State struct {
 	Spec  *Spec
 	Stage int
 
+	objs        *mm.ObjectPool
 	invocations int
-	static      []*mm.Object
-	weak        *mm.Object
+	static      []mm.Ref
+	weak        mm.Ref
 	// window is the FIFO of live temporaries: entries [windowHead,
 	// len) are live, older ones already dead. Popping by head index
 	// instead of reslicing keeps the slice re-anchored at its base, so
 	// appends reuse capacity instead of reallocating as the front
 	// erodes.
-	window        []*mm.Object
+	window        []mm.Ref
 	windowHead    int
 	windowBytes   int64
-	intermediates []*mm.Object
+	intermediates []mm.Ref
 	// deoptWindow counts the invocations still paying the JIT
 	// re-optimization penalty after an aggressive collection cleared
 	// the weak code caches.
@@ -35,12 +37,24 @@ type State struct {
 }
 
 // NewState creates the state for one stage of a function in one
-// instance. Stage is in [0, Spec.ChainLength).
-func NewState(spec *Spec, stage int) *State {
+// instance, whose runtime's objects live in objs; its lists come from
+// objs too. Stage is in [0, Spec.ChainLength).
+func NewState(spec *Spec, stage int, objs *mm.ObjectPool) *State {
 	if stage < 0 || stage >= spec.ChainLength {
 		panic(fmt.Sprintf("workload: stage %d out of range for %s", stage, spec.Name))
 	}
-	return &State{Spec: spec, Stage: stage}
+	return &State{Spec: spec, Stage: stage, objs: objs, weak: mm.NoRef,
+		static: objs.List(), window: objs.List(), intermediates: objs.List()}
+}
+
+// Release hands the state's emptied lists to its pool for the next
+// cold boot. The instance is dying: the state must not run again, and
+// its runtime is released next.
+func (st *State) Release() {
+	st.objs.PutList(st.static)
+	st.objs.PutList(st.window)
+	st.objs.PutList(st.intermediates)
+	*st = State{Spec: st.Spec, Stage: st.Stage, weak: mm.NoRef}
 }
 
 // Invocations returns how many times this state has executed.
@@ -78,7 +92,9 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 			rep.DeoptApplied = true
 			st.deoptWindow--
 		}
-		if st.weak == nil || st.weak.Dead || !weakStillPresent(st.weak) {
+		// An aggressive collection marks the cache Dead; weak slots
+		// are never reused, so the Ref still reads the verdict.
+		if st.weak == mm.NoRef || st.objs.At(st.weak).Dead {
 			o, err := rt.Allocate(sp.WeakBytes, runtime.AllocOptions{Weak: true})
 			if err != nil {
 				return rep, fmt.Errorf("%s: weak cache: %w", sp.Name, err)
@@ -135,12 +151,6 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 // deoptRecoveryInvocations is how many executions the JIT needs to
 // re-optimize after its caches were aggressively collected.
 const deoptRecoveryInvocations = 10
-
-// weakStillPresent distinguishes a weak object that was aggressively
-// collected: the heap marks nothing on the object itself, so the state
-// watches for the collection through the runtime's deopt signal; as a
-// second line of defense it treats a Dead flag as collected too.
-func weakStillPresent(o *mm.Object) bool { return !o.Dead }
 
 // initialize performs the first-invocation work: static state plus the
 // initialization allocation spike. Static objects are interleaved
@@ -200,17 +210,15 @@ func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64) (int64
 		st.window = append(st.window, o)
 		st.windowBytes += size
 		for st.windowBytes > workingSet && len(st.window)-st.windowHead > 1 {
-			oldest := st.window[st.windowHead]
+			oldest := st.objs.At(st.window[st.windowHead])
 			oldest.Dead = true
 			st.windowBytes -= oldest.Size
-			st.window[st.windowHead] = nil
 			st.windowHead++
 		}
 		// Slide the live tail down once the dead prefix dominates, so
 		// the buffer stays bounded by the working set.
 		if st.windowHead > len(st.window)/2 {
 			n := copy(st.window, st.window[st.windowHead:])
-			clear(st.window[n:])
 			st.window = st.window[:n]
 			st.windowHead = 0
 		}
@@ -219,10 +227,9 @@ func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64) (int64
 }
 
 func (st *State) killWindow() {
-	for _, o := range st.window[st.windowHead:] {
-		o.Dead = true
+	for _, r := range st.window[st.windowHead:] {
+		st.objs.At(r).Dead = true
 	}
-	clear(st.window)
 	st.window = st.window[:0]
 	st.windowHead = 0
 	st.windowBytes = 0
@@ -232,38 +239,32 @@ func (st *State) killWindow() {
 // platform calls it on every stage when the chain's final stage
 // completes (the downstream consumer has the data now).
 func (st *State) ReleaseIntermediates() {
-	for _, o := range st.intermediates {
-		o.Dead = true
+	for _, r := range st.intermediates {
+		st.objs.At(r).Dead = true
 	}
 	st.intermediates = st.intermediates[:0]
 }
 
-// Objects calls f for every object the state still points at: its
-// static data, its weak cache, the live temporaries of its window and
-// its pending intermediates. The recycling tests use it to check that
-// a heap never frees an object its workload can still reach.
-func (st *State) Objects(f func(*mm.Object)) {
-	for _, o := range st.static {
-		f(o)
+// Objects calls f for every object the state still names: its static
+// data, its weak cache, the live temporaries of its window and its
+// pending intermediates. The recycling tests use it to check that a
+// heap never frees an object its workload can still reach.
+func (st *State) Objects(f func(mm.Ref)) {
+	for _, r := range st.static {
+		f(r)
 	}
-	if st.weak != nil {
+	if st.weak != mm.NoRef {
 		f(st.weak)
 	}
-	for _, o := range st.window[st.windowHead:] {
-		f(o)
+	for _, r := range st.window[st.windowHead:] {
+		f(r)
 	}
-	for _, o := range st.intermediates {
-		f(o)
+	for _, r := range st.intermediates {
+		f(r)
 	}
 }
 
 // PendingIntermediateBytes reports live chain data awaiting a consumer.
 func (st *State) PendingIntermediateBytes() int64 {
-	var n int64
-	for _, o := range st.intermediates {
-		if !o.Dead {
-			n += o.Size
-		}
-	}
-	return n
+	return st.objs.LiveBytes(st.intermediates)
 }

@@ -134,7 +134,7 @@ func TestStateLiveBytesStableAtExit(t *testing.T) {
 	// remains quite stable when each function exits".
 	spec, _ := Lookup("file-hash")
 	rt := newJavaRT(t)
-	st := NewState(spec, 0)
+	st := NewState(spec, 0, rt.Objects())
 	rng := sim.NewRNG(1)
 	var lives []int64
 	for i := 0; i < 10; i++ {
@@ -157,7 +157,7 @@ func TestStateLiveBytesStableAtExit(t *testing.T) {
 func TestStateInitSpikeOnlyOnce(t *testing.T) {
 	spec, _ := Lookup("hotel-searching")
 	rt := newJavaRT(t)
-	st := NewState(spec, 0)
+	st := NewState(spec, 0, rt.Objects())
 	rng := sim.NewRNG(2)
 	rep1, err := st.RunBody(rt, rng)
 	if err != nil {
@@ -183,7 +183,7 @@ func TestChainIntermediatesStayLiveUntilReleased(t *testing.T) {
 	// exit, so even a forced GC cannot reclaim it.
 	spec, _ := Lookup("mapreduce")
 	rt := newJavaRT(t)
-	st := NewState(spec, 0) // the mapper stage
+	st := NewState(spec, 0, rt.Objects()) // the mapper stage
 	rng := sim.NewRNG(3)
 	if _, err := st.RunBody(rt, rng); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestChainIntermediatesStayLiveUntilReleased(t *testing.T) {
 func TestLastChainStageProducesNoIntermediate(t *testing.T) {
 	spec, _ := Lookup("mapreduce")
 	rt := newJavaRT(t)
-	st := NewState(spec, spec.ChainLength-1) // the reducer
+	st := NewState(spec, spec.ChainLength-1, rt.Objects()) // the reducer
 	if _, err := st.RunBody(rt, sim.NewRNG(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestLastChainStageProducesNoIntermediate(t *testing.T) {
 func TestWeakCacheRebuildAfterAggressiveGC(t *testing.T) {
 	spec, _ := Lookup("data-analysis")
 	rt := newJSRT(t)
-	st := NewState(spec, 0)
+	st := NewState(spec, 0, rt.Objects())
 	rng := sim.NewRNG(5)
 	if _, err := st.RunBody(rt, rng); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestStateStageBounds(t *testing.T) {
 			t.Fatal("out-of-range stage accepted")
 		}
 	}()
-	NewState(spec, 2)
+	NewState(spec, 2, nil)
 }
 
 func TestAllFunctionsRunTenIterations(t *testing.T) {
@@ -296,7 +296,7 @@ func TestAllFunctionsRunTenIterations(t *testing.T) {
 			}
 			rng := sim.NewRNG(42)
 			for stage := 0; stage < 1; stage++ { // one stage is representative here
-				st := NewState(spec, 0)
+				st := NewState(spec, 0, rt.Objects())
 				for i := 0; i < 10; i++ {
 					if _, err := st.RunBody(rt, rng); err != nil {
 						t.Fatalf("iteration %d: %v", i, err)
