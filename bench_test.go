@@ -36,7 +36,7 @@ func benchTraceOpts(scales ...float64) experiments.Fig9Options {
 	o.Scales = scales
 	o.Warmup = 20 * sim.Second
 	o.Replay = 60 * sim.Second
-	o.TraceFunctions = 500
+	o.Functions = 500
 	return o
 }
 

@@ -92,6 +92,8 @@ func parseArgs(args []string) (string, *flags, error) {
 	switch {
 	case err != nil:
 		return "", nil, err
+	case fs.NArg() > 0: // e.g. "-json -parallel 2" leaves "2"
+		return "", nil, fmt.Errorf("unexpected argument %q after the flags of %s", fs.Arg(0), cmd)
 	case f.parallel < 0:
 		return "", nil, fmt.Errorf("-parallel must be >= 0, got %d", f.parallel)
 	case !(f.intensity >= 0 && f.intensity <= 1): // NaN fails both comparisons

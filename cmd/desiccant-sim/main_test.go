@@ -51,6 +51,22 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"chaos", "-quick", "-intensity", "NaN"}); err == nil || err.Error() != "-intensity must be in [0,1], got NaN" {
 		t.Fatalf("-intensity NaN: err %v, want the range error", err)
 	}
+	t.Run("stray-arguments", func(t *testing.T) {
+		// "-json" takes "-parallel" as its path, leaving "2" behind;
+		// the command must fail before it creates that file.
+		t.Chdir(t.TempDir())
+		for _, args := range [][]string{
+			{"calibrate", "-quick", "-json", "-parallel", "2"},
+			{"fig1", "extra"},
+		} {
+			if err := run(args); err == nil || !strings.Contains(err.Error(), "unexpected argument") {
+				t.Errorf("%q: err %v, want an unexpected-argument error", args, err)
+			}
+		}
+		if files, _ := os.ReadDir("."); len(files) != 0 {
+			t.Errorf("rejected commands left %d files behind, first %q", len(files), files[0].Name())
+		}
+	})
 	t.Run("full-device", func(t *testing.T) {
 		// Every write to /dev/full fails with ENOSPC: the command must
 		// report it, not print its rows into the void and succeed.

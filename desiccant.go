@@ -130,12 +130,11 @@ func (s *Simulation) Close() {
 // ReplayTrace synthesizes an Azure-style trace with the given seed,
 // matches the paper's 20 functions to it, normalizes the total base
 // arrival rate, and schedules arrivals over [from, to) at the given
-// scale factor. It returns the number of requests scheduled.
+// scale factor. It returns the number of requests scheduled, and
+// panics unless baseRate and scale are positive and finite.
 func (s *Simulation) ReplayTrace(seed uint64, baseRate float64, from, to Time, scale float64) int {
-	tr := trace.Generate(trace.GenConfig{Seed: seed, Functions: 2000})
-	as := trace.Match(tr, workload.All())
-	trace.NormalizeRate(as, baseRate)
-	return trace.NewReplayer(s.Platform, as, seed+1).Schedule(from, to, scale)
+	syn := trace.Synthetic{Seed: seed, Functions: 2000, BaseRate: baseRate}
+	return syn.Replayer(s.Platform, syn.Assignments(nil, 0)).Schedule(from, to, scale)
 }
 
 // DefaultPlatformConfig returns the paper's platform settings (2 GiB

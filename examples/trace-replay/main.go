@@ -28,9 +28,7 @@ var (
 )
 
 func main() {
-	tr := trace.Generate(trace.GenConfig{Seed: 11, Functions: 1000})
-	assignments := trace.Match(tr, desiccant.Functions())
-	trace.NormalizeRate(assignments, 2.2)
+	assignments := trace.Synthetic{Seed: 11, Functions: 1000, BaseRate: 2.2}.Assignments(desiccant.Functions(), 0)
 
 	fmt.Printf("%-10s %12s %12s %10s %10s %10s %12s\n",
 		"setup", "coldboot/req", "throughput", "p50(ms)", "p99(ms)", "evictions", "cached@end")

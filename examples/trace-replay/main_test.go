@@ -12,9 +12,7 @@ import (
 
 // TestRunSetupPins pins the sha256 of each setup's table rows.
 func TestRunSetupPins(t *testing.T) {
-	tr := trace.Generate(trace.GenConfig{Seed: 11, Functions: 1000})
-	assignments := trace.Match(tr, desiccant.Functions())
-	trace.NormalizeRate(assignments, 2.2)
+	assignments := trace.Synthetic{Seed: 11, Functions: 1000, BaseRate: 2.2}.Assignments(desiccant.Functions(), 0)
 	cases := []struct{ setup, want string }{
 		{"vanilla", "c83bb034c5cdc83e8ae47819335e541efea18a1e00bcba6f27930ed48a7b0164"},
 		{"eager", "c75c8d3e0dd86e7916e24faad30763c6418f4dafa95aa799df9ee957c334c11d"},

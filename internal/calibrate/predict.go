@@ -55,7 +55,7 @@ func predict(p Params, o Options) ([]FigureRow, error) {
 	if o.Quick {
 		f9.Warmup = 20 * sim.Second
 		f9.Replay = 60 * sim.Second
-		f9.TraceFunctions = 500
+		f9.Functions = 500
 	}
 
 	counts := []int{1, 2, 4, 8}

@@ -19,7 +19,7 @@ func clusterOptions() cluster.Options {
 	o := cluster.DefaultOptions()
 	o.Nodes = 4
 	o.Window = 10 * sim.Second
-	o.TraceFunctions = 120
+	o.Functions = 120
 	o.Migration = cluster.Migration{}
 	o.ZipfSkew = 0
 	return o

@@ -3,7 +3,6 @@ package cluster
 import (
 	"desiccant/internal/metrics"
 	"desiccant/internal/sim"
-	"desiccant/internal/trace"
 	"desiccant/internal/workload"
 )
 
@@ -75,7 +74,7 @@ func Run(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, err := PolicyByName(o.Policy, sim.NewRNG(o.TraceSeed+2))
+	policy, err := PolicyByName(o.Policy, sim.NewRNG(o.Seed+2))
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +92,7 @@ func Run(o Options) (*Result, error) {
 	}
 	c.armKills()
 
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	if o.ZipfSkew > 0 {
-		trace.ApplyZipf(assignments, o.ZipfSkew, o.TraceSeed+3)
-	}
-	trace.NormalizeRate(assignments, o.BaseRate)
-	rp := trace.NewReplayer(c.router, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
+	o.Synthetic.Replayer(c.router, o.Synthetic.Assignments(nil, o.ZipfSkew)).Schedule(0, end, o.Scale)
 
 	eng.RunUntil(end)
 	for d := 1; d <= o.Nodes; d++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func quickOptions(policy string) Options {
 	o := DefaultOptions()
 	o.Nodes = 4
 	o.Window = 10 * sim.Second
-	o.TraceFunctions = 120
+	o.Functions = 120
 	o.Policy = policy
 	o.Migration = Migration{}
 	o.ZipfSkew = 0
@@ -223,6 +224,45 @@ func TestUnknownPolicyAndMode(t *testing.T) {
 	o.Mode = "hibernate"
 	if _, err := Run(o); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+}
+
+// TestRejectsDegenerateReplays checks that options no replay can run
+// fail with an error naming the field, before anything is scheduled:
+// a NaN or infinite scale used to submit every function once per
+// microsecond forever, and the other cases panicked inside the trace
+// package.
+func TestRejectsDegenerateReplays(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		field string
+		edit  func(*Options)
+	}{
+		{"scale NaN", "Scale", func(o *Options) { o.Scale = nan }},
+		{"scale +Inf", "Scale", func(o *Options) { o.Scale = inf }},
+		{"scale 0", "Scale", func(o *Options) { o.Scale = 0 }},
+		{"base rate NaN", "BaseRate", func(o *Options) { o.BaseRate = nan }},
+		{"base rate 0", "BaseRate", func(o *Options) { o.BaseRate = 0 }},
+		{"base rate -1", "BaseRate", func(o *Options) { o.BaseRate = -1 }},
+		{"base rate +Inf", "BaseRate", func(o *Options) { o.BaseRate = inf }},
+		{"functions 0", "Functions", func(o *Options) { o.Functions = 0 }},
+		{"functions -1", "Functions", func(o *Options) { o.Functions = -1 }},
+		{"functions below the matched set", "Functions", func(o *Options) { o.Functions = 19 }},
+		{"zipf NaN", "ZipfSkew", func(o *Options) { o.ZipfSkew = nan }},
+		{"zipf -2", "ZipfSkew", func(o *Options) { o.ZipfSkew = -2 }},
+		{"zipf +Inf", "ZipfSkew", func(o *Options) { o.ZipfSkew = inf }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := quickOptions(PolicyPinned)
+			o.Nodes = 2
+			c.edit(&o)
+			_, err := Run(o)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("err %v, want one naming %s", err, c.field)
+			}
+		})
 	}
 }
 

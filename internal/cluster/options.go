@@ -17,6 +17,7 @@ import (
 
 	"desiccant/internal/core"
 	"desiccant/internal/sim"
+	"desiccant/internal/trace"
 )
 
 // Migration configures the router's hot-node relief valve. When a
@@ -80,14 +81,9 @@ type Options struct {
 	Window sim.Duration
 	// Scale is the trace scale factor.
 	Scale float64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis (TraceSeed), replay
-	// (TraceSeed+1), the placement policy's RNG stream (TraceSeed+2)
-	// and the Zipf rank permutation (TraceSeed+3).
-	TraceSeed uint64
+	// Synthetic is the replayed trace. Its Seed+2 also seeds the
+	// placement policy's RNG stream.
+	trace.Synthetic
 	// CacheBytes is each node's frozen-instance cache size.
 	CacheBytes int64
 	// ZipfSkew reshapes function popularity: rate ∝ rank^-ZipfSkew
@@ -122,18 +118,16 @@ type Options struct {
 // Desiccant reclaiming on every node, migration armed.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:          16,
-		Window:         60 * sim.Second,
-		Scale:          15,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		CacheBytes:     2 << 30,
-		ZipfSkew:       0.9,
-		Policy:         PolicyGarbageAware,
-		Mode:           "reclaim",
-		ReportEvery:    500 * sim.Millisecond,
-		Migration:      DefaultMigration(),
+		Nodes:       16,
+		Window:      60 * sim.Second,
+		Scale:       15,
+		Synthetic:   trace.Synthetic{Seed: 11, Functions: 400, BaseRate: 2.2},
+		CacheBytes:  2 << 30,
+		ZipfSkew:    0.9,
+		Policy:      PolicyGarbageAware,
+		Mode:        "reclaim",
+		ReportEvery: 500 * sim.Millisecond,
+		Migration:   DefaultMigration(),
 	}
 }
 
@@ -145,6 +139,9 @@ const defaultReportEvery = 500 * sim.Millisecond
 func (o Options) withDefaults() (Options, error) {
 	if o.Nodes < 1 {
 		return o, fmt.Errorf("cluster: need at least one node, got %d", o.Nodes)
+	}
+	if err := o.Synthetic.Validate(nil, o.ZipfSkew, o.Scale); err != nil {
+		return o, fmt.Errorf("cluster: %w", err)
 	}
 	if !knownPolicy(o.Policy) {
 		return o, fmt.Errorf("cluster: unknown policy %q (want one of %v)", o.Policy, PolicyNames)

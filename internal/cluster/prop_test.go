@@ -26,8 +26,8 @@ func propOptions(seed uint64, policy string) Options {
 	o := DefaultOptions()
 	o.Nodes = 4
 	o.Window = 6 * sim.Second
-	o.TraceFunctions = 60 + shape.Intn(60)
-	o.TraceSeed = seed
+	o.Functions = 60 + shape.Intn(60)
+	o.Seed = seed
 	o.Policy = policy
 	o.CacheBytes = (32 + int64(shape.Intn(64))) << 20
 	o.ZipfSkew = shape.Float64() * 1.2

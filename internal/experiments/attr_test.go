@@ -19,7 +19,7 @@ func quickAttrOptions() AttrOptions {
 	o.Modes = []string{"reclaim"}
 	o.Cluster.Nodes = 2
 	o.Cluster.Window = 15 * sim.Second
-	o.Cluster.TraceFunctions = 120
+	o.Cluster.Functions = 120
 	return o
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"desiccant/internal/runtime"
@@ -99,5 +100,45 @@ func TestNoMemorySpecRejectsRatioSamples(t *testing.T) {
 	}
 	if got := r.MaxRatio(); got != 0 {
 		t.Errorf("MaxRatio = %v with every sample rejected, want 0", got)
+	}
+}
+
+// TestReplayRunnersRejectDegenerateTraces checks that the
+// single-machine replays fail with an error naming the field, before
+// anything is scheduled, on a trace no replay can run: a NaN or
+// infinite scale used to submit every function once per microsecond
+// forever, and a zero base rate or population panicked.
+func TestReplayRunnersRejectDegenerateTraces(t *testing.T) {
+	fig9 := func(edit func(*Fig9Options)) error {
+		o := DefaultFig9Options()
+		edit(&o)
+		_, err := RunFig9(o)
+		return err
+	}
+	observe := func(run func(ObserveOptions) error, edit func(*ObserveOptions)) func() error {
+		return func() error {
+			o := DefaultObserveOptions()
+			edit(&o)
+			return run(o)
+		}
+	}
+	cases := []struct {
+		name, field string
+		run         func() error
+	}{
+		{"fig9 scale NaN", "Scale", func() error { return fig9(func(o *Fig9Options) { o.Scales = []float64{15, math.NaN()} }) }},
+		{"fig9 base rate 0", "BaseRate", func() error { return fig9(func(o *Fig9Options) { o.BaseRate = 0 }) }},
+		{"fig9 functions 0", "Functions", func() error { return fig9(func(o *Fig9Options) { o.Functions = 0 }) }},
+		{"snapstart scale +Inf", "Scale", func() error { _, err := RunSnapStart(DefaultFig9Options(), math.Inf(1)); return err }},
+		{"prewarm scale 0", "Scale", func() error { _, err := RunPrewarm(DefaultFig9Options(), 0); return err }},
+		{"observe scale +Inf", "Scale", observe(RunObserve, func(o *ObserveOptions) { o.Scale = math.Inf(1) })},
+		{"observe base rate NaN", "BaseRate", observe(RunObserve, func(o *ObserveOptions) { o.BaseRate = math.NaN() })},
+		{"trace scale NaN", "Scale", observe(RunAttrTrace, func(o *ObserveOptions) { o.Scale = math.NaN() })},
+		{"trace functions 0", "Functions", observe(RunAttrTrace, func(o *ObserveOptions) { o.Functions = 0 })},
+	}
+	for _, c := range cases {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err %v, want one naming %s", c.name, err, c.field)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
 	invtrace "desiccant/internal/obs/trace"
-	"desiccant/internal/sim"
 )
 
 // AttrOptions parameterizes the causal-attribution experiment: a
@@ -26,22 +25,21 @@ type AttrOptions struct {
 	Modes []string
 }
 
-// DefaultAttrOptions returns a 4-machine pinned fleet under the
-// observe experiment's trace profile, sweeping all three manager modes.
-func DefaultAttrOptions() AttrOptions {
-	return AttrOptions{
-		Cluster: cluster.Options{
-			Nodes:          4,
-			Window:         60 * sim.Second,
-			Scale:          15,
-			TraceFunctions: 400,
-			BaseRate:       2.2,
-			TraceSeed:      11,
-			CacheBytes:     2 << 30,
-			Policy:         cluster.PolicyPinned,
-		},
-		Modes: cluster.Modes,
+// DefaultAttrOptions returns a 4-machine pinned fleet under
+// replayProfile, sweeping all three manager modes.
+func DefaultAttrOptions() AttrOptions { return attrOptions(Options{}) }
+
+// attrOptions is the ext-attr configuration; -quick runs 2 machines
+// and skips the swap mode.
+func attrOptions(opts Options) AttrOptions {
+	o := AttrOptions{Cluster: replayProfile(opts), Modes: cluster.Modes}
+	o.Cluster.Nodes = 4
+	o.Cluster.Policy = cluster.PolicyPinned
+	if opts.Quick {
+		o.Cluster.Nodes = 2
+		o.Modes = []string{"vanilla", "reclaim"}
 	}
+	return o
 }
 
 // AttrModeResult is one mode's replay: the merged span set plus
@@ -167,7 +165,7 @@ func (r *AttrResult) WritePerfetto(w io.Writer, mode string) error {
 		if m.Mode != mode {
 			continue
 		}
-		return obs.WritePerfetto(w, m.MachineEvents, invtrace.NewPerfettoTracks(m.MachineSpans))
+		return invtrace.WritePerfetto(w, m.MachineEvents, m.MachineSpans)
 	}
 	return fmt.Errorf("experiments: no attr mode %q in result", mode)
 }

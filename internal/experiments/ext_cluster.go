@@ -6,6 +6,7 @@ import (
 
 	"desiccant/internal/cluster"
 	"desiccant/internal/sim"
+	"desiccant/internal/trace"
 )
 
 // ClusterSweepOptions parameterizes the ext-cluster experiment family:
@@ -20,15 +21,13 @@ type ClusterSweepOptions struct {
 	Nodes int
 	// Parallel bounds the sweep's worker pool (0 = GOMAXPROCS).
 	Parallel int
-	// Window, Scale, TraceFunctions, BaseRate, TraceSeed, CacheBytes
-	// and ZipfSkew mirror cluster.Options.
-	Window         sim.Duration
-	Scale          float64
-	TraceFunctions int
-	BaseRate       float64
-	TraceSeed      uint64
-	CacheBytes     int64
-	ZipfSkew       float64
+	// Window, Scale, Synthetic, CacheBytes and ZipfSkew are every
+	// cell's cluster.Options fields of the same names.
+	Window     sim.Duration
+	Scale      float64
+	CacheBytes int64
+	ZipfSkew   float64
+	trace.Synthetic
 	// Modes are the table's manager modes; each runs under every
 	// placement policy in cluster.PolicyNames.
 	Modes []string
@@ -47,36 +46,30 @@ const sloColdBoot = 0.3
 // every policy × mode, with a 16–64 node capacity grid.
 func DefaultClusterSweepOptions() ClusterSweepOptions {
 	return ClusterSweepOptions{
-		Nodes:          16,
-		Window:         60 * sim.Second,
-		Scale:          15,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		CacheBytes:     256 << 20,
-		ZipfSkew:       0.9,
-		Modes:          cluster.Modes,
-		Migration:      cluster.DefaultMigration(),
-		GridNodes:      []int{16, 32, 64},
-		GridCache:      []int64{128 << 20, 256 << 20, 512 << 20},
+		Nodes:      16,
+		Window:     60 * sim.Second,
+		Scale:      15,
+		CacheBytes: 256 << 20,
+		ZipfSkew:   0.9,
+		Synthetic:  trace.Synthetic{Seed: 11, Functions: 400, BaseRate: 2.2},
+		Modes:      cluster.Modes,
+		Migration:  cluster.DefaultMigration(),
+		GridNodes:  []int{16, 32, 64},
+		GridCache:  []int64{128 << 20, 256 << 20, 512 << 20},
 	}
 }
 
-// clusterOptions builds one cell's cluster.Options.
-func (o ClusterSweepOptions) clusterOptions(nodes int, cache int64, policy, mode string) cluster.Options {
-	return cluster.Options{
-		Nodes:          nodes,
-		Window:         o.Window,
-		Scale:          o.Scale,
-		TraceFunctions: o.TraceFunctions,
-		BaseRate:       o.BaseRate,
-		TraceSeed:      o.TraceSeed,
-		CacheBytes:     cache,
-		ZipfSkew:       o.ZipfSkew,
-		Policy:         policy,
-		Mode:           mode,
-		Migration:      o.Migration,
+// runCell replays one cell and checks its conservation invariants.
+func (o ClusterSweepOptions) runCell(nodes int, cache int64, policy, mode string) (*cluster.Result, error) {
+	res, err := cluster.Run(cluster.Options{
+		Nodes: nodes, Window: o.Window, Scale: o.Scale, CacheBytes: cache,
+		ZipfSkew: o.ZipfSkew, Synthetic: o.Synthetic,
+		Policy: policy, Mode: mode, Migration: o.Migration,
+	})
+	if err != nil {
+		return nil, err
 	}
+	return res, res.CheckConsistency()
 }
 
 // ClusterCell is one policy × mode replay of the table.
@@ -121,11 +114,8 @@ func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
 	}
 	cells, err := runIndexed(o.Parallel, len(keys), func(i int) (ClusterCell, error) {
 		k := keys[i]
-		res, err := cluster.Run(o.clusterOptions(o.Nodes, o.CacheBytes, k.policy, k.mode))
+		res, err := o.runCell(o.Nodes, o.CacheBytes, k.policy, k.mode)
 		if err != nil {
-			return ClusterCell{}, fmt.Errorf("cell %s/%s: %w", k.policy, k.mode, err)
-		}
-		if err := res.CheckConsistency(); err != nil {
 			return ClusterCell{}, fmt.Errorf("cell %s/%s: %w", k.policy, k.mode, err)
 		}
 		return ClusterCell{Policy: k.policy, Mode: k.mode, Res: res}, nil
@@ -146,11 +136,8 @@ func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
 	}
 	grid, err := runIndexed(o.Parallel, len(gkeys), func(i int) (cluster.CapacityPoint, error) {
 		k := gkeys[i]
-		res, err := cluster.Run(o.clusterOptions(k.nodes, k.cache, cluster.PolicyGarbageAware, "reclaim"))
+		res, err := o.runCell(k.nodes, k.cache, cluster.PolicyGarbageAware, "reclaim")
 		if err != nil {
-			return cluster.CapacityPoint{}, fmt.Errorf("grid %dx%dMB: %w", k.nodes, k.cache>>20, err)
-		}
-		if err := res.CheckConsistency(); err != nil {
 			return cluster.CapacityPoint{}, fmt.Errorf("grid %dx%dMB: %w", k.nodes, k.cache>>20, err)
 		}
 		return cluster.CapacityPoint{Nodes: k.nodes, CacheBytes: k.cache, Res: res}, nil

@@ -33,11 +33,7 @@ func TestClusterSweepResidueGrantCells(t *testing.T) {
 	for _, rate := range []float64{2.1805772531313603, 2.2182882881350894} {
 		o := DefaultClusterSweepOptions()
 		o.BaseRate = rate
-		res, err := cluster.Run(o.clusterOptions(o.Nodes, o.CacheBytes, cluster.PolicyLeastLoaded, "reclaim"))
-		if err != nil {
-			t.Fatalf("rate %v: %v", rate, err)
-		}
-		if err := res.CheckConsistency(); err != nil {
+		if _, err := o.runCell(o.Nodes, o.CacheBytes, cluster.PolicyLeastLoaded, "reclaim"); err != nil {
 			t.Fatalf("rate %v: %v", rate, err)
 		}
 	}
@@ -47,7 +43,7 @@ func quickSweepOptions() ClusterSweepOptions {
 	o := DefaultClusterSweepOptions()
 	o.Nodes = 4
 	o.Window = 10 * sim.Second
-	o.TraceFunctions = 120
+	o.Functions = 120
 	o.CacheBytes = 128 << 20
 	o.Modes = []string{"vanilla", "reclaim"}
 	o.GridNodes = []int{2, 4}

@@ -40,7 +40,10 @@ func (r *PrewarmResult) Row(prewarm, desiccant bool) (PrewarmRow, bool) {
 func RunPrewarm(opts Fig9Options, scale float64) (*PrewarmResult, error) {
 	type cell struct{ prewarm, desiccant bool }
 	grid := []cell{{false, false}, {false, true}, {true, false}, {true, true}}
-	as := opts.assignments()
+	as, err := opts.assignments(scale)
+	if err != nil {
+		return nil, err
+	}
 	rows, err := runIndexed(opts.Parallel, len(grid), func(i int) (PrewarmRow, error) {
 		prewarm, desiccant := grid[i].prewarm, grid[i].desiccant
 		setup := SetupVanilla

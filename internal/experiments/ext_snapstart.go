@@ -37,7 +37,10 @@ func RunSnapStart(opts Fig9Options, scale float64) (*SnapStartResult, error) {
 		setup    Setup
 		snapshot bool
 	}{{"vanilla", SetupVanilla, false}, {"desiccant", SetupDesiccant, false}, {"snapstart", SetupVanilla, true}}
-	as := opts.assignments()
+	as, err := opts.assignments(scale)
+	if err != nil {
+		return nil, err
+	}
 	rows, err := runIndexed(opts.Parallel, len(cells), func(i int) (SnapStartRow, error) {
 		pcfg, mcfg := cells[i].setup.configs(opts)
 		pcfg.Snapshot = cells[i].snapshot

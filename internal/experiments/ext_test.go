@@ -16,7 +16,7 @@ func quickTraceOpts() Fig9Options {
 	o := DefaultFig9Options()
 	o.Warmup = 15 * sim.Second
 	o.Replay = 45 * sim.Second
-	o.TraceFunctions = 400
+	o.Functions = 400
 	return o
 }
 

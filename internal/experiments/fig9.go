@@ -48,14 +48,9 @@ type Fig9Options struct {
 	Replay sim.Duration
 	// CacheBytes is the instance cache (2 GiB in the paper).
 	CacheBytes int64
-	// TraceFunctions is the synthetic trace's population size from
-	// which the 20 are matched.
-	TraceFunctions int
-	// BaseRate pins the matched functions' total arrival rate at
-	// scale 1, in requests/second.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
+	// Synthetic is the replayed trace: its seed, the population the
+	// 20 functions are matched against, and their base rate.
+	trace.Synthetic
 	// Specs restricts (or replaces) the workload population the trace
 	// functions are matched against; nil means the full Table 1 set.
 	// The calibration layer substitutes fitted scaled copies here.
@@ -71,13 +66,11 @@ type Fig9Options struct {
 // DefaultFig9Options mirrors §5.3.
 func DefaultFig9Options() Fig9Options {
 	return Fig9Options{
-		Scales:         []float64{5, 10, 15, 20, 25, 30},
-		Warmup:         60 * sim.Second,
-		Replay:         180 * sim.Second,
-		CacheBytes:     2 << 30,
-		TraceFunctions: 2000,
-		BaseRate:       2.2,
-		TraceSeed:      11,
+		Scales:     []float64{5, 10, 15, 20, 25, 30},
+		Warmup:     60 * sim.Second,
+		Replay:     180 * sim.Second,
+		CacheBytes: 2 << 30,
+		Synthetic:  trace.Synthetic{Seed: 11, Functions: 2000, BaseRate: 2.2},
 	}
 }
 
@@ -122,8 +115,11 @@ func (r *Fig9Result) Point(s Setup, scale float64) (Fig9Point, bool) {
 // synthetic trace. Each (scale, setup) cell is an independent replay,
 // so the cells fan out across the pool and collect in sweep order.
 func RunFig9(opts Fig9Options) (*Fig9Result, error) {
+	as, err := opts.assignments(opts.Scales...)
+	if err != nil {
+		return nil, err
+	}
 	setups := AllSetups()
-	as := opts.assignments()
 	points, err := runIndexed(opts.Parallel, len(opts.Scales)*len(setups), func(i int) (Fig9Point, error) {
 		return runTraceCell(setups[i%len(setups)], opts.Scales[i/len(setups)], opts, as), nil
 	})
@@ -152,9 +148,13 @@ func (s Setup) configs(opts Fig9Options) (faas.Config, *core.Config) {
 	return pcfg, nil
 }
 
-// assignments synthesizes the sweep's trace once for all its cells.
-func (opts Fig9Options) assignments() []trace.Assignment {
-	return synthesizeTrace(opts.TraceSeed, opts.TraceFunctions, opts.Specs, opts.BaseRate)
+// assignments synthesizes the sweep's trace once for all its cells,
+// after checking that it can replay at every given scale.
+func (opts Fig9Options) assignments(scales ...float64) ([]trace.Assignment, error) {
+	if err := opts.Synthetic.Validate(opts.Specs, 0, scales...); err != nil {
+		return nil, err
+	}
+	return opts.Synthetic.Assignments(opts.Specs, 0), nil
 }
 
 // cell is the warmed-up replay of as at scale on the given machine.
@@ -162,8 +162,8 @@ func (opts Fig9Options) cell(pcfg faas.Config, mcfg *core.Config, as []trace.Ass
 	return replayCell{
 		platform:    pcfg,
 		manager:     mcfg,
+		synthetic:   opts.Synthetic,
 		assignments: as,
-		seed:        opts.TraceSeed,
 		warmup:      opts.Warmup,
 		window:      opts.Replay,
 		scale:       scale,

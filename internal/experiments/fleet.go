@@ -6,32 +6,19 @@ import (
 
 	"desiccant/internal/cluster"
 	"desiccant/internal/obs"
-	"desiccant/internal/sim"
 )
 
 // fleetOptions is the ext-fleet configuration: the cluster's static
-// pinned fleet, 8 Desiccant machines behind one router under the
-// observe experiment's trace profile (4 machines in quick mode).
+// pinned fleet, 8 Desiccant machines behind one router under
+// replayProfile (4 machines in quick mode).
 func fleetOptions(opts Options) cluster.Options {
-	o := cluster.Options{
-		Nodes:          8,
-		Window:         60 * sim.Second,
-		Scale:          15,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		CacheBytes:     2 << 30,
-		Policy:         cluster.PolicyPinned,
-		Mode:           "reclaim",
-	}
+	o := replayProfile(opts)
+	o.Nodes = 8
 	if opts.Quick {
 		o.Nodes = 4
-		o.Window = 20 * sim.Second
-		o.TraceFunctions = 200
 	}
-	if opts.Seed != 0 {
-		o.TraceSeed = opts.Seed
-	}
+	o.Policy = cluster.PolicyPinned
+	o.Mode = "reclaim"
 	return o
 }
 

@@ -14,7 +14,7 @@ func quickFleetOptions() cluster.Options {
 	o := fleetOptions(Options{})
 	o.Nodes = 4
 	o.Window = 10 * sim.Second
-	o.TraceFunctions = 120
+	o.Functions = 120
 	return o
 }
 
@@ -78,9 +78,9 @@ func TestFleetSeedSweep(t *testing.T) {
 	o := quickFleetOptions()
 	o.Nodes = 3
 	o.Window = 4 * sim.Second
-	o.TraceFunctions = 60
+	o.Functions = 60
 	for seed := uint64(1); seed <= 50; seed++ {
-		o.TraceSeed = seed
+		o.Seed = seed
 		fleetCSV(t, o)
 	}
 }

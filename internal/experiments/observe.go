@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 
+	"desiccant/internal/cluster"
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
 	invtrace "desiccant/internal/obs/trace"
 	"desiccant/internal/sim"
+	"desiccant/internal/trace"
 )
 
 // ObserveOptions parameterizes the two instrumented single-machine
@@ -25,12 +27,8 @@ type ObserveOptions struct {
 	Window sim.Duration
 	// CacheBytes is the instance cache size.
 	CacheBytes int64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
+	// Synthetic is the replayed trace.
+	trace.Synthetic
 	// SampleEvery is the metrics sampling cadence (RunObserve).
 	SampleEvery sim.Duration
 
@@ -52,35 +50,65 @@ type ObserveOptions struct {
 	CSV io.Writer
 }
 
+// replayProfile is the trace replay the observe, trace, ext-fleet and
+// ext-attr experiments share: 400 functions from seed 11 at 2.2 req/s,
+// replayed at scale 15 for 60 s into 2 GiB caches. -quick shrinks it
+// to 20 s and 200 functions, and -seed replaces the trace seed. The
+// fleets add their Nodes, Policy and Mode.
+func replayProfile(opts Options) cluster.Options {
+	o := cluster.Options{
+		Window:     60 * sim.Second,
+		Scale:      15,
+		CacheBytes: 2 << 30,
+		Synthetic:  trace.Synthetic{Seed: 11, Functions: 400, BaseRate: 2.2},
+	}
+	if opts.Quick {
+		o.Window = 20 * sim.Second
+		o.Functions = 200
+	}
+	if opts.Seed != 0 {
+		o.Seed = opts.Seed
+	}
+	return o
+}
+
 // DefaultObserveOptions returns a window big enough to show cold
 // boots, freezes, manager activations, and reclamations on one track.
-func DefaultObserveOptions() ObserveOptions {
+func DefaultObserveOptions() ObserveOptions { return observeOptions(Options{}) }
+
+// observeOptions is the shared profile on one machine, with the trace
+// export opts requests.
+func observeOptions(opts Options) ObserveOptions {
+	p := replayProfile(opts)
 	return ObserveOptions{
-		Scale:          15,
-		Window:         60 * sim.Second,
-		CacheBytes:     2 << 30,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		SampleEvery:    500 * sim.Millisecond,
+		Scale:       p.Scale,
+		Window:      p.Window,
+		CacheBytes:  p.CacheBytes,
+		Synthetic:   p.Synthetic,
+		SampleEvery: 500 * sim.Millisecond,
+		Trace:       opts.Trace,
 	}
 }
 
 // cell is the observed Desiccant replay; observe attaches the caller's
-// subscribers before the manager starts.
-func (o ObserveOptions) cell(observe core.Observer) replayCell {
+// subscribers before the manager starts. It fails, naming the field,
+// on options that cannot replay.
+func (o ObserveOptions) cell(observe core.Observer) (replayCell, error) {
+	if err := o.Synthetic.Validate(nil, 0, o.Scale); err != nil {
+		return replayCell{}, err
+	}
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = o.CacheBytes
 	mcfg := core.DefaultConfig()
 	return replayCell{
 		platform:    pcfg,
 		manager:     &mcfg,
-		assignments: synthesizeTrace(o.TraceSeed, o.TraceFunctions, nil, o.BaseRate),
-		seed:        o.TraceSeed,
+		synthetic:   o.Synthetic,
+		assignments: o.Synthetic.Assignments(nil, 0),
 		window:      o.Window,
 		scale:       o.Scale,
 		observe:     observe,
-	}
+	}, nil
 }
 
 // newRecorder returns an event recorder for the replay. Engine fires
@@ -107,7 +135,7 @@ func RunObserve(o ObserveOptions) error {
 	rec := newRecorder(o.Trace != nil)
 	reg := obs.NewRegistry()
 	var sampler *obs.Sampler
-	platform := o.cell(func(platform *faas.Platform, _ *core.Manager) {
+	cell, err := o.cell(func(platform *faas.Platform, _ *core.Manager) {
 		eng, bus := platform.Engine(), platform.Events()
 		bus.Subscribe(rec)
 		bus.Subscribe(obs.NewCollector(reg))
@@ -128,11 +156,15 @@ func RunObserve(o ObserveOptions) error {
 			swapIns.Set(float64(pc.SwapIns))
 			swapOuts.Set(float64(pc.SwapOuts))
 		}
-	}).run()
+	})
+	if err != nil {
+		return err
+	}
+	platform := cell.run()
 	sampler.Stop()
 
 	if o.Trace != nil {
-		if err := obs.WritePerfetto(o.Trace, rec.Events()); err != nil {
+		if err := invtrace.WritePerfetto(o.Trace, rec.Events(), nil); err != nil {
 			return err
 		}
 	}
@@ -165,10 +197,14 @@ func RunObserve(o ObserveOptions) error {
 func RunAttrTrace(o ObserveOptions) error {
 	rec := newRecorder(o.Trace != nil)
 	builder := invtrace.NewBuilder()
-	eng := o.cell(func(p *faas.Platform, _ *core.Manager) {
+	cell, err := o.cell(func(p *faas.Platform, _ *core.Manager) {
 		p.Events().Subscribe(rec)
 		builder.Attach(p.Events())
-	}).run().Engine()
+	})
+	if err != nil {
+		return err
+	}
+	eng := cell.run().Engine()
 	// Drain the in-flight tail so every span closes.
 	drainEnd := sim.Time(o.Window)
 	for i := 0; i < 240 && builder.OpenCount() > 0; i++ {
@@ -194,7 +230,7 @@ func RunAttrTrace(o ObserveOptions) error {
 		}
 	}
 	if o.Trace != nil {
-		if err := obs.WritePerfetto(o.Trace, rec.Events(), invtrace.NewPerfettoTracks(spans)); err != nil {
+		if err := invtrace.WritePerfetto(o.Trace, rec.Events(), spans); err != nil {
 			return err
 		}
 	}

@@ -10,7 +10,7 @@ import (
 func smallObserveOptions() ObserveOptions {
 	o := DefaultObserveOptions()
 	o.Window = 5 * sim.Second
-	o.TraceFunctions = 100
+	o.Functions = 100
 	o.SampleEvery = 1 * sim.Second
 	return o
 }

@@ -290,7 +290,10 @@ func init() {
 				o := fig9Options(opts)
 				idle := core.DefaultConfig()
 				idle.ActivateOnIdleCPU = 4
-				as := o.assignments()
+				as, err := o.assignments(15)
+				if err != nil {
+					return err
+				}
 				// Only the two Desiccant cells differ; fan them out.
 				points, err := runIndexed(opts.Parallel, 2, func(i int) (Fig9Point, error) {
 					o := o
@@ -327,16 +330,7 @@ func init() {
 			Description: "per-invocation causal attribution: manager modes on the pinned fleet, exact phase tiling, byte-identical at any -parallel",
 			Flags:       []string{"trace", "summary"},
 			Run: func(w io.Writer, opts Options) error {
-				o := DefaultAttrOptions()
-				if opts.Quick {
-					o.Cluster.Nodes = 2
-					o.Cluster.Window = 20 * sim.Second
-					o.Cluster.TraceFunctions = 200
-					o.Modes = []string{"vanilla", "reclaim"}
-				}
-				if opts.Seed != 0 {
-					o.Cluster.TraceSeed = opts.Seed
-				}
+				o := attrOptions(opts)
 				res, err := RunAttr(o)
 				if err != nil {
 					return err
@@ -361,14 +355,14 @@ func init() {
 				if opts.Quick {
 					o.Nodes = 4
 					o.Window = 10 * sim.Second
-					o.TraceFunctions = 120
+					o.Functions = 120
 					o.CacheBytes = 128 << 20
 					o.Modes = []string{"vanilla", "reclaim"}
 					o.GridNodes = []int{2, 4}
 					o.GridCache = []int64{64 << 20, 128 << 20}
 				}
 				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
+					o.Seed = opts.Seed
 				}
 				o.Parallel = opts.Parallel
 				res, err := RunClusterSweep(o)
@@ -476,25 +470,12 @@ func fig9Options(opts Options) Fig9Options {
 		o.Scales = []float64{5, 15, 25}
 		o.Warmup = 20 * sim.Second
 		o.Replay = 60 * sim.Second
-		o.TraceFunctions = 500
+		o.Functions = 500
 	}
 	if opts.Seed != 0 {
-		o.TraceSeed = opts.Seed
+		o.Seed = opts.Seed
 	}
 	o.Parallel = opts.Parallel
-	return o
-}
-
-func observeOptions(opts Options) ObserveOptions {
-	o := DefaultObserveOptions()
-	if opts.Quick {
-		o.Window = 20 * sim.Second
-		o.TraceFunctions = 200
-	}
-	if opts.Seed != 0 {
-		o.TraceSeed = opts.Seed
-	}
-	o.Trace = opts.Trace
 	return o
 }
 

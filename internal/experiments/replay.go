@@ -5,7 +5,6 @@ import (
 	"desiccant/internal/faas"
 	"desiccant/internal/sim"
 	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // replayCell is one single-machine trace replay, the unit every
@@ -17,11 +16,10 @@ type replayCell struct {
 	// it (nil: no manager).
 	platform faas.Config
 	manager  *core.Config
-	// assignments are the matched trace functions. The replayer only
-	// reads them, so one synthesis serves a whole sweep.
+	// assignments are synthetic's matched functions, synthesized once
+	// per sweep; synthetic also seeds the arrivals.
+	synthetic   trace.Synthetic
 	assignments []trace.Assignment
-	// seed is the trace seed; arrivals draw from seed+1.
-	seed uint64
 	// warmup at warmupScale precedes the measured window at scale.
 	// Platform stats reset at the boundary; a zero warmup replays the
 	// window alone and keeps every stat.
@@ -44,7 +42,7 @@ func (c replayCell) run() *faas.Platform {
 
 	warmEnd := sim.Time(c.warmup)
 	end := warmEnd.Add(c.window)
-	rp := trace.NewReplayer(p, c.assignments, c.seed+1)
+	rp := c.synthetic.Replayer(p, c.assignments)
 	if c.warmup > 0 {
 		rp.Schedule(0, warmEnd, warmupScale)
 	}
@@ -58,16 +56,4 @@ func (c replayCell) run() *faas.Platform {
 		mgr.Stop()
 	}
 	return p
-}
-
-// synthesizeTrace generates the seeded synthetic trace, matches its
-// functions against specs (nil: the full Table 1 set) and pins their
-// total arrival rate at scale 1 to baseRate req/s.
-func synthesizeTrace(seed uint64, functions int, specs []*workload.Spec, baseRate float64) []trace.Assignment {
-	if specs == nil {
-		specs = workload.All()
-	}
-	as := trace.Match(trace.Generate(trace.GenConfig{Seed: seed, Functions: functions}), specs)
-	trace.NormalizeRate(as, baseRate)
-	return as
 }

@@ -21,7 +21,7 @@ func TestSingleMachineReplayPins(t *testing.T) {
 	quickObserve := func() ObserveOptions {
 		o := DefaultObserveOptions()
 		o.Window = 20 * sim.Second
-		o.TraceFunctions = 200
+		o.Functions = 200
 		return o
 	}
 	entry := func(name string) func(w io.Writer) error {

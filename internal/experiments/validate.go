@@ -6,7 +6,6 @@ import (
 
 	"desiccant/internal/metrics"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 	"desiccant/internal/workload"
 )
 
@@ -70,14 +69,8 @@ func RunValidation(opts Options) (*ValidationResult, error) {
 		single.Iterations = 30
 	}
 
-	tropts := DefaultFig9Options()
-	tropts.Parallel = opts.Parallel
+	tropts := fig9Options(Options{Quick: opts.Quick, Parallel: opts.Parallel})
 	tropts.Scales = []float64{15}
-	if opts.Quick {
-		tropts.Warmup = 20 * sim.Second
-		tropts.Replay = 60 * sim.Second
-		tropts.TraceFunctions = 500
-	}
 
 	var (
 		fig1  *Fig1Result

@@ -39,7 +39,7 @@ func TestObserverSeesInitialThreshold(t *testing.T) {
 			o := cluster.DefaultOptions()
 			o.Nodes = 1
 			o.Window = 5 * sim.Second
-			o.TraceFunctions = 50
+			o.Functions = 50
 			o.ObserveNode = observe
 			if _, err := cluster.Run(o); err != nil {
 				t.Fatal(err)

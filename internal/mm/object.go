@@ -21,10 +21,11 @@
 //     may hand the slot out again at once.
 //   - The pointer At returns is valid only until the pool's next New,
 //     which may move the slab. Take it, use it, drop it.
-//   - Weak slots are never reused: the workload keeps its weak-cache
-//     Ref across collections to see the cache die (Dead), so a weak
-//     Object stays as the collection left it until Release — 24 B of
-//     slab per aggressive collection that clears a cache.
+//   - A collector never frees a weak Ref: the workload keeps its
+//     weak-cache Ref across collections to see the cache die (Dead),
+//     so the slot stays as the collection left it until its holder
+//     has read the verdict and frees it (FreeWeak). A weak slot nobody
+//     frees stays until Release.
 //   - Release resets the slab in O(1): every Ref the pool handed out
 //     becomes invalid at once, with no per-object walk.
 //   - A Ref is a storage detail: no Ref value may reach an output or

@@ -2,6 +2,7 @@ package mm
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 )
@@ -79,10 +80,22 @@ func (p *ObjectPool) New(size int64, weak bool) Ref {
 func (p *ObjectPool) At(r Ref) *Object { return &p.slab[r] }
 
 // Free returns r, which its heap has just dropped from its last list,
-// for reuse by New. Weak slots are kept out of the free list.
+// for reuse by New. Weak slots are kept out of the free list: their
+// holder still reads the collection's verdict there, and gives the
+// slot back with FreeWeak.
 func (p *ObjectPool) Free(r Ref) {
 	if p.slab[r].Weak {
 		return
+	}
+	p.free = append(p.free, r)
+}
+
+// FreeWeak returns the slot of weak object r, which a collection has
+// killed and dropped from every list, once its holder has read that
+// it is Dead and let go of r. It panics on a live or non-weak r.
+func (p *ObjectPool) FreeWeak(r Ref) {
+	if o := &p.slab[r]; !o.Weak || !o.Dead {
+		panic(fmt.Sprintf("mm: FreeWeak of %v", o))
 	}
 	p.free = append(p.free, r)
 }

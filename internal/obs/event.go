@@ -1,7 +1,7 @@
 // Package obs is the simulator's deterministic observability layer: a
 // typed event bus stamped with sim-clock time, a snapshotable metrics
-// registry, and exporters (Chrome/Perfetto trace JSON, CSV time
-// series, human-readable summary).
+// registry, and exporters (CSV time series, human-readable summary;
+// the Chrome/Perfetto trace JSON is internal/obs/trace's WritePerfetto).
 //
 // Everything in this package is deterministic by construction: events
 // carry sim timestamps only, subscribers are notified in registration

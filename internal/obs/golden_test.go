@@ -10,14 +10,17 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
+	invtrace "desiccant/internal/obs/trace"
 	"desiccant/internal/sim"
 )
 
@@ -76,7 +79,7 @@ func goldenScenario(t *testing.T) (traceJSON, metricsCSV []byte) {
 	sampler.Stop()
 
 	var tr bytes.Buffer
-	if err := obs.WritePerfetto(&tr, rec.Events()); err != nil {
+	if err := invtrace.WritePerfetto(&tr, rec.Events(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sampler.Flush(); err != nil {
@@ -121,5 +124,46 @@ func TestGoldenScenarioRepeatable(t *testing.T) {
 	}
 	if !bytes.Equal(m1, m2) {
 		t.Fatal("metrics export differs between identical runs")
+	}
+}
+
+func TestWritePerfettoProducesValidJSON(t *testing.T) {
+	events := []obs.Event{
+		{Time: 0, Kind: obs.EvColdBoot, Inst: 3, Name: "fft", Dur: 300000, Bytes: 256 << 20},
+		{Time: 400000, Kind: obs.EvInvokeStart, Inst: 3, Name: "fft", Dur: 50000},
+		{Time: 450000, Kind: obs.EvInvokeComplete, Inst: 3, Name: "fft", Dur: 450000},
+		{Time: 500000, Kind: obs.EvFreeze, Inst: 3, Name: "fft", Bytes: 100 << 20},
+		{Time: 900000, Kind: obs.EvReclaimBegin, Inst: 3, Name: "fft"},
+		{Time: 950000, Kind: obs.EvReclaimEnd, Inst: 3, Name: "fft", Dur: 50000, Bytes: 80 << 20},
+		{Time: 960000, Kind: obs.EvWarning, Inst: -1, Name: `quote " and \ backslash`},
+	}
+	var buf bytes.Buffer
+	if err := invtrace.WritePerfetto(&buf, events, nil); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		DisplayTimeUnit string                   `json:"displayTimeUnit"`
+		TraceEvents     []map[string]interface{} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if doc.DisplayTimeUnit != "ms" {
+		t.Fatalf("displayTimeUnit %q", doc.DisplayTimeUnit)
+	}
+	// Must contain the metadata, the span pair, and one flow s/f pair.
+	var phases []string
+	for _, ev := range doc.TraceEvents {
+		phases = append(phases, ev["ph"].(string))
+	}
+	joined := strings.Join(phases, "")
+	for _, needed := range []string{"M", "X", "i", "s", "f"} {
+		if !strings.Contains(joined, needed) {
+			t.Fatalf("no %q phase in trace (phases %v)", needed, phases)
+		}
+	}
+	// The escaped warning survived the round trip.
+	if !strings.Contains(buf.String(), `quote \" and \\ backslash`) {
+		t.Fatal("string escaping broken")
 	}
 }

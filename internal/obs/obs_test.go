@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -289,47 +288,6 @@ func TestKindNamesCoverAllKinds(t *testing.T) {
 		if name == "" || strings.HasPrefix(name, "kind(") {
 			t.Fatalf("kind %d has no name", k)
 		}
-	}
-}
-
-func TestWritePerfettoProducesValidJSON(t *testing.T) {
-	events := []Event{
-		{Time: 0, Kind: EvColdBoot, Inst: 3, Name: "fft", Dur: 300000, Bytes: 256 << 20},
-		{Time: 400000, Kind: EvInvokeStart, Inst: 3, Name: "fft", Dur: 50000},
-		{Time: 450000, Kind: EvInvokeComplete, Inst: 3, Name: "fft", Dur: 450000},
-		{Time: 500000, Kind: EvFreeze, Inst: 3, Name: "fft", Bytes: 100 << 20},
-		{Time: 900000, Kind: EvReclaimBegin, Inst: 3, Name: "fft"},
-		{Time: 950000, Kind: EvReclaimEnd, Inst: 3, Name: "fft", Dur: 50000, Bytes: 80 << 20},
-		{Time: 960000, Kind: EvWarning, Inst: -1, Name: `quote " and \ backslash`},
-	}
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		DisplayTimeUnit string                   `json:"displayTimeUnit"`
-		TraceEvents     []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit %q", doc.DisplayTimeUnit)
-	}
-	// Must contain the metadata, the span pair, and one flow s/f pair.
-	var phases []string
-	for _, ev := range doc.TraceEvents {
-		phases = append(phases, ev["ph"].(string))
-	}
-	joined := strings.Join(phases, "")
-	for _, needed := range []string{"M", "X", "i", "s", "f"} {
-		if !strings.Contains(joined, needed) {
-			t.Fatalf("no %q phase in trace (phases %v)", needed, phases)
-		}
-	}
-	// The escaped warning survived the round trip.
-	if !strings.Contains(buf.String(), `quote \" and \\ backslash`) {
-		t.Fatal("string escaping broken")
 	}
 }
 

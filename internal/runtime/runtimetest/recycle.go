@@ -55,8 +55,9 @@ const (
 // After every operation it checks the mm.ObjectPool ownership rule: no
 // freed Ref is still in one of the heap's lists, in the driver's live
 // set or reachable from the live workload.State, none is freed twice,
-// and no weak Ref is freed. It also checks that LiveBytes equals the
-// driver's own sum plus the state's.
+// and a weak Ref is freed only by its state: only one that was the
+// state's weak cache, and only once it is Dead. It also checks that
+// LiveBytes equals the driver's own sum plus the state's.
 func CheckRecycling(t *testing.T, maxSize, liveCap int64, newHeap func() Heap) {
 	t.Helper()
 	for w := 0; w < workers; w++ {
@@ -79,8 +80,15 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 	}
 	st := workload.NewState(bodySpec(h.Language), 0, objs)
 	var live []mm.Ref
+	// held collects every Ref the state has held as its weak cache.
+	held := make(map[mm.Ref]bool)
 	var want int64
 	for op := 0; op < ops; op++ {
+		st.Objects(func(r mm.Ref) {
+			if objs.At(r).Weak {
+				held[r] = true
+			}
+		})
 		var what string
 		switch r := rng.Intn(100); {
 		case r < 55 || len(live) == 0:
@@ -132,7 +140,7 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 			h.Reclaim(aggressive)
 		}
 		// An aggressive collection kills weak objects. The driver
-		// still reads them: weak objects are never recycled.
+		// still reads them: no collector recycles a weak object.
 		kept := live[:0]
 		for _, r := range live {
 			if o := objs.At(r); o.Dead {
@@ -142,7 +150,7 @@ func checkLife(t *testing.T, life int, maxSize, liveCap int64, h Heap) {
 			kept = append(kept, r)
 		}
 		live = kept
-		if msg := recycleViolation(h, live, st, want); msg != "" {
+		if msg := recycleViolation(h, live, st, held, want); msg != "" {
 			t.Fatalf("life %d op %d (%s): %s", life, op, what, msg)
 		}
 	}
@@ -167,16 +175,17 @@ func bodySpec(lang runtime.Language) *workload.Spec {
 }
 
 // recycleViolation returns a description of the first broken
-// recycling rule, or "".
-func recycleViolation(h Heap, live []mm.Ref, st *workload.State, want int64) string {
+// recycling rule, or "". held holds the Refs the state has held as its
+// weak cache.
+func recycleViolation(h Heap, live []mm.Ref, st *workload.State, held map[mm.Ref]bool, want int64) string {
 	objs := h.Objects()
 	freed := make(map[mm.Ref]bool, len(objs.Freed()))
 	for _, r := range objs.Freed() {
 		if r < 0 || int(r) >= objs.Len() {
 			return fmt.Sprintf("Ref %d on the free list is outside the %d-slot slab", r, objs.Len())
 		}
-		if o := objs.At(r); o.Weak {
-			return fmt.Sprintf("weak Ref %d %v on the free list", r, o)
+		if o := objs.At(r); o.Weak && !(held[r] && o.Dead) {
+			return fmt.Sprintf("weak Ref %d %v on the free list, not a dead cache of the state", r, o)
 		}
 		if freed[r] {
 			return fmt.Sprintf("Ref %d on the free list twice", r)

@@ -206,7 +206,7 @@ func ApplyZipf(as []Assignment, skew float64, seed uint64) {
 // paper's load levels regardless of which entries matched. It panics
 // unless targetTotal is positive and finite.
 func NormalizeRate(as []Assignment, targetTotal float64) {
-	if !(targetTotal > 0) || math.IsInf(targetTotal, 1) {
+	if !positiveFinite(targetTotal) {
 		panic("trace: non-positive target rate")
 	}
 	var total float64

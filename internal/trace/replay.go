@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"desiccant/internal/faas"
 	"desiccant/internal/sim"
 	"desiccant/internal/workload"
@@ -32,10 +34,12 @@ func NewReplayer(p Submitter, as []Assignment, seed uint64) *Replayer {
 }
 
 // Schedule enqueues arrivals for every assignment in [from, to) at the
-// given scale factor and returns the number of requests scheduled.
+// given scale factor and returns the number of requests scheduled. It
+// panics unless scale is positive and finite: a NaN or infinite scale
+// would submit every function once per microsecond.
 func (r *Replayer) Schedule(from, to sim.Time, scale float64) int {
-	if scale <= 0 {
-		panic("trace: non-positive scale factor")
+	if !positiveFinite(scale) {
+		panic(fmt.Sprintf("trace: scale factor %v is not positive and finite", scale))
 	}
 	total := 0
 	for i, a := range r.assignments {
@@ -45,9 +49,21 @@ func (r *Replayer) Schedule(from, to sim.Time, scale float64) int {
 	return total
 }
 
+// maxMeanIAT caps a function's scaled mean inter-arrival time (about
+// 143 years). A tiny scale or a steep Zipf skew can push the float
+// past the clock's range, where the conversion would wrap to a
+// negative gap, and a gap near the range would wrap t+gap into the
+// past; either way the function would arrive once per microsecond
+// without end. Under the cap the longest gap drawn (37 means, the
+// exponential's tail) stays far from the clock's range.
+const maxMeanIAT = sim.Duration(1 << 52)
+
 // scheduleOne generates one function's arrival process.
 func (r *Replayer) scheduleOne(spec *workload.Spec, e Entry, from, to sim.Time, scale float64, rng *sim.RNG) int {
-	meanIAT := sim.DurationFromSeconds(e.MeanIATSeconds / scale)
+	meanIAT := maxMeanIAT
+	if iat := e.MeanIATSeconds / scale; iat < maxMeanIAT.Seconds() {
+		meanIAT = sim.DurationFromSeconds(iat)
+	}
 	if meanIAT <= 0 {
 		meanIAT = sim.Microsecond
 	}

@@ -118,3 +118,50 @@ func TestWarmInvocationAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestEagerWeakCacheSlabBounded runs every function with a weak cache
+// (unionfind and data-analysis, both JavaScript) through 1000
+// invocations under the eager baseline's aggressive collection, which
+// clears the cache every time, and checks that the heap's
+// slab stops growing: the state gives each dead cache's slot back
+// before it allocates the next. Before that, every invocation left one
+// more dead weak slot behind (unionfind reached 1133 slots here).
+func TestEagerWeakCacheSlabBounded(t *testing.T) {
+	const invocations = 1000
+	for _, spec := range All() {
+		if spec.WeakBytes == 0 {
+			continue
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			m := osmem.NewMachine()
+			rt, err := runtime.New(RuntimeFor(spec.Language), runtime.Config{
+				AddressSpace: m.NewAddressSpace(spec.Name),
+				MemoryBudget: 256 << 20,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Release()
+			objs := rt.Objects()
+			st := NewState(spec, 0, objs)
+			defer st.Release()
+			rng := sim.NewRNG(1)
+			var slots [invocations]int
+			for i := range slots {
+				if _, err := st.RunBody(rt, rng); err != nil {
+					t.Fatal(err)
+				}
+				st.ReleaseIntermediates()
+				rt.CollectFull(true)
+				rt.DrainGCCost()
+				slots[i] = objs.Len()
+			}
+			// The first half settles the heap; the second may not add
+			// a slot per ten invocations.
+			if grown := slots[invocations-1] - slots[invocations/2-1]; grown > invocations/20 {
+				t.Fatalf("slab grew %d slots over the last %d invocations (%d → %d)",
+					grown, invocations/2, slots[invocations/2-1], slots[invocations-1])
+			}
+		})
+	}
+}

@@ -92,9 +92,16 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 			rep.DeoptApplied = true
 			st.deoptWindow--
 		}
-		// An aggressive collection marks the cache Dead; weak slots
-		// are never reused, so the Ref still reads the verdict.
-		if st.weak == mm.NoRef || st.objs.At(st.weak).Dead {
+		// An aggressive collection marks the cache Dead and drops it
+		// from the heap's lists but leaves its slot, so the Ref still
+		// reads the verdict; the state then gives the slot back. The
+		// Ref is let go first, so a failed allocation below leaves no
+		// freed Ref in the state.
+		if dead := st.weak; dead != mm.NoRef && st.objs.At(dead).Dead {
+			st.weak = mm.NoRef
+			st.objs.FreeWeak(dead)
+		}
+		if st.weak == mm.NoRef {
 			o, err := rt.Allocate(sp.WeakBytes, runtime.AllocOptions{Weak: true})
 			if err != nil {
 				return rep, fmt.Errorf("%s: weak cache: %w", sp.Name, err)
