@@ -177,7 +177,9 @@ func BenchmarkTraceGeneration(b *testing.B) {
 func BenchmarkFacadeEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSimulation(Config{EnableDesiccant: true})
-		s.ReplayTrace(uint64(i+1), 2.0, 0, Time(Seconds(20)), 10)
+		if _, err := s.ReplayTrace(uint64(i+1), 2.0, 0, Time(Seconds(20)), 10); err != nil {
+			b.Fatal(err)
+		}
 		s.RunUntil(Time(Seconds(30)))
 		s.Close()
 		if s.Platform.Stats().Completions == 0 {

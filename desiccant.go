@@ -130,11 +130,15 @@ func (s *Simulation) Close() {
 // ReplayTrace synthesizes an Azure-style trace with the given seed,
 // matches the paper's 20 functions to it, normalizes the total base
 // arrival rate, and schedules arrivals over [from, to) at the given
-// scale factor. It returns the number of requests scheduled, and
-// panics unless baseRate and scale are positive and finite.
-func (s *Simulation) ReplayTrace(seed uint64, baseRate float64, from, to Time, scale float64) int {
+// scale factor. It returns the number of requests scheduled. A
+// baseRate or scale that is not positive and finite is an error
+// naming the field, and nothing is scheduled.
+func (s *Simulation) ReplayTrace(seed uint64, baseRate float64, from, to Time, scale float64) (int, error) {
 	syn := trace.Synthetic{Seed: seed, Functions: 2000, BaseRate: baseRate}
-	return syn.Replayer(s.Platform, syn.Assignments(nil, 0)).Schedule(from, to, scale)
+	if err := syn.Validate(nil, 0, scale); err != nil {
+		return 0, err
+	}
+	return syn.Replayer(s.Platform, syn.Assignments(nil, 0)).Schedule(from, to, scale), nil
 }
 
 // DefaultPlatformConfig returns the paper's platform settings (2 GiB

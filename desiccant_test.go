@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"desiccant/internal/invariant"
@@ -56,13 +58,37 @@ func TestFacadeCustomConfigs(t *testing.T) {
 func TestFacadeReplayTrace(t *testing.T) {
 	s := NewSimulation(Config{EnableDesiccant: true})
 	defer s.Close()
-	n := s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10)
-	if n == 0 {
-		t.Fatal("no requests scheduled")
+	n, err := s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10)
+	if err != nil || n == 0 {
+		t.Fatalf("scheduled %d requests, err %v", n, err)
 	}
 	s.RunUntil(Time(Seconds(60)))
 	if s.Platform.Stats().Completions == 0 {
 		t.Fatal("nothing completed")
+	}
+}
+
+// TestFacadeReplayTraceRejectsDegenerateInputs: a NaN, zero, negative
+// or infinite base rate or scale is an error naming the field, with
+// nothing scheduled, never a panic.
+func TestFacadeReplayTraceRejectsDegenerateInputs(t *testing.T) {
+	bad := []float64{math.NaN(), 0, -1, math.Inf(1)}
+	for _, v := range bad {
+		for _, c := range []struct {
+			field           string
+			baseRate, scale float64
+		}{{"BaseRate", v, 10}, {"Scale", 2.0, v}} {
+			s := NewSimulation(Config{})
+			pending := s.Engine.Pending()
+			n, err := s.ReplayTrace(11, c.baseRate, 0, Time(Seconds(30)), c.scale)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %v: err %v, want one naming %s", c.field, v, err, c.field)
+			}
+			if n != 0 || s.Engine.Pending() != pending {
+				t.Errorf("%s = %v: %d requests, %d events scheduled", c.field, v, n, s.Engine.Pending()-pending)
+			}
+			s.Close()
+		}
 	}
 }
 
@@ -81,7 +107,9 @@ func TestFacadeReplayPins(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := NewSimulation(c.cfg)
-			s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10)
+			if _, err := s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10); err != nil {
+				t.Fatal(err)
+			}
 			s.RunUntil(Time(Seconds(40)))
 			s.Close()
 			st := s.Platform.Stats()

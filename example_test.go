@@ -34,7 +34,11 @@ func ExampleSimulation_ReplayTrace() {
 	sim := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
 	defer sim.Close()
 
-	n := sim.ReplayTrace(11, 2.0, 0, desiccant.Time(desiccant.Seconds(30)), 10)
+	n, err := sim.ReplayTrace(11, 2.0, 0, desiccant.Time(desiccant.Seconds(30)), 10)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	sim.RunUntil(desiccant.Time(desiccant.Seconds(60)))
 
 	fmt.Println("scheduled:", n == int(sim.Platform.Stats().Requests))

@@ -6,7 +6,6 @@ import (
 
 	"desiccant/internal/experiments"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 	"desiccant/internal/workload"
 )
 
@@ -53,9 +52,7 @@ func predict(p Params, o Options) ([]FigureRow, error) {
 	f9.Specs = specs
 	f9.Parallel = o.Parallel
 	if o.Quick {
-		f9.Warmup = 20 * sim.Second
-		f9.Replay = 60 * sim.Second
-		f9.Functions = 500
+		f9.Shrink()
 	}
 
 	counts := []int{1, 2, 4, 8}

@@ -74,6 +74,16 @@ func DefaultFig9Options() Fig9Options {
 	}
 }
 
+// Shrink applies the -quick reduction every quick Figure 9 replay
+// shares (the fig9 experiment and calibrate's held-out prediction of
+// it): a shorter warm-up and replay over a smaller trace population.
+// The scales stay the caller's.
+func (o *Fig9Options) Shrink() {
+	o.Warmup = 20 * sim.Second
+	o.Replay = 60 * sim.Second
+	o.Functions = 500
+}
+
 // Fig9Point is one (setup, scale) measurement.
 type Fig9Point struct {
 	Setup Setup

@@ -468,9 +468,7 @@ func fig9Options(opts Options) Fig9Options {
 	o := DefaultFig9Options()
 	if opts.Quick {
 		o.Scales = []float64{5, 15, 25}
-		o.Warmup = 20 * sim.Second
-		o.Replay = 60 * sim.Second
-		o.Functions = 500
+		o.Shrink()
 	}
 	if opts.Seed != 0 {
 		o.Seed = opts.Seed

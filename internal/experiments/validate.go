@@ -56,6 +56,19 @@ func (v *ValidationResult) addBand(id, claim string, measured float64, b Band) {
 	})
 }
 
+// validationOptions resolves the options of the claim checks'
+// single-machine runs and of their trace replay, both seeded by
+// opts.Seed when it is set.
+func validationOptions(opts Options) (SingleOptions, Fig9Options) {
+	single := opts.single()
+	if opts.Quick {
+		single.Iterations = 30
+	}
+	tropts := fig9Options(opts)
+	tropts.Scales = []float64{15}
+	return single, tropts
+}
+
 // RunValidation executes the claim checks. opts.Quick uses smaller
 // runs. The four experiment groups behind the claims are independent,
 // so they run concurrently (each internally parallel as well); the
@@ -63,14 +76,7 @@ func (v *ValidationResult) addBand(id, claim string, measured float64, b Band) {
 // deterministic.
 func RunValidation(opts Options) (*ValidationResult, error) {
 	v := &ValidationResult{}
-	single := DefaultSingleOptions()
-	single.Parallel = opts.Parallel
-	if opts.Quick {
-		single.Iterations = 30
-	}
-
-	tropts := fig9Options(Options{Quick: opts.Quick, Parallel: opts.Parallel})
-	tropts.Scales = []float64{15}
+	single, tropts := validationOptions(opts)
 
 	var (
 		fig1  *Fig1Result

@@ -232,6 +232,23 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	return h.Fail(o, runtime.ErrOutOfMemory)
 }
 
+// Headroom implements runtime.Runtime: objects small enough for eden
+// bump into its free bytes until the next young collection.
+func (h *Heap) Headroom(maxSize int64) int64 {
+	h.AssertLive()
+	if maxSize > h.eden.Capacity()/2 {
+		return 0
+	}
+	return h.eden.Free()
+}
+
+// AllocateDead implements runtime.Runtime: the run bumps eden as one
+// span, and the next collection counts it as collected.
+func (h *Heap) AllocateDead(bytes int64) {
+	h.AssertLive()
+	h.eden.AllocateDead(bytes)
+}
+
 // oldAllocate tries to place o in the old generation, compacting dead
 // tenured data and then expanding the committed size (never beyond
 // the reservation) as needed. Compacting before expanding is what
@@ -332,17 +349,28 @@ func (h *Heap) youngGC() error {
 	}
 
 	h.GC.YoungGCs++
-	var copied, promoted, collected int64
+	var copied, promoted int64
+	// Eden's dead runs never had an object: they are collected as a
+	// count.
+	collected := h.eden.DeadRunBytes()
 	to.Reset()
-	// Survivors bump into the to space back to back, so their page
-	// touches are deferred and flushed as one contiguous span after
-	// the loop. Promotions go through oldAllocate immediately — they
-	// land on disjoint old-generation pages, so the deferral does not
-	// reorder anything observable. Eden and from are iterated in place
-	// (nothing appends to them here) and reset afterwards, which keeps
-	// their object-list capacity for the next cycle instead of
-	// regrowing it from nil every collection.
+	// Survivors bump into the to space back to back, and promotions
+	// into the old generation's free tail back to back, so both
+	// batches defer their page touches and flush each as one
+	// contiguous span. The two land on disjoint pages and page touches
+	// commute (fault costs and counters are sums, and nothing is
+	// released in between), so the deferral reorders nothing
+	// observable. A promotion that does not fit the old tail falls
+	// back to oldAllocate, whose compaction or expansion inspects the
+	// old generation's pages: the old batch is flushed before it, so
+	// every touch the batch deferred lands first, as it would have
+	// unbatched, and the batch restarts at the new bump pointer. Eden
+	// and from are iterated in place (nothing appends to them here)
+	// and reset afterwards, which keeps their object-list capacity for
+	// the next cycle instead of regrowing it from nil every
+	// collection.
 	tb := to.BeginCopy()
+	ob := h.old.BeginCopy()
 	for _, objs := range [2][]mm.Ref{h.eden.Objects(), from.Objects()} {
 		for _, r := range objs {
 			o := h.Pool.At(r)
@@ -354,16 +382,27 @@ func (h *Heap) youngGC() error {
 			o.Age++
 			if o.Age > tenureThreshold || !tb.TryAllocate(r) {
 				o.Age = 0
-				if !h.oldAllocate(r) {
+				promoted += o.Size
+				if ob.TryAllocate(r) {
+					continue
+				}
+				ob.Flush()
+				// oldAllocate compacts only when the dead tenured bytes
+				// alone fit r. A spilled survivor, which the room made
+				// before the loop does not cover, can need the dead
+				// bytes and an expansion together; the feasibility
+				// check counted on both.
+				if !h.oldAllocate(r) && !(h.ensureOldFree(o.Size) && h.old.TryAllocate(r)) {
 					panic("hotspot: promotion failed after feasibility check")
 				}
-				promoted += o.Size
+				ob = h.old.BeginCopy()
 				continue
 			}
 			copied += o.Size
 		}
 	}
 	tb.Flush()
+	ob.Flush()
 	h.eden.Reset() // pages stay resident: frozen garbage in waiting
 	from.Reset()
 	h.from = 1 - h.from
@@ -459,14 +498,17 @@ func (h *Heap) fullGC(aggressive bool) error {
 	h.GC.FullGCs++
 	var traced, moved, collected int64
 
-	// Young survivors all move into the old generation.
+	// Young survivors all move into the old generation; eden's dead
+	// runs are collected as a count.
 	young := append(h.youngScratch[:0], h.eden.Objects()...)
 	young = append(young, h.surv[h.from].Objects()...)
+	deadRun := h.eden.DeadRunBytes()
 	h.eden.Reset()
 	h.surv[0].Reset()
 	h.surv[1].Reset()
 
 	traced, moved, collected = h.compactOld(aggressive)
+	collected += deadRun
 
 	for _, r := range young {
 		o := h.Pool.At(r)

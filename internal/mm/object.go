@@ -30,6 +30,11 @@
 //     becomes invalid at once, with no per-object walk.
 //   - A Ref is a storage detail: no Ref value may reach an output or
 //     decide an ordering.
+//   - A dead run (BumpSpace.AllocateDead) has no Ref at all: a
+//     workload places it only when it can prove the data dies before
+//     the space's next collection, so no collector could ever see it
+//     live. The space counts its bytes instead of listing them, and
+//     the collection that resets the space counts them as collected.
 package mm
 
 import "fmt"

@@ -22,6 +22,10 @@ type BumpSpace struct {
 	capacity int64
 	top      int64
 	objects  []Ref
+	// deadRun counts the bytes below top that AllocateDead placed:
+	// data dead on arrival, with no Ref and no entry in objects, which
+	// the next collection of the space counts as collected.
+	deadRun int64
 
 	// Touch-skip watermark: while epoch matches the region's clear
 	// epoch, space-relative bytes [lo, hi) are known resident and
@@ -73,6 +77,10 @@ func (s *BumpSpace) Objects() []Ref { return s.objects }
 // LiveBytes returns the bytes held by non-dead objects in the space.
 func (s *BumpSpace) LiveBytes() int64 { return s.pool.LiveBytes(s.objects) }
 
+// DeadRunBytes returns the bytes AllocateDead placed since the last
+// Reset.
+func (s *BumpSpace) DeadRunBytes() int64 { return s.deadRun }
+
 // TryAllocate bump-allocates r into the space, touching the underlying
 // pages. Returns false (leaving the space unchanged) if r does not fit.
 func (s *BumpSpace) TryAllocate(r Ref) bool {
@@ -81,18 +89,37 @@ func (s *BumpSpace) TryAllocate(r Ref) bool {
 		return false
 	}
 	o.Offset = s.base + s.top
-	end := s.top + o.Size
-	// Skip the touch when the object lands entirely inside the known
-	// resident+dirty window — it would change no page state. The
-	// window is only ever non-empty for anonymous regions, and any
-	// operation that could falsify it bumps the region's clear epoch.
+	s.bump(o.Size)
+	s.objects = append(s.objects, r)
+	return true
+}
+
+// AllocateDead bump-allocates a run of n bytes that is dead on arrival:
+// one touch over the run's span, which changes page state exactly as
+// TryAllocate of any objects packed back to back into those bytes
+// would (the CopyBatch argument). No object exists, so the run has no
+// Ref and no list entry and is only counted (DeadRunBytes). The
+// caller has made sure the run fits; one that does not panics.
+func (s *BumpSpace) AllocateDead(n int64) {
+	if n > s.capacity-s.top {
+		panic(fmt.Sprintf("mm: dead run of %d bytes overflows %q (%d free)", n, s.Name, s.capacity-s.top))
+	}
+	s.bump(n)
+	s.deadRun += n
+}
+
+// bump advances the bump pointer by n bytes and touches the pages
+// they cover. The touch is skipped when the bytes land entirely
+// inside the known resident+dirty window — it would change no page
+// state. The window is only ever non-empty for anonymous regions, and
+// any operation that could falsify it bumps the region's clear epoch.
+func (s *BumpSpace) bump(n int64) {
+	end := s.top + n
 	if s.epoch != s.region.ClearEpoch() || s.top < s.lo || end > s.hi {
-		s.region.TouchBytes(o.Offset, o.Size, true)
+		s.region.TouchBytes(s.base+s.top, n, true)
 		s.noteTouched(s.top, end)
 	}
 	s.top = end
-	s.objects = append(s.objects, r)
-	return true
 }
 
 // noteTouched records that space-relative bytes [from, to) were just
@@ -122,13 +149,15 @@ func (s *BumpSpace) noteTouched(from, to int64) {
 	}
 }
 
-// Reset empties the space: the bump pointer returns to zero and the
-// object list clears. Pages stay resident — this is exactly what eden
-// does after a young GC, and it is the mechanism behind frozen
-// garbage: free memory that the OS still accounts against the process.
+// Reset empties the space: the bump pointer returns to zero, and the
+// object list and the dead-run count clear. Pages stay resident — this
+// is exactly what eden does after a young GC, and it is the mechanism
+// behind frozen garbage: free memory that the OS still accounts
+// against the process.
 func (s *BumpSpace) Reset() {
 	s.top = 0
 	s.objects = s.objects[:0]
+	s.deadRun = 0
 }
 
 // Recarve moves an empty space to the window [base, base+capacity) of

@@ -13,8 +13,9 @@ const releaseCostPerMB = sim.Microsecond
 // HeapCore is the bookkeeping every heap model shares: the object
 // pool, the reserved heap region, the collection counters, the GC cost
 // not yet drained and the observer. A model embeds it, which supplies
-// Objects, Stats, DrainGCCost, HeapRange, ResidentBytes and a zero
-// ConsumeDeoptPenalty, and keeps only its own spaces and policies.
+// Objects, Stats, DrainGCCost, HeapRange, ResidentBytes, a zero
+// ConsumeDeoptPenalty and a zero Headroom, and keeps only its own
+// spaces and policies.
 type HeapCore struct {
 	// Pool owns the heap's objects; every list of the heap holds Refs
 	// into it. It is nil once the heap is released.
@@ -91,6 +92,17 @@ func (c *HeapCore) DrainGCCost() sim.Duration {
 	d := c.gcCost
 	c.gcCost = 0
 	return d
+}
+
+// Headroom implements Runtime for models without a bulk path for
+// dead-on-arrival data: it promises nothing, so every allocation
+// stays an object.
+func (c *HeapCore) Headroom(maxSize int64) int64 { return 0 }
+
+// AllocateDead implements Runtime for models that promise no
+// headroom: no byte lies within it, so any call is a caller bug.
+func (c *HeapCore) AllocateDead(bytes int64) {
+	panic(c.name + ": AllocateDead without headroom")
 }
 
 // ConsumeDeoptPenalty implements Runtime for models without a JIT

@@ -2,14 +2,17 @@
 // managed language runtimes running inside them. All four heap
 // simulators (internal/hotspot and internal/v8heap, which the paper
 // evaluates, plus the §7 ports internal/g1gc and internal/pyarena)
-// implement Runtime, a 10-method interface: allocation, the object
+// implement Runtime, a 12-method interface: allocation, the object
 // pool the allocated Refs index, a forced full collection, live and
 // committed sizes, the heap's range, the GC cost and deoptimization
-// penalty the executor charges, teardown, and the Reclaim method
-// Desiccant adds. Desiccant talks to instances
-// exclusively through Reclaim, so supporting a new language means
-// implementing this interface — the paper's §7 portability argument,
-// demonstrated by examples/custom-runtime.
+// penalty the executor charges, teardown, the Reclaim method
+// Desiccant adds, and the bulk path for data that is dead on arrival
+// (Headroom and AllocateDead), which only hotspot implements; the
+// other models promise no headroom, so every allocation of theirs is
+// an object. Desiccant talks to instances exclusively through
+// Reclaim, so supporting a new language means implementing this
+// interface — the paper's §7 portability argument, demonstrated by
+// examples/custom-runtime.
 //
 // Every model embeds HeapCore, which carries the bookkeeping they
 // share (object pool, region, counters, GC cost, observer and the
@@ -75,6 +78,18 @@ type Runtime interface {
 	// and returns its Ref in Objects. It returns ErrOutOfMemory when
 	// the heap limit is exhausted.
 	Allocate(size int64, opts AllocOptions) (mm.Ref, error)
+	// Headroom promises how many bytes the heap will place, in
+	// ordinary objects of at most maxSize bytes each, before its next
+	// collection. Allocating b of those bytes (through Allocate or
+	// AllocateDead) runs no collection and leaves a promise of at
+	// least the old one minus b. 0 promises nothing.
+	Headroom(maxSize int64) int64
+	// AllocateDead places bytes of data that is dead on arrival: the
+	// caller knows it dies before the heap's next collection. The
+	// heap spends the bytes and touches their pages exactly as an
+	// object of that size would, but makes no object. bytes must lie
+	// within the current Headroom.
+	AllocateDead(bytes int64)
 	// Objects returns the pool the heap's Refs index. A workload kills
 	// an object through it (Objects().At(r).Dead = true) and hands its
 	// emptied Ref lists to it before Release.

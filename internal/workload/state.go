@@ -25,11 +25,17 @@ type State struct {
 	// len) are live, older ones already dead. Popping by head index
 	// instead of reslicing keeps the slice re-anchored at its base, so
 	// appends reuse capacity instead of reallocating as the front
-	// erodes.
+	// erodes. A NoRef entry is a temporary placed dead on arrival; the
+	// window holds one only while allocTemps runs (see there).
 	window        []mm.Ref
 	windowHead    int
 	windowBytes   int64
 	intermediates []mm.Ref
+	// room is the runtime's Headroom at the state's last query, less
+	// every byte the state has allocated since: what the heap still
+	// places before its next collection. It is queried afresh at the
+	// start of every body, since collections run between bodies.
+	room int64
 	// deoptWindow counts the invocations still paying the JIT
 	// re-optimization penalty after an aggressive collection cleared
 	// the weak code caches.
@@ -111,6 +117,7 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 		}
 	}
 
+	st.room = rt.Headroom(sp.ObjectSize)
 	if st.invocations == 0 {
 		n, err := st.initialize(rt, rng)
 		rep.AllocatedBytes += n
@@ -122,24 +129,26 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 
 	// Body temporaries: allocate the (jittered) volume in object-size
 	// clusters, letting data older than the working set die as the
-	// body progresses.
+	// body progresses. Then the intermediate data for the next chain
+	// stage, which stays live past exit. It is built out of ordinary
+	// objects, so under the eager baseline a forced full collection
+	// promotes it into the old generation — touching additional pages
+	// — instead of reclaiming it: the mapreduce anomaly of §5.2.
+	var intermediate int64
+	if st.Stage < sp.ChainLength-1 {
+		intermediate = sp.IntermediateBytes
+	}
 	volume := int64(rng.Jitter(float64(sp.AllocPerInvoke), 0.1))
-	n, err := st.allocTemps(rt, volume, sp.WorkingSet)
+	n, err := st.allocTemps(rt, volume, intermediate)
 	rep.AllocatedBytes += n
 	if err != nil {
 		return rep, fmt.Errorf("%s: body: %w", sp.Name, err)
 	}
-
-	// Intermediate data for the next chain stage stays live past exit.
-	// It is built out of ordinary objects, so under the eager baseline
-	// a forced full collection promotes it into the old generation —
-	// touching additional pages — instead of reclaiming it: the
-	// mapreduce anomaly of §5.2.
-	if sp.IntermediateBytes > 0 && st.Stage < sp.ChainLength-1 {
-		remaining := sp.IntermediateBytes
+	if intermediate > 0 {
+		remaining := intermediate
 		for remaining > 0 {
 			size := min(remaining, sp.ObjectSize)
-			o, err := rt.Allocate(size, runtime.AllocOptions{})
+			o, err := st.allocate(rt, size)
 			if err != nil {
 				return rep, fmt.Errorf("%s: intermediate: %w", sp.Name, err)
 			}
@@ -177,14 +186,14 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 	}
 	remaining := sp.StaticBytes
 	for remaining > 0 {
-		n, err := st.allocTemps(rt, churnPerStatic, sp.WorkingSet)
+		n, err := st.allocTemps(rt, churnPerStatic, -1)
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
 		}
 		spike -= churnPerStatic
 		size := min(remaining, sp.ObjectSize)
-		o, err := rt.Allocate(size, runtime.AllocOptions{})
+		o, err := st.allocate(rt, size)
 		if err != nil {
 			return total, fmt.Errorf("%s: static init: %w", sp.Name, err)
 		}
@@ -193,7 +202,7 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 		remaining -= size
 	}
 	if spike > 0 {
-		n, err := st.allocTemps(rt, spike, sp.WorkingSet)
+		n, err := st.allocTemps(rt, spike, -1)
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
@@ -203,23 +212,65 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 }
 
 // allocTemps allocates volume bytes of temporaries in cluster-sized
-// objects, killing the oldest once the live window exceeds workingSet.
-func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64) (int64, error) {
+// objects, killing the oldest once the live window exceeds the working
+// set. tail is the bytes the body allocates after these temporaries
+// before it exits, or -1 when the window outlives the call
+// (initialization, whose window the body inherits).
+//
+// A temporary dies when the window's bytes from it to the newest
+// temporary first exceed the working set, which depends only on the
+// temporaries after it: a full cluster dies as the keep-th cluster
+// after it lands, if the call allocates that many more full clusters.
+// Otherwise it dies at the latest at function exit. When the heap's
+// headroom covers every byte allocated from a temporary up to its
+// death, no collection can see it live, so it is placed dead on
+// arrival: the heap spends its bytes and pages but makes no object
+// (runtime.AllocateDead, one call per run of such temporaries). Once
+// the headroom covers everything up to exit, the rest of the call is
+// one run and the window dies at once. Before that, the window holds
+// a dead-on-arrival temporary as NoRef. It is a full cluster, and it
+// leaves the window before the call returns: the keep-th cluster
+// after it lands in the same call, and no allocation up to then can
+// fail, since the headroom covers them all.
+func (st *State) allocTemps(rt runtime.Runtime, volume, tail int64) (int64, error) {
 	sp := st.Spec
-	var total int64
+	keep := max(1, sp.WorkingSet/sp.ObjectSize)
+	windowSpan := (keep + 1) * sp.ObjectSize
+	// dead is the run of dead-on-arrival bytes not yet placed: back to
+	// back temporaries go to the heap as one run, before the next
+	// object and at the end.
+	var total, dead int64
 	for total < volume {
-		size := min(sp.ObjectSize, volume-total)
-		o, err := rt.Allocate(size, runtime.AllocOptions{})
-		if err != nil {
-			return total, err
+		rest := volume - total
+		if tail >= 0 && st.room >= rest+tail {
+			// Everything left dies by function exit, before any
+			// collection: the rest is part of the dead run, and the
+			// live window may die now, since nothing reads it first.
+			rt.AllocateDead(dead + rest)
+			st.room -= rest
+			st.killWindow()
+			return volume, nil
+		}
+		size := min(sp.ObjectSize, rest)
+		o := mm.NoRef
+		if rest >= windowSpan && st.room >= windowSpan {
+			dead += size
+			st.room -= size
+		} else {
+			if dead > 0 {
+				rt.AllocateDead(dead)
+				dead = 0
+			}
+			var err error
+			if o, err = st.allocate(rt, size); err != nil {
+				return total, err
+			}
 		}
 		total += size
 		st.window = append(st.window, o)
 		st.windowBytes += size
-		for st.windowBytes > workingSet && len(st.window)-st.windowHead > 1 {
-			oldest := st.objs.At(st.window[st.windowHead])
-			oldest.Dead = true
-			st.windowBytes -= oldest.Size
+		for st.windowBytes > sp.WorkingSet && len(st.window)-st.windowHead > 1 {
+			st.windowBytes -= st.kill(st.window[st.windowHead])
 			st.windowHead++
 		}
 		// Slide the live tail down once the dead prefix dominates, so
@@ -230,12 +281,39 @@ func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64) (int64
 			st.windowHead = 0
 		}
 	}
+	if dead > 0 {
+		rt.AllocateDead(dead)
+	}
 	return total, nil
+}
+
+// allocate makes one ordinary object of size bytes. An object beyond
+// the room may have run a collection, which moves the heap's
+// headroom, so the heap is asked again.
+func (st *State) allocate(rt runtime.Runtime, size int64) (mm.Ref, error) {
+	o, err := rt.Allocate(size, runtime.AllocOptions{})
+	if size <= st.room {
+		st.room -= size
+	} else {
+		st.room = rt.Headroom(st.Spec.ObjectSize)
+	}
+	return o, err
+}
+
+// kill marks the temporary r dead and returns its size; a NoRef was
+// a full cluster dead on arrival.
+func (st *State) kill(r mm.Ref) int64 {
+	if r == mm.NoRef {
+		return st.Spec.ObjectSize
+	}
+	o := st.objs.At(r)
+	o.Dead = true
+	return o.Size
 }
 
 func (st *State) killWindow() {
 	for _, r := range st.window[st.windowHead:] {
-		st.objs.At(r).Dead = true
+		st.kill(r)
 	}
 	st.window = st.window[:0]
 	st.windowHead = 0
