@@ -30,13 +30,11 @@ func benchSingleOpts() experiments.SingleOptions {
 	return o
 }
 
-// benchTraceOpts returns a shortened trace experiment.
+// benchTraceOpts returns the quick trace experiment at the given
+// scales.
 func benchTraceOpts(scales ...float64) experiments.Fig9Options {
-	o := experiments.DefaultFig9Options()
+	o := experiments.ResolveFig9(experiments.Options{Quick: true})
 	o.Scales = scales
-	o.Warmup = 20 * sim.Second
-	o.Replay = 60 * sim.Second
-	o.Functions = 500
 	return o
 }
 
@@ -115,10 +113,9 @@ func BenchmarkAblationSelectionPolicy(b *testing.B) {
 func BenchmarkAblationWeakRefs(b *testing.B) {
 	var gentle, aggressive float64
 	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFig13Options()
-		opts.WarmIterations = 40
-		opts.MeasureIterations = 5
-		res, err := experiments.RunFig13(opts)
+		res, err := experiments.RunFig13(experiments.Fig13Options{
+			Single: experiments.DefaultSingleOptions(), WarmIterations: 40, MeasureIterations: 5,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +173,10 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // BenchmarkFacadeEndToEnd measures the public-API path end to end.
 func BenchmarkFacadeEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSimulation(Config{EnableDesiccant: true})
+		s, err := NewSimulation(Config{EnableDesiccant: true})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := s.ReplayTrace(uint64(i+1), 2.0, 0, Time(Seconds(20)), 10); err != nil {
 			b.Fatal(err)
 		}

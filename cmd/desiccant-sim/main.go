@@ -9,8 +9,7 @@
 //	desiccant-sim <experiment> [-quick] [-seed N] [-parallel N] [-o file]
 //	desiccant-sim all [-quick] [-seed N] [-parallel N] [-o dir]
 //
-// Experiments: fig1 fig2 fig4 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-// table1 table2.
+// `desiccant-sim list` prints every registered experiment.
 package main
 
 import (
@@ -60,8 +59,8 @@ func acceptedFlags(cmd string) []string {
 	return nil
 }
 
-// parseArgs parses and validates args[1:] as the flags of command
-// args[0], rejecting any optional flag the command does not accept.
+// parseArgs parses args[1:] as the flags of command args[0],
+// rejecting any optional flag the command does not accept.
 func parseArgs(args []string) (string, *flags, error) {
 	if len(args) == 0 {
 		usage(os.Stderr)
@@ -94,10 +93,6 @@ func parseArgs(args []string) (string, *flags, error) {
 		return "", nil, err
 	case fs.NArg() > 0: // e.g. "-json -parallel 2" leaves "2"
 		return "", nil, fmt.Errorf("unexpected argument %q after the flags of %s", fs.Arg(0), cmd)
-	case f.parallel < 0:
-		return "", nil, fmt.Errorf("-parallel must be >= 0, got %d", f.parallel)
-	case !(f.intensity >= 0 && f.intensity <= 1): // NaN fails both comparisons
-		return "", nil, fmt.Errorf("-intensity must be in [0,1], got %v", f.intensity)
 	}
 	return cmd, f, nil
 }
@@ -108,6 +103,10 @@ func run(args []string) error {
 		return err
 	}
 	opts := experiments.Options{Quick: f.quick, Seed: f.seed, Parallel: f.parallel, Summary: f.summary, Intensity: f.intensity}
+	// Checked before any file is created or any experiment runs.
+	if err := opts.Validate(); err != nil {
+		return err
+	}
 	switch cmd {
 	case "list", "help", "-h", "--help":
 		usage(os.Stdout)

@@ -48,7 +48,7 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"ext-cluster", "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("-shards: err %v, want an undefined-flag error", err)
 	}
-	if err := run([]string{"chaos", "-quick", "-intensity", "NaN"}); err == nil || err.Error() != "-intensity must be in [0,1], got NaN" {
+	if err := run([]string{"chaos", "-quick", "-intensity", "NaN"}); err == nil || err.Error() != "experiments: Intensity must be in [0,1], got NaN" {
 		t.Fatalf("-intensity NaN: err %v, want the range error", err)
 	}
 	t.Run("stray-arguments", func(t *testing.T) {

@@ -54,9 +54,6 @@ func run(w io.Writer, fn string, rate, durationSec float64, setup string, cacheM
 	cfg.Seed = seed
 	cfg.CacheBytes = cacheMB << 20
 	cfg.CPUs = cpus
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	var mgrCfg *desiccant.ManagerConfig
 	switch setup {
 	case "vanilla":
@@ -71,7 +68,10 @@ func run(w io.Writer, fn string, rate, durationSec float64, setup string, cacheM
 	default:
 		return fmt.Errorf("unknown setup %q", setup)
 	}
-	s := desiccant.NewSimulation(desiccant.Config{Platform: &cfg, Manager: mgrCfg})
+	s, err := desiccant.NewSimulation(desiccant.Config{Platform: &cfg, Manager: mgrCfg})
+	if err != nil {
+		return err
+	}
 	p, mgr := s.Platform, s.Manager
 
 	specs := desiccant.Functions()

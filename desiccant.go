@@ -14,7 +14,10 @@
 //
 // Quick use:
 //
-//	sim := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
+//	sim, err := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	sim.Platform.SubmitName("fft", 0)
 //	sim.RunFor(desiccant.Seconds(10))
 //	fmt.Println(sim.Platform.Stats().ColdBoots)
@@ -97,20 +100,30 @@ type Simulation struct {
 	Manager *Manager
 }
 
-// NewSimulation builds a ready-to-run simulation.
-func NewSimulation(cfg Config) *Simulation {
+// NewSimulation builds a ready-to-run simulation. A platform or manager
+// configuration that fails its Validate is an error naming the field,
+// and nothing is built.
+func NewSimulation(cfg Config) (*Simulation, error) {
 	pcfg := faas.DefaultConfig()
 	if cfg.Platform != nil {
 		pcfg = *cfg.Platform
+	}
+	if err := pcfg.Validate(); err != nil {
+		return nil, err
 	}
 	mcfg := cfg.Manager
 	if mcfg == nil && cfg.EnableDesiccant {
 		c := core.DefaultConfig()
 		mcfg = &c
 	}
+	if mcfg != nil {
+		if err := mcfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	s := &Simulation{Engine: sim.NewEngine()}
 	s.Platform, s.Manager = core.NewMachine(s.Engine, pcfg, mcfg, nil)
-	return s
+	return s, nil
 }
 
 // RunFor advances the simulation by d of virtual time.

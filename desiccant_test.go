@@ -12,8 +12,53 @@ import (
 	"desiccant/internal/obs/trace"
 )
 
+// newSim builds a simulation from a configuration the test expects to
+// be valid.
+func newSim(t testing.TB, cfg Config) *Simulation {
+	t.Helper()
+	s, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestFacadeRejectsInvalidConfigs checks that NewSimulation returns an
+// error naming the field for configurations it used to run silently
+// (the manager made fewer reclamations than at the default) or to
+// panic on (an invalid platform).
+func TestFacadeRejectsInvalidConfigs(t *testing.T) {
+	manager := func(edit func(*ManagerConfig)) Config {
+		m := DefaultManagerConfig()
+		edit(&m)
+		return Config{Manager: &m}
+	}
+	platform := func(edit func(*PlatformConfig)) Config {
+		p := DefaultPlatformConfig()
+		edit(&p)
+		return Config{Platform: &p, EnableDesiccant: true}
+	}
+	cases := []struct {
+		name, field string
+		cfg         Config
+	}{
+		{"low threshold NaN", "LowThreshold", manager(func(m *ManagerConfig) { m.LowThreshold = math.NaN() })},
+		{"inverted thresholds", "HighThreshold", manager(func(m *ManagerConfig) { m.LowThreshold, m.HighThreshold = 0.9, 0.6 })},
+		{"max concurrent -1", "MaxConcurrent", manager(func(m *ManagerConfig) { m.MaxConcurrent = -1 })},
+		{"negative freeze timeout", "FreezeTimeout", manager(func(m *ManagerConfig) { m.FreezeTimeout = -1 })},
+		{"idle CPU +Inf", "ActivateOnIdleCPU", manager(func(m *ManagerConfig) { m.ActivateOnIdleCPU = math.Inf(1) })},
+		{"no CPUs", "CPU", platform(func(p *PlatformConfig) { p.CPUs = 0 })},
+	}
+	for _, c := range cases {
+		s, err := NewSimulation(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.field) || s != nil {
+			t.Errorf("%s: simulation %v, err %v; want nil and an error naming %s", c.name, s, err, c.field)
+		}
+	}
+}
+
 func TestFacadeSimulation(t *testing.T) {
-	s := NewSimulation(Config{EnableDesiccant: true})
+	s := newSim(t, Config{EnableDesiccant: true})
 	defer s.Close()
 	if s.Manager == nil {
 		t.Fatal("manager not attached")
@@ -32,7 +77,7 @@ func TestFacadeSimulation(t *testing.T) {
 }
 
 func TestFacadeVanilla(t *testing.T) {
-	s := NewSimulation(Config{})
+	s := newSim(t, Config{})
 	if s.Manager != nil {
 		t.Fatal("manager attached without request")
 	}
@@ -45,7 +90,7 @@ func TestFacadeCustomConfigs(t *testing.T) {
 	pcfg.Policy = PolicyEager
 	mcfg := DefaultManagerConfig()
 	mcfg.UnmapLibraries = false
-	s := NewSimulation(Config{Platform: &pcfg, Manager: &mcfg})
+	s := newSim(t, Config{Platform: &pcfg, Manager: &mcfg})
 	defer s.Close()
 	if s.Platform.Config().CacheBytes != 512<<20 {
 		t.Fatal("platform config not applied")
@@ -56,7 +101,7 @@ func TestFacadeCustomConfigs(t *testing.T) {
 }
 
 func TestFacadeReplayTrace(t *testing.T) {
-	s := NewSimulation(Config{EnableDesiccant: true})
+	s := newSim(t, Config{EnableDesiccant: true})
 	defer s.Close()
 	n, err := s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10)
 	if err != nil || n == 0 {
@@ -78,7 +123,7 @@ func TestFacadeReplayTraceRejectsDegenerateInputs(t *testing.T) {
 			field           string
 			baseRate, scale float64
 		}{{"BaseRate", v, 10}, {"Scale", 2.0, v}} {
-			s := NewSimulation(Config{})
+			s := newSim(t, Config{})
 			pending := s.Engine.Pending()
 			n, err := s.ReplayTrace(11, c.baseRate, 0, Time(Seconds(30)), c.scale)
 			if err == nil || !strings.Contains(err.Error(), c.field) {
@@ -106,7 +151,7 @@ func TestFacadeReplayPins(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := NewSimulation(c.cfg)
+			s := newSim(t, c.cfg)
 			if _, err := s.ReplayTrace(11, 2.0, 0, Time(Seconds(30)), 10); err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +198,7 @@ func TestFacadeFunctionRegistry(t *testing.T) {
 }
 
 func TestFacadePythonFunction(t *testing.T) {
-	s := NewSimulation(Config{EnableDesiccant: true})
+	s := newSim(t, Config{EnableDesiccant: true})
 	defer s.Close()
 	if err := s.Platform.SubmitName("py-etl", 0); err != nil {
 		t.Fatal(err)
@@ -176,7 +221,7 @@ func TestFacadeJavaSmallBudgets(t *testing.T) {
 			}
 			pcfg := DefaultPlatformConfig()
 			pcfg.InstanceBudget = mib << 20
-			s := NewSimulation(Config{Platform: &pcfg})
+			s := newSim(t, Config{Platform: &pcfg})
 			for i := 0; i < 5; i++ {
 				if err := s.Platform.SubmitName(spec.Name, Time(Seconds(float64(i)))); err != nil {
 					t.Fatal(err)
@@ -203,7 +248,7 @@ func TestFacadeJavaScriptSmallBudgets(t *testing.T) {
 			}
 			pcfg := DefaultPlatformConfig()
 			pcfg.InstanceBudget = mib << 20
-			s := NewSimulation(Config{Platform: &pcfg})
+			s := newSim(t, Config{Platform: &pcfg})
 			chk := invariant.Attach(s.Platform, nil)
 			for i := 0; i < 5; i++ {
 				if err := s.Platform.SubmitName(spec.Name, Time(Seconds(float64(i)))); err != nil {
@@ -227,7 +272,7 @@ func TestFacadeJavaScriptSmallBudgets(t *testing.T) {
 func TestFacadeBootFailureSpan(t *testing.T) {
 	pcfg := DefaultPlatformConfig()
 	pcfg.InstanceBudget = 3 << 20
-	s := NewSimulation(Config{Platform: &pcfg})
+	s := newSim(t, Config{Platform: &pcfg})
 	b := trace.NewBuilder()
 	b.Attach(s.Platform.Events())
 	if err := s.Platform.SubmitName("fft", 0); err != nil {
@@ -259,7 +304,7 @@ func TestFacadeBootFailureDrops(t *testing.T) {
 		pcfg := DefaultPlatformConfig()
 		pcfg.InstanceBudget = 3 << 20
 		pcfg.PrewarmPerLanguage = i
-		s := NewSimulation(Config{Platform: &pcfg})
+		s := newSim(t, Config{Platform: &pcfg})
 		chk := invariant.Attach(s.Platform, nil)
 		for i := 0; i < 5; i++ {
 			if err := s.Platform.SubmitName(name, Time(Seconds(float64(i)))); err != nil {

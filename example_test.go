@@ -10,7 +10,11 @@ import (
 // attached, submit two requests to the same function, and observe that
 // the second one found a warm (cached, frozen) instance.
 func ExampleNewSimulation() {
-	sim := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
+	sim, err := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer sim.Close()
 
 	sim.Platform.SubmitName("fft", 0)
@@ -31,7 +35,11 @@ func ExampleNewSimulation() {
 // the returned request count and the platform counters are exact,
 // deterministic functions of the seed.
 func ExampleSimulation_ReplayTrace() {
-	sim := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
+	sim, err := desiccant.NewSimulation(desiccant.Config{EnableDesiccant: true})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer sim.Close()
 
 	n, err := sim.ReplayTrace(11, 2.0, 0, desiccant.Time(desiccant.Seconds(30)), 10)

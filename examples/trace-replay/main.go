@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"log"
 	"os"
 
 	"desiccant"
@@ -34,7 +35,10 @@ func main() {
 		"setup", "coldboot/req", "throughput", "p50(ms)", "p99(ms)", "evictions", "cached@end")
 	cold, p99 := map[string]float64{}, map[string]float64{}
 	for _, setup := range []string{"vanilla", "eager", "desiccant"} {
-		cold[setup], p99[setup] = runSetup(os.Stdout, setup, assignments)
+		var err error
+		if cold[setup], p99[setup], err = runSetup(os.Stdout, setup, assignments); err != nil {
+			log.Fatal(err)
+		}
 	}
 	v, d := "vanilla", "desiccant"
 	fmt.Printf("\nVanilla -> Desiccant: cold boots per request %.4f -> %.4f (%+.4f), p99 latency %.1f -> %.1f ms (%+.1f ms).\n",
@@ -44,12 +48,15 @@ func main() {
 // runSetup replays the trace on one setup, writes its table row (and,
 // with Desiccant, the manager's totals) to w, and returns its cold-boot
 // rate and p99 latency.
-func runSetup(w io.Writer, setup string, assignments []trace.Assignment) (coldRate, p99 float64) {
+func runSetup(w io.Writer, setup string, assignments []trace.Assignment) (coldRate, p99 float64, err error) {
 	cfg := desiccant.DefaultPlatformConfig()
 	if setup == "eager" {
 		cfg.Policy = desiccant.PolicyEager
 	}
-	s := desiccant.NewSimulation(desiccant.Config{Platform: &cfg, EnableDesiccant: setup == "desiccant"})
+	s, err := desiccant.NewSimulation(desiccant.Config{Platform: &cfg, EnableDesiccant: setup == "desiccant"})
+	if err != nil {
+		return 0, 0, err
+	}
 	p := s.Platform
 
 	rp := trace.NewReplayer(p, assignments, 7)
@@ -71,5 +78,5 @@ func runSetup(w io.Writer, setup string, assignments []trace.Assignment) (coldRa
 		fmt.Fprintf(w, "%-10s reclaimed %d instances, released %.1f MiB, burned %v CPU\n",
 			"", ms.Reclamations, float64(ms.ReleasedBytes)/(1<<20), ms.CPUTime)
 	}
-	return st.ColdBootRate(), st.Latency.Percentile(99)
+	return st.ColdBootRate(), st.Latency.Percentile(99), nil
 }

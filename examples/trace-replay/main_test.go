@@ -21,7 +21,9 @@ func TestRunSetupPins(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.setup, func(t *testing.T) {
 			var buf bytes.Buffer
-			runSetup(&buf, c.setup, assignments)
+			if _, _, err := runSetup(&buf, c.setup, assignments); err != nil {
+				t.Fatal(err)
+			}
 			sum := sha256.Sum256(buf.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != c.want {
 				t.Errorf("sha256 %s, pinned %s:\n%s", got, c.want, buf.String())

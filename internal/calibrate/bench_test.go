@@ -3,13 +3,15 @@ package calibrate
 import (
 	"io"
 	"testing"
+
+	"desiccant/internal/experiments"
 )
 
 // BenchmarkCalibrateQuick times the CI-shaped calibration pipeline:
 // fit on Table 1, predict Figs. 7/8/9, run the metamorphic suite, and
 // render both report forms.
 func BenchmarkCalibrateQuick(b *testing.B) {
-	o := QuickOptions()
+	o := calibrateOptions(experiments.Options{Quick: true})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep, err := Run(o)

@@ -49,26 +49,28 @@ type Options struct {
 }
 
 // DefaultOptions is the full calibration run.
-func DefaultOptions() Options {
-	return Options{
-		Seed:              1,
+func DefaultOptions() Options { return calibrateOptions(experiments.Options{}) }
+
+// calibrateOptions resolves the calibrate experiment: the full run,
+// or under -quick the CI smoke configuration.
+func calibrateOptions(opts experiments.Options) Options {
+	o := Options{
+		Seed:              opts.SeedOr(1),
+		Quick:             opts.Quick,
+		Parallel:          opts.Parallel,
 		FitPasses:         3,
 		FitIterations:     30,
 		PredictIterations: 100,
 		MetaIterations:    24,
 		MetaSeeds:         []uint64{1, 7, 1337},
 	}
-}
-
-// QuickOptions is the CI smoke configuration.
-func QuickOptions() Options {
-	o := DefaultOptions()
-	o.Quick = true
-	o.FitPasses = 2
-	o.FitIterations = 12
-	o.PredictIterations = 30
-	o.MetaIterations = 12
-	o.MetaSeeds = []uint64{1, 7}
+	if opts.Quick {
+		o.FitPasses = 2
+		o.FitIterations = 12
+		o.PredictIterations = 30
+		o.MetaIterations = 12
+		o.MetaSeeds = []uint64{1, 7}
+	}
 	return o
 }
 
@@ -103,23 +105,14 @@ func Run(o Options) (*Report, error) {
 // in with a blank import (the registry lives in experiments, which
 // this package drives and therefore cannot be imported by).
 func init() {
-	experiments.Register(experiments.Entry{
+	experiments.Register(experiments.NewEntry(experiments.Entry{
 		Name: "calibrate", Figure: "Validation", Claim: "C1+C2",
 		Description: "fit on Table 1 characterization, predict Figs. 7/8/9 with relerr bands, metamorphic gates",
 		Flags:       []string{"json"},
-		Run:         runExperiment,
-	})
+	}, calibrateOptions, runExperiment))
 }
 
-func runExperiment(w io.Writer, opts experiments.Options) error {
-	o := DefaultOptions()
-	if opts.Quick {
-		o = QuickOptions()
-	}
-	if opts.Seed != 0 {
-		o.Seed = opts.Seed
-	}
-	o.Parallel = opts.Parallel
+func runExperiment(w io.Writer, o Options, opts experiments.Options) error {
 	rep, err := Run(o)
 	if err != nil {
 		return err

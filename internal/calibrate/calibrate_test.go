@@ -3,13 +3,16 @@ package calibrate
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"desiccant/internal/experiments"
 )
 
 // tinyOptions shrinks the quick configuration further so a full
 // fit+predict+metamorphic pipeline stays test-sized.
 func tinyOptions() Options {
-	o := QuickOptions()
+	o := calibrateOptions(experiments.Options{Quick: true})
 	o.FitPasses = 1
 	o.FitIterations = 5
 	o.PredictIterations = 6
@@ -138,5 +141,40 @@ func TestFirstFailureOrder(t *testing.T) {
 	r.Targets[0].Pass = false
 	if got := r.FirstFailure(); got == "" || got[:6] != "target" {
 		t.Errorf("FirstFailure = %q, want the target failure first", got)
+	}
+}
+
+// TestHeldOutSetupsResolveFromTheExperiments checks that the Figure 8
+// and Figure 9 predictions run the setups the fig8 and fig9 registry
+// entries resolve, at full size and under -quick: the fig8 counts up to
+// maxFig8Count, and fig9's trace and window at scale 15.
+func TestHeldOutSetupsResolveFromTheExperiments(t *testing.T) {
+	resolve := func(name string, opts experiments.Options) any {
+		for _, e := range experiments.List() {
+			if e.Name == name {
+				return e.Resolve(opts)
+			}
+		}
+		t.Fatalf("no %s experiment", name)
+		return nil
+	}
+	for _, quick := range []bool{false, true} {
+		opts := experiments.Options{Quick: quick}
+		counts, f9 := heldOutSetups(calibrateOptions(opts))
+		fig8 := resolve("fig8", opts).(experiments.Fig8Options)
+		want := 0
+		for _, n := range fig8.Counts {
+			if n <= maxFig8Count {
+				want++
+			}
+		}
+		if want == 0 || !reflect.DeepEqual(counts, fig8.Counts[:want]) {
+			t.Errorf("quick=%v: predicted at counts %v, fig8 resolves %v", quick, counts, fig8.Counts)
+		}
+		fig9 := resolve("fig9", opts).(experiments.Fig9Options)
+		fig9.Scales = []float64{15}
+		if !reflect.DeepEqual(f9, fig9) {
+			t.Errorf("quick=%v: predicted on %+v, fig9 resolves %+v", quick, f9, fig9)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"desiccant/internal/experiments"
 )
 
 // TestMetamorphicCoverage pins the suite's shape: every property
@@ -33,7 +35,7 @@ func TestMetamorphicCoverage(t *testing.T) {
 }
 
 func TestMetamorphicPropertiesHold(t *testing.T) {
-	o := QuickOptions()
+	o := calibrateOptions(experiments.Options{Quick: true})
 	o.MetaIterations = 10
 	o.MetaSeeds = []uint64{1, 7}
 	results := RunMetamorphic(o)
@@ -51,7 +53,7 @@ func TestMetamorphicPropertiesHold(t *testing.T) {
 // results at any worker count — cells land in per-index slots and are
 // read back in index order.
 func TestMetamorphicParallelIdentity(t *testing.T) {
-	base := QuickOptions()
+	base := calibrateOptions(experiments.Options{Quick: true})
 	base.MetaIterations = 6
 	base.MetaSeeds = []uint64{1}
 	one := base

@@ -47,18 +47,8 @@ func predict(p Params, o Options) ([]FigureRow, error) {
 	single.Seed = o.Seed
 	single.Parallel = o.Parallel
 
-	f9 := experiments.DefaultFig9Options()
-	f9.Scales = []float64{15}
+	counts, f9 := heldOutSetups(o)
 	f9.Specs = specs
-	f9.Parallel = o.Parallel
-	if o.Quick {
-		f9.Shrink()
-	}
-
-	counts := []int{1, 2, 4, 8}
-	if o.Quick {
-		counts = []int{1, 2, 4}
-	}
 
 	var (
 		fig7 *experiments.Fig7Result
@@ -110,4 +100,25 @@ func predict(p Params, o Options) ([]FigureRow, error) {
 	add("fig9", "reclaim_overhead_pct", 100*des.ReclaimOverhead, 6.2,
 		"calibrate.fig9.reclaim_overhead_pct")
 	return rows, nil
+}
+
+// maxFig8Count caps the instance counts the Figure 8 prediction runs
+// at: its last point is the 8-instance one of the full run.
+const maxFig8Count = 8
+
+// heldOutSetups resolves the Figure 8 instance counts (up to
+// maxFig8Count) and the Figure 9 replay (at scale 15) the predictions
+// run, through the fig8 and fig9 experiments' own resolvers with o's
+// Quick. The trace keeps its default seed, which VALIDATION.json pins.
+func heldOutSetups(o Options) ([]int, experiments.Fig9Options) {
+	opts := experiments.Options{Quick: o.Quick, Parallel: o.Parallel}
+	var counts []int
+	for _, n := range experiments.ResolveFig8(opts).Counts {
+		if n <= maxFig8Count {
+			counts = append(counts, n)
+		}
+	}
+	f9 := experiments.ResolveFig9(opts)
+	f9.Scales = []float64{15}
+	return counts, f9
 }

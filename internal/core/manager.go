@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"desiccant/internal/container"
@@ -124,6 +126,28 @@ func DefaultConfig() Config {
 		Mode:           ModeReclaim,
 		Seed:           7,
 	}
+}
+
+// Validate reports the first setting the manager cannot run with,
+// naming its field: a threshold outside [0,1] or NaN, a low threshold
+// above the high one, no reclamation slot, a negative freeze timeout,
+// or an idle-CPU trigger that is negative, NaN or infinite.
+func (c Config) Validate() error {
+	switch {
+	case !(c.LowThreshold >= 0 && c.LowThreshold <= 1): // NaN fails both comparisons
+		return fmt.Errorf("core: LowThreshold must be in [0,1], got %v", c.LowThreshold)
+	case !(c.HighThreshold >= 0 && c.HighThreshold <= 1):
+		return fmt.Errorf("core: HighThreshold must be in [0,1], got %v", c.HighThreshold)
+	case c.LowThreshold > c.HighThreshold:
+		return fmt.Errorf("core: LowThreshold %v exceeds HighThreshold %v", c.LowThreshold, c.HighThreshold)
+	case c.MaxConcurrent < 1:
+		return fmt.Errorf("core: MaxConcurrent must be >= 1, got %d", c.MaxConcurrent)
+	case c.FreezeTimeout < 0:
+		return fmt.Errorf("core: FreezeTimeout must be >= 0, got %v", c.FreezeTimeout)
+	case !(c.ActivateOnIdleCPU >= 0) || math.IsInf(c.ActivateOnIdleCPU, 1):
+		return fmt.Errorf("core: ActivateOnIdleCPU must be finite and >= 0, got %v", c.ActivateOnIdleCPU)
+	}
+	return nil
 }
 
 // Stats counts the manager's activity.

@@ -15,7 +15,7 @@ import (
 // one mode, two machines, a short window — big enough to exercise
 // queueing, boots, thaws, and manager interference.
 func quickAttrOptions() AttrOptions {
-	o := DefaultAttrOptions()
+	o := attrOptions(Options{})
 	o.Modes = []string{"reclaim"}
 	o.Cluster.Nodes = 2
 	o.Cluster.Window = 15 * sim.Second

@@ -30,16 +30,6 @@ type ChaosOptions struct {
 	Parallel int
 }
 
-// DefaultChaosOptions returns the default sweep grid.
-func DefaultChaosOptions() ChaosOptions {
-	return ChaosOptions{
-		Seed:        17,
-		Window:      45 * sim.Second,
-		Requests:    180,
-		Intensities: []float64{0, 0.5, 1.0},
-	}
-}
-
 // ChaosCell is one (mode, intensity) result.
 type ChaosCell struct {
 	Mode       chaos.ManagerMode

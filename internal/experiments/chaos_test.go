@@ -9,7 +9,7 @@ import (
 )
 
 func quickChaosOptions() ChaosOptions {
-	o := DefaultChaosOptions()
+	o := chaosOptions(Options{})
 	o.Window = 15 * sim.Second
 	o.Requests = 80
 	o.Intensities = []float64{0, 1.0}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"desiccant/internal/core"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
 	"desiccant/internal/workload"
@@ -107,7 +108,8 @@ func TestNoMemorySpecRejectsRatioSamples(t *testing.T) {
 // single-machine replays fail with an error naming the field, before
 // anything is scheduled, on a trace no replay can run: a NaN or
 // infinite scale used to submit every function once per microsecond
-// forever, and a zero base rate or population panicked.
+// forever, and a zero base rate or population panicked. A manager that
+// cannot run is rejected the same way.
 func TestReplayRunnersRejectDegenerateTraces(t *testing.T) {
 	fig9 := func(edit func(*Fig9Options)) error {
 		o := DefaultFig9Options()
@@ -115,11 +117,11 @@ func TestReplayRunnersRejectDegenerateTraces(t *testing.T) {
 		_, err := RunFig9(o)
 		return err
 	}
-	observe := func(run func(ObserveOptions) error, edit func(*ObserveOptions)) func() error {
+	observe := func(run func(ObserveOptions, ObserveOutputs) error, edit func(*ObserveOptions)) func() error {
 		return func() error {
-			o := DefaultObserveOptions()
+			o := observeOptions(Options{})
 			edit(&o)
-			return run(o)
+			return run(o, ObserveOutputs{})
 		}
 	}
 	cases := []struct {
@@ -129,6 +131,9 @@ func TestReplayRunnersRejectDegenerateTraces(t *testing.T) {
 		{"fig9 scale NaN", "Scale", func() error { return fig9(func(o *Fig9Options) { o.Scales = []float64{15, math.NaN()} }) }},
 		{"fig9 base rate 0", "BaseRate", func() error { return fig9(func(o *Fig9Options) { o.BaseRate = 0 }) }},
 		{"fig9 functions 0", "Functions", func() error { return fig9(func(o *Fig9Options) { o.Functions = 0 }) }},
+		{"fig9 manager MaxConcurrent 0", "MaxConcurrent", func() error {
+			return fig9(func(o *Fig9Options) { m := core.DefaultConfig(); m.MaxConcurrent = 0; o.ManagerConfig = &m })
+		}},
 		{"snapstart scale +Inf", "Scale", func() error { _, err := RunSnapStart(DefaultFig9Options(), math.Inf(1)); return err }},
 		{"prewarm scale 0", "Scale", func() error { _, err := RunPrewarm(DefaultFig9Options(), 0); return err }},
 		{"observe scale +Inf", "Scale", observe(RunObserve, func(o *ObserveOptions) { o.Scale = math.Inf(1) })},

@@ -25,23 +25,6 @@ type AttrOptions struct {
 	Modes []string
 }
 
-// DefaultAttrOptions returns a 4-machine pinned fleet under
-// replayProfile, sweeping all three manager modes.
-func DefaultAttrOptions() AttrOptions { return attrOptions(Options{}) }
-
-// attrOptions is the ext-attr configuration; -quick runs 2 machines
-// and skips the swap mode.
-func attrOptions(opts Options) AttrOptions {
-	o := AttrOptions{Cluster: replayProfile(opts), Modes: cluster.Modes}
-	o.Cluster.Nodes = 4
-	o.Cluster.Policy = cluster.PolicyPinned
-	if opts.Quick {
-		o.Cluster.Nodes = 2
-		o.Modes = []string{"vanilla", "reclaim"}
-	}
-	return o
-}
-
 // AttrModeResult is one mode's replay: the merged span set plus
 // machine 1's event stream.
 type AttrModeResult struct {

@@ -66,15 +66,6 @@ type Fig13Options struct {
 	MeasureIterations int
 }
 
-// DefaultFig13Options mirrors §5.6.
-func DefaultFig13Options() Fig13Options {
-	return Fig13Options{
-		Single:            DefaultSingleOptions(),
-		WarmIterations:    130,
-		MeasureIterations: 10,
-	}
-}
-
 // RunFig13 measures every function. Functions fan out across the pool;
 // the three variants of one function stay serial because the swap
 // variant replays the volume the Desiccant variant released.

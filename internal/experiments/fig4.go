@@ -25,9 +25,6 @@ type Fig4Result struct {
 	Points []Fig4Point
 }
 
-// DefaultFig4Budgets are the paper's three memory settings.
-func DefaultFig4Budgets() []int64 { return []int64{256 << 20, 512 << 20, 1024 << 20} }
-
 // RunFig4 sweeps the budgets for both languages. Every (budget,
 // function) cell is an independent sub-simulation, so all of them fan
 // out across the pool at once; the language sums then accumulate in

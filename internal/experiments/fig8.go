@@ -45,8 +45,12 @@ type Fig8Result struct {
 	Points   []Fig8Point
 }
 
-// DefaultFig8Counts are the concurrency levels swept.
-func DefaultFig8Counts() []int { return []int{1, 2, 4, 8, 16} }
+// Fig8Options parameterizes Figure 8: the co-located instance counts
+// swept and the single-machine options of every run.
+type Fig8Options struct {
+	Counts []int
+	Single SingleOptions
+}
 
 // RunFig8 sweeps instance counts for one function (the paper uses fft).
 func RunFig8(name string, counts []int, opts SingleOptions) (*Fig8Result, error) {

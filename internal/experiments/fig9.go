@@ -74,16 +74,6 @@ func DefaultFig9Options() Fig9Options {
 	}
 }
 
-// Shrink applies the -quick reduction every quick Figure 9 replay
-// shares (the fig9 experiment and calibrate's held-out prediction of
-// it): a shorter warm-up and replay over a smaller trace population.
-// The scales stay the caller's.
-func (o *Fig9Options) Shrink() {
-	o.Warmup = 20 * sim.Second
-	o.Replay = 60 * sim.Second
-	o.Functions = 500
-}
-
 // Fig9Point is one (setup, scale) measurement.
 type Fig9Point struct {
 	Setup Setup
@@ -159,10 +149,16 @@ func (s Setup) configs(opts Fig9Options) (faas.Config, *core.Config) {
 }
 
 // assignments synthesizes the sweep's trace once for all its cells,
-// after checking that it can replay at every given scale.
+// after checking that it can replay at every given scale and that
+// ManagerConfig, when set, is a manager that can run.
 func (opts Fig9Options) assignments(scales ...float64) ([]trace.Assignment, error) {
 	if err := opts.Synthetic.Validate(opts.Specs, 0, scales...); err != nil {
 		return nil, err
+	}
+	if opts.ManagerConfig != nil {
+		if err := opts.ManagerConfig.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	return opts.Synthetic.Assignments(opts.Specs, 0), nil
 }

@@ -8,20 +8,6 @@ import (
 	"desiccant/internal/obs"
 )
 
-// fleetOptions is the ext-fleet configuration: the cluster's static
-// pinned fleet, 8 Desiccant machines behind one router under
-// replayProfile (4 machines in quick mode).
-func fleetOptions(opts Options) cluster.Options {
-	o := replayProfile(opts)
-	o.Nodes = 8
-	if opts.Quick {
-		o.Nodes = 4
-	}
-	o.Policy = cluster.PolicyPinned
-	o.Mode = "reclaim"
-	return o
-}
-
 // writeFleetCSV renders a cluster replay in the ext-fleet columns:
 // per-machine rows and the fleet-wide tail.
 func writeFleetCSV(w io.Writer, r *cluster.Result) {

@@ -20,8 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"desiccant/internal/sim"
 )
 
 var updateE2E = flag.Bool("update", false, "rewrite the e2e golden files")
@@ -30,11 +28,8 @@ var updateE2E = flag.Bool("update", false, "rewrite the e2e golden files")
 // sweep: the injector is attached but fires nothing, so the CSV is a
 // pure function of the page accounting underneath.
 func goldenChaosOptions(parallel int) ChaosOptions {
-	o := DefaultChaosOptions()
-	o.Window = 20 * sim.Second
-	o.Requests = 100
+	o := chaosOptions(Options{Quick: true, Parallel: parallel})
 	o.Intensities = []float64{0}
-	o.Parallel = parallel
 	return o
 }
 
@@ -42,17 +37,14 @@ func goldenChaosOptions(parallel int) ChaosOptions {
 func renderE2E(t *testing.T, parallel int) (fig1CSV, validateTxt, chaosCSV []byte) {
 	t.Helper()
 
-	single := DefaultSingleOptions()
-	single.Iterations = 20
-	single.Parallel = parallel
-	f1, err := RunFig1(single)
+	f1, err := RunFig1(singleOptions(Options{Quick: true, Parallel: parallel}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var f1buf bytes.Buffer
 	f1.WriteCSV(&f1buf)
 
-	val, err := RunValidation(Options{Quick: true, Parallel: parallel})
+	val, err := RunValidation(validationOptions(Options{Quick: true, Parallel: parallel}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"desiccant/internal/cluster"
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
@@ -17,8 +16,7 @@ import (
 // replays: one Desiccant cell of the fig9 trace experiment, replayed
 // with no warmup and an event bus on the platform. RunObserve attaches
 // the metrics stack (event recorder, collector, periodic sampler);
-// RunAttrTrace attaches the per-invocation span builder. Each run
-// writes whichever of its exports the options request.
+// RunAttrTrace attaches the per-invocation span builder.
 type ObserveOptions struct {
 	// Scale is the trace scale factor.
 	Scale float64
@@ -31,63 +29,25 @@ type ObserveOptions struct {
 	trace.Synthetic
 	// SampleEvery is the metrics sampling cadence (RunObserve).
 	SampleEvery sim.Duration
+}
 
-	// Trace, when non-nil, receives the Chrome/Perfetto trace JSON;
-	// RunAttrTrace adds one attribution track per invocation.
+// ObserveOutputs are the exports of an instrumented replay; each run
+// writes whichever of them are non-nil.
+type ObserveOutputs struct {
+	// Trace receives the Chrome/Perfetto trace JSON; RunAttrTrace adds
+	// one attribution track per invocation.
 	Trace io.Writer
-	// Metrics, when non-nil, receives the sampled time series as CSV
-	// (RunObserve).
+	// Metrics receives the sampled time series as CSV (RunObserve).
 	Metrics io.Writer
-	// Summary, when non-nil, receives the human-readable summary: the
-	// observability digest (RunObserve) or the attribution digest
-	// (RunAttrTrace).
+	// Summary receives the human-readable summary: the observability
+	// digest (RunObserve) or the attribution digest (RunAttrTrace).
 	Summary io.Writer
-	// Snapshot, when non-nil, receives the final metrics snapshot as
-	// metric,value CSV (RunObserve's default machine output).
+	// Snapshot receives the final metrics snapshot as metric,value CSV
+	// (RunObserve's default machine output).
 	Snapshot io.Writer
-	// CSV, when non-nil, receives the long-form attribution table
-	// (RunAttrTrace's default machine output).
+	// CSV receives the long-form attribution table (RunAttrTrace's
+	// default machine output).
 	CSV io.Writer
-}
-
-// replayProfile is the trace replay the observe, trace, ext-fleet and
-// ext-attr experiments share: 400 functions from seed 11 at 2.2 req/s,
-// replayed at scale 15 for 60 s into 2 GiB caches. -quick shrinks it
-// to 20 s and 200 functions, and -seed replaces the trace seed. The
-// fleets add their Nodes, Policy and Mode.
-func replayProfile(opts Options) cluster.Options {
-	o := cluster.Options{
-		Window:     60 * sim.Second,
-		Scale:      15,
-		CacheBytes: 2 << 30,
-		Synthetic:  trace.Synthetic{Seed: 11, Functions: 400, BaseRate: 2.2},
-	}
-	if opts.Quick {
-		o.Window = 20 * sim.Second
-		o.Functions = 200
-	}
-	if opts.Seed != 0 {
-		o.Seed = opts.Seed
-	}
-	return o
-}
-
-// DefaultObserveOptions returns a window big enough to show cold
-// boots, freezes, manager activations, and reclamations on one track.
-func DefaultObserveOptions() ObserveOptions { return observeOptions(Options{}) }
-
-// observeOptions is the shared profile on one machine, with the trace
-// export opts requests.
-func observeOptions(opts Options) ObserveOptions {
-	p := replayProfile(opts)
-	return ObserveOptions{
-		Scale:       p.Scale,
-		Window:      p.Window,
-		CacheBytes:  p.CacheBytes,
-		Synthetic:   p.Synthetic,
-		SampleEvery: 500 * sim.Millisecond,
-		Trace:       opts.Trace,
-	}
 }
 
 // cell is the observed Desiccant replay; observe attaches the caller's
@@ -131,8 +91,8 @@ func newRecorder(keepEvents bool) *obs.Recorder {
 // layer attached and writes whichever exports the options request.
 // Identical options produce byte-identical exports: every writer sees
 // only sim-time-stamped, deterministically ordered data.
-func RunObserve(o ObserveOptions) error {
-	rec := newRecorder(o.Trace != nil)
+func RunObserve(o ObserveOptions, out ObserveOutputs) error {
+	rec := newRecorder(out.Trace != nil)
 	reg := obs.NewRegistry()
 	var sampler *obs.Sampler
 	cell, err := o.cell(func(platform *faas.Platform, _ *core.Manager) {
@@ -147,7 +107,7 @@ func RunObserve(o ObserveOptions) error {
 		releases := reg.Gauge("os.page_releases")
 		swapIns := reg.Gauge("os.page_swap_ins")
 		swapOuts := reg.Gauge("os.page_swap_outs")
-		sampler = obs.NewSampler(eng, reg, o.SampleEvery, o.Metrics)
+		sampler = obs.NewSampler(eng, reg, o.SampleEvery, out.Metrics)
 		sampler.OnSample = func(*obs.Registry) {
 			memFrac.Set(platform.MemoryUsedFraction())
 			pc := platform.Machine().PageCounters()
@@ -163,25 +123,25 @@ func RunObserve(o ObserveOptions) error {
 	platform := cell.run()
 	sampler.Stop()
 
-	if o.Trace != nil {
-		if err := invtrace.WritePerfetto(o.Trace, rec.Events(), nil); err != nil {
+	if out.Trace != nil {
+		if err := invtrace.WritePerfetto(out.Trace, rec.Events(), nil); err != nil {
 			return err
 		}
 	}
 	if err := sampler.Flush(); err != nil {
 		return err
 	}
-	if o.Summary != nil {
-		if err := obs.WriteSummary(o.Summary, rec, reg, platform.Engine().Now()); err != nil {
+	if out.Summary != nil {
+		if err := obs.WriteSummary(out.Summary, rec, reg, platform.Engine().Now()); err != nil {
 			return err
 		}
 	}
-	if o.Snapshot != nil {
-		if _, err := fmt.Fprintln(o.Snapshot, "metric,value"); err != nil {
+	if out.Snapshot != nil {
+		if _, err := fmt.Fprintln(out.Snapshot, "metric,value"); err != nil {
 			return err
 		}
 		for _, mv := range reg.Snapshot() {
-			if _, err := fmt.Fprintf(o.Snapshot, "%s,%s\n", mv.Name, obs.FormatValue(mv.Value)); err != nil {
+			if _, err := fmt.Fprintf(out.Snapshot, "%s,%s\n", mv.Name, obs.FormatValue(mv.Value)); err != nil {
 				return err
 			}
 		}
@@ -194,8 +154,8 @@ func RunObserve(o ObserveOptions) error {
 // the human summary, and the Perfetto trace whose per-invocation
 // tracks the summary's exemplar IDs point into. Every export is a
 // deterministic function of the options.
-func RunAttrTrace(o ObserveOptions) error {
-	rec := newRecorder(o.Trace != nil)
+func RunAttrTrace(o ObserveOptions, out ObserveOutputs) error {
+	rec := newRecorder(out.Trace != nil)
 	builder := invtrace.NewBuilder()
 	cell, err := o.cell(func(p *faas.Platform, _ *core.Manager) {
 		p.Events().Subscribe(rec)
@@ -219,18 +179,18 @@ func RunAttrTrace(o ObserveOptions) error {
 	if err := invtrace.CheckExact(spans); err != nil {
 		return err
 	}
-	if o.CSV != nil {
-		if err := invtrace.WriteCSV(o.CSV, spans); err != nil {
+	if out.CSV != nil {
+		if err := invtrace.WriteCSV(out.CSV, spans); err != nil {
 			return err
 		}
 	}
-	if o.Summary != nil {
-		if err := invtrace.WriteSummary(o.Summary, spans); err != nil {
+	if out.Summary != nil {
+		if err := invtrace.WriteSummary(out.Summary, spans); err != nil {
 			return err
 		}
 	}
-	if o.Trace != nil {
-		if err := invtrace.WritePerfetto(o.Trace, rec.Events(), spans); err != nil {
+	if out.Trace != nil {
+		if err := invtrace.WritePerfetto(out.Trace, rec.Events(), spans); err != nil {
 			return err
 		}
 	}

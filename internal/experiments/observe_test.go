@@ -8,7 +8,7 @@ import (
 )
 
 func smallObserveOptions() ObserveOptions {
-	o := DefaultObserveOptions()
+	o := observeOptions(Options{})
 	o.Window = 5 * sim.Second
 	o.Functions = 100
 	o.SampleEvery = 1 * sim.Second
@@ -26,11 +26,7 @@ func TestObserveDeterministicAcrossParallelCells(t *testing.T) {
 	metricses := make([]bytes.Buffer, cells)
 	snaps := make([]bytes.Buffer, cells)
 	err := ForEach(cells, cells, func(i int) error {
-		o := smallObserveOptions()
-		o.Trace = &traces[i]
-		o.Metrics = &metricses[i]
-		o.Snapshot = &snaps[i]
-		return RunObserve(o)
+		return RunObserve(smallObserveOptions(), ObserveOutputs{Trace: &traces[i], Metrics: &metricses[i], Snapshot: &snaps[i]})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +50,7 @@ func TestObserveDeterministicAcrossParallelCells(t *testing.T) {
 // TestObserveSummaryOutput sanity-checks the human-readable digest.
 func TestObserveSummaryOutput(t *testing.T) {
 	var sum bytes.Buffer
-	o := smallObserveOptions()
-	o.Summary = &sum
-	if err := RunObserve(o); err != nil {
+	if err := RunObserve(smallObserveOptions(), ObserveOutputs{Summary: &sum}); err != nil {
 		t.Fatal(err)
 	}
 	out := sum.String()

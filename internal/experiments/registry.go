@@ -6,51 +6,9 @@ import (
 	"sort"
 
 	"desiccant/internal/cluster"
-	"desiccant/internal/core"
 	"desiccant/internal/runtime"
-	"desiccant/internal/sim"
 	"desiccant/internal/workload"
 )
-
-// Options tunes a registry-driven run.
-type Options struct {
-	// Quick shrinks iteration counts and sweeps for smoke runs; the
-	// shapes survive, the absolute numbers get noisier.
-	Quick bool
-	// Seed overrides the default seed when non-zero.
-	Seed uint64
-	// Parallel is the sweep worker count (0 = GOMAXPROCS, 1 = serial).
-	// Output is byte-identical regardless of the setting.
-	Parallel int
-
-	// Trace, when non-nil, receives a Chrome/Perfetto trace of the run
-	// (observe, trace and ext-attr; load into ui.perfetto.dev).
-	Trace io.Writer
-	// Metrics, when non-nil, receives the sampled metrics time series
-	// as CSV (observe experiment only).
-	Metrics io.Writer
-	// Summary switches the main output of observe, trace and ext-attr
-	// from their CSV to a human-readable digest.
-	Summary bool
-	// Intensity, when positive, pins the chaos experiment's fault
-	// intensity instead of sweeping the default axis.
-	Intensity float64
-	// Validation, when non-nil, receives the machine-readable
-	// VALIDATION.json report (calibrate experiment only).
-	Validation io.Writer
-}
-
-func (o Options) single() SingleOptions {
-	s := DefaultSingleOptions()
-	if o.Quick {
-		s.Iterations = 20
-	}
-	if o.Seed != 0 {
-		s.Seed = o.Seed
-	}
-	s.Parallel = o.Parallel
-	return s
-}
 
 // Entry describes one registered experiment (the artifact's Table 2).
 type Entry struct {
@@ -62,7 +20,35 @@ type Entry struct {
 	// accepts, by name without the dash: "trace", "summary", "metrics",
 	// "intensity", "json". The CLI rejects the others.
 	Flags []string
-	Run   func(w io.Writer, opts Options) error
+	// Resolve turns Options into the experiment's own options value,
+	// the one place its Quick, Seed, Parallel and Intensity are read.
+	// It is nil for an experiment that ignores all four (table1,
+	// table2).
+	Resolve func(Options) any
+	Run     func(w io.Writer, opts Options) error
+}
+
+// NewEntry completes e with its resolver and its run step. Run resolves
+// opts exactly once and hands the value to run, which runs the
+// experiment, wires the output writers opts carries and renders the
+// result.
+func NewEntry[T any](e Entry, resolve func(Options) T, run func(w io.Writer, o T, opts Options) error) Entry {
+	e.Resolve = func(opts Options) any { return resolve(opts) }
+	e.Run = func(w io.Writer, opts Options) error { return run(w, resolve(opts), opts) }
+	return e
+}
+
+// csvEntry is NewEntry for an experiment whose result renders itself
+// as CSV.
+func csvEntry[T any, R interface{ WriteCSV(io.Writer) }](e Entry, resolve func(Options) T, run func(T) (R, error)) Entry {
+	return NewEntry(e, resolve, func(w io.Writer, o T, _ Options) error {
+		res, err := run(o)
+		if err != nil {
+			return err
+		}
+		res.WriteCSV(w)
+		return nil
+	})
 }
 
 var registry []Entry
@@ -71,380 +57,161 @@ var registry []Entry
 // the registry itself without an initialization cycle.
 func init() {
 	registry = []Entry{
-		{
-			Name: "fig1", Figure: "Figure 1", Claim: "C1",
+		csvEntry(Entry{Name: "fig1", Figure: "Figure 1", Claim: "C1",
 			Description: "frozen-garbage ratios (avg/max USS over ideal) for all functions",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := RunFig1(opts.single())
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig2", Figure: "Figure 2", Claim: "C1",
+		}, singleOptions, RunFig1),
+		NewEntry(Entry{Name: "fig2", Figure: "Figure 2", Claim: "C1",
 			Description: "memory curves for file-hash and fft: vanilla vs eager vs ideal",
-			Run: func(w io.Writer, opts Options) error {
-				for _, fn := range []string{"file-hash", "fft"} {
-					res, err := RunFig2(fn, opts.single())
-					if err != nil {
-						return err
-					}
-					res.WriteCSV(w)
+		}, singleOptions, func(w io.Writer, o SingleOptions, _ Options) error {
+			for _, fn := range []string{"file-hash", "fft"} {
+				res, err := RunFig2(fn, o)
+				if err != nil {
+					return err
 				}
-				return nil
-			},
-		},
-		{
-			Name: "fig4", Figure: "Figure 4", Claim: "C1",
+				res.WriteCSV(w)
+			}
+			return nil
+		}),
+		csvEntry(Entry{Name: "fig4", Figure: "Figure 4", Claim: "C1",
 			Description: "language-average ratios across 256MB/512MB/1GB budgets",
-			Run: func(w io.Writer, opts Options) error {
-				budgets := DefaultFig4Budgets()
-				if opts.Quick {
-					budgets = budgets[:2]
-				}
-				res, err := RunFig4(budgets, opts.single())
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig7", Figure: "Figure 7", Claim: "C1",
+		}, budgetOptions, func(b budgetSweep) (*Fig4Result, error) { return RunFig4(b.Budgets, b.Single) }),
+		csvEntry(Entry{Name: "fig7", Figure: "Figure 7", Claim: "C1",
 			Description: "per-function memory after 100 executions: vanilla/eager/Desiccant/ideal",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := RunFig7(workload.All(), opts.single())
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig8", Figure: "Figure 8", Claim: "C1",
+		}, singleOptions, func(o SingleOptions) (*Fig7Result, error) { return RunFig7(workload.All(), o) }),
+		csvEntry(Entry{Name: "fig8", Figure: "Figure 8", Claim: "C1",
 			Description: "per-instance RSS/PSS improvement vs number of co-located instances (fft)",
-			Run: func(w io.Writer, opts Options) error {
-				counts := DefaultFig8Counts()
-				if opts.Quick {
-					counts = []int{1, 2, 4}
-				}
-				res, err := RunFig8("fft", counts, opts.single())
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig9", Figure: "Figure 9", Claim: "C2",
+		}, ResolveFig8, func(o Fig8Options) (*Fig8Result, error) { return RunFig8("fft", o.Counts, o.Single) }),
+		csvEntry(Entry{Name: "fig9", Figure: "Figure 9", Claim: "C2",
 			Description: "Azure-trace replay: cold-boot rate, throughput, CPU utilization vs scale factor",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := RunFig9(fig9Options(opts))
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig10", Figure: "Figure 10", Claim: "C2",
+		}, ResolveFig9, RunFig9),
+		NewEntry(Entry{Name: "fig10", Figure: "Figure 10", Claim: "C2",
 			Description: "Azure-trace replay: tail latency at scale factors 15 and 25",
-			Run: func(w io.Writer, opts Options) error {
-				o := fig9Options(opts)
-				scales := []float64{15, 25}
-				if opts.Quick {
-					scales = []float64{15}
-				}
-				o.Scales = scales
-				res, err := RunFig9(o)
-				if err != nil {
-					return err
-				}
-				res.WriteFig10CSV(w, scales)
-				return nil
-			},
-		},
-		{
-			Name: "fig11", Figure: "Figure 11", Claim: "C1",
+		}, fig10Options, func(w io.Writer, o Fig9Options, _ Options) error {
+			res, err := RunFig9(o)
+			if err != nil {
+				return err
+			}
+			res.WriteFig10CSV(w, o.Scales)
+			return nil
+		}),
+		csvEntry(Entry{Name: "fig11", Figure: "Figure 11", Claim: "C1",
 			Description: "memory efficiency on the AWS Lambda profile (no library sharing)",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := RunFig11(opts.single())
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig12", Figure: "Figure 12", Claim: "C1",
+		}, singleOptions, RunFig11),
+		csvEntry(Entry{Name: "fig12", Figure: "Figure 12", Claim: "C1",
 			Description: "memory under 256MB/512MB/1GB budgets: language averages plus clock and fft",
-			Run: func(w io.Writer, opts Options) error {
-				budgets := DefaultFig4Budgets()
-				if opts.Quick {
-					budgets = budgets[:2]
-				}
-				res, err := RunFig12(budgets, opts.single())
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "fig13", Figure: "Figure 13", Claim: "C1",
+		}, budgetOptions, func(b budgetSweep) (*Fig12Result, error) { return RunFig12(b.Budgets, b.Single) }),
+		csvEntry(Entry{Name: "fig13", Figure: "Figure 13", Claim: "C1",
 			Description: "post-reclamation execution overhead; swap and weak-reference comparisons",
-			Run: func(w io.Writer, opts Options) error {
-				o := DefaultFig13Options()
-				o.Single = opts.single()
-				if opts.Quick {
-					o.WarmIterations = 30
-					o.MeasureIterations = 5
-				}
-				res, err := RunFig13(o)
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "ext-g1", Figure: "Extension", Claim: "-",
+		}, fig13Options, RunFig13),
+		NewEntry(Entry{Name: "ext-g1", Figure: "Extension", Claim: "-",
 			Description: "§7 portability: Java functions on a G1-style region heap, vanilla vs Desiccant",
-			Run: func(w io.Writer, opts Options) error {
-				o := opts.single()
-				o.RuntimeName = "g1"
-				var specs []*workload.Spec
-				for _, s := range workload.ByLanguage(runtime.Java) {
-					specs = append(specs, s)
-				}
-				res, err := RunFig7(specs, o)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(w, "# Java workloads on the G1-style region heap")
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "ext-python", Figure: "Extension", Claim: "-",
+		}, g1Options, func(w io.Writer, o SingleOptions, _ Options) error {
+			res, err := RunFig7(workload.ByLanguage(runtime.Java), o)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "# Java workloads on the G1-style region heap")
+			res.WriteCSV(w)
+			return nil
+		}),
+		NewEntry(Entry{Name: "ext-python", Figure: "Extension", Claim: "-",
 			Description: "§7 portability: the Python suite on the CPython-style arena runtime",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := RunFig7(workload.Extras(), opts.single())
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(w, "# Python extension workloads on the pyarena runtime")
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "ext-snapstart", Figure: "Extension", Claim: "-",
+		}, singleOptions, func(w io.Writer, o SingleOptions, _ Options) error {
+			res, err := RunFig7(workload.Extras(), o)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "# Python extension workloads on the pyarena runtime")
+			res.WriteCSV(w)
+			return nil
+		}),
+		csvEntry(Entry{Name: "ext-snapstart", Figure: "Extension", Claim: "-",
 			Description: "instance caching (vanilla/Desiccant) vs a SnapStart-style snapshot platform",
-			Run: func(w io.Writer, opts Options) error {
-				o := fig9Options(opts)
-				scale := 25.0
-				if opts.Quick {
-					scale = 15
-				}
-				res, err := RunSnapStart(o, scale)
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "ext-prewarm", Figure: "Extension", Claim: "-",
+		}, tailScaleOptions, func(o Fig9Options) (*SnapStartResult, error) { return RunSnapStart(o, o.Scales[0]) }),
+		csvEntry(Entry{Name: "ext-prewarm", Figure: "Extension", Claim: "-",
 			Description: "§6.1 orthogonality: stem-cell pre-warming composed with Desiccant (2x2 grid)",
-			Run: func(w io.Writer, opts Options) error {
-				o := fig9Options(opts)
-				scale := 25.0
-				if opts.Quick {
-					scale = 15
-				}
-				res, err := RunPrewarm(o, scale)
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "ext-idle", Figure: "Extension", Claim: "-",
+		}, tailScaleOptions, func(o Fig9Options) (*PrewarmResult, error) { return RunPrewarm(o, o.Scales[0]) }),
+		csvEntry(Entry{Name: "ext-idle", Figure: "Extension", Claim: "-",
 			Description: "§4.2 future-work policy: activate reclamation on idle CPU, vs the dynamic threshold alone",
-			Run: func(w io.Writer, opts Options) error {
-				o := fig9Options(opts)
-				idle := core.DefaultConfig()
-				idle.ActivateOnIdleCPU = 4
-				as, err := o.assignments(15)
-				if err != nil {
-					return err
-				}
-				// Only the two Desiccant cells differ; fan them out.
-				points, err := runIndexed(opts.Parallel, 2, func(i int) (Fig9Point, error) {
-					o := o
-					if i == 1 {
-						o.ManagerConfig = &idle
-					}
-					return runTraceCell(SetupDesiccant, 15, o, as), nil
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(w, "policy,cold_boot_rate,reclaim_overhead,evictions")
-				for i, policy := range []string{"threshold-only", "idle-cpu"} {
-					p := points[i]
-					fmt.Fprintf(w, "%s,%.4f,%.4f,%d\n", policy, p.ColdBootRate, p.ReclaimOverhead, p.Evictions)
-				}
-				return nil
-			},
-		},
-		{
-			Name: "ext-fleet", Figure: "Extension", Claim: "-",
+		}, claimScaleOptions, runIdle),
+		NewEntry(Entry{Name: "ext-fleet", Figure: "Extension", Claim: "-",
 			Description: "multi-machine replay of the pinned cluster: router + N platforms on one engine",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := cluster.Run(fleetOptions(opts))
-				if err != nil {
-					return err
-				}
-				writeFleetCSV(w, res)
-				return res.CheckConsistency()
-			},
-		},
-		{
-			Name: "ext-attr", Figure: "Extension", Claim: "-",
+		}, fleetOptions, func(w io.Writer, o cluster.Options, _ Options) error {
+			res, err := cluster.Run(o)
+			if err != nil {
+				return err
+			}
+			writeFleetCSV(w, res)
+			return res.CheckConsistency()
+		}),
+		NewEntry(Entry{Name: "ext-attr", Figure: "Extension", Claim: "-",
 			Description: "per-invocation causal attribution: manager modes on the pinned fleet, exact phase tiling, byte-identical at any -parallel",
 			Flags:       []string{"trace", "summary"},
-			Run: func(w io.Writer, opts Options) error {
-				o := attrOptions(opts)
-				res, err := RunAttr(o)
-				if err != nil {
+		}, attrOptions, func(w io.Writer, o AttrOptions, opts Options) error {
+			res, err := RunAttr(o)
+			if err != nil {
+				return err
+			}
+			if opts.Trace != nil {
+				if err := res.WritePerfetto(opts.Trace, o.Modes[len(o.Modes)-1]); err != nil {
 					return err
 				}
-				if opts.Trace != nil {
-					mode := o.Modes[len(o.Modes)-1]
-					if err := res.WritePerfetto(opts.Trace, mode); err != nil {
-						return err
-					}
-				}
-				if opts.Summary {
-					return res.WriteSummary(w)
-				}
-				return res.WriteCSV(w)
-			},
-		},
-		{
-			Name: "ext-cluster", Figure: "Extension", Claim: "-",
+			}
+			if opts.Summary {
+				return res.WriteSummary(w)
+			}
+			return res.WriteCSV(w)
+		}),
+		csvEntry(Entry{Name: "ext-cluster", Figure: "Extension", Claim: "-",
 			Description: "fleet sweep: placement policy x manager mode over the cluster subsystem, plus a nodes x RAM capacity curve; byte-identical at any -parallel",
-			Run: func(w io.Writer, opts Options) error {
-				o := DefaultClusterSweepOptions()
-				if opts.Quick {
-					o.Nodes = 4
-					o.Window = 10 * sim.Second
-					o.Functions = 120
-					o.CacheBytes = 128 << 20
-					o.Modes = []string{"vanilla", "reclaim"}
-					o.GridNodes = []int{2, 4}
-					o.GridCache = []int64{64 << 20, 128 << 20}
-				}
-				if opts.Seed != 0 {
-					o.Seed = opts.Seed
-				}
-				o.Parallel = opts.Parallel
-				res, err := RunClusterSweep(o)
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				return nil
-			},
-		},
-		{
-			Name: "chaos", Figure: "Robustness", Claim: "-",
+		}, clusterSweepOptions, RunClusterSweep),
+		NewEntry(Entry{Name: "chaos", Figure: "Robustness", Claim: "-",
 			Description: "fault-injection sweep: manager modes x intensities, with cross-layer invariant checking",
 			Flags:       []string{"intensity"},
-			Run: func(w io.Writer, opts Options) error {
-				o := DefaultChaosOptions()
-				if opts.Quick {
-					o.Window = 20 * sim.Second
-					o.Requests = 100
-				}
-				if opts.Seed != 0 {
-					o.Seed = opts.Seed
-				}
-				if opts.Intensity > 0 {
-					o.Intensities = []float64{opts.Intensity}
-				}
-				o.Parallel = opts.Parallel
-				res, err := RunChaos(o)
-				if err != nil {
-					return err
-				}
-				res.WriteCSV(w)
-				if v := res.FirstViolation(); v != "" {
-					return fmt.Errorf("invariant violation under faults: %s", v)
-				}
-				return nil
-			},
-		},
-		{
-			Name: "observe", Figure: "Observability", Claim: "-",
+		}, chaosOptions, func(w io.Writer, o ChaosOptions, _ Options) error {
+			res, err := RunChaos(o)
+			if err != nil {
+				return err
+			}
+			res.WriteCSV(w)
+			if v := res.FirstViolation(); v != "" {
+				return fmt.Errorf("invariant violation under faults: %s", v)
+			}
+			return nil
+		}),
+		NewEntry(Entry{Name: "observe", Figure: "Observability", Claim: "-",
 			Description: "instrumented Desiccant trace replay; supports -trace/-metrics/-summary exports",
 			Flags:       []string{"trace", "metrics", "summary"},
-			Run: func(w io.Writer, opts Options) error {
-				o := observeOptions(opts)
-				o.Metrics = opts.Metrics
-				if opts.Summary {
-					o.Summary = w
-				} else {
-					o.Snapshot = w
-				}
-				return RunObserve(o)
-			},
-		},
-		{
-			Name: "trace", Figure: "Observability", Claim: "-",
+		}, observeOptions, func(w io.Writer, o ObserveOptions, opts Options) error {
+			out := ObserveOutputs{Trace: opts.Trace, Metrics: opts.Metrics, Snapshot: w}
+			if opts.Summary {
+				out.Summary, out.Snapshot = w, nil
+			}
+			return RunObserve(o, out)
+		}),
+		NewEntry(Entry{Name: "trace", Figure: "Observability", Claim: "-",
 			Description: "per-invocation causal attribution of one Desiccant trace replay; supports -trace/-summary exports",
 			Flags:       []string{"trace", "summary"},
-			Run: func(w io.Writer, opts Options) error {
-				o := observeOptions(opts)
-				if opts.Summary {
-					o.Summary = w
-				} else {
-					o.CSV = w
-				}
-				return RunAttrTrace(o)
-			},
-		},
-		{
-			Name: "validate", Figure: "Claims", Claim: "C1+C2",
+		}, observeOptions, func(w io.Writer, o ObserveOptions, opts Options) error {
+			out := ObserveOutputs{Trace: opts.Trace, CSV: w}
+			if opts.Summary {
+				out.Summary, out.CSV = w, nil
+			}
+			return RunAttrTrace(o, out)
+		}),
+		NewEntry(Entry{Name: "validate", Figure: "Claims", Claim: "C1+C2",
 			Description: "artifact-style claim check: measure and verdict every sub-claim",
-			Run: func(w io.Writer, opts Options) error {
-				res, err := RunValidation(opts)
-				if err != nil {
-					return err
-				}
-				res.WriteText(w)
-				if !res.AllPassed() {
-					return fmt.Errorf("validation failed")
-				}
-				return nil
-			},
-		},
+		}, validationOptions, func(w io.Writer, o ValidationOptions, _ Options) error {
+			res, err := RunValidation(o)
+			if err != nil {
+				return err
+			}
+			res.WriteText(w)
+			if !res.AllPassed() {
+				return fmt.Errorf("validation failed")
+			}
+			return nil
+		}),
 		{
 			Name: "table1", Figure: "Table 1", Claim: "-",
 			Description: "the evaluated FaaS function inventory",
@@ -462,19 +229,6 @@ func init() {
 			},
 		},
 	}
-}
-
-func fig9Options(opts Options) Fig9Options {
-	o := DefaultFig9Options()
-	if opts.Quick {
-		o.Scales = []float64{5, 15, 25}
-		o.Shrink()
-	}
-	if opts.Seed != 0 {
-		o.Seed = opts.Seed
-	}
-	o.Parallel = opts.Parallel
-	return o
 }
 
 // Register adds an experiment defined outside this package to the
@@ -498,8 +252,12 @@ func List() []Entry {
 	return out
 }
 
-// Run executes the named experiment, writing its CSV to w.
+// Run executes the named experiment, writing its CSV to w. Options
+// that fail Validate run nothing.
 func Run(name string, w io.Writer, opts Options) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
 	for _, e := range registry {
 		if e.Name == name {
 			return e.Run(w, opts)

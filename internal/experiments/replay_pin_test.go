@@ -13,17 +13,10 @@ import (
 	"encoding/hex"
 	"io"
 	"testing"
-
-	"desiccant/internal/sim"
 )
 
 func TestSingleMachineReplayPins(t *testing.T) {
-	quickObserve := func() ObserveOptions {
-		o := DefaultObserveOptions()
-		o.Window = 20 * sim.Second
-		o.Functions = 200
-		return o
-	}
+	quick := observeOptions(Options{Quick: true})
 	entry := func(name string) func(w io.Writer) error {
 		return func(w io.Writer) error { return Run(name, w, Options{Quick: true}) }
 	}
@@ -32,41 +25,13 @@ func TestSingleMachineReplayPins(t *testing.T) {
 		want string
 		run  func(w io.Writer) error
 	}{
-		{"observe/trace", "3981c71212456e25d1b0aa81c1cd715a1985b1b8f95264314341d9b90b684d0b", func(w io.Writer) error {
-			o := quickObserve()
-			o.Trace = w
-			return RunObserve(o)
-		}},
-		{"observe/metrics", "c48d2096688756df51627fe21c8b13c3dcbcbdd4eb96b16b1045a5c64feeab70", func(w io.Writer) error {
-			o := quickObserve()
-			o.Metrics = w
-			return RunObserve(o)
-		}},
-		{"observe/snapshot", "d131edab91cdffa37dadf65c8b3164ad993ab192ca83f09f1326706f6cc492c9", func(w io.Writer) error {
-			o := quickObserve()
-			o.Snapshot = w
-			return RunObserve(o)
-		}},
-		{"observe/summary", "f44fcdfe27ad51f51367460d79958f0bf64e881ec429616076434ec9c0c6ff62", func(w io.Writer) error {
-			o := quickObserve()
-			o.Summary = w
-			return RunObserve(o)
-		}},
-		{"trace/csv", "d0a68fd26194c30c9347458ac50f623ccf4cfbcff18f2dde09f97ae70173ed93", func(w io.Writer) error {
-			o := quickObserve()
-			o.CSV = w
-			return RunAttrTrace(o)
-		}},
-		{"trace/summary", "4e6204e8a10e1d5c9c87cd64fd16692f9526b96bb0697d3b8a1f13ae6bdf7c49", func(w io.Writer) error {
-			o := quickObserve()
-			o.Summary = w
-			return RunAttrTrace(o)
-		}},
-		{"trace/perfetto", "f6611fc13592c16587a59f64f43938c8da962bc343103519573bc3ff5b1bdac3", func(w io.Writer) error {
-			o := quickObserve()
-			o.Trace = w
-			return RunAttrTrace(o)
-		}},
+		{"observe/trace", "3981c71212456e25d1b0aa81c1cd715a1985b1b8f95264314341d9b90b684d0b", func(w io.Writer) error { return RunObserve(quick, ObserveOutputs{Trace: w}) }},
+		{"observe/metrics", "c48d2096688756df51627fe21c8b13c3dcbcbdd4eb96b16b1045a5c64feeab70", func(w io.Writer) error { return RunObserve(quick, ObserveOutputs{Metrics: w}) }},
+		{"observe/snapshot", "d131edab91cdffa37dadf65c8b3164ad993ab192ca83f09f1326706f6cc492c9", func(w io.Writer) error { return RunObserve(quick, ObserveOutputs{Snapshot: w}) }},
+		{"observe/summary", "f44fcdfe27ad51f51367460d79958f0bf64e881ec429616076434ec9c0c6ff62", func(w io.Writer) error { return RunObserve(quick, ObserveOutputs{Summary: w}) }},
+		{"trace/csv", "d0a68fd26194c30c9347458ac50f623ccf4cfbcff18f2dde09f97ae70173ed93", func(w io.Writer) error { return RunAttrTrace(quick, ObserveOutputs{CSV: w}) }},
+		{"trace/summary", "4e6204e8a10e1d5c9c87cd64fd16692f9526b96bb0697d3b8a1f13ae6bdf7c49", func(w io.Writer) error { return RunAttrTrace(quick, ObserveOutputs{Summary: w}) }},
+		{"trace/perfetto", "f6611fc13592c16587a59f64f43938c8da962bc343103519573bc3ff5b1bdac3", func(w io.Writer) error { return RunAttrTrace(quick, ObserveOutputs{Trace: w}) }},
 		{"ext-snapstart", "fd5f24697bc36ab0c04e2b6aaba61d01ad7f840316ede246c2de1de5acbff984", entry("ext-snapstart")},
 		{"ext-prewarm", "159641f7ccc98ba04cef0137ac5b3cbff3f23563b07bde484e37405caad4d75c", entry("ext-prewarm")},
 		{"ext-idle", "7ee14ad36c7126aa0fdd75625e7306acc437c73a83642a9bcdc495574547b536", entry("ext-idle")},

@@ -127,7 +127,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	opts := DefaultFig13Options()
+	opts := fig13Options(Options{})
 	opts.WarmIterations = 50
 	opts.MeasureIterations = 8
 	res, err := RunFig13(opts)

@@ -56,27 +56,21 @@ func (v *ValidationResult) addBand(id, claim string, measured float64, b Band) {
 	})
 }
 
-// validationOptions resolves the options of the claim checks'
-// single-machine runs and of their trace replay, both seeded by
-// opts.Seed when it is set.
-func validationOptions(opts Options) (SingleOptions, Fig9Options) {
-	single := opts.single()
-	if opts.Quick {
-		single.Iterations = 30
-	}
-	tropts := fig9Options(opts)
-	tropts.Scales = []float64{15}
-	return single, tropts
+// ValidationOptions parameterizes the claim checks: the options of
+// their single-machine runs and of their trace replay at scale 15.
+type ValidationOptions struct {
+	Single SingleOptions
+	Replay Fig9Options
 }
 
-// RunValidation executes the claim checks. opts.Quick uses smaller
-// runs. The four experiment groups behind the claims are independent,
-// so they run concurrently (each internally parallel as well); the
+// RunValidation executes the claim checks. The four experiment groups
+// behind the claims are independent, so they run concurrently on
+// o.Single.Parallel workers (each internally parallel as well); the
 // checks are appended in a fixed order afterwards so the report is
 // deterministic.
-func RunValidation(opts Options) (*ValidationResult, error) {
+func RunValidation(o ValidationOptions) (*ValidationResult, error) {
 	v := &ValidationResult{}
-	single, tropts := validationOptions(opts)
+	single := o.Single
 
 	var (
 		fig1  *Fig1Result
@@ -88,9 +82,9 @@ func RunValidation(opts Options) (*ValidationResult, error) {
 		func() (err error) { fig1, err = RunFig1(single); return },
 		func() (err error) { fig7, err = RunFig7(workload.All(), single); return },
 		func() (err error) { fig12, err = RunFig12([]int64{256 << 20, 1024 << 20}, single); return },
-		func() (err error) { fig9, err = RunFig9(tropts); return },
+		func() (err error) { fig9, err = RunFig9(o.Replay); return },
 	}
-	if err := ForEach(opts.Parallel, len(steps), func(i int) error { return steps[i]() }); err != nil {
+	if err := ForEach(single.Parallel, len(steps), func(i int) error { return steps[i]() }); err != nil {
 		return nil, err
 	}
 

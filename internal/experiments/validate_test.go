@@ -7,7 +7,7 @@ import (
 )
 
 func TestValidationQuick(t *testing.T) {
-	res, err := RunValidation(Options{Quick: true})
+	res, err := RunValidation(validationOptions(Options{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,22 +37,5 @@ func TestValidationQuick(t *testing.T) {
 	res.WriteText(&buf)
 	if !strings.Contains(buf.String(), "SOME CLAIMS FAILED") {
 		t.Fatal("failure summary missing")
-	}
-}
-
-// TestValidationOptionsCarrySeed: -seed reaches both the single-machine
-// runs and the trace replay of the claim checks, and without it both
-// keep their default seeds.
-func TestValidationOptionsCarrySeed(t *testing.T) {
-	for _, quick := range []bool{false, true} {
-		single, tr := validationOptions(Options{Quick: quick, Seed: 5})
-		if single.Seed != 5 || tr.Seed != 5 {
-			t.Errorf("quick=%v -seed 5: single seed %d, replay seed %d", quick, single.Seed, tr.Seed)
-		}
-		single, tr = validationOptions(Options{Quick: quick})
-		if def, defTr := DefaultSingleOptions().Seed, DefaultFig9Options().Seed; single.Seed != def || tr.Seed != defTr {
-			t.Errorf("quick=%v no seed: single seed %d, replay seed %d; want %d and %d",
-				quick, single.Seed, tr.Seed, def, defTr)
-		}
 	}
 }
