@@ -132,6 +132,13 @@ func New(cfg runtime.Config) (*Heap, error) {
 // generation, in place: the spaces keep their object lists' capacity.
 // Live survivor objects are carried across the re-carve. Eden must be
 // empty.
+//
+// The survivors always fit the new from space. New lays out before any
+// object exists, and resize runs only after fullGC has emptied both
+// survivor spaces, so only the adaptive growth in youngGC carries any.
+// That growth only raises youngCommitted, so the survivor spaces only
+// grow, and the survivors, which fitted the old from space, fit the
+// new one.
 func (h *Heap) layoutYoung() {
 	survBytes := pageAlign(h.youngCommitted / (survivorRatio + 2))
 	edenBytes := h.youngCommitted - 2*survBytes
@@ -145,16 +152,8 @@ func (h *Heap) layoutYoung() {
 	h.surv[1].Recarve(edenBytes+survBytes, survBytes)
 	h.from = 0
 	h.youngScratch = survivors[:0]
-	if len(survivors) > 0 {
-		if !h.surv[0].Relocate(survivors) {
-			// Survivors no longer fit (young shrank): promote them.
-			for _, o := range survivors {
-				if !h.old.TryAllocate(o) {
-					panic("hotspot: lost survivors during re-layout")
-				}
-			}
-			h.surv[0].Reset()
-		}
+	if len(survivors) > 0 && !h.surv[0].Relocate(survivors) {
+		panic("hotspot: survivors outgrew a re-laid survivor space, which only grows while it holds any")
 	}
 }
 
@@ -242,11 +241,16 @@ func (h *Heap) Headroom(maxSize int64) int64 {
 	return h.eden.Free()
 }
 
-// AllocateDead implements runtime.Runtime: the run bumps eden as one
-// span, and the next collection counts it as collected.
-func (h *Heap) AllocateDead(bytes int64) {
+// AllocateRun implements runtime.Runtime: the run bumps eden as one
+// object, where its clusters would have landed one after another.
+func (h *Heap) AllocateRun(size int64, n int32) mm.Ref {
 	h.AssertLive()
-	h.eden.AllocateDead(bytes)
+	r := h.Pool.NewRun(size, n)
+	if size > h.eden.Capacity()/2 || !h.eden.TryAllocate(r) {
+		panic(fmt.Sprintf("hotspot: run of %d clusters of %d bytes outside the headroom (eden %d free of %d)",
+			n, size, h.eden.Free(), h.eden.Capacity()))
+	}
+	return r
 }
 
 // oldAllocate tries to place o in the old generation, compacting dead
@@ -259,7 +263,7 @@ func (h *Heap) oldAllocate(o mm.Ref) bool {
 	if h.old.TryAllocate(o) {
 		return true
 	}
-	size := h.Pool.At(o).Size
+	size := h.Pool.At(o).Bytes()
 	if h.Pool.DeadBytes(h.old.Objects()) >= size {
 		traced, moved, collected := h.compactOld(false)
 		h.GC.CollectedBytes += collected
@@ -310,12 +314,14 @@ func (h *Heap) youngGC() error {
 	from := h.surv[h.from]
 	to := h.surv[1-h.from]
 
-	// Classification pass (no mutation): decide each live object's
+	// Classification pass (no mutation): decide each live cluster's
 	// destination so the collection can be aborted cleanly on OOM.
 	// Survivors fill the to space first-fit in list order, as the copy
 	// below does, so spilled is exactly what the copy promotes for lack
 	// of survivor room: a larger survivor can spill while smaller ones
-	// behind it still fit, so it may exceed survivorBytes-capacity.
+	// behind it still fit, so it may exceed survivorBytes-capacity. A
+	// run's clusters all have its size, so the first that does not fit
+	// spills the rest of the run with it.
 	var traced, tenured, survivorBytes, toTop, spilled int64
 	for _, objs := range [2][]mm.Ref{h.eden.Objects(), from.Objects()} {
 		for _, r := range objs {
@@ -323,17 +329,16 @@ func (h *Heap) youngGC() error {
 			if o.Dead {
 				continue
 			}
-			traced += o.Size
+			live := o.LiveBytes()
+			traced += live
 			if o.Age+1 > tenureThreshold {
-				tenured += o.Size
+				tenured += live
 				continue
 			}
-			survivorBytes += o.Size
-			if o.Size <= to.Capacity()-toTop {
-				toTop += o.Size
-			} else {
-				spilled += o.Size
-			}
+			survivorBytes += live
+			fit := min(live, (to.Capacity()-toTop)/o.Size*o.Size)
+			toTop += fit
+			spilled += live - fit
 		}
 	}
 	// Every promotion must fit beside the old generation's live data in
@@ -349,10 +354,7 @@ func (h *Heap) youngGC() error {
 	}
 
 	h.GC.YoungGCs++
-	var copied, promoted int64
-	// Eden's dead runs never had an object: they are collected as a
-	// count.
-	collected := h.eden.DeadRunBytes()
+	var copied, promoted, collected int64
 	to.Reset()
 	// Survivors bump into the to space back to back, and promotions
 	// into the old generation's free tail back to back, so both
@@ -360,11 +362,9 @@ func (h *Heap) youngGC() error {
 	// contiguous span. The two land on disjoint pages and page touches
 	// commute (fault costs and counters are sums, and nothing is
 	// released in between), so the deferral reorders nothing
-	// observable. A promotion that does not fit the old tail falls
-	// back to oldAllocate, whose compaction or expansion inspects the
-	// old generation's pages: the old batch is flushed before it, so
-	// every touch the batch deferred lands first, as it would have
-	// unbatched, and the batch restarts at the new bump pointer. Eden
+	// observable. A run loses its dead prefix, then its oldest live
+	// clusters fill the to space and the rest is promoted (promote),
+	// which splits it into pieces where its clusters part ways. Eden
 	// and from are iterated in place (nothing appends to them here)
 	// and reset afterwards, which keeps their object-list capacity for
 	// the next cycle instead of regrowing it from nil every
@@ -375,30 +375,26 @@ func (h *Heap) youngGC() error {
 		for _, r := range objs {
 			o := h.Pool.At(r)
 			if o.Dead {
-				collected += o.Size
+				collected += o.Bytes()
 				h.Pool.Free(r)
 				continue
 			}
+			collected += o.DropDead()
 			o.Age++
-			if o.Age > tenureThreshold || !tb.TryAllocate(r) {
-				o.Age = 0
-				promoted += o.Size
-				if ob.TryAllocate(r) {
-					continue
+			if o.Age <= tenureThreshold {
+				if k := min(int64(o.Count), to.Free()/o.Size); k > 0 {
+					size := o.Size
+					rest := h.split(r, int32(k))
+					if !tb.TryAllocate(r) {
+						panic("hotspot: survivor overflows the to space it was sized for")
+					}
+					copied += k * size
+					r = rest
 				}
-				ob.Flush()
-				// oldAllocate compacts only when the dead tenured bytes
-				// alone fit r. A spilled survivor, which the room made
-				// before the loop does not cover, can need the dead
-				// bytes and an expansion together; the feasibility
-				// check counted on both.
-				if !h.oldAllocate(r) && !(h.ensureOldFree(o.Size) && h.old.TryAllocate(r)) {
-					panic("hotspot: promotion failed after feasibility check")
-				}
-				ob = h.old.BeginCopy()
-				continue
 			}
-			copied += o.Size
+			if r != mm.NoRef {
+				promoted += h.promote(r, &ob)
+			}
 		}
 	}
 	tb.Flush()
@@ -428,6 +424,64 @@ func (h *Heap) youngGC() error {
 		h.highSurvivalGCs = 0
 	}
 	return nil
+}
+
+// split keeps the first k clusters of run r, which has no dead prefix,
+// in r and moves the rest into a new piece chained right after r. It
+// returns the new piece, or NoRef when r has no more than k clusters.
+// The piece is born at age 0: it is always promoted.
+func (h *Heap) split(r mm.Ref, k int32) mm.Ref {
+	o := h.Pool.At(r)
+	if o.Count <= k {
+		return mm.NoRef
+	}
+	size, rest, next := o.Size, o.Count-k, o.Next
+	p := h.Pool.NewRun(size, rest) // may move the slab: o is stale
+	o = h.Pool.At(r)
+	o.Count, o.Next = k, p
+	h.Pool.At(p).Next = next
+	return p
+}
+
+// promote moves run r, which has no dead prefix, into the old
+// generation at age 0 through the batch ob, and returns its bytes.
+// The clusters that fit the old generation's free tail go as one
+// piece. A cluster that does not fit goes alone through oldAllocate,
+// as every promoted cluster does once the tail is full: its compaction
+// or expansion inspects the old generation's pages, so the batch is
+// flushed before it, and every touch it deferred lands first, as it
+// would have unbatched, and the batch restarts at the new bump
+// pointer.
+func (h *Heap) promote(r mm.Ref, ob *mm.CopyBatch) int64 {
+	var bytes int64
+	for r != mm.NoRef {
+		o := h.Pool.At(r)
+		o.Age = 0
+		size := o.Size
+		if k := min(int64(o.Count), h.old.Free()/size); k > 0 {
+			rest := h.split(r, int32(k))
+			if !ob.TryAllocate(r) {
+				panic("hotspot: promotion overflows the old tail it was sized for")
+			}
+			bytes += k * size
+			r = rest
+			continue
+		}
+		rest := h.split(r, 1)
+		ob.Flush()
+		// oldAllocate compacts only when the dead tenured bytes alone
+		// fit the cluster. A spilled survivor, which the room made
+		// before a young collection does not cover, can need the dead
+		// bytes and an expansion together; the feasibility check
+		// counted on both.
+		if !h.oldAllocate(r) && !(h.ensureOldFree(size) && h.old.TryAllocate(r)) {
+			panic("hotspot: promotion failed after feasibility check")
+		}
+		*ob = h.old.BeginCopy()
+		bytes += size
+		r = rest
+	}
+	return bytes
 }
 
 // ensureOldFree makes at least need bytes available in the old
@@ -461,11 +515,12 @@ func (h *Heap) compactOld(aggressive bool) (traced, moved, collected int64) {
 		o := h.Pool.At(r)
 		if o.Collectible(aggressive) {
 			o.Dead = true
-			collected += o.Size
+			collected += o.Bytes()
 			h.Pool.Free(r)
 			continue
 		}
-		traced += o.Size
+		collected += o.DropDead()
+		traced += o.Bytes()
 		live = append(live, r)
 	}
 	if !h.old.Relocate(live) {
@@ -482,12 +537,12 @@ func (h *Heap) compactOld(aggressive bool) (traced, moved, collected int64) {
 // returns ErrOutOfMemory — without collecting — when the live set
 // cannot fit in the maximally-expanded old generation.
 func (h *Heap) fullGC(aggressive bool) error {
-	// Feasibility: every live object ends up in the old generation.
+	// Feasibility: every live cluster ends up in the old generation.
 	var liveTotal int64
 	for _, sp := range h.spaces() {
 		for _, r := range sp.Objects() {
 			if o := h.Pool.At(r); !o.Collectible(aggressive) {
-				liveTotal += o.Size
+				liveTotal += o.LiveBytes()
 			}
 		}
 	}
@@ -498,33 +553,31 @@ func (h *Heap) fullGC(aggressive bool) error {
 	h.GC.FullGCs++
 	var traced, moved, collected int64
 
-	// Young survivors all move into the old generation; eden's dead
-	// runs are collected as a count.
+	// Young survivors all move into the old generation, behind the
+	// compacted old data, the way a young collection promotes them.
 	young := append(h.youngScratch[:0], h.eden.Objects()...)
 	young = append(young, h.surv[h.from].Objects()...)
-	deadRun := h.eden.DeadRunBytes()
 	h.eden.Reset()
 	h.surv[0].Reset()
 	h.surv[1].Reset()
 
 	traced, moved, collected = h.compactOld(aggressive)
-	collected += deadRun
 
+	ob := h.old.BeginCopy()
 	for _, r := range young {
 		o := h.Pool.At(r)
 		if o.Collectible(aggressive) {
 			o.Dead = true
-			collected += o.Size
+			collected += o.Bytes()
 			h.Pool.Free(r)
 			continue
 		}
-		traced += o.Size
-		moved += o.Size
-		o.Age = 0
-		if !h.oldAllocate(r) {
-			panic("hotspot: full GC cannot fit young survivors after feasibility check")
-		}
+		collected += o.DropDead()
+		n := h.promote(r, &ob)
+		traced += n
+		moved += n
 	}
+	ob.Flush()
 	h.youngScratch = young[:0]
 	h.GC.CollectedBytes += collected
 	h.NotePause(true, mm.GCCycle(traced, moved, collected), collected)

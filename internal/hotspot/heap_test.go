@@ -327,6 +327,62 @@ func TestYoungGCFirstFitSpillIsOutOfMemory(t *testing.T) {
 	}
 }
 
+// TestYoungGCRunSpillIsOutOfMemory: a run fills the to space cluster
+// by cluster, so the bytes its last fitting cluster leaves free still
+// take a later, smaller survivor. A run of three clusters of 0.4× the
+// to space's capacity puts two there and spills the third (0.4×); a
+// 0.15× survivor behind it fits the 0.2× left. With room for only
+// 0.37× left in the fully expanded old generation, the collection
+// must report ErrOutOfMemory, as it would for the three clusters
+// allocated one by one, and leave the heap untouched.
+func TestYoungGCRunSpillIsOutOfMemory(t *testing.T) {
+	_, _, h := newHeap(t, 32*mb)
+	to := h.surv[1-h.from].Capacity()
+	h.AllocateRun(to*4/10, 3)
+	mustAlloc(t, h, to*15/100)
+	h.expandOld(h.oldReserve)
+	if !h.old.TryAllocate(h.Pool.New(h.old.Free()-to*37/100, false)) {
+		t.Fatal("old generation fill did not fit")
+	}
+	live, stats := h.LiveBytes(), h.Stats()
+	if err := h.youngGC(); !errors.Is(err, runtime.ErrOutOfMemory) {
+		t.Fatalf("youngGC: %v, want ErrOutOfMemory", err)
+	}
+	if h.LiveBytes() != live || h.Stats() != stats || len(h.eden.Objects()) != 2 {
+		t.Fatalf("failed young GC changed the heap: live %d → %d, stats %+v → %+v",
+			live, h.LiveBytes(), stats, h.Stats())
+	}
+}
+
+// TestYoungGCSplitsRuns: a young collection drops a run's dead prefix,
+// copies the oldest live clusters that fit into the to space and
+// promotes the rest as a piece chained after them, and the run's Ref
+// keeps naming its oldest live clusters.
+func TestYoungGCSplitsRuns(t *testing.T) {
+	_, _, h := newHeap(t, 32*mb)
+	to := h.surv[1-h.from].Capacity()
+	size := to / 3
+	r := h.AllocateRun(size, 5)
+	h.Pool.At(r).Kill(1)
+	if err := h.youngGC(); err != nil {
+		t.Fatal(err)
+	}
+	o := h.Pool.At(r)
+	if o.Count != 3 || o.Killed != 0 || o.Age != 1 || o.Offset != h.surv[h.from].Base() || o.Next == mm.NoRef {
+		t.Fatalf("survivor piece %v next %d, want 3 clusters at the to space's base, chained", o, o.Next)
+	}
+	p := h.Pool.At(o.Next)
+	if p.Count != 1 || p.Age != 0 || p.Offset != h.old.Base() || p.Next != mm.NoRef {
+		t.Fatalf("promoted piece %v next %d, want 1 cluster at the old generation's base", p, p.Next)
+	}
+	if got := h.LiveBytes(); got != 4*size {
+		t.Fatalf("LiveBytes %d, want the 4 live clusters' %d", got, 4*size)
+	}
+	if st := h.Stats(); st.CollectedBytes != size || st.PromotedBytes != size {
+		t.Fatalf("stats %+v, want one cluster collected and one promoted", st)
+	}
+}
+
 // Property: under any interleaving of allocations and deaths, the
 // heap's resident bytes never exceed the committed size plus former
 // committed peaks, and live accounting matches what the caller kept.

@@ -68,8 +68,8 @@ func TestPoolOwnership(t *testing.T) {
 	if got := p.Freed(); len(got) != 1 || got[0] != a {
 		t.Fatalf("free list %v, want only the non-weak Ref %d", got, a)
 	}
-	if b := p.New(300, false); b != a || *p.At(b) != (Object{Size: 300}) {
-		t.Fatalf("New reused %d as %v, want %d zeroed with Size 300", b, p.At(b), a)
+	if b := p.New(300, false); b != a || *p.At(b) != (Object{Size: 300, Count: 1, Next: NoRef}) {
+		t.Fatalf("New reused %d as %v, want %d reset to one cluster of 300 bytes", b, p.At(b), a)
 	}
 	if c := p.New(400, false); c == w {
 		t.Fatal("New reused a weak slot")

@@ -60,16 +60,26 @@ func (p *ObjectPool) Release() {
 	pools.Put(p)
 }
 
-// New returns the Ref of a zeroed Object with Size and Weak set,
-// reusing a freed slot when one is available.
+// New returns the Ref of a fresh ordinary Object, a run of one cluster
+// of size bytes, with Weak set, reusing a freed slot when one is
+// available.
 func (p *ObjectPool) New(size int64, weak bool) Ref {
+	return p.put(Object{Size: size, Count: 1, Next: NoRef, Weak: weak})
+}
+
+// NewRun returns the Ref of a fresh run of n clusters of size bytes.
+func (p *ObjectPool) NewRun(size int64, n int32) Ref {
+	return p.put(Object{Size: size, Count: n, Next: NoRef})
+}
+
+func (p *ObjectPool) put(o Object) Ref {
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]
 		p.free = p.free[:n-1]
-		p.slab[r] = Object{Size: size, Weak: weak}
+		p.slab[r] = o
 		return r
 	}
-	p.slab = append(p.slab, Object{Size: size, Weak: weak})
+	p.slab = append(p.slab, o)
 	return Ref(len(p.slab) - 1)
 }
 
@@ -100,30 +110,26 @@ func (p *ObjectPool) FreeWeak(r Ref) {
 	p.free = append(p.free, r)
 }
 
-// LiveBytes sums the sizes of the objects of refs that survive a
-// non-aggressive collection.
+// LiveBytes sums the bytes of refs that survive a non-aggressive
+// collection.
 //
 //lint:allocfree
 func (p *ObjectPool) LiveBytes(refs []Ref) int64 {
 	var n int64
 	for _, r := range refs {
-		if o := &p.slab[r]; !o.Dead {
-			n += o.Size
-		}
+		n += p.slab[r].LiveBytes()
 	}
 	return n
 }
 
-// DeadBytes sums the sizes of the objects of refs a non-aggressive
-// collection would reclaim.
+// DeadBytes sums the bytes of refs a non-aggressive collection would
+// reclaim.
 //
 //lint:allocfree
 func (p *ObjectPool) DeadBytes(refs []Ref) int64 {
 	var n int64
 	for _, r := range refs {
-		if o := &p.slab[r]; o.Dead {
-			n += o.Size
-		}
+		n += p.slab[r].DeadBytes()
 	}
 	return n
 }

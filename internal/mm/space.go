@@ -22,10 +22,6 @@ type BumpSpace struct {
 	capacity int64
 	top      int64
 	objects  []Ref
-	// deadRun counts the bytes below top that AllocateDead placed:
-	// data dead on arrival, with no Ref and no entry in objects, which
-	// the next collection of the space counts as collected.
-	deadRun int64
 
 	// Touch-skip watermark: while epoch matches the region's clear
 	// epoch, space-relative bytes [lo, hi) are known resident and
@@ -77,35 +73,21 @@ func (s *BumpSpace) Objects() []Ref { return s.objects }
 // LiveBytes returns the bytes held by non-dead objects in the space.
 func (s *BumpSpace) LiveBytes() int64 { return s.pool.LiveBytes(s.objects) }
 
-// DeadRunBytes returns the bytes AllocateDead placed since the last
-// Reset.
-func (s *BumpSpace) DeadRunBytes() int64 { return s.deadRun }
-
-// TryAllocate bump-allocates r into the space, touching the underlying
-// pages. Returns false (leaving the space unchanged) if r does not fit.
+// TryAllocate bump-allocates r, all its clusters, into the space,
+// touching the underlying pages in one call: for a run that changes
+// page state exactly as its clusters placed one by one would (the
+// CopyBatch argument). Returns false (leaving the space unchanged) if
+// r does not fit.
 func (s *BumpSpace) TryAllocate(r Ref) bool {
 	o := s.pool.At(r)
-	if o.Size > s.capacity-s.top {
+	n := o.Bytes()
+	if n > s.capacity-s.top {
 		return false
 	}
 	o.Offset = s.base + s.top
-	s.bump(o.Size)
+	s.bump(n)
 	s.objects = append(s.objects, r)
 	return true
-}
-
-// AllocateDead bump-allocates a run of n bytes that is dead on arrival:
-// one touch over the run's span, which changes page state exactly as
-// TryAllocate of any objects packed back to back into those bytes
-// would (the CopyBatch argument). No object exists, so the run has no
-// Ref and no list entry and is only counted (DeadRunBytes). The
-// caller has made sure the run fits; one that does not panics.
-func (s *BumpSpace) AllocateDead(n int64) {
-	if n > s.capacity-s.top {
-		panic(fmt.Sprintf("mm: dead run of %d bytes overflows %q (%d free)", n, s.Name, s.capacity-s.top))
-	}
-	s.bump(n)
-	s.deadRun += n
 }
 
 // bump advances the bump pointer by n bytes and touches the pages
@@ -149,15 +131,14 @@ func (s *BumpSpace) noteTouched(from, to int64) {
 	}
 }
 
-// Reset empties the space: the bump pointer returns to zero, and the
-// object list and the dead-run count clear. Pages stay resident — this
+// Reset empties the space: the bump pointer returns to zero and the
+// object list clears. Pages stay resident — this
 // is exactly what eden does after a young GC, and it is the mechanism
 // behind frozen garbage: free memory that the OS still accounts
 // against the process.
 func (s *BumpSpace) Reset() {
 	s.top = 0
 	s.objects = s.objects[:0]
-	s.deadRun = 0
 }
 
 // Recarve moves an empty space to the window [base, base+capacity) of
@@ -177,14 +158,15 @@ func (s *BumpSpace) Recarve(base, capacity int64) {
 	s.lo, s.hi, s.epoch = 0, 0, 0
 }
 
-// Relocate re-installs objs (already filtered by the collector) as the
-// space's contents, recomputing offsets as a compacted prefix and
-// touching the destination pages — one bulk touch over the compacted
-// span rather than one per object. Returns false if they do not fit.
+// Relocate re-installs objs (already filtered by the collector, each
+// run's dead prefix dropped) as the space's contents, recomputing
+// offsets as a compacted prefix and touching the destination pages —
+// one bulk touch over the compacted span rather than one per object.
+// Returns false if they do not fit.
 func (s *BumpSpace) Relocate(objs []Ref) bool {
 	var need int64
 	for _, r := range objs {
-		need += s.pool.At(r).Size
+		need += s.pool.At(r).Bytes()
 	}
 	if need > s.capacity {
 		return false
@@ -224,11 +206,12 @@ func (s *BumpSpace) BeginCopy() CopyBatch { return CopyBatch{s: s, start: s.top}
 func (b *CopyBatch) TryAllocate(r Ref) bool {
 	s := b.s
 	o := s.pool.At(r)
-	if o.Size > s.capacity-s.top {
+	n := o.Bytes()
+	if n > s.capacity-s.top {
 		return false
 	}
 	o.Offset = s.base + s.top
-	s.top += o.Size
+	s.top += n
 	s.objects = append(s.objects, r)
 	return true
 }

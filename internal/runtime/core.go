@@ -95,14 +95,14 @@ func (c *HeapCore) DrainGCCost() sim.Duration {
 }
 
 // Headroom implements Runtime for models without a bulk path for
-// dead-on-arrival data: it promises nothing, so every allocation
-// stays an object.
+// cluster runs: it promises nothing, so every cluster stays an object
+// of its own.
 func (c *HeapCore) Headroom(maxSize int64) int64 { return 0 }
 
-// AllocateDead implements Runtime for models that promise no
-// headroom: no byte lies within it, so any call is a caller bug.
-func (c *HeapCore) AllocateDead(bytes int64) {
-	panic(c.name + ": AllocateDead without headroom")
+// AllocateRun implements Runtime for models that promise no headroom:
+// no run lies within it, so any call is a caller bug.
+func (c *HeapCore) AllocateRun(size int64, n int32) mm.Ref {
+	panic(c.name + ": AllocateRun without headroom")
 }
 
 // ConsumeDeoptPenalty implements Runtime for models without a JIT

@@ -6,10 +6,12 @@
 // pool the allocated Refs index, a forced full collection, live and
 // committed sizes, the heap's range, the GC cost and deoptimization
 // penalty the executor charges, teardown, the Reclaim method
-// Desiccant adds, and the bulk path for data that is dead on arrival
-// (Headroom and AllocateDead), which only hotspot implements; the
-// other models promise no headroom, so every allocation of theirs is
-// an object. Desiccant talks to instances exclusively through
+// Desiccant adds, and the bulk path for runs of same-size clusters:
+// Headroom promises the bytes the heap places before its next
+// collection, and AllocateRun places that many clusters as one object
+// (an mm.Object run). Only hotspot implements the bulk path; the
+// other models promise no headroom, so each of their clusters is an
+// object of its own. Desiccant talks to instances exclusively through
 // Reclaim, so supporting a new language means implementing this
 // interface — the paper's §7 portability argument, demonstrated by
 // examples/custom-runtime.
@@ -81,18 +83,19 @@ type Runtime interface {
 	// Headroom promises how many bytes the heap will place, in
 	// ordinary objects of at most maxSize bytes each, before its next
 	// collection. Allocating b of those bytes (through Allocate or
-	// AllocateDead) runs no collection and leaves a promise of at
+	// AllocateRun) runs no collection and leaves a promise of at
 	// least the old one minus b. 0 promises nothing.
 	Headroom(maxSize int64) int64
-	// AllocateDead places bytes of data that is dead on arrival: the
-	// caller knows it dies before the heap's next collection. The
-	// heap spends the bytes and touches their pages exactly as an
-	// object of that size would, but makes no object. bytes must lie
-	// within the current Headroom.
-	AllocateDead(bytes int64)
+	// AllocateRun places n clusters of size bytes back to back as one
+	// object, a run (mm.Object.Count), and returns its Ref. The heap
+	// spends the bytes and touches their pages, and its collections
+	// later treat each cluster, exactly as n objects of size bytes
+	// allocated one after another would. n·size must lie within the
+	// current Headroom(size), so no collection runs.
+	AllocateRun(size int64, n int32) mm.Ref
 	// Objects returns the pool the heap's Refs index. A workload kills
-	// an object through it (Objects().At(r).Dead = true) and hands its
-	// emptied Ref lists to it before Release.
+	// an object's clusters through it (Objects().At(r).Kill) and hands
+	// its emptied Ref lists to it before Release.
 	Objects() *mm.ObjectPool
 
 	// CollectFull forces a full collection followed by the runtime's

@@ -13,7 +13,7 @@ type stubRuntime struct{ cfg Config }
 
 func (s *stubRuntime) Allocate(int64, AllocOptions) (mm.Ref, error) { return mm.NoRef, ErrOutOfMemory }
 func (s *stubRuntime) Headroom(int64) int64                         { return 0 }
-func (s *stubRuntime) AllocateDead(int64)                           {}
+func (s *stubRuntime) AllocateRun(int64, int32) mm.Ref              { return mm.NoRef }
 func (s *stubRuntime) Objects() *mm.ObjectPool                      { return nil }
 func (s *stubRuntime) CollectFull(bool)                             {}
 func (s *stubRuntime) Reclaim(bool) ReclaimReport                   { return ReclaimReport{} }

@@ -202,9 +202,7 @@ func recycleViolation(h Heap, live []mm.Ref, st *workload.State, held map[mm.Ref
 		if msg == "" && freed[r] {
 			msg = fmt.Sprintf("freed Ref %d still reachable from the workload state", r)
 		}
-		if o := objs.At(r); !o.Dead {
-			want += o.Size
-		}
+		want += objs.At(r).LiveBytes()
 	})
 	if msg != "" {
 		return msg

@@ -11,18 +11,18 @@ import (
 	"desiccant/internal/sim"
 )
 
-// arm is one side of the dead-on-arrival differential: a runtime whose
-// headroom a State sees only on the bulk arm, so the per-object arm
-// makes every allocation an object. Both arms count the objects they
-// make.
+// arm is one side of the cluster-run differential: a runtime whose
+// headroom a State sees only on the run arm, so the per-cluster arm
+// makes every cluster an object of its own (Count 1). Both arms count
+// the objects they make: Allocate and AllocateRun calls.
 type arm struct {
 	runtime.Runtime
-	bulk   bool
+	runs   bool
 	allocs int64
 }
 
 func (a *arm) Headroom(maxSize int64) int64 {
-	if !a.bulk {
+	if !a.runs {
 		return 0
 	}
 	return a.Runtime.Headroom(maxSize)
@@ -31,6 +31,11 @@ func (a *arm) Headroom(maxSize int64) int64 {
 func (a *arm) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	a.allocs++
 	return a.Runtime.Allocate(size, opts)
+}
+
+func (a *arm) AllocateRun(size int64, n int32) mm.Ref {
+	a.allocs++
+	return a.Runtime.AllocateRun(size, n)
 }
 
 // armRun is one arm's heap, machine and state.
@@ -42,56 +47,67 @@ type armRun struct {
 	st   *State
 }
 
-func newArmRun(t testing.TB, spec *Spec, stage int, budget int64, bulk bool) armRun {
+func newArmRun(t testing.TB, spec *Spec, stage int, budget int64, runs bool) armRun {
 	m := osmem.NewMachine()
 	as := m.NewAddressSpace(spec.Name)
 	h, err := hotspot.New(runtime.Config{AddressSpace: as, MemoryBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return armRun{arm: &arm{Runtime: h, bulk: bulk}, heap: h, m: m, as: as, st: NewState(spec, stage, h.Objects())}
+	return armRun{arm: &arm{Runtime: h, runs: runs}, heap: h, m: m, as: as, st: NewState(spec, stage, h.Objects())}
+}
+
+// liveClusters calls f with the offset and size of every live cluster
+// the state names, oldest first within each run: a run's live clusters
+// lie at Offset + i·Size for i from Killed to Count.
+func (r armRun) liveClusters(f func(off, size int64)) {
+	r.st.Objects(func(ref mm.Ref) {
+		o := r.Objects().At(ref)
+		if o.Dead {
+			return
+		}
+		for i := int64(o.Killed); i < int64(o.Count); i++ {
+			f(o.Offset+i*o.Size, o.Size)
+		}
+	})
 }
 
 // view is everything an arm shows the rest of the simulator between
-// bodies.
+// bodies, its live data cluster by cluster.
 func (r armRun) view() string {
 	var offsets []int64
-	r.st.Objects(func(o mm.Ref) { offsets = append(offsets, r.Objects().At(o).Offset) })
+	r.liveClusters(func(off, _ int64) { offsets = append(offsets, off) })
 	return fmt.Sprintf("stats %+v committed %d live %d resident %d gc %v usage %+v faults %d/%d cost %d phys %d peak %d pages %+v offsets %v",
 		r.heap.Stats(), r.HeapCommitted(), r.LiveBytes(), r.heap.ResidentBytes(), r.DrainGCCost(),
 		r.as.Usage(), r.as.MinorFaults(), r.as.MajorFaults(), r.as.DrainFaultCost(),
 		r.m.PhysPages(), r.m.PeakPhysBytes(), r.m.PageCounters(), offsets)
 }
 
-// unbacked counts the state's live objects with a page that is not
-// resident. An object's bytes are written when the heap places or
+// unbacked counts the state's live clusters with a page that is not
+// resident. A cluster's bytes are written when the heap places or
 // moves it, and nothing in these runs swaps or releases the pages
-// under a live object, so there must be none: a deferred page touch
+// under a live cluster, so there must be none: a deferred page touch
 // that never landed shows here even when both arms share it.
 func (r armRun) unbacked() int {
 	va, _ := r.HeapRange()
 	n := 0
-	r.st.Objects(func(ref mm.Ref) {
-		o := r.Objects().At(ref)
-		if o.Dead {
-			return
-		}
-		first := o.Offset >> osmem.PageShift
-		end := (o.Offset + o.Size + osmem.PageSize - 1) >> osmem.PageShift
-		if r.as.PmapRange(va+o.Offset, o.Size) != (end-first)*osmem.PageSize {
+	r.liveClusters(func(off, size int64) {
+		first := off >> osmem.PageShift
+		end := (off + size + osmem.PageSize - 1) >> osmem.PageShift
+		if r.as.PmapRange(va+off, size) != (end-first)*osmem.PageSize {
 			n++
 		}
 	})
 	return n
 }
 
-// compareArms runs spec's stage for invocations bodies on a per-object
-// and a bulk hotspot heap from the same random streams, with full
-// collections, aggressive ones and reclaims interleaved, and fails on
-// the first difference either arm shows or the first live object
-// either arm left on a page it never touched. It returns how many
-// objects each arm made.
-func compareArms(t testing.TB, spec *Spec, stage int, budget int64, invocations int) (perObject, bulk int64) {
+// compareArms runs spec's stage for invocations bodies on a
+// per-cluster and a run hotspot heap from the same random streams,
+// with full collections, aggressive ones and reclaims interleaved, and
+// fails on the first difference either arm shows or the first live
+// cluster either arm left on a page it never touched. It returns how
+// many objects each arm made.
+func compareArms(t testing.TB, spec *Spec, stage int, budget int64, invocations int) (perCluster, withRuns int64) {
 	t.Helper()
 	runs := [2]armRun{newArmRun(t, spec, stage, budget, false), newArmRun(t, spec, stage, budget, true)}
 	defer func() {
@@ -123,72 +139,76 @@ func compareArms(t testing.TB, spec *Spec, stage int, budget int64, invocations 
 			}
 			got[k] = s + " " + r.view()
 			if n := r.unbacked(); n > 0 {
-				t.Fatalf("%s stage %d at %d MiB, invocation %d (op %d), bulk %v: %d live objects on pages never touched",
-					spec.Name, stage, budget>>20, i, op, r.bulk, n)
+				t.Fatalf("%s stage %d at %d MiB, invocation %d (op %d), runs %v: %d live clusters on pages never touched",
+					spec.Name, stage, budget>>20, i, op, r.runs, n)
 			}
 		}
 		if got[0] != got[1] {
-			t.Fatalf("%s stage %d at %d MiB, invocation %d (op %d):\nper-object %s\nbulk       %s",
+			t.Fatalf("%s stage %d at %d MiB, invocation %d (op %d):\nper-cluster %s\nruns        %s",
 				spec.Name, stage, budget>>20, i, op, got[0], got[1])
 		}
 	}
 	return runs[0].allocs, runs[1].allocs
 }
 
-// deadOnArrivalPins is how many objects each arm of
-// TestDeadOnArrivalMatchesPerObject makes per Java function, summed
-// over its budgets and stages: every allocation on the per-object arm,
-// and only those no headroom covers on the bulk arm.
-var deadOnArrivalPins = map[string][2]int64{
-	"time":            {11685, 1695},
-	"sort":            {156357, 100569},
-	"file-hash":       {116235, 75321},
-	"image-resize":    {5742, 4455},
-	"image-pipeline":  {21084, 17883},
-	"hotel-searching": {757617, 551451},
-	"mapreduce":       {579255, 407894},
-	"specjbb2015":     {1519308, 936794},
+// clusterRunPins is how many objects each arm of
+// TestRunsMatchPerCluster makes per Java function, summed over its
+// budgets and stages: one per cluster on the per-cluster arm, and one
+// per run or single on the run arm.
+var clusterRunPins = map[string][2]int64{
+	"time":            {11685, 1713},
+	"sort":            {156357, 3726},
+	"file-hash":       {116235, 3462},
+	"image-resize":    {5742, 3715},
+	"image-pipeline":  {21084, 15534},
+	"hotel-searching": {757617, 11394},
+	"mapreduce":       {579255, 7588},
+	"specjbb2015":     {1519308, 18729},
 }
 
-// TestDeadOnArrivalMatchesPerObject checks that placing temporaries
-// dead on arrival changes nothing the simulator can observe: every
-// Table 1 Java function, at three budgets and every chain stage, shows
-// the same collection counters, sizes, GC cost, page state, faults and
-// live-object offsets after every body, collection and reclaim whether
-// its State sees the heap's headroom or not.
-func TestDeadOnArrivalMatchesPerObject(t *testing.T) {
+// TestRunsMatchPerCluster checks that placing clusters as runs changes
+// nothing the simulator can observe: every Table 1 Java function, at
+// three budgets and every chain stage, shows the same collection
+// counters, sizes, GC cost, page state, faults and live-cluster
+// offsets after every body, collection and reclaim whether its State
+// sees the heap's headroom or not.
+func TestRunsMatchPerCluster(t *testing.T) {
 	budgets := []int64{128 << 20, 256 << 20, 1 << 30}
 	for _, spec := range ByLanguage(runtime.Java) {
 		t.Run(spec.Name, func(t *testing.T) {
 			var got [2]int64
 			for _, budget := range budgets {
 				for stage := 0; stage < spec.ChainLength; stage++ {
-					p, b := compareArms(t, spec, stage, budget, 200)
+					p, r := compareArms(t, spec, stage, budget, 200)
 					got[0] += p
-					got[1] += b
+					got[1] += r
 				}
 			}
-			if want, ok := deadOnArrivalPins[spec.Name]; !ok || got != want {
-				t.Errorf("%s: per-object arm made %d objects, bulk arm %d; want %d and %d",
+			if want, ok := clusterRunPins[spec.Name]; !ok || got != want {
+				t.Errorf("%s: per-cluster arm made %d objects, run arm %d; want %d and %d",
 					spec.Name, got[0], got[1], want[0], want[1])
 			}
 		})
 	}
 }
 
-// FuzzDeadOnArrival draws a Java function's allocation shape and budget
-// and checks that both arms of the dead-on-arrival differential agree,
-// for the producing stage of a two-stage chain.
-func FuzzDeadOnArrival(f *testing.F) {
-	f.Add(uint32(32<<10), uint32(3<<20), uint32(6<<20), uint32(0), uint16(256))
-	f.Add(uint32(16<<10), uint32(128<<10), uint32(256<<10), uint32(64<<10), uint16(128))
-	f.Add(uint32(4<<20), uint32(18<<20), uint32(36<<20), uint32(8<<20), uint16(512))
-	f.Add(uint32(64<<10), uint32(0), uint32(10<<20), uint32(1<<20), uint16(64))
-	f.Add(uint32(100_000), uint32(250_000), uint32(1_000_003), uint32(150_001), uint16(96))
-	f.Add(uint32(1<<20), uint32(40<<20), uint32(12<<20), uint32(3<<20), uint16(40))
-	f.Add(uint32(1000), uint32(999), uint32(20_000), uint32(700), uint16(0))
-	f.Add(uint32(3<<20), uint32(1<<20), uint32(7<<20), uint32(5<<20), uint16(0))
-	f.Fuzz(func(t *testing.T, objectSize, workingSet, allocPerInvoke, intermediate uint32, budgetMiB uint16) {
+// FuzzClusterRuns draws a Java function's allocation shape and budget
+// and checks that both arms of the cluster-run differential agree, for
+// the producing stage of a two-stage chain.
+func FuzzClusterRuns(f *testing.F) {
+	f.Add(uint32(32<<10), uint32(3<<20), uint32(6<<20), uint32(0), uint32(8<<20), uint16(256))
+	f.Add(uint32(16<<10), uint32(128<<10), uint32(256<<10), uint32(64<<10), uint32(8<<20), uint16(128))
+	f.Add(uint32(4<<20), uint32(18<<20), uint32(36<<20), uint32(8<<20), uint32(8<<20), uint16(512))
+	f.Add(uint32(64<<10), uint32(0), uint32(10<<20), uint32(1<<20), uint32(8<<20), uint16(64))
+	f.Add(uint32(100_000), uint32(250_000), uint32(1_000_003), uint32(150_001), uint32(8<<20), uint16(96))
+	f.Add(uint32(1<<20), uint32(40<<20), uint32(12<<20), uint32(3<<20), uint32(8<<20), uint16(40))
+	f.Add(uint32(1000), uint32(999), uint32(20_000), uint32(700), uint32(8<<20), uint16(0))
+	f.Add(uint32(3<<20), uint32(1<<20), uint32(7<<20), uint32(5<<20), uint32(8<<20), uint16(0))
+	// hotel-searching's shape on small heaps: a working set larger than
+	// eden, so surviving runs overflow the to space and split.
+	f.Add(uint32(32<<10), uint32(20<<20), uint32(12<<20), uint32(1<<20), uint32(96<<20), uint16(48))
+	f.Add(uint32(32<<10), uint32(20<<20), uint32(12<<20), uint32(1<<20), uint32(96<<20), uint16(112))
+	f.Fuzz(func(t *testing.T, objectSize, workingSet, allocPerInvoke, intermediate, initAlloc uint32, budgetMiB uint16) {
 		const invocations = 40
 		base, err := Lookup("time")
 		if err != nil {
@@ -198,6 +218,7 @@ func FuzzDeadOnArrival(f *testing.F) {
 		spec.ChainLength = 2
 		spec.ObjectSize = int64(objectSize%(8<<20)) + 1
 		spec.AllocPerInvoke = int64(allocPerInvoke % (64 << 20))
+		spec.InitAllocBytes = int64(initAlloc % (128 << 20))
 		spec.WorkingSet = min(int64(workingSet), spec.AllocPerInvoke+spec.InitAllocBytes)
 		spec.IntermediateBytes = int64(intermediate % (16 << 20))
 		if err := spec.Validate(); err != nil {

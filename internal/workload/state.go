@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"desiccant/internal/mm"
 	"desiccant/internal/runtime"
@@ -21,15 +22,19 @@ type State struct {
 	invocations int
 	static      []mm.Ref
 	weak        mm.Ref
-	// window is the FIFO of live temporaries: entries [windowHead,
-	// len) are live, older ones already dead. Popping by head index
-	// instead of reslicing keeps the slice re-anchored at its base, so
-	// appends reuse capacity instead of reallocating as the front
-	// erodes. A NoRef entry is a temporary placed dead on arrival; the
-	// window holds one only while allocTemps runs (see there).
-	window        []mm.Ref
-	windowHead    int
-	windowBytes   int64
+	// window is the FIFO of the runs of live temporaries, oldest
+	// first: entries [windowHead, len) name the piece holding each
+	// run's oldest live cluster, older entries are dead. Popping by
+	// head index instead of reslicing keeps the slice re-anchored at
+	// its base, so appends reuse capacity instead of reallocating as
+	// the front erodes. windowBytes and windowClusters sum the live
+	// clusters the window holds.
+	window         []mm.Ref
+	windowHead     int
+	windowBytes    int64
+	windowClusters int64
+	// intermediates names the runs of chain data awaiting the
+	// downstream stage, each by its oldest piece.
 	intermediates []mm.Ref
 	// room is the runtime's Headroom at the state's last query, less
 	// every byte the state has allocated since: what the heap still
@@ -139,23 +144,20 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 		intermediate = sp.IntermediateBytes
 	}
 	volume := int64(rng.Jitter(float64(sp.AllocPerInvoke), 0.1))
-	n, err := st.allocTemps(rt, volume, intermediate)
+	n, err := st.allocTemps(rt, volume)
 	rep.AllocatedBytes += n
 	if err != nil {
 		return rep, fmt.Errorf("%s: body: %w", sp.Name, err)
 	}
-	if intermediate > 0 {
-		remaining := intermediate
-		for remaining > 0 {
-			size := min(remaining, sp.ObjectSize)
-			o, err := st.allocate(rt, size)
-			if err != nil {
-				return rep, fmt.Errorf("%s: intermediate: %w", sp.Name, err)
-			}
-			rep.AllocatedBytes += size
-			st.intermediates = append(st.intermediates, o)
-			remaining -= size
+	for left := intermediate; left > 0; {
+		size := min(left, sp.ObjectSize)
+		r, n, err := st.place(rt, size, left/size)
+		if err != nil {
+			return rep, fmt.Errorf("%s: intermediate: %w", sp.Name, err)
 		}
+		rep.AllocatedBytes += n * size
+		st.intermediates = append(st.intermediates, r)
+		left -= n * size
 	}
 
 	// Function exit: every remaining temporary is garbage — frozen
@@ -186,7 +188,7 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 	}
 	remaining := sp.StaticBytes
 	for remaining > 0 {
-		n, err := st.allocTemps(rt, churnPerStatic, -1)
+		n, err := st.allocTemps(rt, churnPerStatic)
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
@@ -202,7 +204,7 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 		remaining -= size
 	}
 	if spike > 0 {
-		n, err := st.allocTemps(rt, spike, -1)
+		n, err := st.allocTemps(rt, spike)
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
@@ -213,78 +215,43 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 
 // allocTemps allocates volume bytes of temporaries in cluster-sized
 // objects, killing the oldest once the live window exceeds the working
-// set. tail is the bytes the body allocates after these temporaries
-// before it exits, or -1 when the window outlives the call
-// (initialization, whose window the body inherits).
+// set.
 //
-// A temporary dies when the window's bytes from it to the newest
-// temporary first exceed the working set, which depends only on the
-// temporaries after it: a full cluster dies as the keep-th cluster
-// after it lands, if the call allocates that many more full clusters.
-// Otherwise it dies at the latest at function exit. When the heap's
-// headroom covers every byte allocated from a temporary up to its
-// death, no collection can see it live, so it is placed dead on
-// arrival: the heap spends its bytes and pages but makes no object
-// (runtime.AllocateDead, one call per run of such temporaries). Once
-// the headroom covers everything up to exit, the rest of the call is
-// one run and the window dies at once. Before that, the window holds
-// a dead-on-arrival temporary as NoRef. It is a full cluster, and it
-// leaves the window before the call returns: the keep-th cluster
-// after it lands in the same call, and no allocation up to then can
-// fail, since the headroom covers them all.
-func (st *State) allocTemps(rt runtime.Runtime, volume, tail int64) (int64, error) {
-	sp := st.Spec
-	keep := max(1, sp.WorkingSet/sp.ObjectSize)
-	windowSpan := (keep + 1) * sp.ObjectSize
-	// dead is the run of dead-on-arrival bytes not yet placed: back to
-	// back temporaries go to the heap as one run, before the next
-	// object and at the end.
-	var total, dead int64
+// Back-to-back clusters of one size that the room covers are one run
+// (place): no collection runs while they land, so nothing can tell
+// them from clusters placed one by one. Nor can killing the window's
+// oldest clusters once after the run instead of after each cluster:
+// each kill only trims the window's front until its bytes fit the
+// working set, so the clusters left live are the longest suffix of
+// the window that fits (at least one), whether it is trimmed once or
+// in steps, and no collection reads the kills in between.
+func (st *State) allocTemps(rt runtime.Runtime, volume int64) (int64, error) {
+	var total int64
 	for total < volume {
-		rest := volume - total
-		if tail >= 0 && st.room >= rest+tail {
-			// Everything left dies by function exit, before any
-			// collection: the rest is part of the dead run, and the
-			// live window may die now, since nothing reads it first.
-			rt.AllocateDead(dead + rest)
-			st.room -= rest
-			st.killWindow()
-			return volume, nil
+		size := min(st.Spec.ObjectSize, volume-total)
+		r, n, err := st.place(rt, size, (volume-total)/size)
+		if err != nil {
+			return total, err
 		}
-		size := min(sp.ObjectSize, rest)
-		o := mm.NoRef
-		if rest >= windowSpan && st.room >= windowSpan {
-			dead += size
-			st.room -= size
-		} else {
-			if dead > 0 {
-				rt.AllocateDead(dead)
-				dead = 0
-			}
-			var err error
-			if o, err = st.allocate(rt, size); err != nil {
-				return total, err
-			}
-		}
-		total += size
-		st.window = append(st.window, o)
-		st.windowBytes += size
-		for st.windowBytes > sp.WorkingSet && len(st.window)-st.windowHead > 1 {
-			st.windowBytes -= st.kill(st.window[st.windowHead])
-			st.windowHead++
-		}
-		// Slide the live tail down once the dead prefix dominates, so
-		// the buffer stays bounded by the working set.
-		if st.windowHead > len(st.window)/2 {
-			n := copy(st.window, st.window[st.windowHead:])
-			st.window = st.window[:n]
-			st.windowHead = 0
-		}
-	}
-	if dead > 0 {
-		rt.AllocateDead(dead)
+		total += n * size
+		st.window = append(st.window, r)
+		st.windowBytes += n * size
+		st.windowClusters += n
+		st.trimWindow()
 	}
 	return total, nil
+}
+
+// place makes up to n clusters of size bytes and returns their Ref and
+// how many it made: as one run, as many as the room covers, or a
+// single ordinary object when the room covers none.
+func (st *State) place(rt runtime.Runtime, size, n int64) (mm.Ref, int64, error) {
+	if k := min(n, st.room/size, math.MaxInt32); k > 0 {
+		st.room -= k * size
+		return rt.AllocateRun(size, int32(k)), k, nil
+	}
+	o, err := st.allocate(rt, size)
+	return o, 1, err
 }
 
 // allocate makes one ordinary object of size bytes. An object beyond
@@ -300,24 +267,54 @@ func (st *State) allocate(rt runtime.Runtime, size int64) (mm.Ref, error) {
 	return o, err
 }
 
-// kill marks the temporary r dead and returns its size; a NoRef was
-// a full cluster dead on arrival.
-func (st *State) kill(r mm.Ref) int64 {
-	if r == mm.NoRef {
-		return st.Spec.ObjectSize
+// trimWindow kills the window's oldest clusters while it holds more
+// than the working set and more than one cluster. A piece whose last
+// cluster dies hands its place in the window to the next piece of its
+// run, if any, before a collection can free its slot.
+func (st *State) trimWindow() {
+	ws := st.Spec.WorkingSet
+	for st.windowBytes > ws && st.windowClusters > 1 {
+		r := st.window[st.windowHead]
+		o := st.objs.At(r)
+		k := min(int64(o.Count-o.Killed), (st.windowBytes-ws+o.Size-1)/o.Size, st.windowClusters-1)
+		o.Kill(int32(k))
+		st.windowBytes -= k * o.Size
+		st.windowClusters -= k
+		if o.Dead {
+			if o.Next != mm.NoRef {
+				st.window[st.windowHead] = o.Next
+			} else {
+				st.windowHead++
+			}
+		}
 	}
-	o := st.objs.At(r)
-	o.Dead = true
-	return o.Size
+	// Slide the live tail down once the dead prefix dominates, so the
+	// buffer stays bounded by the working set.
+	if st.windowHead > len(st.window)/2 {
+		n := copy(st.window, st.window[st.windowHead:])
+		st.window = st.window[:n]
+		st.windowHead = 0
+	}
+}
+
+// killRun kills every live cluster of the run whose oldest live piece
+// is r.
+func (st *State) killRun(r mm.Ref) {
+	for r != mm.NoRef {
+		o := st.objs.At(r)
+		o.Kill(o.Count - o.Killed)
+		r = o.Next
+	}
 }
 
 func (st *State) killWindow() {
 	for _, r := range st.window[st.windowHead:] {
-		st.kill(r)
+		st.killRun(r)
 	}
 	st.window = st.window[:0]
 	st.windowHead = 0
 	st.windowBytes = 0
+	st.windowClusters = 0
 }
 
 // ReleaseIntermediates marks all pending chain intermediates dead; the
@@ -325,15 +322,16 @@ func (st *State) killWindow() {
 // completes (the downstream consumer has the data now).
 func (st *State) ReleaseIntermediates() {
 	for _, r := range st.intermediates {
-		st.objs.At(r).Dead = true
+		st.killRun(r)
 	}
 	st.intermediates = st.intermediates[:0]
 }
 
 // Objects calls f for every object the state still names: its static
-// data, its weak cache, the live temporaries of its window and its
-// pending intermediates. The recycling tests use it to check that a
-// heap never frees an object its workload can still reach.
+// data, its weak cache, and every piece of the live temporaries of its
+// window and of its pending intermediates. The recycling tests use it
+// to check that a heap never frees an object its workload can still
+// reach.
 func (st *State) Objects(f func(mm.Ref)) {
 	for _, r := range st.static {
 		f(r)
@@ -341,15 +339,22 @@ func (st *State) Objects(f func(mm.Ref)) {
 	if st.weak != mm.NoRef {
 		f(st.weak)
 	}
-	for _, r := range st.window[st.windowHead:] {
-		f(r)
-	}
-	for _, r := range st.intermediates {
-		f(r)
+	for _, runs := range [2][]mm.Ref{st.window[st.windowHead:], st.intermediates} {
+		for _, r := range runs {
+			for ; r != mm.NoRef; r = st.objs.At(r).Next {
+				f(r)
+			}
+		}
 	}
 }
 
 // PendingIntermediateBytes reports live chain data awaiting a consumer.
 func (st *State) PendingIntermediateBytes() int64 {
-	return st.objs.LiveBytes(st.intermediates)
+	var n int64
+	for _, r := range st.intermediates {
+		for ; r != mm.NoRef; r = st.objs.At(r).Next {
+			n += st.objs.At(r).LiveBytes()
+		}
+	}
+	return n
 }
