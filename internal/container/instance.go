@@ -325,7 +325,7 @@ func (i *Instance) Reclaim(aggressive, unmapPrivateLibs bool) runtime.ReclaimRep
 	rep := i.Runtime.Reclaim(aggressive)
 	if unmapPrivateLibs {
 		for _, r := range i.libRegions {
-			if r.SharedResidentPages() == 0 {
+			if !r.SharesResidentPages() {
 				rep.ReleasedBytes += r.ReleaseClean()
 			}
 		}

@@ -384,7 +384,7 @@ func (h *Heap) youngGC() error {
 			if o.Age <= tenureThreshold {
 				if k := min(int64(o.Count), to.Free()/o.Size); k > 0 {
 					size := o.Size
-					rest := h.split(r, int32(k))
+					rest := h.Pool.Split(r, int32(k))
 					if !tb.TryAllocate(r) {
 						panic("hotspot: survivor overflows the to space it was sized for")
 					}
@@ -426,23 +426,6 @@ func (h *Heap) youngGC() error {
 	return nil
 }
 
-// split keeps the first k clusters of run r, which has no dead prefix,
-// in r and moves the rest into a new piece chained right after r. It
-// returns the new piece, or NoRef when r has no more than k clusters.
-// The piece is born at age 0: it is always promoted.
-func (h *Heap) split(r mm.Ref, k int32) mm.Ref {
-	o := h.Pool.At(r)
-	if o.Count <= k {
-		return mm.NoRef
-	}
-	size, rest, next := o.Size, o.Count-k, o.Next
-	p := h.Pool.NewRun(size, rest) // may move the slab: o is stale
-	o = h.Pool.At(r)
-	o.Count, o.Next = k, p
-	h.Pool.At(p).Next = next
-	return p
-}
-
 // promote moves run r, which has no dead prefix, into the old
 // generation at age 0 through the batch ob, and returns its bytes.
 // The clusters that fit the old generation's free tail go as one
@@ -459,7 +442,7 @@ func (h *Heap) promote(r mm.Ref, ob *mm.CopyBatch) int64 {
 		o.Age = 0
 		size := o.Size
 		if k := min(int64(o.Count), h.old.Free()/size); k > 0 {
-			rest := h.split(r, int32(k))
+			rest := h.Pool.Split(r, int32(k))
 			if !ob.TryAllocate(r) {
 				panic("hotspot: promotion overflows the old tail it was sized for")
 			}
@@ -467,7 +450,7 @@ func (h *Heap) promote(r mm.Ref, ob *mm.CopyBatch) int64 {
 			r = rest
 			continue
 		}
-		rest := h.split(r, 1)
+		rest := h.Pool.Split(r, 1)
 		ob.Flush()
 		// oldAllocate compacts only when the dead tenured bytes alone
 		// fit the cluster. A spilled survivor, which the room made

@@ -38,10 +38,14 @@
 //     (DropDead) and moves the live rest, so a run that died before
 //     any collection saw it costs one list entry, not Count.
 //   - A collector that cannot move a run's live clusters to one place
-//     splits it into pieces, chained through Next oldest first. The
-//     original Ref stays the oldest piece, so its holder still names
-//     the run; the holder follows Next when it kills a piece's last
-//     cluster, before any collection can free that slot.
+//     splits it into pieces (ObjectPool.Split), chained through Next
+//     oldest first, and so does a chunked heap where a run crosses a
+//     chunk boundary, when it places the run or moves it: each chunk
+//     lists its own piece. The original Ref stays the oldest piece, so
+//     its holder still names the run; the holder follows Next when it
+//     kills a piece's last cluster, before any collection can free
+//     that slot. A split never leaves a live piece dead in full, so
+//     only a live run without a dead prefix is split (or a dead one).
 package mm
 
 import "fmt"

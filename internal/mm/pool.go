@@ -72,6 +72,32 @@ func (p *ObjectPool) NewRun(size int64, n int32) Ref {
 	return p.put(Object{Size: size, Count: n, Next: NoRef})
 }
 
+// Split keeps the first k clusters of run r in r and moves the rest
+// into a new piece, chained right after r with r's size, age and
+// verdict. It returns the new piece, or NoRef when r has no more than
+// k clusters. r may have a dead prefix only if it is dead in full: a
+// live piece the workload names must never become dead in full by a
+// collector's hand, or a collection would free a slot its holder still
+// names. The slab may move, so pointers into it are stale afterwards.
+func (p *ObjectPool) Split(r Ref, k int32) Ref {
+	o := &p.slab[r]
+	if o.Count <= k {
+		return NoRef
+	}
+	if o.Killed != 0 && !o.Dead {
+		panic(fmt.Sprintf("mm: Split of %v with a dead prefix", o))
+	}
+	rest := Object{Size: o.Size, Offset: o.Offset + int64(k)*o.Size, Count: o.Count - k,
+		Next: o.Next, Dead: o.Dead, Age: o.Age}
+	o.Count = k
+	if o.Dead {
+		o.Killed, rest.Killed = k, rest.Count
+	}
+	n := p.put(rest)
+	p.slab[r].Next = n
+	return n
+}
+
 func (p *ObjectPool) put(o Object) Ref {
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]

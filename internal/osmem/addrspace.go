@@ -373,9 +373,10 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 // ref records file pages [i, j) of the region as resident in one more
 // mapping and moves USS credit on the two transitions that change who
 // holds a page alone: 0→1 credits this space, 1→2 debits the previous
-// sole holder, found through the page's holder XOR. A space mapping
-// the page through two regions is its own previous holder, so the
-// page turns shared exactly as RegionUsage classifies it (refcount 2).
+// sole holder, found through the page's holder XOR, and counts the
+// page shared. A space mapping the page through two regions is its own
+// previous holder, so the page turns shared exactly as RegionUsage
+// classifies it (refcount 2).
 // It returns the number of 0→1 pages: on a first touch, the pages no
 // mapping had resident, which are read from disk.
 //
@@ -385,7 +386,7 @@ func (r *Region) ref(i, j int64) int64 { //lint:unit i=pages j=pages ret=pages
 	id := int32(as.id)
 	refs := r.file.refs[r.foff+i : r.foff+j]
 	holders := r.file.holders[r.foff+i : r.foff+j]
-	var own int64 //lint:unit pages
+	var own, shared int64 //lint:unit pages
 	var last *AddressSpace
 	for z, rc := range refs {
 		switch rc {
@@ -394,16 +395,19 @@ func (r *Region) ref(i, j int64) int64 { //lint:unit i=pages j=pages ret=pages
 		case 1:
 			last = as.machine.holder(last, holders[z])
 			last.ussPages--
+			shared++
 		}
 		refs[z] = rc + 1
 		holders[z] ^= id
 	}
 	as.ussPages += own
+	r.file.shared += shared
 	return own
 }
 
 // unref is the inverse of ref: 1→0 debits this space, 2→1 credits the
-// space left holding the page alone.
+// space left holding the page alone and counts the page shared no
+// more.
 //
 //lint:allocfree
 func (r *Region) unref(i, j int64) { //lint:unit i=pages j=pages
@@ -411,7 +415,7 @@ func (r *Region) unref(i, j int64) { //lint:unit i=pages j=pages
 	id := int32(as.id)
 	refs := r.file.refs[r.foff+i : r.foff+j]
 	holders := r.file.holders[r.foff+i : r.foff+j]
-	var own int64 //lint:unit pages
+	var own, shared int64 //lint:unit pages
 	var last *AddressSpace
 	for z, rc := range refs {
 		h := holders[z] ^ id
@@ -423,9 +427,11 @@ func (r *Region) unref(i, j int64) { //lint:unit i=pages j=pages
 		case 2:
 			last = as.machine.holder(last, h)
 			last.ussPages++
+			shared--
 		}
 	}
 	as.ussPages += own
+	r.file.shared += shared
 }
 
 // TouchBytes is Touch addressed in bytes rather than pages; offsets
@@ -714,32 +720,30 @@ func (r *Region) ReleaseClean() int64 {
 	return released
 }
 
-// SharedResidentPages reports how many of the region's resident pages
-// are also resident in another address space (refcount > 1). Always 0
-// for anonymous regions.
-func (r *Region) SharedResidentPages() int64 {
-	if r.Kind != FileBacked {
-		return 0
+// SharesResidentPages reports whether any of the region's resident
+// pages is also resident in another mapping (refcount > 1). Always
+// false for anonymous regions. While no page of the file is resident
+// in two mappings the answer is false without a walk; otherwise the
+// walk stops at the first shared resident page.
+func (r *Region) SharesResidentPages() bool {
+	if r.Kind != FileBacked || r.file.shared == 0 {
+		return false
 	}
 	pb := r.pb
 	lim := int64(len(pb))
-	if lim == 0 {
-		return 0
-	}
-	var n int64
-	refs := r.file.refs
+	refs := r.file.refs[r.foff:]
 	for i := int64(0); i < lim; {
 		j := runEnd(pb, i, lim)
 		if pb[i]&pageStateMask == pageResident {
-			for z := i; z < j; z++ {
-				if refs[r.foff+z] > 1 {
-					n++
+			for _, rc := range refs[i:j] {
+				if rc > 1 {
+					return true
 				}
 			}
 		}
 		i = j
 	}
-	return n
+	return false
 }
 
 // Unmap removes the region from the address space entirely, freeing

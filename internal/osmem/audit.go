@@ -92,13 +92,19 @@ func (m *Machine) Audit() []string {
 	// page resident — they drive PSS/USS attribution and the §4.6
 	// unmap-safety check — and each page's holder XOR must match the
 	// recounted holders, or a 2→1 transition credits the wrong space.
+	// The count of shared pages must match too, or the unmap-safety
+	// check answers without looking.
 	for _, name := range m.Files() {
 		f := m.files[name]
 		refs, holders := fileRefs[f], fileHolders[f] // nil when no mapping has any page resident
+		var shared int64
 		for i := int64(0); i < f.Pages; i++ {
 			var want, wantHolders int32
 			if refs != nil {
 				want, wantHolders = refs[i], holders[i]
+			}
+			if want > 1 {
+				shared++
 			}
 			if f.refs[i] != want {
 				bad = append(bad, fmt.Sprintf(
@@ -108,6 +114,10 @@ func (m *Machine) Audit() []string {
 				bad = append(bad, fmt.Sprintf(
 					"file %s page %d: holder XOR %d, recount %d", name, i, f.holders[i], wantHolders))
 			}
+		}
+		if f.shared != shared {
+			bad = append(bad, fmt.Sprintf(
+				"file %s: %d shared pages counted, recount %d", name, f.shared, shared))
 		}
 	}
 

@@ -196,6 +196,9 @@ type FileObject struct {
 	// 1 it is the sole holder's ID, which is how Region.unref finds
 	// the space a 2→1 transition makes the page private to.
 	holders []int32
+	// shared counts the pages with refs[i] > 1, so a file no two
+	// mappings share answers Region.SharesResidentPages without a walk.
+	shared int64
 	// version increments on every refcount change; regions use it to
 	// invalidate cached accounting for shared mappings.
 	version uint64

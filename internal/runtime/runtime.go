@@ -9,9 +9,9 @@
 // Desiccant adds, and the bulk path for runs of same-size clusters:
 // Headroom promises the bytes the heap places before its next
 // collection, and AllocateRun places that many clusters as one object
-// (an mm.Object run). Only hotspot implements the bulk path; the
-// other models promise no headroom, so each of their clusters is an
-// object of its own. Desiccant talks to instances exclusively through
+// (an mm.Object run). hotspot and v8heap implement the bulk path; the
+// §7 ports promise no headroom, so each of their clusters is an object
+// of its own. Desiccant talks to instances exclusively through
 // Reclaim, so supporting a new language means implementing this
 // interface — the paper's §7 portability argument, demonstrated by
 // examples/custom-runtime.
@@ -81,17 +81,20 @@ type Runtime interface {
 	// the heap limit is exhausted.
 	Allocate(size int64, opts AllocOptions) (mm.Ref, error)
 	// Headroom promises how many bytes the heap will place, in
-	// ordinary objects of at most maxSize bytes each, before its next
-	// collection. Allocating b of those bytes (through Allocate or
-	// AllocateRun) runs no collection and leaves a promise of at
-	// least the old one minus b. 0 promises nothing.
+	// ordinary objects of at most maxSize bytes each, in any mix of
+	// sizes, before its next collection. Allocating b of those bytes
+	// (through Allocate or AllocateRun) runs no collection and leaves
+	// a promise of at least the old one minus b. 0 promises nothing:
+	// the §7 ports, which keep HeapCore's default, always answer 0.
 	Headroom(maxSize int64) int64
-	// AllocateRun places n clusters of size bytes back to back as one
-	// object, a run (mm.Object.Count), and returns its Ref. The heap
-	// spends the bytes and touches their pages, and its collections
-	// later treat each cluster, exactly as n objects of size bytes
-	// allocated one after another would. n·size must lie within the
-	// current Headroom(size), so no collection runs.
+	// AllocateRun places n clusters of size bytes as one object, a
+	// run (mm.Object.Count), and returns its Ref. The heap spends the
+	// bytes and touches their pages, and its collections later treat
+	// each cluster, exactly as n objects of size bytes allocated one
+	// after another would. A chunked heap (v8heap) makes one piece
+	// per chunk the run spans, chained through mm.Object.Next. n·size
+	// must lie within the current Headroom(size), so no collection
+	// runs.
 	AllocateRun(size int64, n int32) mm.Ref
 	// Objects returns the pool the heap's Refs index. A workload kills
 	// an object's clusters through it (Objects().At(r).Kill) and hands

@@ -94,6 +94,9 @@ func (a *arena) alloc(owner string, objSize int64) *chunk {
 	return c
 }
 
+// available is the number of chunks alloc can still hand out.
+func (a *arena) available() int64 { return int64(len(a.free) + a.total - a.next) }
+
 // release returns the chunk to the OS in full — data pages and header.
 // The chunk must hold no objects; its struct goes to the spare list,
 // so the caller must drop every pointer to it.
@@ -129,6 +132,12 @@ type chunk struct {
 	// and voids the claim.
 	lo, hi int64
 	epoch  uint64
+
+	// noFit, when positive, is a cluster size for which the chunk has
+	// no gap: a place walk found none. Placing only shrinks gaps, so
+	// it stays true, and every larger size fits no gap either, until a
+	// sweep frees space and clears it.
+	noFit int64
 }
 
 // touch faults in chunk-relative bytes [off, off+n) with write intent,
@@ -161,52 +170,71 @@ func (c *chunk) touch(off, n int64) {
 
 func (c *chunk) base() int64 { return int64(c.slot) * ChunkSize }
 
-// usedBytes sums the object sizes in the chunk.
+// usedBytes sums the extents of the chunk's objects.
 func (c *chunk) usedBytes() int64 {
 	pool := c.arena.pool
 	var n int64
 	for _, r := range c.objects {
-		n += pool.At(r).Size
+		n += pool.At(r).Bytes()
 	}
 	return n
 }
 
-// place inserts o at the first gap that fits, touching its pages, and
-// reports success. The gap walk runs over the sorted object list in
-// place — same first-fit order gaps() yields, without materializing a
-// slice per attempt — and the insertion shifts the tail instead of
-// re-sorting.
-func (c *chunk) place(r mm.Ref) bool {
+// place first-fits run r into the chunk's gaps, touching their pages,
+// and returns the clusters it could not place: NoRef when all fit, r
+// itself when none did. Clusters placed one by one would each take the
+// first gap that fits one, which is the rest of the gap the previous
+// one took until fewer than one cluster's bytes are left there, so the
+// run fills gap after gap: as many clusters as a gap holds go in as one
+// piece at its start, and the rest move on to the next gap that fits
+// one. The gap walk runs over the sorted object list in place, and each
+// insertion shifts the tail instead of re-sorting. A walk that leaves
+// clusters over records their size in noFit, and a later run at least
+// that large skips the walk.
+func (c *chunk) place(r mm.Ref) mm.Ref {
 	pool := c.arena.pool
-	o := pool.At(r)
+	size := pool.At(r).Size
+	if c.noFit > 0 && size >= c.noFit {
+		return r
+	}
 	cursor := int64(ChunkHeaderSize)
-	idx := -1
-	for i, qr := range c.objects {
-		q := pool.At(qr)
-		if q.Offset-cursor >= o.Size {
-			idx = i
-			break
+	for i := 0; ; i++ {
+		end := int64(ChunkSize)
+		var q *mm.Object
+		if i < len(c.objects) {
+			q = pool.At(c.objects[i])
+			end = q.Offset
 		}
-		cursor = q.Offset + q.Size
-	}
-	if idx < 0 {
-		if ChunkSize-cursor < o.Size {
-			return false
+		if end-cursor >= size {
+			rest := pool.Split(r, int32((end-cursor)/size))
+			o := pool.At(r)
+			o.Offset = cursor
+			c.touch(cursor, o.Bytes())
+			c.objects = append(c.objects, 0)
+			copy(c.objects[i+1:], c.objects[i:])
+			c.objects[i] = r
+			if rest == mm.NoRef {
+				return mm.NoRef
+			}
+			r = rest
+			i++ // the gap's bounding object moved up by one
+			if i < len(c.objects) {
+				q = pool.At(c.objects[i]) // Split may have moved the slab
+			}
 		}
-		idx = len(c.objects)
+		if i >= len(c.objects) {
+			c.noFit = size
+			return r
+		}
+		cursor = q.Offset + q.Bytes()
 	}
-	o.Offset = cursor
-	c.touch(o.Offset, o.Size)
-	c.objects = append(c.objects, 0)
-	copy(c.objects[idx+1:], c.objects[idx:])
-	c.objects[idx] = r
-	return true
 }
 
 // sweep removes collectible objects, freeing them in the pool, and
-// returns the bytes reclaimed. Object positions are preserved
-// (mark-sweep, no compaction), so the reclaimed space may be
-// fragmented.
+// drops the dead prefix of every run it keeps; it returns the bytes
+// reclaimed. Object positions are preserved (mark-sweep, no
+// compaction), so the reclaimed space may be fragmented: a run's
+// dropped prefix is the gap its dead clusters would have left.
 func (c *chunk) sweep(aggressive bool) (collected int64, weakCollected int64) {
 	pool := c.arena.pool
 	live := c.objects[:0]
@@ -214,16 +242,18 @@ func (c *chunk) sweep(aggressive bool) (collected int64, weakCollected int64) {
 		o := pool.At(r)
 		if o.Collectible(aggressive) {
 			if o.Weak && !o.Dead {
-				weakCollected += o.Size
+				weakCollected += o.Bytes()
 			}
 			o.Dead = true
-			collected += o.Size
+			collected += o.Bytes()
 			pool.Free(r)
 			continue
 		}
+		collected += o.DropDead()
 		live = append(live, r)
 	}
 	c.objects = live
+	c.noFit = 0
 	return collected, weakCollected
 }
 
@@ -242,7 +272,7 @@ func (c *chunk) appendFreeRuns(runs []osmem.Run) []osmem.Run {
 		if o.Offset > cursor {
 			runs = osmem.AppendRun(runs, base+cursor, o.Offset-cursor)
 		}
-		cursor = o.Offset + o.Size
+		cursor = o.Offset + o.Bytes()
 	}
 	if cursor < ChunkSize {
 		runs = osmem.AppendRun(runs, base+cursor, ChunkSize-cursor)

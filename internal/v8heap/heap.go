@@ -150,7 +150,8 @@ func (h *Heap) giveBack(chunks []*chunk) {
 	}
 }
 
-// Allocate implements runtime.Runtime.
+// Allocate implements runtime.Runtime. An ordinary object is a run of
+// one cluster, placed by the same from-space bump as AllocateRun's.
 func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 	if size <= 0 {
 		panic("v8heap: non-positive allocation")
@@ -163,39 +164,73 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
 		if err := h.majorGCIfPastLimit(); err != nil {
 			return h.Fail(o, err)
 		}
-		if h.old.tryAllocate(o) {
+		if h.old.tryAllocate(o) == mm.NoRef {
 			return o, nil
 		}
 		if err := h.fullGC(false); err != nil {
 			return h.Fail(o, err)
 		}
-		if h.old.tryAllocate(o) {
+		if h.old.tryAllocate(o) == mm.NoRef {
 			return o, nil
 		}
 		return h.Fail(o, runtime.ErrOutOfMemory)
 	}
 
-	if h.fromSpace().tryAllocate(o) {
+	if h.fromSpace().tryAllocate(o) == mm.NoRef {
 		return o, nil
 	}
 	if err := h.scavenge(); err != nil {
 		return h.Fail(o, err)
 	}
-	if h.fromSpace().tryAllocate(o) {
+	if h.fromSpace().tryAllocate(o) == mm.NoRef {
 		return o, nil
 	}
 	// Young generation exhausted even after a scavenge (e.g. it is
 	// still small): fall back on the old space, then a full GC.
-	if h.old.tryAllocate(o) {
+	if h.old.tryAllocate(o) == mm.NoRef {
 		return o, nil
 	}
 	if err := h.fullGC(false); err != nil {
 		return h.Fail(o, err)
 	}
-	if h.fromSpace().tryAllocate(o) || h.old.tryAllocate(o) {
+	if h.fromSpace().tryAllocate(o) == mm.NoRef || h.old.tryAllocate(o) == mm.NoRef {
 		return o, nil
 	}
 	return h.Fail(o, runtime.ErrOutOfMemory)
+}
+
+// Headroom implements runtime.Runtime: the bytes the from space bumps
+// before its next scavenge (semispace.headroom). Objects above the
+// large-object threshold, which is below a chunk's payload, skip the
+// from space, so they get none.
+func (h *Heap) Headroom(maxSize int64) int64 {
+	h.AssertLive()
+	if maxSize > LargeObjectThreshold {
+		return 0
+	}
+	return h.fromSpace().headroom(maxSize)
+}
+
+// AllocateRun implements runtime.Runtime: the run bumps the from space
+// where its clusters would have landed one after another, one piece
+// per chunk it spans.
+func (h *Heap) AllocateRun(size int64, n int32) mm.Ref {
+	h.AssertLive()
+	r := h.Pool.NewRun(size, n)
+	h.allocSinceGC += int64(n) * size
+	if size > LargeObjectThreshold || h.fromSpace().tryAllocate(r) != mm.NoRef {
+		panic(fmt.Sprintf("v8heap: run of %d clusters of %d bytes outside the headroom", n, size))
+	}
+	return r
+}
+
+// bytesOf returns the bytes of r, or 0 for NoRef: what a placement
+// that returned r as its unplaced rest left over.
+func (h *Heap) bytesOf(r mm.Ref) int64 {
+	if r == mm.NoRef {
+		return 0
+	}
+	return h.Pool.At(r).Bytes()
 }
 
 func (h *Heap) fromSpace() *semispace { return h.spaces[h.from] }
@@ -212,6 +247,15 @@ func (h *Heap) toSpace() *semispace   { return h.spaces[1-h.from] }
 // capacity if need be, and the semispaces keep their roles: the heap
 // loses nothing, and the instance the failed allocation kills can be
 // released.
+//
+// A run is collected as its clusters would be one after another. Its
+// dead prefix is collected, and its live clusters share one age. A
+// young run's oldest clusters fill the to space (semiBatch.tryAllocate);
+// once one cluster finds no room there, none of the same size does
+// until a full GC empties the to space, so the rest is promoted
+// (oldSpace.tryAllocate) at age 0. Only the cluster the old space
+// cannot take goes alone through the full GC, and the clusters after
+// it start over at the to space.
 func (h *Heap) scavenge() error {
 	h.GC.YoungGCs++
 	from, to := h.fromSpace(), h.toSpace()
@@ -223,37 +267,61 @@ func (h *Heap) scavenge() error {
 	tb := to.beginBatch()
 	var traced, copied, promoted, collected int64
 	var err error
+objects:
 	for i, r := range objs {
 		o := h.Pool.At(r)
 		if o.Dead {
-			collected += o.Size
+			collected += o.Bytes()
 			h.Pool.Free(r)
 			continue
 		}
-		traced += o.Size
-		o.Age++
-		if o.Age > 1 || !tb.tryAllocate(r) {
-			o.Age = 0
-			if !h.old.tryAllocate(r) {
-				// The old space is at its limit: a full GC must make
-				// room. Park the object back afterwards. The batch is
-				// flushed first — the full GC inspects and reshuffles
-				// the semispaces — and rearmed after.
-				tb.sync()
-				err = h.fullGC(false)
-				tb = to.beginBatch()
-				if err != nil || !h.old.tryAllocate(r) && !from.tryAllocate(r) {
-					for _, q := range objs[i:] {
-						from.force(q)
-					}
-					err = runtime.ErrOutOfMemory
+		collected += o.DropDead()
+		traced += o.Bytes()
+		age := o.Age + 1
+		for r != mm.NoRef {
+			if age <= 1 {
+				h.Pool.At(r).Age = age
+				bytes := h.Pool.At(r).Bytes()
+				rest := tb.tryAllocate(r)
+				copied += bytes - h.bytesOf(rest)
+				if r = rest; r == mm.NoRef {
 					break
 				}
 			}
-			promoted += o.Size
-			continue
+			h.Pool.At(r).Age = 0
+			bytes := h.Pool.At(r).Bytes()
+			rest := h.old.tryAllocate(r)
+			promoted += bytes - h.bytesOf(rest)
+			if r = rest; r == mm.NoRef {
+				break
+			}
+			// The old space is at its limit: a full GC must make room
+			// for the next cluster. Park it back afterwards. The batch
+			// is flushed first — the full GC inspects and reshuffles
+			// the semispaces — and rearmed after.
+			next := h.Pool.Split(r, 1)
+			size := h.Pool.At(r).Size
+			tb.sync()
+			err = h.fullGC(false)
+			tb = to.beginBatch()
+			if err != nil || h.old.tryAllocate(r) != mm.NoRef && from.tryAllocate(r) != mm.NoRef {
+				// The clusters after this one were never reached: they
+				// keep their age and go untraced.
+				from.force(r)
+				if next != mm.NoRef {
+					h.Pool.At(next).Age = age - 1
+					traced -= h.Pool.At(next).Bytes()
+					from.force(next)
+				}
+				for _, q := range objs[i+1:] {
+					from.force(q)
+				}
+				err = runtime.ErrOutOfMemory
+				break objects
+			}
+			promoted += size
+			r = next
 		}
-		copied += o.Size
 	}
 	tb.sync()
 	h.scavengeScratch = objs[:0]
@@ -304,6 +372,14 @@ func (h *Heap) majorGCIfPastLimit() error {
 // survivors of its own objects. The survivor then stays young, past
 // the from space's capacity, and the collection completes, so the
 // heap loses nothing.
+//
+// Runs go as their clusters would one after another, as in scavenge:
+// a run drops its dead prefix, a second-time survivor promotes as many
+// clusters as the old space takes and keeps the rest young, and a
+// survivor fills the from space, then the old space. Once neither
+// takes a cluster, the rest of the run is forced past the capacity:
+// the from space takes no bump there, and the old space took no
+// cluster of that size. The old space sweeps in place.
 func (h *Heap) fullGC(aggressive bool) error {
 	h.GC.FullGCs++
 	var traced, moved, collected int64
@@ -316,35 +392,43 @@ func (h *Heap) fullGC(aggressive bool) error {
 		o := h.Pool.At(r)
 		if o.Collectible(aggressive) {
 			if o.Weak && !o.Dead {
-				h.weakCollected += o.Size
+				h.weakCollected += o.Bytes()
 			}
 			o.Dead = true
-			collected += o.Size
+			collected += o.Bytes()
 			h.Pool.Free(r)
 			continue
 		}
-		traced += o.Size
+		collected += o.DropDead()
+		traced += o.Bytes()
 		o.Age++
 		if o.Age > 1 {
 			o.Age = 0
-			if h.old.tryAllocate(r) {
-				moved += o.Size
-				h.GC.PromotedBytes += o.Size
+			bytes := o.Bytes()
+			rest := h.old.tryAllocate(r)
+			moved += bytes - h.bytesOf(rest)
+			h.GC.PromotedBytes += bytes - h.bytesOf(rest)
+			if r = rest; r == mm.NoRef {
 				continue
 			}
 		}
 		survivors = append(survivors, r)
 	}
 	var err error
-	fb := h.fromSpace().beginBatch()
+	from := h.fromSpace()
+	fb := from.beginBatch()
 	for _, r := range survivors {
-		moved += h.Pool.At(r).Size
-		if !fb.tryAllocate(r) && !h.old.tryAllocate(r) {
-			fb.sync()
-			h.fromSpace().force(r)
-			fb = h.fromSpace().beginBatch()
-			err = runtime.ErrOutOfMemory
+		moved += h.Pool.At(r).Bytes()
+		if r = fb.tryAllocate(r); r == mm.NoRef {
+			continue
 		}
+		if r = h.old.tryAllocate(r); r == mm.NoRef {
+			continue
+		}
+		fb.sync()
+		from.force(r)
+		fb = from.beginBatch()
+		err = runtime.ErrOutOfMemory
 	}
 	fb.sync()
 	h.youngScratch = young[:0]
@@ -418,6 +502,27 @@ func (h *Heap) SpaceLayout() []runtime.SpaceRange {
 		}
 	}
 	return out
+}
+
+// EachPlaced calls f with every object the heap lists and the region
+// offset of the chunk holding it, space by space: an object's bytes
+// start at that offset plus its chunk-relative Offset. Tests use it to
+// compare where two heaps placed their data.
+func (h *Heap) EachPlaced(f func(r mm.Ref, chunk int64)) {
+	h.AssertLive()
+	each := func(chunks []*chunk) {
+		for _, c := range chunks {
+			for _, r := range c.objects {
+				f(r, c.base())
+			}
+		}
+	}
+	each(h.spaces[0].chunks)
+	each(h.spaces[1].chunks)
+	each(h.old.chunks)
+	for _, e := range h.old.large {
+		f(e.obj, e.chunks[0].base())
+	}
 }
 
 // CollectFull implements runtime.Runtime (global.gc(), the eager

@@ -2,6 +2,7 @@ package v8heap
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -191,7 +192,7 @@ func TestFragmentationSurvivesReclaim(t *testing.T) {
 	var objs []mm.Ref
 	for i := 0; i < 60; i++ {
 		o := h.Pool.New(3*kb, false)
-		if !h.old.tryAllocate(o) {
+		if h.old.tryAllocate(o) != mm.NoRef {
 			t.Fatal("old allocation failed")
 		}
 		objs = append(objs, o)
@@ -341,11 +342,7 @@ func TestOutOfMemoryKeepsEveryObject(t *testing.T) {
 				}
 				failures++
 				var want int64
-				st.Objects(func(r mm.Ref) {
-					if o := h.Pool.At(r); !o.Dead {
-						want += o.Size
-					}
-				})
+				st.Objects(func(r mm.Ref) { want += h.Pool.At(r).LiveBytes() })
 				if got := h.LiveBytes(); got != want {
 					t.Fatalf("%s at %d MiB: heap lists %d live bytes after OOM, the workload holds %d", fn, budget/mb, got, want)
 				}
@@ -409,12 +406,66 @@ func (c *chunk) gaps() []gap {
 		if o.Offset > cursor {
 			out = append(out, gap{cursor, o.Offset - cursor})
 		}
-		cursor = o.Offset + o.Size
+		cursor = o.Offset + o.Bytes()
 	}
 	if cursor < ChunkSize {
 		out = append(out, gap{cursor, ChunkSize - cursor})
 	}
 	return out
+}
+
+// TestPlaceIsFirstFit drives one old chunk through random runs,
+// kills and sweeps and checks every placement against first fit
+// computed cluster by cluster from the chunk's gaps: the same clusters
+// placed at the same offsets, whether the walk ran or the chunk's
+// noFit skipped it.
+func TestPlaceIsFirstFit(t *testing.T) {
+	m := osmem.NewMachine()
+	r := m.NewAddressSpace("p").MmapAnon("arena", 4*ChunkSize)
+	pool := new(mm.ObjectPool)
+	c := newArena(pool, r).alloc("old", 16*kb)
+	rng := sim.NewRNG(5)
+	sizes := []int64{3 * kb, 8 * kb, 16*kb + 100, 40 * kb}
+	for op := 0; op < 3000; op++ {
+		switch rng.Intn(10) {
+		case 0:
+			c.sweep(false)
+		case 1, 2:
+			if len(c.objects) > 0 {
+				o := pool.At(c.objects[rng.Intn(len(c.objects))])
+				o.Kill(1 + int32(rng.Intn(int(o.Count))))
+			}
+		default:
+			size := sizes[rng.Intn(len(sizes))]
+			n := 1 + int32(rng.Intn(12))
+			var want []int64
+			gaps := c.gaps()
+			for k := int32(0); k < n; k++ {
+				for g := range gaps {
+					if gaps[g].len >= size {
+						want = append(want, gaps[g].off)
+						gaps[g].off += size
+						gaps[g].len -= size
+						break
+					}
+				}
+			}
+			run := pool.NewRun(size, n)
+			rest := c.place(run)
+			var got []int64
+			for p := run; p != rest; p = pool.At(p).Next {
+				for i := int64(0); i < int64(pool.At(p).Count); i++ {
+					got = append(got, pool.At(p).Offset+i*size)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("op %d: %d clusters of %d bytes placed at %v, first fit %v", op, n, size, got, want)
+			}
+			if rest != mm.NoRef {
+				pool.At(rest).Kill(pool.At(rest).Count) // never placed
+			}
+		}
+	}
 }
 
 func TestChunkGapAccounting(t *testing.T) {
@@ -427,7 +478,7 @@ func TestChunkGapAccounting(t *testing.T) {
 
 	o1 := pool.New(10*kb, false)
 	o2 := pool.New(20*kb, false)
-	if !c.place(o1) || !c.place(o2) {
+	if c.place(o1) != mm.NoRef || c.place(o2) != mm.NoRef {
 		t.Fatal("place failed")
 	}
 	gaps := c.gaps()
@@ -446,7 +497,7 @@ func TestChunkGapAccounting(t *testing.T) {
 	}
 	// A new object that fits the hole reuses it (first fit).
 	o3 := pool.New(8*kb, false)
-	if !c.place(o3) {
+	if c.place(o3) != mm.NoRef {
 		t.Fatal("place in hole failed")
 	}
 	if pool.At(o3).Offset != ChunkHeaderSize {
@@ -572,15 +623,166 @@ func TestRecycleSafety(t *testing.T) {
 	runtimetest.CheckRecycling(t, 1*mb, 4*mb, func() runtimetest.Heap {
 		_, h := newHeap(t, 32*mb)
 		return runtimetest.Heap{Model: h, Language: runtime.JavaScript, Listed: func(f func(mm.Ref)) {
-			chunks := append(append(append([]*chunk(nil), h.spaces[0].chunks...), h.spaces[1].chunks...), h.old.chunks...)
-			for _, c := range chunks {
-				for _, o := range c.objects {
-					f(o)
-				}
-			}
-			for _, e := range h.old.large {
-				f(e.obj)
-			}
+			h.EachPlaced(func(r mm.Ref, _ int64) { f(r) })
 		}}
 	})
+}
+
+// TestHeadroomHoldsForAnyMix: objects and runs of any sizes up to
+// maxSize, as many bytes as the headroom promised, land without a
+// collection, and each leaves a promise no smaller than the old one
+// less its bytes.
+func TestHeadroomHoldsForAnyMix(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for trial := 0; trial < 60; trial++ {
+		_, h := newHeap(t, 64*mb)
+		for n := rng.Intn(60); n > 0; n-- {
+			mustAlloc(t, h, 1+rng.Int63n(100*kb))
+		}
+		maxSize := 1 + rng.Int63n(LargeObjectThreshold)
+		stats := h.Stats()
+		room := h.Headroom(maxSize)
+		for {
+			size := 1 + rng.Int63n(maxSize)
+			if size > room {
+				break
+			}
+			if n := room / size; rng.Intn(2) == 0 {
+				n = 1 + rng.Int63n(n)
+				h.AllocateRun(size, int32(n))
+				size *= n
+			} else {
+				mustAlloc(t, h, size)
+			}
+			room -= size
+			if got := h.Headroom(maxSize); got < room {
+				t.Fatalf("trial %d: headroom %d after placing %d bytes, promised at least %d", trial, got, size, room)
+			}
+		}
+		if h.Stats() != stats {
+			t.Fatalf("trial %d: a collection ran inside the headroom: %+v, was %+v", trial, h.Stats(), stats)
+		}
+		h.Release()
+	}
+	_, h := newHeap(t, 64*mb)
+	if h.Headroom(LargeObjectThreshold+1) != 0 {
+		t.Fatal("headroom promised for large objects")
+	}
+}
+
+// TestHeadroomCountsReachableChunks pins the headroom's sum: the
+// current chunk's share, plus one full chunk's share for each fresh
+// chunk the capacity allows and the arena can still supply, and none
+// for a chunk a force added past the capacity, which the bump leaves
+// alone.
+func TestHeadroomCountsReachableChunks(t *testing.T) {
+	const used, maxSize = 100 * kb, 40 * kb
+	share := func(free int64) int64 { return free - maxSize + 1 }
+	_, h := newHeap(t, 64*mb)
+	defer h.Release()
+	mustAlloc(t, h, used)
+	// The initial semispace is two chunks: the current one and a
+	// fresh one.
+	if got, want := h.Headroom(maxSize), share(ChunkUsable-used)+share(ChunkUsable); got != want {
+		t.Fatalf("headroom %d, want %d", got, want)
+	}
+	// An arena that can supply no chunk leaves the current one's share.
+	var held []*chunk
+	for c := h.arena.alloc("test", 0); c != nil; c = h.arena.alloc("test", 0) {
+		held = append(held, c)
+	}
+	if got, want := h.Headroom(maxSize), share(ChunkUsable-used); got != want {
+		t.Fatalf("headroom %d with the arena exhausted, want %d", got, want)
+	}
+	if r := h.AllocateRun(maxSize, int32(share(ChunkUsable-used)/maxSize)); h.Pool.At(r).Next != mm.NoRef {
+		t.Fatal("a run inside the current chunk's share split")
+	}
+	for _, c := range held {
+		h.arena.release(c)
+	}
+	// Force the from space past its capacity, then empty it: the two
+	// chunks within the capacity take bumps, the forced third none.
+	from := h.fromSpace()
+	for from.tryAllocate(h.Pool.New(maxSize, false)) == mm.NoRef {
+	}
+	from.force(h.Pool.New(maxSize, false))
+	if len(from.chunks) != 3 || h.Headroom(maxSize) != 0 {
+		t.Fatalf("%d chunks and headroom %d after a force, want 3 and 0", len(from.chunks), h.Headroom(maxSize))
+	}
+	for _, r := range from.takeAll(nil) {
+		h.Pool.Free(r)
+	}
+	if got, want := h.Headroom(maxSize), 2*share(ChunkUsable); got != want {
+		t.Fatalf("headroom %d in an emptied forced space, want %d", got, want)
+	}
+	n := 0
+	for from.tryAllocate(h.Pool.New(maxSize, false)) == mm.NoRef {
+		n++
+	}
+	if want := 2 * int(ChunkUsable/maxSize); n != want || from.chunkIdx != 2 {
+		t.Fatalf("the bump placed %d objects and stopped at chunk %d, want %d and 2", n, from.chunkIdx, want)
+	}
+}
+
+// TestAllocateRunSplitsAtChunks: a run bumps the from space as its
+// clusters would one after another, one piece per chunk, chained
+// oldest first.
+func TestAllocateRunSplitsAtChunks(t *testing.T) {
+	_, h := newHeap(t, 64*mb)
+	mustAlloc(t, h, 100*kb) // leaves room for two of the run's clusters
+	const size, n = 64*kb + 1, 4
+	if room := h.Headroom(size); room < n*size {
+		t.Fatalf("headroom %d for a run of %d bytes", room, n*size)
+	}
+	r := h.AllocateRun(size, n)
+	var counts []int32
+	chunks := map[mm.Ref]int64{}
+	h.EachPlaced(func(r mm.Ref, chunk int64) { chunks[r] = chunk })
+	prev := int64(-1)
+	for p := r; p != mm.NoRef; p = h.Pool.At(p).Next {
+		counts = append(counts, h.Pool.At(p).Count)
+		if chunks[p] == prev {
+			t.Fatalf("two pieces in the chunk at %d", prev)
+		}
+		prev = chunks[p]
+	}
+	if fmt.Sprint(counts) != "[2 2]" {
+		t.Fatalf("pieces of %v clusters, want [2 2]", counts)
+	}
+	if got, want := h.LiveBytes(), int64(100*kb+n*size); got != want {
+		t.Fatalf("live %d, want %d", got, want)
+	}
+}
+
+// TestForceSplitsOffDeadPrefix: a live run that the out-of-memory path
+// forces back into the from space leaves its dead prefix as a dead run
+// of its own, so the piece its holder names is never dead in full,
+// and the next scavenge collects exactly the prefix.
+func TestForceSplitsOffDeadPrefix(t *testing.T) {
+	_, h := newHeap(t, 64*mb)
+	r := h.Pool.NewRun(64*kb, 8)
+	h.Pool.At(r).Kill(4)
+	h.fromSpace().force(r)
+	var counts []int32
+	for p := r; p != mm.NoRef; p = h.Pool.At(p).Next {
+		if o := h.Pool.At(p); o.Dead || o.Killed != 0 {
+			t.Fatalf("forced piece %v", o)
+		}
+		counts = append(counts, h.Pool.At(p).Count)
+	}
+	// Three clusters fill a chunk: the prefix takes a chunk and one
+	// more cluster, the live rest two clusters there and two beyond.
+	if fmt.Sprint(counts) != "[2 2]" {
+		t.Fatalf("live pieces of %v clusters, want [2 2]", counts)
+	}
+	if got := h.LiveBytes(); got != 4*64*kb {
+		t.Fatalf("live %d, want %d", got, 4*64*kb)
+	}
+	before := h.Stats().CollectedBytes
+	if err := h.scavenge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Stats().CollectedBytes - before; got != 4*64*kb {
+		t.Fatalf("scavenge collected %d, want the %d-byte dead prefix", got, 4*64*kb)
+	}
 }

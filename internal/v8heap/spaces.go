@@ -24,57 +24,77 @@ func newSemispace(name string, a *arena, capacity int64) *semispace {
 	return &semispace{name: name, a: a, capacity: capacity, top: ChunkHeaderSize}
 }
 
-// tryAllocate bump-allocates o, growing the chunk list up to the
-// capacity. Objects wider than a chunk payload are the caller's
-// problem (they belong in large-object space).
-func (s *semispace) tryAllocate(r mm.Ref) bool {
-	o := s.a.pool.At(r)
-	if o.Size > ChunkUsable {
-		return false
-	}
-	for {
-		if s.chunkIdx == len(s.chunks) {
-			if int64(len(s.chunks)+1)*ChunkSize > s.capacity {
-				return false
-			}
-			c := s.a.alloc(s.name, o.Size)
-			if c == nil {
-				return false
-			}
-			s.chunks = append(s.chunks, c)
-			s.top = ChunkHeaderSize
-		}
-		c := s.chunks[s.chunkIdx]
-		if s.top+o.Size <= ChunkSize {
-			o.Offset = s.top
-			c.touch(o.Offset, o.Size)
-			c.objects = append(c.objects, r)
-			s.top += o.Size
-			return true
-		}
-		// Chunk full: move to the next, restarting the bump pointer
-		// (recycled chunks from a previous cycle are empty).
-		s.chunkIdx++
-		s.top = ChunkHeaderSize
-	}
+// tryAllocate bump-allocates run r, growing the chunk list up to the
+// capacity and touching each piece's pages as it lands, and returns the
+// clusters it could not place: NoRef when all fit, r itself when none
+// did. Objects wider than a chunk payload are the caller's problem
+// (they belong in large-object space).
+func (s *semispace) tryAllocate(r mm.Ref) mm.Ref {
+	b := s.beginBatch()
+	rest := b.tryAllocate(r)
+	b.sync()
+	return rest
 }
 
-// force places r like tryAllocate, adding a chunk past the capacity
+// headroom is the bytes of objects of at most maxSize bytes each the
+// space bumps before one does not fit. A chunk with f free bytes takes
+// such objects until fewer than maxSize bytes are left, so at least
+// f−maxSize+1 of them, whatever the mix of sizes; the bump then moves
+// on and leaves behind a chunk whose share was 0. The chunks are the
+// current one, the emptied ones after it, and the fresh ones the
+// capacity allows and the arena can still supply. Chunks a force added
+// past the capacity take no bump.
+func (s *semispace) headroom(maxSize int64) int64 {
+	share := func(free int64) int64 { return max(free-maxSize+1, 0) }
+	limit := s.capacity / ChunkSize
+	var n int64
+	if reach := min(int64(len(s.chunks)), limit); int64(s.chunkIdx) < reach {
+		n = share(ChunkSize-s.top) + (reach-int64(s.chunkIdx)-1)*share(ChunkUsable)
+	}
+	fresh := min(limit-int64(len(s.chunks)), s.a.available())
+	return n + max(fresh, 0)*share(ChunkUsable)
+}
+
+// force places r like tryAllocate, adding chunks past the capacity
 // when the space is full: the out-of-memory paths of the collectors
-// keep every object they cannot place listed in the from space.
+// keep every cluster they cannot place listed in the from space. A
+// live run's dead prefix goes first, as a dead run of its own, so that
+// a split never leaves the piece the workload names dead in full.
 func (s *semispace) force(r mm.Ref) {
-	if s.tryAllocate(r) {
-		return
+	pool := s.a.pool
+	if o := pool.At(r); o.Killed > 0 && !o.Dead {
+		size, killed := o.Size, o.Killed
+		o.DropDead()
+		d := pool.NewRun(size, killed)
+		pool.At(d).Kill(killed)
+		s.forceAll(d)
 	}
-	c := s.a.alloc(s.name, s.a.pool.At(r).Size)
-	if c == nil {
-		panic("v8heap: arena exhausted")
-	}
-	s.chunks = append(s.chunks, c)
-	s.chunkIdx = len(s.chunks) - 1
-	s.top = ChunkHeaderSize
-	if !s.tryAllocate(r) {
-		panic("v8heap: fresh chunk cannot hold a young object")
+	s.forceAll(r)
+}
+
+// forceAll places every cluster of r, a run without a dead prefix or
+// dead in full, adding a chunk past the capacity whenever the space is
+// full, as clusters forced one by one would.
+func (s *semispace) forceAll(r mm.Ref) {
+	fresh := false
+	for {
+		b := semiBatch{s: s, start: s.top, force: true}
+		rest := b.tryAllocate(r)
+		b.sync()
+		switch {
+		case rest == mm.NoRef:
+			return
+		case fresh && rest == r:
+			panic("v8heap: fresh chunk cannot hold a young object")
+		}
+		c := s.a.alloc(s.name, s.a.pool.At(rest).Size)
+		if c == nil {
+			panic("v8heap: arena exhausted")
+		}
+		s.chunks = append(s.chunks, c)
+		s.chunkIdx = len(s.chunks) - 1
+		s.top = ChunkHeaderSize
+		r, fresh = rest, true
 	}
 }
 
@@ -83,12 +103,15 @@ func (s *semispace) force(r mm.Ref) {
 // pending contiguous span is flushed in one TouchBytes call whenever
 // the bump pointer leaves a chunk (and finally via sync). Within one
 // chunk the copied objects are packed back to back, so the union of
-// their outward-rounded per-object touches is exactly the rounded
-// span — the batch is observation-identical to per-object
-// tryAllocate. Chunk header touches still happen at chunk creation.
+// their outward-rounded per-cluster touches is exactly the rounded
+// span — the batch is observation-identical to touching each cluster
+// as it lands. Chunk header touches still happen at chunk creation.
 type semiBatch struct {
 	s     *semispace
 	start int64 // chunk-relative start of the pending span
+	// force lets the bump fill the chunks past the capacity that
+	// earlier forces added; only force places there.
+	force bool
 }
 
 // beginBatch starts a deferred-touch batch at the current bump state.
@@ -106,35 +129,53 @@ func (b *semiBatch) sync() {
 	b.start = s.top
 }
 
-// tryAllocate mirrors semispace.tryAllocate with the data-page touch
-// deferred to the next chunk boundary or sync.
-func (b *semiBatch) tryAllocate(r mm.Ref) bool {
+// tryAllocate bumps run r as its clusters would land one after
+// another, with the data-page touch deferred to the next chunk
+// boundary or sync, and returns the clusters it could not place: NoRef
+// when all fit, r itself when none did. The clusters that fit the
+// current chunk go in as one piece; the rest move on to the next chunk
+// as a new piece chained after it. A cluster that finds no chunk
+// leaves the bump state as a failed single allocation does: past the
+// last chunk within the capacity. So a space that a force left past
+// its capacity takes no bump until a collection empties it: a heap
+// that ran out of memory stays within its budget.
+func (b *semiBatch) tryAllocate(r mm.Ref) mm.Ref {
 	s := b.s
-	o := s.a.pool.At(r)
-	if o.Size > ChunkUsable {
-		return false
+	pool := s.a.pool
+	size := pool.At(r).Size
+	if size > ChunkUsable {
+		return r
 	}
 	for {
+		// Past the capacity only a force bumps, and only through the
+		// chunks earlier forces added; forceAll adds the next one.
+		if int64(s.chunkIdx+1)*ChunkSize > s.capacity && (!b.force || s.chunkIdx == len(s.chunks)) {
+			return r
+		}
 		if s.chunkIdx == len(s.chunks) {
-			if int64(len(s.chunks)+1)*ChunkSize > s.capacity {
-				return false
-			}
-			c := s.a.alloc(s.name, o.Size)
+			c := s.a.alloc(s.name, size)
 			if c == nil {
-				return false
+				return r
 			}
 			s.chunks = append(s.chunks, c)
 			s.top = ChunkHeaderSize
 			b.start = ChunkHeaderSize
 		}
 		c := s.chunks[s.chunkIdx]
-		if s.top+o.Size <= ChunkSize {
+		if k := (ChunkSize - s.top) / size; k > 0 {
+			rest := pool.Split(r, int32(k))
+			o := pool.At(r)
 			o.Offset = s.top
 			c.objects = append(c.objects, r)
-			s.top += o.Size
-			return true
+			s.top += o.Bytes()
+			if rest == mm.NoRef {
+				return mm.NoRef
+			}
+			r = rest
 		}
-		// Chunk full: flush the pending span before leaving it.
+		// Chunk full: flush the pending span before leaving it,
+		// restarting the bump pointer (recycled chunks from a previous
+		// cycle are empty).
 		b.sync()
 		s.chunkIdx++
 		s.top = ChunkHeaderSize
@@ -232,6 +273,10 @@ type oldSpace struct {
 // the regular spaces, mirroring V8's large-object space.
 const LargeObjectThreshold = 128 << 10
 
+// Every object below the threshold fits a chunk payload, so a semispace
+// bump always places it in an empty chunk.
+var _ [ChunkUsable - LargeObjectThreshold]struct{}
+
 func newOldSpace(a *arena, limit int64) *oldSpace {
 	return &oldSpace{a: a, limit: limit}
 }
@@ -250,7 +295,7 @@ func (s *oldSpace) usedBytes() int64 {
 		n += c.usedBytes()
 	}
 	for _, e := range s.large {
-		n += s.a.pool.At(e.obj).Size
+		n += s.a.pool.At(e.obj).Bytes()
 	}
 	return n
 }
@@ -262,37 +307,47 @@ func (s *oldSpace) liveBytes() int64 {
 		n += pool.LiveBytes(c.objects)
 	}
 	for _, e := range s.large {
-		if o := pool.At(e.obj); !o.Dead {
-			n += o.Size
-		}
+		n += pool.At(e.obj).LiveBytes()
 	}
 	return n
 }
 
-// tryAllocate places o in the old space, growing by whole chunks up to
-// the limit. Reports false when the limit would be exceeded.
-func (s *oldSpace) tryAllocate(r mm.Ref) bool {
+// tryAllocate places run r in the old space, growing by whole chunks
+// up to the limit, and returns the clusters it could not place: NoRef
+// when all fit, r itself when none did. Clusters placed one by one
+// would each first-fit over the chunks in order, and a chunk that
+// holds no more of them stays so while they land, so the run fills
+// chunk after chunk (chunk.place), then fresh chunks.
+func (s *oldSpace) tryAllocate(r mm.Ref) mm.Ref {
 	size := s.a.pool.At(r).Size
 	if size > LargeObjectThreshold {
-		return s.tryAllocateLarge(r, size)
+		if s.tryAllocateLarge(r, size) {
+			return mm.NoRef
+		}
+		return r
 	}
 	for _, c := range s.chunks {
-		if c.place(r) {
-			return true
+		if r = c.place(r); r == mm.NoRef {
+			return mm.NoRef
 		}
 	}
-	if s.committedBytes()+ChunkSize > s.limit {
-		return false
+	for {
+		if s.committedBytes()+ChunkSize > s.limit {
+			return r
+		}
+		c := s.a.alloc("old", size)
+		if c == nil {
+			return r
+		}
+		s.chunks = append(s.chunks, c)
+		rest := c.place(r)
+		if rest == r {
+			panic("v8heap: fresh chunk cannot hold a non-large object")
+		}
+		if r = rest; r == mm.NoRef {
+			return mm.NoRef
+		}
 	}
-	c := s.a.alloc("old", size)
-	if c == nil {
-		return false
-	}
-	s.chunks = append(s.chunks, c)
-	if !c.place(r) {
-		panic("v8heap: fresh chunk cannot hold a non-large object")
-	}
-	return true
 }
 
 func (s *oldSpace) tryAllocateLarge(r mm.Ref, size int64) bool {
@@ -346,9 +401,9 @@ func (s *oldSpace) sweep(aggressive bool) (collected, weak int64) {
 	keptLarge := s.large[:0]
 	for _, e := range s.large {
 		if o := pool.At(e.obj); o.Collectible(aggressive) {
-			collected += o.Size
+			collected += o.Bytes()
 			if o.Weak && !o.Dead {
-				weak += o.Size
+				weak += o.Bytes()
 			}
 			o.Dead = true
 			pool.Free(e.obj)
@@ -375,7 +430,7 @@ func (s *oldSpace) releaseFreePages() {
 	// Large-object runs: the tail beyond the object in the last chunk.
 	for _, e := range s.large {
 		last := e.chunks[len(e.chunks)-1]
-		used := s.a.pool.At(e.obj).Size - int64(len(e.chunks)-1)*ChunkUsable
+		used := s.a.pool.At(e.obj).Bytes() - int64(len(e.chunks)-1)*ChunkUsable
 		runs = osmem.AppendRun(runs, last.base()+ChunkHeaderSize+used, ChunkUsable-used)
 	}
 	s.a.region.ReleaseRuns(runs)

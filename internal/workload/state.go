@@ -68,7 +68,8 @@ func (st *State) Release() {
 	*st = State{Spec: st.Spec, Stage: st.Stage, weak: mm.NoRef}
 }
 
-// Invocations returns how many times this state has executed.
+// Invocations returns how many bodies this state has run, counting a
+// failed one once it got past rebuilding the weak cache.
 func (st *State) Invocations() int { return st.invocations }
 
 // BodyReport summarizes one body execution for the latency model.
@@ -122,15 +123,19 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 		}
 	}
 
+	// The first body initializes, and it counts as executed once it
+	// has begun to: a body that fails mid-initialization leaves its
+	// statics live, and a later body on the same heap must not build
+	// them a second time on top.
 	st.room = rt.Headroom(sp.ObjectSize)
-	if st.invocations == 0 {
+	st.invocations++
+	if st.invocations == 1 {
 		n, err := st.initialize(rt, rng)
 		rep.AllocatedBytes += n
 		if err != nil {
 			return rep, err
 		}
 	}
-	st.invocations++
 
 	// Body temporaries: allocate the (jittered) volume in object-size
 	// clusters, letting data older than the working set die as the

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"desiccant/internal/hotspot"
+	"desiccant/internal/mm"
 	"desiccant/internal/osmem"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
@@ -172,6 +174,53 @@ func TestStateInitSpikeOnlyOnce(t *testing.T) {
 	}
 	if rep2.AllocatedBytes > rep1.AllocatedBytes/2 {
 		t.Fatalf("second invocation too heavy: %d vs %d", rep2.AllocatedBytes, rep1.AllocatedBytes)
+	}
+	if st.Invocations() != 2 {
+		t.Fatalf("invocations: %d", st.Invocations())
+	}
+}
+
+// failingRT runs out of memory on every allocation once it has made
+// left of them, and promises no headroom, so each cluster is one
+// Allocate call.
+type failingRT struct {
+	runtime.Runtime
+	left int
+}
+
+func (f *failingRT) Headroom(int64) int64 { return 0 }
+
+func (f *failingRT) Allocate(size int64, opts runtime.AllocOptions) (mm.Ref, error) {
+	if f.left == 0 {
+		return mm.NoRef, runtime.ErrOutOfMemory
+	}
+	f.left--
+	return f.Runtime.Allocate(size, opts)
+}
+
+// TestFailedInitializationRunsOnce: a first body that runs out of
+// memory mid-initialization leaves its statics live, and the next body
+// on the same heap does not build them a second time.
+func TestFailedInitializationRunsOnce(t *testing.T) {
+	spec, _ := Lookup("hotel-searching")
+	rt := &failingRT{Runtime: newJavaRT(t), left: 200}
+	st := NewState(spec, 0, rt.Objects())
+	rng := sim.NewRNG(2)
+	if _, err := st.RunBody(rt, rng); !errors.Is(err, runtime.ErrOutOfMemory) {
+		t.Fatalf("first body: %v, want out of memory during initialization", err)
+	}
+	statics := len(st.static)
+	if statics == 0 {
+		t.Fatal("the failed initialization made no static object")
+	}
+	rt.left = -1
+	rep, err := st.RunBody(rt, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.static) != statics || rep.AllocatedBytes >= spec.InitAllocBytes {
+		t.Fatalf("second body made %d statics (had %d) and %d bytes: initialization ran again",
+			len(st.static), statics, rep.AllocatedBytes)
 	}
 	if st.Invocations() != 2 {
 		t.Fatalf("invocations: %d", st.Invocations())
