@@ -1,14 +1,13 @@
 // Command desiccant-lint runs the determinism-guard analyzers
-// (simtime, maporder, rawgo, rngshare, plus the cross-package
-// dataflow checks unitcheck and allocfree — see internal/lint) over
-// the packages matching its arguments, in the module containing the
+// (simtime, maporder, rawgo and rngshare — see internal/lint) over the
+// packages matching its arguments, in the module containing the
 // working directory:
 //
 //	desiccant-lint ./...
 //
-// With no arguments it checks ./... . Cross-package facts (unit
-// signatures and allocfree markers) flow in memory, dependencies
-// first. The command takes no flags.
+// With no arguments it checks ./... . Each package is checked on its
+// own; dependencies are type-checked for their signatures only. The
+// command takes no flags.
 //
 // Exit status: 0 clean, 1 usage or load error, 2 findings.
 //

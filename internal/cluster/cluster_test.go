@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"desiccant/internal/core"
+	"desiccant/internal/faas"
+	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -129,6 +132,31 @@ func TestViewDrivenPoliciesSeeReports(t *testing.T) {
 	}
 }
 
+// TestPressureEventCarriesBytes checks the node.pressure event a node
+// emits on its own bus: Bytes is the machine's resident memory in
+// bytes at that instant, not its page count.
+func TestPressureEventCarriesBytes(t *testing.T) {
+	o := quickOptions(PolicyLeastLoaded)
+	samples := 0
+	o.ObserveNode = func(p *faas.Platform, _ *core.Manager) {
+		p.Events().Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
+			if ev.Kind != obs.EvNodePressure {
+				return
+			}
+			samples++
+			if want := p.Machine().PhysBytes(); ev.Bytes != want {
+				t.Fatalf("node.pressure Bytes = %d, want PhysBytes %d", ev.Bytes, want)
+			}
+		}))
+	}
+	if _, err := Run(o); err != nil {
+		t.Fatal(err)
+	}
+	if samples == 0 {
+		t.Fatal("no node.pressure events")
+	}
+}
+
 // TestMigrationMovesInstances arms the relief valve over a small cache
 // and checks hand-offs actually happen and conserve instances: every
 // detach matched by an adoption, affinity re-homed (moves observed),
@@ -230,10 +258,15 @@ func TestUnknownPolicyAndMode(t *testing.T) {
 // TestRejectsDegenerateReplays checks that options no replay can run
 // fail with an error naming the field, before anything is scheduled:
 // a NaN or infinite scale used to submit every function once per
-// microsecond forever, and the other cases panicked inside the trace
-// package.
+// microsecond forever, the trace cases panicked inside the trace
+// package, a zero cache panicked inside faas.New, and the other fleet
+// cases ran silently with no window, no reports or thresholds no
+// occupancy can cross.
 func TestRejectsDegenerateReplays(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
+	migrate := func(high, low float64) func(*Options) {
+		return func(o *Options) { o.Migration = Migration{HighFrac: high, LowFrac: low} }
+	}
 	cases := []struct {
 		name  string
 		field string
@@ -252,6 +285,20 @@ func TestRejectsDegenerateReplays(t *testing.T) {
 		{"zipf NaN", "ZipfSkew", func(o *Options) { o.ZipfSkew = nan }},
 		{"zipf -2", "ZipfSkew", func(o *Options) { o.ZipfSkew = -2 }},
 		{"zipf +Inf", "ZipfSkew", func(o *Options) { o.ZipfSkew = inf }},
+		{"window 0", "Window", func(o *Options) { o.Window = 0 }},
+		{"window negative", "Window", func(o *Options) { o.Window = -sim.Second }},
+		{"cache 0", "CacheBytes", func(o *Options) { o.CacheBytes = 0 }},
+		{"cache negative", "CacheBytes", func(o *Options) { o.CacheBytes = -1 }},
+		{"report every negative", "ReportEvery", func(o *Options) { o.ReportEvery = -sim.Millisecond }},
+		{"high frac NaN", "Migration.HighFrac", migrate(nan, 0.5)},
+		{"high frac negative", "Migration.HighFrac", migrate(-0.1, 0)},
+		{"high frac +Inf", "Migration.HighFrac", migrate(inf, 0.5)},
+		{"low frac NaN", "Migration.LowFrac", migrate(0.85, nan)},
+		{"low frac negative", "Migration.LowFrac", migrate(0.85, -0.5)},
+		{"low frac negative, migration off", "Migration.LowFrac", migrate(0, -0.5)},
+		{"low frac equals high frac", "Migration.LowFrac", migrate(0.6, 0.6)},
+		{"low frac above high frac", "Migration.LowFrac", migrate(0.6, 0.9)},
+		{"default low frac above high frac", "Migration.LowFrac", migrate(0.3, 0)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"desiccant/internal/core"
 	"desiccant/internal/sim"
@@ -35,6 +36,20 @@ type Migration struct {
 	// Latency is the modeled hand-off time per instance (snapshot
 	// shipping); at least routeLatency.
 	Latency sim.Duration
+}
+
+// validate rejects thresholds no occupancy fraction can be compared
+// against: NaN, infinite or negative.
+func (m Migration) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"HighFrac", m.HighFrac}, {"LowFrac", m.LowFrac}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("cluster: Migration.%s must be a finite non-negative fraction, got %v", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // The fleet's fixed settings.
@@ -140,6 +155,18 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Nodes < 1 {
 		return o, fmt.Errorf("cluster: need at least one node, got %d", o.Nodes)
 	}
+	if o.Window <= 0 {
+		return o, fmt.Errorf("cluster: Window must be positive, got %v", o.Window)
+	}
+	if o.CacheBytes <= 0 {
+		return o, fmt.Errorf("cluster: CacheBytes must be positive, got %d", o.CacheBytes)
+	}
+	if o.ReportEvery < 0 {
+		return o, fmt.Errorf("cluster: ReportEvery must not be negative, got %v", o.ReportEvery)
+	}
+	if err := o.Migration.validate(); err != nil {
+		return o, err
+	}
 	if err := o.Synthetic.Validate(nil, o.ZipfSkew, o.Scale); err != nil {
 		return o, fmt.Errorf("cluster: %w", err)
 	}
@@ -162,8 +189,11 @@ func (o Options) withDefaults() (Options, error) {
 	if len(killed) >= o.Nodes {
 		return o, fmt.Errorf("cluster: kills decommission all %d nodes", o.Nodes)
 	}
-	if o.Migration.HighFrac > 0 && o.Migration.LowFrac <= 0 {
+	if o.Migration.HighFrac > 0 && o.Migration.LowFrac == 0 {
 		o.Migration.LowFrac = DefaultMigration().LowFrac
+	}
+	if o.Migration.HighFrac > 0 && o.Migration.LowFrac >= o.Migration.HighFrac {
+		return o, fmt.Errorf("cluster: Migration.LowFrac %v must be below Migration.HighFrac %v", o.Migration.LowFrac, o.Migration.HighFrac)
 	}
 	// The hand-off latency also paces kill-drain sends, so resolve it
 	// even with migration disabled; it can never undercut the route hop.

@@ -211,8 +211,6 @@ func newRuntime(machine *osmem.Machine, as *osmem.AddressSpace, rtName string, o
 // the invocation ID, so GC pauses inside a body execution attribute to
 // it while post-freeze or policy GC stays anonymous. The cell write is
 // the whole cost, keeping the warm invocation path allocation-free.
-//
-//lint:allocfree
 func (i *Instance) SetCurrentInvo(id int64) {
 	if i.invoCell != nil {
 		*i.invoCell = id

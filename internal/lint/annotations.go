@@ -9,40 +9,16 @@ import (
 	"strings"
 )
 
-// The annotation grammar, generation 2. Three directives, each
-// effective on its own line and the line directly below it (so both
-// trailing comments and a comment line above the statement work):
+// The annotation grammar is one directive, effective on its own line
+// and the line directly below it (so both trailing comments and a
+// comment line above the statement work):
 //
 //	//lint:allow <analyzer> [<analyzer>...]
 //	    Suppress findings of the named analyzers. The only sanctioned
 //	    way to keep a violation; unused directives are themselves
 //	    reported (see suppressDiags).
-//
-//	//lint:unit <bytes|pages|ticks>
-//	    Declare the currency of the names declared on the covered line
-//	    (a var, const, or struct field). Overrides name inference.
-//
-//	//lint:unit <name>=<unit> [<name>=<unit>...]
-//	    On a function declaration: declare currencies per parameter or
-//	    named result; "ret" names the first result.
-//
-//	//lint:allocfree
-//	    On a function declaration: the body must not allocate. The
-//	    allocfree analyzer enforces it with an escape-heuristic walk,
-//	    and exports the marker as a fact so allocfree callers in other
-//	    packages may call this function.
 
-var (
-	allowRE     = regexp.MustCompile(`^//\s*lint:allow\s+(.+)$`)
-	unitRE      = regexp.MustCompile(`^//\s*lint:unit\s+(.+)$`)
-	allocfreeRE = regexp.MustCompile(`^//\s*lint:allocfree\s*$`)
-)
-
-// fileLine keys a directive's effective position.
-type fileLine struct {
-	file string
-	line int
-}
+var allowRE = regexp.MustCompile(`^//\s*lint:allow\s+(.+)$`)
 
 // allowEntry is one //lint:allow directive for one analyzer name. The
 // same entry backs both lines it covers, so a hit on either marks it
@@ -53,18 +29,13 @@ type allowEntry struct {
 	used bool
 }
 
-// directives indexes every lint directive in a package's scoped files.
+// directives indexes every //lint:allow directive in a package's
+// scoped files.
 type directives struct {
 	// allow maps (file, line, analyzer) to the governing entry.
 	allow map[allowKey]*allowEntry
 	// entries lists unique allow entries in source order.
 	entries []*allowEntry
-	// units maps a covered line to its declared single currency.
-	units map[fileLine]Unit
-	// unitPairs maps a covered line to name=unit pairs (func decls).
-	unitPairs map[fileLine]map[string]Unit
-	// allocfree marks lines covered by an //lint:allocfree directive.
-	allocfree map[fileLine]bool
 }
 
 type allowKey struct {
@@ -76,61 +47,25 @@ type allowKey struct {
 // scanDirectives indexes every directive. A directive on line L covers
 // lines L and L+1.
 func scanDirectives(fset *token.FileSet, files []*ast.File) *directives {
-	d := &directives{
-		allow:     make(map[allowKey]*allowEntry),
-		units:     make(map[fileLine]Unit),
-		unitPairs: make(map[fileLine]map[string]Unit),
-		allocfree: make(map[fileLine]bool),
-	}
+	d := &directives{allow: make(map[allowKey]*allowEntry)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				m := allowRE.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
 				posn := fset.Position(c.Pos())
-				if m := allowRE.FindStringSubmatch(c.Text); m != nil {
-					for _, name := range strings.Fields(m[1]) {
-						e := &allowEntry{name: name, pos: posn}
-						d.entries = append(d.entries, e)
-						d.allow[allowKey{posn.Filename, posn.Line, name}] = e
-						d.allow[allowKey{posn.Filename, posn.Line + 1, name}] = e
-					}
-					continue
-				}
-				if m := unitRE.FindStringSubmatch(c.Text); m != nil {
-					d.scanUnit(posn, strings.Fields(m[1]))
-					continue
-				}
-				if allocfreeRE.MatchString(c.Text) {
-					d.allocfree[fileLine{posn.Filename, posn.Line}] = true
-					d.allocfree[fileLine{posn.Filename, posn.Line + 1}] = true
+				for _, name := range strings.Fields(m[1]) {
+					e := &allowEntry{name: name, pos: posn}
+					d.entries = append(d.entries, e)
+					d.allow[allowKey{posn.Filename, posn.Line, name}] = e
+					d.allow[allowKey{posn.Filename, posn.Line + 1, name}] = e
 				}
 			}
 		}
 	}
 	return d
-}
-
-func (d *directives) scanUnit(posn token.Position, fields []string) {
-	if len(fields) == 1 && !strings.Contains(fields[0], "=") {
-		if u := ParseUnit(fields[0]); u != "" {
-			d.units[fileLine{posn.Filename, posn.Line}] = u
-			d.units[fileLine{posn.Filename, posn.Line + 1}] = u
-		}
-		return
-	}
-	pairs := make(map[string]Unit)
-	for _, f := range fields {
-		name, unit, ok := strings.Cut(f, "=")
-		if !ok {
-			continue
-		}
-		if u := ParseUnit(unit); u != "" {
-			pairs[name] = u
-		}
-	}
-	if len(pairs) > 0 {
-		d.unitPairs[fileLine{posn.Filename, posn.Line}] = pairs
-		d.unitPairs[fileLine{posn.Filename, posn.Line + 1}] = pairs
-	}
 }
 
 // allowed reports whether a finding by analyzer name at posn is
@@ -142,22 +77,6 @@ func (d *directives) allowed(posn token.Position, name string) bool {
 	}
 	e.used = true
 	return true
-}
-
-// unitAt returns the single-currency directive covering a line, if any.
-func (d *directives) unitAt(file string, line int) Unit {
-	return d.units[fileLine{file, line}]
-}
-
-// unitPairsAt returns the name=unit pairs covering a line, if any.
-func (d *directives) unitPairsAt(file string, line int) map[string]Unit {
-	return d.unitPairs[fileLine{file, line}]
-}
-
-// allocFreeAt reports whether a function declared at (file, line) is
-// annotated //lint:allocfree.
-func (d *directives) allocFreeAt(line int, file string) bool {
-	return d.allocfree[fileLine{file, line}]
 }
 
 // SuppressName is the pseudo-analyzer name under which directive

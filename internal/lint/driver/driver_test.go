@@ -54,9 +54,19 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 const negModMod = "module lintneg\n\ngo 1.22\n"
 
-const negModBad = `package lintneg
+// negModBad holds one violation per analyzer. The sim and experiments
+// stubs give rngshare its *sim.RNG and worker pool; the stub pool runs
+// tasks in order, so it needs no goroutine of its own.
+var negModBad = map[string]string{
+	"go.mod": negModMod,
+	"bad.go": `package lintneg
 
-import "time"
+import (
+	"time"
+
+	"lintneg/experiments"
+	"lintneg/sim"
+)
 
 // Bad reads the wall clock without an annotation.
 func Bad() time.Time { return time.Now() }
@@ -64,72 +74,58 @@ func Bad() time.Time { return time.Now() }
 func ch(c chan int) {
 	go func() { c <- 1 }()
 }
-`
 
-// TestStandaloneFindsViolations runs the in-process driver over a
-// module with known violations and checks both analyzers fire.
-func TestStandaloneFindsViolations(t *testing.T) {
-	dir := writeModule(t, map[string]string{"go.mod": negModMod, "bad.go": negModBad})
-	diags, err := driver.Standalone(dir, []string{"./..."}, lint.All())
-	if err != nil {
-		t.Fatalf("standalone run: %v", err)
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
 	}
-	var got []string
-	for _, d := range diags {
-		got = append(got, d.Analyzer)
-	}
-	want := map[string]bool{"simtime": false, "rawgo": false}
-	for _, name := range got {
-		if _, ok := want[name]; ok {
-			want[name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("expected a %s finding, got %v", name, got)
-		}
-	}
+	return out
 }
 
-// TestMutationDetection seeds a throwaway module with one canonical
-// violation per second-generation analyzer and proves each fires. This
-// is the mutation-testing guard for TestRepoIsClean: a suite that
-// passes on the clean tree is only meaningful if these mutants are
-// caught.
-func TestMutationDetection(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": negModMod,
-		"mutants.go": `package lintneg
-
-// Span declares a pages result but returns its byte argument: the
-// unitcheck mutant.
-//
-//lint:unit ret=pages
-func Span(lenBytes int64) int64 {
-	return lenBytes
-}
-
-// Hot is annotated allocation-free but appends: the allocfree mutant.
-//
-//lint:allocfree
-func Hot(s []int64, v int64) []int64 {
-	return append(s, v)
+func shared(rng *sim.RNG) {
+	_ = experiments.ForEach(2, 4, func(i int) error {
+		_ = rng.Float64()
+		return nil
+	})
 }
 `,
-	})
+	"sim/sim.go": `package sim
+
+type RNG struct{ s uint64 }
+
+func (r *RNG) Float64() float64 { r.s++; return float64(r.s) }
+`,
+	"experiments/pool.go": `package experiments
+
+func ForEach(workers, n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+`,
+}
+
+// TestStandaloneFindsViolations runs the in-process driver over a
+// module with one known violation per analyzer and checks that each
+// analyzer fires. It is what makes TestRepoIsClean meaningful: a suite
+// that passes on the clean tree must be able to fail.
+func TestStandaloneFindsViolations(t *testing.T) {
+	dir := writeModule(t, negModBad)
 	diags, err := driver.Standalone(dir, []string{"./..."}, lint.All())
 	if err != nil {
 		t.Fatalf("standalone run: %v", err)
 	}
-	want := map[string]bool{"unitcheck": false, "allocfree": false}
+	seen := make(map[string]bool)
 	for _, d := range diags {
-		if _, ok := want[d.Analyzer]; ok {
-			want[d.Analyzer] = true
-		}
+		seen[d.Analyzer] = true
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("mutant for %s went undetected; findings: %v", name, diags)
+	for _, a := range lint.All() {
+		if !seen[a.Name] {
+			t.Errorf("expected a %s finding, got %v", a.Name, diags)
 		}
 	}
 }

@@ -14,25 +14,20 @@ import (
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
 	CgoFiles   []string
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
 // loadModulePackages enumerates patterns (and all transitive
 // dependencies) with the go command, returning a source map for the
-// Loader, the analysis targets — the pattern-matched packages — and
-// every non-standard (module) package, both in `go list -deps` order,
-// which is deterministic and dependency-first. The dependency-first
-// property is what lets the standalone driver compute each package's
-// facts before any dependent consumes them.
-func loadModulePackages(dir string, patterns []string) (map[string]*Source, []string, []string, error) {
+// Loader and the analysis targets — the pattern-matched packages — in
+// `go list -deps` order, which is deterministic.
+func loadModulePackages(dir string, patterns []string) (map[string]*Source, []string, error) {
 	args := append([]string{
 		"list", "-e", "-deps",
-		"-json=ImportPath,Dir,Standard,DepOnly,GoFiles,CgoFiles,Module,Error",
+		"-json=ImportPath,Dir,DepOnly,GoFiles,CgoFiles,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -40,14 +35,14 @@ func loadModulePackages(dir string, patterns []string) (map[string]*Source, []st
 	cmd.Stderr = &stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, nil, nil, fmt.Errorf("go list: %w", err)
+		return nil, nil, fmt.Errorf("go list: %w", err)
 	}
 
 	sources := make(map[string]*Source)
-	var targets, module []string
+	var targets []string
 	dec := json.NewDecoder(out)
 	for {
 		var p listPackage
@@ -55,11 +50,11 @@ func loadModulePackages(dir string, patterns []string) (map[string]*Source, []st
 			break
 		} else if err != nil {
 			cmd.Wait()
-			return nil, nil, nil, fmt.Errorf("go list output: %w", err)
+			return nil, nil, fmt.Errorf("go list output: %w", err)
 		}
 		if p.Error != nil && !p.DepOnly {
 			cmd.Wait()
-			return nil, nil, nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 		}
 		// Cgo files cannot be type-checked without running cgo;
 		// signatures-only dependency loading tolerates their absence,
@@ -67,22 +62,19 @@ func loadModulePackages(dir string, patterns []string) (map[string]*Source, []st
 		// use cgo.
 		if len(p.CgoFiles) > 0 && !p.DepOnly {
 			cmd.Wait()
-			return nil, nil, nil, fmt.Errorf("package %s uses cgo; the determinism analyzers cannot check it", p.ImportPath)
+			return nil, nil, fmt.Errorf("package %s uses cgo; the determinism analyzers cannot check it", p.ImportPath)
 		}
 		files := make([]string, 0, len(p.GoFiles))
 		for _, f := range p.GoFiles {
 			files = append(files, filepath.Join(p.Dir, f))
 		}
 		sources[p.ImportPath] = &Source{Path: p.ImportPath, Files: files}
-		if !p.Standard {
-			module = append(module, p.ImportPath)
-		}
 		if !p.DepOnly {
 			targets = append(targets, p.ImportPath)
 		}
 	}
 	if err := cmd.Wait(); err != nil {
-		return nil, nil, nil, fmt.Errorf("go list: %w\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("go list: %w\n%s", err, stderr.String())
 	}
-	return sources, targets, module, nil
+	return sources, targets, nil
 }

@@ -1,8 +1,8 @@
 // Package driver loads and type-checks Go packages for the
 // determinism-guard analyzers using only the standard library:
 // Standalone enumerates packages with `go list -deps -json`,
-// type-checks everything from source, and runs the analyzers on the
-// module's packages.
+// type-checks them from source, and runs the analyzers on the packages
+// its patterns match.
 //
 // The usual home for this machinery is golang.org/x/tools
 // (go/packages); this module builds hermetically with zero external

@@ -75,12 +75,6 @@ type Pass struct {
 	// Info holds the package's type information (Types, Defs, Uses,
 	// Selections, Implicits are populated).
 	Info *types.Info
-	// Imports holds dependency facts keyed by import path (may be
-	// empty; analyzers degrade to package-local reasoning).
-	Imports FactSet
-	// Self holds this package's own computed facts: annotation-derived
-	// unit signatures and allocfree markers.
-	Self *PackageFacts
 
 	dir    *directives
 	report func(Diagnostic)
@@ -153,66 +147,40 @@ func inScope(fset *token.FileSet, f *ast.File) bool {
 	return true
 }
 
-// A Config parameterizes one analysis run over one package.
-type Config struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-	// Analyzers to execute, in order.
-	Analyzers []*Analyzer
-	// Imports supplies dependency facts (nil is fine: cross-package
-	// reasoning degrades to "unknown").
-	Imports FactSet
-}
-
-// Analyze executes the configured analyzers over one type-checked
-// package and returns the findings (sorted by position) together with
-// the package's exported facts for downstream packages. After the
-// analyzers run, //lint:allow hygiene is audited: directives naming
-// unknown analyzers, and directives whose analyzer ran without
-// suppressing anything, are reported under the "suppress" name.
-func Analyze(cfg Config) ([]Diagnostic, *PackageFacts, error) {
-	scoped := make([]*ast.File, 0, len(cfg.Files))
-	for _, f := range cfg.Files {
-		if inScope(cfg.Fset, f) {
+// RunAnalyzers executes each analyzer against one type-checked package
+// and returns all findings sorted by position. files must be parsed
+// with comments (the directives live there). After the analyzers run,
+// //lint:allow hygiene is audited: directives naming unknown
+// analyzers, and directives whose analyzer ran without suppressing
+// anything, are reported under the "suppress" name.
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+	scoped := make([]*ast.File, 0, len(files))
+	for _, f := range files {
+		if inScope(fset, f) {
 			scoped = append(scoped, f)
 		}
 	}
-	dir := scanDirectives(cfg.Fset, scoped)
-	self := ComputeFacts(cfg.Fset, cfg.Files, cfg.Pkg, cfg.Info)
+	dir := scanDirectives(fset, scoped)
 	var diags []Diagnostic
 	ran := make(map[string]bool)
-	for _, a := range cfg.Analyzers {
+	for _, a := range analyzers {
 		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer: a,
-			Fset:     cfg.Fset,
+			Fset:     fset,
 			Files:    scoped,
-			Pkg:      cfg.Pkg,
-			Info:     cfg.Info,
-			Imports:  cfg.Imports,
-			Self:     self,
+			Pkg:      pkg,
+			Info:     info,
 			dir:      dir,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", a.Name, err)
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	diags = append(diags, suppressDiags(dir, ran)...)
 	sortDiags(diags)
-	return diags, self, nil
-}
-
-// RunAnalyzers executes each analyzer against one type-checked package
-// and returns all findings sorted by position. files must be parsed
-// with comments (the directives live there). It is Analyze without
-// cross-package facts — the shape the golden tests and single-package
-// callers use.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := Analyze(Config{Fset: fset, Files: files, Pkg: pkg, Info: info, Analyzers: analyzers})
-	return diags, err
+	return diags, nil
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -266,37 +234,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// staticCallee resolves a call expression to the named function or
-// method it invokes, or nil for dynamic calls (function values,
-// interface methods), conversions, and builtins.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			// Method call: interface methods are dynamic.
-			if types.IsInterface(sel.Recv()) {
-				return nil
-			}
-			obj = sel.Obj()
-		} else {
-			obj = info.Uses[fun.Sel] // pkg-qualified function
-		}
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		if id, ok := fun.X.(*ast.Ident); ok {
-			obj = info.Uses[id]
-		}
-	case *ast.IndexListExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			obj = info.Uses[id]
-		}
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
 }
 
 // declaredWithin reports whether obj's declaration lies inside the

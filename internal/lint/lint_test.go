@@ -31,16 +31,6 @@ func TestRawGo(t *testing.T) { runGolden(t, lint.RawGo, "rawgo", "experiments") 
 // task-local negatives.
 func TestRNGShare(t *testing.T) { runGolden(t, lint.RNGShare, "rngshare", "experiments") }
 
-// TestUnitCheck: byte/page mixes in osmem-shaped arithmetic, converter
-// misuse, call/return/assign flow, and tick conversions — plus the
-// division, mask-alignment, and converted negatives.
-func TestUnitCheck(t *testing.T) { runGolden(t, lint.UnitCheck, "unitcheck") }
-
-// TestAllocFree: every modeled allocation class inside annotated
-// bodies — plus the value-literal, panic-path, safelist, and
-// unannotated-function negatives.
-func TestAllocFree(t *testing.T) { runGolden(t, lint.AllocFree, "allocfree") }
-
 // runGolden type-checks each fixture package under testdata/src and
 // compares the analyzer's findings against its `// want` comments,
 // analysistest-style: every finding must match a want on its line, and
@@ -202,64 +192,6 @@ func TestAnalyzerMetadata(t *testing.T) {
 		if strings.ToLower(a.Name) != a.Name || strings.ContainsAny(a.Name, " \t") {
 			t.Errorf("analyzer name %q must be lowercase single token", a.Name)
 		}
-	}
-}
-
-// TestFactsFlowAcrossPackages is the facts-layer acceptance test: the
-// factuse fixture's wants fire only because factdep's computed facts —
-// unit signatures, field units, and allocfree markers — cross the
-// package boundary through a FactSet.
-func TestFactsFlowAcrossPackages(t *testing.T) {
-	loader := testdataLoader(t, []string{"factdep", "factuse"})
-	dep, err := loader.Load("factdep")
-	if err != nil {
-		t.Fatalf("load factdep: %v", err)
-	}
-	depFacts := lint.ComputeFacts(loader.Fset, dep.Files, dep.Types, dep.Info)
-	if depFacts == nil {
-		t.Fatal("no facts computed for factdep")
-	}
-	use, err := loader.Load("factuse")
-	if err != nil {
-		t.Fatalf("load factuse: %v", err)
-	}
-	imports := lint.FactSet{"factdep": depFacts}
-	for _, a := range []*lint.Analyzer{lint.UnitCheck, lint.AllocFree} {
-		diags, _, err := lint.Analyze(lint.Config{
-			Fset:      loader.Fset,
-			Files:     use.Files,
-			Pkg:       use.Types,
-			Info:      use.Info,
-			Analyzers: []*lint.Analyzer{a},
-			Imports:   imports,
-		})
-		if err != nil {
-			t.Fatalf("analyze factuse with %s: %v", a.Name, err)
-		}
-		checkWants(t, loader, use, a.Name, diags)
-	}
-
-	// Negative control: with no dependency facts, the annotated import
-	// degrades to an unverified callee. If this ever passes silently the
-	// wants above are matching for the wrong reason.
-	diags, _, err := lint.Analyze(lint.Config{
-		Fset:      loader.Fset,
-		Files:     use.Files,
-		Pkg:       use.Types,
-		Info:      use.Info,
-		Analyzers: []*lint.Analyzer{lint.AllocFree},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "factdep.Step") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("without facts, expected factdep.Step to be unverified; got %v", diags)
 	}
 }
 

@@ -105,14 +105,10 @@ func (o *Object) String() string {
 }
 
 // Bytes returns the bytes the object spans: Count clusters of Size.
-//
-//lint:allocfree
 func (o *Object) Bytes() int64 { return o.Size * int64(o.Count) }
 
 // LiveBytes returns the bytes of the object a non-aggressive
 // collection keeps: its clusters after the dead prefix.
-//
-//lint:allocfree
 func (o *Object) LiveBytes() int64 {
 	if o.Dead {
 		return 0
@@ -122,8 +118,6 @@ func (o *Object) LiveBytes() int64 {
 
 // DeadBytes returns the bytes of the object a non-aggressive
 // collection reclaims.
-//
-//lint:allocfree
 func (o *Object) DeadBytes() int64 {
 	if o.Dead {
 		return o.Bytes()
@@ -133,8 +127,6 @@ func (o *Object) DeadBytes() int64 {
 
 // Kill marks the oldest n live clusters dead, and the object Dead
 // once none is left.
-//
-//lint:allocfree
 func (o *Object) Kill(n int32) {
 	o.Killed += n
 	if o.Killed >= o.Count {
@@ -145,8 +137,6 @@ func (o *Object) Kill(n int32) {
 // DropDead removes the dead prefix of a live object as a collector
 // frees it: the object keeps only its live clusters, and Offset moves
 // to the first of them. It returns the bytes dropped.
-//
-//lint:allocfree
 func (o *Object) DropDead() int64 {
 	n := o.Size * int64(o.Killed)
 	o.Offset += n
@@ -157,8 +147,6 @@ func (o *Object) DropDead() int64 {
 
 // Collectible reports whether a collection with the given
 // aggressiveness reclaims the object.
-//
-//lint:allocfree
 func (o *Object) Collectible(aggressive bool) bool {
 	if o.Dead {
 		return true

@@ -111,8 +111,6 @@ func (p *ObjectPool) put(o Object) Ref {
 
 // At returns the Object r names. The pointer is valid only until the
 // pool's next New.
-//
-//lint:allocfree
 func (p *ObjectPool) At(r Ref) *Object { return &p.slab[r] }
 
 // Free returns r, which its heap has just dropped from its last list,
@@ -138,8 +136,6 @@ func (p *ObjectPool) FreeWeak(r Ref) {
 
 // LiveBytes sums the bytes of refs that survive a non-aggressive
 // collection.
-//
-//lint:allocfree
 func (p *ObjectPool) LiveBytes(refs []Ref) int64 {
 	var n int64
 	for _, r := range refs {
@@ -150,8 +146,6 @@ func (p *ObjectPool) LiveBytes(refs []Ref) int64 {
 
 // DeadBytes sums the bytes of refs a non-aggressive collection would
 // reclaim.
-//
-//lint:allocfree
 func (p *ObjectPool) DeadBytes(refs []Ref) int64 {
 	var n int64
 	for _, r := range refs {

@@ -262,7 +262,7 @@ func (b *Builder) HandleEvent(ev obs.Event) {
 			gcWall: sim.Duration(ev.Aux),
 			// EvInvokeStart repurposes the Bytes payload for the fault
 			// wall share, in µs like every duration.
-			faultWall: sim.Duration(ev.Bytes), //lint:allow unitcheck
+			faultWall: sim.Duration(ev.Bytes),
 			inst:      ev.Inst, live: true,
 		}
 
@@ -299,7 +299,7 @@ func (b *Builder) HandleEvent(ev obs.Event) {
 			// boot.cold, whichever path it took, not to queue.
 			if st := b.open[ev.Invo]; st != nil {
 				st.settleExec()
-				boot := sim.Duration(ev.Bytes) //lint:allow unitcheck
+				boot := sim.Duration(ev.Bytes)
 				start := ev.Time - sim.Time(boot)
 				st.addSegment(PhaseQueue, st.cursor, start.Sub(st.cursor), -1)
 				st.addSegment(PhaseBootCold, start, boot, -1)

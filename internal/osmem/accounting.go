@@ -58,13 +58,13 @@ func addRep(acc, q float64, c int64) float64 {
 //   - USS counts only pages resident in no other address space
 //     (private_dirty + private_clean) — the paper's primary metric.
 type Usage struct {
-	RSS          int64   //lint:unit bytes
-	PSS          float64 //lint:unit bytes
-	USS          int64   //lint:unit bytes
-	PrivateDirty int64   //lint:unit bytes
-	PrivateClean int64   //lint:unit bytes
-	SharedClean  int64   //lint:unit bytes
-	Swap         int64   //lint:unit bytes
+	RSS          int64
+	PSS          float64
+	USS          int64
+	PrivateDirty int64
+	PrivateClean int64
+	SharedClean  int64
+	Swap         int64
 }
 
 func (u Usage) add(v Usage) Usage {
@@ -200,7 +200,7 @@ func (as *AddressSpace) Smaps() []SmapsEntry {
 // PmapRange returns resident bytes within [va, va+len) across all
 // regions — the pmap query the platform uses to observe a HotSpot
 // heap's physical footprint from outside (§4.5.2).
-func (as *AddressSpace) PmapRange(va, length int64) int64 { //lint:unit va=bytes length=bytes ret=bytes
+func (as *AddressSpace) PmapRange(va, length int64) int64 {
 	var total int64
 	end := va + length
 	for _, r := range as.regions {

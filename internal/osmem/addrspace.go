@@ -24,12 +24,12 @@ type Region struct {
 	Name string
 	Kind RegionKind
 	// VA is the virtual address of the first byte.
-	VA    int64 //lint:unit bytes
-	pages int64 //lint:unit pages
+	VA    int64
+	pages int64
 	file  *FileObject
 	// foff is the first file page this region maps.
-	foff   int64 //lint:unit pages
-	access bool  // false after mprotect(PROT_NONE)
+	foff   int64
+	access bool // false after mprotect(PROT_NONE)
 	// pb packs each page's state (bits 0-1) and dirty flag (bit 2)
 	// into one byte, so a homogeneous run of pages is a homogeneous
 	// run of bytes and every mutation path can process it in one
@@ -45,9 +45,9 @@ type Region struct {
 	dead  bool
 	as    *AddressSpace
 
-	// Incremental counters so footprint queries are O(1).
-	resident int64 //lint:unit pages
-	swapped  int64 //lint:unit pages
+	// Incremental counters, in pages, so footprint queries are O(1).
+	resident int64
+	swapped  int64
 
 	// Usage cache: valid while the region is unmutated and (for file
 	// mappings) the file's refcount version is unchanged.
@@ -96,7 +96,7 @@ type AddressSpace struct {
 	// refcount is 1. Anonymous residency changes adjust it in place;
 	// file pages move their credit in Region.ref/unref. It is what
 	// keeps USS() O(1).
-	ussPages int64 //lint:unit pages
+	ussPages int64
 
 	minorFaults int64
 	majorFaults int64
@@ -182,9 +182,7 @@ func (as *AddressSpace) MmapFile(name string, f *FileObject, offPages, pages int
 // It compares eight page bytes at a time: XOR of a little-endian word
 // against v repeated in every byte leaves the first differing page as
 // the lowest nonzero byte.
-//
-//lint:allocfree
-func runEnd(pb []byte, i, end int64) int64 { //lint:unit i=pages end=pages ret=pages
+func runEnd(pb []byte, i, end int64) int64 {
 	v := pb[i]
 	j := i + 1
 	pat := uint64(v) * 0x0101010101010101
@@ -204,8 +202,6 @@ func runEnd(pb []byte, i, end int64) int64 { //lint:unit i=pages end=pages ret=p
 
 // fillBytes sets every byte of b to v, doubling the filled prefix with
 // copy once b is long enough for that to beat a byte loop.
-//
-//lint:allocfree
 func fillBytes(b []byte, v byte) {
 	if len(b) < 16 {
 		for i := range b {
@@ -227,9 +223,7 @@ func fillBytes(b []byte, v byte) {
 // length), adopts a zeroed array from the shared pools (a miss
 // allocates; the doubling schedule amortizes that to O(1) per
 // materialized page), and hands the outgrown array back zeroed.
-//
-//lint:allocfree
-func (r *Region) ensurePB(end int64) []byte { //lint:unit end=pages
+func (r *Region) ensurePB(end int64) []byte {
 	pb := r.pb
 	if int64(len(pb)) >= end {
 		return pb
@@ -241,24 +235,21 @@ func (r *Region) ensurePB(end int64) []byte { //lint:unit end=pages
 	if want > r.pages {
 		want = r.pages
 	}
-	nb := getPB(want) //lint:allow allocfree
+	nb := getPB(want)
 	np := *nb
 	copy(np, pb)
 	if pb != nil {
 		clear(pb)
-		putPB(r.pbBox) //lint:allow allocfree
+		putPB(r.pbBox)
 	}
 	r.pb, r.pbBox = np, nb
 	return np
 }
 
 // invalidate marks the cached usage stale.
-//
-//lint:allocfree
 func (r *Region) invalidate() { r.usageValid = false }
 
-//lint:allocfree
-func (r *Region) checkRange(page, n int64) { //lint:unit page=pages n=pages
+func (r *Region) checkRange(page, n int64) {
 	if r.dead {
 		panic("osmem: use of unmapped region " + r.Name)
 	}
@@ -272,7 +263,7 @@ func (r *Region) checkRange(page, n int64) { //lint:unit page=pages n=pages
 // write marks the pages dirty (relevant only for file mappings; anon
 // pages are always dirty once resident). Touching an inaccessible
 // (PROT_NONE) region panics — that is a segfault in the model.
-func (r *Region) Touch(page, n int64, write bool) { //lint:unit page=pages n=pages
+func (r *Region) Touch(page, n int64, write bool) {
 	r.checkRange(page, n)
 	if !r.access {
 		panic(fmt.Sprintf("osmem: segfault: touch of PROT_NONE region %q", r.Name))
@@ -290,9 +281,7 @@ func (r *Region) Touch(page, n int64, write bool) { //lint:unit page=pages n=pag
 // costs are sums over pages, and the file refcount version only ever
 // feeds equality checks, so bumping it once per call equals bumping
 // it once per page.
-//
-//lint:allocfree
-func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=pages n=pages
+func (r *Region) touchPages(page, n int64, write bool) bool {
 	if n == 0 {
 		return false
 	}
@@ -379,14 +368,12 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 // classifies it (refcount 2).
 // It returns the number of 0→1 pages: on a first touch, the pages no
 // mapping had resident, which are read from disk.
-//
-//lint:allocfree
-func (r *Region) ref(i, j int64) int64 { //lint:unit i=pages j=pages ret=pages
+func (r *Region) ref(i, j int64) int64 {
 	as := r.as
 	id := int32(as.id)
 	refs := r.file.refs[r.foff+i : r.foff+j]
 	holders := r.file.holders[r.foff+i : r.foff+j]
-	var own, shared int64 //lint:unit pages
+	var own, shared int64
 	var last *AddressSpace
 	for z, rc := range refs {
 		switch rc {
@@ -408,14 +395,12 @@ func (r *Region) ref(i, j int64) int64 { //lint:unit i=pages j=pages ret=pages
 // unref is the inverse of ref: 1→0 debits this space, 2→1 credits the
 // space left holding the page alone and counts the page shared no
 // more.
-//
-//lint:allocfree
-func (r *Region) unref(i, j int64) { //lint:unit i=pages j=pages
+func (r *Region) unref(i, j int64) {
 	as := r.as
 	id := int32(as.id)
 	refs := r.file.refs[r.foff+i : r.foff+j]
 	holders := r.file.holders[r.foff+i : r.foff+j]
-	var own, shared int64 //lint:unit pages
+	var own, shared int64
 	var last *AddressSpace
 	for z, rc := range refs {
 		h := holders[z] ^ id
@@ -436,7 +421,7 @@ func (r *Region) unref(i, j int64) { //lint:unit i=pages j=pages
 
 // TouchBytes is Touch addressed in bytes rather than pages; offsets
 // are rounded outward to page boundaries.
-func (r *Region) TouchBytes(off, n int64, write bool) { //lint:unit off=bytes n=bytes
+func (r *Region) TouchBytes(off, n int64, write bool) {
 	if n == 0 {
 		return
 	}
@@ -449,7 +434,7 @@ func (r *Region) TouchBytes(off, n int64, write bool) { //lint:unit off=bytes n=
 // for the range are freed; the next touch zero-fills (anon) or re-reads
 // (file). This is the primitive Desiccant's reclaim uses to return
 // free heap pages to the OS.
-func (r *Region) Release(page, n int64) { //lint:unit page=pages n=pages
+func (r *Region) Release(page, n int64) {
 	r.checkRange(page, n)
 	r.releasePages(page, n)
 	r.invalidate()
@@ -457,9 +442,7 @@ func (r *Region) Release(page, n int64) { //lint:unit page=pages n=pages
 
 // releasePages frees the frames and swap slots of [page, page+n), one
 // homogeneous run at a time, leaving every page not-present and clean.
-//
-//lint:allocfree
-func (r *Region) releasePages(page, n int64) { //lint:unit page=pages n=pages
+func (r *Region) releasePages(page, n int64) {
 	pb := r.pb
 	lim := int64(len(pb))
 	if n == 0 || page >= lim {
@@ -502,7 +485,7 @@ func (r *Region) releasePages(page, n int64) { //lint:unit page=pages n=pages
 // end are NOT released (a partial page still holds live data) — this
 // is the "page alignment overhead" the paper attributes to the small
 // gap between Desiccant and the ideal baseline for Java functions.
-func (r *Region) ReleaseBytes(off, n int64) { //lint:unit off=bytes n=bytes
+func (r *Region) ReleaseBytes(off, n int64) {
 	if n <= 0 {
 		return
 	}

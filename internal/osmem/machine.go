@@ -107,14 +107,14 @@ var pbPools [64]sync.Pool
 
 // pbClass returns the pool index for an array of n > 0 pages: log2 of
 // the power of two at or above n.
-func pbClass(n int64) int { //lint:unit n=pages
+func pbClass(n int64) int {
 	return bits.Len64(uint64(n - 1))
 }
 
 // getPB returns a zeroed page-state array of length n > 0 whose
 // capacity is the power of two at or above n, in the box the pool
 // keeps it in. Only a pool miss allocates.
-func getPB(n int64) *[]byte { //lint:unit n=pages
+func getPB(n int64) *[]byte {
 	c := pbClass(n)
 	b, ok := pbPools[c].Get().(*[]byte)
 	if !ok {
@@ -259,8 +259,6 @@ func (m *Machine) AddressSpaces() []*AddressSpace {
 // last when it already is that space: a run of pages changing hands
 // usually has one other holder, so ref/unref pay one map lookup per
 // run rather than per page.
-//
-//lint:allocfree
 func (m *Machine) holder(last *AddressSpace, id int32) *AddressSpace {
 	if last != nil && last.id == int(id) {
 		return last

@@ -302,6 +302,40 @@ func TestSwapOutAndBack(t *testing.T) {
 	}
 }
 
+// TestReleaseRunsKeepsUnalignedJoins checks that two runs meeting
+// inside a page stay two runs, so ReleaseRuns keeps the page they
+// share, as the two ReleaseBytes calls would: each rounds inward.
+func TestReleaseRunsKeepsUnalignedJoins(t *testing.T) {
+	m := newTestMachine()
+	as := m.NewAddressSpace("p")
+	r := as.MmapAnon("heap", 4*PageSize)
+	r.Touch(0, 4, true)
+	runs := AppendRun(AppendRun(nil, 0, PageSize+100), PageSize+100, PageSize-100)
+	if len(runs) != 2 {
+		t.Fatalf("runs %v merged across an unaligned join", runs)
+	}
+	r.ReleaseRuns(runs)
+	if got := r.ResidentPages(); got != 3 {
+		t.Fatalf("resident pages %d after ReleaseRuns, want 3 (only page 0 released)", got)
+	}
+}
+
+// TestMachineString pins the machine summary in MiB: 3 MiB resident
+// and 2 MiB on swap, so a page count printed as bytes (or the reverse)
+// shows.
+func TestMachineString(t *testing.T) {
+	m := newTestMachine()
+	as := m.NewAddressSpace("p")
+	r := as.MmapAnon("heap", 5<<20)
+	r.Touch(0, r.Pages(), true)
+	r.SwapOut(0, (2<<20)/PageSize)
+	m.File("lib.so", PageSize)
+	want := "machine{phys=3MB swap=2MB spaces=1 files=1}"
+	if got := m.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestSwapOutFileCleanDrops(t *testing.T) {
 	m := newTestMachine()
 	lib := m.File("lib.so", 8*PageSize)

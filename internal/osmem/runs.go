@@ -8,8 +8,8 @@ import "fmt"
 // hand the whole batch to TouchRange/ReleaseRuns, paying the call and
 // cache overhead once per batch instead of once per object.
 type Run struct {
-	Off int64 //lint:unit bytes
-	Len int64 //lint:unit bytes
+	Off int64
+	Len int64
 }
 
 // AppendRun appends [off, off+n) to runs, merging with the previous
@@ -25,9 +25,7 @@ type Run struct {
 // AppendRun runs once per coalesced object batch — the per-object hot
 // path — so beyond the amortized growth of runs itself it must not
 // allocate.
-//
-//lint:allocfree
-func AppendRun(runs []Run, off, n int64) []Run { //lint:unit off=bytes n=bytes
+func AppendRun(runs []Run, off, n int64) []Run {
 	if n <= 0 {
 		return runs
 	}
@@ -38,15 +36,13 @@ func AppendRun(runs []Run, off, n int64) []Run { //lint:unit off=bytes n=bytes
 			return runs
 		}
 	}
-	return append(runs, Run{Off: off, Len: n}) //lint:allow allocfree
+	return append(runs, Run{Off: off, Len: n})
 }
 
 // TouchRange is the bulk form of TouchBytes: every run is rounded
 // outward to page boundaries and faulted in with write intent per the
 // write flag, invalidating the usage cache at most once per call.
 // Equivalent to calling TouchBytes for each run in order.
-//
-//lint:allocfree
 func (r *Region) TouchRange(runs []Run, write bool) {
 	if r.dead {
 		panic("osmem: use of unmapped region " + r.Name)
@@ -75,8 +71,6 @@ func (r *Region) TouchRange(runs []Run, write bool) {
 // inward (partial pages at either end are kept, same as ReleaseBytes)
 // and released, invalidating the usage cache at most once per call.
 // Equivalent to calling ReleaseBytes for each run in order.
-//
-//lint:allocfree
 func (r *Region) ReleaseRuns(runs []Run) {
 	if r.dead {
 		panic("osmem: use of unmapped region " + r.Name)

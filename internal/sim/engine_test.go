@@ -496,3 +496,24 @@ func TestEnginePendingDropsOnCancel(t *testing.T) {
 		t.Fatalf("fired=%d pending=%d, want 50/0", en.Fired(), en.Pending())
 	}
 }
+
+// TestEngineSiftAllocs pins At + Step on a queue holding 64 events at
+// exactly one allocation, the *Event: pushing and popping sift through
+// the heap, and no comparison on the way may allocate.
+func TestEngineSiftAllocs(t *testing.T) {
+	en := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		en.At(Time(Duration(i+1)*Hour), "queued", fn)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		en.At(en.Now(), "sift", fn)
+		en.Step()
+	})
+	if got != 1 {
+		t.Fatalf("At + Step on a 64-event queue allocates %v/op, want 1 (the *Event)", got)
+	}
+	if en.Pending() != 64 {
+		t.Fatalf("pending = %d, want 64", en.Pending())
+	}
+}
