@@ -1,14 +1,26 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
 	"desiccant/internal/osmem"
 	"desiccant/internal/sim"
 )
+
+// mustRun runs a scenario whose options must validate.
+func mustRun(t *testing.T, o ScenarioOptions) *Result {
+	t.Helper()
+	res, err := RunScenario(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestScenarioDeterministic pins the core contract: the same options
 // give a byte-identical run, and different seeds give different runs.
@@ -16,14 +28,14 @@ func TestScenarioDeterministic(t *testing.T) {
 	for _, mode := range []ManagerMode{ManagerOff, ManagerReclaim, ManagerSwap} {
 		o := DefaultScenarioOptions(42)
 		o.Mode = mode
-		a := RunScenario(o).Fingerprint()
-		b := RunScenario(o).Fingerprint()
+		a := mustRun(t, o).Fingerprint()
+		b := mustRun(t, o).Fingerprint()
 		if a != b {
 			t.Fatalf("mode %v: same options, different fingerprints:\n%s\nvs\n%s", mode, a, b)
 		}
 		o2 := DefaultScenarioOptions(43)
 		o2.Mode = mode
-		if c := RunScenario(o2).Fingerprint(); c == a {
+		if c := mustRun(t, o2).Fingerprint(); c == a {
 			t.Errorf("mode %v: seeds 42 and 43 produced identical runs", mode)
 		}
 	}
@@ -41,8 +53,8 @@ func TestZeroIntensityIsNoOp(t *testing.T) {
 		bare := wired
 		bare.NoInjector = true
 
-		wf := RunScenario(wired).Fingerprint()
-		bf := RunScenario(bare).Fingerprint()
+		wf := mustRun(t, wired).Fingerprint()
+		bf := mustRun(t, bare).Fingerprint()
 		if wf != bf {
 			t.Fatalf("mode %v: intensity-0 injector perturbed the run:\nwired:\n%s\nbare:\n%s", mode, wf, bf)
 		}
@@ -59,7 +71,7 @@ func TestFaultsActuallyFire(t *testing.T) {
 	o := DefaultScenarioOptions(3)
 	o.Mode = ManagerReclaim
 	o.Requests = 400
-	res := RunScenario(o)
+	res := mustRun(t, o)
 	c := res.Faults
 	if c.ReclaimFails == 0 && c.PartialReclaims == 0 {
 		t.Errorf("no reclaim faults fired: %+v", c)
@@ -93,7 +105,7 @@ func TestFaultsActuallyFire(t *testing.T) {
 func TestRequeueSamplesQueueDepth(t *testing.T) {
 	o := DefaultScenarioOptions(3)
 	o.Requests = 400
-	res := RunScenario(o)
+	res := mustRun(t, o)
 	if res.Platform.Requeues == 0 {
 		t.Fatal("scenario fired no requeues; widen it before trusting this test")
 	}
@@ -139,7 +151,7 @@ func TestSwapModeFaults(t *testing.T) {
 	o.Requests = 400
 	o.SwapLimitPages = 1 << 10 // 4 MiB: trivially exhausted
 	o.SwapSqueezes = 4
-	res := RunScenario(o)
+	res := mustRun(t, o)
 	if res.Manager.SwapFallbacks == 0 {
 		t.Errorf("squeezed swap device never forced a fallback: %+v", res.Manager)
 	}
@@ -180,7 +192,7 @@ func TestInjectorEmitsFaultEvents(t *testing.T) {
 	o := DefaultScenarioOptions(3)
 	o.Mode = ManagerReclaim
 	o.Requests = 400
-	res := RunScenario(o)
+	res := mustRun(t, o)
 	var faults int64
 	for _, ev := range res.Events {
 		if ev.Kind == obs.EvFault {
@@ -243,5 +255,55 @@ func TestSwapSqueezeEventBytes(t *testing.T) {
 			t.Errorf("squeeze %d: event reports %d bytes, device limit is %d pages (%d bytes)",
 				i, ev.Bytes, shrunk[i], want)
 		}
+	}
+}
+
+// TestScenarioOptionsValidate: every degenerate option is an error that
+// names its field, and RunScenario returns it without running.
+func TestScenarioOptionsValidate(t *testing.T) {
+	if err := DefaultScenarioOptions(1).Validate(); err != nil {
+		t.Fatalf("default options rejected: %v", err)
+	}
+	cases := []struct {
+		field string
+		edit  func(*ScenarioOptions)
+	}{
+		{"Chaos.Intensity", func(o *ScenarioOptions) { o.Chaos.Intensity = math.NaN() }},
+		{"Chaos.Intensity", func(o *ScenarioOptions) { o.Chaos.Intensity = math.Inf(1) }},
+		{"Chaos.Intensity", func(o *ScenarioOptions) { o.Chaos.Intensity = -0.5 }},
+		{"Chaos.Intensity", func(o *ScenarioOptions) { o.Chaos.Intensity = 1.5 }},
+		{"Mode", func(o *ScenarioOptions) { o.Mode = ManagerSwap + 1 }},
+		{"Window", func(o *ScenarioOptions) { o.Window = 0 }},
+		{"Window", func(o *ScenarioOptions) { o.Window = -sim.Second }},
+		{"CacheBytes", func(o *ScenarioOptions) { o.CacheBytes = 0 }},
+		{"Requests", func(o *ScenarioOptions) { o.Requests = 0 }},
+		{"Requests", func(o *ScenarioOptions) { o.Requests = -3 }},
+		{"SwapLimitPages", func(o *ScenarioOptions) { o.SwapLimitPages = -1 }},
+		{"SwapSqueezes", func(o *ScenarioOptions) { o.SwapSqueezes = -1 }},
+		{"SwapSqueezes", func(o *ScenarioOptions) { o.SwapLimitPages = 0 }},
+		{"Bursts", func(o *ScenarioOptions) { o.Bursts = -1 }},
+		{"BurstSize", func(o *ScenarioOptions) { o.BurstSize = 0 }},
+		{"BurstSize", func(o *ScenarioOptions) { o.Bursts, o.BurstSize = 0, -2 }},
+	}
+	for _, c := range cases {
+		o := DefaultScenarioOptions(1)
+		c.edit(&o)
+		err := o.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", c.field, err, c.field)
+			continue
+		}
+		ran := false
+		o.Observe = func(*faas.Platform, *core.Manager) { ran = true }
+		if res, err := RunScenario(o); err == nil || res != nil || ran {
+			t.Errorf("%s: RunScenario ran (result %v, error %v)", c.field, res != nil, err)
+		}
+	}
+	// Zero bursts and zero squeezes are valid: the property sweep draws
+	// them.
+	o := DefaultScenarioOptions(1)
+	o.Bursts, o.SwapSqueezes = 0, 0
+	if err := o.Validate(); err != nil {
+		t.Errorf("zero bursts and squeezes rejected: %v", err)
 	}
 }

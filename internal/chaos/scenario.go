@@ -112,9 +112,43 @@ type Result struct {
 	End sim.Time
 }
 
+// Validate reports the first option a scenario cannot run with, naming
+// the field: a fault intensity outside [0,1] (NaN and the infinities
+// included), an unknown mode, a non-positive window, cache or request
+// count, a negative swap limit or fault count, bursts of no requests,
+// and swap squeezes with no swap limit to shrink.
+func (o ScenarioOptions) Validate() error {
+	switch {
+	case !(o.Chaos.Intensity >= 0 && o.Chaos.Intensity <= 1): // NaN fails both comparisons
+		return fmt.Errorf("chaos: Chaos.Intensity must be in [0,1], got %v", o.Chaos.Intensity)
+	case o.Mode < ManagerOff || o.Mode > ManagerSwap:
+		return fmt.Errorf("chaos: unknown Mode %d", int(o.Mode))
+	case o.Window <= 0:
+		return fmt.Errorf("chaos: Window must be positive, got %v", o.Window)
+	case o.CacheBytes <= 0:
+		return fmt.Errorf("chaos: CacheBytes must be positive, got %d", o.CacheBytes)
+	case o.Requests <= 0:
+		return fmt.Errorf("chaos: Requests must be positive, got %d", o.Requests)
+	case o.SwapLimitPages < 0:
+		return fmt.Errorf("chaos: SwapLimitPages must be non-negative (0 is unlimited), got %d", o.SwapLimitPages)
+	case o.SwapSqueezes < 0:
+		return fmt.Errorf("chaos: SwapSqueezes must be non-negative, got %d", o.SwapSqueezes)
+	case o.SwapSqueezes > 0 && o.SwapLimitPages == 0:
+		return fmt.Errorf("chaos: SwapSqueezes %d need a SwapLimitPages to shrink, got 0 (unlimited)", o.SwapSqueezes)
+	case o.Bursts < 0:
+		return fmt.Errorf("chaos: Bursts must be non-negative, got %d", o.Bursts)
+	case o.BurstSize < 0 || o.Bursts > 0 && o.BurstSize == 0:
+		return fmt.Errorf("chaos: BurstSize must be positive for %d bursts, got %d", o.Bursts, o.BurstSize)
+	}
+	return nil
+}
+
 // RunScenario executes one fault-injected scenario and returns its
-// deterministic Result.
-func RunScenario(o ScenarioOptions) *Result {
+// deterministic Result, or Validate's error without running.
+func RunScenario(o ScenarioOptions) (*Result, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	eng := sim.NewEngine()
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
@@ -197,7 +231,7 @@ func RunScenario(o ScenarioOptions) *Result {
 	if inj != nil {
 		res.Faults = inj.Counts()
 	}
-	return res
+	return res, nil
 }
 
 // Fingerprint renders the result as a stable multi-line string: every

@@ -64,7 +64,10 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 		so.Observe = func(p *faas.Platform, mgr *core.Manager) {
 			chk = invariant.Attach(p, mgr)
 		}
-		res := chaos.RunScenario(so)
+		res, err := chaos.RunScenario(so)
+		if err != nil {
+			return ChaosCell{}, err
+		}
 		return ChaosCell{Mode: mode, Intensity: intensity, Result: res, Violations: chk.Final()}, nil
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"fmt"
 	"testing"
 
 	"desiccant/internal/obs"
@@ -53,10 +54,11 @@ func BenchmarkInvocationPath(b *testing.B) {
 	b.Run("trace=on", func(b *testing.B) { run(b, true) })
 }
 
-// warmCycleAllocs is the warm invocation cycle's allocation count: the
-// engine events, closures and labels of submit, thaw and execution.
-// The event bus, with a collector subscribed, adds nothing to it.
-const warmCycleAllocs = 11
+// warmCycleAllocs is the warm invocation cycle's allocation count.
+// Submit, thaw and execution arm the pooled invocation record's own
+// event, whose label is built only for a fire hook, and the event bus,
+// with a collector subscribed, adds nothing to it.
+const warmCycleAllocs = 0
 
 // TestBusAddsNoWarmPathAllocs pins the warm invocation cycle, with a
 // collector subscribed to the bus, at warmCycleAllocs: emitting and
@@ -124,7 +126,8 @@ func TestTracingWarmPathAllocFree(t *testing.T) {
 // once during set-up; each iteration then repeats that churn at the
 // page level — a fresh address space faults in one page of every
 // shared file and is destroyed, changing the libraries' refcounts —
-// before reading the occupancy.
+// before reading the occupancy, which the co-mapper's comings and
+// goings keep current in the platform's tally, so the read is O(1).
 func BenchmarkMemoryUsed(b *testing.B) {
 	const frozen = 64
 	cfg := DefaultConfig()
@@ -169,4 +172,67 @@ func BenchmarkMemoryUsed(b *testing.B) {
 	if used <= 0 {
 		b.Fatal("empty cache")
 	}
+}
+
+// TestSubmitAllocs pins the whole request path through Submit on a warm
+// instance: the arrival, the thaw, the execution, the freeze and its
+// keep-alive, with earlier keep-alives firing as no-ops in between.
+// After a warm-up, a batch of n requests submitted up front allocates
+// nothing for any n up to the arrivals' free-list bound, with or
+// without a collector on the bus. A larger batch allocates only the
+// arrival slabs past that bound, a count that grows with the batch's
+// size but is not one per invocation.
+func TestSubmitAllocs(t *testing.T) {
+	spec, err := workload.Lookup("clock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(n int, subscribe bool) float64 {
+		cfg := DefaultConfig()
+		cfg.CacheBytes = 1 << 30
+		// Long enough that the instance, reused every 2 s, never idles
+		// out; short enough that the keep-alives pending at once, and
+		// so the timers and the event queue, reach their steady size
+		// within the warm-up.
+		cfg.KeepAlive = 10 * sim.Second
+		eng := sim.NewEngine()
+		p := New(cfg, eng)
+		if subscribe {
+			p.Events().Subscribe(obs.NewCollector(obs.NewRegistry()))
+		}
+		at := sim.Time(0)
+		batch := func() {
+			for i := 0; i < n; i++ {
+				at = at.Add(2 * sim.Second)
+				p.Submit(spec, at)
+			}
+			eng.RunUntil(at.Add(sim.Second))
+		}
+		for i := 0; i < 3; i++ {
+			batch() // boot the instance, fill the pools
+		}
+		// Over 400 batches the amortized growth of the latency samples
+		// and of the instance's heap averages out below one per batch.
+		got := testing.AllocsPerRun(400, batch)
+		if p.Stats().ColdBoots != 1 || p.Stats().Evictions != 0 {
+			t.Fatalf("n=%d: %d cold boots, %d evictions, want one warm instance throughout",
+				n, p.Stats().ColdBoots, p.Stats().Evictions)
+		}
+		return got
+	}
+	for _, subscribe := range []bool{false, true} {
+		for _, n := range []int{1, 16, recordSlab} {
+			t.Run(fmt.Sprintf("collector=%v/n=%d", subscribe, n), func(t *testing.T) {
+				if got := measure(n, subscribe); got != 0 {
+					t.Errorf("a batch of %d warm invocations allocates %v, want 0", n, got)
+				}
+			})
+		}
+	}
+	t.Run("past the bound", func(t *testing.T) {
+		n := 4 * recordSlab
+		if got, slabs := measure(n, false), float64((n-recordSlab)/arrivalSlab); got > slabs {
+			t.Errorf("a batch of %d warm invocations allocates %v, want at most %v arrival slabs", n, got, slabs)
+		}
+	})
 }

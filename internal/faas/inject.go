@@ -25,8 +25,11 @@ type Injector interface {
 }
 
 // maybeScheduleOOMKill asks the injector whether this execution dies
-// early and, if so, schedules the kill to cancel the completion event.
-func (p *Platform) maybeScheduleOOMKill(inv *invocation, inst *container.Instance, wall sim.Duration, done *sim.Event) {
+// early and, if so, schedules the kill to cancel the completion event,
+// the invocation's just-armed event. That record can move on before
+// the kill fires: to its next stage, or, pooled, to another request.
+// So the kill acts only while the record is still on the arm it saw.
+func (p *Platform) maybeScheduleOOMKill(inv *invocation, inst *container.Instance, wall sim.Duration) {
 	if p.cfg.Chaos == nil {
 		return
 	}
@@ -34,11 +37,12 @@ func (p *Platform) maybeScheduleOOMKill(inv *invocation, inst *container.Instanc
 	if !ok || d >= wall {
 		return
 	}
+	armed := inv.armed
 	p.eng.After(d, "chaos-oom:"+inv.spec.Name, func() {
-		if !done.Pending() {
+		if inv.armed != armed || !inv.ev.Pending() {
 			return
 		}
-		done.Cancel()
+		inv.ev.Cancel()
 		p.oomKill(inv, inst, d)
 	})
 }
@@ -72,6 +76,7 @@ func (p *Platform) oomKill(inv *invocation, inst *container.Instance, ran sim.Du
 			Name: "request dropped after repeated oom-kills: " + inv.spec.Name})
 		p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: inst.ID, Invo: inv.id,
 			Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropRequeueExhausted})
+		p.release(inv)
 	}
 	p.pumpQueue()
 }
@@ -124,13 +129,7 @@ func (p *Platform) LastInvoOf(id int) int64 {
 }
 
 // CachedCount reports the frozen instances currently in the cache.
-func (p *Platform) CachedCount() int {
-	n := 0
-	for _, pool := range p.cached {
-		n += len(pool)
-	}
-	return n
-}
+func (p *Platform) CachedCount() int { return p.occupancy.Len() }
 
 // PrewarmedTotal reports stem cells alive across all languages,
 // including ones popped from the pool but not yet assigned (their

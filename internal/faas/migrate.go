@@ -26,7 +26,7 @@ import (
 // very memory the migration wants to free. Returns ok=false when no
 // migratable instance exists.
 func (p *Platform) DetachColdest(reason int64) (spec *workload.Spec, stage int, ok bool) {
-	for _, inst := range p.cachedByLRU() {
+	for _, inst := range p.appendByLRU(nil) {
 		if inst.Reclaiming {
 			continue
 		}
@@ -52,14 +52,7 @@ func (p *Platform) DetachCached(inst *container.Instance, reason int64) (*worklo
 // obs.EvictPressure, Desiccant's memory-pressure signal: a hand-off
 // frees memory without signaling pressure.
 func (p *Platform) detach(inst *container.Instance, reason int64) (*workload.Spec, int, bool) {
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	pool := p.cached[key]
-	for i, q := range pool {
-		if q == inst {
-			p.cached[key] = append(pool[:i], pool[i+1:]...)
-			break
-		}
-	}
+	p.uncache(inst)
 	p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
 		Bytes: inst.USS(), Aux: reason})
 	p.stats.MigratedOut++

@@ -1,7 +1,8 @@
 package faas
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"desiccant/internal/container"
 	"desiccant/internal/metrics"
@@ -82,13 +83,16 @@ type Platform struct {
 	nextInstID int
 	// nextInvo is the per-platform invocation counter: request i
 	// submitted to this platform gets ID cfg.InvoBase + i (1-based).
-	// Assignment happens inside the Submit callback, so the IDs follow
-	// arrival order — deterministic for a deterministic schedule.
+	// Assignment happens when the request arrives (arrive), so the IDs
+	// follow arrival order — deterministic for a deterministic schedule.
 	nextInvo int64
-	// cached holds non-running (frozen) instances per function stage.
-	cached   map[poolKey][]*container.Instance
-	prewarm  map[runtime.Language][]*container.Prewarmed
-	cpuAvail float64
+	// cached holds non-running (frozen) instances per function stage,
+	// and occupancy sums their USS: every instance in cached has joined
+	// it (putBack, takeCached, uncache keep the two in step).
+	cached    map[poolKey][]*container.Instance
+	occupancy osmem.Tally
+	prewarm   map[runtime.Language][]*container.Prewarmed
+	cpuAvail  float64
 
 	// inFlight tracks instances out of the cache for execution, and
 	// pendingAssign counts stem cells popped but not yet assigned —
@@ -98,6 +102,13 @@ type Platform struct {
 	pendingAssign int
 
 	queue []*invocation
+
+	// The pooled event records (records.go).
+	arrivals freeList[arrival, *arrival]
+	invos    freeList[invocation, *invocation]
+	timers   freeList[timer, *timer]
+	// lru is ensureCacheFits' scratch list of eviction candidates.
+	lru []*container.Instance
 
 	stats Stats
 
@@ -121,6 +132,7 @@ func New(cfg Config, eng *sim.Engine) *Platform {
 		prewarm:  make(map[runtime.Language][]*container.Prewarmed),
 		cpuAvail: cfg.CPUs,
 		bus:      obs.NewBus(eng),
+		arrivals: freeList[arrival, *arrival]{max: recordSlab, slab: arrivalSlab},
 	}
 	if cfg.PrewarmPerLanguage > 0 {
 		// The initial stem cells exist before the first request.
@@ -185,29 +197,6 @@ func (p *Platform) ResetStats() { p.stats = Stats{} }
 // (evictions, destroys) and emits its own events on it.
 func (p *Platform) Events() *obs.Bus { return p.bus }
 
-// invocation tracks one request through its (possibly chained) stages.
-type invocation struct {
-	id        int64 // causal-tracing invocation ID, assigned at arrival
-	spec      *workload.Spec
-	arrival   sim.Time
-	stage     int
-	enqueued  sim.Time // when it entered the admission queue
-	waited    sim.Duration
-	requeues  int // restarts after injected OOM kills
-	instances []*container.Instance
-}
-
-// Submit schedules a request for the named function at time t.
-func (p *Platform) Submit(spec *workload.Spec, t sim.Time) {
-	p.eng.At(t, "request:"+spec.Name, func() {
-		p.stats.Requests++
-		p.nextInvo++
-		inv := &invocation{id: p.cfg.InvoBase + p.nextInvo, spec: spec, arrival: t}
-		p.bus.Emit(obs.Event{Kind: obs.EvInvokeSubmit, Inst: -1, Invo: inv.id, Name: spec.Name})
-		p.startStage(inv)
-	})
-}
-
 // SubmitName is Submit by function name.
 func (p *Platform) SubmitName(name string, t sim.Time) error {
 	spec, err := workload.Lookup(name)
@@ -262,12 +251,28 @@ func (p *Platform) tryStart(inv *invocation) bool {
 	return true
 }
 
-// putBack returns an instance taken from the cache after a failed
-// admission.
+// putBack puts a frozen instance into its pool and its USS into the
+// occupancy tally: on a freeze, an AddCached, or a return after a
+// failed admission.
 func (p *Platform) putBack(key poolKey, inst *container.Instance) {
 	// Pool growth amortizes: the slice reaches the pool's steady-state
 	// size within the warmup window and is reused thereafter.
 	p.cached[key] = append(p.cached[key], inst)
+	p.occupancy.Join(inst.AS)
+}
+
+// uncache takes a cached instance out of its pool and the occupancy
+// tally.
+func (p *Platform) uncache(inst *container.Instance) {
+	key := poolKey{inst.Spec.Name, inst.Stage}
+	pool := p.cached[key]
+	for i, q := range pool {
+		if q == inst {
+			p.cached[key] = append(pool[:i], pool[i+1:]...)
+			break
+		}
+	}
+	p.occupancy.Leave(inst.AS)
 }
 
 // takeCached pops the most-recently-used cached instance for the key.
@@ -295,27 +300,16 @@ func (p *Platform) takeCached(key poolKey) *container.Instance {
 	// Removal shrinks: the result is one shorter than pool, so append
 	// writes into pool's own backing array and never grows it.
 	p.cached[key] = append(pool[:pick], pool[pick+1:]...)
+	p.occupancy.Leave(inst.AS)
 	return inst
 }
 
-// cachedUSS sums the actual memory consumption of all cached
-// instances — what OpenWhisk monitors to decide eviction, and what
-// Desiccant reduces to fit more instances in the cache. Each term is
-// an O(1) read of the address space's USS counter, so the sum is
-// O(cached instances) however many library pages they share.
-func (p *Platform) cachedUSS() int64 {
-	var sum int64
-	for _, pool := range p.cached {
-		for _, inst := range pool {
-			sum += inst.USS()
-		}
-	}
-	return sum
-}
-
 // MemoryUsed reports the instance cache's occupancy: the accumulated
-// USS of all frozen instances (what OpenWhisk monitors, §4.2).
-func (p *Platform) MemoryUsed() int64 { return p.cachedUSS() }
+// USS of all frozen instances — what OpenWhisk monitors to decide
+// eviction (§4.2), and what Desiccant reduces to fit more instances in
+// the cache. The occupancy tally keeps the sum as the instances' pages
+// change hands, so the read is O(1).
+func (p *Platform) MemoryUsed() int64 { return p.occupancy.Bytes() }
 
 // MemoryUsedFraction is MemoryUsed over the cache size — "the portion
 // of used memory of frozen instances", Desiccant's activation signal.
@@ -330,31 +324,34 @@ func (p *Platform) ensureCacheFits() {
 	if p.MemoryUsed() <= p.cfg.CacheBytes {
 		return
 	}
-	// Recompute after every eviction: destroying an instance can
+	// Re-read after every eviction: destroying an instance can
 	// *increase* the survivors' USS (library pages it shared become
 	// private to them), so subtracting the victim's USS would
-	// under-evict. The recount is O(cached instances) per eviction.
-	for _, inst := range p.cachedByLRU() {
+	// under-evict. The tally carries those credits.
+	p.lru = p.appendByLRU(p.lru[:0])
+	for _, inst := range p.lru {
 		if p.MemoryUsed() <= p.cfg.CacheBytes {
 			break
 		}
 		p.evict(inst, obs.EvictPressure)
 	}
+	clear(p.lru) // pin no dead instance
 }
 
-// cachedByLRU returns all cached instances, least-recently-used first.
-func (p *Platform) cachedByLRU() []*container.Instance {
-	var all []*container.Instance
+// appendByLRU appends all cached instances to dst, least-recently-used
+// first.
+func (p *Platform) appendByLRU(dst []*container.Instance) []*container.Instance {
+	start := len(dst)
 	for _, pool := range p.cached {
-		all = append(all, pool...)
+		dst = append(dst, pool...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].LastUsed() != all[j].LastUsed() {
-			return all[i].LastUsed() < all[j].LastUsed()
+	slices.SortFunc(dst[start:], func(a, b *container.Instance) int {
+		if c := cmp.Compare(a.LastUsed(), b.LastUsed()); c != 0 {
+			return c
 		}
-		return all[i].ID < all[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	return all
+	return dst
 }
 
 // CachedInstances returns the frozen instances currently in the cache
@@ -365,7 +362,7 @@ func (p *Platform) cachedByLRU() []*container.Instance {
 // across runs at the same seed; TestCachedInstancesDeterministicOrder
 // and core's TestVictimSelectionOrderDeterministic pin the contract.
 func (p *Platform) CachedInstances() []*container.Instance {
-	return p.cachedByLRU()
+	return p.appendByLRU(nil)
 }
 
 // AddCached inserts an externally-prepared frozen instance into the
@@ -376,8 +373,7 @@ func (p *Platform) AddCached(inst *container.Instance) {
 	if inst.Status() != container.Frozen {
 		panic("faas: AddCached requires a frozen instance")
 	}
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	p.cached[key] = append(p.cached[key], inst)
+	p.putBack(poolKey{inst.Spec.Name, inst.Stage}, inst)
 	p.noteFreeze(inst)
 	p.ensureCacheFits()
 	p.scheduleKeepAlive(inst)
@@ -393,14 +389,9 @@ func (p *Platform) noteFreeze(inst *container.Instance) {
 // IsCached reports whether inst currently sits in the frozen-instance
 // cache. Desiccant re-checks this when a deferred reclamation starts:
 // the instance may have been taken for a request (thawed) or evicted
-// in between.
+// in between. It reads the instance's tally membership, in O(1).
 func (p *Platform) IsCached(inst *container.Instance) bool {
-	for _, q := range p.cached[poolKey{inst.Spec.Name, inst.Stage}] {
-		if q == inst {
-			return true
-		}
-	}
-	return false
+	return p.occupancy.Has(inst.AS)
 }
 
 // evict destroys a cached instance. Per §4.2, eviction is oblivious
@@ -408,14 +399,7 @@ func (p *Platform) IsCached(inst *container.Instance) bool {
 // destroyed safely. reason is an obs.Evict* constant; only
 // obs.EvictPressure is Desiccant's pressure signal (§4.5.1).
 func (p *Platform) evict(inst *container.Instance, reason int64) {
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	pool := p.cached[key]
-	for i, q := range pool {
-		if q == inst {
-			p.cached[key] = append(pool[:i], pool[i+1:]...)
-			break
-		}
-	}
+	p.uncache(inst)
 	p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
 		Bytes: inst.USS(), Aux: reason})
 	p.stats.Evictions++
@@ -477,35 +461,43 @@ func (p *Platform) coldBoot(inv *invocation) {
 		bootKind = obs.BootRestore
 		p.stats.Restores++
 	}
+	inv.pw, inv.dur, inv.bootKind = pw, boot, bootKind
+	inv.arm(stepBoot, boot)
+}
+
+// booted completes a boot: the instance is created and the stage
+// executes on it.
+func (p *Platform) booted(inv *invocation) {
+	boot := inv.dur
 	bootCPU := maxF(p.cfg.ColdBootCPU, p.cfg.PerInstanceCPU)
-	p.eng.After(boot, "boot:"+inv.spec.Name, func() {
-		p.stats.CPUBusy += sim.Duration(float64(boot) * bootCPU)
-		inst, err := p.createInstance(inv, pw)
-		if err != nil {
-			// No instance exists to kill: hand the boot share back and
-			// fail the request, as execute does for a body that runs out
-			// of memory. EvInvokeDrop closes the invocation's span.
-			p.releaseCPU(bootCPU)
-			p.stats.Drops++
-			p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: -1,
-				Name: "boot failed: " + inv.spec.Name + ": " + err.Error()})
-			p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: -1, Invo: inv.id,
-				Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropBootFailure,
-				Bytes: int64(boot)})
-			p.pumpQueue()
-			return
-		}
-		// Swap the boot share for the execution share.
+	p.stats.CPUBusy += sim.Duration(float64(boot) * bootCPU)
+	inst, err := p.createInstance(inv, inv.pw)
+	inv.pw = nil
+	if err != nil {
+		// No instance exists to kill: hand the boot share back and
+		// fail the request, as execute does for a body that runs out
+		// of memory. EvInvokeDrop closes the invocation's span.
 		p.releaseCPU(bootCPU)
-		p.acquireCPU(p.cfg.PerInstanceCPU)
-		// Emitted at boot completion; Dur covers the boot, so the span
-		// builder recovers the boot start as Time - Dur. Aux
-		// distinguishes the cold / prewarm-assign / restore paths.
-		p.bus.Emit(obs.Event{Kind: obs.EvColdBoot, Inst: inst.ID, Invo: inv.id,
-			Name: inv.spec.Name, Dur: boot, Bytes: p.cfg.InstanceBudget, Aux: bootKind})
-		p.noteInFlight(inst)
-		p.execute(inv, inst)
-	})
+		p.stats.Drops++
+		p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: -1,
+			Name: "boot failed: " + inv.spec.Name + ": " + err.Error()})
+		p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: -1, Invo: inv.id,
+			Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropBootFailure,
+			Bytes: int64(boot)})
+		p.release(inv)
+		p.pumpQueue()
+		return
+	}
+	// Swap the boot share for the execution share.
+	p.releaseCPU(bootCPU)
+	p.acquireCPU(p.cfg.PerInstanceCPU)
+	// Emitted at boot completion; Dur covers the boot, so the span
+	// builder recovers the boot start as Time - Dur. Aux
+	// distinguishes the cold / prewarm-assign / restore paths.
+	p.bus.Emit(obs.Event{Kind: obs.EvColdBoot, Inst: inst.ID, Invo: inv.id,
+		Name: inv.spec.Name, Dur: boot, Bytes: p.cfg.InstanceBudget, Aux: inv.bootKind})
+	p.noteInFlight(inst)
+	p.execute(inv, inst)
 }
 
 // createInstance builds the instance a finished boot hands the
@@ -574,10 +566,8 @@ func (p *Platform) runWarm(inv *invocation, inst *container.Instance) {
 	}
 	p.bus.Emit(obs.Event{Kind: obs.EvThaw, Inst: inst.ID, Invo: inv.id, Name: inv.spec.Name,
 		Dur: warmStart, Aux: aux})
-	p.eng.After(warmStart, "thaw:"+inv.spec.Name, func() {
-		p.stats.CPUBusy += sim.Duration(float64(warmStart) * p.cfg.PerInstanceCPU)
-		p.execute(inv, inst)
-	})
+	inv.inst = inst
+	inv.arm(stepThaw, warmStart)
 }
 
 // execute runs the stage body on the instance and schedules completion.
@@ -598,6 +588,7 @@ func (p *Platform) execute(inv *invocation, inst *container.Instance) {
 			Name: "oom-kill: " + inv.spec.Name})
 		p.bus.Emit(obs.Event{Kind: obs.EvInvokeDrop, Inst: inst.ID, Invo: inv.id,
 			Name: inv.spec.Name, Dur: p.eng.Now().Sub(inv.arrival), Aux: obs.DropOOMFailure})
+		p.release(inv)
 		p.finishInstance(inst, true)
 		p.pumpQueue()
 		return
@@ -624,11 +615,9 @@ func (p *Platform) execute(inv *invocation, inst *container.Instance) {
 	// the execution segment without re-deriving rounding.
 	p.bus.Emit(obs.Event{Kind: obs.EvInvokeStart, Inst: inst.ID, Invo: inv.id,
 		Name: inv.spec.Name, Dur: wall, Aux: int64(gcWall), Bytes: int64(faultWall)})
-	done := p.eng.After(wall, "exec:"+inv.spec.Name, func() {
-		p.stats.CPUBusy += sim.Duration(float64(wall) * p.cfg.PerInstanceCPU)
-		p.completeStage(inv, inst)
-	})
-	p.maybeScheduleOOMKill(inv, inst, wall, done)
+	inv.inst, inv.dur = inst, wall
+	inv.arm(stepExec, wall)
+	p.maybeScheduleOOMKill(inv, inst, wall)
 }
 
 // completeStage handles a stage finishing: post-exec policy, freeze,
@@ -643,11 +632,9 @@ func (p *Platform) completeStage(inv *invocation, inst *container.Instance) {
 	}
 
 	if postWall > 0 {
-		p.eng.After(postWall, "postgc:"+inv.spec.Name, func() {
-			p.stats.CPUBusy += sim.Duration(float64(postWall) * p.cfg.PerInstanceCPU)
-			p.finishInstance(inst, false)
-			p.pumpQueue()
-		})
+		tm := p.timers.get(p)
+		tm.inst, tm.postGC, tm.dur = inst, true, postWall
+		tm.ev.ScheduleAfter(postWall)
 	} else {
 		p.finishInstance(inst, false)
 		p.pumpQueue()
@@ -682,6 +669,7 @@ func (p *Platform) completeStage(inv *invocation, inst *container.Instance) {
 	if inv.waited > 0 {
 		p.stats.QueueWait.Add(inv.waited.Millis())
 	}
+	p.release(inv)
 }
 
 // finishInstance releases the execution resources and either freezes
@@ -698,8 +686,7 @@ func (p *Platform) finishInstance(inst *container.Instance, kill bool) {
 		return
 	}
 	inst.Freeze(p.eng.Now())
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	p.cached[key] = append(p.cached[key], inst)
+	p.putBack(poolKey{inst.Spec.Name, inst.Stage}, inst)
 	p.noteFreeze(inst)
 	p.ensureCacheFits()
 	p.scheduleKeepAlive(inst)
@@ -710,13 +697,9 @@ func (p *Platform) scheduleKeepAlive(inst *container.Instance) {
 	if p.cfg.KeepAlive <= 0 {
 		return
 	}
-	frozenAt := inst.FrozenAt()
-	p.eng.After(p.cfg.KeepAlive, "keepalive", func() {
-		if inst.Status() == container.Frozen && inst.FrozenAt() == frozenAt {
-			p.evict(inst, obs.EvictKeepAlive)
-			p.pumpQueue()
-		}
-	})
+	tm := p.timers.get(p)
+	tm.inst, tm.frozenAt = inst, inst.FrozenAt()
+	tm.ev.ScheduleAfter(p.cfg.KeepAlive)
 }
 
 // pumpQueue retries queued invocations in arrival order, stopping at

@@ -186,6 +186,7 @@ func (c *Checker) sweep() {
 	c.checkHeapBounds()
 	c.checkManager()
 	c.checkCensus()
+	c.checkOccupancy()
 	c.checkSpans()
 	c.checkMonotone()
 }
@@ -306,6 +307,25 @@ func (c *Checker) checkCensus() {
 		c.fail("census: platform accounts %d instances (cached=%d inflight=%d prewarmed=%d) but machine has %d address spaces",
 			acc, c.platform.CachedCount(), c.platform.InFlightCount(),
 			c.platform.PrewarmedTotal(), spaces)
+	}
+}
+
+// checkOccupancy holds the platform's cache occupancy, an O(1) read of
+// its tally, equal to the walk the tally replaced: the USS of every
+// cached instance, summed. A USS change that bypassed the tally (a
+// page-sharing credit moved to a survivor, say) shows up here.
+func (c *Checker) checkOccupancy() {
+	cached := c.platform.CachedInstances()
+	var sum int64
+	for _, inst := range cached {
+		sum += inst.USS()
+	}
+	if got := c.platform.MemoryUsed(); got != sum {
+		c.fail("occupancy: MemoryUsed %d but the %d cached instances' USS sums to %d",
+			got, len(cached), sum)
+	}
+	if got := c.platform.CachedCount(); got != len(cached) {
+		c.fail("occupancy: CachedCount %d but %d cached instances", got, len(cached))
 	}
 }
 

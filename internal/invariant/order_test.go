@@ -33,7 +33,9 @@ func TestObserverSeesInitialThreshold(t *testing.T) {
 			o.Window = 5 * sim.Second
 			o.Requests = 20
 			o.Observe = observe
-			chaos.RunScenario(o)
+			if _, err := chaos.RunScenario(o); err != nil {
+				t.Fatal(err)
+			}
 		}},
 		{"cluster node", func(observe core.Observer) {
 			o := cluster.DefaultOptions()

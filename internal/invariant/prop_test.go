@@ -43,7 +43,10 @@ func runChecked(o chaos.ScenarioOptions) (*invariant.Checker, *chaos.Result) {
 	o.Observe = func(p *faas.Platform, mgr *core.Manager) {
 		chk = invariant.Attach(p, mgr)
 	}
-	res := chaos.RunScenario(o)
+	res, err := chaos.RunScenario(o)
+	if err != nil {
+		panic(err) // propOptions draws only valid options
+	}
 	return chk, res
 }
 
@@ -78,13 +81,23 @@ func TestPropFaultSchedulesReproducible(t *testing.T) {
 	for _, mode := range []chaos.ManagerMode{chaos.ManagerReclaim, chaos.ManagerSwap} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			o := propOptions(seed, mode)
-			a := chaos.RunScenario(o).Fingerprint()
-			b := chaos.RunScenario(o).Fingerprint()
+			a := mustRun(t, o).Fingerprint()
+			b := mustRun(t, o).Fingerprint()
 			if a != b {
 				t.Fatalf("seed %d mode %s: irreproducible run:\n%s\nvs\n%s", seed, mode, a, b)
 			}
 		}
 	}
+}
+
+// mustRun runs a scenario whose options must validate.
+func mustRun(t *testing.T, o chaos.ScenarioOptions) *chaos.Result {
+	t.Helper()
+	res, err := chaos.RunScenario(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func joinLines(v []string) string {

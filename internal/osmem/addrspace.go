@@ -95,8 +95,11 @@ type AddressSpace struct {
 	// resident anonymous page, plus every resident file page whose
 	// refcount is 1. Anonymous residency changes adjust it in place;
 	// file pages move their credit in Region.ref/unref. It is what
-	// keeps USS() O(1).
+	// keeps USS() O(1). Every change goes through addUSS, which keeps
+	// the space's tally in step.
 	ussPages int64
+	// tally is the occupancy tally the space has joined, or nil.
+	tally *Tally
 
 	minorFaults int64
 	majorFaults int64
@@ -324,7 +327,7 @@ func (r *Region) touchPages(page, n int64, write bool) bool {
 				as.faultCost += (k - reads) * minorFaultCost
 				fileTouched = true
 			} else {
-				as.ussPages += k
+				as.addUSS(k)
 				as.minorFaults += k
 				as.faultCost += k * minorFaultCost
 			}
@@ -344,7 +347,7 @@ func (r *Region) touchPages(page, n int64, write bool) bool {
 				r.ref(i, j)
 				fileTouched = true
 			} else {
-				as.ussPages += k
+				as.addUSS(k)
 			}
 			as.majorFaults += k
 			as.faultCost += k * majorFaultCost
@@ -367,27 +370,32 @@ func (r *Region) touchPages(page, n int64, write bool) bool {
 // previous holder, so the page turns shared exactly as RegionUsage
 // classifies it (refcount 2).
 // It returns the number of 0→1 pages: on a first touch, the pages no
-// mapping had resident, which are read from disk.
+// mapping had resident, which are read from disk. A run of debits to
+// one holder is applied once, when the holder changes.
 func (r *Region) ref(i, j int64) int64 {
 	as := r.as
 	id := int32(as.id)
 	refs := r.file.refs[r.foff+i : r.foff+j]
 	holders := r.file.holders[r.foff+i : r.foff+j]
-	var own, shared int64
+	var own, shared, debit int64
 	var last *AddressSpace
 	for z, rc := range refs {
 		switch rc {
 		case 0:
 			own++
 		case 1:
-			last = as.machine.holder(last, holders[z])
-			last.ussPages--
+			if h := as.machine.holder(last, holders[z]); h != last {
+				last.addUSS(-debit)
+				last, debit = h, 0
+			}
+			debit++
 			shared++
 		}
 		refs[z] = rc + 1
 		holders[z] ^= id
 	}
-	as.ussPages += own
+	last.addUSS(-debit)
+	as.addUSS(own)
 	r.file.shared += shared
 	return own
 }
@@ -400,7 +408,7 @@ func (r *Region) unref(i, j int64) {
 	id := int32(as.id)
 	refs := r.file.refs[r.foff+i : r.foff+j]
 	holders := r.file.holders[r.foff+i : r.foff+j]
-	var own, shared int64
+	var own, shared, credit int64
 	var last *AddressSpace
 	for z, rc := range refs {
 		h := holders[z] ^ id
@@ -410,12 +418,16 @@ func (r *Region) unref(i, j int64) {
 		case 1:
 			own--
 		case 2:
-			last = as.machine.holder(last, h)
-			last.ussPages++
+			if s := as.machine.holder(last, h); s != last {
+				last.addUSS(credit)
+				last, credit = s, 0
+			}
+			credit++
 			shared--
 		}
 	}
-	as.ussPages += own
+	last.addUSS(credit)
+	as.addUSS(own)
 	r.file.shared += shared
 }
 
@@ -467,7 +479,7 @@ func (r *Region) releasePages(page, n int64) {
 				r.unref(i, j)
 				fileTouched = true
 			} else {
-				r.as.ussPages -= k
+				r.as.addUSS(-k)
 			}
 		case pageSwapped:
 			m.swapPages -= k
@@ -611,7 +623,7 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 				r.unref(i, i+c)
 				fileTouched = true
 			} else {
-				r.as.ussPages -= c
+				r.as.addUSS(-c)
 			}
 			fillBytes(pb[i:i+c], pageSwapped|(v&pageDirty))
 		}

@@ -9,7 +9,7 @@ import (
 // and returns a description of every inconsistency found (empty when
 // the books balance). It exists for the invariant checker: the
 // incremental counters (Region.resident, Machine.physPages, file
-// refcounts and holders, AddressSpace.ussPages) are what every
+// refcounts and holders, AddressSpace.ussPages, the tallies) are what every
 // USS/RSS/PSS query reads, so a drift between them and the underlying
 // page states — a double-free, a missed decrement, a stale refcount —
 // would silently corrupt every experiment. Audit is O(total mapped pages); callers run it on a
@@ -139,6 +139,32 @@ func (m *Machine) Audit() []string {
 		if uss[k] != as.ussPages {
 			bad = append(bad, fmt.Sprintf(
 				"space %s: USS counter %d pages, recount %d", as.label, as.ussPages, uss[k]))
+		}
+	}
+
+	// Each tally's sum and size must equal its members' recounted USS
+	// and number: its members are live spaces (Destroy takes a space
+	// out), so the spaces pointing at a tally are all of them.
+	type recount struct{ pages, n int64 }
+	tallies := make(map[*Tally]*recount)
+	var order []*Tally
+	for k, as := range spaces {
+		if as.tally == nil {
+			continue
+		}
+		rc := tallies[as.tally]
+		if rc == nil {
+			rc = &recount{}
+			tallies[as.tally] = rc
+			order = append(order, as.tally)
+		}
+		rc.pages += uss[k]
+		rc.n++
+	}
+	for _, t := range order {
+		if rc := tallies[t]; rc.pages != t.pages || rc.n != int64(t.n) {
+			bad = append(bad, fmt.Sprintf(
+				"tally: %d pages over %d spaces, recount %d over %d", t.pages, t.n, rc.pages, rc.n))
 		}
 	}
 

@@ -284,7 +284,8 @@ func (m *Machine) NewAddressSpace(label string) *AddressSpace {
 }
 
 // Destroy tears down an address space, releasing all its physical
-// pages and swap slots. Using the address space afterwards panics.
+// pages and swap slots, and takes it out of its tally. Using the
+// address space afterwards panics.
 func (m *Machine) Destroy(as *AddressSpace) {
 	if as.machine != m {
 		panic("osmem: Destroy on foreign address space")
@@ -294,6 +295,9 @@ func (m *Machine) Destroy(as *AddressSpace) {
 		r.dropPB()
 	}
 	as.regions = nil
+	if as.tally != nil {
+		as.tally.Leave(as) // its USS is 0 now: it only stops counting
+	}
 	as.dead = true
 	delete(m.spaces, as.id)
 }

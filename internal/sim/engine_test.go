@@ -393,6 +393,30 @@ func TestDeliverPastPanics(t *testing.T) {
 	en.Deliver(0, 3, "past", func() {})
 }
 
+// TestDeliverSourceRange: a source outside the key's lane field would
+// alias another source's lane, so it panics; the largest one orders
+// after every smaller one.
+func TestDeliverSourceRange(t *testing.T) {
+	en := NewEngine()
+	var order []int
+	en.Deliver(maxSources-1, 5, "last", func() { order = append(order, maxSources-1) })
+	en.Deliver(0, 5, "first", func() { order = append(order, 0) })
+	en.Run()
+	if len(order) != 2 || order[0] != 0 {
+		t.Fatalf("order %v, want source 0 first", order)
+	}
+	for _, src := range []int{-1, maxSources} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Deliver from source %d did not panic", src)
+				}
+			}()
+			en.Deliver(src, 6, "bad", func() {})
+		}()
+	}
+}
+
 // TestEngineLongIdleJump pins exact clocks across long empty stretches
 // of virtual time: events separated by hours fire in order at their
 // own instants.
@@ -497,23 +521,143 @@ func TestEnginePendingDropsOnCancel(t *testing.T) {
 	}
 }
 
-// TestEngineSiftAllocs pins At + Step on a queue holding 64 events at
-// exactly one allocation, the *Event: pushing and popping sift through
-// the heap, and no comparison on the way may allocate.
+// nop is a Handler that does nothing, for caller-owned test events.
+type nop struct{}
+
+func (nop) Fire()         {}
+func (nop) Label() string { return "nop" }
+
+// TestEngineSiftAllocs pins schedule + Step on a queue holding 64
+// events: a caller-owned event allocates nothing, and the At wrapper
+// exactly one, the event with its callback and label. Pushing and popping sift
+// through the heap, and no comparison on the way may allocate.
 func TestEngineSiftAllocs(t *testing.T) {
 	en := NewEngine()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		en.At(Time(Duration(i+1)*Hour), "queued", fn)
 	}
-	got := testing.AllocsPerRun(100, func() {
-		en.At(en.Now(), "sift", fn)
-		en.Step()
+	t.Run("caller-owned", func(t *testing.T) {
+		var e Event
+		e.Bind(en, nop{})
+		got := testing.AllocsPerRun(100, func() {
+			e.Schedule(en.Now())
+			en.Step()
+		})
+		if got != 0 {
+			t.Fatalf("Schedule + Step on a 64-event queue allocates %v/op, want 0", got)
+		}
 	})
-	if got != 1 {
-		t.Fatalf("At + Step on a 64-event queue allocates %v/op, want 1 (the *Event)", got)
-	}
+	t.Run("wrapper", func(t *testing.T) {
+		got := testing.AllocsPerRun(100, func() {
+			en.At(en.Now(), "sift", fn)
+			en.Step()
+		})
+		if got != 1 {
+			t.Fatalf("At + Step on a 64-event queue allocates %v/op, want 1 (the event)", got)
+		}
+	})
 	if en.Pending() != 64 {
 		t.Fatalf("pending = %d, want 64", en.Pending())
 	}
 }
+
+// labelCounter is a Handler that counts the labels it builds.
+type labelCounter struct {
+	prefix, name string
+	built        int
+}
+
+func (*labelCounter) Fire() {}
+func (l *labelCounter) Label() string {
+	l.built++
+	return l.prefix + l.name
+}
+
+// TestLabelBuiltOnlyForHook pins that a caller-owned event's label is
+// its handler's, built when a fire hook sees it fire and never by an
+// unobserved engine.
+func TestLabelBuiltOnlyForHook(t *testing.T) {
+	en := NewEngine()
+	h := &labelCounter{prefix: "exec:", name: "fft"}
+	var e Event
+	e.Bind(en, h)
+	e.Schedule(1)
+	en.Step()
+	if h.built != 0 {
+		t.Fatalf("an unobserved engine built %d labels", h.built)
+	}
+	var seen []string
+	en.SetFireHook(func(label string, _ Time, _ int) { seen = append(seen, label) })
+	e.Schedule(2)
+	en.Step()
+	h.prefix, h.name = "keepalive", ""
+	e.Schedule(3)
+	en.Step()
+	if strings.Join(seen, ",") != "exec:fft,keepalive" || h.built != 2 {
+		t.Fatalf("hook saw %q after %d builds", seen, h.built)
+	}
+}
+
+// TestCallerOwnedReArm covers a caller-owned event's life: a zero
+// Event is not pending, Schedule on a pending event moves it (it fires
+// once, at the new time, behind the events already at that instant),
+// a handler may re-arm its own event, and Bind of a pending event
+// panics.
+func TestCallerOwnedReArm(t *testing.T) {
+	en := NewEngine()
+	var e Event
+	if e.Pending() {
+		t.Fatal("zero Event is pending")
+	}
+	e.Cancel() // never scheduled: a no-op
+	var fired []Time
+	var order []string
+	var h handlerFunc
+	h = func() {
+		fired = append(fired, en.Now())
+		order = append(order, "e")
+		if len(fired) == 2 {
+			e.Schedule(en.Now().Add(5))
+		}
+	}
+	e.Bind(en, h)
+	en.At(20, "other", func() { order = append(order, "other") })
+	e.Schedule(10)
+	e.Schedule(20) // moved: now behind "other" at t=20
+	if en.Pending() != 2 {
+		t.Fatalf("pending = %d after a move, want 2", en.Pending())
+	}
+	en.At(20, "probe", func() { order = append(order, "probe") })
+	en.Run()
+	if len(fired) != 1 || fired[0] != 20 {
+		t.Fatalf("moved event fired at %v, want [20]", fired)
+	}
+	if got := strings.Join(order, ","); got != "other,e,probe" {
+		t.Fatalf("order at t=20 %q, want other,e,probe", got)
+	}
+	e.Schedule(30)
+	en.Run()
+	want := []Time{20, 30, 35}
+	if len(fired) != len(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired at %v, want %v", fired, want)
+		}
+	}
+	e.Schedule(40)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bind of a pending event did not panic")
+		}
+	}()
+	e.Bind(en, h)
+}
+
+// handlerFunc adapts a function to Handler in tests.
+type handlerFunc func()
+
+func (f handlerFunc) Fire()         { f() }
+func (f handlerFunc) Label() string { return "handler" }
