@@ -9,6 +9,10 @@
 //	desiccant-sim <experiment> [-quick] [-seed N] [-parallel N] [-o file]
 //	desiccant-sim all [-quick] [-seed N] [-parallel N] [-o dir]
 //
+// `all` writes <name>.csv for every experiment, plus the side exports
+// its optional flags accept: <name>.trace.json, observe.metrics.csv,
+// calibrate.json and <name>.summary.txt.
+//
 // `desiccant-sim list` prints every registered experiment.
 package main
 
@@ -115,36 +119,11 @@ func run(args []string) error {
 		return runAll(opts, f.out)
 	}
 
-	var outs []*output
-	for _, ex := range []struct {
-		path string
-		dst  *io.Writer
-	}{{f.tracePath, &opts.Trace}, {f.metricsPath, &opts.Metrics}, {f.jsonPath, &opts.Validation}} {
-		if ex.path == "" {
-			continue
-		}
-		o, err := create(ex.path)
-		if err != nil {
-			closeAll(outs)
-			return err
-		}
-		outs = append(outs, o)
-		*ex.dst = o
-	}
-	w, err := create(f.out)
-	if err != nil {
-		closeAll(outs)
-		return err
-	}
-	outs = append(outs, w)
 	// Wall-clock here only times the run for the progress line on
 	// stderr; nothing simulated observes it.
 	started := time.Now() //lint:allow simtime
-	err = experiments.Run(cmd, w, opts)
-	if cerr := closeAll(outs); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	runCmd := func(w io.Writer, opts experiments.Options) error { return experiments.Run(cmd, w, opts) }
+	if err := runTo(runCmd, opts, f.out, exports{f.tracePath, f.metricsPath, f.jsonPath}); err != nil {
 		return err
 	}
 	elapsed := time.Since(started) //lint:allow simtime
@@ -152,10 +131,71 @@ func run(args []string) error {
 	return nil
 }
 
-// runAll regenerates every experiment. Whole experiments run
-// concurrently (each one also fans its own sweep out); every
-// experiment writes to its own file, and the progress log prints in
-// registry order once all are done, so the output stays deterministic.
+// exports are the side-output paths of one run; an empty path is not
+// written.
+type exports struct{ trace, metrics, json string }
+
+// runTo runs one experiment with its main output at out (stdout when
+// empty) and each side output at its path in ex. Every file it
+// creates is closed before it returns.
+func runTo(run func(io.Writer, experiments.Options) error, opts experiments.Options, out string, ex exports) error {
+	var outs []*output
+	for _, x := range []struct {
+		path string
+		dst  *io.Writer
+	}{{ex.trace, &opts.Trace}, {ex.metrics, &opts.Metrics}, {ex.json, &opts.Validation}} {
+		if x.path == "" {
+			continue
+		}
+		o, err := create(x.path)
+		if err != nil {
+			closeAll(outs)
+			return err
+		}
+		outs = append(outs, o)
+		*x.dst = o
+	}
+	w, err := create(out)
+	if err != nil {
+		closeAll(outs)
+		return err
+	}
+	outs = append(outs, w)
+	err = run(w, opts)
+	if cerr := closeAll(outs); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// runEntry writes one experiment's exports into dir: <name>.csv, and
+// one file for each output flag its entry accepts. -trace writes
+// <name>.trace.json, -metrics <name>.metrics.csv and -json <name>.json
+// beside the CSV; -summary writes <name>.summary.txt from a second run
+// with Summary set. -intensity is an input and writes nothing.
+func runEntry(e experiments.Entry, opts experiments.Options, dir string) error {
+	side := func(flag, suffix string) string {
+		if !slices.Contains(e.Flags, flag) {
+			return ""
+		}
+		return filepath.Join(dir, e.Name+suffix)
+	}
+	ex := exports{side("trace", ".trace.json"), side("metrics", ".metrics.csv"), side("json", ".json")}
+	if err := runTo(e.Run, opts, filepath.Join(dir, e.Name+".csv"), ex); err != nil {
+		return err
+	}
+	if summary := side("summary", ".summary.txt"); summary != "" {
+		opts.Summary = true
+		return runTo(e.Run, opts, summary, exports{})
+	}
+	return nil
+}
+
+// runAll regenerates every experiment with all its exports (runEntry).
+// Whole experiments run concurrently (each one also fans its own sweep
+// out); every experiment writes to its own files, and the progress log
+// prints in registry order once all are done, so the output stays
+// deterministic.
 func runAll(opts experiments.Options, dir string) error {
 	if dir == "" {
 		dir = "."
@@ -166,21 +206,11 @@ func runAll(opts experiments.Options, dir string) error {
 	entries := experiments.List()
 	durations := make([]time.Duration, len(entries))
 	err := experiments.ForEach(opts.Parallel, len(entries), func(i int) error {
-		e := entries[i]
-		o, err := create(filepath.Join(dir, e.Name+".csv"))
-		if err != nil {
-			return err
-		}
 		// Progress reporting again: the duration lands on stderr, never
 		// in a CSV.
 		started := time.Now() //lint:allow simtime
-		err = e.Run(o, opts)
-		cerr := o.close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-		if cerr != nil {
-			return cerr
+		if err := runEntry(entries[i], opts, dir); err != nil {
+			return fmt.Errorf("%s: %w", entries[i].Name, err)
 		}
 		durations[i] = time.Since(started) //lint:allow simtime
 		return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
@@ -121,5 +122,45 @@ func TestRunAllRejectsBadDir(t *testing.T) {
 	}
 	if err := run([]string{"all", "-o", filepath.Join(f, "sub")}); err == nil {
 		t.Fatal("bad output dir accepted")
+	}
+}
+
+// TestAllSideExports runs the observe and calibrate entries the way
+// `all` does and checks that every side file it writes is byte
+// identical to the standalone run with that flag.
+func TestAllSideExports(t *testing.T) {
+	dir, alone := t.TempDir(), t.TempDir()
+	for _, e := range experiments.List() {
+		if e.Name == "observe" || e.Name == "calibrate" {
+			if err := runEntry(e, experiments.Options{Quick: true}, dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	at := func(name string) string { return filepath.Join(alone, name) }
+	for _, args := range [][]string{
+		{"observe", "-quick", "-trace", at("observe.trace.json"), "-metrics", at("observe.metrics.csv"), "-o", at("observe.csv")},
+		{"observe", "-quick", "-summary", "-o", at("observe.summary.txt")},
+		{"calibrate", "-quick", "-json", at("calibrate.json"), "-o", at("calibrate.csv")},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+	}
+	for _, name := range []string{"observe.csv", "observe.trace.json", "observe.metrics.csv", "observe.summary.txt", "calibrate.csv", "calibrate.json"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(at(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s: all wrote %d bytes, the standalone run %d, or they differ", name, len(got), len(want))
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 6 {
+		t.Errorf("observe and calibrate wrote %d files, want 6", len(files))
 	}
 }

@@ -94,7 +94,7 @@ func run(w io.Writer, fn string, rate, durationSec float64, setup string, cacheM
 		for sec := 1.0; sec <= durationSec; sec++ {
 			s.RunUntil(desiccant.Time(desiccant.Seconds(sec)))
 			fmt.Fprintf(w, "%.0f,%.1f,%d,%d,%d\n", sec,
-				float64(p.MemoryUsed())/(1<<20), len(p.CachedInstances()),
+				float64(p.MemoryUsed())/(1<<20), p.CachedCount(),
 				p.Stats().ColdBoots, p.Stats().Evictions)
 		}
 	}

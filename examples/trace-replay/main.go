@@ -72,7 +72,7 @@ func runSetup(w io.Writer, setup string, assignments []trace.Assignment) (coldRa
 	fmt.Fprintf(w, "%-10s %12.3f %12.2f %10.1f %10.1f %10d %12d\n",
 		setup, st.ColdBootRate(), float64(st.Completions)/replay.Seconds(),
 		st.Latency.Percentile(50), st.Latency.Percentile(99),
-		st.Evictions, len(p.CachedInstances()))
+		st.Evictions, p.CachedCount())
 	if s.Manager != nil {
 		ms := s.Manager.Stats()
 		fmt.Fprintf(w, "%-10s reclaimed %d instances, released %.1f MiB, burned %v CPU\n",

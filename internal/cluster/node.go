@@ -187,7 +187,8 @@ func (n *Node) kill() {
 	}
 	survivors := n.c.survivorsAt(n.eng.Now())
 	i := 0
-	for _, inst := range n.platform.CachedInstances() {
+	// A copy of its own: evicting and detaching change the cache.
+	for _, inst := range n.platform.AppendCached(nil) {
 		if inst.Reclaiming || len(survivors) == 0 {
 			if n.platform.EvictCached(inst, obs.EvictNodeDead) {
 				n.drainEvicted++

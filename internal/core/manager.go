@@ -199,6 +199,9 @@ type Manager struct {
 	stats          Stats
 	checkEvent     *sim.Event
 	stopped        bool
+	// candidates is selectCandidate's scratch list, reused across picks
+	// and cleared after each so it pins no dead instance.
+	candidates []*container.Instance
 }
 
 // Observer hooks into a machine once its platform and (unstarted)
@@ -602,8 +605,11 @@ func (m *Manager) heapMemory(inst *container.Instance) int64 {
 // selectCandidate picks the next instance to reclaim.
 func (m *Manager) selectCandidate() *container.Instance {
 	now := m.eng.Now()
-	var candidates []*container.Instance
-	for _, inst := range m.platform.CachedInstances() {
+	m.candidates = m.platform.AppendCached(m.candidates[:0])
+	defer clear(m.candidates)
+	// Filter in place: the write index never passes the read index.
+	candidates := m.candidates[:0]
+	for _, inst := range m.candidates {
 		if inst.Reclaiming || inst.Status() != container.Frozen {
 			continue
 		}

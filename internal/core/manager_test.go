@@ -405,7 +405,7 @@ func TestManagerProfilesImproveWithObservations(t *testing.T) {
 		t.Skipf("not enough reclamations to compare: %+v", mgr.Stats())
 	}
 	// After at least one observation, estimates must come from data.
-	cached := p.CachedInstances()
+	cached := p.AppendCached(nil)
 	if len(cached) == 0 {
 		t.Fatal("no cached instance")
 	}
@@ -520,6 +520,25 @@ func TestVictimSelectionOrderDeterministic(t *testing.T) {
 				t.Fatalf("run %d selected %v, first run selected %v", run, again, first)
 			}
 		}
+	}
+}
+
+// TestSelectCandidateAllocs pins a warm reclamation pick under the
+// default (throughput) selection to zero allocations: the cache is
+// appended into, and filtered within, a slice the manager reuses.
+func TestSelectCandidateAllocs(t *testing.T) {
+	eng, p := testPlatform(t, 2<<30)
+	mgr := startManager(p, testManagerConfig())
+	mgr.Stop()
+	for i, fn := range []string{"fft", "sort", "clock", "fft"} {
+		newFrozenInstance(t, p, fn, i+1)
+	}
+	eng.RunUntil(sim.Time(2 * sim.Second))
+	if mgr.selectCandidate() == nil {
+		t.Fatal("no candidate among four frozen instances")
+	}
+	if n := testing.AllocsPerRun(100, func() { mgr.selectCandidate() }); n != 0 {
+		t.Fatalf("a warm pick allocates %v times, want 0", n)
 	}
 }
 

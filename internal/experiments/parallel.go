@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the experiment suite's parallel execution layer.
-// DESIGN.md §7 guarantees every sub-simulation is a pure function of
+// DESIGN.md §2 guarantees every sub-simulation is a pure function of
 // (seed, parameters): each one builds its own sim.Engine, osmem.Machine
 // and RNG, and the package-level registries (workload specs, runtime
 // factories) are sealed after init. That makes sweeps embarrassingly

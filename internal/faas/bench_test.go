@@ -143,7 +143,7 @@ func BenchmarkMemoryUsed(b *testing.B) {
 		}
 	}
 	eng.Run()
-	if got := len(p.CachedInstances()); got != frozen {
+	if got := p.CachedCount(); got != frozen {
 		b.Fatalf("%d frozen instances, want %d", got, frozen)
 	}
 	// A co-mapper of the same libraries boots, freezes, and is evicted.
@@ -151,7 +151,7 @@ func BenchmarkMemoryUsed(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng.Run()
-	for _, inst := range p.CachedInstances() {
+	for _, inst := range p.AppendCached(nil) {
 		if inst.Spec.Name == "matrix" {
 			p.evict(inst, obs.EvictPressure)
 		}

@@ -26,7 +26,7 @@ import (
 // very memory the migration wants to free. Returns ok=false when no
 // migratable instance exists.
 func (p *Platform) DetachColdest(reason int64) (spec *workload.Spec, stage int, ok bool) {
-	for _, inst := range p.appendByLRU(nil) {
+	for _, inst := range p.AppendCached(nil) {
 		if inst.Reclaiming {
 			continue
 		}

@@ -80,7 +80,7 @@ func TestOccupancyMatchesRecount(t *testing.T) {
 			var co []*coMapper
 			for step := 0; step < 300; step++ {
 				var what string
-				cached := p.CachedInstances()
+				cached := p.AppendCached(nil)
 				switch op := rng.Intn(8); {
 				case op <= 2 || len(cached) == 0:
 					what = "submit"

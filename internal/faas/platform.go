@@ -328,7 +328,7 @@ func (p *Platform) ensureCacheFits() {
 	// *increase* the survivors' USS (library pages it shared become
 	// private to them), so subtracting the victim's USS would
 	// under-evict. The tally carries those credits.
-	p.lru = p.appendByLRU(p.lru[:0])
+	p.lru = p.AppendCached(p.lru[:0])
 	for _, inst := range p.lru {
 		if p.MemoryUsed() <= p.cfg.CacheBytes {
 			break
@@ -338,9 +338,15 @@ func (p *Platform) ensureCacheFits() {
 	clear(p.lru) // pin no dead instance
 }
 
-// appendByLRU appends all cached instances to dst, least-recently-used
-// first.
-func (p *Platform) appendByLRU(dst []*container.Instance) []*container.Instance {
+// AppendCached appends the frozen instances currently in the cache
+// (Desiccant's candidate set) to dst and returns the extended slice;
+// pass nil for a fresh one. The order is deterministic: least recently
+// used first, ties broken by ascending instance ID. The pools
+// themselves are keyed by a map, so this ordering is what keeps
+// victim selection — and with it every reclamation trace — identical
+// across runs at the same seed; TestCachedInstancesDeterministicOrder
+// and core's TestVictimSelectionOrderDeterministic pin the contract.
+func (p *Platform) AppendCached(dst []*container.Instance) []*container.Instance {
 	start := len(dst)
 	for _, pool := range p.cached {
 		dst = append(dst, pool...)
@@ -352,17 +358,6 @@ func (p *Platform) appendByLRU(dst []*container.Instance) []*container.Instance 
 		return cmp.Compare(a.ID, b.ID)
 	})
 	return dst
-}
-
-// CachedInstances returns the frozen instances currently in the cache
-// (Desiccant's candidate set) in a deterministic order: least recently
-// used first, ties broken by ascending instance ID. The pools
-// themselves are keyed by a map, so this ordering is what keeps
-// victim selection — and with it every reclamation trace — identical
-// across runs at the same seed; TestCachedInstancesDeterministicOrder
-// and core's TestVictimSelectionOrderDeterministic pin the contract.
-func (p *Platform) CachedInstances() []*container.Instance {
-	return p.appendByLRU(nil)
 }
 
 // AddCached inserts an externally-prepared frozen instance into the

@@ -74,7 +74,7 @@ func TestChainRunsAllStages(t *testing.T) {
 	}
 	// All four stage instances are now frozen in the cache with their
 	// intermediates released.
-	cached := p.CachedInstances()
+	cached := p.AppendCached(nil)
 	if len(cached) != 4 {
 		t.Fatalf("cached: %d", len(cached))
 	}
@@ -95,7 +95,7 @@ func TestFrozenInstancesHoldFrozenGarbage(t *testing.T) {
 		p.Submit(spec, sim.Time(i)*sim.Time(2*sim.Second))
 	}
 	eng.Run()
-	cached := p.CachedInstances()
+	cached := p.AppendCached(nil)
 	if len(cached) != 1 {
 		t.Fatalf("cached: %d", len(cached))
 	}
@@ -172,7 +172,7 @@ func TestEagerPolicyShrinksFrozenFootprintButBurnsCPU(t *testing.T) {
 			p.Submit(spec, sim.Time(i)*sim.Time(3*sim.Second))
 		}
 		eng.Run()
-		cached := p.CachedInstances()
+		cached := p.AppendCached(nil)
 		if len(cached) != 1 {
 			return p.Stats(), 0
 		}
@@ -199,11 +199,11 @@ func TestKeepAliveEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(2 * sim.Second))
-	if len(p.CachedInstances()) != 1 {
+	if p.CachedCount() != 1 {
 		t.Fatal("instance not cached")
 	}
 	eng.RunUntil(sim.Time(20 * sim.Second))
-	if len(p.CachedInstances()) != 0 {
+	if p.CachedCount() != 0 {
 		t.Fatal("keep-alive did not evict")
 	}
 	if p.Stats().Evictions != 1 {
@@ -388,7 +388,7 @@ func TestCachedInstancesDeterministicOrder(t *testing.T) {
 		return ids
 	}
 	want := []int{1, 2, 3, 4, 5}
-	got := idsOf(p.CachedInstances())
+	got := idsOf(p.AppendCached(nil))
 	if len(got) != len(want) {
 		t.Fatalf("cached %v, want %v", got, want)
 	}
@@ -400,7 +400,7 @@ func TestCachedInstancesDeterministicOrder(t *testing.T) {
 	// The order is a contract, not an accident of one call: repeated
 	// calls must agree exactly.
 	for call := 0; call < 8; call++ {
-		again := idsOf(p.CachedInstances())
+		again := idsOf(p.AppendCached(nil))
 		for i := range want {
 			if again[i] != want[i] {
 				t.Fatalf("call %d returned %v, want %v", call, again, want)
@@ -409,7 +409,7 @@ func TestCachedInstancesDeterministicOrder(t *testing.T) {
 	}
 	// Ordering invariant holds generally: LastUsed ascending, ID
 	// breaking ties.
-	insts := p.CachedInstances()
+	insts := p.AppendCached(nil)
 	for i := 1; i < len(insts); i++ {
 		a, b := insts[i-1], insts[i]
 		if a.LastUsed() > b.LastUsed() ||

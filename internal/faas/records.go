@@ -11,7 +11,7 @@ import (
 
 // The platform's per-request and per-instance events live in pooled
 // records that embed a caller-owned sim.Event, bound to the record once
-// (DESIGN §11). A record goes back to its free list when its work is
+// (DESIGN §7). A record goes back to its free list when its work is
 // done and serves the next request or instance, so the invocation path
 // allocates nothing in steady state.
 

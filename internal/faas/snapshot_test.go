@@ -28,7 +28,7 @@ func TestSnapshotModeNeverCaches(t *testing.T) {
 	if st.WarmStarts != 0 {
 		t.Fatalf("warm starts in snapshot mode: %d", st.WarmStarts)
 	}
-	if len(p.CachedInstances()) != 0 || p.MemoryUsed() != 0 {
+	if p.CachedCount() != 0 || p.MemoryUsed() != 0 {
 		t.Fatal("snapshot mode cached instances")
 	}
 }

@@ -26,7 +26,7 @@ func TestOOMKillPath(t *testing.T) {
 	if st.Completions != 0 {
 		t.Fatal("OOMed request completed")
 	}
-	if len(p.CachedInstances()) != 0 {
+	if p.CachedCount() != 0 {
 		t.Fatal("OOMed instance cached")
 	}
 	// The platform remains healthy for later requests.
@@ -236,7 +236,7 @@ func TestLambdaProfilePlatform(t *testing.T) {
 	}
 	// Lambda images are private: the cached instance's USS includes
 	// its libraries, unlike the OpenWhisk profile with a co-tenant.
-	cached := p.CachedInstances()
+	cached := p.AppendCached(nil)
 	if len(cached) != 1 {
 		t.Fatalf("cached: %d", len(cached))
 	}

@@ -250,7 +250,7 @@ func (c *Checker) checkPageConservation() {
 // and no two spaces overlap — the eden/from/to/old (or semispace/old
 // chunk) geometry survives faults.
 func (c *Checker) checkHeapBounds() {
-	insts := append(c.platform.CachedInstances(), c.platform.InFlightInstances()...)
+	insts := append(c.platform.AppendCached(nil), c.platform.InFlightInstances()...)
 	for _, inst := range insts {
 		sl, ok := inst.Runtime.(runtime.SpaceLayout)
 		if !ok {
@@ -315,7 +315,7 @@ func (c *Checker) checkCensus() {
 // cached instance, summed. A USS change that bypassed the tally (a
 // page-sharing credit moved to a survivor, say) shows up here.
 func (c *Checker) checkOccupancy() {
-	cached := c.platform.CachedInstances()
+	cached := c.platform.AppendCached(nil)
 	var sum int64
 	for _, inst := range cached {
 		sum += inst.USS()
@@ -398,7 +398,7 @@ func (c *Checker) compareMonotone(cur platCounters, mgr core.Stats) {
 
 // findCached returns the cached instance with the given ID, or nil.
 func (c *Checker) findCached(id int) *container.Instance {
-	for _, inst := range c.platform.CachedInstances() {
+	for _, inst := range c.platform.AppendCached(nil) {
 		if inst.ID == id {
 			return inst
 		}

@@ -30,7 +30,7 @@ type ConcurrencySanction struct {
 var SanctionedConcurrency = []ConcurrencySanction{
 	{
 		PathSuffix: "experiments/parallel.go",
-		Reason:     "deterministic worker pool: every task writes its own index-ordered result slot, collection is sequential (DESIGN §7)",
+		Reason:     "deterministic worker pool: every task writes its own index-ordered result slot, collection is sequential (DESIGN §2)",
 	},
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // RawGo confines concurrency to the deterministic worker pool. DESIGN
-// §7 makes sweeps reproducible by funneling every goroutine through
+// §2 makes sweeps reproducible by funneling every goroutine through
 // experiments.ForEach, which assigns each task its own result slot and
 // assembles output in index order. A raw `go` statement — or a
 // hand-rolled sync.WaitGroup fan-out — anywhere else would reintroduce

@@ -144,45 +144,6 @@ func TestResetKeepsPagesResident(t *testing.T) {
 	}
 }
 
-func TestReleaseFreeTail(t *testing.T) {
-	m, s := newSpace(t, 8)
-	s.TryAllocate(s.pool.New(osmem.PageSize+100, false)) // touches pages 0,1
-	s.TryAllocate(s.pool.New(6*osmem.PageSize, false))   // touches up past page 7
-	s.pool.At(s.Objects()[1]).Dead = true
-	// Simulate a sweep: drop the dead tail object manually.
-	objs := append([]Ref(nil), s.Objects()...)
-	if !s.Relocate(objs[:1]) {
-		t.Fatal("relocate failed")
-	}
-	s.ReleaseFreeTail()
-	// Live bytes = PageSize+100 → pages 0,1 stay; the rest released.
-	if m.PhysPages() != 2 {
-		t.Fatalf("phys after release: %d", m.PhysPages())
-	}
-	if s.LiveBytes() != osmem.PageSize+100 {
-		t.Fatalf("live: %d", s.LiveBytes())
-	}
-}
-
-func TestReleaseAll(t *testing.T) {
-	m, s := newSpace(t, 8)
-	s.TryAllocate(s.pool.New(5*osmem.PageSize, false))
-	s.Reset()
-	s.ReleaseAll()
-	if m.PhysPages() != 0 {
-		t.Fatalf("phys: %d", m.PhysPages())
-	}
-	s.TryAllocate(s.pool.New(100, false))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ReleaseAll on non-empty space did not panic")
-			}
-		}()
-		s.ReleaseAll()
-	}()
-}
-
 func TestRelocateCompacts(t *testing.T) {
 	_, s := newSpace(t, 16)
 	var objs []Ref

@@ -233,8 +233,7 @@ func (b *CopyBatch) Flush() {
 
 // SetCapacity grows or shrinks the space's capacity in place (the
 // base is fixed). Shrinking below the bump pointer panics. Shrinking
-// releases nothing by itself; see ReleaseFreeTail and the owning
-// heap's uncommit logic.
+// releases nothing by itself; the owning heap's uncommit logic does.
 func (s *BumpSpace) SetCapacity(capacity int64) {
 	if capacity < s.top {
 		panic(fmt.Sprintf("mm: shrink of %q below used bytes (%d < %d)", s.Name, capacity, s.top))
@@ -243,23 +242,6 @@ func (s *BumpSpace) SetCapacity(capacity int64) {
 		panic(fmt.Sprintf("mm: capacity %d exceeds region for %q", capacity, s.Name))
 	}
 	s.capacity = capacity
-}
-
-// ReleaseFreeTail returns the free bytes above the bump pointer to the
-// OS (full pages only). This is the Desiccant release step from
-// Algorithm 1, line 13: mmap(space.top(), space.end()-space.top()).
-func (s *BumpSpace) ReleaseFreeTail() {
-	s.region.ReleaseBytes(s.base+s.top, s.capacity-s.top)
-}
-
-// ReleaseAll returns every page the space covers to the OS. Valid only
-// when the space is empty (e.g. eden after a full GC); otherwise it
-// would discard live data.
-func (s *BumpSpace) ReleaseAll() {
-	if s.top != 0 {
-		panic(fmt.Sprintf("mm: ReleaseAll on non-empty space %q", s.Name))
-	}
-	s.region.ReleaseBytes(s.base, s.capacity)
 }
 
 // ResidentBytes reports the resident OS pages overlapping the space.

@@ -172,12 +172,6 @@ func (as *AddressSpace) Usage() Usage {
 // in O(1) instead of summing the regions.
 func (as *AddressSpace) USS() int64 { return as.ussPages * PageSize }
 
-// RSS returns the address space's resident set size in bytes.
-func (as *AddressSpace) RSS() int64 { return as.Usage().RSS }
-
-// PSS returns the address space's proportional set size in bytes.
-func (as *AddressSpace) PSS() float64 { return as.Usage().PSS }
-
 // SmapsEntry is one line of the simulated /proc/<pid>/smaps.
 type SmapsEntry struct {
 	Region *Region

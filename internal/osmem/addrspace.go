@@ -528,11 +528,12 @@ func (r *Region) ProtectRW() {
 	r.access = true
 }
 
-// SwapOut pushes resident pages in the range out to the swap device
-// (anon) or simply drops them (file-backed clean pages can always be
-// re-read). This is the §5.6 swapping baseline: the OS has no runtime
-// semantics, so callers typically swap entire regions, live data
-// included.
+// SwapOutUpTo pushes resident pages in [page, page+n) out to the swap
+// device (anon) or simply drops them (file-backed clean pages can
+// always be re-read), in ascending page order, stopping once maxPages
+// pages have moved. This is the §5.6 swapping baseline: the OS has no
+// runtime semantics, so callers typically swap entire regions, live
+// data included, under the machine's swap budget.
 //
 // It returns the number of pages that actually moved to the swap
 // device. Clean file drops are not counted (they consume no swap
@@ -540,18 +541,6 @@ func (r *Region) ProtectRW() {
 // simply stay resident — exactly what Linux does when swap fills up —
 // so callers must use the return value, not the requested range, for
 // swap accounting.
-func (r *Region) SwapOut(page, n int64) int64 {
-	r.checkRange(page, n)
-	moved := r.swapOutPages(page, n, -1)
-	r.invalidate()
-	return moved
-}
-
-// SwapOutUpTo behaves exactly like repeated SwapOut(p, 1) calls over
-// [page, page+n) in ascending page order, stopping once maxPages
-// pages have moved to the swap device. It is the bulk primitive
-// behind the budgeted whole-heap swap of the §5.6 baseline. Returns
-// the pages moved.
 func (r *Region) SwapOutUpTo(page, n, maxPages int64) int64 {
 	r.checkRange(page, n)
 	if maxPages < 0 {
@@ -562,9 +551,8 @@ func (r *Region) SwapOutUpTo(page, n, maxPages int64) int64 {
 	return moved
 }
 
-// swapOutPages implements SwapOut run by run. maxMoved < 0 means
-// unbounded; otherwise scanning stops once maxMoved pages have moved
-// (clean file drops are not counted, matching SwapOut's contract).
+// swapOutPages implements SwapOutUpTo run by run: scanning stops once
+// maxMoved pages have moved (clean file drops are not counted).
 func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 	pb := r.pb
 	lim := int64(len(pb))
@@ -580,7 +568,7 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 	var moved int64
 	fileTouched := false
 	for i := page; i < end; {
-		if maxMoved >= 0 && moved >= maxMoved {
+		if moved >= maxMoved {
 			break
 		}
 		j := runEnd(pb, i, end)
@@ -604,7 +592,7 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 		// Dirty (or anonymous) run: swap out up to the device's free
 		// slots and the caller's budget; the rest stays resident.
 		c := k
-		if maxMoved >= 0 && moved+c > maxMoved {
+		if moved+c > maxMoved {
 			c = maxMoved - moved
 		}
 		if m.swapLimit > 0 {

@@ -22,21 +22,6 @@ func benchRuns() []Run {
 	return runs
 }
 
-func BenchmarkTouchRuns(b *testing.B) {
-	m := NewMachine()
-	as := m.NewAddressSpace("bench")
-	r := as.MmapAnon("heap", benchPages*PageSize)
-	runs := benchRuns()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TouchRange(runs, true)
-		// Whole-region reset (one run) so every iteration faults; its
-		// cost is a small constant next to the 256-run touch.
-		r.Release(0, benchPages)
-	}
-}
-
 func BenchmarkReleaseRuns(b *testing.B) {
 	m := NewMachine()
 	as := m.NewAddressSpace("bench")
@@ -116,8 +101,8 @@ func TestBulkPathsZeroAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"TouchRange+ReleaseRuns", func() {
-			r.TouchRange(runs, true)
+		{"Touch+ReleaseRuns", func() {
+			r.Touch(0, benchPages, true)
 			r.ReleaseRuns(runs)
 		}},
 		{"Touch+Release", func() {

@@ -28,7 +28,7 @@ func TestPageCountersTrackFlows(t *testing.T) {
 		t.Fatalf("Releases = %d, want 4", c.Releases)
 	}
 
-	r.SwapOut(4, 3)
+	r.SwapOutUpTo(4, 3, 3)
 	if c = m.PageCounters(); c.SwapOuts != 3 {
 		t.Fatalf("SwapOuts = %d, want 3", c.SwapOuts)
 	}

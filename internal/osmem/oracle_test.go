@@ -540,9 +540,9 @@ func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
 		n := rng.Int63n(pages - page + 1)
 		write := rng.Intn(2) == 0
 
-		op := rng.Intn(14)
-		if !ref.access && (op <= 2 || op == 8) {
-			op = 11 // touching PROT_NONE segfaults; re-enable instead
+		op := rng.Intn(13)
+		if !ref.access && (op <= 1 || op == 7) {
+			op = 10 // touching PROT_NONE segfaults; re-enable instead
 		}
 		var opName string
 		switch op {
@@ -557,38 +557,31 @@ func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
 			r.TouchBytes(off, bn, write)
 			w.ref.touchBytes(ps.ref, ref, off, bn, write)
 		case 2:
-			opName = "TouchRange"
-			runs := randomRuns(rng, bytes)
-			r.TouchRange(runs, write)
-			for _, run := range runs {
-				w.ref.touchBytes(ps.ref, ref, run.Off, run.Len, write)
-			}
-		case 3:
 			opName = "Release"
 			r.Release(page, n)
 			w.ref.release(ref, page, n)
-		case 4:
+		case 3:
 			opName = "ReleaseBytes"
 			off := rng.Int63n(bytes)
 			bn := rng.Int63n(bytes - off + 1)
 			r.ReleaseBytes(off, bn)
 			w.ref.releaseBytes(ref, off, bn)
-		case 5:
+		case 4:
 			opName = "ReleaseRuns"
 			runs := randomRuns(rng, bytes)
 			r.ReleaseRuns(runs)
 			for _, run := range runs {
 				w.ref.releaseBytes(ref, run.Off, run.Len)
 			}
-		case 6:
-			opName = "SwapOut"
-			got := r.SwapOut(page, n)
-			want := w.ref.swapOutUpTo(ref, page, n, pages+1)
+		case 5:
+			opName = "SwapOutUpTo(n)"
+			got := r.SwapOutUpTo(page, n, n)
+			want := w.ref.swapOutUpTo(ref, page, n, n)
 			if got != want {
-				t.Fatalf("%s step %d: SwapOut moved %d, reference %d",
+				t.Fatalf("%s step %d: SwapOutUpTo(n) moved %d, reference %d",
 					id, step, got, want)
 			}
-		case 7:
+		case 6:
 			opName = "SwapOutUpTo"
 			max := rng.Int63n(pages + 1)
 			got := r.SwapOutUpTo(page, n, max)
@@ -597,7 +590,7 @@ func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
 				t.Fatalf("%s step %d: SwapOutUpTo moved %d, reference %d",
 					id, step, got, want)
 			}
-		case 8:
+		case 7:
 			opName = "FaultInUpTo"
 			max := rng.Int63n(pages + 1)
 			got := r.FaultInUpTo(page, n, max)
@@ -606,7 +599,7 @@ func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
 				t.Fatalf("%s step %d: FaultInUpTo faulted %d, reference %d",
 					id, step, got, want)
 			}
-		case 9:
+		case 8:
 			opName = "ReleaseClean"
 			if ref.kind != FileBacked {
 				opName = "noop"
@@ -618,15 +611,15 @@ func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
 				t.Fatalf("%s step %d: ReleaseClean released %d, reference %d",
 					id, step, got, want)
 			}
-		case 10:
+		case 9:
 			opName = "ProtectNone"
 			r.ProtectNone()
 			w.ref.protectNone(ref)
-		case 11:
+		case 10:
 			opName = "ProtectRW"
 			r.ProtectRW()
 			ref.access = true
-		case 12:
+		case 11:
 			// The audit treats occupancy above the limit as drift, so
 			// stay on the legal side: unlimited, or at least the
 			// current occupancy (the chaos layer does the same).
@@ -637,7 +630,7 @@ func runOracleOps(t *testing.T, id string, rng opSource, steps int) {
 			}
 			w.real.SetSwapLimit(limit)
 			w.ref.swapLimit = limit
-		case 13:
+		case 12:
 			opName = "DestroyAndRecreate"
 			w.recreate(k)
 		}

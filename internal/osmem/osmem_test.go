@@ -211,11 +211,11 @@ func TestFileSharingAccounting(t *testing.T) {
 		wantUSS("touch 1→2", 6, 0)
 
 		// Clean pages drop on swap-out; dirty ones move to swap.
-		r2.SwapOut(0, 4)
+		r2.SwapOutUpTo(0, 4, 4)
 		wantUSS("clean swap-out 2→1", 10, 0)
 		r2.Touch(0, 4, true)
 		wantUSS("write touch 1→2", 6, 0)
-		if moved := r2.SwapOut(0, 4); moved != 4 {
+		if moved := r2.SwapOutUpTo(0, 4, 4); moved != 4 {
 			t.Fatalf("dirty swap-out moved %d pages, want 4", moved)
 		}
 		wantUSS("dirty swap-out 2→1", 10, 0)
@@ -277,7 +277,7 @@ func TestSwapOutAndBack(t *testing.T) {
 	r.Touch(0, 32, true)
 	as.DrainFaultCost()
 
-	r.SwapOut(0, 32)
+	r.SwapOutUpTo(0, 32, 32)
 	if r.ResidentPages() != 0 || r.SwappedPages() != 32 {
 		t.Fatalf("swap state: res=%d swap=%d", r.ResidentPages(), r.SwappedPages())
 	}
@@ -328,7 +328,7 @@ func TestMachineString(t *testing.T) {
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("heap", 5<<20)
 	r.Touch(0, r.Pages(), true)
-	r.SwapOut(0, (2<<20)/PageSize)
+	r.SwapOutUpTo(0, (2<<20)/PageSize, (2<<20)/PageSize)
 	m.File("lib.so", PageSize)
 	want := "machine{phys=3MB swap=2MB spaces=1 files=1}"
 	if got := m.String(); got != want {
@@ -342,7 +342,7 @@ func TestSwapOutFileCleanDrops(t *testing.T) {
 	as := m.NewAddressSpace("p")
 	r := as.MmapFile("lib.so", lib, 0, 8)
 	r.Touch(0, 8, false)
-	r.SwapOut(0, 8)
+	r.SwapOutUpTo(0, 8, 8)
 	// Clean file pages are dropped, not written to swap.
 	if m.SwapPages() != 0 {
 		t.Fatalf("clean file pages went to swap: %d", m.SwapPages())
@@ -360,7 +360,7 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	h.Touch(0, 20, true)
 	l := as.MmapFile("lib.so", lib, 0, 10)
 	l.Touch(0, 10, false)
-	h.SwapOut(0, 5)
+	h.SwapOutUpTo(0, 5, 5)
 
 	m.Destroy(as)
 	if m.PhysPages() != 0 || m.SwapPages() != 0 {
@@ -506,7 +506,7 @@ func TestAccountingInvariants(t *testing.T) {
 			case 1:
 				r.Release(page, n)
 			case 2:
-				r.SwapOut(page, n)
+				r.SwapOutUpTo(page, n, n)
 			}
 		}
 		var resident int64
@@ -566,7 +566,7 @@ func checkRecycledPageArrays(t *testing.T, class int) {
 				break
 			}
 		}
-		anon.SwapOut(0, pages/2)
+		anon.SwapOutUpTo(0, pages/2, pages/2)
 		dirty.Unmap(file)
 		m.Destroy(dirty)
 

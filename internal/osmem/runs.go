@@ -1,12 +1,10 @@
 package osmem
 
-import "fmt"
-
 // Run is one byte range inside a region: Off is the byte offset from
 // the start of the region, Len the length in bytes. GC phases that
-// touch or release many adjacent objects coalesce them into runs and
-// hand the whole batch to TouchRange/ReleaseRuns, paying the call and
-// cache overhead once per batch instead of once per object.
+// release many adjacent objects coalesce them into runs and hand the
+// whole batch to ReleaseRuns, paying the call and cache overhead once
+// per batch instead of once per object.
 type Run struct {
 	Off int64
 	Len int64
@@ -37,34 +35,6 @@ func AppendRun(runs []Run, off, n int64) []Run {
 		}
 	}
 	return append(runs, Run{Off: off, Len: n})
-}
-
-// TouchRange is the bulk form of TouchBytes: every run is rounded
-// outward to page boundaries and faulted in with write intent per the
-// write flag, invalidating the usage cache at most once per call.
-// Equivalent to calling TouchBytes for each run in order.
-func (r *Region) TouchRange(runs []Run, write bool) {
-	if r.dead {
-		panic("osmem: use of unmapped region " + r.Name)
-	}
-	if !r.access {
-		panic(fmt.Sprintf("osmem: segfault: touch of PROT_NONE region %q", r.Name))
-	}
-	mutated := false
-	for _, run := range runs {
-		if run.Len <= 0 {
-			continue
-		}
-		first := run.Off >> PageShift
-		last := (run.Off + run.Len - 1) >> PageShift
-		r.checkRange(first, last-first+1)
-		if r.touchPages(first, last-first+1, write) {
-			mutated = true
-		}
-	}
-	if mutated {
-		r.invalidate()
-	}
 }
 
 // ReleaseRuns is the bulk form of ReleaseBytes: every run is rounded
