@@ -108,21 +108,17 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if cfg.Platform != nil {
 		pcfg = *cfg.Platform
 	}
-	if err := pcfg.Validate(); err != nil {
-		return nil, err
-	}
 	mcfg := cfg.Manager
 	if mcfg == nil && cfg.EnableDesiccant {
 		c := core.DefaultConfig()
 		mcfg = &c
 	}
-	if mcfg != nil {
-		if err := mcfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	s := &Simulation{Engine: sim.NewEngine()}
-	s.Platform, s.Manager = core.NewMachine(s.Engine, pcfg, mcfg, nil)
+	var err error
+	s.Platform, s.Manager, err = core.NewMachine(s.Engine, pcfg, mcfg, nil)
+	if err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

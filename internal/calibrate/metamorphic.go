@@ -2,9 +2,9 @@ package calibrate
 
 import (
 	"fmt"
+	"slices"
 
 	"desiccant/internal/experiments"
-	"desiccant/internal/sim"
 	"desiccant/internal/workload"
 )
 
@@ -212,13 +212,13 @@ func checkZeroIntensity(spec *workload.Spec, opts experiments.SingleOptions) (bo
 		return false, err.Error()
 	}
 	switch {
-	case !equalInt64s(dis.USSCurve, van.USSCurve):
+	case !slices.Equal(dis.USSCurve, van.USSCurve):
 		return false, "USS curves diverge with reclamation disabled"
-	case !equalInt64s(dis.IdealCurve, van.IdealCurve):
+	case !slices.Equal(dis.IdealCurve, van.IdealCurve):
 		return false, "ideal curves diverge with reclamation disabled"
-	case !equalInt64s(dis.HeapCommittedCurve, van.HeapCommittedCurve):
+	case !slices.Equal(dis.HeapCommittedCurve, van.HeapCommittedCurve):
 		return false, "heap-committed curves diverge with reclamation disabled"
-	case !equalDurations(dis.LatencyCurve, van.LatencyCurve):
+	case !slices.Equal(dis.LatencyCurve, van.LatencyCurve):
 		return false, "latency curves diverge with reclamation disabled"
 	case dis.FinalRSS != van.FinalRSS || dis.FinalPSS != van.FinalPSS:
 		return false, fmt.Sprintf("final RSS/PSS diverge: %d/%.1f vs %d/%.1f",
@@ -262,28 +262,4 @@ func meanInt64(xs []int64) float64 {
 		sum += float64(x)
 	}
 	return sum / float64(len(xs))
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalDurations(a, b []sim.Duration) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

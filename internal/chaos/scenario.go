@@ -182,12 +182,15 @@ func RunScenario(o ScenarioOptions) (*Result, error) {
 	}
 	// The recorder subscribes first, so it sees every event Observe's
 	// subscribers and the manager see.
-	platform, mgr := core.NewMachine(eng, pcfg, mcfg, func(p *faas.Platform, mgr *core.Manager) {
+	platform, mgr, err := core.NewMachine(eng, pcfg, mcfg, func(p *faas.Platform, mgr *core.Manager) {
 		p.Events().Subscribe(rec)
 		if o.Observe != nil {
 			o.Observe(p, mgr)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	if inj != nil {
 		inj.Bind(platform)
 	}

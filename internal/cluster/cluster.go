@@ -16,7 +16,7 @@ func latencyBounds() []float64 { return metrics.ExponentialBounds(1, 2, 16) }
 // only learn about each other through messages filed with
 // eng.Deliver(src, …), whose (source index, send order) key orders
 // same-instant messages independently of how the senders' own events
-// interleaved — the migration and kill protocols depend on it. Every
+// interleaved — the migration protocol depends on it. Every
 // message closure reaches its target as nodes[dst], and node d's state
 // is only touched by events addressed to node d.
 type Cluster struct {
@@ -31,34 +31,6 @@ func (c *Cluster) dispatch(d int, spec *workload.Spec, at sim.Time) {
 	c.eng.Deliver(0, at, "cluster:submit", func() {
 		c.nodes[d].deliver(spec)
 	})
-}
-
-// survivorsAt returns the node indexes still alive per the static kill
-// schedule at time now — a pure function of the options, so a dying
-// node computes its drain targets without reading any other node's
-// state.
-func (c *Cluster) survivorsAt(now sim.Time) []int {
-	dead := make([]bool, c.opts.Nodes+1)
-	for _, k := range c.opts.Kills {
-		if k.At <= now {
-			dead[k.Node+1] = true
-		}
-	}
-	var alive []int
-	for d := 1; d <= c.opts.Nodes; d++ {
-		if !dead[d] {
-			alive = append(alive, d)
-		}
-	}
-	return alive
-}
-
-// armKills schedules the decommissions.
-func (c *Cluster) armKills() {
-	for _, k := range c.opts.Kills {
-		n := c.nodes[k.Node+1]
-		n.eng.At(k.At, "cluster:kill", n.kill)
-	}
 }
 
 // Run replays the trace across the router plus Nodes platforms on one
@@ -82,7 +54,9 @@ func Run(o Options) (*Result, error) {
 	eng := sim.NewEngine()
 	c := &Cluster{opts: o, eng: eng, nodes: make([]*Node, o.Nodes+1)}
 	for d := 1; d <= o.Nodes; d++ {
-		c.nodes[d] = newNode(c, d, mcfg)
+		if c.nodes[d], err = newNode(c, d, mcfg); err != nil {
+			return nil, err
+		}
 	}
 	c.router = newRouter(c, policy, o.dynamic())
 
@@ -90,7 +64,6 @@ func Run(o Options) (*Result, error) {
 	for d := 1; d <= o.Nodes; d++ {
 		c.nodes[d].armReports(o.ReportEvery, end)
 	}
-	c.armKills()
 
 	o.Synthetic.Replayer(c.router, o.Synthetic.Assignments(nil, o.ZipfSkew)).Schedule(0, end, o.Scale)
 
@@ -133,7 +106,6 @@ func (c *Cluster) collect() (*Result, error) {
 		Reports:      rt.reports,
 		MigOrders:    rt.migOrders,
 		Moves:        rt.moves,
-		Deaths:       rt.deaths,
 		Violations:   rt.violations,
 	}
 	for d := 1; d <= o.Nodes; d++ {
@@ -151,7 +123,6 @@ func (c *Cluster) collect() (*Result, error) {
 			MigratedOut:  st.MigratedOut,
 			MigratedIn:   st.MigratedIn,
 			PeakBytes:    n.platform.Machine().PeakPhysBytes(),
-			Dead:         n.dead,
 		}
 		if st.Latency.Count() > 0 {
 			row.P50 = st.Latency.Percentile(50)
@@ -163,11 +134,7 @@ func (c *Cluster) collect() (*Result, error) {
 		res.MigratedOut += st.MigratedOut
 		res.MigratedIn += st.MigratedIn
 		res.PeakBytes += row.PeakBytes
-		res.DrainEvicted += int64(n.drainEvicted)
 		res.AdoptErrs = append(res.AdoptErrs, n.adoptErrs...)
-		if n.dead {
-			res.Killed++
-		}
 	}
 	return res, nil
 }

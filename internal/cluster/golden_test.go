@@ -1,11 +1,10 @@
 package cluster
 
 // Golden byte-identity tests for the two exporters: the fleet summary
-// (with the full protocol active — migration and a decommission) and
-// the capacity-planning CSV over a tiny grid. Any behavioural drift in
-// the cluster protocol — a report merged in a different order, a
-// migration placed differently, a drain evicting one instance more —
-// lands in these numbers and shows up as a byte diff.
+// (with migration active) and the capacity-planning CSV over a tiny
+// grid. Any behavioural drift in the cluster protocol — a report
+// merged in a different order, a migration placed differently — lands
+// in these numbers and shows up as a byte diff.
 //
 // Regenerate (only when an intentional model change lands) with
 //
@@ -17,8 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"desiccant/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -44,7 +41,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // goldenSummaryOptions is the summary specimen: garbage-aware packing
-// over a small cache so migration fires, plus one decommission.
+// over a small cache so migration fires.
 func goldenSummaryOptions() Options {
 	o := quickOptions(PolicyGarbageAware)
 	o.CacheBytes = 48 << 20
@@ -52,7 +49,6 @@ func goldenSummaryOptions() Options {
 	o.Migration = DefaultMigration()
 	o.Migration.HighFrac = 0.5
 	o.Migration.LowFrac = 0.45
-	o.Kills = []Kill{{Node: 3, At: sim.Time(7 * sim.Second)}}
 	return o
 }
 

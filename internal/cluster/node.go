@@ -24,13 +24,8 @@ type Node struct {
 	mgr      *core.Manager // nil in vanilla mode
 	hist     *metrics.Histogram
 
-	dead        bool
 	reportEvery sim.Duration
 	reportUntil sim.Time
-
-	// Kill-drain bookkeeping (this node's decommission).
-	drainMigrated int
-	drainEvicted  int
 
 	// adoptErrs records failed adoptions — a lost instance, surfaced
 	// by CheckConsistency.
@@ -44,7 +39,7 @@ const invoBase = int64(1_000_000_000)
 // newNode wires one machine through core.NewMachine. Its observer
 // subscribes the completion ack ahead of every other subscriber, then
 // runs ObserveNode, both before the manager starts.
-func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
+func newNode(c *Cluster, d int, mcfg *core.Config) (*Node, error) {
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = c.opts.CacheBytes
 	pcfg.InvoBase = int64(d) * invoBase
@@ -54,13 +49,17 @@ func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
 		eng:  c.eng,
 		hist: metrics.NewHistogram(latencyBounds()...),
 	}
-	n.platform, n.mgr = core.NewMachine(c.eng, pcfg, mcfg, func(p *faas.Platform, mgr *core.Manager) {
+	var err error
+	n.platform, n.mgr, err = core.NewMachine(c.eng, pcfg, mcfg, func(p *faas.Platform, mgr *core.Manager) {
 		p.Events().Subscribe(obs.SubscriberFunc(n.ack))
 		if c.opts.ObserveNode != nil {
 			c.opts.ObserveNode(p, mgr)
 		}
 	})
-	return n
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // ack folds a completion into the node's histogram and acks it back to
@@ -77,10 +76,7 @@ func (n *Node) ack(ev obs.Event) {
 	})
 }
 
-// deliver lands a dynamically-routed request on the node. Requests
-// dispatched before a decommission notice reached the router may
-// still arrive afterwards; the platform executes them — a
-// decommission drains, it does not drop work.
+// deliver lands a dynamically-routed request on the node.
 func (n *Node) deliver(spec *workload.Spec) {
 	n.platform.Submit(spec, n.eng.Now())
 }
@@ -99,9 +95,6 @@ func (n *Node) armReports(every sim.Duration, until sim.Time) {
 // to the router over the modeled hop. The emitted EvNodePressure
 // shows in the node's own trace exactly what the router will see.
 func (n *Node) sample() {
-	if n.dead {
-		return
-	}
 	now := n.eng.Now()
 	nv := NodeView{
 		Reported:       true,
@@ -128,12 +121,8 @@ func (n *Node) sample() {
 // detach up to migrationBatch of the coldest frozen instances and ship
 // each to dst. The victim choice happens here, against live node
 // state, so the router cannot know it — the hand-off therefore also
-// notifies the router which function moved (notifyMoved) to re-home
-// affinity.
+// notifies the router which function moved to re-home affinity.
 func (n *Node) migrateOut(dst int) {
-	if n.dead {
-		return
-	}
 	for i := 0; i < migrationBatch; i++ {
 		spec, stage, ok := n.platform.DetachColdest(obs.EvictMigrate)
 		if !ok {
@@ -152,14 +141,8 @@ func (n *Node) sendInstance(dst int, spec *workload.Spec, stage int) {
 	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.Migration.Latency), "cluster:adopt", func() {
 		n.c.nodes[dst].adopt(spec, stage)
 	})
-	n.notifyMoved(spec.Name, dst)
-}
-
-// notifyMoved tells the router a function's frozen instance now lives
-// on dst.
-func (n *Node) notifyMoved(fn string, dst int) {
 	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "cluster:moved", func() {
-		n.c.router.onMoved(fn, dst)
+		n.c.router.onMoved(spec.Name, dst)
 	})
 }
 
@@ -169,42 +152,4 @@ func (n *Node) adopt(spec *workload.Spec, stage int) {
 	if _, err := n.platform.AdoptFrozen(spec, stage); err != nil {
 		n.adoptErrs = append(n.adoptErrs, err.Error())
 	}
-}
-
-// kill decommissions the node: stop the manager, drain the frozen
-// cache to the survivors (round-robin in LRU order; instances
-// mid-reclaim are evicted in place — on a dying machine the
-// reclamation's sunk cost is lost either way), then notify the
-// router. The survivor set is computed from the static kill schedule,
-// never from other nodes' state.
-func (n *Node) kill() {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	if n.mgr != nil {
-		n.mgr.Stop()
-	}
-	survivors := n.c.survivorsAt(n.eng.Now())
-	i := 0
-	// A copy of its own: evicting and detaching change the cache.
-	for _, inst := range n.platform.AppendCached(nil) {
-		if inst.Reclaiming || len(survivors) == 0 {
-			if n.platform.EvictCached(inst, obs.EvictNodeDead) {
-				n.drainEvicted++
-			}
-			continue
-		}
-		dst := survivors[i%len(survivors)]
-		i++
-		spec, stage, ok := n.platform.DetachCached(inst, obs.EvictMigrate)
-		if !ok {
-			continue
-		}
-		n.drainMigrated++
-		n.sendInstance(dst, spec, stage)
-	}
-	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "cluster:dead", func() {
-		n.c.router.markDead(n.d)
-	})
 }

@@ -74,19 +74,6 @@ func DefaultMigration() Migration {
 	}
 }
 
-// Kill decommissions a machine mid-replay: at At the node stops its
-// manager, drains its frozen cache to the surviving nodes
-// (round-robin in LRU order; instances mid-reclaim are evicted in
-// place), and notifies the router, which stops placing on it.
-// In-flight requests on the node still complete — a decommission, not
-// a crash, so every conservation invariant keeps holding.
-type Kill struct {
-	// Node is the 0-based machine index (matching result rows).
-	Node int
-	// At is the decommission time; must fall inside the replay window.
-	At sim.Time
-}
-
 // Options parameterizes one cluster replay.
 type Options struct {
 	// Nodes is the number of worker machines (indexes 1..Nodes;
@@ -118,8 +105,6 @@ type Options struct {
 	ReportEvery sim.Duration
 	// Migration configures hot-node instance hand-off.
 	Migration Migration
-	// Kills decommissions machines mid-replay.
-	Kills []Kill
 	// ObserveNode, when set, is called once per node after the node is
 	// wired but before its manager starts and the replay begins, so a
 	// bus subscriber sees every event the node emits. Nodes are built
@@ -176,27 +161,13 @@ func (o Options) withDefaults() (Options, error) {
 	if _, err := managerConfig(o.Mode); err != nil {
 		return o, err
 	}
-	killed := make(map[int]bool)
-	for _, k := range o.Kills {
-		if k.Node < 0 || k.Node >= o.Nodes {
-			return o, fmt.Errorf("cluster: kill targets node %d of %d", k.Node, o.Nodes)
-		}
-		if k.At <= 0 || k.At >= sim.Time(o.Window) {
-			return o, fmt.Errorf("cluster: kill at %v outside the replay window %v", k.At, o.Window)
-		}
-		killed[k.Node] = true
-	}
-	if len(killed) >= o.Nodes {
-		return o, fmt.Errorf("cluster: kills decommission all %d nodes", o.Nodes)
-	}
 	if o.Migration.HighFrac > 0 && o.Migration.LowFrac == 0 {
 		o.Migration.LowFrac = DefaultMigration().LowFrac
 	}
 	if o.Migration.HighFrac > 0 && o.Migration.LowFrac >= o.Migration.HighFrac {
 		return o, fmt.Errorf("cluster: Migration.LowFrac %v must be below Migration.HighFrac %v", o.Migration.LowFrac, o.Migration.HighFrac)
 	}
-	// The hand-off latency also paces kill-drain sends, so resolve it
-	// even with migration disabled; it can never undercut the route hop.
+	// A hand-off can never undercut the route hop.
 	if o.Migration.Latency < routeLatency {
 		o.Migration.Latency = routeLatency
 	}
@@ -209,10 +180,10 @@ func (o Options) withDefaults() (Options, error) {
 // dynamic reports whether routing happens at sim time on the router
 // (placement consults the live pressure view, requests pay the
 // route hop) rather than statically at schedule time. The static path
-// exists for one reason: with the pinned policy and no kills it
+// exists for one reason: with the pinned policy and no migration it
 // reproduces the original ext-fleet replay byte for byte.
 func (o Options) dynamic() bool {
-	return o.Policy != PolicyPinned || len(o.Kills) > 0 || o.Migration.HighFrac > 0
+	return o.Policy != PolicyPinned || o.Migration.HighFrac > 0
 }
 
 // managerConfig maps a mode name to the per-node manager config; nil

@@ -12,8 +12,6 @@ import (
 // router acts on what the reports delivered, never on node state
 // directly.
 type NodeView struct {
-	// Alive flips false when the node's decommission notice arrives.
-	Alive bool
 	// Reported is true once at least one pressure sample arrived.
 	Reported bool
 	// At is the sample's sim-time stamp (taken on the node).
@@ -45,18 +43,13 @@ type View struct {
 	Acked  []int64
 }
 
-// NewView returns a view over n worker nodes, all alive and
-// unreported.
+// NewView returns a view over n unreported worker nodes.
 func NewView(n int) *View {
-	v := &View{
+	return &View{
 		Nodes:  make([]NodeView, n+1),
 		Routed: make([]int64, n+1),
 		Acked:  make([]int64, n+1),
 	}
-	for d := 1; d <= n; d++ {
-		v.Nodes[d].Alive = true
-	}
-	return v
 }
 
 // Size returns the worker-node count.
@@ -68,16 +61,15 @@ func (v *View) Outstanding(d int) int64 { return v.Routed[d] - v.Acked[d] }
 // PlacementPolicy picks a destination node for each request. Place
 // returns a node index in [1, v.Size()] and must be a pure function
 // of the view, the policy's own state, and its forked RNG stream —
-// nothing wall-clock. Policies with per-function affinity re-place
-// lazily when the remembered home is no longer alive.
+// nothing wall-clock.
 type PlacementPolicy interface {
 	Name() string
 	Place(fn string, v *View) int
 }
 
 // affinityMover is implemented by policies that track per-function
-// homes; the router tells them when a migration (or a kill drain)
-// moved a function's frozen instance so future requests follow it.
+// homes; the router tells them when a migration moved a function's
+// frozen instance so future requests follow it.
 type affinityMover interface {
 	Moved(fn string, to int)
 }
@@ -141,23 +133,17 @@ func (p *Pinned) Name() string { return PolicyPinned }
 
 // Place implements PlacementPolicy.
 func (p *Pinned) Place(fn string, v *View) int {
-	if d, ok := p.assign[fn]; ok && v.Nodes[d].Alive {
+	if d, ok := p.assign[fn]; ok {
 		return d
 	}
-	n := v.Size()
-	for i := 0; i < n; i++ {
-		d := p.next
-		p.next = p.next%n + 1
-		if v.Nodes[d].Alive {
-			p.assign[fn] = d
-			return d
-		}
-	}
-	panic("cluster: no alive node to place on")
+	d := p.next
+	p.next = p.next%v.Size() + 1
+	p.assign[fn] = d
+	return d
 }
 
-// Random scatters every request uniformly over the alive nodes from
-// its forked RNG stream — no affinity at all, the capacity sweep's
+// Random scatters every request uniformly over the nodes from its
+// forked RNG stream — no affinity at all, the capacity sweep's
 // pessimal baseline.
 type Random struct{ rng *sim.RNG }
 
@@ -168,28 +154,7 @@ func NewRandom(rng *sim.RNG) *Random { return &Random{rng: rng} }
 func (r *Random) Name() string { return PolicyRandom }
 
 // Place implements PlacementPolicy.
-func (r *Random) Place(fn string, v *View) int {
-	alive := 0
-	for d := 1; d < len(v.Nodes); d++ {
-		if v.Nodes[d].Alive {
-			alive++
-		}
-	}
-	if alive == 0 {
-		panic("cluster: no alive node to place on")
-	}
-	k := r.rng.Intn(alive)
-	for d := 1; d < len(v.Nodes); d++ {
-		if !v.Nodes[d].Alive {
-			continue
-		}
-		if k == 0 {
-			return d
-		}
-		k--
-	}
-	panic("cluster: unreachable")
-}
+func (r *Random) Place(fn string, v *View) int { return 1 + r.rng.Intn(v.Size()) }
 
 // LeastLoaded places each request on the node with the fewest
 // committed physical pages per the last reports, breaking ties by
@@ -206,17 +171,9 @@ func (l *LeastLoaded) Name() string { return PolicyLeastLoaded }
 
 // Place implements PlacementPolicy.
 func (l *LeastLoaded) Place(fn string, v *View) int {
-	best := 0
-	for d := 1; d < len(v.Nodes); d++ {
-		nv := v.Nodes[d]
-		if !nv.Alive {
-			continue
-		}
-		if best == 0 {
-			best = d
-			continue
-		}
-		bv := v.Nodes[best]
+	best := 1
+	for d := 2; d < len(v.Nodes); d++ {
+		nv, bv := v.Nodes[d], v.Nodes[best]
 		switch {
 		case nv.CommittedPages != bv.CommittedPages:
 			if nv.CommittedPages < bv.CommittedPages {
@@ -225,9 +182,6 @@ func (l *LeastLoaded) Place(fn string, v *View) int {
 		case v.Outstanding(d) < v.Outstanding(best):
 			best = d
 		}
-	}
-	if best == 0 {
-		panic("cluster: no alive node to place on")
 	}
 	return best
 }
@@ -262,16 +216,16 @@ func (g *GarbageAware) Moved(fn string, to int) { g.assign[fn] = to }
 
 // Place implements PlacementPolicy.
 func (g *GarbageAware) Place(fn string, v *View) int {
-	if d, ok := g.assign[fn]; ok && v.Nodes[d].Alive {
+	if d, ok := g.assign[fn]; ok {
 		return d
 	}
-	// Pack: fullest alive node below the hot ceiling with no
-	// reclamation in flight. Equal fractions (all zero before the
-	// first reports) fall back to outstanding-count spreading.
+	// Pack: fullest node below the hot ceiling with no reclamation in
+	// flight. Equal fractions (all zero before the first reports) fall
+	// back to outstanding-count spreading.
 	best := 0
 	for d := 1; d < len(v.Nodes); d++ {
 		nv := v.Nodes[d]
-		if !nv.Alive || nv.ActiveReclaims > 0 || nv.MemFrac >= garbageHotFrac {
+		if nv.ActiveReclaims > 0 || nv.MemFrac >= garbageHotFrac {
 			continue
 		}
 		if best == 0 {
@@ -289,19 +243,13 @@ func (g *GarbageAware) Place(fn string, v *View) int {
 		}
 	}
 	if best == 0 {
-		// Everything hot or mid-reclaim: least-pressured alive node.
-		for d := 1; d < len(v.Nodes); d++ {
-			nv := v.Nodes[d]
-			if !nv.Alive {
-				continue
-			}
-			if best == 0 || nv.MemFrac < v.Nodes[best].MemFrac {
+		// Everything hot or mid-reclaim: least-pressured node.
+		best = 1
+		for d := 2; d < len(v.Nodes); d++ {
+			if v.Nodes[d].MemFrac < v.Nodes[best].MemFrac {
 				best = d
 			}
 		}
-	}
-	if best == 0 {
-		panic("cluster: no alive node to place on")
 	}
 	g.assign[fn] = best
 	return best

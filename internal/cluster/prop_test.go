@@ -3,8 +3,8 @@ package cluster
 // Property sweep: many seeds × every policy with the cross-layer
 // invariant checker attached to every node's platform. Each seed also
 // perturbs the shape knobs (cache size, Zipf skew, migration
-// thresholds, an occasional decommission) so the sweep walks the
-// protocol space, not one trajectory 25 times. A failure names the
+// thresholds) so the sweep walks the protocol space, not one
+// trajectory 25 times. A failure names the
 // reproducing seed and policy.
 
 import (
@@ -34,10 +34,6 @@ func propOptions(seed uint64, policy string) Options {
 	o.Migration = DefaultMigration()
 	o.Migration.HighFrac = 0.4 + shape.Float64()*0.4
 	o.Migration.LowFrac = o.Migration.HighFrac - 0.1
-	if shape.Intn(3) == 0 {
-		at := sim.Time(2*sim.Second) + sim.Time(shape.Int63n(int64(3*sim.Second)))
-		o.Kills = []Kill{{Node: shape.Intn(o.Nodes), At: at}}
-	}
 	return o
 }
 
@@ -81,8 +77,7 @@ func TestPropInvariantsHoldAcrossCluster(t *testing.T) {
 
 // TestPropCensusAcrossMigrations pins the fleet-wide instance census:
 // over seeds that force heavy migration, detaches always equal
-// adoptions plus recorded errors (none expected), and the decommission
-// drain never loses an instance either.
+// adoptions plus recorded errors (none expected).
 func TestPropCensusAcrossMigrations(t *testing.T) {
 	seeds := uint64(propSeeds)
 	if testing.Short() {

@@ -26,8 +26,6 @@ type NodeRow struct {
 	MigratedIn  int64
 	// PeakBytes is the machine's peak committed physical memory.
 	PeakBytes int64
-	// Dead marks a decommissioned machine.
-	Dead bool
 }
 
 // Result is one cluster replay's measurement: per-node rows plus the
@@ -51,17 +49,12 @@ type Result struct {
 	MigratedOut int64
 	MigratedIn  int64
 	PeakBytes   int64
-	Killed      int
 
 	// Protocol counters from the router.
 	Reports   int64
 	MigOrders int64
 	Moves     int64
-	Deaths    int
 
-	// DrainEvicted counts instances destroyed in place during
-	// decommission drains (mid-reclaim, or no survivor to take them).
-	DrainEvicted int64
 	// AdoptErrs lists failed adoptions; any entry is an inconsistency.
 	AdoptErrs []string
 	// Violations lists router-side bookkeeping breaches.
@@ -134,18 +127,19 @@ func (r *Result) CheckConsistency() error {
 // WriteSummary renders the per-node rows and the fleet-wide tail.
 func (r *Result) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "# cluster replay: %d nodes, policy=%s, mode=%s\n", r.NodeCount, r.Policy, r.Mode)
+	// dead (always false) and deaths (always 0) keep TestPolicySummaryPins' bytes.
 	fmt.Fprintln(w, "node,functions,completions,cold_boot_rate,p50_ms,p99_ms,evictions,migrated_out,migrated_in,peak_mb,dead")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%d,%d,%.4f,%.1f,%.1f,%d,%d,%d,%d,%v\n",
+		fmt.Fprintf(w, "%d,%d,%d,%.4f,%.1f,%.1f,%d,%d,%d,%d,false\n",
 			row.Node, row.Functions, row.Completions, row.ColdBootRate,
 			row.P50, row.P99, row.Evictions, row.MigratedOut, row.MigratedIn,
-			row.PeakBytes>>20, row.Dead)
+			row.PeakBytes>>20)
 	}
 	fmt.Fprintln(w, "scope,submitted,acked,cold_boot_rate,p50_ms,p99_ms,max_ms,headroom_x,reports,migrations,moves,deaths")
-	fmt.Fprintf(w, "fleet,%d,%d,%.4f,%s,%s,%s,%.2f,%d,%d,%d,%d\n",
+	fmt.Fprintf(w, "fleet,%d,%d,%.4f,%s,%s,%s,%.2f,%d,%d,%d,0\n",
 		r.Submitted, r.Acks, r.ColdBootRate(),
 		obs.FormatValue(r.Fleet.Quantile(0.5)),
 		obs.FormatValue(r.Fleet.Quantile(0.99)),
 		obs.FormatValue(r.Fleet.Max()),
-		r.HeadroomX(), r.Reports, r.MigOrders, r.Moves, r.Deaths)
+		r.HeadroomX(), r.Reports, r.MigOrders, r.Moves)
 }

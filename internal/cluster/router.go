@@ -11,9 +11,9 @@ import (
 // Router is the fleet's front door, at cluster index 0. It implements
 // trace.Submitter; in dynamic mode every arrival becomes a router
 // event that consults the pressure view before dispatching over the
-// route hop, while in static mode (pinned policy, no kills, no
-// migration) placement happens at schedule time exactly as the
-// original ext-fleet router did.
+// route hop, while in static mode (pinned policy, no migration)
+// placement happens at schedule time exactly as the original ext-fleet
+// router did.
 type Router struct {
 	c       *Cluster
 	eng     *sim.Engine
@@ -31,7 +31,6 @@ type Router struct {
 	reports   int64
 	migOrders int64
 	moves     int64
-	deaths    int
 	lastOrder []sim.Time
 
 	// violations records router-side bookkeeping breaches (a node
@@ -99,11 +98,9 @@ func (rt *Router) onAck(src int, latMillis float64) {
 }
 
 // onReport folds a node's pressure sample into the view and lets the
-// migration controller react. Liveness is sticky: a report racing the
-// decommission notice cannot resurrect a dead node.
+// migration controller react.
 func (rt *Router) onReport(src int, nv NodeView) {
 	rt.reports++
-	nv.Alive = rt.view.Nodes[src].Alive
 	rt.view.Nodes[src] = nv
 	rt.maybeMigrate(src)
 }
@@ -114,17 +111,6 @@ func (rt *Router) onMoved(fn string, dst int) {
 	if m, ok := rt.policy.(affinityMover); ok {
 		m.Moved(fn, dst)
 	}
-}
-
-// markDead handles a decommission notice: the node leaves the
-// placement set. Policies with affinity re-place lazily on the next
-// request for each function homed there.
-func (rt *Router) markDead(src int) {
-	if !rt.view.Nodes[src].Alive {
-		return
-	}
-	rt.view.Nodes[src].Alive = false
-	rt.deaths++
 }
 
 // maybeMigrate is the cluster-level relief valve, run entirely on the
@@ -138,7 +124,7 @@ func (rt *Router) maybeMigrate(src int) {
 		return
 	}
 	nv := rt.view.Nodes[src]
-	if !nv.Alive || nv.MemFrac < m.HighFrac {
+	if nv.MemFrac < m.HighFrac {
 		return
 	}
 	now := rt.eng.Now()
@@ -148,7 +134,7 @@ func (rt *Router) maybeMigrate(src int) {
 	dst := 0
 	for d := 1; d < len(rt.view.Nodes); d++ {
 		dv := rt.view.Nodes[d]
-		if d == src || !dv.Alive || dv.ActiveReclaims > 0 || dv.MemFrac > m.LowFrac {
+		if d == src || dv.ActiveReclaims > 0 || dv.MemFrac > m.LowFrac {
 			continue
 		}
 		if dst == 0 || dv.MemFrac < rt.view.Nodes[dst].MemFrac {

@@ -214,8 +214,18 @@ type Observer func(p *faas.Platform, mgr *Manager)
 // its manager are wired. The order is fixed: the platform, the manager
 // (mcfg nil: none), observe, and only then the manager's Start, so
 // every subscriber observe attaches sees the manager's initial
-// threshold event and precedes the manager on the bus.
-func NewMachine(eng *sim.Engine, pcfg faas.Config, mcfg *Config, observe Observer) (*faas.Platform, *Manager) {
+// threshold event and precedes the manager on the bus. A platform or
+// manager configuration that fails its Validate is returned as an
+// error before anything is built.
+func NewMachine(eng *sim.Engine, pcfg faas.Config, mcfg *Config, observe Observer) (*faas.Platform, *Manager, error) {
+	if err := pcfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if mcfg != nil {
+		if err := mcfg.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
 	p := faas.New(pcfg, eng)
 	var m *Manager
 	if mcfg != nil {
@@ -227,7 +237,7 @@ func NewMachine(eng *sim.Engine, pcfg faas.Config, mcfg *Config, observe Observe
 	if m != nil {
 		m.Start()
 	}
-	return p, m
+	return p, m, nil
 }
 
 // New creates a manager for the platform without starting it: nothing

@@ -428,7 +428,10 @@ func TestReclaimSkippedWhenThawedMidSelection(t *testing.T) {
 	rec := obs.NewRecorder()
 	cfg := testManagerConfig()
 	cfg.MaxConcurrent = 1
-	p, mgr := NewMachine(eng, pcfg, &cfg, record(rec))
+	p, mgr, err := NewMachine(eng, pcfg, &cfg, record(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
 	mgr.checkEvent.Cancel() // drive manually
 
 	victim := newFrozenInstance(t, p, "image-resize", 1) // big heap: picked first
@@ -562,7 +565,10 @@ func TestFailedReclaimRetriesAreBounded(t *testing.T) {
 	cfg.LowThreshold = 0.01
 	cfg.HighThreshold = 0.01
 	cfg.Injector = failEvery{}
-	p, mgr := NewMachine(eng, pcfg, &cfg, record(rec))
+	p, mgr, err := NewMachine(eng, pcfg, &cfg, record(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
 	names := []string{"image-resize", "fft", "sort"}
 	for i, name := range names {
 		newFrozenInstance(t, p, name, i+1)

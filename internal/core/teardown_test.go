@@ -78,15 +78,9 @@ func TestEveryTeardownDropsInstanceState(t *testing.T) {
 			}
 		}, false},
 		{"migration detach", func(*faas.Config) {}, func(t *testing.T, p *faas.Platform) {
-			inst := newFrozenInstance(t, p, "clock", victim)
-			if _, _, ok := p.DetachCached(inst, obs.EvictMigrate); !ok {
+			newFrozenInstance(t, p, "clock", victim)
+			if _, _, ok := p.DetachColdest(obs.EvictMigrate); !ok {
 				t.Fatal("detach failed")
-			}
-		}, false},
-		{"node-death eviction", func(*faas.Config) {}, func(t *testing.T, p *faas.Platform) {
-			inst := newFrozenInstance(t, p, "clock", victim)
-			if !p.EvictCached(inst, obs.EvictNodeDead) {
-				t.Fatal("evict failed")
 			}
 		}, false},
 	}
@@ -97,13 +91,16 @@ func TestEveryTeardownDropsInstanceState(t *testing.T) {
 			c.config(&pcfg)
 			mcfg := testManagerConfig()
 			var thresholds []float64
-			p, mgr := NewMachine(sim.NewEngine(), pcfg, &mcfg, func(p *faas.Platform, _ *Manager) {
+			p, mgr, err := NewMachine(sim.NewEngine(), pcfg, &mcfg, func(p *faas.Platform, _ *Manager) {
 				p.Events().Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
 					if ev.Kind == obs.EvThreshold {
 						thresholds = append(thresholds, ev.Val)
 					}
 				}))
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			seedState(mgr, victim)
 			c.teardown(t, p)
 			if holdsState(mgr, victim) {

@@ -28,7 +28,7 @@ func runIdle(o Fig9Options) (*idleResult, error) {
 		if i == 1 {
 			o.ManagerConfig = &idle
 		}
-		return runTraceCell(SetupDesiccant, scale, o, as), nil
+		return runTraceCell(SetupDesiccant, scale, o, as)
 	})
 	if err != nil {
 		return nil, err

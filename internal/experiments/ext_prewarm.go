@@ -54,7 +54,10 @@ func RunPrewarm(opts Fig9Options, scale float64) (*PrewarmResult, error) {
 		if prewarm {
 			pcfg.PrewarmPerLanguage = 2
 		}
-		platform := opts.cell(pcfg, mcfg, as, scale).run()
+		platform, err := opts.cell(pcfg, mcfg, as, scale).run()
+		if err != nil {
+			return PrewarmRow{}, err
+		}
 		st := platform.Stats()
 		row := PrewarmRow{
 			Prewarm:      prewarm,

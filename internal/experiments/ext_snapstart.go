@@ -44,7 +44,10 @@ func RunSnapStart(opts Fig9Options, scale float64) (*SnapStartResult, error) {
 	rows, err := runIndexed(opts.Parallel, len(cells), func(i int) (SnapStartRow, error) {
 		pcfg, mcfg := cells[i].setup.configs(opts)
 		pcfg.Snapshot = cells[i].snapshot
-		platform := opts.cell(pcfg, mcfg, as, scale).run()
+		platform, err := opts.cell(pcfg, mcfg, as, scale).run()
+		if err != nil {
+			return SnapStartRow{}, err
+		}
 		st := platform.Stats()
 		row := SnapStartRow{
 			Setup:        cells[i].name,

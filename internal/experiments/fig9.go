@@ -121,7 +121,7 @@ func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 	}
 	setups := AllSetups()
 	points, err := runIndexed(opts.Parallel, len(opts.Scales)*len(setups), func(i int) (Fig9Point, error) {
-		return runTraceCell(setups[i%len(setups)], opts.Scales[i/len(setups)], opts, as), nil
+		return runTraceCell(setups[i%len(setups)], opts.Scales[i/len(setups)], opts, as)
 	})
 	if err != nil {
 		return nil, err
@@ -177,9 +177,13 @@ func (opts Fig9Options) cell(pcfg faas.Config, mcfg *core.Config, as []trace.Ass
 }
 
 // runTraceCell measures one (setup, scale) cell.
-func runTraceCell(setup Setup, scale float64, opts Fig9Options, as []trace.Assignment) Fig9Point {
+func runTraceCell(setup Setup, scale float64, opts Fig9Options, as []trace.Assignment) (Fig9Point, error) {
 	pcfg, mcfg := setup.configs(opts)
-	st := opts.cell(pcfg, mcfg, as, scale).run().Stats()
+	p, err := opts.cell(pcfg, mcfg, as, scale).run()
+	if err != nil {
+		return Fig9Point{}, err
+	}
+	st := p.Stats()
 	replaySec := opts.Replay.Seconds()
 	capacity := pcfg.CPUs * replaySec
 	point := Fig9Point{
@@ -199,7 +203,7 @@ func runTraceCell(setup Setup, scale float64, opts Fig9Options, as []trace.Assig
 		point.P95 = st.Latency.Percentile(95)
 		point.P99 = st.Latency.Percentile(99)
 	}
-	return point
+	return point, nil
 }
 
 // WriteCSV renders Figure 9's three panels.

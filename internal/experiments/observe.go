@@ -120,7 +120,10 @@ func RunObserve(o ObserveOptions, out ObserveOutputs) error {
 	if err != nil {
 		return err
 	}
-	platform := cell.run()
+	platform, err := cell.run()
+	if err != nil {
+		return err
+	}
 	sampler.Stop()
 
 	if out.Trace != nil {
@@ -164,7 +167,11 @@ func RunAttrTrace(o ObserveOptions, out ObserveOutputs) error {
 	if err != nil {
 		return err
 	}
-	eng := cell.run().Engine()
+	p, err := cell.run()
+	if err != nil {
+		return err
+	}
+	eng := p.Engine()
 	// Drain the in-flight tail so every span closes.
 	drainEnd := sim.Time(o.Window)
 	for i := 0; i < 240 && builder.OpenCount() > 0; i++ {

@@ -36,9 +36,12 @@ const warmupScale = 15
 
 // run replays the cell and returns its platform, stopped at the end of
 // the measured window with the manager stopped.
-func (c replayCell) run() *faas.Platform {
+func (c replayCell) run() (*faas.Platform, error) {
 	eng := sim.NewEngine()
-	p, mgr := core.NewMachine(eng, c.platform, c.manager, c.observe)
+	p, mgr, err := core.NewMachine(eng, c.platform, c.manager, c.observe)
+	if err != nil {
+		return nil, err
+	}
 
 	warmEnd := sim.Time(c.warmup)
 	end := warmEnd.Add(c.window)
@@ -55,5 +58,5 @@ func (c replayCell) run() *faas.Platform {
 	if mgr != nil {
 		mgr.Stop()
 	}
-	return p
+	return p, nil
 }

@@ -128,11 +128,15 @@ func DefaultConfig() Config {
 // a non-positive cache or instance budget, or a CPU pool that cannot
 // run one invocation.
 func (c Config) Validate() error {
-	if c.InstanceBudget <= 0 || c.CacheBytes <= 0 {
-		return fmt.Errorf("faas: invalid memory configuration: cache %d B, instance budget %d B", c.CacheBytes, c.InstanceBudget)
-	}
-	if !(c.PerInstanceCPU > 0) || !(c.CPUs >= c.PerInstanceCPU) {
-		return fmt.Errorf("faas: invalid CPU configuration: %v CPUs, %v per instance", c.CPUs, c.PerInstanceCPU)
+	switch {
+	case c.CacheBytes <= 0:
+		return fmt.Errorf("faas: CacheBytes must be positive, got %d", c.CacheBytes)
+	case c.InstanceBudget <= 0:
+		return fmt.Errorf("faas: InstanceBudget must be positive, got %d", c.InstanceBudget)
+	case !(c.PerInstanceCPU > 0): // NaN fails the comparison
+		return fmt.Errorf("faas: PerInstanceCPU must be positive, got %v", c.PerInstanceCPU)
+	case !(c.CPUs >= c.PerInstanceCPU):
+		return fmt.Errorf("faas: CPUs %v cannot run one instance at PerInstanceCPU %v", c.CPUs, c.PerInstanceCPU)
 	}
 	return nil
 }

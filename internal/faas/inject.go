@@ -1,7 +1,8 @@
 package faas
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"desiccant/internal/container"
 	"desiccant/internal/obs"
@@ -95,16 +96,17 @@ func (p *Platform) noteInFlight(inst *container.Instance) {
 // execution (thawing, running, or in post-exec GC).
 func (p *Platform) InFlightCount() int { return len(p.inFlight) }
 
-// InFlightInstances returns the in-flight instances sorted by ID, so
-// machine-wide sweeps (the invariant checker's heap-bounds pass) stay
-// deterministic despite the map they hang off.
-func (p *Platform) InFlightInstances() []*container.Instance {
-	out := make([]*container.Instance, 0, len(p.inFlight))
+// AppendInFlight appends the in-flight instances to dst, sorted by ID,
+// and returns the extended slice, so machine-wide sweeps (the invariant
+// checker's heap-bounds pass) stay deterministic despite the map they
+// hang off.
+func (p *Platform) AppendInFlight(dst []*container.Instance) []*container.Instance {
+	start := len(dst)
 	for _, inst := range p.inFlight {
-		out = append(out, inst)
+		dst = append(dst, inst)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(dst[start:], func(a, b *container.Instance) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // LastInvoOf reports the invocation currently executing — or, for an

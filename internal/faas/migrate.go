@@ -11,12 +11,12 @@ import (
 // Cross-machine instance hand-off. A migration moves a *frozen*
 // instance between platforms in two halves that the cluster layer
 // connects with a cross-domain send: the source detaches the instance
-// (DetachColdest / DetachCached), the destination re-materializes it
-// (AdoptFrozen). Only the identity travels — spec and warm-up stage —
-// mirroring snapshot shipping: the destination restores a
-// pre-initialized image into a fresh address space rather than
-// copying live pages, so the two machines never share OS state and
-// each half stays a single-domain operation.
+// (DetachColdest), the destination re-materializes it (AdoptFrozen).
+// Only the identity travels — spec and warm-up stage — mirroring
+// snapshot shipping: the destination restores a pre-initialized image
+// into a fresh address space rather than copying live pages, so the two
+// machines never share OS state and each half stays a single-domain
+// operation.
 
 // DetachColdest removes the least-recently-used frozen instance from
 // the cache and destroys its local address space, returning the spec
@@ -26,23 +26,19 @@ import (
 // very memory the migration wants to free. Returns ok=false when no
 // migratable instance exists.
 func (p *Platform) DetachColdest(reason int64) (spec *workload.Spec, stage int, ok bool) {
-	for _, inst := range p.AppendCached(nil) {
-		if inst.Reclaiming {
-			continue
+	var victim *container.Instance
+	p.lru = p.AppendCached(p.lru[:0])
+	for _, inst := range p.lru {
+		if !inst.Reclaiming {
+			victim = inst
+			break
 		}
-		return p.detach(inst, reason)
 	}
-	return nil, 0, false
-}
-
-// DetachCached detaches a specific cached instance (the decommission
-// path drains the whole cache in LRU order). The instance must be in
-// the cache.
-func (p *Platform) DetachCached(inst *container.Instance, reason int64) (*workload.Spec, int, bool) {
-	if !p.IsCached(inst) {
+	clear(p.lru) // pin no dead instance
+	if victim == nil {
 		return nil, 0, false
 	}
-	return p.detach(inst, reason)
+	return p.detach(victim, reason)
 }
 
 // detach is the source half: remove from the cache, emit the EvEvict
@@ -60,18 +56,6 @@ func (p *Platform) detach(inst *container.Instance, reason int64) (*workload.Spe
 	return inst.Spec, inst.Stage, true
 }
 
-// EvictCached evicts one specific cached instance, counting a normal
-// Eviction. The cluster decommission path uses it for instances that
-// cannot migrate (mid-reclaim): on a dying machine the reclamation's
-// sunk cost is lost either way, so they are simply destroyed.
-func (p *Platform) EvictCached(inst *container.Instance, reason int64) bool {
-	if !p.IsCached(inst) {
-		return false
-	}
-	p.evict(inst, reason)
-	return true
-}
-
 // AdoptFrozen is the destination half: build a fresh instance of the
 // function's stage, hydrate it to the pre-initialized state a
 // snapshot restore leaves (Hydrate runs the silent init pass against
@@ -82,11 +66,7 @@ func (p *Platform) EvictCached(inst *container.Instance, reason int64) bool {
 func (p *Platform) AdoptFrozen(spec *workload.Spec, stage int) (*container.Instance, error) {
 	now := p.eng.Now()
 	p.nextInstID++
-	inst, err := container.New(p.machine, p.nextInstID, spec, stage, now, container.Options{
-		MemoryBudget:   p.cfg.InstanceBudget,
-		ShareLibraries: p.cfg.Profile == OpenWhisk,
-		Events:         p.bus,
-	})
+	inst, err := container.New(p.machine, p.nextInstID, spec, stage, now, p.instOpts)
 	if err != nil {
 		return nil, fmt.Errorf("faas: adopt %s/%d: %w", spec.Name, stage, err)
 	}

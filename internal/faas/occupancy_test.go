@@ -42,7 +42,7 @@ func checkOccupancy(t *testing.T, p *Platform, step string) {
 			}
 		}
 	}
-	for _, inst := range p.InFlightInstances() {
+	for _, inst := range p.AppendInFlight(nil) {
 		if p.IsCached(inst) {
 			t.Fatalf("%s: in-flight instance %d IsCached", step, inst.ID)
 		}
@@ -98,7 +98,7 @@ func TestOccupancyMatchesRecount(t *testing.T) {
 					cached[rng.Intn(len(cached))].SwapOutHeap(int64(rng.Intn(8)) * mb)
 				case op == 6:
 					what = "migrate"
-					spec, stage, ok := p.DetachCached(cached[rng.Intn(len(cached))], obs.EvictMigrate)
+					spec, stage, ok := p.DetachColdest(obs.EvictMigrate)
 					if ok && rng.Intn(2) == 0 {
 						if _, err := p.AdoptFrozen(spec, stage); err != nil {
 							t.Fatal(err)

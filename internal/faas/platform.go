@@ -107,8 +107,12 @@ type Platform struct {
 	arrivals freeList[arrival, *arrival]
 	invos    freeList[invocation, *invocation]
 	timers   freeList[timer, *timer]
-	// lru is ensureCacheFits' scratch list of eviction candidates.
+	// lru is the scratch list of eviction and migration candidates
+	// (ensureCacheFits, DetachColdest).
 	lru []*container.Instance
+	// instOpts is what every instance this platform builds is built
+	// with.
+	instOpts container.Options
 
 	stats Stats
 
@@ -134,6 +138,11 @@ func New(cfg Config, eng *sim.Engine) *Platform {
 		bus:      obs.NewBus(eng),
 		arrivals: freeList[arrival, *arrival]{max: recordSlab, slab: arrivalSlab},
 	}
+	p.instOpts = container.Options{
+		MemoryBudget:   cfg.InstanceBudget,
+		ShareLibraries: cfg.Profile == OpenWhisk,
+		Events:         p.bus,
+	}
 	if cfg.PrewarmPerLanguage > 0 {
 		// The initial stem cells exist before the first request.
 		for _, lang := range []runtime.Language{runtime.Java, runtime.JavaScript} {
@@ -150,11 +159,7 @@ func New(cfg Config, eng *sim.Engine) *Platform {
 // have taken it cold-boots, fails the same way and is dropped.
 func (p *Platform) addPrewarmed(lang runtime.Language) {
 	p.nextInstID++
-	pw, err := container.NewPrewarmed(p.machine, p.nextInstID, lang, container.Options{
-		MemoryBudget:   p.cfg.InstanceBudget,
-		ShareLibraries: p.cfg.Profile == OpenWhisk,
-		Events:         p.bus,
-	})
+	pw, err := container.NewPrewarmed(p.machine, p.nextInstID, lang, p.instOpts)
 	if err != nil {
 		p.bus.Emit(obs.Event{Kind: obs.EvWarning, Inst: -1, Name: "prewarm failed: " + err.Error()})
 		return
@@ -513,11 +518,7 @@ func (p *Platform) createInstance(inv *invocation, pw *container.Prewarmed) (*co
 		pw.Destroy() // snapshot mode takes the cold path anyway
 	}
 	p.nextInstID++
-	inst, err := container.New(p.machine, p.nextInstID, inv.spec, inv.stage, p.eng.Now(), container.Options{
-		MemoryBudget:   p.cfg.InstanceBudget,
-		ShareLibraries: p.cfg.Profile == OpenWhisk,
-		Events:         p.bus,
-	})
+	inst, err := container.New(p.machine, p.nextInstID, inv.spec, inv.stage, p.eng.Now(), p.instOpts)
 	if err != nil || !p.cfg.Snapshot {
 		return inst, err
 	}

@@ -653,19 +653,19 @@ func (h *Heap) Reclaim(aggressive bool) runtime.ReclaimReport {
 	return h.FinishReclaim(before, h.LiveBytes())
 }
 
-// SpaceLayout implements runtime.SpaceLayout: the generational carve
+// AppendSpaceLayout implements runtime.SpaceLayout: the generational carve
 // of the committed heap. Eden/from/to partition the committed young
 // generation from offset 0; the old generation occupies its committed
 // prefix of [youngReserve, youngReserve+oldCommitted). The invariant
 // checker asserts these never overlap and never escape the
 // reservation.
-func (h *Heap) SpaceLayout() []runtime.SpaceRange {
-	return []runtime.SpaceRange{
-		{Name: "eden", Off: h.eden.Base(), Len: h.eden.Capacity()},
-		{Name: "from", Off: h.surv[h.from].Base(), Len: h.surv[h.from].Capacity()},
-		{Name: "to", Off: h.surv[1-h.from].Base(), Len: h.surv[1-h.from].Capacity()},
-		{Name: "old", Off: h.old.Base(), Len: h.oldCommitted},
-	}
+func (h *Heap) AppendSpaceLayout(dst []runtime.SpaceRange) []runtime.SpaceRange {
+	return append(dst,
+		runtime.SpaceRange{Name: "eden", Off: h.eden.Base(), Len: h.eden.Capacity()},
+		runtime.SpaceRange{Name: "from", Off: h.surv[h.from].Base(), Len: h.surv[h.from].Capacity()},
+		runtime.SpaceRange{Name: "to", Off: h.surv[1-h.from].Base(), Len: h.surv[1-h.from].Capacity()},
+		runtime.SpaceRange{Name: "old", Off: h.old.Base(), Len: h.oldCommitted},
+	)
 }
 
 // Committed returns the committed sizes (young, old) for inspection.

@@ -58,6 +58,12 @@ type Checker struct {
 	lastPlat platCounters
 	lastMgr  core.Stats
 	statsSet bool
+
+	// Scratch lists a sweep (and findCached) fills, reuses and clears,
+	// so a warm sweep allocates nothing.
+	insts  []*container.Instance
+	spaces []*osmem.AddressSpace
+	layout []runtime.SpaceRange
 }
 
 // platCounters is the monotone scalar subset of faas.Stats.
@@ -182,13 +188,17 @@ func (c *Checker) Final() []string {
 // sweep re-derives every cross-layer conservation property.
 func (c *Checker) sweep() {
 	c.sweeps++
+	c.insts = c.platform.AppendCached(c.insts[:0])
+	cached := len(c.insts)
+	c.insts = c.platform.AppendInFlight(c.insts)
 	c.checkPageConservation()
-	c.checkHeapBounds()
+	c.checkHeapBounds(c.insts)
 	c.checkManager()
 	c.checkCensus()
-	c.checkOccupancy()
+	c.checkOccupancy(c.insts[:cached])
 	c.checkSpans()
 	c.checkMonotone()
+	clear(c.insts) // pin no dead instance
 }
 
 // checkSpans holds the span-conservation law: the invocation spans
@@ -215,7 +225,9 @@ func (c *Checker) checkSpans() {
 func (c *Checker) checkPageConservation() {
 	m := c.platform.Machine()
 	var rss, swap int64
-	for _, as := range m.AddressSpaces() {
+	c.spaces = m.AppendAddressSpaces(c.spaces[:0])
+	defer clear(c.spaces)
+	for _, as := range c.spaces {
 		u := as.Usage()
 		rss += u.RSS
 		swap += u.Swap
@@ -245,19 +257,19 @@ func (c *Checker) checkPageConservation() {
 	}
 }
 
-// checkHeapBounds verifies, for every live instance whose runtime
+// checkHeapBounds verifies, for every instance of insts whose runtime
 // exposes its space layout, that no space escapes the heap reservation
 // and no two spaces overlap — the eden/from/to/old (or semispace/old
 // chunk) geometry survives faults.
-func (c *Checker) checkHeapBounds() {
-	insts := append(c.platform.AppendCached(nil), c.platform.InFlightInstances()...)
+func (c *Checker) checkHeapBounds(insts []*container.Instance) {
 	for _, inst := range insts {
 		sl, ok := inst.Runtime.(runtime.SpaceLayout)
 		if !ok {
 			continue
 		}
 		_, heapLen := inst.Runtime.HeapRange()
-		spaces := sl.SpaceLayout()
+		c.layout = sl.AppendSpaceLayout(c.layout[:0])
+		spaces := c.layout
 		for _, s := range spaces {
 			if s.Off < 0 || s.Len < 0 || s.Off+s.Len > heapLen {
 				c.fail("inst %d: space %s [%d,%d) escapes heap reservation of %d bytes",
@@ -314,8 +326,7 @@ func (c *Checker) checkCensus() {
 // its tally, equal to the walk the tally replaced: the USS of every
 // cached instance, summed. A USS change that bypassed the tally (a
 // page-sharing credit moved to a survivor, say) shows up here.
-func (c *Checker) checkOccupancy() {
-	cached := c.platform.AppendCached(nil)
+func (c *Checker) checkOccupancy(cached []*container.Instance) {
 	var sum int64
 	for _, inst := range cached {
 		sum += inst.USS()
@@ -371,23 +382,19 @@ func (c *Checker) compareMonotone(cur platCounters, mgr core.Stats) {
 		{"platform.MigratedIn", c.lastPlat.migratedIn, cur.migratedIn},
 		{"platform.CPUBusy", int64(c.lastPlat.cpuBusy), int64(cur.cpuBusy)},
 		{"platform.ReclaimCPU", int64(c.lastPlat.reclaimCPU), int64(cur.reclaimCPU)},
-	}
-	if c.mgr != nil {
-		p := c.lastMgr
-		checks = append(checks,
-			pair{"manager.Checks", p.Checks, mgr.Checks},
-			pair{"manager.Activations", p.Activations, mgr.Activations},
-			pair{"manager.Reclamations", p.Reclamations, mgr.Reclamations},
-			pair{"manager.ReleasedBytes", p.ReleasedBytes, mgr.ReleasedBytes},
-			pair{"manager.SwappedBytes", p.SwappedBytes, mgr.SwappedBytes},
-			pair{"manager.CPUTime", int64(p.CPUTime), int64(mgr.CPUTime)},
-			pair{"manager.Starved", p.Starved, mgr.Starved},
-			pair{"manager.SkippedThaws", p.SkippedThaws, mgr.SkippedThaws},
-			pair{"manager.FailedReclaims", p.FailedReclaims, mgr.FailedReclaims},
-			pair{"manager.PartialReclaims", p.PartialReclaims, mgr.PartialReclaims},
-			pair{"manager.Retries", p.Retries, mgr.Retries},
-			pair{"manager.SwapFallbacks", p.SwapFallbacks, mgr.SwapFallbacks},
-		)
+		// Without a manager both sides are zero.
+		{"manager.Checks", c.lastMgr.Checks, mgr.Checks},
+		{"manager.Activations", c.lastMgr.Activations, mgr.Activations},
+		{"manager.Reclamations", c.lastMgr.Reclamations, mgr.Reclamations},
+		{"manager.ReleasedBytes", c.lastMgr.ReleasedBytes, mgr.ReleasedBytes},
+		{"manager.SwappedBytes", c.lastMgr.SwappedBytes, mgr.SwappedBytes},
+		{"manager.CPUTime", int64(c.lastMgr.CPUTime), int64(mgr.CPUTime)},
+		{"manager.Starved", c.lastMgr.Starved, mgr.Starved},
+		{"manager.SkippedThaws", c.lastMgr.SkippedThaws, mgr.SkippedThaws},
+		{"manager.FailedReclaims", c.lastMgr.FailedReclaims, mgr.FailedReclaims},
+		{"manager.PartialReclaims", c.lastMgr.PartialReclaims, mgr.PartialReclaims},
+		{"manager.Retries", c.lastMgr.Retries, mgr.Retries},
+		{"manager.SwapFallbacks", c.lastMgr.SwapFallbacks, mgr.SwapFallbacks},
 	}
 	for _, ck := range checks {
 		if ck.now < ck.prev {
@@ -398,7 +405,9 @@ func (c *Checker) compareMonotone(cur platCounters, mgr core.Stats) {
 
 // findCached returns the cached instance with the given ID, or nil.
 func (c *Checker) findCached(id int) *container.Instance {
-	for _, inst := range c.platform.AppendCached(nil) {
+	c.insts = c.platform.AppendCached(c.insts[:0])
+	defer clear(c.insts)
+	for _, inst := range c.insts {
 		if inst.ID == id {
 			return inst
 		}

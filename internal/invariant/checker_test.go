@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
 	"desiccant/internal/sim"
@@ -36,6 +37,46 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 	}
 	if c.Sweeps() == 0 {
 		t.Fatal("checker never swept")
+	}
+}
+
+// TestWarmSweepAllocFree pins a sweep over a managed machine with Java
+// and JavaScript instances both frozen and in flight at 0 allocations:
+// the cached, in-flight, address-space and heap-layout lists are the
+// checker's own scratch, filled in place and reused sweep to sweep.
+func TestWarmSweepAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	mcfg := core.DefaultConfig()
+	var c *Checker
+	p, mgr, err := core.NewMachine(eng, faas.DefaultConfig(), &mcfg, func(p *faas.Platform, mgr *core.Manager) {
+		c = Attach(p, mgr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"matrix", "clock", "image-resize", "fft", "sort"}
+	for i, n := range names {
+		if err := p.SubmitName(n, sim.Time(sim.Duration(i)*sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(sim.Time(20 * sim.Second))
+	for _, n := range names[:2] {
+		if err := p.SubmitName(n, eng.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(eng.Now().Add(sim.Millisecond))
+	if p.CachedCount() == 0 || p.InFlightCount() == 0 {
+		t.Fatalf("%d cached and %d in-flight instances, want some of each", p.CachedCount(), p.InFlightCount())
+	}
+	c.sweep() // sizes the scratch lists
+	if n := testing.AllocsPerRun(100, c.sweep); n != 0 {
+		t.Fatalf("warm sweep: %v allocations, want 0", n)
+	}
+	mgr.Stop()
+	if v := c.Final(); len(v) != 0 {
+		t.Fatalf("violations:\n%s", strings.Join(v, "\n"))
 	}
 }
 

@@ -23,7 +23,10 @@ func TestObserverSeesInitialThreshold(t *testing.T) {
 		{"core.NewMachine", func(observe core.Observer) {
 			mcfg := core.DefaultConfig()
 			eng := sim.NewEngine()
-			_, mgr := core.NewMachine(eng, faas.DefaultConfig(), &mcfg, observe)
+			_, mgr, err := core.NewMachine(eng, faas.DefaultConfig(), &mcfg, observe)
+			if err != nil {
+				t.Fatal(err)
+			}
 			eng.RunUntil(sim.Time(sim.Second))
 			mgr.Stop()
 		}},

@@ -115,7 +115,6 @@ const (
 	EvictPressure  = 0 // cache over capacity
 	EvictKeepAlive = 1 // keep-alive timer expired
 	EvictMigrate   = 2 // handed off to another machine (cluster migration)
-	EvictNodeDead  = 3 // machine decommissioned mid-replay (chaos kill)
 )
 
 var kindNames = [numKinds]string{

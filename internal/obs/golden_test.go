@@ -44,12 +44,15 @@ func goldenScenario(t *testing.T) (traceJSON, metricsCSV []byte) {
 	mcfg.LowThreshold = 0.20
 	mcfg.HighThreshold = 0.30
 	mcfg.FreezeTimeout = 1 * sim.Second
-	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
+	platform, mgr, err := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
 		bus := p.Events()
 		bus.Subscribe(rec)
 		bus.Subscribe(obs.NewCollector(reg))
 		obs.InstrumentEngine(bus, eng)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var ms bytes.Buffer
 	sampler := obs.NewSampler(eng, reg, 1*sim.Second, &ms)

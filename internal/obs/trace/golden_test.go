@@ -38,9 +38,12 @@ func goldenSpans(t *testing.T) []*trace.Span {
 	mcfg.LowThreshold = 0.20
 	mcfg.HighThreshold = 0.30
 	mcfg.FreezeTimeout = 1 * sim.Second
-	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
+	platform, mgr, err := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
 		builder.Attach(p.Events())
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	submits := []struct {
 		fn string
@@ -140,9 +143,12 @@ func TestSumExactnessDifferential(t *testing.T) {
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = 1 << 30
 	mcfg := core.DefaultConfig()
-	platform, mgr := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
+	platform, mgr, err := core.NewMachine(eng, pcfg, &mcfg, func(p *faas.Platform, _ *core.Manager) {
 		builder.Attach(p.Events())
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	specs := workload.All()
 	rng := sim.NewRNG(0x5eedf00d)

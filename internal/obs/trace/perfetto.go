@@ -148,8 +148,6 @@ func (p *perfettoWriter) writeEvent(ev obs.Event, flowFrom map[int]sim.Time) {
 			reason = "keepalive"
 		case obs.EvictMigrate:
 			reason = "migrate"
-		case obs.EvictNodeDead:
-			reason = "node_dead"
 		}
 		p.instant(tid, "evict", "lifecycle", ev.Time,
 			argStr("reason", reason)+","+argInt("resident_bytes", ev.Bytes))

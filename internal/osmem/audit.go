@@ -21,7 +21,7 @@ func (m *Machine) Audit() []string {
 	fileRefs := make(map[*FileObject][]int32)
 	fileHolders := make(map[*FileObject][]int32)
 
-	spaces := m.AddressSpaces()
+	spaces := m.AppendAddressSpaces(nil)
 	uss := make([]int64, len(spaces)) // recounted private pages per space
 	for k, as := range spaces {
 		for _, r := range as.Regions() {

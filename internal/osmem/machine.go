@@ -13,9 +13,11 @@
 package osmem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -239,20 +241,17 @@ func (m *Machine) Files() []string {
 // SpaceCount returns the number of live address spaces.
 func (m *Machine) SpaceCount() int { return len(m.spaces) }
 
-// AddressSpaces returns the live address spaces sorted by ID. The
-// spaces hang off a map, so this ordering is what lets machine-wide
-// scans (accounting audits, invariant sweeps) stay deterministic.
-func (m *Machine) AddressSpaces() []*AddressSpace {
-	out := make([]*AddressSpace, 0, len(m.spaces))
-	ids := make([]int, 0, len(m.spaces))
-	for id := range m.spaces {
-		ids = append(ids, id)
+// AppendAddressSpaces appends the live address spaces to dst, sorted by
+// ID, and returns the extended slice. The spaces hang off a map, so
+// this ordering is what lets machine-wide scans (accounting audits,
+// invariant sweeps) stay deterministic.
+func (m *Machine) AppendAddressSpaces(dst []*AddressSpace) []*AddressSpace {
+	start := len(dst)
+	for _, as := range m.spaces {
+		dst = append(dst, as)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		out = append(out, m.spaces[id])
-	}
-	return out
+	slices.SortFunc(dst[start:], func(a, b *AddressSpace) int { return cmp.Compare(a.id, b.id) })
+	return dst
 }
 
 // holder returns the live address space with the given ID, reusing

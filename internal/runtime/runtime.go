@@ -149,9 +149,10 @@ type SpaceRange struct {
 // where their internal spaces live. The invariant checker uses it to
 // assert structural heap laws — spaces never overlap each other and
 // never escape the reservation — that the Runtime interface alone
-// cannot express. Ranges must be reported in a deterministic order.
+// cannot express. AppendSpaceLayout appends the ranges to dst, in a
+// deterministic order, and returns the extended slice.
 type SpaceLayout interface {
-	SpaceLayout() []SpaceRange
+	AppendSpaceLayout(dst []SpaceRange) []SpaceRange
 }
 
 // GCObserver receives runtime-internal memory events. Runtimes call

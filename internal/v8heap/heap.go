@@ -478,30 +478,26 @@ func (h *Heap) resize() {
 	h.toSpace().releaseFreePages()
 }
 
-// SpaceLayout implements runtime.SpaceLayout: one range per live
+// AppendSpaceLayout implements runtime.SpaceLayout: one range per live
 // chunk, named after the owning space. V8's heap is discontinuous, so
 // the structural law here is per-chunk: two chunks must never share a
 // slot (a double-allocated slot shows up as an overlap) and every
 // chunk must sit inside the arena reservation.
-func (h *Heap) SpaceLayout() []runtime.SpaceRange {
-	var out []runtime.SpaceRange
-	add := func(owner string, c *chunk) {
-		out = append(out, runtime.SpaceRange{Name: owner, Off: c.base(), Len: ChunkSize})
-	}
+func (h *Heap) AppendSpaceLayout(dst []runtime.SpaceRange) []runtime.SpaceRange {
 	for _, s := range h.spaces {
 		for _, c := range s.chunks {
-			add(s.name, c)
+			dst = append(dst, runtime.SpaceRange{Name: s.name, Off: c.base(), Len: ChunkSize})
 		}
 	}
 	for _, c := range h.old.chunks {
-		add("old", c)
+		dst = append(dst, runtime.SpaceRange{Name: "old", Off: c.base(), Len: ChunkSize})
 	}
 	for _, e := range h.old.large {
 		for _, c := range e.chunks {
-			add("lo", c)
+			dst = append(dst, runtime.SpaceRange{Name: "lo", Off: c.base(), Len: ChunkSize})
 		}
 	}
-	return out
+	return dst
 }
 
 // EachPlaced calls f with every object the heap lists and the region

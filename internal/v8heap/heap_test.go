@@ -347,7 +347,7 @@ func TestOutOfMemoryKeepsEveryObject(t *testing.T) {
 					t.Fatalf("%s at %d MiB: heap lists %d live bytes after OOM, the workload holds %d", fn, budget/mb, got, want)
 				}
 				_, reserved := h.HeapRange()
-				for _, sr := range h.SpaceLayout() {
+				for _, sr := range h.AppendSpaceLayout(nil) {
 					if sr.Off < 0 || sr.Off+sr.Len > reserved {
 						t.Fatalf("%s at %d MiB: %s chunk at %d outside the %d-byte reservation", fn, budget/mb, sr.Name, sr.Off, reserved)
 					}
