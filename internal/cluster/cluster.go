@@ -13,12 +13,11 @@ func latencyBounds() []float64 { return metrics.ExponentialBounds(1, 2, 16) }
 
 // Cluster is one wired fleet on one engine: the router at index 0 and
 // a node at each index 1..Nodes (nodes[0] is nil). Router and nodes
-// only learn about each other through messages filed with
-// eng.Deliver(src, …), whose (source index, send order) key orders
-// same-instant messages independently of how the senders' own events
-// interleaved — the migration protocol depends on it. Every
-// message closure reaches its target as nodes[dst], and node d's state
-// is only touched by events addressed to node d.
+// only learn about each other through messages, each a plain event
+// filed with eng.At at its arrival time, so same-instant messages fire
+// in the order they were sent. Every message closure reaches its
+// target as nodes[dst], and node d's state is only touched by events
+// addressed to node d.
 type Cluster struct {
 	opts   Options
 	eng    *sim.Engine
@@ -28,7 +27,7 @@ type Cluster struct {
 
 // dispatch forwards a placed request to its node over the route hop.
 func (c *Cluster) dispatch(d int, spec *workload.Spec, at sim.Time) {
-	c.eng.Deliver(0, at, "cluster:submit", func() {
+	c.eng.At(at, "cluster:submit", func() {
 		c.nodes[d].deliver(spec)
 	})
 }
@@ -38,8 +37,7 @@ func (c *Cluster) dispatch(d int, spec *workload.Spec, at sim.Time) {
 // deterministic: identical options produce identical results byte for
 // byte.
 func Run(o Options) (*Result, error) {
-	o, err := o.withDefaults()
-	if err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	mcfg, err := managerConfig(o.Mode)
@@ -61,8 +59,10 @@ func Run(o Options) (*Result, error) {
 	c.router = newRouter(c, policy, o.dynamic())
 
 	end := sim.Time(o.Window)
-	for d := 1; d <= o.Nodes; d++ {
-		c.nodes[d].armReports(o.ReportEvery, end)
+	if o.reports() {
+		for d := 1; d <= o.Nodes; d++ {
+			c.nodes[d].armReports(end)
+		}
 	}
 
 	o.Synthetic.Replayer(c.router, o.Synthetic.Assignments(nil, o.ZipfSkew)).Schedule(0, end, o.Scale)
@@ -75,17 +75,10 @@ func Run(o Options) (*Result, error) {
 	}
 	// Drain: in-flight invocations submitted before the window closed
 	// still complete, their acks still cross back to the router, and
-	// in-flight migrations still land. With the managers stopped and
-	// the report loops past their window nothing reschedules forever,
-	// so the queues empty; the iteration cap is a backstop only.
-	drainEnd := end
-	for i := 0; i < 240; i++ {
-		if _, busy := eng.Next(); !busy {
-			break
-		}
-		drainEnd = drainEnd.Add(sim.Second)
-		eng.RunUntil(drainEnd)
-	}
+	// in-flight migrations still land. The queue does not empty — each
+	// frozen instance's keep-alive timer outlives the drain — so the
+	// drain runs to a fixed horizon.
+	eng.RunUntil(end.Add(drainWindow))
 
 	return c.collect()
 }

@@ -42,13 +42,15 @@ func summary(t testing.TB, o Options) string {
 }
 
 // TestPolicySummaryPins pins every placement policy's summary on the
-// plain test fleet (no migration) to the byte. The hashes were
-// captured from the sharded runner that preceded the single engine,
-// where they were equal at every shard count.
+// plain test fleet (no migration) to the byte. The least-loaded and
+// garbage-aware hashes were captured from the sharded runner that
+// preceded the single engine, where they were equal at every shard
+// count; pinned and random read no view, so their fleets ship no
+// pressure reports.
 func TestPolicySummaryPins(t *testing.T) {
 	want := map[string]string{
-		PolicyPinned:       "2c9abc741ea7097219d3e0678b82f1a5b7c5a607b0d1c09157237c3d31a991fb",
-		PolicyRandom:       "d687caeb172e51977a88d463959a8c0cb234e04a1f9c854ae3d080e6ee9c356c",
+		PolicyPinned:       "ab3f225c97be2aaf3b386931bc11bae43438eea25224e0456b407e2a2fd585d2",
+		PolicyRandom:       "01690d0708bbd75cb5c4fa8dc3239f04e039d37fdffee518f90861d8efe1c84b",
 		PolicyLeastLoaded:  "c201129483430d06063dab5a53946c3345d6a561314acacb2b17daa383655b6f",
 		PolicyGarbageAware: "ae58b5f33caf63a3c843153368ebc99c4b2c5a054b8e113ac0566baf1a50b7b6",
 	}
@@ -112,18 +114,34 @@ func TestPoliciesSpreadWork(t *testing.T) {
 	}
 }
 
-// TestViewDrivenPoliciesSeeReports pins that the pressure protocol
-// actually feeds the view-driven policies: reports arrive, and the
-// garbage-aware packer concentrates functions instead of spreading
-// them round-robin-thin.
+// TestViewDrivenPoliciesSeeReports pins the report rule: nodes ship
+// pressure reports exactly when the policy or migration reads the
+// view, so the view-driven policies are fed, and pinned and random
+// with migration off send none.
 func TestViewDrivenPoliciesSeeReports(t *testing.T) {
-	for _, policy := range []string{PolicyLeastLoaded, PolicyGarbageAware} {
-		res, err := Run(quickOptions(policy))
+	cases := []struct {
+		policy  string
+		migrate bool
+		reports bool
+	}{
+		{PolicyLeastLoaded, false, true},
+		{PolicyGarbageAware, false, true},
+		{PolicyPinned, false, false},
+		{PolicyRandom, false, false},
+		{PolicyPinned, true, true},
+	}
+	for _, c := range cases {
+		o := quickOptions(c.policy)
+		if c.migrate {
+			o.Migration = DefaultMigration()
+		}
+		res, err := Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Reports == 0 {
-			t.Fatalf("policy %s: no pressure reports reached the router", policy)
+		if got := res.Reports > 0; got != c.reports {
+			t.Fatalf("policy %s, migration %v: %d pressure reports reached the router, want reports: %v",
+				c.policy, c.migrate, res.Reports, c.reports)
 		}
 	}
 }
@@ -204,8 +222,8 @@ func TestUnknownPolicyAndMode(t *testing.T) {
 // a NaN or infinite scale used to submit every function once per
 // microsecond forever, the trace cases panicked inside the trace
 // package, a zero cache panicked inside faas.New, and the other fleet
-// cases ran silently with no window, no reports or thresholds no
-// occupancy can cross.
+// cases ran silently with no window or with thresholds no occupancy
+// can cross.
 func TestRejectsDegenerateReplays(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	migrate := func(high, low float64) func(*Options) {
@@ -233,7 +251,6 @@ func TestRejectsDegenerateReplays(t *testing.T) {
 		{"window negative", "Window", func(o *Options) { o.Window = -sim.Second }},
 		{"cache 0", "CacheBytes", func(o *Options) { o.CacheBytes = 0 }},
 		{"cache negative", "CacheBytes", func(o *Options) { o.CacheBytes = -1 }},
-		{"report every negative", "ReportEvery", func(o *Options) { o.ReportEvery = -sim.Millisecond }},
 		{"high frac NaN", "Migration.HighFrac", migrate(nan, 0.5)},
 		{"high frac negative", "Migration.HighFrac", migrate(-0.1, 0)},
 		{"high frac +Inf", "Migration.HighFrac", migrate(inf, 0.5)},
@@ -242,7 +259,6 @@ func TestRejectsDegenerateReplays(t *testing.T) {
 		{"low frac negative, migration off", "Migration.LowFrac", migrate(0, -0.5)},
 		{"low frac equals high frac", "Migration.LowFrac", migrate(0.6, 0.6)},
 		{"low frac above high frac", "Migration.LowFrac", migrate(0.6, 0.9)},
-		{"default low frac above high frac", "Migration.LowFrac", migrate(0.3, 0)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

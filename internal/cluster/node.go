@@ -24,7 +24,6 @@ type Node struct {
 	mgr      *core.Manager // nil in vanilla mode
 	hist     *metrics.Histogram
 
-	reportEvery sim.Duration
 	reportUntil sim.Time
 
 	// adoptErrs records failed adoptions — a lost instance, surfaced
@@ -71,7 +70,7 @@ func (n *Node) ack(ev obs.Event) {
 	}
 	lat := ev.Dur.Millis()
 	n.hist.Add(lat)
-	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "fleet:ack", func() {
+	n.eng.At(n.eng.Now().Add(routeLatency), "fleet:ack", func() {
 		n.c.router.onAck(n.d, lat)
 	})
 }
@@ -82,13 +81,10 @@ func (n *Node) deliver(spec *workload.Spec) {
 }
 
 // armReports starts the pressure-sampling loop, which stops at the
-// window end so the drain phase sees a quiescing engine.
-func (n *Node) armReports(every sim.Duration, until sim.Time) {
-	if every <= 0 {
-		return
-	}
-	n.reportEvery, n.reportUntil = every, until
-	n.eng.After(every, "cluster:sample", n.sample)
+// window end so the drain phase sends no reports.
+func (n *Node) armReports(until sim.Time) {
+	n.reportUntil = until
+	n.eng.After(reportEvery, "cluster:sample", n.sample)
 }
 
 // sample takes a value-copy snapshot of local pressure and ships it
@@ -97,23 +93,20 @@ func (n *Node) armReports(every sim.Duration, until sim.Time) {
 func (n *Node) sample() {
 	now := n.eng.Now()
 	nv := NodeView{
-		Reported:       true,
-		At:             now,
 		CommittedPages: n.platform.Machine().PhysPages(),
 		MemFrac:        n.platform.MemoryUsedFraction(),
 		QueueLen:       n.platform.QueueLength(),
-		CachedCount:    n.platform.CachedCount(),
 	}
 	if n.mgr != nil {
 		nv.ActiveReclaims = n.mgr.ActiveReclaims()
 	}
 	n.platform.Events().Emit(obs.Event{Kind: obs.EvNodePressure, Inst: -1,
 		Bytes: nv.CommittedPages * osmem.PageSize, Val: nv.MemFrac, Aux: int64(nv.QueueLen)})
-	n.eng.Deliver(n.d, now.Add(routeLatency), "cluster:report", func() {
+	n.eng.At(now.Add(routeLatency), "cluster:report", func() {
 		n.c.router.onReport(n.d, nv)
 	})
-	if next := now.Add(n.reportEvery); next <= n.reportUntil {
-		n.eng.After(n.reportEvery, "cluster:sample", n.sample)
+	if next := now.Add(reportEvery); next <= n.reportUntil {
+		n.eng.At(next, "cluster:sample", n.sample)
 	}
 }
 
@@ -133,15 +126,14 @@ func (n *Node) migrateOut(dst int) {
 }
 
 // sendInstance ships one detached instance: the adopt lands on the
-// destination node after the hand-off latency, and the router learns
-// the move after the route hop. Both are deliveries keyed by this
-// node's index, so the adopt order and the affinity update order are
-// fixed at send time — the determinism argument for migration.
+// destination node after migrationLatency, and the router learns the
+// move after the route hop. A batch's instances are sent in detach
+// order, so they are adopted and re-homed in that order.
 func (n *Node) sendInstance(dst int, spec *workload.Spec, stage int) {
-	n.eng.Deliver(n.d, n.eng.Now().Add(n.c.opts.Migration.Latency), "cluster:adopt", func() {
+	n.eng.At(n.eng.Now().Add(migrationLatency), "cluster:adopt", func() {
 		n.c.nodes[dst].adopt(spec, stage)
 	})
-	n.eng.Deliver(n.d, n.eng.Now().Add(routeLatency), "cluster:moved", func() {
+	n.eng.At(n.eng.Now().Add(routeLatency), "cluster:moved", func() {
 		n.c.router.onMoved(spec.Name, dst)
 	})
 }

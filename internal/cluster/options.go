@@ -7,9 +7,9 @@
 // route new functions around machines mid-reclaim.
 //
 // Everything is deterministic: policies draw from forked sim.RNG
-// streams, and every router/node interaction is a sim-time-stamped
-// message filed with sim.Engine.Deliver, ordered by (time, source,
-// send order).
+// streams, and every router/node interaction is a message filed as a
+// plain engine event, so it fires in the engine's (time, scheduling
+// order).
 package cluster
 
 import (
@@ -33,9 +33,6 @@ type Migration struct {
 	// LowFrac is the destination ceiling: only nodes at or below it
 	// (and not mid-reclaim) receive migrations.
 	LowFrac float64
-	// Latency is the modeled hand-off time per instance (snapshot
-	// shipping); at least routeLatency.
-	Latency sim.Duration
 }
 
 // validate rejects thresholds no occupancy fraction can be compared
@@ -57,6 +54,15 @@ const (
 	// routeLatency is the modeled network hop between router and
 	// nodes.
 	routeLatency = 2 * sim.Millisecond
+	// reportEvery is the pressure-sample cadence of every node, when
+	// the policy or migration reads the view (Options.reports).
+	reportEvery = 500 * sim.Millisecond
+	// migrationLatency is the modeled hand-off time per migrated
+	// instance (snapshot shipping).
+	migrationLatency = 10 * sim.Millisecond
+	// drainWindow is how long the engine runs past the window end, so
+	// in-flight invocations, their acks and in-flight migrations land.
+	drainWindow = 240 * sim.Second
 	// migrationBatch is how many instances one migration order moves.
 	migrationBatch = 2
 	// migrationCooldown is the minimum sim-time between migration
@@ -67,11 +73,7 @@ const (
 
 // DefaultMigration returns the sweep's migration parameters.
 func DefaultMigration() Migration {
-	return Migration{
-		HighFrac: 0.85,
-		LowFrac:  0.5,
-		Latency:  10 * sim.Millisecond,
-	}
+	return Migration{HighFrac: 0.85, LowFrac: 0.5}
 }
 
 // Options parameterizes one cluster replay.
@@ -97,12 +99,6 @@ type Options struct {
 	// Mode selects the per-node memory manager: "vanilla" (none),
 	// "reclaim" (Desiccant) or "swap" (the §4.5.2 baseline).
 	Mode string
-	// ReportEvery is the pressure-sample cadence. 0 auto-enables a
-	// default cadence when the policy or migration needs the view and
-	// stays off otherwise — in particular the static pinned
-	// configuration runs with no reports at all, preserving the
-	// original ext-fleet behavior byte for byte.
-	ReportEvery sim.Duration
 	// Migration configures hot-node instance hand-off.
 	Migration Migration
 	// ObserveNode, when set, is called once per node after the node is
@@ -118,63 +114,54 @@ type Options struct {
 // Desiccant reclaiming on every node, migration armed.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:       16,
-		Window:      60 * sim.Second,
-		Scale:       15,
-		Synthetic:   trace.Synthetic{Seed: 11, Functions: 400, BaseRate: 2.2},
-		CacheBytes:  2 << 30,
-		ZipfSkew:    0.9,
-		Policy:      PolicyGarbageAware,
-		Mode:        "reclaim",
-		ReportEvery: 500 * sim.Millisecond,
-		Migration:   DefaultMigration(),
+		Nodes:      16,
+		Window:     60 * sim.Second,
+		Scale:      15,
+		Synthetic:  trace.Synthetic{Seed: 11, Functions: 400, BaseRate: 2.2},
+		CacheBytes: 2 << 30,
+		ZipfSkew:   0.9,
+		Policy:     PolicyGarbageAware,
+		Mode:       "reclaim",
+		Migration:  DefaultMigration(),
 	}
 }
 
-// defaultReportEvery is the cadence used when a view-dependent
-// configuration leaves ReportEvery unset.
-const defaultReportEvery = 500 * sim.Millisecond
-
-// withDefaults validates and resolves the derived knobs.
-func (o Options) withDefaults() (Options, error) {
+// validate rejects options no replay can run, with an error naming
+// the field.
+func (o Options) validate() error {
 	if o.Nodes < 1 {
-		return o, fmt.Errorf("cluster: need at least one node, got %d", o.Nodes)
+		return fmt.Errorf("cluster: Nodes must be at least 1, got %d", o.Nodes)
 	}
 	if o.Window <= 0 {
-		return o, fmt.Errorf("cluster: Window must be positive, got %v", o.Window)
+		return fmt.Errorf("cluster: Window must be positive, got %v", o.Window)
 	}
 	if o.CacheBytes <= 0 {
-		return o, fmt.Errorf("cluster: CacheBytes must be positive, got %d", o.CacheBytes)
-	}
-	if o.ReportEvery < 0 {
-		return o, fmt.Errorf("cluster: ReportEvery must not be negative, got %v", o.ReportEvery)
+		return fmt.Errorf("cluster: CacheBytes must be positive, got %d", o.CacheBytes)
 	}
 	if err := o.Migration.validate(); err != nil {
-		return o, err
+		return err
 	}
 	if err := o.Synthetic.Validate(nil, o.ZipfSkew, o.Scale); err != nil {
-		return o, fmt.Errorf("cluster: %w", err)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if !knownPolicy(o.Policy) {
-		return o, fmt.Errorf("cluster: unknown policy %q (want one of %v)", o.Policy, PolicyNames)
+		return fmt.Errorf("cluster: unknown policy %q (want one of %v)", o.Policy, PolicyNames)
 	}
 	if _, err := managerConfig(o.Mode); err != nil {
-		return o, err
-	}
-	if o.Migration.HighFrac > 0 && o.Migration.LowFrac == 0 {
-		o.Migration.LowFrac = DefaultMigration().LowFrac
+		return err
 	}
 	if o.Migration.HighFrac > 0 && o.Migration.LowFrac >= o.Migration.HighFrac {
-		return o, fmt.Errorf("cluster: Migration.LowFrac %v must be below Migration.HighFrac %v", o.Migration.LowFrac, o.Migration.HighFrac)
+		return fmt.Errorf("cluster: Migration.LowFrac %v must be below Migration.HighFrac %v", o.Migration.LowFrac, o.Migration.HighFrac)
 	}
-	// A hand-off can never undercut the route hop.
-	if o.Migration.Latency < routeLatency {
-		o.Migration.Latency = routeLatency
-	}
-	if o.ReportEvery == 0 && (policyNeedsView(o.Policy) || o.Migration.HighFrac > 0) {
-		o.ReportEvery = defaultReportEvery
-	}
-	return o, nil
+	return nil
+}
+
+// reports reports whether the nodes sample pressure every reportEvery:
+// only when the policy or migration reads the view, so the static
+// pinned configuration runs with no reports at all, preserving the
+// original ext-fleet behavior byte for byte.
+func (o Options) reports() bool {
+	return policyNeedsView(o.Policy) || o.Migration.HighFrac > 0
 }
 
 // dynamic reports whether routing happens at sim time on the router

@@ -12,10 +12,6 @@ import (
 // router acts on what the reports delivered, never on node state
 // directly.
 type NodeView struct {
-	// Reported is true once at least one pressure sample arrived.
-	Reported bool
-	// At is the sample's sim-time stamp (taken on the node).
-	At sim.Time
 	// CommittedPages is the node machine's resident page count.
 	CommittedPages int64
 	// MemFrac is the frozen cache occupancy fraction — Desiccant's
@@ -27,8 +23,6 @@ type NodeView struct {
 	ActiveReclaims int
 	// QueueLen is the platform's pending-request queue length.
 	QueueLen int
-	// CachedCount is the number of frozen instances in the cache.
-	CachedCount int
 }
 
 // View is the cluster-level pressure signal handed to placement
@@ -63,7 +57,6 @@ func (v *View) Outstanding(d int) int64 { return v.Routed[d] - v.Acked[d] }
 // of the view, the policy's own state, and its forked RNG stream —
 // nothing wall-clock.
 type PlacementPolicy interface {
-	Name() string
 	Place(fn string, v *View) int
 }
 
@@ -128,9 +121,6 @@ type Pinned struct {
 // NewPinned returns the round-robin first-sight policy.
 func NewPinned() *Pinned { return &Pinned{assign: make(map[string]int), next: 1} }
 
-// Name implements PlacementPolicy.
-func (p *Pinned) Name() string { return PolicyPinned }
-
 // Place implements PlacementPolicy.
 func (p *Pinned) Place(fn string, v *View) int {
 	if d, ok := p.assign[fn]; ok {
@@ -150,9 +140,6 @@ type Random struct{ rng *sim.RNG }
 // NewRandom returns the uniform-random policy over the given stream.
 func NewRandom(rng *sim.RNG) *Random { return &Random{rng: rng} }
 
-// Name implements PlacementPolicy.
-func (r *Random) Name() string { return PolicyRandom }
-
 // Place implements PlacementPolicy.
 func (r *Random) Place(fn string, v *View) int { return 1 + r.rng.Intn(v.Size()) }
 
@@ -165,9 +152,6 @@ type LeastLoaded struct{}
 
 // NewLeastLoaded returns the committed-pages policy.
 func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
-
-// Name implements PlacementPolicy.
-func (l *LeastLoaded) Name() string { return PolicyLeastLoaded }
 
 // Place implements PlacementPolicy.
 func (l *LeastLoaded) Place(fn string, v *View) int {
@@ -206,9 +190,6 @@ type GarbageAware struct {
 func NewGarbageAware() *GarbageAware {
 	return &GarbageAware{assign: make(map[string]int)}
 }
-
-// Name implements PlacementPolicy.
-func (g *GarbageAware) Name() string { return PolicyGarbageAware }
 
 // Moved implements affinityMover: future requests follow the migrated
 // instance.

@@ -152,7 +152,7 @@ func (rt *Router) maybeMigrate(src int) {
 // orderMigration ships the order to the source node; the node picks
 // the victims against its live state.
 func (rt *Router) orderMigration(src, dst int) {
-	rt.eng.Deliver(0, rt.eng.Now().Add(routeLatency), "cluster:migrate", func() {
+	rt.eng.At(rt.eng.Now().Add(routeLatency), "cluster:migrate", func() {
 		rt.c.nodes[src].migrateOut(dst)
 	})
 }

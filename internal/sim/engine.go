@@ -8,8 +8,8 @@ import (
 // Event is a unit of scheduled work. The callback runs at the event's
 // firing time with the engine positioned at that time.
 //
-// An event comes one of two ways. At, After and Deliver allocate a
-// fresh one per call, for cold paths. A caller-owned event is a field
+// An event comes one of two ways. At and After allocate a fresh one
+// per call, for cold paths. A caller-owned event is a field
 // of its owner, used as a kernel timer is: Bind attaches it to an
 // engine and a Handler once, Schedule arms it, Cancel disarms it, and
 // once it has fired or been cancelled Schedule re-arms it in place.
@@ -36,7 +36,7 @@ type Handler interface {
 	Label() string
 }
 
-// funcEvent is the event At, After and Deliver allocate: the event,
+// funcEvent is the event At and After allocate: the event,
 // its callback and its label in one allocation.
 type funcEvent struct {
 	Event
@@ -73,7 +73,7 @@ func (e *Event) Schedule(t Time) {
 		panic("sim: Schedule on an unbound event")
 	}
 	e.Cancel()
-	e.engine.schedule(e, t, 0)
+	e.engine.schedule(e, t)
 }
 
 // ScheduleAfter arms a bound event to fire d after the current time.
@@ -102,16 +102,16 @@ func (e *Event) Pending() bool { return e != nil && e.pos != 0 }
 // event's may allocate, so the engine calls it only for a fire hook.
 func (e *Event) Label() string { return e.h.Label() }
 
-// Engine is a single-threaded discrete-event simulator over one binary
-// heap. It is not safe for concurrent use; all model code runs inside
-// event callbacks on the caller's goroutine. A fleet of machines runs
-// on one Engine, with messages between them filed through Deliver.
+// Engine is a single-threaded discrete-event simulator over one heap.
+// It is not safe for concurrent use; all model code runs inside event
+// callbacks on the caller's goroutine. Events fire in (time, scheduling
+// order): same-instant events run first-scheduled first. A fleet of
+// machines runs on one Engine, its messages plain events.
 type Engine struct {
 	now      Time
 	q        eventHeap
 	seq      uint64
 	fired    uint64
-	halted   bool
 	fireHook FireFunc
 }
 
@@ -150,8 +150,9 @@ func (en *Engine) Next() (Time, bool) {
 	return en.q[0].at, true
 }
 
-// ErrPastEvent is returned (via panic-free API) when scheduling into
-// the past, which would corrupt causality in the simulation.
+// ErrPastEvent is the error the engine panics with when an event is
+// scheduled into the past, which would corrupt causality in the
+// simulation; recover and test it with errors.Is.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // At schedules fn to run at absolute time t. Scheduling at the current
@@ -159,46 +160,24 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // returns. Scheduling in the past panics: it is always a model bug.
 func (en *Engine) At(t Time, label string, fn func()) *Event {
 	e := en.newFuncEvent(label, fn)
-	en.schedule(e, t, 0)
+	en.schedule(e, t)
 	return e
 }
 
-// Deliver schedules fn at absolute time t as a message from source
-// src, a caller-chosen non-negative index (e.g. a node). A delivery
-// fires after every local event (At, Schedule) at the same instant —
-// including ones that earlier deliveries at that instant schedule —
-// and same-instant deliveries fire in (src, scheduling order). The key
-// is fixed when the message is sent, so the receiving side's order
-// never depends on when other sources happened to run. Scheduling into
-// the past panics as for At.
-func (en *Engine) Deliver(src int, t Time, label string, fn func()) {
-	if src < 0 || src >= maxSources {
-		panic(fmt.Sprintf("sim: Deliver source %d outside [0, %d)", src, maxSources))
-	}
-	en.schedule(en.newFuncEvent(label, fn), t, uint64(src)+1)
-}
-
-// schedule queues e at t in the given lane with the next sequence
-// number.
-func (en *Engine) schedule(e *Event, t Time, lane uint64) {
+// schedule queues e at t with the next sequence number.
+func (en *Engine) schedule(e *Event, t Time) {
 	if t < en.now {
 		panic(fmt.Errorf("%w: now=%v target=%v label=%q", ErrPastEvent, en.now, t, e.Label()))
 	}
-	if en.seq++; en.seq > maxSeq {
-		panic("sim: event sequence numbers exhausted")
-	}
+	en.seq++
 	e.at = t
-	en.q.push(slot{at: t, key: lane<<seqBits | en.seq, ev: e})
+	en.q.push(slot{at: t, seq: en.seq, ev: e})
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
 func (en *Engine) After(d Duration, label string, fn func()) *Event {
 	return en.At(en.now.Add(d), label, fn)
 }
-
-// Halt stops the run loop after the current event completes. Further
-// Run/RunUntil calls resume from the halted position.
-func (en *Engine) Halt() { en.halted = true }
 
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
@@ -219,10 +198,9 @@ func (en *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (en *Engine) Run() {
-	en.halted = false
-	for !en.halted && en.Step() {
+	for en.Step() {
 	}
 }
 
@@ -230,8 +208,7 @@ func (en *Engine) Run() {
 // the clock to exactly deadline. Events scheduled past the deadline
 // remain queued.
 func (en *Engine) RunUntil(deadline Time) {
-	en.halted = false
-	for !en.halted {
+	for {
 		next, ok := en.Next()
 		if !ok || next > deadline {
 			break

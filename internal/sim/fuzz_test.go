@@ -7,29 +7,27 @@ import (
 
 // refEntry is one queued event in FuzzEngineOrder's reference model.
 type refEntry struct {
-	id        int
-	at        Time
-	lane, seq uint64
+	id  int
+	at  Time
+	seq uint64
 }
 
 // orderHarness drives an Engine and a reference model, a plain list
-// sorted on demand by (at, lane, seq), through the same operations,
+// sorted on demand by (at, seq), through the same operations,
 // and fails on the first disagreement.
 type orderHarness struct {
 	t     *testing.T
 	en    *Engine
 	seq   uint64
 	model []refEntry
-	// Events 0..len(owned)-1 are caller-owned; the rest are At, After
-	// and Deliver wrappers, at id len(owned)+i in wrapped.
+	// Events 0..len(owned)-1 are caller-owned; the rest are At and
+	// After wrappers, at id len(owned)+i in wrapped.
 	owned   [4]Event
 	wrapped []*Event
 	// action is what each event does when it fires: 0 nothing, 1 cancel
 	// itself (popped, so a no-op), 2 re-arm itself (owned) or schedule
 	// a fresh At (wrapper) arg µs on.
 	action, arg map[int]int
-	// delivered marks the Deliver events, which no handle can cancel.
-	delivered map[int]bool
 	// want is the id the model says fires next, wantPending the queue
 	// length after its pop; fired counts callbacks run.
 	want, wantPending int
@@ -69,44 +67,37 @@ func (h *orderHarness) modelRemove(id int) bool {
 	return false
 }
 
-func (h *orderHarness) modelPush(id int, at Time, lane uint64) {
+func (h *orderHarness) modelPush(id int, at Time) {
 	h.seq++
-	h.model = append(h.model, refEntry{id: id, at: at, lane: lane, seq: h.seq})
+	h.model = append(h.model, refEntry{id: id, at: at, seq: h.seq})
 }
 
-// wrap schedules a wrapper event at now+d in lane (0: At, else Deliver
-// from source lane-1).
-func (h *orderHarness) wrap(d Duration, lane uint64) {
+// wrap schedules a wrapper event at now+d, with At for even d and
+// After for odd.
+func (h *orderHarness) wrap(d Duration) {
 	id := len(h.owned) + len(h.wrapped)
 	fn := func() { h.onFire(id) }
 	at := h.en.Now().Add(d)
 	var e *Event
-	switch {
-	case lane > 0:
-		h.en.Deliver(int(lane-1), at, h.label(id), fn)
-		e = &Event{} // Deliver returns no handle: a never-queued stand-in
-		h.delivered[id] = true
-	case d%2 == 0:
+	if d%2 == 0 {
 		e = h.en.At(at, h.label(id), fn)
-	default:
+	} else {
 		e = h.en.After(d, h.label(id), fn)
 	}
 	h.wrapped = append(h.wrapped, e)
-	h.modelPush(id, at, lane)
+	h.modelPush(id, at)
 }
 
 // arm schedules owned event id at now+d, moving it if queued.
 func (h *orderHarness) arm(id int, d Duration) {
 	h.modelRemove(id)
 	h.owned[id].Schedule(h.en.Now().Add(d))
-	h.modelPush(id, h.en.Now().Add(d), 0)
+	h.modelPush(id, h.en.Now().Add(d))
 }
 
 func (h *orderHarness) cancel(id int) {
 	h.handle(id).Cancel()
-	if !h.delivered[id] {
-		h.modelRemove(id)
-	}
+	h.modelRemove(id)
 }
 
 func (h *orderHarness) onFire(id int) {
@@ -124,7 +115,7 @@ func (h *orderHarness) onFire(id int) {
 		if id < len(h.owned) {
 			h.arm(id, Duration(h.arg[id]))
 		} else {
-			h.wrap(Duration(h.arg[id]), 0)
+			h.wrap(Duration(h.arg[id]))
 		}
 	}
 	h.check()
@@ -141,7 +132,7 @@ func (h *orderHarness) step() {
 	min := 0
 	for i := range h.model {
 		a, b := h.model[i], h.model[min]
-		if a.at < b.at || a.at == b.at && (a.lane < b.lane || a.lane == b.lane && a.seq < b.seq) {
+		if a.at < b.at || a.at == b.at && a.seq < b.seq {
 			min = i
 		}
 	}
@@ -176,10 +167,10 @@ func (h *orderHarness) check() {
 	}
 }
 
-// FuzzEngineOrder runs random At, After, Deliver, caller-owned
-// Schedule (arm and re-arm), Cancel and Step sequences, with callbacks
-// that cancel or re-arm their own event, against a reference model
-// that sorts by (at, lane, seq). It checks the firing order, Pending,
+// FuzzEngineOrder runs random At, After, caller-owned Schedule (arm
+// and re-arm), Cancel and Step sequences, with callbacks that cancel
+// or re-arm their own event, against a reference model that sorts by
+// (at, seq). It checks the firing order, Pending,
 // the fire hook's label, instant and pending count, and that
 // cancelling a fired, never-queued or popped-but-not-yet-run event
 // changes nothing.
@@ -188,8 +179,7 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{3, 5, 0, 3, 1, 0, 4, 0, 0, 7, 2, 3, 3, 0, 1, 6, 0, 0, 6, 0, 0, 5, 0, 0})
 	f.Add([]byte{1, 0, 0, 7, 1, 4, 0, 0, 4, 6, 0, 0, 6, 0, 0, 2, 0, 2, 2, 0, 1, 6, 0, 0, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		h := &orderHarness{t: t, en: NewEngine(), action: map[int]int{}, arg: map[int]int{},
-			delivered: map[int]bool{}}
+		h := &orderHarness{t: t, en: NewEngine(), action: map[int]int{}, arg: map[int]int{}}
 		for id := range h.owned {
 			h.owned[id].Bind(h.en, ownedHandler{h, id})
 		}
@@ -212,10 +202,8 @@ func FuzzEngineOrder(f *testing.F) {
 			op, a, b := ops[i]%8, int(ops[i+1]), int(ops[i+2])
 			n := len(h.owned) + len(h.wrapped)
 			switch op {
-			case 0, 1:
-				h.wrap(Duration(a%8), 0)
-			case 2:
-				h.wrap(Duration(a%8), uint64(b%3)+1)
+			case 0, 1, 2:
+				h.wrap(Duration(a % 8))
 			case 3:
 				h.arm(b%len(h.owned), Duration(a%8))
 			case 4:

@@ -1,36 +1,24 @@
 package sim
 
 // slot is one queued event with its firing key kept inline, so a sift
-// compares keys without dereferencing the events it passes.
+// compares keys without dereferencing the events it passes. A slot is
+// 24 bytes: a fleet's engine holds a keep-alive per frozen instance.
 type slot struct {
 	at Time
-	// key is lane<<seqBits | seq. The lane orders same-instant events
-	// before seq does: 0 for local events (At, Event.Schedule), 1+src
-	// for a delivery from source src (Deliver), so every local event
-	// fires before every delivery at that instant and deliveries fire
-	// in (source, scheduling order). seq, the engine's scheduling
-	// counter, is the FIFO tie-breaker within a lane. Packing both into
-	// one word keeps a slot at 24 bytes: a fleet's engine holds a
-	// keep-alive per frozen instance.
-	key uint64
+	// seq is the engine's scheduling counter, the FIFO tie-breaker
+	// among same-instant events.
+	seq uint64
 	ev  *Event
 }
 
-// The key's split: 2^40 events per engine, 2^24 - 1 delivery sources.
-const (
-	seqBits    = 40
-	maxSeq     = 1<<seqBits - 1
-	maxSources = 1<<(64-seqBits) - 1
-)
-
-// slotLess is the engine's total firing order: time, then lane, then
-// the scheduling sequence. It runs on every heap sift, so it must not
+// slotLess is the engine's total firing order: time, then the
+// scheduling sequence. It runs on every heap sift, so it must not
 // allocate (TestEngineSiftAllocs pins that).
 func slotLess(a, b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
 // arity is the heap's fan-out. Four children share two cache lines,
